@@ -36,19 +36,6 @@ EXIT_PARSE = 2
 EXIT_MATH = 3
 EXIT_VERIFY = 4
 
-_MATH_ERRORS = (
-    errors.BranchCut, errors.SingularCos, errors.SpectralRadiusTooLarge,
-    errors.ConjugatePointOnPath, errors.InsufficientSteps,
-    errors.DegenerateTime, errors.PathFailure, errors.NonIntegrableSymbol,
-    errors.NonIntegrableComposition, errors.SeriesRegimeViolated,
-    errors.NewtonDiverged, errors.TimeTooLarge, errors.RadiusExceeded,
-    errors.NotRealWithinTol, errors.NotPSDWithinTol, errors.GammaCollapsed,
-    errors.GraphConditionFailed, errors.NonIntegrable,
-    errors.TruncationTooLarge, errors.ResolutionTooCoarse,
-    errors.NonPositiveSample, errors.ExponentOrder, errors.FixtureHasGraph,
-    errors.SingularTransform, errors.DimensionMismatch, errors.NonSquare,
-)
-
 
 # --------------------------------------------------------------------------
 # canonical JSON
@@ -227,7 +214,7 @@ def cmd_decompose(args) -> dict:
         "Gsym": _matrix_out(f.Gsym), "Pt": _matrix_out(f.Pt),
         "D": _matrix_out(f.unitary.D), "M": _matrix_out(f.unitary.M),
         "W": _matrix_out(f.unitary.W), "Rs": _matrix_out(f.Rs),
-        "newton_residual": f.unitary.residual,
+        "unitary_residual": f.unitary.residual,
         "polar_recon_residual": f.polar.recon_residual,
     }
 
@@ -363,7 +350,7 @@ def main(argv=None) -> int:
         print(dumps_canonical({"error": str(exc), "kind": type(exc).__name__,
                                "module": exc.module, "operation": exc.operation}))
         return EXIT_PARSE
-    except _MATH_ERRORS as exc:
+    except errors.QsemiError as exc:
         print(dumps_canonical({"error": str(exc), "kind": type(exc).__name__,
                                "module": exc.module, "operation": exc.operation}))
         return EXIT_MATH

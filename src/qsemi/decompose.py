@@ -27,7 +27,6 @@ import scipy.linalg as sla
 from .errors import (
     GammaCollapsed,
     GraphConditionFailed,
-    NewtonDiverged,
     NonIntegrableComposition,
     NotPSDWithinTol,
     NotRealWithinTol,
@@ -88,6 +87,10 @@ class UnitaryFactors:
 
         exp(2tJB) = exp(-2tJ [[0,0],[0,D]]) exp(-tJ [[0,M^T],[M,0]])
                     exp(tJ [[W,0],[0,0]]).
+
+    residual is the Frobenius distance between that product and exp(2tJB).
+    iterations is always 0, as the split is read off in closed form; the
+    field is kept so that callers reading the iteration count keep working.
     """
     D: np.ndarray
     M: np.ndarray
@@ -174,24 +177,6 @@ def polar_factors(q: QuadraticForm, t: float, *, tol: float = DEFAULT_TOL) -> Po
     return PolarFactors(float(t), A, B, float(np.linalg.norm(recon)))
 
 
-def _pack(D, M, W, n):
-    iu = np.triu_indices(n)
-    return np.concatenate([D[iu], M.ravel(), W[iu]])
-
-
-def _unpack(theta, n):
-    k = n * (n + 1) // 2
-    iu = np.triu_indices(n)
-    D = np.zeros((n, n))
-    D[iu] = theta[:k]
-    D = D + D.T - np.diag(np.diag(D))
-    M = theta[k:k + n * n].reshape(n, n)
-    W = np.zeros((n, n))
-    W[iu] = theta[k + n * n:]
-    W = W + W.T - np.diag(np.diag(W))
-    return D, M, W
-
-
 def _three_factor_product(D, M, W, t, J):
     # middle block [[0, M^T], [M, 0]] equals 2 embed_cross(M)
     return (sla.expm(-2 * t * J @ embed_xixi(D).real)
@@ -199,55 +184,32 @@ def _three_factor_product(D, M, W, t, J):
             @ sla.expm(t * J @ embed_xx(W).real))
 
 
-def unitary_factorization(B, t: float, *, tol: float = 1e-12,
-                          max_iter: int = 25) -> UnitaryFactors:
-    """Solve the three-factor splitting of exp(2tJB) by Newton iteration.
+def unitary_factorization(B, t: float) -> UnitaryFactors:
+    """Solve the three-factor splitting of S = exp(2tJB) in closed form.
 
-    The linearization at the origin is the identity, so the natural initial
-    guess (W, M, D) = (2 B11, -2 B21, -B22) converges quadratically whenever
-    t is small enough for the factorization to exist.
+    The factors are [[I, -2tD], [0, I]], diag(e^{-tM}, e^{tM^T}) and
+    [[I, 0], [-tW, I]]; their product has lower-right block e^{tM^T},
+    lower-left block -t e^{tM^T} W and upper-right block -2t D e^{tM^T}, so
+
+        M = log(S22^T) / t,  W = -S22^{-1} S21 / t,  D = -S12 S22^{-1} / (2t),
+
+    with D and W symmetric because S is symplectic.  The splitting exists
+    exactly when S22 has no eigenvalue on (-inf, 0] (BranchCut otherwise).
     """
     B = np.asarray(B, dtype=float)
     n = B.shape[0] // 2
     J = standard_J(n)
-    if spectral_norm(t * B) > 0.5:
-        raise TimeTooLarge(f"|tB| = {spectral_norm(t*B):.3f} beyond the Newton regime",
-                           module=_MOD, operation="unitary_factorization")
-    target = sla.expm(2 * t * J @ B)
-    target_inv = np.linalg.inv(target)
-    theta = _pack(-B[n:, n:], -2 * B[n:, :n], 2 * B[:n, :n], n)
-    I2n = np.eye(2 * n)
-
-    def residual(th):
-        D, M, W = _unpack(th, n)
-        return (_three_factor_product(D, M, W, t, J) @ target_inv - I2n).ravel()
-
-    R = residual(theta)
-    res = float(np.linalg.norm(R))
-    it = 0
-    h = 1e-7
-    for it in range(1, max_iter + 1):
-        if res < tol:
-            break
-        Jac = np.empty((R.size, theta.size))
-        for j in range(theta.size):
-            tp = theta.copy()
-            tp[j] += h
-            Jac[:, j] = (residual(tp) - R) / h
-        step, *_ = np.linalg.lstsq(Jac, -R, rcond=None)
-        theta = theta + step
-        R = residual(theta)
-        new_res = float(np.linalg.norm(R))
-        if not np.isfinite(new_res) or new_res > 10 * max(res, 1.0):
-            raise NewtonDiverged("Newton step diverged", residual=new_res,
-                                 module=_MOD, operation="unitary_factorization")
-        res = new_res
-    if res >= max(tol, 1e-10):
-        raise NewtonDiverged(f"Newton stalled at residual {res:.3e}",
-                             residual=res, module=_MOD,
-                             operation="unitary_factorization")
-    D, M, W = _unpack(theta, n)
-    return UnitaryFactors(D=D, M=M, W=W, residual=res, iterations=it)
+    if t == 0:
+        return UnitaryFactors(D=-B[n:, n:], M=-2 * B[n:, :n], W=2 * B[:n, :n],
+                              residual=0.0, iterations=0)
+    S = sla.expm(2 * t * J @ B)
+    S12, S21, S22 = S[:n, n:], S[n:, :n], S[n:, n:]
+    M = mat_log_principal(S22.T).real / t
+    W = -np.linalg.solve(S22, S21) / t
+    D = -np.linalg.solve(S22.T, S12.T).T / (2 * t)
+    D, W = (D + D.T) / 2, (W + W.T) / 2
+    res = float(np.linalg.norm(_three_factor_product(D, M, W, t, J) - S))
+    return UnitaryFactors(D=D, M=M, W=W, residual=res, iterations=0)
 
 
 def strang_middle(A, B, *, tol: float = DEFAULT_TOL,

@@ -41,10 +41,6 @@ class ConjugatePointOnPath(QsemiError):
     pass
 
 
-class InsufficientSteps(QsemiError):
-    pass
-
-
 class SingularTransform(QsemiError):
     pass
 
@@ -61,10 +57,6 @@ class DegenerateTime(QsemiError):
     pass
 
 
-class PathFailure(QsemiError):
-    pass
-
-
 class NonIntegrableSymbol(QsemiError):
     pass
 
@@ -75,12 +67,6 @@ class NonIntegrableComposition(QsemiError):
 
 class SeriesRegimeViolated(QsemiError):
     pass
-
-
-class NewtonDiverged(QsemiError):
-    def __init__(self, message: str, *, residual: float = float("nan"), **kw):
-        self.residual = residual
-        super().__init__(message, **kw)
 
 
 class TimeTooLarge(QsemiError):

@@ -1,5 +1,6 @@
 """Dense complex matrix functions: exp, principal log, cos/tan/arctan,
-branch-tracked sqrt(det cos), rank-revealing null spaces, PSD tests.
+Pfaffians and the continuous branch of sqrt(det cos), rank-revealing null
+spaces, PSD tests.
 
 All routines are dense and target matrices of size at most ~40x40; inputs are
 validated for finiteness and shape, never mutated.
@@ -14,7 +15,7 @@ import scipy.linalg as sla
 from .errors import (
     BranchCut,
     ConjugatePointOnPath,
-    InsufficientSteps,
+    DegenerateTime,
     NonSquare,
     SingularCos,
     SpectralRadiusTooLarge,
@@ -111,28 +112,52 @@ def mat_arctan(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 @dataclass
 class BranchTrackedScalar:
-    """A continuously tracked branch of s -> sqrt(det cos(s J Q)).
+    """The branch of s -> sqrt(det cos(s J Q)) continuous from 1 at s = 0,
+    evaluated at s = path_parameter.
 
-    value at path_parameter 0 is exactly 1; refining the step count changes
-    the value by less than the per-step continuity margin enforced below.
+    steps_used is always 0: the branch is a closed form, not a path walk.  The
+    field is kept so that callers reading the step count keep working.
     """
     value: complex
     path_parameter: float
     steps_used: int
 
 
-# per-step phase budget for det along the path; the square root then moves by
-# less than pi/4 per step, which pins the branch uniquely
-_PHASE_BUDGET = np.pi / 2
-_MAX_STEPS = 1 << 14
+def pfaffian(A) -> complex:
+    """Pfaffian of a skew-symmetric matrix of even size.
+
+    Skew Parlett-Reid elimination with pivoting (Wimmer, Algorithm 923, ACM
+    TOMS 38, 2012): each step pivots the largest entry of the next column
+    into place and takes the Schur complement of the leading 2 x 2 block.
+    """
+    A = np.array(A, dtype=complex)
+    pf = 1.0 + 0j
+    for k in range(0, A.shape[0] - 1, 2):
+        p = k + 1 + int(np.abs(A[k + 1:, k]).argmax())
+        if p != k + 1:
+            A[[k + 1, p]] = A[[p, k + 1]]
+            A[:, [k + 1, p]] = A[:, [p, k + 1]]
+            pf = -pf
+        a = A[k, k + 1]
+        if a == 0:
+            return 0j
+        pf *= a
+        u, v = A[k, k + 2:] / a, A[k + 1, k + 2:]
+        A[k + 2:, k + 2:] += np.outer(v, u) - np.outer(u, v)
+    return pf
 
 
-def sqrt_det_cos_tracked(Q, t: float, steps: int = 16, *,
+def sqrt_det_cos_tracked(Q, t: float, *,
                          tol: float = DEFAULT_TOL) -> BranchTrackedScalar:
-    """Track the branch of sqrt(det cos(s J Q)) continuously from s=0 to s=t.
+    """sqrt(det cos(t J Q)) on the branch continuous in t from 1 at t = 0.
 
-    Uniform subdivision with per-step phase monitoring; the step count doubles
-    automatically until each det ratio rotates by less than pi/2.
+    J cos(tJQ) is skew-symmetric (cos(tJQ) is an even function of the
+    Hamiltonian matrix tJQ), so Pf(J cos(tJQ)) / Pf(J) squares to
+    det cos(tJQ); being a polynomial in the entries that equals 1 at t = 0,
+    it is that branch (Hormander, Math. Z. 219, 1995).  cos vanishes only on
+    the real axis, so det cos(sJQ) has a zero for some s in (0, t] exactly
+    when JQ has a real eigenvalue lambda with t |lambda| >= pi/2; that is
+    reported as ConjugatePointOnPath.
     """
     from .quadform import standard_J  # local import to avoid a cycle
 
@@ -148,39 +173,20 @@ def sqrt_det_cos_tracked(Q, t: float, steps: int = 16, *,
         return BranchTrackedScalar(1.0 + 0j, 0.0, 0)
     J = standard_J(n2 // 2)
     JQ = J @ Q
-
-    steps = max(int(steps), 1)
-    while steps <= _MAX_STEPS:
-        value = 1.0 + 0j
-        prev_det = 1.0 + 0j
-        peak = 1.0
-        ok = True
-        for k in range(1, steps + 1):
-            s = t * k / steps
-            d = np.linalg.det(mat_cos(s * JQ))
-            peak = max(peak, abs(d))
-            # scale-aware zero test: a double zero of the det pinches through
-            # 0 with no phase jump, so a collapse relative to the path peak
-            # must also count as a conjugate point
-            if abs(d) < max(tol, 1e-6 * peak):
-                raise ConjugatePointOnPath(
-                    f"det cos vanishes near s = {s:.6g} (|det| = {abs(d):.3e})",
-                    module=_MOD, operation="sqrt_det_cos_tracked")
-            ratio = d / prev_det
-            # both the phase and the modulus of det must move slowly per
-            # step; a modulus jump marks an under-resolved dip or spike
-            if (abs(np.angle(ratio)) >= _PHASE_BUDGET
-                    or not 0.25 < abs(ratio) < 4.0):
-                ok = False
-                break
-            value *= np.sqrt(ratio)
-            prev_det = d
-        if ok:
-            return BranchTrackedScalar(value, float(t), steps)
-        steps *= 2
-    raise InsufficientSteps(
-        f"per-step phase stayed above pi/2 even at {_MAX_STEPS} steps",
-        module=_MOD, operation="sqrt_det_cos_tracked")
+    lam = np.linalg.eigvals(JQ)
+    hit = (np.abs(lam.imag) <= tol * np.abs(lam)) & (t * np.abs(lam) >= np.pi / 2)
+    if hit.any():
+        raise ConjugatePointOnPath(
+            f"det cos vanishes on the path: real eigenvalue {lam[hit][0].real:.6g} "
+            f"of JQ at t = {t:.6g}", module=_MOD, operation="sqrt_det_cos_tracked")
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = mat_cos(t * JQ)
+    if not np.isfinite(C).all():
+        raise DegenerateTime(f"cos(tJQ) overflows at t = {t:.6g}",
+                             module=_MOD, operation="sqrt_det_cos_tracked")
+    JC = J @ C
+    value = pfaffian((JC - JC.T) / 2) / pfaffian(J)
+    return BranchTrackedScalar(complex(value), float(t), 0)
 
 
 def null_space(A, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Gaussian symbols and kernels for quadratic semigroups.
 
 Symbols: exp(-t q^w) acts, when det cos(tJQ) != 0, as c (e^{-m})^w with
-c = det cos(tJQ)^{-1/2} (branch tracked from t = 0) and m the form of
-J^{-1} tan(tJQ).
+c = det cos(tJQ)^{-1/2} (on the branch continuous from 1 at t = 0, a
+Pfaffian; see matfun.sqrt_det_cos_tracked) and m the form of J^{-1} tan(tJQ).
 
 Kernels: whenever the xi-xi block of m has positive-definite real part, the
 operator (e^{-m})^w is an integral transform with kernel
@@ -26,17 +26,15 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
+    ConjugatePointOnPath,
     DegenerateTime,
     DimensionMismatch,
     NonIntegrableComposition,
     NonIntegrableSymbol,
-    PathFailure,
     SeriesRegimeViolated,
 )
 from .matfun import (
     DEFAULT_TOL,
-    ConjugatePointOnPath,
-    InsufficientSteps,
     mat_cos,
     mat_sin,
     spectral_norm,
@@ -112,10 +110,10 @@ def _check_re_pd(A, *, operation: str, what: str) -> None:
             f"(lambda_min = {lam:.3e})", module=_MOD, operation=operation)
 
 
-def mehler_symbol(q: QuadraticForm, t: float, *, steps: int = 16,
+def mehler_symbol(q: QuadraticForm, t: float, *,
                   tol: float = DEFAULT_TOL) -> MehlerSymbol:
     """Symbol of exp(-t q^w): prefactor 1/sqrt(det cos(tJQ)) and form of
-    J^{-1} tan(tJQ), with the determinant branch tracked along [0, t]."""
+    J^{-1} tan(tJQ), on the determinant branch continuous from t = 0."""
     if t < 0:
         raise DegenerateTime("t must be nonnegative", module=_MOD,
                              operation="mehler_symbol")
@@ -123,11 +121,9 @@ def mehler_symbol(q: QuadraticForm, t: float, *, steps: int = 16,
     if t == 0:
         return MehlerSymbol(q.n, 1.0 + 0j, np.zeros((2 * q.n, 2 * q.n), complex), 0.0)
     try:
-        tracked = sqrt_det_cos_tracked(q.Q, t, steps=steps, tol=tol)
+        tracked = sqrt_det_cos_tracked(q.Q, t, tol=tol)
     except ConjugatePointOnPath as exc:
         raise DegenerateTime(str(exc), module=_MOD, operation="mehler_symbol") from exc
-    except InsufficientSteps as exc:
-        raise PathFailure(str(exc), module=_MOD, operation="mehler_symbol") from exc
     A = t * (J @ q.Q)
     C = mat_cos(A)
     S = mat_sin(A)

@@ -56,6 +56,24 @@ def test_verify_kolmogorov(capsys):
     assert rep["kernel_residual"] < 1e-6
 
 
+def test_verify_fokker_planck_long_horizon(capsys):
+    # the closed-form unitary split keeps stages valid up to t0 ~ 0.539 here
+    code, out = run_cli(capsys, "verify", "--fixture", "fokker-planck",
+                        "--t", "0.5", "--t-grid", "1e-3,2,30")
+    rep = json.loads(out)
+    assert code == EXIT_OK
+    assert rep["passed"] is True
+    assert rep["matrix_residual"] < 1e-9
+    assert rep["kernel_residual"] < 1e-6
+
+
+def test_kernel_overflow_is_typed_error(capsys):
+    # cos(tJQ) grows like e^{t/2} for the harmonic oscillator and overflows
+    code, out = run_cli(capsys, "kernel", "--fixture", "harmonic", "--t", "1e6")
+    assert code == EXIT_MATH
+    assert json.loads(out)["kind"] == "DegenerateTime"
+
+
 def test_problem_file_roundtrip(tmp_path, capsys):
     Q = np.zeros((2, 2))
     Q[1, 1] = 1.0

@@ -89,16 +89,19 @@ def test_unitary_single_block_D():
 
 def test_unitary_random_reconstruction():
     rng = np.random.default_rng(79)
-    for _ in range(5):
-        B = rng.standard_normal((4, 4))
-        B = (B + B.T) / 2
-        t = 0.1 / np.linalg.norm(B, 2)
-        uni = unitary_factorization(B, t)
-        assert uni.iterations <= 8
-        assert uni.residual < 1e-12
-        J = standard_J(2)
-        recon = _three_factor_product(uni.D, uni.M, uni.W, t, J)
-        assert np.linalg.norm(recon - sla.expm(2 * t * J @ B)) < 1e-11
+    for n in (2, 5, 10):
+        J = standard_J(n)
+        for _ in range(5):
+            B = rng.standard_normal((2 * n, 2 * n))
+            B = (B + B.T) / 2
+            t = 0.1 / np.linalg.norm(B, 2)
+            uni = unitary_factorization(B, t)
+            assert uni.iterations == 0
+            assert uni.residual < 1e-13
+            recon = _three_factor_product(uni.D, uni.M, uni.W, t, J)
+            assert np.linalg.norm(recon - sla.expm(2 * t * J @ B)) < 1e-13
+            assert np.abs(uni.D - uni.D.T).max() < 1e-14
+            assert np.abs(uni.W - uni.W.T).max() < 1e-14
 
 
 # --- Strang middle term --------------------------------------------------------

@@ -31,6 +31,7 @@ from qsemi.errors import (
     NonSquare,
     SpectralRadiusTooLarge,
 )
+from qsemi.matfun import pfaffian
 from qsemi.mehler import twisted_form_matrix
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -216,11 +217,40 @@ def test_sqrt_det_cos_branch_beyond_principal():
     assert abs(r.value - principal) > 1e-2 * abs(principal)  # tracking matters
 
 
-def test_sqrt_det_cos_step_insensitive():
-    Q = 0.5 * (1 - 1j) * np.eye(2, dtype=complex)
-    a = sqrt_det_cos_tracked(Q, 3.0, steps=64).value
-    b = sqrt_det_cos_tracked(Q, 3.0, steps=128).value
-    assert abs(a - b) < 1e-10 * abs(a)
+def test_pfaffian_squares_to_det():
+    rng = np.random.default_rng(37)
+    for m in (2, 4, 6, 10):
+        X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        A = X - X.T
+        d = np.linalg.det(A)
+        assert abs(pfaffian(A) ** 2 - d) < 1e-12 * abs(d)
+    assert pfaffian(standard_J(3)) == -1  # (-1)^{n(n-1)/2} for [[0, I], [-I, 0]]
+
+
+def continued_sqrt_det_cos(Q, t, steps=4096):
+    """Reference branch: walk det cos(sJQ) = prod_j cos(s lambda_j) over fine
+    uniform steps of [0, t] and multiply the principal square roots of the
+    step ratios."""
+    lam = np.linalg.eigvals(standard_J(Q.shape[0] // 2) @ Q)
+    s = np.linspace(0.0, t, steps + 1)
+    d = np.cos(np.outer(s, lam)).prod(axis=1)
+    ratio = d[1:] / d[:-1]
+    assert np.abs(np.angle(ratio)).max() < np.pi / 4  # steps resolve the branch
+    return np.sqrt(ratio).prod()
+
+
+def test_sqrt_det_cos_matches_reference_continuation():
+    rng = np.random.default_rng(31)
+    cases = [(0.5 * (1 - 1j) * np.eye(2, dtype=complex), 4.0)]  # winding
+    for _ in range(12):
+        n = int(rng.integers(1, 6))
+        G = rng.standard_normal((2 * n, 2 * n))
+        S = rng.standard_normal((2 * n, 2 * n))
+        Q = G @ G.T + 1j * (S + S.T)
+        cases.append((Q / np.linalg.norm(Q, 2), rng.uniform(0.05, 1.0)))
+    for Q, t in cases:
+        ref = continued_sqrt_det_cos(Q, t)
+        assert abs(sqrt_det_cos_tracked(Q, t).value - ref) < 1e-12 * abs(ref)
 
 
 def test_sqrt_det_cos_conjugate_point():
