@@ -32,6 +32,7 @@ from .evolve import (
     lp_norm,
     miraculous_bound_check,
     norm_fit_report,
+    norm_sweep,
     op_norm_1_inf,
     op_norm_lower_gaussian,
     sample_state,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -22,8 +23,8 @@ from .evolve import (
     counterexample_demo,
     lp_norm,
     norm_fit_report,
+    norm_sweep,
     op_norm_1_inf,
-    op_norm_lower_gaussian,
 )
 from .fixtures import fixture_names, get_fixture
 from .matfun import DEFAULT_TOL, psd_check
@@ -93,61 +94,90 @@ def _matrix_out(M) -> list:
 # --------------------------------------------------------------------------
 # problem files
 
+def _parse_error(message: str, operation: str) -> errors.ParseError:
+    return errors.ParseError(message, module="cli", operation=operation)
+
+
+def _read_problem_file(args) -> dict:
+    """The JSON object of the problem file, parsed once per command."""
+    if not hasattr(args, "problem_data"):
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise _parse_error(f"cannot read problem file: {exc}",
+                               "load_problem") from exc
+        if not isinstance(data, dict):
+            raise _parse_error("problem file must hold a JSON object",
+                               "load_problem")
+        args.problem_data = data
+    return args.problem_data
+
+
 def load_problem(args) -> QuadraticForm:
     """Build the form from --fixture or a JSON problem file."""
     if args.fixture:
         return get_fixture(args.fixture)
     if not args.file:
-        raise errors.ParseError("either a problem file or --fixture is required",
-                                module="cli", operation="load_problem")
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise errors.ParseError(f"cannot read problem file: {exc}",
-                                module="cli", operation="load_problem") from exc
+        raise _parse_error("either a problem file or --fixture is required",
+                           "load_problem")
+    data = _read_problem_file(args)
     try:
         n = int(data["n"])
+        if n < 1:
+            raise ValueError(f"n = {n} must be at least 1")
         Q_re = np.asarray(data["Q_re"], dtype=float).reshape(2 * n, 2 * n)
-        Q_im = np.asarray(data.get("Q_im", np.zeros((2 * n, 2 * n))),
-                          dtype=float).reshape(2 * n, 2 * n)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise errors.ParseError(f"malformed problem file: {exc}",
-                                module="cli", operation="load_problem") from exc
+        Q_im = (np.asarray(data["Q_im"], dtype=float).reshape(2 * n, 2 * n)
+                if "Q_im" in data else np.zeros_like(Q_re))
+        tol = float(data.get("tolerances", {}).get("default", default_tol()))
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise _parse_error(f"malformed problem file: {exc}", "load_problem") from exc
+    if not (np.isfinite(Q_re).all() and np.isfinite(Q_im).all()):
+        raise _parse_error("Q_re and Q_im must be finite", "load_problem")
+    if not (math.isfinite(tol) and tol > 0):
+        raise _parse_error(f"tolerance {tol} must be finite and positive",
+                           "load_problem")
     Q = Q_re + 1j * Q_im
     scale = max(1.0, float(np.linalg.norm(Q)))
     if np.linalg.norm(Q - Q.T) > 1e-9 * scale:
-        raise errors.ParseError("Q is not symmetric within 1e-9",
-                                module="cli", operation="load_problem")
+        raise _parse_error("Q is not symmetric within 1e-9", "load_problem")
     ok, lam = psd_check(Q.real, tol=1e-9 * scale)
     if not ok:
-        raise errors.ParseError(
+        raise _parse_error(
             f"Re Q is not positive semidefinite (lambda_min = {lam:.3e})",
-            module="cli", operation="load_problem")
-    tol = float(data.get("tolerances", {}).get("default", default_tol()))
+            "load_problem")
     return QuadraticForm(n, Q, tol)
 
 
 def load_t_grid(args) -> np.ndarray:
+    """The sweep's t grid: --t-grid t_min,t_max,points[,log|lin], else the
+    problem file's t_grid, else 20 log-spaced points on [1e-3, 1e-1]."""
     if args.t_grid:
         parts = args.t_grid.split(",")
-        t_min, t_max, points = float(parts[0]), float(parts[1]), int(parts[2])
-        log_spaced = len(parts) < 4 or parts[3].strip().lower() in ("log", "true", "1")
-        if log_spaced:
-            return np.logspace(np.log10(t_min), np.log10(t_max), points)
-        return np.linspace(t_min, t_max, points)
-    if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            data = json.load(fh)
-        grid_spec = data.get("t_grid")
-        if grid_spec:
-            if grid_spec.get("log_spaced", True):
-                return np.logspace(np.log10(grid_spec["t_min"]),
-                                   np.log10(grid_spec["t_max"]),
-                                   grid_spec["points"])
-            return np.linspace(grid_spec["t_min"], grid_spec["t_max"],
-                               grid_spec["points"])
-    return np.logspace(-3, -1, 20)
+        if len(parts) < 3:
+            raise _parse_error(f"--t-grid {args.t_grid!r} needs t_min,t_max,points",
+                               "load_t_grid")
+        spec = {"t_min": parts[0], "t_max": parts[1], "points": parts[2],
+                "log_spaced": len(parts) < 4
+                or parts[3].strip().lower() in ("log", "true", "1")}
+    elif args.file and _read_problem_file(args).get("t_grid"):
+        spec = _read_problem_file(args)["t_grid"]
+    else:
+        return np.logspace(-3, -1, 20)
+    try:
+        t_min, t_max = float(spec["t_min"]), float(spec["t_max"])
+        points, log_spaced = int(spec["points"]), spec.get("log_spaced", True)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise _parse_error(f"malformed t grid: {exc}", "load_t_grid") from exc
+    if not (math.isfinite(t_min) and math.isfinite(t_max)) or points < 1:
+        raise _parse_error(f"t grid needs finite ends and points >= 1, got "
+                           f"({t_min}, {t_max}, {points})", "load_t_grid")
+    if log_spaced:
+        if min(t_min, t_max) <= 0:
+            raise _parse_error(f"a log-spaced t grid needs t_min, t_max > 0, got "
+                               f"({t_min}, {t_max})", "load_t_grid")
+        return np.logspace(np.log10(t_min), np.log10(t_max), points)
+    return np.linspace(t_min, t_max, points)
 
 
 def default_tol() -> float:
@@ -260,17 +290,17 @@ def cmd_evolve(args) -> dict:
 
 
 def _parse_exponent(s: str) -> float:
-    return np.inf if s in ("inf", "Inf", "oo") else float(s)
+    try:
+        return np.inf if s in ("inf", "Inf", "oo") else float(s)
+    except ValueError as exc:
+        raise _parse_error(f"exponent {s!r} is not a number", "parse_exponent") from exc
 
 
 def cmd_norms(args) -> dict:
     q = load_problem(args)
     p, qq = _parse_exponent(args.p), _parse_exponent(args.q)
-    k = kernel_from_symbol(mehler_symbol(q, args.t, tol=args.tol), tol=args.tol)
-    if p == 1 and np.isinf(qq):
-        value, method = op_norm_1_inf(k), "exact sup |g|"
-    else:
-        value, method = op_norm_lower_gaussian(k, p, qq), "gaussian lower bound"
+    value = norm_sweep(q, args.t, p, qq, tol=args.tol)
+    method = "exact sup |g|" if p == 1 and np.isinf(qq) else "gaussian lower bound"
     return {"t": args.t, "p": p, "q": qq, "norm": value, "method": method}
 
 
@@ -279,14 +309,7 @@ def cmd_exponents(args) -> dict:
     p, qq = _parse_exponent(args.p), _parse_exponent(args.q)
     report = singular_space(q, tol=args.tol)
     grid = load_t_grid(args)
-    norms = []
-    for t in grid:
-        k = kernel_from_symbol(mehler_symbol(q, float(t), tol=args.tol),
-                               tol=args.tol)
-        if p == 1 and np.isinf(qq):
-            norms.append(op_norm_1_inf(k))
-        else:
-            norms.append(op_norm_lower_gaussian(k, p, qq))
+    norms = norm_sweep(q, grid, p, qq, tol=args.tol)
     fit = norm_fit_report(p, qq, q.n, report.k0, grid, norms)
     if abs(fit.fitted_slope + fit.cpq) <= 0.02:
         verdict = "tight"
@@ -295,10 +318,8 @@ def cmd_exponents(args) -> dict:
     else:
         verdict = "violated"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("t,value\n")
-            for t, v in zip(grid, norms):
-                fh.write(f"{format(float(t), '.17g')},{format(float(v), '.17g')}\n")
+        np.savetxt(args.out, np.column_stack([grid, norms]), fmt="%.17g",
+                   delimiter=",", header="t,value", comments="", encoding="utf-8")
     return {"p": p, "q": qq, "r": fit.r, "k0": report.k0,
             "fitted_slope": fit.fitted_slope, "r_squared": fit.r_squared,
             "cpq_bound": fit.cpq, "verdict": verdict,

@@ -7,11 +7,18 @@ from __future__ import annotations
 
 
 class QsemiError(Exception):
-    """Base class; subclasses all carry (module, operation) provenance."""
+    """Base class; subclasses all carry (module, operation) provenance.
 
-    def __init__(self, message: str, *, module: str = "", operation: str = ""):
+    An operation run on a stack (one entry per t of a grid, say) fails on its
+    first failing entry; `index` is that entry's position in the flattened
+    stack, and 0 for an operation on a single entry.
+    """
+
+    def __init__(self, message: str, *, module: str = "", operation: str = "",
+                 index: int = 0):
         self.module = module
         self.operation = operation
+        self.index = index
         if module or operation:
             message = f"[{module}.{operation}] {message}"
         super().__init__(message)

@@ -6,6 +6,11 @@ convolutions, so every norm and derivative below is exact linear algebra.
 
 Grid path: tensorized trapezoid quadrature on uniform grids (n <= 2) used to
 cross-validate the closed forms and to evolve non-Gaussian inputs.
+
+Sweeps: op_norm_1_inf and op_norm_lower_gaussian also take kernels stacked
+over a grid of times, and norm_sweep evaluates a whole t-grid at once, as one
+stacked Mehler -> kernel -> norm pass; the lower bound's width search runs in
+lockstep over the stack, one stacked evaluation per width.
 """
 from __future__ import annotations
 
@@ -21,10 +26,11 @@ from .errors import (
     NonIntegrable,
     NonIntegrableSymbol,
     NonPositiveSample,
+    QsemiError,
     ResolutionTooCoarse,
     TruncationTooLarge,
 )
-from .matfun import DEFAULT_TOL, spectral_norm
+from .matfun import DEFAULT_TOL, first_index, spectral_norm
 from .mehler import (
     GaussianKernel,
     kernel_from_symbol,
@@ -182,11 +188,7 @@ def lp_norm(u, p: float) -> float:
         ReA = u.A.real
         Reb = u.b.real
         peak = float(np.exp(0.5 * Reb @ np.linalg.solve(ReA, Reb)))
-        if np.isinf(p):
-            return abs(u.c) * peak
-        det = float(np.linalg.det(ReA))
-        mass = (2 * np.pi) ** (u.n / 2) * p ** (-u.n / 2) / math.sqrt(det)
-        return abs(u.c) * mass ** (1 / p) * peak
+        return _centered_lp_norm(abs(u.c), ReA, p) * peak
     if isinstance(u, GridFunction):
         if np.isinf(p):
             return float(np.abs(u.samples).max())
@@ -290,49 +292,114 @@ def apply_kernel_grid(k: GaussianKernel, u: GridFunction, *,
 # --------------------------------------------------------------------------
 # norms, exponents, estimates
 
+def _centered_lp_norm(c_abs, ReA, p: float):
+    """L^p norm of c_abs exp(-ReA x.x / 2), for each entry of a stack."""
+    if np.isinf(p):
+        return c_abs
+    n = ReA.shape[-1]
+    mass = (2 * np.pi) ** (n / 2) * p ** (-n / 2) / np.sqrt(np.linalg.det(ReA))
+    return c_abs * mass ** (1 / p)
+
+
+def _width_ratios(k: GaussianKernel, ls, p: float, q: float):
+    """|k u|_q / |u|_p for the centered Gaussian u of width 10^ls, one width
+    per kernel of a stack, and 0 where k u is not integrable.
+
+    This is apply_kernel_gaussian and lp_norm for u = exp(-|x|^2 10^(-2 ls) / 2),
+    run on the stack: their three integrability tests (Re(K_yy + A) positive
+    definite relative to its norm, the eigenvalues of K_yy + A in the right
+    half-plane, Re A_out positive definite) give 0 entry by entry.  Entries
+    that fail a test continue with identity blocks, so no later step raises.
+    """
+    n = k.n
+    I = np.eye(n)
+    s = 10.0 ** (-2 * np.asarray(ls))
+    W = k.K[..., n:, n:] + I * s[..., None, None]
+    Kyx = k.K[..., n:, :n]
+    H = (W.real + W.real.mT) / 2
+    bad = np.linalg.eigvalsh(H)[..., 0] <= 1e-12 * np.linalg.norm(H, 2, axis=(-2, -1))
+    W = np.where(bad[..., None, None], I, W)
+    w = np.linalg.eigvals(W)
+    bad |= (w.real <= 0).any(axis=-1)
+    A = k.K[..., :n, :n] - Kyx.mT @ np.linalg.inv(W) @ Kyx
+    A = (A + A.mT) / 2
+    bad |= np.linalg.eigvalsh(A.real)[..., 0] <= 0
+    A = np.where(bad[..., None, None], I, A)
+    c = np.abs(k.c * (2 * np.pi) ** (n / 2) / np.exp(0.5 * np.sum(np.log(w), axis=-1)))
+    ratio = _centered_lp_norm(c, A.real, q) / _centered_lp_norm(1.0, I * s[..., None, None], p)
+    return np.where(bad, 0.0, ratio)
+
+
 def op_norm_1_inf(k: GaussianKernel, *, tol: float = DEFAULT_TOL) -> float:
     """L^1 -> L^inf norm = sup |g|; the real part of K is PSD, so the
-    supremum sits on the null space of Re K and equals |c|."""
-    lam = float(np.linalg.eigvalsh((k.K.real + k.K.real.T) / 2).min())
-    if lam < -tol * max(1.0, abs(k.c)):
-        raise NonIntegrable(f"Re K has lambda_min = {lam:.3e}; sup |g| is "
-                            "infinite", module=_MOD, operation="op_norm_1_inf")
-    return abs(k.c)
+    supremum sits on the null space of Re K and equals |c|.  A stacked
+    kernel gives the norm of each."""
+    Kr = k.K.real
+    lam = np.linalg.eigvalsh((Kr + Kr.mT) / 2)[..., 0]
+    i = first_index(lam < -tol * np.maximum(1.0, np.abs(k.c)))
+    if i is not None:
+        raise NonIntegrable(f"Re K has lambda_min = {lam.flat[i]:.3e}; sup |g| is "
+                            "infinite", module=_MOD, operation="op_norm_1_inf",
+                            index=i)
+    return np.abs(k.c)[()]
 
 
 def op_norm_lower_gaussian(k: GaussianKernel, p: float, q: float, *,
                            log_sigma_range=(-2.0, 2.0), points: int = 41,
                            refine: int = 40) -> float:
     """Lower bound on the L^p -> L^q norm over centered isotropic Gaussians,
-    golden-section refined over the width."""
-    def ratio(ls):
-        u = GaussianState(k.n, 1.0, np.eye(k.n) * 10.0 ** (-2 * ls),
-                          np.zeros(k.n))
-        try:
-            return lp_norm(apply_kernel_gaussian(k, u), q) / lp_norm(u, p)
-        except (NonIntegrable, NonIntegrableSymbol):
-            return 0.0
+    golden-section refined over the width.
+
+    A stacked kernel gives the bound of each: the width grid and the
+    golden-section steps run in lockstep, one stacked evaluation per step.
+    """
+    if not (1 <= p and 1 <= q):
+        raise ExponentOrder(f"(p, q) = ({p}, {q}) out of range", module=_MOD,
+                            operation="op_norm_lower_gaussian")
+
+    def ratio(ls):  # one width per kernel
+        return _width_ratios(k, ls, p, q)
 
     grid = np.linspace(*log_sigma_range, points)
-    vals = [ratio(ls) for ls in grid]
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+    vals = np.stack([ratio(np.full(np.shape(k.c), ls)) for ls in grid])
+    i = vals.argmax(axis=0)
+    a = grid[np.maximum(i - 1, 0)]
+    b = grid[np.minimum(i + 1, len(grid) - 1)]
     phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
     c1 = b - phi * (b - a)
     c2 = a + phi * (b - a)
     f1, f2 = ratio(c1), ratio(c2)
     for _ in range(refine):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = ratio(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = ratio(c1)
-    return max(max(vals), f1, f2)
+        # where f1 < f2 the bracket keeps [c1, b] and c2 becomes c1;
+        # elsewhere it keeps [a, c2] and c1 becomes c2
+        up = f1 < f2
+        a, b = np.where(up, c1, a), np.where(up, b, c2)
+        x = np.where(up, a + phi * (b - a), b - phi * (b - a))
+        fx = ratio(x)
+        c1, c2 = np.where(up, c2, x), np.where(up, x, c1)
+        f1, f2 = np.where(up, f2, fx), np.where(up, fx, f1)
+    return np.maximum(np.maximum(vals.max(axis=0), f1), f2)[()]
+
+
+def norm_sweep(form: QuadraticForm, t, p: float, q: float, *,
+               tol: float = DEFAULT_TOL):
+    """L^p -> L^q norm of exp(-t q^w), q^w the operator of `form`, at a
+    time t or at each time of an array t: sup |g| exactly for (1, inf), the
+    Gaussian lower bound otherwise.
+
+    The Mehler symbol, the kernel and the norm are each computed on the whole
+    stack at once.  A failure is the one a loop over t would meet first: at
+    the first failing t, from the first stage that fails there.
+    """
+    try:
+        k = kernel_from_symbol(mehler_symbol(form, t, tol=tol), tol=tol)
+        if p == 1 and np.isinf(q):
+            return op_norm_1_inf(k)
+        return op_norm_lower_gaussian(k, p, q)
+    except QsemiError as exc:
+        if exc.index:  # an earlier t may fail in a later stage: that comes first
+            norm_sweep(form, np.asarray(t)[:exc.index], p, q, tol=tol)
+        raise
 
 
 def compute_cpq(p: float, q: float, n: int, k0: int) -> float:
@@ -374,8 +441,9 @@ def fit_exponent(t_values, norms) -> tuple[float, float]:
     if t_values.size < 3:
         raise NonPositiveSample("need at least 3 samples", module=_MOD,
                                 operation="fit_exponent")
-    if (t_values <= 0).any() or (norms <= 0).any():
-        raise NonPositiveSample("t values and norms must be positive",
+    if not ((t_values > 0).all() and (norms > 0).all()
+            and np.isfinite(t_values).all() and np.isfinite(norms).all()):
+        raise NonPositiveSample("t values and norms must be positive and finite",
                                 module=_MOD, operation="fit_exponent")
     x = np.log(t_values)
     y = np.log(norms)

@@ -3,7 +3,8 @@ Pfaffians and the continuous branch of sqrt(det cos), rank-revealing null
 spaces, PSD tests.
 
 All routines are dense and target matrices of size at most ~40x40; inputs are
-validated for finiteness and shape, never mutated.
+validated for finiteness and shape, never mutated.  cos/sin at a grid of
+times, the Pfaffian and sqrt(det cos) also take stacks, one matrix per entry.
 """
 from __future__ import annotations
 
@@ -64,16 +65,31 @@ def mat_log_principal(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.asarray(L, dtype=complex)
 
 
+def first_index(bad) -> int | None:
+    """Position of the first True of a mask (flattened), or None."""
+    bad = np.ravel(bad)
+    return int(bad.argmax()) if bad.any() else None
+
+
+def cos_sin(A, t) -> tuple[np.ndarray, np.ndarray]:
+    """cos(tA) = (exp(itA) + exp(-itA)) / 2 and sin(tA) = (exp(itA) -
+    exp(-itA)) / 2i, from one expm call on the stack of +-itA.
+
+    t is a time or an array of times; the results have shape t.shape + A.shape.
+    """
+    tA = np.multiply.outer(np.asarray(t, dtype=float), A)
+    E = sla.expm(np.stack([1j * tA, -1j * tA]))
+    return (E[0] + E[1]) / 2, (E[0] - E[1]) / 2j
+
+
 def mat_cos(A) -> np.ndarray:
     """cos(A) = (exp(iA) + exp(-iA)) / 2."""
-    A = as_square(A, operation="mat_cos")
-    return (sla.expm(1j * A) + sla.expm(-1j * A)) / 2
+    return cos_sin(as_square(A, operation="mat_cos"), 1.0)[0]
 
 
 def mat_sin(A) -> np.ndarray:
     """sin(A) = (exp(iA) - exp(-iA)) / 2i."""
-    A = as_square(A, operation="mat_sin")
-    return (sla.expm(1j * A) - sla.expm(-1j * A)) / 2j
+    return cos_sin(as_square(A, operation="mat_sin"), 1.0)[1]
 
 
 def mat_tan(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -81,9 +97,7 @@ def mat_tan(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     cos and sin of the same matrix commute, so left and right quotients agree.
     """
-    A = as_square(A, operation="mat_tan")
-    C = mat_cos(A)
-    S = mat_sin(A)
+    C, S = cos_sin(as_square(A, operation="mat_tan"), 1.0)
     d = np.linalg.det(C)
     if abs(d) < tol:
         raise SingularCos(f"|det cos(A)| = {abs(d):.3e} below tolerance",
@@ -113,7 +127,8 @@ def mat_arctan(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
 @dataclass
 class BranchTrackedScalar:
     """The branch of s -> sqrt(det cos(s J Q)) continuous from 1 at s = 0,
-    evaluated at s = path_parameter.
+    evaluated at s = path_parameter (value and path_parameter are arrays
+    when path_parameter is a grid of times).
 
     steps_used is always 0: the branch is a closed form, not a path walk.  The
     field is kept so that callers reading the step count keep working.
@@ -124,32 +139,39 @@ class BranchTrackedScalar:
 
 
 def pfaffian(A) -> complex:
-    """Pfaffian of a skew-symmetric matrix of even size.
+    """Pfaffian of a skew-symmetric matrix of even size, or of each matrix of
+    a stack (..., m, m).
 
     Skew Parlett-Reid elimination with pivoting (Wimmer, Algorithm 923, ACM
     TOMS 38, 2012): each step pivots the largest entry of the next column
     into place and takes the Schur complement of the leading 2 x 2 block.
     """
     A = np.array(A, dtype=complex)
-    pf = 1.0 + 0j
-    for k in range(0, A.shape[0] - 1, 2):
-        p = k + 1 + int(np.abs(A[k + 1:, k]).argmax())
-        if p != k + 1:
-            A[[k + 1, p]] = A[[p, k + 1]]
-            A[:, [k + 1, p]] = A[:, [p, k + 1]]
-            pf = -pf
-        a = A[k, k + 1]
-        if a == 0:
-            return 0j
+    m = A.shape[-1]
+    batch = A.shape[:-2]
+    A = A.reshape(-1, m, m)
+    r = np.arange(len(A))
+    pf = np.ones(len(A), dtype=complex)
+    zero = np.zeros(len(A), dtype=bool)
+    for k in range(0, m - 2, 2):
+        p = k + 1 + np.abs(A[:, k + 1:, k]).argmax(axis=1)
+        A[r, k + 1], A[r, p] = A[r, p], A[r, k + 1]
+        A[r, :, k + 1], A[r, :, p] = A[r, :, p], A[r, :, k + 1]
+        pf = np.where(p != k + 1, -pf, pf)
+        a = A[:, k, k + 1]
+        zero |= a == 0
+        a = np.where(zero, 1, a)  # a zero pivot ends that entry at Pf = 0
         pf *= a
-        u, v = A[k, k + 2:] / a, A[k + 1, k + 2:]
-        A[k + 2:, k + 2:] += np.outer(v, u) - np.outer(u, v)
-    return pf
+        u, v = A[:, k, k + 2:] / a[:, None], A[:, k + 1, k + 2:]
+        A[:, k + 2:, k + 2:] += v[:, :, None] * u[:, None, :] - u[:, :, None] * v[:, None, :]
+    pf *= A[:, m - 2, m - 1]  # the last 2 x 2 block leaves no pivot to choose
+    return np.where(zero, 0j, pf).reshape(batch)[()]
 
 
-def sqrt_det_cos_tracked(Q, t: float, *,
-                         tol: float = DEFAULT_TOL) -> BranchTrackedScalar:
-    """sqrt(det cos(t J Q)) on the branch continuous in t from 1 at t = 0.
+def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
+                     ) -> tuple[np.ndarray, np.ndarray, complex]:
+    """cos(tJQ), sin(tJQ) and sqrt(det cos(tJQ)) on the branch continuous in
+    t from 1 at t = 0, for a time t or at every time of an array t.
 
     J cos(tJQ) is skew-symmetric (cos(tJQ) is an even function of the
     Hamiltonian matrix tJQ), so Pf(J cos(tJQ)) / Pf(J) squares to
@@ -157,36 +179,51 @@ def sqrt_det_cos_tracked(Q, t: float, *,
     it is that branch (Hormander, Math. Z. 219, 1995).  cos vanishes only on
     the real axis, so det cos(sJQ) has a zero for some s in (0, t] exactly
     when JQ has a real eigenvalue lambda with t |lambda| >= pi/2; that is
-    reported as ConjugatePointOnPath.
+    reported as ConjugatePointOnPath.  One eigvals(JQ) serves every t, and
+    one expm call gives cos and sin at every t.
     """
     from .quadform import standard_J  # local import to avoid a cycle
 
-    Q = as_square(Q, operation="sqrt_det_cos_tracked")
-    if t < 0:
+    op = "sqrt_det_cos_tracked"
+    Q = as_square(Q, operation=op)
+    n = Q.shape[0] // 2
+    if Q.shape[0] != 2 * n:
+        raise NonSquare("Q must be 2n x 2n", module=_MOD, operation=op)
+    t = np.asarray(t, dtype=float)
+    i = first_index(t < 0)
+    if i is not None:
         raise ConjugatePointOnPath("path parameter must be nonnegative",
-                                   module=_MOD, operation="sqrt_det_cos_tracked")
-    n2 = Q.shape[0]
-    if n2 % 2 != 0:
-        raise NonSquare("Q must be 2n x 2n", module=_MOD,
-                        operation="sqrt_det_cos_tracked")
-    if t == 0:
-        return BranchTrackedScalar(1.0 + 0j, 0.0, 0)
-    J = standard_J(n2 // 2)
+                                   module=_MOD, operation=op, index=i)
+    J = standard_J(n)
     JQ = J @ Q
     lam = np.linalg.eigvals(JQ)
-    hit = (np.abs(lam.imag) <= tol * np.abs(lam)) & (t * np.abs(lam) >= np.pi / 2)
-    if hit.any():
+    real = np.abs(lam.imag) <= tol * np.abs(lam)
+    # float products are monotone, so t * max|lambda| >= pi/2 exactly when
+    # t |lambda| >= pi/2 for some real eigenvalue lambda
+    i = first_index(t * np.abs(lam[real]).max(initial=0.0) >= np.pi / 2)
+    if i is not None:
+        ti = t.flat[i]
+        hit = real & (ti * np.abs(lam) >= np.pi / 2)
         raise ConjugatePointOnPath(
             f"det cos vanishes on the path: real eigenvalue {lam[hit][0].real:.6g} "
-            f"of JQ at t = {t:.6g}", module=_MOD, operation="sqrt_det_cos_tracked")
+            f"of JQ at t = {ti:.6g}", module=_MOD, operation=op, index=i)
     with np.errstate(over="ignore", invalid="ignore"):
-        C = mat_cos(t * JQ)
-    if not np.isfinite(C).all():
-        raise DegenerateTime(f"cos(tJQ) overflows at t = {t:.6g}",
-                             module=_MOD, operation="sqrt_det_cos_tracked")
+        C, S = cos_sin(JQ, t)
+    i = first_index(~np.isfinite(C).all(axis=(-2, -1)))
+    if i is not None:
+        raise DegenerateTime(f"cos(tJQ) overflows at t = {t.flat[i]:.6g}",
+                             module=_MOD, operation=op, index=i)
     JC = J @ C
-    value = pfaffian((JC - JC.T) / 2) / pfaffian(J)
-    return BranchTrackedScalar(complex(value), float(t), 0)
+    # Pf(J) = (-1)^(n(n-1)/2) for J = [[0, I], [-I, 0]]
+    return C, S, pfaffian((JC - JC.mT) / 2) / (-1) ** (n * (n - 1) // 2)
+
+
+def sqrt_det_cos_tracked(Q, t, *,
+                         tol: float = DEFAULT_TOL) -> BranchTrackedScalar:
+    """sqrt(det cos(t J Q)) on the branch continuous in t from 1 at t = 0;
+    see cos_sin_sqrt_det."""
+    value = cos_sin_sqrt_det(Q, t, tol=tol)[2]
+    return BranchTrackedScalar(value, np.asarray(t, dtype=float)[()], 0)
 
 
 def null_space(A, tol: float = DEFAULT_TOL) -> np.ndarray:

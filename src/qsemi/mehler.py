@@ -2,7 +2,7 @@
 
 Symbols: exp(-t q^w) acts, when det cos(tJQ) != 0, as c (e^{-m})^w with
 c = det cos(tJQ)^{-1/2} (on the branch continuous from 1 at t = 0, a
-Pfaffian; see matfun.sqrt_det_cos_tracked) and m the form of J^{-1} tan(tJQ).
+Pfaffian; see matfun.cos_sin_sqrt_det) and m the form of J^{-1} tan(tJQ).
 
 Kernels: whenever the xi-xi block of m has positive-definite real part, the
 operator (e^{-m})^w is an integral transform with kernel
@@ -17,6 +17,12 @@ application to Gaussian states, and sup-norm extraction are plain linear
 algebra.  Square roots of determinants of complex symmetric matrices with
 positive-definite real part follow the branch that is positive on real
 positive-definite matrices (eigenvalue-wise principal square root).
+
+Sweeps: mehler_symbol and kernel_from_symbol take a whole grid of times at
+once and return symbols and kernels stacked over it.  The grid is one stacked
+computation: one eigvals(JQ) decides the conjugate points for every t, one
+expm call gives cos(tJQ) and sin(tJQ) for every t, and the Pfaffian, the tan
+solve, the kernel blocks and every positivity check run on the stack.
 """
 from __future__ import annotations
 
@@ -35,8 +41,8 @@ from .errors import (
 )
 from .matfun import (
     DEFAULT_TOL,
-    mat_cos,
-    mat_sin,
+    cos_sin_sqrt_det,
+    first_index,
     spectral_norm,
     sqrt_det_cos_tracked,
 )
@@ -47,7 +53,11 @@ _MOD = "mehler"
 
 @dataclass
 class MehlerSymbol:
-    """Symbol data (c, M, t): exp(-t q^w) = c (e^{-m})^w with m(X) = MX.X."""
+    """Symbol data (c, M, t): exp(-t q^w) = c (e^{-m})^w with m(X) = MX.X.
+
+    Over a grid of T times, c, M and t are stacked: shapes (T,), (T, 2n, 2n)
+    and (T,).
+    """
     n: int
     c: complex
     M: np.ndarray
@@ -56,7 +66,11 @@ class MehlerSymbol:
 
 @dataclass
 class GaussianKernel:
-    """Kernel g(x, y) = c * exp(-K(x,y).(x,y)/2) on the stacked variable."""
+    """Kernel g(x, y) = c * exp(-K(x,y).(x,y)/2) on the stacked variable.
+
+    Kernels at a grid of T times are stacked: c of shape (T,), K of shape
+    (T, 2n, 2n); evaluation by calling takes a single kernel.
+    """
     n: int
     c: complex
     K: np.ndarray
@@ -80,18 +94,20 @@ class KernelDiagnostics:
 
 
 def sqrt_det_pd(A) -> complex:
-    """sqrt(det A) for complex symmetric A with positive-definite real part.
+    """sqrt(det A) for complex symmetric A with positive-definite real part,
+    or for each matrix of a stack (..., m, m).
 
     Every eigenvalue has positive real part, so the product of principal
     square roots is the continuous deformation of the positive branch on
     real positive-definite matrices.
     """
     w = np.linalg.eigvals(np.asarray(A, dtype=complex))
-    if (w.real <= 0).any():
+    i = first_index((w.real <= 0).any(axis=-1))
+    if i is not None:
         raise NonIntegrableSymbol(
             "matrix has an eigenvalue with nonpositive real part",
-            module=_MOD, operation="sqrt_det_pd")
-    return complex(np.exp(0.5 * np.sum(np.log(w))))
+            module=_MOD, operation="sqrt_det_pd", index=i)
+    return np.exp(0.5 * np.sum(np.log(w), axis=-1))[()]
 
 
 #: positive-definiteness is judged relative to the block scale so that
@@ -102,34 +118,39 @@ _PD_RELATIVE = 1e-12
 
 def _check_re_pd(A, *, operation: str, what: str) -> None:
     A = np.asarray(A, dtype=complex)
-    H = (A.real + A.real.T) / 2
-    lam = float(np.linalg.eigvalsh(H).min())
-    if lam <= _PD_RELATIVE * np.linalg.norm(H, 2):
+    H = (A.real + A.real.mT) / 2
+    lam = np.linalg.eigvalsh(H)[..., 0]
+    i = first_index(lam <= _PD_RELATIVE * np.linalg.norm(H, 2, axis=(-2, -1)))
+    if i is not None:
         raise NonIntegrableSymbol(
             f"{what} must have positive-definite real part "
-            f"(lambda_min = {lam:.3e})", module=_MOD, operation=operation)
+            f"(lambda_min = {lam.flat[i]:.3e})", module=_MOD, operation=operation,
+            index=i)
 
 
-def mehler_symbol(q: QuadraticForm, t: float, *,
+def mehler_symbol(q: QuadraticForm, t, *,
                   tol: float = DEFAULT_TOL) -> MehlerSymbol:
     """Symbol of exp(-t q^w): prefactor 1/sqrt(det cos(tJQ)) and form of
-    J^{-1} tan(tJQ), on the determinant branch continuous from t = 0."""
-    if t < 0:
+    J^{-1} tan(tJQ), on the determinant branch continuous from t = 0.
+
+    t may be an array of times: c, M and t are then stacked over it.  A
+    failure names the first failing t, at QsemiError.index.
+    """
+    t = np.asarray(t, dtype=float)
+    i = first_index(t < 0)
+    if i is not None:
         raise DegenerateTime("t must be nonnegative", module=_MOD,
-                             operation="mehler_symbol")
-    J = standard_J(q.n)
-    if t == 0:
-        return MehlerSymbol(q.n, 1.0 + 0j, np.zeros((2 * q.n, 2 * q.n), complex), 0.0)
+                             operation="mehler_symbol", index=i)
     try:
-        tracked = sqrt_det_cos_tracked(q.Q, t, tol=tol)
+        C, S, root = cos_sin_sqrt_det(q.Q, t, tol=tol)
     except ConjugatePointOnPath as exc:
-        raise DegenerateTime(str(exc), module=_MOD, operation="mehler_symbol") from exc
-    A = t * (J @ q.Q)
-    C = mat_cos(A)
-    S = mat_sin(A)
+        raise DegenerateTime(str(exc), module=_MOD, operation="mehler_symbol",
+                             index=exc.index) from exc
+    J = standard_J(q.n)
     M = np.linalg.solve(J, np.linalg.solve(C, S))
-    M = (M + M.T) / 2
-    return MehlerSymbol(q.n, 1.0 / tracked.value, M, float(t))
+    M = (M + M.mT) / 2
+    M[t == 0] = 0  # the zero symbol, without the signed zeros of the solve
+    return MehlerSymbol(q.n, 1.0 / root, M, t[()])
 
 
 def kernel_from_symbol(sym: MehlerSymbol, *, tol: float = DEFAULT_TOL) -> GaussianKernel:
@@ -137,7 +158,8 @@ def kernel_from_symbol(sym: MehlerSymbol, *, tol: float = DEFAULT_TOL) -> Gaussi
 
     Raises NonIntegrableSymbol exactly when the graph condition fails for the
     underlying form (degenerate Re B), in which case the operator has no
-    locally integrable Gaussian kernel.
+    locally integrable Gaussian kernel.  A symbol stacked over t gives the
+    kernels stacked over t.
     """
     n = sym.n
     bf = block_decompose(sym.M)
@@ -145,15 +167,15 @@ def kernel_from_symbol(sym: MehlerSymbol, *, tol: float = DEFAULT_TOL) -> Gaussi
     _check_re_pd(B, operation="kernel_from_symbol",
                  what="xi-xi block of the symbol")
     Binv = np.linalg.inv(B)
-    Kk = R - L.T @ Binv @ L
+    Kk = R - L.mT @ Binv @ L
     I = np.eye(n)
     E_mid = np.hstack([I, I]) / 2.0      # (x, y) -> (x + y)/2
     E_diff = np.hstack([I, -I])          # (x, y) -> x - y
     K = E_mid.T @ Kk @ E_mid + E_diff.T @ Binv @ E_diff
     cross = E_diff.T @ (Binv @ L) @ E_mid
-    K = K + 1j * (cross + cross.T)
+    K = K + 1j * (cross + cross.mT)
     c = sym.c * (2 * np.pi) ** (-n / 2) / sqrt_det_pd(B)
-    return GaussianKernel(n, complex(c), K)
+    return GaussianKernel(n, c, K)
 
 
 def twisted_kernel(N, eps: float) -> GaussianKernel:

@@ -126,13 +126,14 @@ class BlockForm:
 
 
 def block_decompose(m) -> BlockForm:
-    """Extract (R, L, B) from a 2n x 2n complex symmetric symbol matrix."""
+    """Extract (R, L, B) from a 2n x 2n complex symmetric symbol matrix, or
+    from each matrix of a stack (..., 2n, 2n)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2 != 0:
         raise DimensionMismatch(f"expected 2n x 2n symmetric, got {m.shape}",
                                 module=_MOD, operation="block_decompose")
-    n = m.shape[0] // 2
-    return BlockForm(R=2 * m[:n, :n], L=2 * m[n:, :n], B=2 * m[n:, n:])
+    n = m.shape[-1] // 2
+    return BlockForm(R=2 * m[..., :n, :n], L=2 * m[..., n:, :n], B=2 * m[..., n:, n:])
 
 
 def block_assemble(bf: BlockForm) -> np.ndarray:

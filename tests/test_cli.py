@@ -1,9 +1,15 @@
 """CLI behavior: determinism, exit codes, problem-file parsing, reports."""
+import contextlib
+import io
 import json
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsemi.cli import EXIT_MATH, EXIT_OK, EXIT_PARSE, dumps_canonical, main
+from qsemi import cli
+from qsemi.cli import EXIT_MATH, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, dumps_canonical, main
 
 
 def run_cli(capsys, *argv):
@@ -189,3 +195,132 @@ def test_canonical_json_is_parseable():
     rep = json.loads(s)
     assert rep["x"] == "inf"
     assert rep["y"] == {"im": -2.0, "re": 1.0}
+
+
+# --- (2, inf) sweeps ------------------------------------------------------------
+
+def test_exponents_heat_2_inf_tight(capsys):
+    code, out = run_cli(capsys, "exponents", "--fixture", "heat", "--p", "2", "--q", "inf")
+    rep = json.loads(out)
+    assert code == EXIT_OK
+    assert abs(rep["cpq_bound"] - 0.25) < 1e-12
+    assert abs(rep["fitted_slope"] + 0.25) < 0.02
+    assert rep["verdict"] == "tight"
+
+
+def test_exponents_kolmogorov_2_inf_respected(capsys):
+    code, out = run_cli(capsys, "exponents", "--fixture", "kolmogorov",
+                        "--p", "2", "--q", "inf")
+    rep = json.loads(out)
+    assert code == EXIT_OK
+    assert rep["k0"] == 1
+    assert rep["verdict"] == "respected"
+
+
+# --- problem-file and t-grid parsing -------------------------------------------------
+
+HEAT_PROBLEM = {"n": 1, "Q_re": [[0.0, 0.0], [0.0, 1.0]]}
+
+
+def write_problem(tmp_path, problem):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    return str(path)
+
+
+@pytest.mark.parametrize("grid", ["0.1,a,3", "0.1", "0.1,1", "1e-3,1e-1,0",
+                                  "1e-3,1e-1,-2", "0,1e-1,5", "-1e-3,1e-1,5,log",
+                                  "1e-3,nan,5", "1e-3,1e-1,2.5"])
+def test_t_grid_flag_parse_errors(capsys, grid):
+    code, out = run_cli(capsys, "exponents", "--fixture", "heat", f"--t-grid={grid}")
+    assert code == EXIT_PARSE
+    assert json.loads(out)["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("t_grid", [{"t_min": 1e-3, "points": 5},
+                                    {"t_max": 1e-1, "points": 5},
+                                    {"t_min": 1e-3, "t_max": 1e-1},
+                                    {"t_min": 1e-3, "t_max": 1e-1, "points": 0},
+                                    {"t_min": 0.0, "t_max": 1e-1, "points": 5},
+                                    {"t_min": "x", "t_max": 1e-1, "points": 5},
+                                    [1e-3, 1e-1, 5]])
+def test_t_grid_file_parse_errors(tmp_path, capsys, t_grid):
+    path = write_problem(tmp_path, dict(HEAT_PROBLEM, t_grid=t_grid))
+    code, out = run_cli(capsys, "exponents", path)
+    assert code == EXIT_PARSE
+    assert json.loads(out)["kind"] == "ParseError"
+
+
+def test_linear_t_grid_may_start_at_zero(tmp_path, capsys):
+    # only a log-spaced grid needs t_min > 0; t = 0 has no kernel (exit 3)
+    path = write_problem(tmp_path, dict(HEAT_PROBLEM, t_grid={
+        "t_min": 0.0, "t_max": 1e-1, "points": 5, "log_spaced": False}))
+    code, out = run_cli(capsys, "exponents", path)
+    assert code == EXIT_MATH
+    assert json.loads(out)["kind"] == "NonIntegrableSymbol"
+
+
+@pytest.mark.parametrize("change", [{"tolerances": {"default": "x"}},
+                                    {"tolerances": {"default": -1.0}},
+                                    {"tolerances": "x"},
+                                    {"n": 0}, {"n": -1}, {"n": "one"},
+                                    {"Q_re": [[float("nan"), 0.0], [0.0, 1.0]]},
+                                    {"Q_im": [[0.0, float("inf")], [float("inf"), 0.0]]},
+                                    {"Q_im": [[0.0, 1.0]]}])
+def test_problem_file_parse_errors(tmp_path, capsys, change):
+    path = write_problem(tmp_path, dict(HEAT_PROBLEM, **change))
+    code, out = run_cli(capsys, "exponents", path)
+    assert code == EXIT_PARSE
+    assert json.loads(out)["kind"] == "ParseError"
+
+
+def test_problem_file_parsed_once(tmp_path, capsys, monkeypatch):
+    path = write_problem(tmp_path, dict(HEAT_PROBLEM, t_grid={
+        "t_min": 1e-3, "t_max": 1e-1, "points": 5}))
+    loads = []
+    real_load = cli.json.load
+    monkeypatch.setattr(cli.json, "load", lambda fh: loads.append(1) or real_load(fh))
+    code, out = run_cli(capsys, "exponents", path)
+    assert code == EXIT_OK
+    assert len(json.loads(out)["t_values"]) == 5
+    assert len(loads) == 1
+
+
+# --- random malformed input: a typed exit code, never a traceback --------------------
+
+grid_field = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=True, allow_infinity=True),
+                       st.integers(-3, 60), st.text(max_size=3))
+grid_flag = st.lists(grid_field, min_size=0, max_size=5).map(
+    lambda fields: ",".join(map(str, fields)))
+junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                 st.text(max_size=3), st.lists(st.floats(-2, 2), max_size=5))
+# sizes stay small: a grid of 10^9 points is valid input, just a costly one
+small_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 60),
+                       st.floats(-3, 60), st.text(max_size=2))
+problem_key = st.sampled_from(["n", "Q_re", "Q_im", "tolerances", "t_grid"])
+problem_change = st.dictionaries(problem_key, st.one_of(
+    junk, st.fixed_dictionaries({"default": junk}),
+    st.fixed_dictionaries({"t_min": junk, "t_max": junk, "points": small_junk}),
+    st.fixed_dictionaries({"t_min": st.floats(1e-4, 1.0), "t_max": st.floats(1e-4, 1.0),
+                           "points": st.integers(-2, 12), "log_spaced": st.booleans()}),
+    st.just([[0.0, 0.0], [0.0, 1.0]]), st.just([[0.0, 0.5], [0.5, 0.0]])), max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grid_flag, p=st.sampled_from(["1", "2"]))
+def test_random_t_grid_flags_exit_typed(grid, p):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["exponents", "--fixture", "heat", "--p", p, f"--t-grid={grid}"])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_MATH, EXIT_VERIFY)
+
+
+@settings(max_examples=40, deadline=None)
+@given(change=problem_change, drop=st.sets(problem_key, max_size=2),
+       p=st.sampled_from(["1", "2"]))
+def test_random_problem_files_exit_typed(tmp_path_factory, change, drop, p):
+    problem = {k: v for k, v in dict(HEAT_PROBLEM, **change).items() if k not in drop}
+    path = tmp_path_factory.mktemp("problem") / "problem.json"
+    path.write_text(json.dumps(problem))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["exponents", str(path), "--p", p])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_MATH, EXIT_VERIFY)

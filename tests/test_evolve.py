@@ -27,12 +27,24 @@ from qsemi import (
     sample_state,
     twisted_kernel,
 )
-from qsemi.errors import ExponentOrder, FixtureHasGraph, NonPositiveSample
-from qsemi.evolve import _half_dispersion, convolve_gaussian, dispersion_gaussian
-from qsemi.fixtures import heat, x_squared
-from qsemi.mehler import MehlerSymbol
+from qsemi.errors import (
+    DegenerateTime,
+    ExponentOrder,
+    FixtureHasGraph,
+    NonIntegrable,
+    NonIntegrableSymbol,
+    NonPositiveSample,
+)
+from qsemi.evolve import (
+    _half_dispersion,
+    convolve_gaussian,
+    dispersion_gaussian,
+    norm_sweep,
+)
+from qsemi.fixtures import harmonic, heat, x_squared
+from qsemi.mehler import GaussianKernel, MehlerSymbol
 
-from test_mehler import fokker_planck_oracle
+from test_mehler import fokker_planck_oracle, graph_fixtures, random_accretive_form
 
 
 def unit_gaussian(n=1):
@@ -158,6 +170,96 @@ def test_op_norm_lower_bound_heat_2_2():
     k = kernel_from_symbol(mehler_symbol(heat(1), 0.1))
     lb = op_norm_lower_gaussian(k, 2, 2)
     assert 0.9 < lb <= 1.0 + 1e-9
+
+
+# --- stacked t-sweeps ------------------------------------------------------------
+
+def reference_lower_gaussian(k, p, q, log_sigma_range=(-2.0, 2.0), points=41,
+                             refine=40):
+    """The per-width golden-section search, one GaussianState,
+    apply_kernel_gaussian and lp_norm per width: what op_norm_lower_gaussian
+    computed before it ran on stacks."""
+    def ratio(ls):
+        u = GaussianState(k.n, 1.0, np.eye(k.n) * 10.0 ** (-2 * ls), np.zeros(k.n))
+        try:
+            return lp_norm(apply_kernel_gaussian(k, u), q) / lp_norm(u, p)
+        except (NonIntegrable, NonIntegrableSymbol):
+            return 0.0
+
+    grid = np.linspace(*log_sigma_range, points)
+    vals = [ratio(ls) for ls in grid]
+    i = int(np.argmax(vals))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    phi = (np.sqrt(5) - 1) / 2
+    c1, c2 = b - phi * (b - a), a + phi * (b - a)
+    f1, f2 = ratio(c1), ratio(c2)
+    for _ in range(refine):
+        if f1 < f2:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + phi * (b - a)
+            f2 = ratio(c2)
+        else:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - phi * (b - a)
+            f1 = ratio(c1)
+    return max(max(vals), f1, f2)
+
+
+def reference_sweep(q, ts, p, qq):
+    """One Mehler symbol, kernel and norm per t."""
+    norms = []
+    for t in ts:
+        k = kernel_from_symbol(mehler_symbol(q, float(t)))
+        norms.append(op_norm_1_inf(k) if p == 1 and np.isinf(qq)
+                     else reference_lower_gaussian(k, p, qq))
+    return np.array(norms)
+
+
+def assert_same_norms(stacked, ref):
+    assert np.array_equal(stacked == 0, ref == 0)
+    nz = ref != 0
+    assert np.abs(stacked[nz] / ref[nz] - 1).max(initial=0.0) <= 1e-12
+
+
+def test_norm_sweep_matches_per_t_reference():
+    rng = np.random.default_rng(113)
+    ts = np.logspace(-4, -1, 5)
+    forms = graph_fixtures() + [random_accretive_form(rng, n) for n in (2, 5)]
+    for q in forms:
+        for p in (1, 2):
+            assert_same_norms(norm_sweep(q, ts, p, np.inf),
+                              reference_sweep(q, ts, p, np.inf))
+    assert_same_norms(norm_sweep(heat(2), ts, 2, 2), reference_sweep(heat(2), ts, 2, 2))
+
+
+def test_lower_gaussian_stack_zeroes_where_per_width_does():
+    # Re K_yy < 0 rejects wide inputs; Re A_out < 0 rejects the narrow ones
+    Ks = np.array([[[1.0, 0.0], [0.0, -0.5]], [[0.1, 1.0], [1.0, 1.0]],
+                   [[0.0, 0.0], [0.0, -50.0]], [[1.0, -1.0], [-1.0, 1.0]]])
+    c = np.array([1.0, 2.0, 0.5, 1.0]) + 0j
+    k = GaussianKernel(1, c, Ks.astype(complex))
+    for p, q in ((1, np.inf), (2, np.inf), (1, 2)):
+        ref = np.array([reference_lower_gaussian(GaussianKernel(1, c[j], k.K[j]), p, q)
+                        for j in range(len(c))])
+        assert ref[2] == 0 and (ref[[0, 1, 3]] > 0).all()
+        assert_same_norms(op_norm_lower_gaussian(k, p, q), ref)
+
+
+def test_norm_sweep_raises_the_per_t_loops_first_failure():
+    # q = i (x^2 + xi^2)/2 crosses a conjugate point at t = pi, but no t has
+    # a kernel: the loop over t stops at the first t, in the kernel stage
+    rotation = QuadraticForm(1, 0.5j * np.eye(2))
+    ts = np.linspace(0.5, 4.0, 8)
+    with pytest.raises(DegenerateTime):
+        mehler_symbol(rotation, ts)
+    for p in (1, 2):
+        with pytest.raises(NonIntegrableSymbol) as info:
+            norm_sweep(rotation, ts, p, np.inf)
+        assert info.value.index == 0
+    # cos(tJQ) overflows at the last t only
+    with pytest.raises(DegenerateTime) as info:
+        norm_sweep(harmonic(1), np.array([0.1, 10.0, 1e6]), 2, np.inf)
+    assert info.value.index == 2 and "overflows" in str(info.value)
 
 
 # --- exponents -------------------------------------------------------------------

@@ -227,6 +227,27 @@ def test_pfaffian_squares_to_det():
     assert pfaffian(standard_J(3)) == -1  # (-1)^{n(n-1)/2} for [[0, I], [-I, 0]]
 
 
+def test_pfaffian_stack_matches_each_matrix():
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    A = X - X.transpose(0, 2, 1)
+    A[2, 0, :] = A[2, :, 0] = 0  # a zero column: Pf = 0 for that entry only
+    pf = pfaffian(A)
+    assert pf.shape == (5,)
+    for j in range(5):
+        assert abs(pf[j] - pfaffian(A[j])) <= 1e-13 * abs(pf[j])
+    assert pf[2] == 0 and (pf[[0, 1, 3, 4]] != 0).all()
+
+
+def test_sqrt_det_cos_stack_matches_scalar():
+    Q = 0.5 * (1 - 1j) * np.eye(2, dtype=complex)
+    ts = np.array([0.0, 0.3, 1.0, 4.0])
+    r = sqrt_det_cos_tracked(Q, ts)
+    assert r.value.shape == ts.shape and r.steps_used == 0
+    for j, t in enumerate(ts):
+        assert abs(r.value[j] - sqrt_det_cos_tracked(Q, t).value) <= 1e-14 * abs(r.value[j])
+
+
 def continued_sqrt_det_cos(Q, t, steps=4096):
     """Reference branch: walk det cos(sJQ) = prod_j cos(s lambda_j) over fine
     uniform steps of [0, t] and multiply the principal square roots of the

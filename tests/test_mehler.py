@@ -21,9 +21,28 @@ from qsemi import (
     twisted_form_matrix,
     twisted_kernel,
 )
-from qsemi.errors import NonIntegrableSymbol, SeriesRegimeViolated
-from qsemi.fixtures import fokker_planck, harmonic, heat, kolmogorov, x_squared
+from qsemi.errors import DegenerateTime, NonIntegrableSymbol, SeriesRegimeViolated
+from qsemi.fixtures import (
+    fokker_planck,
+    harmonic,
+    heat,
+    kolmogorov,
+    shifted_diagonal,
+    x_squared,
+)
 from qsemi.mehler import MehlerSymbol
+
+
+def graph_fixtures():
+    return [heat(1), harmonic(1), kolmogorov(), fokker_planck(), shifted_diagonal()]
+
+
+def random_accretive_form(rng, n):
+    """Q = G G^T + i (S + S^T), scaled to spectral norm 1 (Re Q full rank)."""
+    G = rng.standard_normal((2 * n, 2 * n))
+    S = rng.standard_normal((2 * n, 2 * n))
+    Q = G @ G.T + 1j * (S + S.T)
+    return QuadraticForm(n, Q / np.linalg.norm(Q, 2))
 
 
 def heat_kernel_oracle(n, t):
@@ -64,6 +83,42 @@ def test_symbol_real_part_nonnegative():
         sym = mehler_symbol(q, 0.2)
         lam = np.linalg.eigvalsh((sym.M.real + sym.M.real.T) / 2).min()
         assert lam > -1e-10
+
+
+def test_symbol_stack_matches_per_t():
+    rng = np.random.default_rng(83)
+    ts = np.concatenate([[0.0], np.logspace(-4, 0, 7)])
+    forms = graph_fixtures() + [random_accretive_form(rng, n) for n in (2, 5)]
+    for q in forms:
+        sym = mehler_symbol(q, ts)
+        assert sym.c.shape == ts.shape and sym.M.shape == ts.shape + q.Q.shape
+        ks = kernel_from_symbol(mehler_symbol(q, ts[1:]))
+        for j, t in enumerate(ts):
+            one = mehler_symbol(q, float(t))
+            assert abs(sym.c[j] - one.c) <= 1e-13 * abs(one.c)
+            assert np.abs(sym.M[j] - one.M).max() <= 1e-13 * max(1.0, np.abs(one.M).max())
+            if t > 0:
+                k = kernel_from_symbol(one)
+                assert abs(ks.c[j - 1] - k.c) <= 1e-13 * abs(k.c)
+                assert np.abs(ks.K[j - 1] - k.K).max() <= 1e-13 * np.abs(k.K).max()
+    assert mehler_symbol(kolmogorov(), ts).c[0] == 1.0
+
+
+def test_symbol_stack_raises_at_first_conjugate_point():
+    # q = i (x^2 + xi^2)/2: JQ has eigenvalues +-1/2, det cos vanishes at t = pi
+    q = QuadraticForm(1, 0.5j * np.eye(2))
+    ts = np.linspace(0.5, 4.0, 8)
+    first = None
+    for j, t in enumerate(ts):
+        try:
+            mehler_symbol(q, float(t))
+        except DegenerateTime as exc:
+            first = (j, str(exc))
+            break
+    assert first is not None and ts[first[0]] == 3.5
+    with pytest.raises(DegenerateTime) as info:
+        mehler_symbol(q, ts)
+    assert (info.value.index, str(info.value)) == first
 
 
 def test_symbol_block_roundtrip():
