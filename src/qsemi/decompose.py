@@ -30,6 +30,7 @@ from .errors import (
     NonIntegrableComposition,
     NotPSDWithinTol,
     NotRealWithinTol,
+    QsemiError,
     RadiusExceeded,
     TimeTooLarge,
 )
@@ -105,6 +106,7 @@ class GammaSelection:
     t0: float
     t_grid: np.ndarray
     gamma_grid: np.ndarray
+    stop_reason: str | None = None   # "<error type>: <message>" that ended t0
 
 
 @dataclass
@@ -212,13 +214,12 @@ def unitary_factorization(B, t: float) -> UnitaryFactors:
     return UnitaryFactors(D=D, M=M, W=W, residual=res, iterations=0)
 
 
-def strang_middle(A, B, *, tol: float = DEFAULT_TOL,
-                  eps2: float = STRANG_POSITIVITY_RADIUS) -> np.ndarray:
+def strang_middle(A, B, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Middle term P(A, B) = (-2iJ)^{-1} log(e^{2iJB} e^{-2iJA} e^{2iJB}).
 
     Defined for ||A||, ||B|| < log(2)/6 where the log stays principal.  P is
-    real symmetric; when 0 <= 5B <= A with ||A|| < eps2 the lower bound
-    P >= A/2 is guaranteed and is checked rather than trusted.
+    real symmetric; when 0 <= 5B <= A with ||A|| < STRANG_POSITIVITY_RADIUS
+    the lower bound P >= A/2 is guaranteed and is checked rather than trusted.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -239,7 +240,7 @@ def strang_middle(A, B, *, tol: float = DEFAULT_TOL,
     P = (P.real + P.real.T) / 2
     hyp = (np.linalg.eigvalsh(B).min() >= -tol
            and np.linalg.eigvalsh(A - 5 * B).min() >= -tol * max(1.0, na))
-    if hyp and na < eps2:
+    if hyp and na < STRANG_POSITIVITY_RADIUS:
         margin = float(np.linalg.eigvalsh(P - A / 2).min())
         if margin < -tol:
             raise NotPSDWithinTol(
@@ -259,32 +260,40 @@ def _perp_basis(basis: np.ndarray, n2: int) -> np.ndarray:
     return null_space(basis.T.astype(complex)).real
 
 
-def _stage_validity(q_sheared, Nmat, gamma, alpha, t, tol):
-    """Run every downstream stage at (t, gamma); return None or failure reason."""
-    try:
+def _factors_at(q, q_sheared, cert, gamma, alpha, t, t0, *, tol,
+                pol=None) -> DecompositionFactors:
+    """Run every per-t stage at (t, gamma) and return the factors at t.
+
+    Stages and checks, in order: polar factors (unless pol is given), unitary
+    split, twisted-diffusion inversion, arctan sandwich, Strang middle term,
+    P >= A/2, 5B <= A.  The first failed check raises its QsemiError.
+    """
+    if pol is None:
         pol = polar_factors(q_sheared, t, tol=tol)
-        s = gamma * t ** alpha
-        if s * spectral_norm(Nmat) >= 2 ** -0.5:
-            return "series regime"
-        n = q_sheared.n
-        Nsk = Nmat[:n, n:]  # the x-xi block of NN is the skew matrix itself
-        Rs, _ = mehler_inverse_twisted(Nsk, s, tol=tol)
-        lo = float(np.linalg.eigvalsh(Rs - Nmat).min())
-        hi = float(np.linalg.eigvalsh(2 * Nmat - Rs).min())
-        if lo < -1e-10 or hi < -1e-10:
-            return "arctan sandwich"
-        Am, Bm = t * pol.A, s * Rs
-        if spectral_norm(Am) >= STRANG_RADIUS or spectral_norm(Bm) >= STRANG_RADIUS:
-            return "strang radius"
-        if float(np.linalg.eigvalsh(Am - 5 * Bm).min()) < -tol:
-            return "5B <= A"
-        P = strang_middle(Am, Bm, tol=tol)
-        if float(np.linalg.eigvalsh(P - Am / 2).min()) < -tol:
-            return "P >= A/2"
-        unitary_factorization(pol.B, t)
-    except Exception as exc:  # noqa: BLE001 - verdict, not control flow
-        return f"{type(exc).__name__}"
-    return None
+    uni = unitary_factorization(pol.B, t)
+    s = gamma * t ** alpha
+    Rs, pf = mehler_inverse_twisted(cert.N, s, tol=tol)
+    Nmat = twisted_form_matrix(cert.N)
+    lo = float(np.linalg.eigvalsh(Rs - Nmat).min())
+    hi = float(np.linalg.eigvalsh(2 * Nmat - Rs).min())
+    if lo < -1e-10 or hi < -1e-10:
+        raise NotPSDWithinTol(f"arctan sandwich margins ({lo:.2e}, {hi:.2e})",
+                              module=_MOD, operation="build_decomposition")
+    Am, Bm = t * pol.A, s * Rs
+    P = strang_middle(Am, Bm, tol=tol)
+    margin = float(np.linalg.eigvalsh(P - Am / 2).min())
+    if margin < -tol:
+        raise NotPSDWithinTol(f"p_t >= a_t/2 fails (margin {margin:.3e})",
+                              module=_MOD, operation="build_decomposition")
+    margin = float(np.linalg.eigvalsh(Am - 5 * Bm).min())
+    if margin < -tol:
+        raise NotPSDWithinTol(f"5B <= A fails (margin {margin:.3e})",
+                              module=_MOD, operation="build_decomposition")
+    c_t = pf ** (-2) * float(np.exp(0.5 * t * np.trace(uni.M)))
+    return DecompositionFactors(
+        q=q, t=float(t), G=cert.G, N=cert.N, Gsym=cert.Gsym, gamma=gamma,
+        alpha=alpha, c_t=c_t, Pt=P / t, unitary=uni, Rs=Rs, prefactor=pf,
+        s=s, t0=t0, polar=pol, q_sheared=q_sheared)
 
 
 def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
@@ -296,7 +305,8 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     computed from the generalized eigenvalues of (NN, A_t) restricted to the
     complement of the singular space (both matrices kill S); gamma takes a
     0.9 safety factor under the grid minimum.  t0 is the largest grid prefix
-    on which every downstream stage still validates.
+    on which every per-t stage and check of build_decomposition passes, on
+    the gamma loop's polar factors; stop_reason names the error that ended it.
     """
     if cert is None:
         raise GraphConditionFailed("no graph certificate", module=_MOD,
@@ -310,12 +320,14 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     U = _perp_basis(report_sh.basis, n2)
     Nbar = U.T @ Nmat @ U
     gammas = np.empty_like(t_grid)
+    polars = []
     for i, t in enumerate(t_grid):
         try:
             pol = polar_factors(q_sheared, float(t), tol=tol)
-        except Exception as exc:
+        except (QsemiError, np.linalg.LinAlgError) as exc:
             raise GammaCollapsed(f"polar factors failed at t = {t:.3g}: {exc}",
                                  module=_MOD, operation="select_gamma") from exc
+        polars.append(pol)
         Abar = U.T @ pol.A @ U
         lam_min = float(np.linalg.eigvalsh(Abar).min()) if Abar.size else 1.0
         if lam_min <= 0:
@@ -332,15 +344,18 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     if not np.isfinite(gamma) or gamma <= 0:
         raise GammaCollapsed(f"gamma = {gamma}", module=_MOD,
                              operation="select_gamma")
-    t0 = 0.0
-    for t in t_grid:
-        if _stage_validity(q_sheared, Nmat, gamma, alpha, float(t), tol) is not None:
+    t0, stop_reason = 0.0, None
+    for pol in polars:
+        try:
+            _factors_at(q, q_sheared, cert, gamma, alpha, pol.t, pol.t, tol=tol, pol=pol)
+        except (QsemiError, np.linalg.LinAlgError) as exc:
+            stop_reason = f"{type(exc).__name__}: {exc}"
             break
-        t0 = float(t)
+        t0 = pol.t
     if t0 == 0.0:
         raise GammaCollapsed("no grid point passes the validity predicates",
                              module=_MOD, operation="select_gamma")
-    return GammaSelection(gamma=gamma, t0=t0, t_grid=t_grid, gamma_grid=gammas)
+    return GammaSelection(gamma, t0, t_grid, gammas, stop_reason)
 
 
 def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
@@ -349,8 +364,8 @@ def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
     """Run the full pipeline at time t and return the factor data.
 
     Pipeline: singular space -> graph certificate -> shear conjugation ->
-    polar factors -> three-factor unitary splitting -> gamma selection ->
-    twisted-diffusion inversion -> Strang middle term -> scalar prefactor.
+    gamma selection -> at t, the per-t stages and checks that set t0 (polar
+    factors, unitary split, twisted inversion, Strang middle) -> prefactor.
     """
     report = singular_space(q, tol=tol)
     cert = graph_condition(report, tol=tol)
@@ -366,30 +381,9 @@ def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
         raise TimeTooLarge(f"t = {t} beyond the validity horizon t0 = "
                            f"{gamma_sel.t0}", module=_MOD,
                            operation="build_decomposition")
-    alpha = 2 * report.k0 + 1
     q_sheared = conjugate_by_linear(q, shear_transform(cert.Gsym))
-    pol = polar_factors(q_sheared, t, tol=tol)
-    uni = unitary_factorization(pol.B, t)
-    gamma = gamma_sel.gamma
-    s = gamma * t ** alpha
-    Rs, pf = mehler_inverse_twisted(cert.N, s, tol=tol)
-    Nmat = twisted_form_matrix(cert.N)
-    lo = float(np.linalg.eigvalsh(Rs - Nmat).min())
-    hi = float(np.linalg.eigvalsh(2 * Nmat - Rs).min())
-    if lo < -1e-10 or hi < -1e-10:
-        raise NotPSDWithinTol(
-            f"arctan sandwich margins ({lo:.2e}, {hi:.2e})",
-            module=_MOD, operation="build_decomposition")
-    P = strang_middle(t * pol.A, s * Rs, tol=tol)
-    margin = float(np.linalg.eigvalsh(P - t * pol.A / 2).min())
-    if margin < -tol:
-        raise NotPSDWithinTol(f"p_t >= a_t/2 fails (margin {margin:.3e})",
-                              module=_MOD, operation="build_decomposition")
-    c_t = pf ** (-2) * float(np.exp(0.5 * t * np.trace(uni.M)))
-    return DecompositionFactors(
-        q=q, t=float(t), G=cert.G, N=cert.N, Gsym=cert.Gsym, gamma=gamma,
-        alpha=alpha, c_t=c_t, Pt=P / t, unitary=uni, Rs=Rs, prefactor=pf,
-        s=s, t0=gamma_sel.t0, polar=pol, q_sheared=q_sheared)
+    return _factors_at(q, q_sheared, cert, gamma_sel.gamma, 2 * report.k0 + 1,
+                       t, gamma_sel.t0, tol=tol)
 
 
 def _phase_shadow(theta: np.ndarray) -> np.ndarray:

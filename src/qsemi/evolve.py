@@ -32,6 +32,7 @@ from .errors import (
 )
 from .matfun import DEFAULT_TOL, first_index, spectral_norm
 from .mehler import (
+    _PD_RELATIVE,
     GaussianKernel,
     kernel_from_symbol,
     mehler_symbol,
@@ -147,7 +148,7 @@ def apply_kernel_gaussian(k: GaussianKernel, u: GaussianState, *,
     W = Kyy + u.A
     H = (W.real + W.real.T) / 2
     lam = float(np.linalg.eigvalsh(H).min())
-    if lam <= 1e-12 * np.linalg.norm(H, 2):
+    if lam <= _PD_RELATIVE * np.linalg.norm(H, 2):
         raise NonIntegrable(f"combined y-quadratic not integrable "
                             f"(lambda_min = {lam:.3e})",
                             module=_MOD, operation="apply_kernel_gaussian")
@@ -317,7 +318,7 @@ def _width_ratios(k: GaussianKernel, ls, p: float, q: float):
     W = k.K[..., n:, n:] + I * s[..., None, None]
     Kyx = k.K[..., n:, :n]
     H = (W.real + W.real.mT) / 2
-    bad = np.linalg.eigvalsh(H)[..., 0] <= 1e-12 * np.linalg.norm(H, 2, axis=(-2, -1))
+    bad = np.linalg.eigvalsh(H)[..., 0] <= _PD_RELATIVE * np.linalg.norm(H, 2, axis=(-2, -1))
     W = np.where(bad[..., None, None], I, W)
     w = np.linalg.eigvals(W)
     bad |= (w.real <= 0).any(axis=-1)
@@ -445,6 +446,9 @@ def fit_exponent(t_values, norms) -> tuple[float, float]:
             and np.isfinite(t_values).all() and np.isfinite(norms).all()):
         raise NonPositiveSample("t values and norms must be positive and finite",
                                 module=_MOD, operation="fit_exponent")
+    if np.unique(t_values).size < 2:
+        raise NonPositiveSample("need at least 2 distinct t values", module=_MOD,
+                                operation="fit_exponent")
     x = np.log(t_values)
     y = np.log(norms)
     slope, intercept = np.polyfit(x, y, 1)

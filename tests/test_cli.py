@@ -137,6 +137,14 @@ def test_exponents_heat_tight(capsys, tmp_path):
     assert len(lines) == 11
 
 
+def test_exponents_degenerate_grid_is_math_error(capsys):
+    # three equal times carry no slope; polyfit would fit one anyway
+    code, out = run_cli(capsys, "exponents", "--fixture", "heat",
+                        "--t-grid", "0.1,0.1,3")
+    assert code == EXIT_MATH
+    assert json.loads(out)["kind"] == "NonPositiveSample"
+
+
 def test_norms_exact_1_inf(capsys):
     code, out = run_cli(capsys, "norms", "--fixture", "heat", "--t", "0.37",
                         "--p", "1", "--q", "inf")

@@ -18,6 +18,7 @@ from qsemi import (
     unitary_factorization,
     verify_decomposition,
 )
+from qsemi import decompose
 from qsemi.decompose import _three_factor_product
 from qsemi.errors import RadiusExceeded, TimeTooLarge
 from qsemi.fixtures import harmonic, heat, kolmogorov, shifted_diagonal
@@ -186,6 +187,42 @@ def test_gamma_kolmogorov_stable_across_grid():
     assert sel.gamma > 0
     finite = sel.gamma_grid[np.isfinite(sel.gamma_grid)]
     assert finite.max() / finite.min() < 10
+
+
+def test_select_gamma_propagates_programming_errors(monkeypatch):
+    # only QsemiError and LinAlgError end the t0 prefix; a bug surfaces
+    def broken(B, t):
+        raise TypeError("broken stage")
+    monkeypatch.setattr(decompose, "unitary_factorization", broken)
+    q = heat(1)
+    rep = singular_space(q)
+    with pytest.raises(TypeError, match="broken stage"):
+        select_gamma(q, rep, graph_condition(rep))
+
+
+def test_select_gamma_stop_reason():
+    from qsemi.fixtures import fokker_planck
+    q = fokker_planck()
+    rep = singular_space(q)
+    sel = select_gamma(q, rep, graph_condition(rep),
+                       np.logspace(-3, np.log10(2), 30))
+    assert abs(sel.t0 - 0.539) < 1e-3
+    assert sel.stop_reason.startswith("RadiusExceeded: [decompose.strang_middle]")
+    q = heat(1)
+    rep = singular_space(q)
+    assert select_gamma(q, rep, graph_condition(rep)).stop_reason is None
+
+
+def test_build_one_polar_split_per_grid_point(monkeypatch):
+    calls = []
+    polar = decompose.polar_factors
+
+    def counted(q, t, **kwargs):
+        calls.append(t)
+        return polar(q, t, **kwargs)
+    monkeypatch.setattr(decompose, "polar_factors", counted)
+    build_decomposition(kolmogorov(), 0.05)
+    assert len(calls) == len(decompose._default_t_grid()) + 1
 
 
 # --- end-to-end ------------------------------------------------------------------
