@@ -114,6 +114,38 @@ def _read_problem_file(args) -> dict:
     return args.problem_data
 
 
+def resolve_tol(args) -> float:
+    """The tolerance of a run: --tol, else the problem file's
+    tolerances.default, else the environment variable QSEMI_TOL, else 1e-9.
+
+    It must be a finite positive number (ParseError otherwise).  A problem
+    file is only read when no --fixture replaces it.
+    """
+    tolerances = {}
+    if args.file and not args.fixture:
+        tolerances = _read_problem_file(args).get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise _parse_error(f"tolerances must be an object, got {tolerances!r}",
+                               "resolve_tol")
+    if args.tol is not None:
+        source, value = "--tol", args.tol
+    elif "default" in tolerances:
+        source, value = "tolerances.default", tolerances["default"]
+    elif "QSEMI_TOL" in os.environ:
+        source, value = "QSEMI_TOL", os.environ["QSEMI_TOL"]
+    else:
+        return DEFAULT_TOL
+    try:
+        tol = float(value)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise _parse_error(f"{source} = {value!r} is not a number",
+                           "resolve_tol") from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise _parse_error(f"{source} = {tol} must be finite and positive",
+                           "resolve_tol")
+    return tol
+
+
 def load_problem(args) -> QuadraticForm:
     """Build the form from --fixture or a JSON problem file."""
     if args.fixture:
@@ -129,14 +161,10 @@ def load_problem(args) -> QuadraticForm:
         Q_re = np.asarray(data["Q_re"], dtype=float).reshape(2 * n, 2 * n)
         Q_im = (np.asarray(data["Q_im"], dtype=float).reshape(2 * n, 2 * n)
                 if "Q_im" in data else np.zeros_like(Q_re))
-        tol = float(data.get("tolerances", {}).get("default", default_tol()))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise _parse_error(f"malformed problem file: {exc}", "load_problem") from exc
     if not (np.isfinite(Q_re).all() and np.isfinite(Q_im).all()):
         raise _parse_error("Q_re and Q_im must be finite", "load_problem")
-    if not (math.isfinite(tol) and tol > 0):
-        raise _parse_error(f"tolerance {tol} must be finite and positive",
-                           "load_problem")
     Q = Q_re + 1j * Q_im
     scale = max(1.0, float(np.linalg.norm(Q)))
     if np.linalg.norm(Q - Q.T) > 1e-9 * scale:
@@ -146,7 +174,7 @@ def load_problem(args) -> QuadraticForm:
         raise _parse_error(
             f"Re Q is not positive semidefinite (lambda_min = {lam:.3e})",
             "load_problem")
-    return QuadraticForm(n, Q, tol)
+    return QuadraticForm(n, Q, args.tol)
 
 
 def load_t_grid(args) -> np.ndarray:
@@ -178,10 +206,6 @@ def load_t_grid(args) -> np.ndarray:
                                f"({t_min}, {t_max})", "load_t_grid")
         return np.logspace(np.log10(t_min), np.log10(t_max), points)
     return np.linspace(t_min, t_max, points)
-
-
-def default_tol() -> float:
-    return float(os.environ.get("QSEMI_TOL", DEFAULT_TOL))
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +242,7 @@ def cmd_mehler(args) -> dict:
     out["blocks"] = {"R": _matrix_out(bf.R), "L": _matrix_out(bf.L),
                      "B": _matrix_out(bf.B)}
     try:
-        d = diagnostics_PVMN(sym, tol=args.tol)
+        d = diagnostics_PVMN(sym)
         out["diagnostics"] = {"P": _matrix_out(d.P), "V": _matrix_out(d.V),
                               "Mleft": _matrix_out(d.Mleft),
                               "Nright": _matrix_out(d.Nright)}
@@ -229,9 +253,9 @@ def cmd_mehler(args) -> dict:
 
 def cmd_kernel(args) -> dict:
     q = load_problem(args)
-    k = kernel_from_symbol(mehler_symbol(q, args.t, tol=args.tol), tol=args.tol)
+    k = kernel_from_symbol(mehler_symbol(q, args.t, tol=args.tol))
     return {"t": args.t, "prefactor": k.c, "K": _matrix_out(k.K),
-            "sup_norm": op_norm_1_inf(k)}
+            "sup_norm": op_norm_1_inf(k, tol=args.tol)}
 
 
 def cmd_decompose(args) -> dict:
@@ -252,7 +276,7 @@ def cmd_decompose(args) -> dict:
 def cmd_verify(args) -> dict:
     q = load_problem(args)
     f = build_decomposition(q, args.t, t_grid=load_t_grid(args), tol=args.tol)
-    res = verify_decomposition(f, tol=args.tol)
+    res = verify_decomposition(f)
     res["t"] = args.t
     res["passed"] = bool(res["matrix_residual"] < 1e-9
                          and res["kernel_residual"] < 1e-6)
@@ -260,16 +284,25 @@ def cmd_verify(args) -> dict:
 
 
 def _input_state(args, n: int) -> GaussianState:
-    if args.input:
+    """The --input state: a JSON object with A_re and optional A_im, b_re,
+    b_im, c_re, c_im (finite numbers, n x n and n entries); else exp(-|x|^2/2).
+    """
+    if not args.input:
+        return GaussianState(n, 1.0, np.eye(n, dtype=complex), np.zeros(n))
+    try:
         with open(args.input, encoding="utf-8") as fh:
             d = json.load(fh)
-        A = (np.asarray(d["A_re"], float).reshape(n, n)
-             + 1j * np.asarray(d.get("A_im", np.zeros((n, n))), float).reshape(n, n))
-        b = (np.asarray(d.get("b_re", np.zeros(n)), float).reshape(n)
-             + 1j * np.asarray(d.get("b_im", np.zeros(n)), float).reshape(n))
-        c = complex(d.get("c_re", 1.0), d.get("c_im", 0.0))
-        return GaussianState(n, c, A, b)
-    return GaussianState(n, 1.0, np.eye(n, dtype=complex), np.zeros(n))
+        A_re = np.asarray(d["A_re"], float).reshape(n, n)
+        A_im = np.asarray(d.get("A_im", np.zeros((n, n))), float).reshape(n, n)
+        b_re = np.asarray(d.get("b_re", np.zeros(n)), float).reshape(n)
+        b_im = np.asarray(d.get("b_im", np.zeros(n)), float).reshape(n)
+        c_re, c_im = float(d.get("c_re", 1.0)), float(d.get("c_im", 0.0))
+    except (AttributeError, KeyError, OSError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise _parse_error(f"malformed input state: {exc}", "input_state") from exc
+    if not all(np.isfinite(x).all() for x in (A_re, A_im, b_re, b_im, c_re, c_im)):
+        raise _parse_error("input state entries must be finite", "input_state")
+    return GaussianState(n, complex(c_re, c_im), A_re + 1j * A_im, b_re + 1j * b_im)
 
 
 def cmd_evolve(args) -> dict:
@@ -279,7 +312,7 @@ def cmd_evolve(args) -> dict:
         return counterexample_demo(q, args.t, points=points,
                                    domain=args.domain, tol=args.tol)
     u = _input_state(args, q.n)
-    k = kernel_from_symbol(mehler_symbol(q, args.t, tol=args.tol), tol=args.tol)
+    k = kernel_from_symbol(mehler_symbol(q, args.t, tol=args.tol))
     v = apply_kernel_gaussian(k, u)
     return {
         "t": args.t,
@@ -363,9 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol is None:
-        args.tol = default_tol()
     try:
+        args.tol = resolve_tol(args)
         report = args.fn(args)
     except errors.ParseError as exc:
         print(dumps_canonical({"error": str(exc), "kind": type(exc).__name__,

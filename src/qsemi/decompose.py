@@ -69,9 +69,6 @@ _MOD = "decompose"
 #: convergence radius of the middle-term logarithm (operator norm bound)
 STRANG_RADIUS = np.log(2) / 6
 
-#: norm radius inside which the positivity guarantee P >= A/2 is enforced
-STRANG_POSITIVITY_RADIUS = 0.05
-
 
 @dataclass
 class PolarFactors:
@@ -218,8 +215,8 @@ def strang_middle(A, B, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Middle term P(A, B) = (-2iJ)^{-1} log(e^{2iJB} e^{-2iJA} e^{2iJB}).
 
     Defined for ||A||, ||B|| < log(2)/6 where the log stays principal.  P is
-    real symmetric; when 0 <= 5B <= A with ||A|| < STRANG_POSITIVITY_RADIUS
-    the lower bound P >= A/2 is guaranteed and is checked rather than trusted.
+    real symmetric; when 0 <= 5B <= A and ||A|| is small, P >= A/2.  The
+    build checks both of those inequalities itself (decompose._factors_at).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -237,16 +234,7 @@ def strang_middle(A, B, *, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotRealWithinTol(
             f"imag part of P has norm {np.linalg.norm(P.imag):.3e}",
             module=_MOD, operation="strang_middle")
-    P = (P.real + P.real.T) / 2
-    hyp = (np.linalg.eigvalsh(B).min() >= -tol
-           and np.linalg.eigvalsh(A - 5 * B).min() >= -tol * max(1.0, na))
-    if hyp and na < STRANG_POSITIVITY_RADIUS:
-        margin = float(np.linalg.eigvalsh(P - A / 2).min())
-        if margin < -tol:
-            raise NotPSDWithinTol(
-                f"P - A/2 has lambda_min = {margin:.3e} despite 0 <= 5B <= A",
-                module=_MOD, operation="strang_middle")
-    return P
+    return (P.real + P.real.T) / 2
 
 
 def _default_t_grid(t_max: float = 0.1, points: int = 20) -> np.ndarray:
@@ -281,14 +269,11 @@ def _factors_at(q, q_sheared, cert, gamma, alpha, t, t0, *, tol,
                               module=_MOD, operation="build_decomposition")
     Am, Bm = t * pol.A, s * Rs
     P = strang_middle(Am, Bm, tol=tol)
-    margin = float(np.linalg.eigvalsh(P - Am / 2).min())
-    if margin < -tol:
-        raise NotPSDWithinTol(f"p_t >= a_t/2 fails (margin {margin:.3e})",
-                              module=_MOD, operation="build_decomposition")
-    margin = float(np.linalg.eigvalsh(Am - 5 * Bm).min())
-    if margin < -tol:
-        raise NotPSDWithinTol(f"5B <= A fails (margin {margin:.3e})",
-                              module=_MOD, operation="build_decomposition")
+    for what, gap in (("p_t >= a_t/2", P - Am / 2), ("5B <= A", Am - 5 * Bm)):
+        margin = float(np.linalg.eigvalsh(gap).min())
+        if margin < -tol:
+            raise NotPSDWithinTol(f"{what} fails (margin {margin:.3e})",
+                                  module=_MOD, operation="build_decomposition")
     c_t = pf ** (-2) * float(np.exp(0.5 * t * np.trace(uni.M)))
     return DecompositionFactors(
         q=q, t=float(t), G=cert.G, N=cert.N, Gsym=cert.Gsym, gamma=gamma,
@@ -353,7 +338,8 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
             break
         t0 = pol.t
     if t0 == 0.0:
-        raise GammaCollapsed("no grid point passes the validity predicates",
+        why = f": {stop_reason}" if stop_reason else ""
+        raise GammaCollapsed(f"no grid point passes the validity predicates{why}",
                              module=_MOD, operation="select_gamma")
     return GammaSelection(gamma, t0, t_grid, gammas, stop_reason)
 
@@ -378,8 +364,9 @@ def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
             t_grid = _default_t_grid(t_max=t)
         gamma_sel = select_gamma(q, report, cert, t_grid, tol=tol)
     if t > gamma_sel.t0 * (1 + 1e-12):
+        why = f": {gamma_sel.stop_reason}" if gamma_sel.stop_reason else ""
         raise TimeTooLarge(f"t = {t} beyond the validity horizon t0 = "
-                           f"{gamma_sel.t0}", module=_MOD,
+                           f"{gamma_sel.t0}{why}", module=_MOD,
                            operation="build_decomposition")
     q_sheared = conjugate_by_linear(q, shear_transform(cert.Gsym))
     return _factors_at(q, q_sheared, cert, gamma_sel.gamma, 2 * report.k0 + 1,
@@ -393,7 +380,7 @@ def _phase_shadow(theta: np.ndarray) -> np.ndarray:
     return np.block([[I, Z], [theta, I]])
 
 
-def verify_decomposition(f: DecompositionFactors, *, tol: float = DEFAULT_TOL) -> dict:
+def verify_decomposition(f: DecompositionFactors) -> dict:
     """Check the factorization at matrix and kernel level.
 
     matrix_residual: Frobenius distance between the product of the factor
@@ -419,21 +406,21 @@ def verify_decomposition(f: DecompositionFactors, *, tol: float = DEFAULT_TOL) -
     stage = "twisted o middle"
     try:
         ktw = twisted_kernel(f.N, eps)
-        kp = kernel_from_symbol(mehler_symbol(QuadraticForm(n, f.Pt), t), tol=tol)
-        k = compose_kernels(ktw, kp, tol=tol)
+        kp = kernel_from_symbol(mehler_symbol(QuadraticForm(n, f.Pt), t))
+        k = compose_kernels(ktw, kp)
         stage = "middle o twisted"
-        k = compose_kernels(k, ktw, tol=tol)
+        k = compose_kernels(k, ktw)
     except NonIntegrableComposition as exc:
         raise NonIntegrableComposition(
             f"composition failed at {stage}: {exc}",
             module=_MOD, operation="verify_decomposition") from exc
     k = kernel_left_phase(k, f.Gsym)
-    k = kernel_right_dispersion(k, f.D_op, t, tol=tol)
+    k = kernel_right_dispersion(k, f.D_op, t)
     k = kernel_right_transport(k, f.M_op, t)
     k = kernel_right_phase(k, t * f.W_op - f.Gsym)
     k = GaussianKernel(n, k.c * f.c_t, k.K)
 
-    target = kernel_from_symbol(mehler_symbol(q, t), tol=tol)
+    target = kernel_from_symbol(mehler_symbol(q, t))
     dc = abs(k.c - target.c) / abs(target.c)
     dK = np.linalg.norm(k.K - target.K) / max(1.0, np.linalg.norm(target.K))
     return {"matrix_residual": matrix_residual,

@@ -32,11 +32,13 @@ from .errors import (
 )
 from .matfun import DEFAULT_TOL, first_index, spectral_norm
 from .mehler import (
-    _PD_RELATIVE,
     GaussianKernel,
+    check_integrable,
     kernel_from_symbol,
     mehler_symbol,
+    not_integrable,
     sqrt_det_pd,
+    sqrt_det_pd_mask,
     twisted_kernel,
 )
 from .quadform import QuadraticForm
@@ -131,8 +133,7 @@ def sample_state(u: GaussianState, axes) -> GridFunction:
 # --------------------------------------------------------------------------
 # closed-form Gaussian evolution
 
-def apply_kernel_gaussian(k: GaussianKernel, u: GaussianState, *,
-                          tol: float = DEFAULT_TOL) -> GaussianState:
+def apply_kernel_gaussian(k: GaussianKernel, u: GaussianState) -> GaussianState:
     """Exact output of int g(x, y) u(y) dy for a Gaussian state u.
 
     Needs Re(K_yy + A) positive-definite; the kernel block alone may be
@@ -146,12 +147,8 @@ def apply_kernel_gaussian(k: GaussianKernel, u: GaussianState, *,
     Kyy = k.K[n:, n:]
     Kyx = k.K[n:, :n]
     W = Kyy + u.A
-    H = (W.real + W.real.T) / 2
-    lam = float(np.linalg.eigvalsh(H).min())
-    if lam <= _PD_RELATIVE * np.linalg.norm(H, 2):
-        raise NonIntegrable(f"combined y-quadratic not integrable "
-                            f"(lambda_min = {lam:.3e})",
-                            module=_MOD, operation="apply_kernel_gaussian")
+    check_integrable(W, NonIntegrable, module=_MOD,
+                     operation="apply_kernel_gaussian", what="combined y-quadratic")
     Winv = np.linalg.inv(W)
     A_out = k.K[:n, :n] - Kyx.T @ Winv @ Kyx
     b_out = -Kyx.T @ Winv @ u.b
@@ -204,8 +201,10 @@ def lp_norm(u, p: float) -> float:
 # --------------------------------------------------------------------------
 # grid evolution
 
-def apply_kernel_grid(k: GaussianKernel, u: GridFunction, *,
-                      trunc_tol: float = 1e-6) -> GridFunction:
+TRUNCATION_TOL = 1e-6  #: largest boundary-ring mass, relative to the output
+
+
+def apply_kernel_grid(k: GaussianKernel, u: GridFunction) -> GridFunction:
     """Tensorized trapezoid quadrature of int g(x, y) u(y) dy on u's grid.
 
     n = 1 evaluates the full exponent matrix; n = 2 factorizes the x-y
@@ -283,7 +282,7 @@ def apply_kernel_grid(k: GaussianKernel, u: GridFunction, *,
                                        np.abs(Fs[1][0]), Tr, optimize=True)).max()
         tail = abs(k.c) * float(tail)
     scale = max(np.abs(out).max(), 1e-300)
-    if tail > trunc_tol * scale:
+    if tail > TRUNCATION_TOL * scale:
         raise TruncationTooLarge(
             f"boundary mass {tail:.3e} vs output scale {scale:.3e}",
             module=_MOD, operation="apply_kernel_grid")
@@ -307,26 +306,25 @@ def _width_ratios(k: GaussianKernel, ls, p: float, q: float):
     per kernel of a stack, and 0 where k u is not integrable.
 
     This is apply_kernel_gaussian and lp_norm for u = exp(-|x|^2 10^(-2 ls) / 2),
-    run on the stack: their three integrability tests (Re(K_yy + A) positive
-    definite relative to its norm, the eigenvalues of K_yy + A in the right
-    half-plane, Re A_out positive definite) give 0 entry by entry.  Entries
-    that fail a test continue with identity blocks, so no later step raises.
+    run on the stack: their three integrability tests (not_integrable on
+    K_yy + A, sqrt_det_pd_mask on K_yy + A, Re A_out positive definite) give 0
+    entry by entry.  Entries that fail a test continue with identity blocks,
+    so no later step raises.
     """
     n = k.n
     I = np.eye(n)
     s = 10.0 ** (-2 * np.asarray(ls))
     W = k.K[..., n:, n:] + I * s[..., None, None]
     Kyx = k.K[..., n:, :n]
-    H = (W.real + W.real.mT) / 2
-    bad = np.linalg.eigvalsh(H)[..., 0] <= _PD_RELATIVE * np.linalg.norm(H, 2, axis=(-2, -1))
+    bad = not_integrable(W)[0]
     W = np.where(bad[..., None, None], I, W)
-    w = np.linalg.eigvals(W)
-    bad |= (w.real <= 0).any(axis=-1)
+    root, bad_root = sqrt_det_pd_mask(W)
+    bad |= bad_root
     A = k.K[..., :n, :n] - Kyx.mT @ np.linalg.inv(W) @ Kyx
     A = (A + A.mT) / 2
     bad |= np.linalg.eigvalsh(A.real)[..., 0] <= 0
     A = np.where(bad[..., None, None], I, A)
-    c = np.abs(k.c * (2 * np.pi) ** (n / 2) / np.exp(0.5 * np.sum(np.log(w), axis=-1)))
+    c = np.abs(k.c * (2 * np.pi) ** (n / 2) / root)
     ratio = _centered_lp_norm(c, A.real, q) / _centered_lp_norm(1.0, I * s[..., None, None], p)
     return np.where(bad, 0.0, ratio)
 
@@ -345,11 +343,13 @@ def op_norm_1_inf(k: GaussianKernel, *, tol: float = DEFAULT_TOL) -> float:
     return np.abs(k.c)[()]
 
 
-def op_norm_lower_gaussian(k: GaussianKernel, p: float, q: float, *,
-                           log_sigma_range=(-2.0, 2.0), points: int = 41,
-                           refine: int = 40) -> float:
-    """Lower bound on the L^p -> L^q norm over centered isotropic Gaussians,
-    golden-section refined over the width.
+WIDTH_GRID = np.linspace(-2.0, 2.0, 41)  #: log10 of the lower bound's widths
+WIDTH_REFINE = 40  #: golden-section steps after the width grid
+
+
+def op_norm_lower_gaussian(k: GaussianKernel, p: float, q: float) -> float:
+    """Lower bound on the L^p -> L^q norm over centered isotropic Gaussians
+    of width 10^ls, ls on WIDTH_GRID, golden-section refined WIDTH_REFINE times.
 
     A stacked kernel gives the bound of each: the width grid and the
     golden-section steps run in lockstep, one stacked evaluation per step.
@@ -361,16 +361,15 @@ def op_norm_lower_gaussian(k: GaussianKernel, p: float, q: float, *,
     def ratio(ls):  # one width per kernel
         return _width_ratios(k, ls, p, q)
 
-    grid = np.linspace(*log_sigma_range, points)
-    vals = np.stack([ratio(np.full(np.shape(k.c), ls)) for ls in grid])
+    vals = np.stack([ratio(np.full(np.shape(k.c), ls)) for ls in WIDTH_GRID])
     i = vals.argmax(axis=0)
-    a = grid[np.maximum(i - 1, 0)]
-    b = grid[np.minimum(i + 1, len(grid) - 1)]
+    a = WIDTH_GRID[np.maximum(i - 1, 0)]
+    b = WIDTH_GRID[np.minimum(i + 1, len(WIDTH_GRID) - 1)]
     phi = (math.sqrt(5) - 1) / 2
     c1 = b - phi * (b - a)
     c2 = a + phi * (b - a)
     f1, f2 = ratio(c1), ratio(c2)
-    for _ in range(refine):
+    for _ in range(WIDTH_REFINE):
         # where f1 < f2 the bracket keeps [c1, b] and c2 becomes c1;
         # elsewhere it keeps [a, c2] and c1 becomes c2
         up = f1 < f2
@@ -393,9 +392,9 @@ def norm_sweep(form: QuadraticForm, t, p: float, q: float, *,
     the first failing t, from the first stage that fails there.
     """
     try:
-        k = kernel_from_symbol(mehler_symbol(form, t, tol=tol), tol=tol)
+        k = kernel_from_symbol(mehler_symbol(form, t, tol=tol))
         if p == 1 and np.isinf(q):
-            return op_norm_1_inf(k)
+            return op_norm_1_inf(k, tol=tol)
         return op_norm_lower_gaussian(k, p, q)
     except QsemiError as exc:
         if exc.index:  # an earlier t may fail in a later stage: that comes first
@@ -659,7 +658,7 @@ def counterexample_demo(q: QuadraticForm, t: float = 0.1, *,
 
     kernel_error = None
     try:
-        kernel_from_symbol(mehler_symbol(q, t), tol=tol)
+        kernel_from_symbol(mehler_symbol(q, t))
     except NonIntegrableSymbol as exc:
         kernel_error = type(exc).__name__
     return {

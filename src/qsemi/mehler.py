@@ -93,21 +93,28 @@ class KernelDiagnostics:
     Nright: np.ndarray
 
 
-def sqrt_det_pd(A) -> complex:
+def sqrt_det_pd_mask(A) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(det A) for complex symmetric A with positive-definite real part,
-    or for each matrix of a stack (..., m, m).
+    or for each matrix of a stack (..., m, m), and the mask of the matrices
+    with an eigenvalue of nonpositive real part, whose root is off the branch.
 
     Every eigenvalue has positive real part, so the product of principal
     square roots is the continuous deformation of the positive branch on
     real positive-definite matrices.
     """
     w = np.linalg.eigvals(np.asarray(A, dtype=complex))
-    i = first_index((w.real <= 0).any(axis=-1))
+    return np.exp(0.5 * np.sum(np.log(w), axis=-1))[()], (w.real <= 0).any(axis=-1)
+
+
+def sqrt_det_pd(A) -> complex:
+    """The root of sqrt_det_pd_mask; NonIntegrableSymbol on a masked matrix."""
+    root, bad = sqrt_det_pd_mask(A)
+    i = first_index(bad)
     if i is not None:
         raise NonIntegrableSymbol(
             "matrix has an eigenvalue with nonpositive real part",
             module=_MOD, operation="sqrt_det_pd", index=i)
-    return np.exp(0.5 * np.sum(np.log(w), axis=-1))[()]
+    return root
 
 
 #: positive-definiteness is judged relative to the block scale so that
@@ -116,16 +123,25 @@ def sqrt_det_pd(A) -> complex:
 _PD_RELATIVE = 1e-12
 
 
-def _check_re_pd(A, *, operation: str, what: str) -> None:
-    A = np.asarray(A, dtype=complex)
-    H = (A.real + A.real.mT) / 2
+def not_integrable(W) -> tuple[np.ndarray, np.ndarray]:
+    """The one integrability decision: mask of the blocks W (..., m, m) whose
+    int exp(-Wz.z/2) dz is taken to diverge, lambda_min(H) <= _PD_RELATIVE
+    |H|_2 for H = sym Re W, and that lambda_min."""
+    W = np.asarray(W)
+    H = (W.real + W.real.mT) / 2
     lam = np.linalg.eigvalsh(H)[..., 0]
-    i = first_index(lam <= _PD_RELATIVE * np.linalg.norm(H, 2, axis=(-2, -1)))
+    return lam <= _PD_RELATIVE * np.linalg.norm(H, 2, axis=(-2, -1)), lam
+
+
+def check_integrable(W, error, *, module: str, operation: str, what: str) -> None:
+    """Raise error from module.operation at the first block of W, named
+    `what`, that not_integrable flags."""
+    bad, lam = not_integrable(W)
+    i = first_index(bad)
     if i is not None:
-        raise NonIntegrableSymbol(
-            f"{what} must have positive-definite real part "
-            f"(lambda_min = {lam.flat[i]:.3e})", module=_MOD, operation=operation,
-            index=i)
+        raise error(f"{what} must have positive-definite real part "
+                    f"(lambda_min = {lam.flat[i]:.3e})", module=module,
+                    operation=operation, index=i)
 
 
 def mehler_symbol(q: QuadraticForm, t, *,
@@ -153,7 +169,7 @@ def mehler_symbol(q: QuadraticForm, t, *,
     return MehlerSymbol(q.n, 1.0 / root, M, t[()])
 
 
-def kernel_from_symbol(sym: MehlerSymbol, *, tol: float = DEFAULT_TOL) -> GaussianKernel:
+def kernel_from_symbol(sym: MehlerSymbol) -> GaussianKernel:
     """Gaussian kernel of sym.c * (e^{-m})^w; requires Re B positive-definite.
 
     Raises NonIntegrableSymbol exactly when the graph condition fails for the
@@ -164,8 +180,8 @@ def kernel_from_symbol(sym: MehlerSymbol, *, tol: float = DEFAULT_TOL) -> Gaussi
     n = sym.n
     bf = block_decompose(sym.M)
     R, L, B = bf.R, bf.L, bf.B
-    _check_re_pd(B, operation="kernel_from_symbol",
-                 what="xi-xi block of the symbol")
+    check_integrable(B, NonIntegrableSymbol, module=_MOD,
+                     operation="kernel_from_symbol", what="xi-xi block of the symbol")
     Binv = np.linalg.inv(B)
     Kk = R - L.mT @ Binv @ L
     I = np.eye(n)
@@ -205,12 +221,12 @@ def twisted_form_matrix(N) -> np.ndarray:
     return np.block([[N.T @ N, N], [-N, np.eye(n)]])
 
 
-def diagnostics_PVMN(sym: MehlerSymbol, *, tol: float = DEFAULT_TOL) -> KernelDiagnostics:
+def diagnostics_PVMN(sym: MehlerSymbol) -> KernelDiagnostics:
     """P, V and the left/right warp matrices of the kernel's real part."""
     bf = block_decompose(sym.M)
     R, L, B = bf.R, bf.L, bf.B
-    _check_re_pd(B, operation="diagnostics_PVMN",
-                 what="xi-xi block of the symbol")
+    check_integrable(B, NonIntegrableSymbol, module=_MOD,
+                     operation="diagnostics_PVMN", what="xi-xi block of the symbol")
     ReB, ImB = B.real, B.imag
     ReL, ImL = L.real, L.imag
     ReB_inv = np.linalg.inv(ReB)
@@ -221,8 +237,7 @@ def diagnostics_PVMN(sym: MehlerSymbol, *, tol: float = DEFAULT_TOL) -> KernelDi
     return KernelDiagnostics(P=P, V=(V + V.T) / 2, Mleft=Mleft, Nright=Nright)
 
 
-def compose_kernels(k1: GaussianKernel, k2: GaussianKernel, *,
-                    tol: float = DEFAULT_TOL) -> GaussianKernel:
+def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
     """Exact composition g(x, y) = int g1(x, z) g2(z, y) dz.
 
     The z-quadratic block must have positive-definite real part; the result
@@ -236,12 +251,8 @@ def compose_kernels(k1: GaussianKernel, k2: GaussianKernel, *,
     P1, Q1, R1 = k1.K[:n, :n], k1.K[:n, n:], k1.K[n:, n:]
     P2, Q2, R2 = k2.K[:n, :n], k2.K[:n, n:], k2.K[n:, n:]
     W = R1 + P2
-    H = (W.real + W.real.T) / 2
-    lam = float(np.linalg.eigvalsh(H).min())
-    if lam <= _PD_RELATIVE * np.linalg.norm(H, 2):
-        raise NonIntegrableComposition(
-            f"middle-variable real part not positive-definite "
-            f"(lambda_min = {lam:.3e})", module=_MOD, operation="compose_kernels")
+    check_integrable(W, NonIntegrableComposition, module=_MOD,
+                     operation="compose_kernels", what="middle-variable block")
     Winv = np.linalg.inv(W)
     C = np.hstack([Q1.T, Q2])  # linear coefficient of z as a map of (x, y)
     Z = np.zeros((n, n))
@@ -324,8 +335,7 @@ def kernel_right_transport(k: GaussianKernel, M, t: float) -> GaussianKernel:
     return GaussianKernel(n, complex(c), K)
 
 
-def kernel_right_dispersion(k: GaussianKernel, D, t: float, *,
-                            tol: float = DEFAULT_TOL) -> GaussianKernel:
+def kernel_right_dispersion(k: GaussianKernel, D, t: float) -> GaussianKernel:
     """Right-compose with exp(i t D grad.grad), D real symmetric.
 
     The y-slice of the kernel is a Gaussian with positive-definite real part,
@@ -336,8 +346,9 @@ def kernel_right_dispersion(k: GaussianKernel, D, t: float, *,
     n = k.n
     A = k.K[n:, n:]
     Kyx = k.K[n:, :n]
-    _check_re_pd(A, operation="kernel_right_dispersion",
-                 what="y-y block of the kernel")
+    check_integrable(A, NonIntegrableSymbol, module=_MOD,
+                     operation="kernel_right_dispersion",
+                     what="y-y block of the kernel")
     Ainv = np.linalg.inv(A)
     Atil = Ainv + 2j * t * D
     SA = np.linalg.inv(Atil)

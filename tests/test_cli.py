@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -332,3 +333,131 @@ def test_random_problem_files_exit_typed(tmp_path_factory, change, drop, p):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["exponents", str(path), "--p", p])
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_MATH, EXIT_VERIFY)
+
+
+# --- the tolerance: --tol, then tolerances.default, then QSEMI_TOL, then 1e-9 --------
+
+# singular value 1e-6 of Re Q: a null direction at tolerance 1e-3, none at 1e-9
+TINY_PROBLEM = {"n": 1, "Q_re": [[1e-6, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("file_tol, flag, env, dim", [
+    (None, None, None, 0), (1e-3, None, None, 1), (None, "1e-3", None, 1),
+    (None, None, "1e-3", 1), (1e-3, "1e-9", None, 0), (1e-9, None, "1e-3", 0),
+    (1e-3, None, "1e-9", 1)])
+def test_tolerance_resolution_order(tmp_path, capsys, monkeypatch, file_tol, flag, env, dim):
+    problem = dict(TINY_PROBLEM)
+    if file_tol is not None:
+        problem["tolerances"] = {"default": file_tol}
+    if env is None:
+        monkeypatch.delenv("QSEMI_TOL", raising=False)
+    else:
+        monkeypatch.setenv("QSEMI_TOL", env)
+    argv = ["analyze", write_problem(tmp_path, problem)] + (["--tol", flag] if flag else [])
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["S_dim"] == dim
+
+
+@pytest.mark.parametrize("flag, env", [(None, "abc"), (None, ""), (None, "-1e-3"),
+                                       (None, "inf"), ("-1", None), ("0", None),
+                                       ("nan", None), ("-1", "1e-9")])
+def test_invalid_tolerance_is_parse_error(capsys, monkeypatch, flag, env):
+    if env is None:
+        monkeypatch.delenv("QSEMI_TOL", raising=False)
+    else:
+        monkeypatch.setenv("QSEMI_TOL", env)
+    argv = ["analyze", "--fixture", "heat"] + ([f"--tol={flag}"] if flag else [])
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert json.loads(out)["kind"] == "ParseError"
+
+
+def test_file_tolerance_beats_an_invalid_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QSEMI_TOL", "abc")
+    path = write_problem(tmp_path, dict(TINY_PROBLEM, tolerances={"default": 1e-3}))
+    code, out = run_cli(capsys, "analyze", path)
+    assert code == EXIT_OK
+    assert json.loads(out)["S_dim"] == 1
+
+
+def test_norm_sweep_passes_its_tolerance_to_the_sup_norm(capsys, monkeypatch):
+    from qsemi import evolve
+    seen = []
+    real = evolve.op_norm_1_inf
+    monkeypatch.setattr(evolve, "op_norm_1_inf",
+                        lambda k, *, tol: seen.append(tol) or real(k, tol=tol))
+    code, _ = run_cli(capsys, "norms", "--fixture", "heat", "--tol", "1e-5")
+    assert code == EXIT_OK
+    assert seen == [1e-5]
+
+
+# --- evolve --input: a parse error or a math error, never a traceback -----------------
+
+GOOD_STATE = {"A_re": [[1.0]], "A_im": [[0.5]], "b_re": [0.1], "c_re": 2.0}
+
+
+def write_state(tmp_path, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_evolve_input_state(tmp_path, capsys):
+    path = write_state(tmp_path, json.dumps(GOOD_STATE))
+    code, out = run_cli(capsys, "evolve", "--fixture", "heat", "--t", "0.2", "--input", path)
+    assert code == EXIT_OK
+    assert json.loads(out)["norms"]["L1"] > 0
+
+
+@pytest.mark.parametrize("text", [
+    None, "{", "[1.0]", "{}", json.dumps({"A_im": [[1.0]]}),
+    json.dumps(dict(GOOD_STATE, A_re=[[1.0, 0.0]])),
+    json.dumps(dict(GOOD_STATE, b_re=[0.0, 1.0])),
+    json.dumps(dict(GOOD_STATE, A_re=[["a"]])),
+    json.dumps(dict(GOOD_STATE, A_re=[[None]])),
+    json.dumps(dict(GOOD_STATE, c_re="two")),
+    json.dumps(dict(GOOD_STATE, c_im=[1.0])),
+    json.dumps(dict(GOOD_STATE, A_re=[[float("nan")]])),
+    json.dumps(dict(GOOD_STATE, b_im=[float("inf")])),
+    json.dumps(dict(GOOD_STATE, c_re=1e400))])
+def test_evolve_bad_input_is_parse_error(tmp_path, capsys, text):
+    path = str(tmp_path / "missing.json") if text is None else write_state(tmp_path, text)
+    code, out = run_cli(capsys, "evolve", "--fixture", "heat", "--input", path)
+    assert code == EXIT_PARSE
+    assert json.loads(out)["kind"] == "ParseError"
+
+
+def test_evolve_nonintegrable_input_is_math_error(tmp_path, capsys):
+    path = write_state(tmp_path, json.dumps(dict(GOOD_STATE, A_re=[[-1.0]])))
+    code, out = run_cli(capsys, "evolve", "--fixture", "heat", "--input", path)
+    assert code == EXIT_MATH
+    assert json.loads(out)["kind"] == "NonIntegrable"
+
+
+# --- the error that ended the t0 horizon is named --------------------------------------
+
+@pytest.mark.parametrize("t, grid, kind, prefix", [
+    ("1", "1,2,5", "GammaCollapsed", "no grid point passes the validity predicates: "),
+    ("0.7", "0.6,2,5", "TimeTooLarge", "beyond the validity horizon t0 = 0.6: ")])
+def test_horizon_errors_name_the_stop_reason(capsys, t, grid, kind, prefix):
+    code, out = run_cli(capsys, "decompose", "--fixture", "fokker-planck",
+                        "--t", t, "--t-grid", grid)
+    rep = json.loads(out)
+    assert code == EXIT_MATH
+    assert rep["kind"] == kind
+    assert re.search(re.escape(prefix) + r"RadiusExceeded: \[decompose\.strang_middle\] "
+                     r"\|A\| = \S+, \|B\| = \S+ must be below log\(2\)/6 = 0\.1155$",
+                     rep["error"]), rep["error"]
+
+
+def test_time_too_large_ends_with_the_stop_reason(capsys):
+    from qsemi import get_fixture, graph_condition, select_gamma, singular_space
+    q = get_fixture("fokker-planck")
+    report = singular_space(q)
+    sel = select_gamma(q, report, graph_condition(report), np.logspace(np.log10(0.6), 0, 3))
+    assert sel.t0 == 0.6 and sel.stop_reason.startswith("RadiusExceeded")
+    code, out = run_cli(capsys, "decompose", "--fixture", "fokker-planck",
+                        "--t", "0.7", "--t-grid", "0.6,1,3")
+    assert code == EXIT_MATH
+    assert json.loads(out)["error"].endswith(f"t0 = 0.6: {sel.stop_reason}")

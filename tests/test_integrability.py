@@ -1,0 +1,143 @@
+"""The Gaussian integrability decision, taken in one place (mehler.not_integrable).
+
+Every site that integrates a Gaussian over a variable (kernel synthesis, the
+kernel diagnostics, kernel composition, the right dispersion action, kernel
+application to a Gaussian state, and the lower bound's stacked width search)
+must reach the same verdict on the same quadratic block, each raising its own
+error type.  The blocks below are diag(1, x) with x = 0 (the graph condition
+failing exactly), x = 2^-41 (just below the relative threshold 1e-12) and
+x = 2^-39 (just above it); both are exact in the sums the sites form.
+"""
+import numpy as np
+import pytest
+
+from qsemi import (
+    GaussianState,
+    apply_kernel_gaussian,
+    block_assemble,
+    compose_kernels,
+    diagnostics_PVMN,
+    kernel_from_symbol,
+)
+from qsemi.errors import (
+    NonIntegrable,
+    NonIntegrableComposition,
+    NonIntegrableSymbol,
+    QsemiError,
+)
+from qsemi.evolve import _width_ratios
+from qsemi.mehler import (
+    GaussianKernel,
+    MehlerSymbol,
+    kernel_right_dispersion,
+    not_integrable,
+    sqrt_det_pd,
+    sqrt_det_pd_mask,
+)
+from qsemi.quadform import BlockForm
+
+SINGULAR, BELOW, ABOVE = 0.0, 2.0 ** -41, 2.0 ** -39
+I2 = np.eye(2)
+Z2 = np.zeros((2, 2))
+
+
+def block(x):
+    return np.diag([1.0, x]).astype(complex)
+
+
+def symbol(x):
+    return MehlerSymbol(2, 1.0, block_assemble(BlockForm(R=I2, L=Z2, B=block(x))), 0.1)
+
+
+def kernel(Kxx, Kyy):
+    return GaussianKernel(2, 1.0 + 0j, np.block([[Kxx, Z2], [Z2, Kyy]]).astype(complex))
+
+
+def apply_site(x):
+    # K_yy + A = diag(0, x - 1) + I = diag(1, x), exactly for these x
+    return apply_kernel_gaussian(kernel(I2, np.diag([0.0, x - 1.0])),
+                                 GaussianState(2, 1.0, np.eye(2, dtype=complex), np.zeros(2)))
+
+
+#: (site, error type, operation) for each site, as a function of the block's x
+SITES = {
+    "kernel_from_symbol": (lambda x: kernel_from_symbol(symbol(x)),
+                           NonIntegrableSymbol, "kernel_from_symbol"),
+    "diagnostics_PVMN": (lambda x: diagnostics_PVMN(symbol(x)),
+                         NonIntegrableSymbol, "diagnostics_PVMN"),
+    "compose_kernels": (lambda x: compose_kernels(kernel(I2, block(x)), kernel(Z2, I2)),
+                        NonIntegrableComposition, "compose_kernels"),
+    "kernel_right_dispersion": (lambda x: kernel_right_dispersion(kernel(I2, block(x)), I2, 0.1),
+                                NonIntegrableSymbol, "kernel_right_dispersion"),
+    "apply_kernel_gaussian": (apply_site, NonIntegrable, "apply_kernel_gaussian"),
+}
+
+
+def test_decision_is_relative_to_the_block_norm():
+    bad, lam = not_integrable(np.stack([block(SINGULAR), block(BELOW), block(ABOVE),
+                                        1e-30 * block(ABOVE)]))
+    assert bad.tolist() == [True, True, False, False]
+    assert lam[:3].tolist() == [SINGULAR, BELOW, ABOVE]
+
+
+@pytest.mark.parametrize("name", sorted(SITES))
+def test_each_site_rejects_a_singular_block_with_its_own_error(name):
+    site, error, operation = SITES[name]
+    with pytest.raises(error) as info:
+        site(SINGULAR)
+    assert info.value.operation == operation
+    assert "lambda_min = 0.000e+00" in str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(SITES))
+def test_sites_agree_at_the_threshold(name):
+    site, error, _ = SITES[name]
+    with pytest.raises(error):
+        site(BELOW)
+    site(ABOVE)
+
+
+def test_width_ratios_agree_at_the_threshold():
+    # the width-1 input u = exp(-|x|^2/2) is apply_site's state
+    for x, zero in ((SINGULAR, True), (BELOW, True), (ABOVE, False)):
+        k = kernel(I2, np.diag([0.0, x - 1.0]))
+        assert (_width_ratios(k, 0.0, 1, np.inf) == 0) == zero
+
+
+def test_width_ratios_zero_exactly_where_apply_raises():
+    # random kernels whose real parts are often indefinite, at widths that
+    # pass and fail each of the three tests
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        G = rng.standard_normal((40, 2 * n, 2 * n))
+        S = rng.standard_normal((40, 2 * n, 2 * n))
+        K = (G + G.mT) / 2 + 0.5j * (S + S.mT)
+        K[::4, n:, n:] = 0.0  # exactly degenerate y-blocks, rescued by the input
+        k = GaussianKernel(n, np.ones(40, complex), K)
+        raised_any = passed_any = False
+        for ls in (-1.0, -0.25, 0.0, 0.5, 1.5):
+            zero = _width_ratios(k, np.full(40, ls), 2, np.inf) == 0
+            u = GaussianState(n, 1.0, 10.0 ** (-2 * ls) * np.eye(n, dtype=complex),
+                              np.zeros(n))
+            for j in range(40):
+                try:
+                    apply_kernel_gaussian(GaussianKernel(n, 1.0 + 0j, K[j]), u)
+                    raised = False
+                except QsemiError:
+                    raised = True
+                assert zero[j] == raised, (n, ls, j)
+                raised_any |= raised
+                passed_any |= not raised
+        assert raised_any and passed_any
+
+
+def test_sqrt_det_pd_mask_matches_the_raising_form():
+    A = np.stack([block(ABOVE), np.diag([1.0, -1.0]).astype(complex),
+                  np.array([[2.0, 1j], [1j, 1.0]])])
+    root, bad = sqrt_det_pd_mask(A)
+    assert bad.tolist() == [False, True, False]
+    assert root[0] == sqrt_det_pd(A[0]) and root[2] == sqrt_det_pd(A[2])
+    assert abs(root[2] - np.sqrt(3.0)) < 1e-15
+    with pytest.raises(NonIntegrableSymbol) as info:
+        sqrt_det_pd(A)
+    assert info.value.index == 1
