@@ -42,10 +42,7 @@ from .matfun import (
     BranchTrackedScalar,
     mat_arctan,
     mat_cos,
-    mat_exp,
     mat_log_principal,
-    mat_sin,
-    mat_tan,
     null_space,
     psd_check,
     sqrt_det_cos_tracked,

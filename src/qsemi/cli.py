@@ -118,8 +118,9 @@ def resolve_tol(args) -> float:
     """The tolerance of a run: --tol, else the problem file's
     tolerances.default, else the environment variable QSEMI_TOL, else 1e-9.
 
-    It must be a finite positive number (ParseError otherwise).  A problem
-    file is only read when no --fixture replaces it.
+    It must be a finite number in (0, 1) (ParseError otherwise): the rank
+    decisions take it as relative, and at 1 or more they keep nothing.  A
+    problem file is only read when no --fixture replaces it.
     """
     tolerances = {}
     if args.file and not args.fixture:
@@ -140,8 +141,8 @@ def resolve_tol(args) -> float:
     except (OverflowError, TypeError, ValueError) as exc:
         raise _parse_error(f"{source} = {value!r} is not a number",
                            "resolve_tol") from exc
-    if not (math.isfinite(tol) and tol > 0):
-        raise _parse_error(f"{source} = {tol} must be finite and positive",
+    if not 0 < tol < 1:
+        raise _parse_error(f"{source} = {tol} must be positive and below 1",
                            "resolve_tol")
     return tol
 
@@ -179,7 +180,10 @@ def load_problem(args) -> QuadraticForm:
 
 def load_t_grid(args) -> np.ndarray:
     """The sweep's t grid: --t-grid t_min,t_max,points[,log|lin], else the
-    problem file's t_grid, else 20 log-spaced points on [1e-3, 1e-1]."""
+    problem file's t_grid, else 20 log-spaced points on [1e-3, 1e-1].
+
+    Every grid point must be positive (ParseError otherwise): at t = 0 there
+    is neither a kernel nor a factorization to check."""
     if args.t_grid:
         parts = args.t_grid.split(",")
         if len(parts) < 3:
@@ -200,10 +204,10 @@ def load_t_grid(args) -> np.ndarray:
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or points < 1:
         raise _parse_error(f"t grid needs finite ends and points >= 1, got "
                            f"({t_min}, {t_max}, {points})", "load_t_grid")
+    if min(t_min, t_max) <= 0:
+        raise _parse_error(f"a t grid needs t_min, t_max > 0, got ({t_min}, {t_max})",
+                           "load_t_grid")
     if log_spaced:
-        if min(t_min, t_max) <= 0:
-            raise _parse_error(f"a log-spaced t grid needs t_min, t_max > 0, got "
-                               f"({t_min}, {t_max})", "load_t_grid")
         return np.logspace(np.log10(t_min), np.log10(t_max), points)
     return np.linspace(t_min, t_max, points)
 

@@ -16,6 +16,11 @@ Assembled factorization (left to right as operators):
 where phase(T) multiplies by exp(i Tx.x / 2), TW is the twisted diffusion
 (e^{-gamma t^alpha |xi - Nx|^2})^w, and (D, M, W) here are the
 operator-convention matrices stored in DecompositionFactors.
+
+Every per-t stage (_polar, _unitary, mehler.inverse_twisted, _strang and
+the checks of _factors_at) is one piece of code that runs at one time or
+stacked over a grid of times; select_gamma runs the whole grid at once, and
+the public stage functions and build_decomposition run it at one t.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
+    DegenerateTime,
     GammaCollapsed,
     GraphConditionFailed,
     NonIntegrableComposition,
@@ -34,7 +40,7 @@ from .errors import (
     RadiusExceeded,
     TimeTooLarge,
 )
-from .matfun import DEFAULT_TOL, mat_log_principal, null_space, spectral_norm
+from .matfun import DEFAULT_TOL, Checks, first_index, log_principal, null_space
 from .mehler import (
     GaussianKernel,
     compose_kernels,
@@ -43,7 +49,7 @@ from .mehler import (
     kernel_right_dispersion,
     kernel_right_phase,
     kernel_right_transport,
-    mehler_inverse_twisted,
+    inverse_twisted,
     mehler_symbol,
     twisted_form_matrix,
     twisted_kernel,
@@ -72,11 +78,18 @@ STRANG_RADIUS = np.log(2) / 6
 
 @dataclass
 class PolarFactors:
-    """Real forms a_t, b_t with exp(-2itJA) exp(2tJB) = exp(-2itJQ)."""
+    """Real forms a_t, b_t with exp(-2itJA) exp(2tJB) = exp(-2itJQ).
+
+    Over a grid of T times, t, A, B and recon_residual are stacked: shapes
+    (T,), (T, 2n, 2n), (T, 2n, 2n) and (T,); indexing picks one time.
+    """
     t: float
     A: np.ndarray
     B: np.ndarray
     recon_residual: float
+
+    def __getitem__(self, i) -> "PolarFactors":
+        return PolarFactors(self.t[i], self.A[i], self.B[i], self.recon_residual[i])
 
 
 @dataclass
@@ -140,6 +153,42 @@ class DecompositionFactors:
         return -self.unitary.W
 
 
+def _fro(X) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack."""
+    return np.linalg.norm(X, axis=(-2, -1))
+
+
+def _log(Z, tol, checks):
+    return log_principal(Z, Z - np.eye(Z.shape[-1]), tol, checks)
+
+
+def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
+    """polar_factors at t > 0, a time or an array of times (factors stacked)."""
+    op = "polar_factors"
+    t = np.asarray(t, dtype=float)
+    tJ = t[..., None, None] * standard_J(q.n)
+    E1, E2 = sla.expm(np.stack([-2j * tJ @ q.Q, -2j * tJ @ q.Q.conj()]))
+    A = np.linalg.solve(-4j * tJ, _log(E1 @ E2, tol, checks))
+    scaleA = np.maximum(1.0, _fro(A))
+    imag = _fro(A.imag)
+    checks(imag > tol * scaleA, NotRealWithinTol,
+           lambda i: f"imag part of A has norm {imag.flat[i]:.3e}",
+           module=_MOD, operation=op)
+    A = (A.real + A.real.mT) / 2
+    lam = np.linalg.eigvalsh(A)[..., 0]
+    checks(lam < -tol * scaleA, NotPSDWithinTol,
+           lambda i: f"A has lambda_min = {lam.flat[i]:.3e}", module=_MOD, operation=op)
+    EA, EAinv = sla.expm(np.stack([2j * tJ @ A, -2j * tJ @ A]))
+    B = np.linalg.solve(2 * tJ, _log(EA @ E1, tol, checks))
+    imag = _fro(B.imag)
+    checks(imag > tol * np.maximum(1.0, _fro(B)), NotRealWithinTol,
+           lambda i: f"imag part of B has norm {imag.flat[i]:.3e}",
+           module=_MOD, operation=op)
+    B = (B.real + B.real.mT) / 2
+    recon = _fro(EAinv @ sla.expm(2 * tJ @ B) - E1)
+    return PolarFactors(t[()], A, B, recon[()])
+
+
 def polar_factors(q: QuadraticForm, t: float, *, tol: float = DEFAULT_TOL) -> PolarFactors:
     """Split exp(-t q^w) into self-adjoint and unitary matrix shadows.
 
@@ -149,31 +198,7 @@ def polar_factors(q: QuadraticForm, t: float, *, tol: float = DEFAULT_TOL) -> Po
     """
     if t == 0:
         return PolarFactors(0.0, q.Q.real.copy(), q.Q.imag.copy(), 0.0)
-    J = standard_J(q.n)
-    E1 = sla.expm(-2j * t * J @ q.Q)
-    E2 = sla.expm(-2j * t * J @ q.Q.conj())
-    LA = mat_log_principal(E1 @ E2, tol=tol)
-    A = np.linalg.solve(-4j * t * J, LA)
-    scaleA = max(1.0, np.linalg.norm(A))
-    if np.linalg.norm(A.imag) > tol * scaleA:
-        raise NotRealWithinTol(
-            f"imag part of A has norm {np.linalg.norm(A.imag):.3e}",
-            module=_MOD, operation="polar_factors")
-    A = (A.real + A.real.T) / 2
-    lam = float(np.linalg.eigvalsh(A).min())
-    if lam < -tol * scaleA:
-        raise NotPSDWithinTol(f"A has lambda_min = {lam:.3e}",
-                              module=_MOD, operation="polar_factors")
-    EB = sla.expm(2j * t * J @ A) @ E1
-    LB = mat_log_principal(EB, tol=tol)
-    B = np.linalg.solve(2 * t * J, LB)
-    if np.linalg.norm(B.imag) > tol * max(1.0, np.linalg.norm(B)):
-        raise NotRealWithinTol(
-            f"imag part of B has norm {np.linalg.norm(B.imag):.3e}",
-            module=_MOD, operation="polar_factors")
-    B = (B.real + B.real.T) / 2
-    recon = sla.expm(-2j * t * J @ A) @ sla.expm(2 * t * J @ B) - E1
-    return PolarFactors(float(t), A, B, float(np.linalg.norm(recon)))
+    return _polar(q, t, tol, Checks())
 
 
 def _three_factor_product(D, M, W, t, J):
@@ -181,6 +206,24 @@ def _three_factor_product(D, M, W, t, J):
     return (sla.expm(-2 * t * J @ embed_xixi(D).real)
             @ sla.expm(-2 * t * J @ embed_cross(M).real)
             @ sla.expm(t * J @ embed_xx(W).real))
+
+
+def _unitary(B, t, checks: Checks) -> UnitaryFactors:
+    """unitary_factorization at t > 0, a time or an array of times (B and the
+    factors stacked over them)."""
+    B = np.asarray(B, dtype=float)
+    n = B.shape[-1] // 2
+    J = standard_J(n)
+    t = np.asarray(t, dtype=float)[..., None, None]
+    S = sla.expm(2 * t * J @ B)
+    S12, S21, S22 = S[..., :n, n:], S[..., n:, :n], S[..., n:, n:]
+    M = _log(S22.mT, DEFAULT_TOL, checks).real / t
+    S22 = checks.clean(S22, np.eye(n))
+    W = -np.linalg.solve(S22, S21) / t
+    D = -np.linalg.solve(S22.mT, S12.mT).mT / (2 * t)
+    D, W = (D + D.mT) / 2, (W + W.mT) / 2
+    res = _fro(_three_factor_product(D, M, W, t, J) - S)
+    return UnitaryFactors(D=D, M=M, W=W, residual=res[()], iterations=0)
 
 
 def unitary_factorization(B, t: float) -> UnitaryFactors:
@@ -195,20 +238,33 @@ def unitary_factorization(B, t: float) -> UnitaryFactors:
     with D and W symmetric because S is symplectic.  The splitting exists
     exactly when S22 has no eigenvalue on (-inf, 0] (BranchCut otherwise).
     """
-    B = np.asarray(B, dtype=float)
-    n = B.shape[0] // 2
-    J = standard_J(n)
     if t == 0:
+        B = np.asarray(B, dtype=float)
+        n = B.shape[0] // 2
         return UnitaryFactors(D=-B[n:, n:], M=-2 * B[n:, :n], W=2 * B[:n, :n],
                               residual=0.0, iterations=0)
-    S = sla.expm(2 * t * J @ B)
-    S12, S21, S22 = S[:n, n:], S[n:, :n], S[n:, n:]
-    M = mat_log_principal(S22.T).real / t
-    W = -np.linalg.solve(S22, S21) / t
-    D = -np.linalg.solve(S22.T, S12.T).T / (2 * t)
-    D, W = (D + D.T) / 2, (W + W.T) / 2
-    res = float(np.linalg.norm(_three_factor_product(D, M, W, t, J) - S))
-    return UnitaryFactors(D=D, M=M, W=W, residual=res, iterations=0)
+    return _unitary(B, t, Checks())
+
+
+def _strang(A, B, tol: float, checks: Checks) -> np.ndarray:
+    """strang_middle of each pair of a stack of pairs (A, B)."""
+    op = "strang_middle"
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    J = standard_J(A.shape[-1] // 2)
+    na = np.linalg.norm(A, 2, axis=(-2, -1))
+    nb = np.linalg.norm(B, 2, axis=(-2, -1))
+    checks((na >= STRANG_RADIUS) | (nb >= STRANG_RADIUS), RadiusExceeded,
+           lambda i: f"|A| = {na.flat[i]:.4f}, |B| = {nb.flat[i]:.4f} must be below "
+                     f"log(2)/6 = {STRANG_RADIUS:.4f}", module=_MOD, operation=op)
+    A, B = checks.clean(A, 0.0), checks.clean(B, 0.0)
+    EB, EA = sla.expm(np.stack([2j * J @ B, -2j * J @ A]))
+    P = np.linalg.solve(-2j * J, _log(EB @ EA @ EB, tol, checks))
+    imag = _fro(P.imag)
+    checks(imag > tol * np.maximum(1.0, _fro(P)), NotRealWithinTol,
+           lambda i: f"imag part of P has norm {imag.flat[i]:.3e}",
+           module=_MOD, operation=op)
+    return (P.real + P.real.mT) / 2
 
 
 def strang_middle(A, B, *, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -217,24 +273,9 @@ def strang_middle(A, B, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     Defined for ||A||, ||B|| < log(2)/6 where the log stays principal.  P is
     real symmetric; when 0 <= 5B <= A and ||A|| is small, P >= A/2.  The
     build checks both of those inequalities itself (decompose._factors_at).
+    A and B may be stacks of pairs, giving the stack of middle terms.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    n = A.shape[0] // 2
-    J = standard_J(n)
-    na, nb = spectral_norm(A), spectral_norm(B)
-    if na >= STRANG_RADIUS or nb >= STRANG_RADIUS:
-        raise RadiusExceeded(
-            f"|A| = {na:.4f}, |B| = {nb:.4f} must be below log(2)/6 = "
-            f"{STRANG_RADIUS:.4f}", module=_MOD, operation="strang_middle")
-    core = sla.expm(2j * J @ B) @ sla.expm(-2j * J @ A) @ sla.expm(2j * J @ B)
-    P = np.linalg.solve(-2j * J, mat_log_principal(core, tol=tol))
-    scale = max(1.0, np.linalg.norm(P))
-    if np.linalg.norm(P.imag) > tol * scale:
-        raise NotRealWithinTol(
-            f"imag part of P has norm {np.linalg.norm(P.imag):.3e}",
-            module=_MOD, operation="strang_middle")
-    return (P.real + P.real.T) / 2
+    return _strang(A, B, tol, Checks())
 
 
 def _default_t_grid(t_max: float = 0.1, points: int = 20) -> np.ndarray:
@@ -248,37 +289,59 @@ def _perp_basis(basis: np.ndarray, n2: int) -> np.ndarray:
     return null_space(basis.T.astype(complex)).real
 
 
-def _factors_at(q, q_sheared, cert, gamma, alpha, t, t0, *, tol,
-                pol=None) -> DecompositionFactors:
-    """Run every per-t stage at (t, gamma) and return the factors at t.
+def _factors_at(q, q_sheared, cert, gamma, alpha, pol, t0, *, tol,
+                checks: Checks) -> DecompositionFactors:
+    """Run every per-t stage at (pol.t, gamma) on the polar factors pol, at
+    one time or stacked over a grid, and return the factors.
 
-    Stages and checks, in order: polar factors (unless pol is given), unitary
-    split, twisted-diffusion inversion, arctan sandwich, Strang middle term,
-    P >= A/2, 5B <= A.  The first failed check raises its QsemiError.
+    Stages and checks, in order: unitary split, twisted-diffusion inversion,
+    arctan sandwich, Strang middle term, P >= A/2, 5B <= A.  A failed check
+    goes to checks.
     """
-    if pol is None:
-        pol = polar_factors(q_sheared, t, tol=tol)
-    uni = unitary_factorization(pol.B, t)
+    op = "build_decomposition"
+    t = np.asarray(pol.t, dtype=float)
+    uni = _unitary(pol.B, t, checks)
     s = gamma * t ** alpha
-    Rs, pf = mehler_inverse_twisted(cert.N, s, tol=tol)
+    Rs, pf = inverse_twisted(cert.N, s, tol, checks)
     Nmat = twisted_form_matrix(cert.N)
-    lo = float(np.linalg.eigvalsh(Rs - Nmat).min())
-    hi = float(np.linalg.eigvalsh(2 * Nmat - Rs).min())
-    if lo < -1e-10 or hi < -1e-10:
-        raise NotPSDWithinTol(f"arctan sandwich margins ({lo:.2e}, {hi:.2e})",
-                              module=_MOD, operation="build_decomposition")
-    Am, Bm = t * pol.A, s * Rs
-    P = strang_middle(Am, Bm, tol=tol)
+    lo = np.linalg.eigvalsh(Rs - Nmat)[..., 0]
+    hi = np.linalg.eigvalsh(2 * Nmat - Rs)[..., 0]
+    checks((lo < -1e-10) | (hi < -1e-10), NotPSDWithinTol,
+           lambda i: f"arctan sandwich margins ({lo.flat[i]:.2e}, {hi.flat[i]:.2e})",
+           module=_MOD, operation=op)
+    Am, Bm = t[..., None, None] * pol.A, s[..., None, None] * Rs
+    P = _strang(Am, Bm, tol, checks)
     for what, gap in (("p_t >= a_t/2", P - Am / 2), ("5B <= A", Am - 5 * Bm)):
-        margin = float(np.linalg.eigvalsh(gap).min())
-        if margin < -tol:
-            raise NotPSDWithinTol(f"{what} fails (margin {margin:.3e})",
-                                  module=_MOD, operation="build_decomposition")
-    c_t = pf ** (-2) * float(np.exp(0.5 * t * np.trace(uni.M)))
+        margin = np.linalg.eigvalsh(gap)[..., 0]
+        checks(margin < -tol, NotPSDWithinTol,
+               lambda i: f"{what} fails (margin {margin.flat[i]:.3e})",
+               module=_MOD, operation=op)
+    c_t = pf ** (-2) * np.exp(0.5 * t * np.trace(uni.M, axis1=-2, axis2=-1))
     return DecompositionFactors(
-        q=q, t=float(t), G=cert.G, N=cert.N, Gsym=cert.Gsym, gamma=gamma,
-        alpha=alpha, c_t=c_t, Pt=P / t, unitary=uni, Rs=Rs, prefactor=pf,
-        s=s, t0=t0, polar=pol, q_sheared=q_sheared)
+        q=q, t=t[()], G=cert.G, N=cert.N, Gsym=cert.Gsym, gamma=gamma,
+        alpha=alpha, c_t=c_t[()], Pt=P / t[..., None, None], unitary=uni, Rs=Rs,
+        prefactor=pf[()], s=s[()], t0=t0, polar=pol, q_sheared=q_sheared)
+
+
+def _gammas(pol, U, Nbar, alpha, *, tol, checks: Checks) -> np.ndarray:
+    """gamma_t at each time of pol.  Checks: A_t positive on the complement
+    of the singular space (GammaCollapsed)."""
+    t = np.asarray(pol.t)
+    Abar = U.T @ pol.A @ U
+    lam = np.linalg.eigvalsh(Abar)[..., 0] if Abar.size else np.ones(t.shape)
+    checks(lam <= 0, GammaCollapsed,
+           lambda i: f"A_t not positive on the complement of S at t = {t.flat[i]:.3g} "
+                     f"(lambda_min = {lam.flat[i]:.3e})",
+           module=_MOD, operation="select_gamma")
+    Abar = checks.clean(Abar, np.eye(Abar.shape[-1]))
+    # one LAPACK generalized eigenproblem per t: on rank-n forms the pencil is
+    # ill-conditioned, and another reduction of it moves gamma_t by up to 1e-5
+    mu = np.zeros(t.shape)
+    if Nbar.size:
+        for k in np.ndindex(t.shape):
+            mu[k] = sla.eigh(Nbar, Abar[k], eigvals_only=True).max()
+    vanishes = mu <= tol  # the twisted form vanishes on the complement
+    return np.where(vanishes, 1e6, t ** (1 - alpha) / (10 * np.where(vanishes, 1.0, mu)))
 
 
 def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
@@ -289,54 +352,57 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     gamma_t is the largest gamma with t A_t - 10 gamma t^alpha NN >= 0,
     computed from the generalized eigenvalues of (NN, A_t) restricted to the
     complement of the singular space (both matrices kill S); gamma takes a
-    0.9 safety factor under the grid minimum.  t0 is the largest grid prefix
-    on which every per-t stage and check of build_decomposition passes, on
-    the gamma loop's polar factors; stop_reason names the error that ended it.
+    0.9 safety factor under the grid minimum.  t0 is the largest prefix of
+    the ascending grid on which every per-t stage and check of
+    build_decomposition passes, on the polar factors of the gamma pass;
+    stop_reason names the error that ended it.
+
+    Two stacked passes over the grid: polar factors and gamma_t, then the
+    stages at gamma.  Each records its failed entries; the first of them is
+    run again alone, which raises (first pass) or names (second pass) the
+    error a loop over the ascending grid meets first.  Every grid point must
+    be positive (DegenerateTime).
     """
     if cert is None:
         raise GraphConditionFailed("no graph certificate", module=_MOD,
                                    operation="select_gamma")
-    t_grid = _default_t_grid() if t_grid is None else np.asarray(t_grid, float)
+    t_grid = _default_t_grid() if t_grid is None else np.asarray(t_grid, float).ravel()
+    i = first_index(~(t_grid > 0))
+    if i is not None:
+        raise DegenerateTime(f"grid point t = {t_grid[i]} is not positive",
+                             module=_MOD, operation="select_gamma", index=i)
+    t_grid = np.sort(t_grid)
     q_sheared = conjugate_by_linear(q, shear_transform(cert.Gsym))
     report_sh = singular_space(q_sheared, tol=report.tol)
     alpha = 2 * report.k0 + 1
-    Nmat = twisted_form_matrix(cert.N)
-    n2 = 2 * q.n
-    U = _perp_basis(report_sh.basis, n2)
-    Nbar = U.T @ Nmat @ U
-    gammas = np.empty_like(t_grid)
-    polars = []
-    for i, t in enumerate(t_grid):
+    U = _perp_basis(report_sh.basis, 2 * q.n)
+    Nbar = U.T @ twisted_form_matrix(cert.N) @ U
+    checks = Checks(t_grid.shape)
+    pol = _polar(q_sheared, t_grid, tol, checks)
+    gammas = _gammas(pol, U, Nbar, alpha, tol=tol, checks=checks)
+    for i in np.flatnonzero(checks.bad):
         try:
-            pol = polar_factors(q_sheared, float(t), tol=tol)
+            p = _polar(q_sheared, t_grid[i], tol, Checks())
         except (QsemiError, np.linalg.LinAlgError) as exc:
-            raise GammaCollapsed(f"polar factors failed at t = {t:.3g}: {exc}",
+            raise GammaCollapsed(f"polar factors failed at t = {t_grid[i]:.3g}: {exc}",
                                  module=_MOD, operation="select_gamma") from exc
-        polars.append(pol)
-        Abar = U.T @ pol.A @ U
-        lam_min = float(np.linalg.eigvalsh(Abar).min()) if Abar.size else 1.0
-        if lam_min <= 0:
-            raise GammaCollapsed(
-                f"A_t not positive on the complement of S at t = {t:.3g} "
-                f"(lambda_min = {lam_min:.3e})",
-                module=_MOD, operation="select_gamma")
-        mu = float(sla.eigh(Nbar, Abar, eigvals_only=True).max()) if Nbar.size else 0.0
-        if mu <= tol:
-            gammas[i] = 1e6  # twisted form vanishes on the complement
-        else:
-            gammas[i] = float(t) ** (1 - alpha) / (10 * mu)
+        gammas[i] = _gammas(p, U, Nbar, alpha, tol=tol, checks=Checks())
+        pol.A[i], pol.B[i] = p.A, p.B  # the stacked pass failed where this passes
     gamma = 0.9 * float(gammas.min())
     if not np.isfinite(gamma) or gamma <= 0:
         raise GammaCollapsed(f"gamma = {gamma}", module=_MOD,
                              operation="select_gamma")
-    t0, stop_reason = 0.0, None
-    for pol in polars:
+    checks = Checks(t_grid.shape)
+    _factors_at(q, q_sheared, cert, gamma, alpha, pol, pol.t, tol=tol, checks=checks)
+    t0, stop_reason = float(t_grid[-1]), None
+    for i in np.flatnonzero(checks.bad):
         try:
-            _factors_at(q, q_sheared, cert, gamma, alpha, pol.t, pol.t, tol=tol, pol=pol)
+            _factors_at(q, q_sheared, cert, gamma, alpha, pol[i], pol.t[i], tol=tol,
+                        checks=Checks())
         except (QsemiError, np.linalg.LinAlgError) as exc:
+            t0 = float(t_grid[i - 1]) if i else 0.0
             stop_reason = f"{type(exc).__name__}: {exc}"
             break
-        t0 = pol.t
     if t0 == 0.0:
         why = f": {stop_reason}" if stop_reason else ""
         raise GammaCollapsed(f"no grid point passes the validity predicates{why}",
@@ -347,12 +413,15 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
 def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
                         gamma_sel: GammaSelection | None = None,
                         tol: float = DEFAULT_TOL) -> DecompositionFactors:
-    """Run the full pipeline at time t and return the factor data.
+    """Run the full pipeline at time t > 0 and return the factor data.
 
     Pipeline: singular space -> graph certificate -> shear conjugation ->
     gamma selection -> at t, the per-t stages and checks that set t0 (polar
     factors, unitary split, twisted inversion, Strang middle) -> prefactor.
     """
+    if not t > 0:
+        raise DegenerateTime(f"t = {t} must be positive", module=_MOD,
+                             operation="build_decomposition")
     report = singular_space(q, tol=tol)
     cert = graph_condition(report, tol=tol)
     if cert is None:
@@ -370,7 +439,8 @@ def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
                            operation="build_decomposition")
     q_sheared = conjugate_by_linear(q, shear_transform(cert.Gsym))
     return _factors_at(q, q_sheared, cert, gamma_sel.gamma, 2 * report.k0 + 1,
-                       t, gamma_sel.t0, tol=tol)
+                       polar_factors(q_sheared, t, tol=tol), gamma_sel.t0, tol=tol,
+                       checks=Checks())
 
 
 def _phase_shadow(theta: np.ndarray) -> np.ndarray:

@@ -36,10 +36,6 @@ class BranchCut(QsemiError):
     pass
 
 
-class SingularCos(QsemiError):
-    pass
-
-
 class SpectralRadiusTooLarge(QsemiError):
     pass
 
@@ -113,6 +109,10 @@ class ExponentOrder(QsemiError):
 
 
 class FixtureHasGraph(QsemiError):
+    pass
+
+
+class InvalidTolerance(QsemiError):
     pass
 
 

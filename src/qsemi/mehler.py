@@ -41,10 +41,11 @@ from .errors import (
 )
 from .matfun import (
     DEFAULT_TOL,
+    Checks,
+    arctan,
     cos_sin_sqrt_det,
     first_index,
     spectral_norm,
-    sqrt_det_cos_tracked,
 )
 from .quadform import QuadraticForm, block_decompose, standard_J
 
@@ -261,45 +262,51 @@ def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
     return GaussianKernel(n, complex(c), K)
 
 
+def inverse_twisted(N, s, tol: float, checks: Checks) -> tuple[np.ndarray, np.ndarray]:
+    """(R_s, prefactor) of mehler_inverse_twisted at s, a number or an array
+    of them (R_s then stacked over s).
+
+    R_s = (sJ)^{-1} arctan(F) for F = s J NN, through the stacked log
+    (matfun.arctan keeps the relative accuracy of a small F), and R_s = NN at
+    s = 0.  As s J R_s = arctan(F) and cos(arctan F) = (I + F^2)^{-1/2}, the
+    prefactor sqrt(det cos(s J R_s)) on the branch continuous from s = 0 is
+    det(I + F^2)^{-1/4}: the eigenvalues of F^2 are -(s omega)^2 in
+    (-1/2, 0] for the frequencies omega of J NN (NN >= 0), so I + F^2 stays
+    invertible along the path.  Checks: 0 <= s and s |NN| < 2^{-1/2}
+    (SeriesRegimeViolated), then a real prefactor.
+    """
+    op = "mehler_inverse_twisted"
+    NN = twisted_form_matrix(N)
+    J = standard_J(NN.shape[0] // 2)
+    s = np.asarray(s, dtype=float)
+    nrm = spectral_norm(NN)
+    checks(s < 0, SeriesRegimeViolated, "s must be nonnegative", module=_MOD,
+           operation=op)
+    checks(s * nrm >= 2 ** -0.5, SeriesRegimeViolated,
+           lambda i: f"s |NN| = {s.flat[i] * nrm:.4f} >= 2^(-1/2)",
+           module=_MOD, operation=op)
+    s = checks.clean(s, 0.0)
+    F = s[..., None, None] * (J @ NN)
+    Rs = J.T @ arctan(F, tol, checks).real / np.where(s > 0, s, 1.0)[..., None, None]
+    Rs = np.where((s > 0)[..., None, None], (Rs + Rs.mT) / 2, NN)
+    pf = np.linalg.det(np.eye(NN.shape[0]) + F @ F).astype(complex) ** -0.25
+    checks(np.abs(pf.imag) > 1e-10 * np.abs(pf), SeriesRegimeViolated,
+           lambda i: f"prefactor not real: {pf.flat[i]}", module=_MOD, operation=op)
+    return Rs, pf.real
+
+
 def mehler_inverse_twisted(N, s: float, *, tol: float = DEFAULT_TOL,
                            ) -> tuple[np.ndarray, float]:
     """Write the twisted diffusion as an evolution operator:
 
         (e^{-s |xi - Nx|^2})^w = sqrt(det cos(s J R_s)) exp(-s r_s^w),
 
-    returning (R_s, prefactor) with R_s = (sJ)^{-1} arctan(s J NN) evaluated
-    through the manifestly symmetric series sum_k F^kT NN F^k / (2k+1),
-    F = s J NN.  Requires s |NN| < 2^{-1/2} (series regime).
+    returning (R_s, prefactor) with R_s = (sJ)^{-1} arctan(s J NN), in closed
+    form (see inverse_twisted), at s or at every s of an array.  Requires
+    s |NN| < 2^{-1/2} (SeriesRegimeViolated otherwise).
     """
-    NN = twisted_form_matrix(N)
-    n2 = NN.shape[0]
-    if s < 0:
-        raise SeriesRegimeViolated("s must be nonnegative", module=_MOD,
-                                   operation="mehler_inverse_twisted")
-    nrm = spectral_norm(NN)
-    if s * nrm >= 2 ** -0.5:
-        raise SeriesRegimeViolated(
-            f"s |NN| = {s * nrm:.4f} >= 2^(-1/2)", module=_MOD,
-            operation="mehler_inverse_twisted")
-    if s == 0 or nrm == 0:
-        return NN.copy(), 1.0
-    F = s * standard_J(n2 // 2) @ NN
-    Rs = np.zeros_like(NN)
-    term_left = np.eye(n2)
-    for k in range(256):
-        term = term_left.T @ NN @ term_left / (2 * k + 1)
-        Rs += term
-        if np.linalg.norm(term) < 1e-18 * max(1.0, np.linalg.norm(Rs)):
-            break
-        term_left = F @ term_left
-    Rs = (Rs + Rs.T) / 2
-    tracked = sqrt_det_cos_tracked(Rs, s, tol=tol)
-    pf = tracked.value
-    if abs(pf.imag) > 1e-10 * abs(pf):
-        raise SeriesRegimeViolated(
-            f"prefactor not real: {pf}", module=_MOD,
-            operation="mehler_inverse_twisted")
-    return Rs, float(pf.real)
+    Rs, pf = inverse_twisted(N, s, tol, Checks())
+    return Rs, pf[()]
 
 
 # --- analytic actions of phase / transport / dispersion factors ------------

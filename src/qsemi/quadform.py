@@ -146,26 +146,24 @@ def block_assemble(bf: BlockForm) -> np.ndarray:
 
 # --- embeddings of n x n blocks into 2n x 2n form matrices -----------------
 # Used by the decomposition: forms supported on x.x, x.xi and xi.xi only.
+# Each also embeds every block of a stack (..., n, n).
 
 def embed_xx(W) -> np.ndarray:
     """Matrix of the form (W x).x, W symmetric n x n."""
     W = np.asarray(W, dtype=complex)
-    n = W.shape[0]
-    Z = np.zeros((n, n))
+    Z = np.zeros_like(W)
     return np.block([[W, Z], [Z, Z]])
 
 
 def embed_xixi(D) -> np.ndarray:
     """Matrix of the form (D xi).xi, D symmetric n x n."""
     D = np.asarray(D, dtype=complex)
-    n = D.shape[0]
-    Z = np.zeros((n, n))
+    Z = np.zeros_like(D)
     return np.block([[Z, Z], [Z, D]])
 
 
 def embed_cross(M) -> np.ndarray:
     """Matrix of the form (M x).xi for an arbitrary n x n M."""
     M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    Z = np.zeros((n, n))
-    return np.block([[Z, M.T / 2], [M / 2, Z]])
+    Z = np.zeros_like(M)
+    return np.block([[Z, M.mT / 2], [M / 2, Z]])

@@ -12,10 +12,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidTolerance
 from .matfun import DEFAULT_TOL, null_space
 from .quadform import QuadraticForm, hamilton_map
 
 _MOD = "singular"
+
+
+def _check_tol(tol: float, operation: str) -> None:
+    """The rank decisions take tol as relative; at 1 or more they keep nothing."""
+    if not 0 < tol < 1:
+        raise InvalidTolerance(f"tol = {tol} must be positive and below 1",
+                               module=_MOD, operation=operation)
 
 
 @dataclass
@@ -52,8 +60,10 @@ def singular_space(q: QuadraticForm, tol: float = DEFAULT_TOL) -> SingularSpaceR
 
     All 2n iterates Re(Q) (Im F)^l are stacked and a single SVD kernel call
     produces S; k0 comes from the ranks of the incremental stacks, which are
-    monotone, using one consistent absolute threshold.
+    monotone, using one consistent absolute threshold.  tol must lie in
+    (0, 1) (InvalidTolerance).
     """
+    _check_tol(tol, "singular_space")
     n2 = 2 * q.n
     ReQ = q.Q.real
     ImF = hamilton_map(q).imag
@@ -94,8 +104,9 @@ def graph_condition(report: SingularSpaceReport, tol: float = DEFAULT_TOL,
 
     G solves G (Pi_x basis) = Pi_xi basis in the least-squares sense and is
     extended by zero off the projection of S, which is the minimal Frobenius
-    norm choice.
+    norm choice.  tol must lie in (0, 1) (InvalidTolerance).
     """
+    _check_tol(tol, "graph_condition")
     basis = np.asarray(report.basis, dtype=float)
     n = basis.shape[0] // 2
     d = basis.shape[1]

@@ -260,13 +260,26 @@ def test_t_grid_file_parse_errors(tmp_path, capsys, t_grid):
     assert json.loads(out)["kind"] == "ParseError"
 
 
-def test_linear_t_grid_may_start_at_zero(tmp_path, capsys):
-    # only a log-spaced grid needs t_min > 0; t = 0 has no kernel (exit 3)
+@pytest.mark.parametrize("command", ["exponents", "decompose", "verify"])
+def test_linear_t_grid_with_zero_is_parse_error(tmp_path, capsys, command):
+    # t = 0 has neither a kernel nor a factorization, in any spacing
     path = write_problem(tmp_path, dict(HEAT_PROBLEM, t_grid={
         "t_min": 0.0, "t_max": 1e-1, "points": 5, "log_spaced": False}))
-    code, out = run_cli(capsys, "exponents", path)
-    assert code == EXIT_MATH
-    assert json.loads(out)["kind"] == "NonIntegrableSymbol"
+    code, out = run_cli(capsys, command, path, "--t", "0.01")
+    assert code == EXIT_PARSE
+    assert json.loads(out)["kind"] == "ParseError"
+    code, out = run_cli(capsys, command, "--fixture", "heat", "--t", "0.01",
+                        "--t-grid", "0,0.05,3,lin")
+    assert code == EXIT_PARSE
+    assert json.loads(out)["kind"] == "ParseError"
+
+
+def test_descending_t_grid_sets_the_same_horizon(capsys):
+    outs = [run_cli(capsys, "decompose", "--fixture", "heat", "--t", "0.01", "--t-grid", grid)
+            for grid in ("0.001,0.1,20", "0.1,0.001,20")]
+    assert outs[0][0] == outs[1][0] == EXIT_OK
+    assert outs[0][1] == outs[1][1]
+    assert json.loads(outs[0][1])["t0"] == 0.1
 
 
 @pytest.mark.parametrize("change", [{"tolerances": {"default": "x"}},
@@ -361,7 +374,8 @@ def test_tolerance_resolution_order(tmp_path, capsys, monkeypatch, file_tol, fla
 
 @pytest.mark.parametrize("flag, env", [(None, "abc"), (None, ""), (None, "-1e-3"),
                                        (None, "inf"), ("-1", None), ("0", None),
-                                       ("nan", None), ("-1", "1e-9")])
+                                       ("nan", None), ("-1", "1e-9"), ("1", None),
+                                       ("1e300", None), (None, "2")])
 def test_invalid_tolerance_is_parse_error(capsys, monkeypatch, flag, env):
     if env is None:
         monkeypatch.delenv("QSEMI_TOL", raising=False)

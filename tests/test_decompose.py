@@ -1,5 +1,6 @@
 """Factorization machinery tests: polar factors, three-factor splitting,
 Strang middle term, gamma selection, end-to-end decomposition."""
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,27 +8,39 @@ import scipy.linalg as sla
 from qsemi import (
     QuadraticForm,
     build_decomposition,
+    conjugate_by_linear,
+    get_fixture,
     isotropic_cone_check,
     kernel_from_symbol,
+    mehler_inverse_twisted,
     mehler_symbol,
     polar_factors,
     select_gamma,
+    shear_transform,
     singular_space,
     standard_J,
     strang_middle,
+    twisted_form_matrix,
     unitary_factorization,
     verify_decomposition,
 )
 from qsemi import decompose
 from qsemi.decompose import _three_factor_product
-from qsemi.errors import RadiusExceeded, TimeTooLarge
+from qsemi.errors import (
+    DegenerateTime,
+    GammaCollapsed,
+    NotPSDWithinTol,
+    QsemiError,
+    RadiusExceeded,
+    TimeTooLarge,
+)
 from qsemi.fixtures import harmonic, heat, kolmogorov, shifted_diagonal
 from qsemi.mehler import kernel_right_transport
 from qsemi.singular import graph_condition
 
 
-def random_accretive(rng, n, norm=1.0):
-    G = rng.standard_normal((2 * n, 2 * n))
+def random_accretive(rng, n, norm=1.0, rank=None):
+    G = rng.standard_normal((2 * n, rank or 2 * n))
     S = rng.standard_normal((2 * n, 2 * n))
     Q = G @ G.T + 1j * (S + S.T)
     return QuadraticForm(n, Q * (norm / np.linalg.norm(Q, 2)))
@@ -191,9 +204,9 @@ def test_gamma_kolmogorov_stable_across_grid():
 
 def test_select_gamma_propagates_programming_errors(monkeypatch):
     # only QsemiError and LinAlgError end the t0 prefix; a bug surfaces
-    def broken(B, t):
+    def broken(B, t, checks):
         raise TypeError("broken stage")
-    monkeypatch.setattr(decompose, "unitary_factorization", broken)
+    monkeypatch.setattr(decompose, "_unitary", broken)
     q = heat(1)
     rep = singular_space(q)
     with pytest.raises(TypeError, match="broken stage"):
@@ -213,16 +226,177 @@ def test_select_gamma_stop_reason():
     assert select_gamma(q, rep, graph_condition(rep)).stop_reason is None
 
 
-def test_build_one_polar_split_per_grid_point(monkeypatch):
-    calls = []
-    polar = decompose.polar_factors
+GRAPH_FIXTURES = ("heat", "harmonic", "kolmogorov", "fokker-planck", "shifted-diagonal")
 
-    def counted(q, t, **kwargs):
-        calls.append(t)
-        return polar(q, t, **kwargs)
-    monkeypatch.setattr(decompose, "polar_factors", counted)
+
+def reference_select_gamma(q, report, cert, t_grid, tol=1e-9):
+    """select_gamma as a loop over the ascending grid, one time at a time,
+    through the public stage functions: (gamma, t0, stop_reason), or the
+    GammaCollapsed that the gamma loop raises."""
+    t_grid = np.sort(t_grid)
+    q_sh = conjugate_by_linear(q, shear_transform(cert.Gsym))
+    alpha = 2 * report.k0 + 1
+    Nmat = twisted_form_matrix(cert.N)
+    U = decompose._perp_basis(singular_space(q_sh, tol=report.tol).basis, 2 * q.n)
+    Nbar = U.T @ Nmat @ U
+    gammas, pols = [], []
+    for t in t_grid:
+        try:
+            pol = polar_factors(q_sh, t, tol=tol)
+        except (QsemiError, np.linalg.LinAlgError) as exc:
+            raise GammaCollapsed(f"polar factors failed at t = {t:.3g}: {exc}",
+                                 module="decompose", operation="select_gamma") from exc
+        Abar = U.T @ pol.A @ U
+        lam = np.linalg.eigvalsh(Abar).min()
+        if lam <= 0:
+            raise GammaCollapsed(f"A_t not positive on the complement of S at t = {t:.3g} "
+                                 f"(lambda_min = {lam:.3e})", module="decompose",
+                                 operation="select_gamma")
+        mu = sla.eigh(Nbar, Abar, eigvals_only=True).max() if Nbar.size else 0.0
+        gammas.append(1e6 if mu <= tol else t ** (1 - alpha) / (10 * mu))
+        pols.append(pol)
+    gamma = 0.9 * min(gammas)
+    t0, stop = 0.0, None
+    for pol in pols:
+        t = pol.t
+        try:
+            unitary_factorization(pol.B, t)
+            s = gamma * t ** alpha
+            Rs, _ = mehler_inverse_twisted(cert.N, s, tol=tol)
+            lo = np.linalg.eigvalsh(Rs - Nmat).min()
+            hi = np.linalg.eigvalsh(2 * Nmat - Rs).min()
+            if lo < -1e-10 or hi < -1e-10:
+                raise NotPSDWithinTol(f"arctan sandwich margins ({lo:.2e}, {hi:.2e})",
+                                      module="decompose", operation="build_decomposition")
+            Am, Bm = t * pol.A, s * Rs
+            P = strang_middle(Am, Bm, tol=tol)
+            for what, gap in (("p_t >= a_t/2", P - Am / 2), ("5B <= A", Am - 5 * Bm)):
+                margin = np.linalg.eigvalsh(gap).min()
+                if margin < -tol:
+                    raise NotPSDWithinTol(f"{what} fails (margin {margin:.3e})",
+                                          module="decompose",
+                                          operation="build_decomposition")
+        except (QsemiError, np.linalg.LinAlgError) as exc:
+            stop = f"{type(exc).__name__}: {exc}"
+            break
+        t0 = t
+    return gamma, t0, stop
+
+
+def stacked_matches_reference(q, t_grid):
+    rep = singular_space(q)
+    cert = graph_condition(rep)
+    try:
+        want = reference_select_gamma(q, rep, cert, t_grid)
+    except GammaCollapsed as exc:
+        with pytest.raises(GammaCollapsed) as got:
+            select_gamma(q, rep, cert, t_grid)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    if want[1] == 0.0:
+        with pytest.raises(GammaCollapsed, match="no grid point passes"):
+            select_gamma(q, rep, cert, t_grid)
+        return want[2]
+    sel = select_gamma(q, rep, cert, t_grid)
+    assert sel.t0 == want[1]
+    assert sel.stop_reason == want[2]
+    assert abs(sel.gamma - want[0]) <= 1e-12 * want[0]
+    return sel.stop_reason
+
+
+@pytest.mark.parametrize("name", GRAPH_FIXTURES)
+def test_stacked_select_gamma_matches_a_loop_over_t_fixtures(name):
+    q = get_fixture(name)
+    for grid in (np.logspace(-3, -1, 20), np.logspace(-3, np.log10(2), 30),
+                 np.linspace(0.05, 3, 12)):
+        stacked_matches_reference(q, grid)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_stacked_select_gamma_matches_a_loop_over_t_random(n):
+    rng = np.random.default_rng(1000 + n)
+    reasons = set()
+    for rank in (2 * n, n):
+        for _ in range(3):
+            q = random_accretive(rng, n, rank=rank)
+            for grid in (np.logspace(-3, -1, 20), np.logspace(-3, np.log10(3), 25)):
+                reason = stacked_matches_reference(q, grid)
+                reasons.add(reason.split(":")[0] if reason else None)
+    assert len(reasons) > 1  # the grids end the horizon in more than one way
+
+
+def test_select_gamma_sorts_a_descending_grid():
+    q = get_fixture("fokker-planck")
+    rep = singular_space(q)
+    cert = graph_condition(rep)
+    grid = np.logspace(-3, np.log10(2), 30)
+    up, down = (select_gamma(q, rep, cert, g) for g in (grid, grid[::-1]))
+    assert down.t0 == up.t0 and down.gamma == up.gamma
+    assert down.stop_reason == up.stop_reason
+    assert (down.t_grid == up.t_grid).all()
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.05, 0.1], [0.01, -0.02], [0.01, np.nan]])
+def test_select_gamma_rejects_nonpositive_grid_points(grid):
+    q = heat(1)
+    rep = singular_space(q)
+    with pytest.raises(DegenerateTime, match="is not positive") as exc:
+        select_gamma(q, rep, graph_condition(rep), grid)
+    assert exc.value.index == int(np.flatnonzero(~(np.array(grid) > 0))[0])
+
+
+@pytest.mark.parametrize("t", [0.0, -0.01])
+def test_build_rejects_nonpositive_time(t):
+    with pytest.raises(DegenerateTime):
+        build_decomposition(heat(1), t)
+
+
+def gamma_t_mpmath(q_sh, cert, t, dps=40):
+    """gamma_t of a form with an empty singular space, at dps digits:
+    t^(1 - alpha) / (10 mu) for alpha = 3 and mu the largest eigenvalue of the
+    pencil (NN, A_t), with A_t from the polar log of exp(-2itJQ) exp(-2itJ conj(Q))."""
+    m = q_sh.Q.shape[0]
+    with mpmath.workdps(dps):
+        Q = mpmath.matrix(q_sh.Q.tolist())
+        J = mpmath.matrix(standard_J(m // 2).tolist())
+        E = mpmath.expm(-2j * t * J * Q) * mpmath.expm(-2j * t * J * Q.apply(mpmath.conj))
+        A = (-4j * t * J) ** -1 * mpmath.logm(E)
+        A = mpmath.matrix([[mpmath.re(A[r, c] + A[c, r]) / 2 for c in range(m)]
+                           for r in range(m)])
+        Linv = mpmath.cholesky(A) ** -1
+        NN = mpmath.matrix(twisted_form_matrix(cert.N).tolist())
+        mu = max(mpmath.re(e) for e in mpmath.eig(Linv * NN * Linv.T)[0])
+        return float(mpmath.mpf(t) ** -2 / (10 * mu))
+
+
+def test_gamma_rank_n_matches_high_precision():
+    """gamma_t on rank-n forms, where A_t has eigenvalues of order 1e-9 to
+    1e-12 at t = 1e-3 that amplify rounding in the polar log, against
+    40-digit mpmath."""
+    t = 1e-3
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 2
+        q = random_accretive(rng, n, rank=n)
+        rep = singular_space(q)
+        assert rep.k0 == 1 and rep.dim == 0
+        cert = graph_condition(rep)
+        got = select_gamma(q, rep, cert, [t]).gamma_grid[0]
+        want = gamma_t_mpmath(conjugate_by_linear(q, shear_transform(cert.Gsym)), cert, t)
+        assert abs(got - want) <= 1e-6 * want, seed
+
+
+def test_build_one_polar_split_per_grid_point(monkeypatch):
+    # the grid is one stacked call: count the times reaching the polar core
+    splits = []
+    polar = decompose._polar
+
+    def counted(q, t, tol, checks):
+        splits.append(np.size(t))
+        return polar(q, t, tol, checks)
+    monkeypatch.setattr(decompose, "_polar", counted)
     build_decomposition(kolmogorov(), 0.05)
-    assert len(calls) == len(decompose._default_t_grid()) + 1
+    assert sum(splits) == len(decompose._default_t_grid()) + 1
 
 
 # --- end-to-end ------------------------------------------------------------------

@@ -9,17 +9,16 @@ matrix routines under test.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from qsemi import (
     BranchTrackedScalar,
     mat_arctan,
     mat_cos,
-    mat_exp,
     mat_log_principal,
-    mat_sin,
-    mat_tan,
     null_space,
     psd_check,
     sqrt_det_cos_tracked,
@@ -31,7 +30,7 @@ from qsemi.errors import (
     NonSquare,
     SpectralRadiusTooLarge,
 )
-from qsemi.matfun import pfaffian
+from qsemi.matfun import Checks, cos_sin, log_principal, pfaffian
 from qsemi.mehler import twisted_form_matrix
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -45,37 +44,6 @@ def series_on_J2(coeff_fn, theta, terms=60):
         out = out + coeff_fn(k) * P
         P = P @ (theta * J2)
     return out
-
-
-def test_exp_zero():
-    assert np.allclose(mat_exp(np.zeros((2, 2))), np.eye(2), atol=1e-14)
-
-
-def test_exp_rotation_closed_form():
-    theta = 0.3
-    expected = np.cos(theta) * np.eye(2) + np.sin(theta) * J2
-    assert np.allclose(mat_exp(theta * J2), expected, atol=1e-13)
-
-
-def test_exp_nilpotent():
-    t = 0.7
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(mat_exp(t * A), np.eye(2) + t * A, atol=1e-14)
-
-
-def test_exp_accuracy_large_norm():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    A *= 50.0 / np.linalg.norm(A, 2)
-    E = mat_exp(A)
-    # halving trick as an independent consistency oracle
-    Eh = mat_exp(A / 2)
-    assert np.linalg.norm(Eh @ Eh - E) / np.linalg.norm(E) < 1e-11
-
-
-def test_exp_rejects_nonsquare():
-    with pytest.raises(NonSquare):
-        mat_exp(np.zeros((2, 3)))
 
 
 def test_log_identity():
@@ -95,7 +63,7 @@ def test_log_roundtrip_twisted_generator():
     N = np.array([[0.0, a], [-a, 0.0]])
     NN = twisted_form_matrix(N)
     G = 0.1 * standard_J(2) @ NN
-    assert np.allclose(mat_log_principal(mat_exp(G)), G, atol=1e-11)
+    assert np.allclose(mat_log_principal(sla.expm(G)), G, atol=1e-11)
 
 
 def test_log_branch_cut_detection():
@@ -103,12 +71,67 @@ def test_log_branch_cut_detection():
         mat_log_principal(np.diag([-1.0, 2.0]))
 
 
+def test_log_rejects_nonsquare_and_nonfinite():
+    with pytest.raises(NonSquare):
+        mat_log_principal(np.zeros((2, 3)))
+    A = np.stack([np.eye(2), np.full((2, 2), np.inf)])
+    with pytest.raises(NonSquare) as exc:
+        mat_log_principal(A)
+    assert exc.value.index == 1
+
+
+def mp_logm(A, dps=30):
+    """Log of A by mpmath at dps digits, as a complex array.  mpmath's branch
+    is the principal one only away from the negative real axis, so the test
+    inputs keep their eigenvalues there."""
+    with mpmath.workdps(dps):
+        L = mpmath.logm(mpmath.matrix(A.tolist()))
+        return np.array(L.tolist(), dtype=complex)
+
+
+def test_log_stack_matches_mpmath():
+    """Entries near I next to entries that need several square roots, and a
+    defective one, against mpmath at 30 digits."""
+    rng = np.random.default_rng(43)
+    m = 4
+    entries = []
+    for scale in (1e-9, 1e-4, 0.2, 1.0, 3.0):
+        X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        entries.append(sla.expm(X * scale / np.linalg.norm(X, 2)))
+    H = rng.standard_normal((m, m))
+    entries.append(sla.expm(8 * (H + H.T) / np.linalg.norm(H + H.T, 2)))
+    N = np.triu(rng.standard_normal((m, m)), 1)  # nilpotent
+    entries.append(np.eye(m) + 3 * N)
+    entries.append(np.diag([1e3, 1e-3, -0.5 + 1j, 2j]))
+    A = np.stack(entries)
+    L = mat_log_principal(A)
+    assert L.shape == A.shape
+    for k in range(len(A)):
+        ref = mp_logm(A[k])
+        # relative to |log A| itself: entries near I keep their relative accuracy
+        bound = (5e-15 + 1e-17 * np.linalg.cond(A[k])) * np.linalg.norm(ref)
+        assert np.linalg.norm(L[k] - ref) <= bound, k
+        assert np.linalg.norm(L[k] - mat_log_principal(A[k])) == 0.0
+
+
+def test_log_stack_branch_cut_names_the_entry():
+    A = np.stack([np.eye(2), 2 * np.eye(2), np.diag([-3.0, 1.0]), np.diag([0.0, 1.0])])
+    with pytest.raises(BranchCut, match="on the negative real axis") as exc:
+        mat_log_principal(A)
+    assert exc.value.index == 2
+    checks = Checks(A.shape[:-2])
+    L = log_principal(A, A - np.eye(2), 1e-9, checks)
+    assert checks.bad.tolist() == [False, False, True, True]
+    assert np.isfinite(L).all()
+    assert np.abs(L[1] - np.log(2) * np.eye(2)).max() < 1e-15
+
+
 def test_log_exp_roundtrip_random():
     rng = np.random.default_rng(11)
     for _ in range(20):
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         A *= 0.35 / np.linalg.norm(A, 2)
-        assert np.linalg.norm(mat_log_principal(mat_exp(A)) - A) < 1e-9
+        assert np.linalg.norm(mat_log_principal(sla.expm(A)) - A) < 1e-9
 
 
 def test_cos_zero():
@@ -124,18 +147,24 @@ def test_cos_on_J_closed_form():
     assert np.allclose(mat_cos(t * J2 / 2), oracle, atol=1e-12)
 
 
+def tan(A):
+    """tan(A) = cos(A)^{-1} sin(A), as the Mehler symbol computes it."""
+    C, S = cos_sin(A, 1.0)
+    return np.linalg.solve(C, S)
+
+
 def test_tan_nilpotent_heat():
     Q = np.diag([0.0, 1.0]).astype(complex)
     t = 0.4
     A = t * standard_J(1) @ Q
-    assert np.allclose(mat_tan(A), A, atol=1e-13)
+    assert np.allclose(tan(A), A, atol=1e-13)
 
 
 def test_tan_commutes_with_argument():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     A *= 0.8 / np.linalg.norm(A, 2)
-    T = mat_tan(A)
+    T = tan(A)
     assert np.linalg.norm(T @ A - A @ T) < 1e-10
 
 
@@ -144,7 +173,7 @@ def test_cos_sin_pythagoras():
     for _ in range(10):
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         A *= 5.0 / np.linalg.norm(A, 2)
-        C, S = mat_cos(A), mat_sin(A)
+        C, S = cos_sin(A, 1.0)
         assert np.linalg.norm(C @ C + S @ S - np.eye(4)) < 1e-10 * np.linalg.norm(C @ C)
 
 
@@ -166,14 +195,14 @@ def test_tan_arctan_roundtrip():
     for _ in range(10):
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         A *= 0.5 / max(np.abs(np.linalg.eigvals(A)))
-        assert np.linalg.norm(mat_tan(mat_arctan(A)) - A) < 1e-9
+        assert np.linalg.norm(tan(mat_arctan(A)) - A) < 1e-9
 
 
 def test_tan_arctan_roundtrip_radius_07():
     rng = np.random.default_rng(19)
     A = rng.standard_normal((4, 4))
     A *= 0.7 / max(np.abs(np.linalg.eigvals(A)))
-    assert np.linalg.norm(mat_tan(mat_arctan(A)) - A) < 1e-9
+    assert np.linalg.norm(tan(mat_arctan(A)) - A) < 1e-9
 
 
 def test_arctan_radius_guard():

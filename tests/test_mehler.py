@@ -345,6 +345,42 @@ def test_inverse_twisted_matches_arctan_formula():
     assert np.abs(direct.imag).max() < 1e-12
 
 
+def series_inverse_twisted(N, s):
+    """R_s = (sJ)^{-1} arctan(s J NN) by the manifestly symmetric series
+    sum_k F^kT NN F^k / (2k+1), F = s J NN, summed until the terms vanish."""
+    from qsemi import standard_J
+    NN = twisted_form_matrix(N)
+    F = s * standard_J(len(N)) @ NN
+    Rs, term_left = np.zeros_like(NN), np.eye(len(NN))
+    for k in range(400):
+        term = term_left.T @ NN @ term_left / (2 * k + 1)
+        Rs += term
+        if np.linalg.norm(term) < 1e-18 * np.linalg.norm(Rs):
+            break
+        term_left = F @ term_left
+    return (Rs + Rs.T) / 2
+
+
+def test_inverse_twisted_stack_matches_series():
+    # the closed form keeps the series' relative accuracy down to s = 1e-12 smax
+    rng = np.random.default_rng(79)
+    for n in (1, 2, 5):
+        A = rng.standard_normal((n, n))
+        N = A - A.T
+        smax = 2 ** -0.5 / np.linalg.norm(twisted_form_matrix(N), 2)
+        s = smax * np.array([0.0, 1e-12, 1e-6, 1e-2, 0.3, 0.9])
+        Rs, pf = mehler_inverse_twisted(N, s)
+        assert Rs.shape == (6, 2 * n, 2 * n) and pf.shape == (6,)
+        for j in range(6):
+            ref = series_inverse_twisted(N, s[j])
+            assert np.linalg.norm(Rs[j] - ref) <= 1e-14 * np.linalg.norm(ref)
+            one = mehler_inverse_twisted(N, s[j])
+            assert (one[0] == Rs[j]).all() and one[1] == pf[j]
+    with pytest.raises(SeriesRegimeViolated) as exc:
+        mehler_inverse_twisted(N, smax * np.array([0.5, 0.7, 1.1]))
+    assert exc.value.index == 2
+
+
 def test_inverse_twisted_mehler_roundtrip():
     # the symbol of exp(-s r_s^w) must be the twisted Gaussian itself
     rng = np.random.default_rng(73)

@@ -5,6 +5,7 @@ a time with scipy's null_space (the package stacks all levels into a single
 SVD), so the two paths share no code.
 """
 import numpy as np
+import pytest
 from scipy.linalg import null_space as scipy_null_space
 
 from qsemi import (
@@ -16,6 +17,7 @@ from qsemi import (
     singular_space,
 )
 from qsemi.decompose import polar_factors
+from qsemi.errors import InvalidTolerance
 from qsemi.fixtures import (
     fokker_planck,
     harmonic,
@@ -203,3 +205,13 @@ def test_transformation_law_under_shear():
 def test_report_gap_is_exposed():
     rep = singular_space(kolmogorov())
     assert rep.gap_ratio > 1e6
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 1e300, float("nan")])
+def test_tolerance_outside_unit_interval_is_rejected(tol):
+    # the rank decisions are relative to the largest singular value
+    q = heat(1)
+    with pytest.raises(InvalidTolerance):
+        singular_space(q, tol=tol)
+    with pytest.raises(InvalidTolerance):
+        graph_condition(singular_space(q), tol=tol)
