@@ -341,7 +341,8 @@ def _gammas(pol, U, Nbar, alpha, *, tol, checks: Checks) -> np.ndarray:
         for k in np.ndindex(t.shape):
             mu[k] = sla.eigh(Nbar, Abar[k], eigvals_only=True).max()
     vanishes = mu <= tol  # the twisted form vanishes on the complement
-    return np.where(vanishes, 1e6, t ** (1 - alpha) / (10 * np.where(vanishes, 1.0, mu)))
+    t_alpha = checks.clean(t, 1.0) ** (1 - alpha)
+    return np.where(vanishes, 1e6, t_alpha / (10 * np.where(vanishes, 1.0, mu)))
 
 
 def select_gamma(q: QuadraticForm, report: SingularSpaceReport,

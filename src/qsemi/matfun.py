@@ -10,6 +10,7 @@ on, so that one pass over a grid finds every entry that fails.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,6 @@ _MOD = "matfun"
 #: Matrices, SIAM 2008, sec. 11.4, evaluated for this degree)
 _PADE_DEGREE = 10
 _PADE_THETA = 0.45
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PADE_DEGREE)
-_GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1) / 2, _GL_WEIGHTS / 2
 
 #: square roots per entry, and Denman-Beavers steps per root, at most: 64
 #: roots bring the log of any finite matrix within _PADE_THETA of 0, and a
@@ -126,13 +125,21 @@ def _sqrt_db(A) -> np.ndarray:
     return Y
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _PADE_DEGREE-point Gauss-Legendre rule on
+    [0, 1]; computed on first use, so that importing runs no LAPACK."""
+    u, w = np.polynomial.legendre.leggauss(_PADE_DEGREE)
+    return (u + 1) / 2, w / 2
+
+
 def _log1p_pade(X) -> np.ndarray:
     """log(I + X) for each matrix of a stack with |X|_1 <= _PADE_THETA: the
     diagonal Pade approximant sum_j w_j X (I + u_j X)^-1, whose partial
     fractions are the Gauss-Legendre rule for int_0^1 X (I + uX)^-1 du."""
-    I = np.eye(X.shape[-1])
-    S = I + _GL_NODES.reshape((-1,) + (1,) * X.ndim) * X
-    return np.tensordot(_GL_WEIGHTS, np.linalg.solve(S, X), axes=1)
+    nodes, weights = _gauss_legendre()
+    S = np.eye(X.shape[-1]) + nodes.reshape((-1,) + (1,) * X.ndim) * X
+    return np.tensordot(weights, np.linalg.solve(S, X), axes=1)
 
 
 def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
