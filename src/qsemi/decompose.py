@@ -361,13 +361,15 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     Two stacked passes over the grid: polar factors and gamma_t, then the
     stages at gamma.  Each records its failed entries; the first of them is
     run again alone, which raises (first pass) or names (second pass) the
-    error a loop over the ascending grid meets first.  Every grid point must
-    be positive (DegenerateTime).
+    error a loop over the ascending grid meets first.  The grid must be
+    nonempty and every point positive (DegenerateTime).
     """
     if cert is None:
         raise GraphConditionFailed("no graph certificate", module=_MOD,
                                    operation="select_gamma")
     t_grid = _default_t_grid() if t_grid is None else np.asarray(t_grid, float).ravel()
+    if t_grid.size == 0:
+        raise DegenerateTime("the t grid is empty", module=_MOD, operation="select_gamma")
     i = first_index(~(t_grid > 0))
     if i is not None:
         raise DegenerateTime(f"grid point t = {t_grid[i]} is not positive",

@@ -345,6 +345,13 @@ def test_select_gamma_rejects_nonpositive_grid_points(grid):
     assert exc.value.index == int(np.flatnonzero(~(np.array(grid) > 0))[0])
 
 
+def test_select_gamma_rejects_an_empty_grid():
+    q = heat(1)
+    rep = singular_space(q)
+    with pytest.raises(DegenerateTime, match="empty"):
+        select_gamma(q, rep, graph_condition(rep), [])
+
+
 @pytest.mark.parametrize("t", [0.0, -0.01])
 def test_build_rejects_nonpositive_time(t):
     with pytest.raises(DegenerateTime):
