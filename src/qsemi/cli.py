@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import errors
-from .decompose import build_decomposition, verify_decomposition
+from .decompose import build_decomposition, default_t_grid, verify_decomposition
 from .evolve import (
     GaussianState,
     apply_kernel_gaussian,
@@ -98,38 +98,33 @@ def _parse_error(message: str, operation: str) -> errors.ParseError:
     return errors.ParseError(message, module="cli", operation=operation)
 
 
-def _read_problem_file(args) -> dict:
-    """The JSON object of the problem file, parsed once per command."""
-    if not hasattr(args, "problem_data"):
-        try:
-            with open(args.file, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _parse_error(f"cannot read problem file: {exc}",
-                               "load_problem") from exc
-        if not isinstance(data, dict):
-            raise _parse_error("problem file must hold a JSON object",
-                               "load_problem")
-        args.problem_data = data
-    return args.problem_data
+def _read_problem_file(path: str) -> dict:
+    """The JSON object of a problem file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _parse_error(f"cannot read problem file: {exc}",
+                           "load_problem") from exc
+    if not isinstance(data, dict):
+        raise _parse_error("problem file must hold a JSON object",
+                           "load_problem")
+    return data
 
 
-def resolve_tol(args) -> float:
+def resolve_tol(flag: float | None, problem: dict) -> float:
     """The tolerance of a run: --tol, else the problem file's
     tolerances.default, else the environment variable QSEMI_TOL, else 1e-9.
 
     It must be a finite number in (0, 1) (ParseError otherwise): the rank
-    decisions take it as relative, and at 1 or more they keep nothing.  A
-    problem file is only read when no --fixture replaces it.
+    decisions take it as relative, and at 1 or more they keep nothing.
     """
-    tolerances = {}
-    if args.file and not args.fixture:
-        tolerances = _read_problem_file(args).get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise _parse_error(f"tolerances must be an object, got {tolerances!r}",
-                               "resolve_tol")
-    if args.tol is not None:
-        source, value = "--tol", args.tol
+    tolerances = problem.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise _parse_error(f"tolerances must be an object, got {tolerances!r}",
+                           "resolve_tol")
+    if flag is not None:
+        source, value = "--tol", flag
     elif "default" in tolerances:
         source, value = "tolerances.default", tolerances["default"]
     elif "QSEMI_TOL" in os.environ:
@@ -147,21 +142,17 @@ def resolve_tol(args) -> float:
     return tol
 
 
-def load_problem(args) -> QuadraticForm:
-    """Build the form from --fixture or a JSON problem file."""
-    if args.fixture:
-        return get_fixture(args.fixture)
-    if not args.file:
-        raise _parse_error("either a problem file or --fixture is required",
-                           "load_problem")
-    data = _read_problem_file(args)
+def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticForm:
+    """Build the form from --fixture, else from the problem file's object."""
+    if fixture:
+        return get_fixture(fixture)
     try:
-        n = int(data["n"])
+        n = int(problem["n"])
         if n < 1:
             raise ValueError(f"n = {n} must be at least 1")
-        Q_re = np.asarray(data["Q_re"], dtype=float).reshape(2 * n, 2 * n)
-        Q_im = (np.asarray(data["Q_im"], dtype=float).reshape(2 * n, 2 * n)
-                if "Q_im" in data else np.zeros_like(Q_re))
+        Q_re = np.asarray(problem["Q_re"], dtype=float).reshape(2 * n, 2 * n)
+        Q_im = (np.asarray(problem["Q_im"], dtype=float).reshape(2 * n, 2 * n)
+                if "Q_im" in problem else np.zeros_like(Q_re))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise _parse_error(f"malformed problem file: {exc}", "load_problem") from exc
     if not (np.isfinite(Q_re).all() and np.isfinite(Q_im).all()):
@@ -175,27 +166,27 @@ def load_problem(args) -> QuadraticForm:
         raise _parse_error(
             f"Re Q is not positive semidefinite (lambda_min = {lam:.3e})",
             "load_problem")
-    return QuadraticForm(n, Q, args.tol)
+    return QuadraticForm(n, Q, tol)
 
 
-def load_t_grid(args) -> np.ndarray:
-    """The sweep's t grid: --t-grid t_min,t_max,points[,log|lin], else the
-    problem file's t_grid, else 20 log-spaced points on [1e-3, 1e-1].
+def load_t_grid(flag: str | None, problem: dict) -> np.ndarray | None:
+    """The t grid: --t-grid t_min,t_max,points[,log|lin], else the problem
+    file's t_grid, else None, which leaves it to decompose's default.
 
     Every grid point must be positive (ParseError otherwise): at t = 0 there
     is neither a kernel nor a factorization to check."""
-    if args.t_grid:
-        parts = args.t_grid.split(",")
+    if flag:
+        parts = flag.split(",")
         if len(parts) < 3:
-            raise _parse_error(f"--t-grid {args.t_grid!r} needs t_min,t_max,points",
+            raise _parse_error(f"--t-grid {flag!r} needs t_min,t_max,points",
                                "load_t_grid")
         spec = {"t_min": parts[0], "t_max": parts[1], "points": parts[2],
                 "log_spaced": len(parts) < 4
                 or parts[3].strip().lower() in ("log", "true", "1")}
-    elif args.file and _read_problem_file(args).get("t_grid"):
-        spec = _read_problem_file(args)["t_grid"]
+    elif problem.get("t_grid"):
+        spec = problem["t_grid"]
     else:
-        return np.logspace(-3, -1, 20)
+        return None
     try:
         t_min, t_max = float(spec["t_min"]), float(spec["t_max"])
         points, log_spaced = int(spec["points"]), spec.get("log_spaced", True)
@@ -215,11 +206,9 @@ def load_t_grid(args) -> np.ndarray:
 # --------------------------------------------------------------------------
 # subcommands
 
-def cmd_analyze(args) -> dict:
-    q = load_problem(args)
-    tol = args.tol
-    report = singular_space(q, tol=tol)
-    cert = graph_condition(report, tol=tol)
+def cmd_analyze(q: QuadraticForm, args) -> dict:
+    report = singular_space(q, tol=args.tol)
+    cert = graph_condition(report, tol=args.tol)
     out = {
         "n": q.n,
         "S_basis": _matrix_out(report.basis),
@@ -238,8 +227,7 @@ def cmd_analyze(args) -> dict:
     return out
 
 
-def cmd_mehler(args) -> dict:
-    q = load_problem(args)
+def cmd_mehler(q: QuadraticForm, args) -> dict:
     sym = mehler_symbol(q, args.t, tol=args.tol)
     out = {"t": sym.t, "c": sym.c, "M": _matrix_out(sym.M)}
     bf = block_decompose(sym.M)
@@ -255,16 +243,14 @@ def cmd_mehler(args) -> dict:
     return out
 
 
-def cmd_kernel(args) -> dict:
-    q = load_problem(args)
+def cmd_kernel(q: QuadraticForm, args) -> dict:
     k = kernel_from_symbol(mehler_symbol(q, args.t, tol=args.tol))
     return {"t": args.t, "prefactor": k.c, "K": _matrix_out(k.K),
             "sup_norm": op_norm_1_inf(k, tol=args.tol)}
 
 
-def cmd_decompose(args) -> dict:
-    q = load_problem(args)
-    f = build_decomposition(q, args.t, t_grid=load_t_grid(args), tol=args.tol)
+def cmd_decompose(q: QuadraticForm, args) -> dict:
+    f = build_decomposition(q, args.t, t_grid=args.t_grid, tol=args.tol)
     return {
         "t": f.t, "alpha": f.alpha, "gamma": f.gamma, "t0": f.t0,
         "c_t": f.c_t, "s": f.s, "prefactor": f.prefactor,
@@ -277,9 +263,8 @@ def cmd_decompose(args) -> dict:
     }
 
 
-def cmd_verify(args) -> dict:
-    q = load_problem(args)
-    f = build_decomposition(q, args.t, t_grid=load_t_grid(args), tol=args.tol)
+def cmd_verify(q: QuadraticForm, args) -> dict:
+    f = build_decomposition(q, args.t, t_grid=args.t_grid, tol=args.tol)
     res = verify_decomposition(f)
     res["t"] = args.t
     res["passed"] = bool(res["matrix_residual"] < 1e-9
@@ -309,8 +294,7 @@ def _input_state(args, n: int) -> GaussianState:
     return GaussianState(n, complex(c_re, c_im), A_re + 1j * A_im, b_re + 1j * b_im)
 
 
-def cmd_evolve(args) -> dict:
-    q = load_problem(args)
+def cmd_evolve(q: QuadraticForm, args) -> dict:
     if args.fixture == "x-squared":
         points = max(args.grid_points, 3) | 1  # odd count puts a node at 0
         return counterexample_demo(q, args.t, points=points,
@@ -333,21 +317,17 @@ def _parse_exponent(s: str) -> float:
         raise _parse_error(f"exponent {s!r} is not a number", "parse_exponent") from exc
 
 
-def cmd_norms(args) -> dict:
-    q = load_problem(args)
-    p, qq = _parse_exponent(args.p), _parse_exponent(args.q)
-    value = norm_sweep(q, args.t, p, qq, tol=args.tol)
-    method = "exact sup |g|" if p == 1 and np.isinf(qq) else "gaussian lower bound"
-    return {"t": args.t, "p": p, "q": qq, "norm": value, "method": method}
+def cmd_norms(q: QuadraticForm, args) -> dict:
+    value = norm_sweep(q, args.t, args.p, args.q, tol=args.tol)
+    method = "exact sup |g|" if args.p == 1 and np.isinf(args.q) else "gaussian lower bound"
+    return {"t": args.t, "p": args.p, "q": args.q, "norm": value, "method": method}
 
 
-def cmd_exponents(args) -> dict:
-    q = load_problem(args)
-    p, qq = _parse_exponent(args.p), _parse_exponent(args.q)
+def cmd_exponents(q: QuadraticForm, args) -> dict:
     report = singular_space(q, tol=args.tol)
-    grid = load_t_grid(args)
-    norms = norm_sweep(q, grid, p, qq, tol=args.tol)
-    fit = norm_fit_report(p, qq, q.n, report.k0, grid, norms)
+    grid = default_t_grid() if args.t_grid is None else args.t_grid
+    norms = norm_sweep(q, grid, args.p, args.q, tol=args.tol)
+    fit = norm_fit_report(args.p, args.q, q.n, report.k0, grid, norms)
     if abs(fit.fitted_slope + fit.cpq) <= 0.02:
         verdict = "tight"
     elif fit.fitted_slope >= -fit.cpq - 0.02:
@@ -357,7 +337,7 @@ def cmd_exponents(args) -> dict:
     if args.out:
         np.savetxt(args.out, np.column_stack([grid, norms]), fmt="%.17g",
                    delimiter=",", header="t,value", comments="", encoding="utf-8")
-    return {"p": p, "q": qq, "r": fit.r, "k0": report.k0,
+    return {"p": args.p, "q": args.q, "r": fit.r, "k0": report.k0,
             "fitted_slope": fit.fitted_slope, "r_squared": fit.r_squared,
             "cpq_bound": fit.cpq, "verdict": verdict,
             "t_values": list(map(float, grid)),
@@ -366,53 +346,72 @@ def cmd_exponents(args) -> dict:
 
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a ParseError, not as usage text."""
+
+    def error(self, message):
+        raise _parse_error(f"{self.prog}: {message}", "parse_args")
+
+
+#: the options besides the problem source and --tol, for the commands that read them
+_OPTIONS = {
+    "--t": {"type": float, "default": 0.1},
+    "--t-grid": {"help": "t_min,t_max,points[,log|lin]"},
+    "--grid-points": {"type": int, "default": 128},
+    "--domain": {"type": float, "default": 8.0},
+    "--input": {"help": "Gaussian input state (JSON)"},
+    "--p": {"type": _parse_exponent, "default": "1"},
+    "--q": {"type": _parse_exponent, "default": "inf"},
+    "--out": {"help": "write the t-sweep as CSV (t,value)"},
+}
+_COMMANDS = {
+    "analyze": (cmd_analyze, ()),
+    "mehler": (cmd_mehler, ("--t",)),
+    "kernel": (cmd_kernel, ("--t",)),
+    "decompose": (cmd_decompose, ("--t", "--t-grid")),
+    "verify": (cmd_verify, ("--t", "--t-grid")),
+    "evolve": (cmd_evolve, ("--t", "--grid-points", "--domain", "--input")),
+    "norms": (cmd_norms, ("--t", "--p", "--q")),
+    "exponents": (cmd_exponents, ("--t-grid", "--p", "--q", "--out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="qsemi",
-        description="analyze semigroups generated by accretive quadratic "
-                    "differential operators")
+    # subparsers do not inherit allow_abbrev: without it, a prefix reads --t as --tol
+    ap = _Parser(prog="qsemi", allow_abbrev=False,
+                 description="analyze semigroups generated by accretive quadratic "
+                             "differential operators")
     sub = ap.add_subparsers(dest="command", required=True)
-    commands = {
-        "analyze": cmd_analyze, "mehler": cmd_mehler, "kernel": cmd_kernel,
-        "decompose": cmd_decompose, "verify": cmd_verify, "evolve": cmd_evolve,
-        "norms": cmd_norms, "exponents": cmd_exponents,
-    }
-    for name, fn in commands.items():
-        p = sub.add_parser(name)
+    for name, (fn, options) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(fn=fn)
-        p.add_argument("file", nargs="?", help="problem file (JSON)")
-        p.add_argument("--fixture", choices=fixture_names(),
-                       help="built-in fixture instead of a file")
-        p.add_argument("--t", type=float, default=0.1)
-        p.add_argument("--t-grid", dest="t_grid",
-                       help="t_min,t_max,points[,log|lin]")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--grid-points", type=int, default=128)
-        p.add_argument("--domain", type=float, default=8.0)
-        p.add_argument("--out", help="write the t-sweep as CSV (t,value)")
-        if name == "evolve":
-            p.add_argument("--input", help="Gaussian input state (JSON)")
-        if name in ("norms", "exponents"):
-            p.add_argument("--p", default="1")
-            p.add_argument("--q", default="inf")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("file", nargs="?", help="problem file (JSON)")
+        source.add_argument("--fixture", choices=fixture_names(),
+                            help="built-in fixture instead of a file")
+        p.add_argument("--tol", type=float)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        args.tol = resolve_tol(args)
-        report = args.fn(args)
-    except errors.ParseError as exc:
-        print(dumps_canonical({"error": str(exc), "kind": type(exc).__name__,
-                               "module": exc.module, "operation": exc.operation}))
-        return EXIT_PARSE
+        args = _PARSER.parse_args(argv)
+        problem = {} if args.fixture else _read_problem_file(args.file)
+        args.tol = resolve_tol(args.tol, problem)
+        if "t_grid" in args:
+            args.t_grid = load_t_grid(args.t_grid, problem)
+        report = args.fn(load_problem(args.fixture, problem, args.tol), args)
     except errors.QsemiError as exc:
         print(dumps_canonical({"error": str(exc), "kind": type(exc).__name__,
                                "module": exc.module, "operation": exc.operation}))
-        return EXIT_MATH
+        return EXIT_PARSE if isinstance(exc, errors.ParseError) else EXIT_MATH
     print(dumps_canonical(report))
-    if args.command == "verify" and not report.get("passed", True):
+    if args.command == "verify" and not report["passed"]:
         return EXIT_VERIFY
     return EXIT_OK
 

@@ -278,8 +278,9 @@ def strang_middle(A, B, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _strang(A, B, tol, Checks())
 
 
-def _default_t_grid(t_max: float = 0.1, points: int = 20) -> np.ndarray:
-    return np.logspace(-3, np.log10(t_max), points)
+def default_t_grid(t_max: float = 0.1) -> np.ndarray:
+    """The t grid when none is given: 20 points log-spaced from 1e-3 to t_max."""
+    return np.logspace(-3, np.log10(t_max), 20)
 
 
 def _perp_basis(basis: np.ndarray, n2: int) -> np.ndarray:
@@ -367,7 +368,7 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     if cert is None:
         raise GraphConditionFailed("no graph certificate", module=_MOD,
                                    operation="select_gamma")
-    t_grid = _default_t_grid() if t_grid is None else np.asarray(t_grid, float).ravel()
+    t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, float).ravel()
     if t_grid.size == 0:
         raise DegenerateTime("the t grid is empty", module=_MOD, operation="select_gamma")
     i = first_index(~(t_grid > 0))
@@ -433,7 +434,7 @@ def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
             module=_MOD, operation="build_decomposition")
     if gamma_sel is None:
         if t_grid is None and t > 0.1:
-            t_grid = _default_t_grid(t_max=t)
+            t_grid = default_t_grid(t_max=t)
         gamma_sel = select_gamma(q, report, cert, t_grid, tol=tol)
     if t > gamma_sel.t0 * (1 + 1e-12):
         why = f": {gamma_sel.stop_reason}" if gamma_sel.stop_reason else ""

@@ -402,6 +402,13 @@ def norm_sweep(form: QuadraticForm, t, p: float, q: float, *,
         raise
 
 
+def _young_exponent(p: float, q: float) -> float:
+    """r with 1/r = 1 - 1/p + 1/q, the kernel's exponent in Young's inequality
+    for L^p -> L^q; inf where 1 - 1/p + 1/q <= 0."""
+    rinv = 1 - (0.0 if np.isinf(p) else 1 / p) + (0.0 if np.isinf(q) else 1 / q)
+    return np.inf if rinv <= 0 else 1 / rinv
+
+
 def compute_cpq(p: float, q: float, n: int, k0: int) -> float:
     """Short-time blow-up exponent of the L^p -> L^q norm.
 
@@ -410,11 +417,7 @@ def compute_cpq(p: float, q: float, n: int, k0: int) -> float:
     if not (1 <= p <= q):
         raise ExponentOrder(f"need 1 <= p <= q, got ({p}, {q})",
                             module=_MOD, operation="compute_cpq")
-    rinv = 1 - (0.0 if np.isinf(p) else 1 / p) + (0.0 if np.isinf(q) else 1 / q)
-    if rinv <= 0:
-        r = np.inf
-    else:
-        r = 1 / rinv
+    r = _young_exponent(p, q)
     if r <= 2:
         return n * (2 * k0 + r - 1) / (2 * r)
     if np.isinf(r):
@@ -425,10 +428,9 @@ def compute_cpq(p: float, q: float, n: int, k0: int) -> float:
 def norm_fit_report(p: float, q: float, n: int, k0: int,
                     t_values, norms) -> NormFitReport:
     """Package a measured t-sweep with its derived exponent data."""
-    rinv = 1 - (0.0 if np.isinf(p) else 1 / p) + (0.0 if np.isinf(q) else 1 / q)
-    r = np.inf if rinv <= 0 else 1 / rinv
     slope, r2 = fit_exponent(t_values, norms)
-    return NormFitReport(p=p, q=q, r=r, cpq=compute_cpq(p, q, n, k0),
+    return NormFitReport(p=p, q=q, r=_young_exponent(p, q),
+                         cpq=compute_cpq(p, q, n, k0),
                          t_values=np.asarray(t_values, float),
                          norms=np.asarray(norms, float),
                          fitted_slope=slope, r_squared=r2)

@@ -63,6 +63,14 @@ def test_verify_kolmogorov(capsys):
     assert rep["kernel_residual"] < 1e-6
 
 
+def test_verify_beyond_the_default_grid_extends_it(capsys):
+    # with no grid given, decompose's default grid reaches out to t
+    code, out = run_cli(capsys, "verify", "--fixture", "fokker-planck", "--t", "0.3")
+    rep = json.loads(out)
+    assert code == EXIT_OK
+    assert rep["passed"] is True
+
+
 def test_verify_fokker_planck_long_horizon(capsys):
     # the closed-form unitary split keeps stages valid up to t0 ~ 0.539 here
     code, out = run_cli(capsys, "verify", "--fixture", "fokker-planck",
@@ -265,10 +273,11 @@ def test_linear_t_grid_with_zero_is_parse_error(tmp_path, capsys, command):
     # t = 0 has neither a kernel nor a factorization, in any spacing
     path = write_problem(tmp_path, dict(HEAT_PROBLEM, t_grid={
         "t_min": 0.0, "t_max": 1e-1, "points": 5, "log_spaced": False}))
-    code, out = run_cli(capsys, command, path, "--t", "0.01")
+    t_flag = [] if command == "exponents" else ["--t", "0.01"]
+    code, out = run_cli(capsys, command, path, *t_flag)
     assert code == EXIT_PARSE
     assert json.loads(out)["kind"] == "ParseError"
-    code, out = run_cli(capsys, command, "--fixture", "heat", "--t", "0.01",
+    code, out = run_cli(capsys, command, "--fixture", "heat", *t_flag,
                         "--t-grid", "0,0.05,3,lin")
     assert code == EXIT_PARSE
     assert json.loads(out)["kind"] == "ParseError"
@@ -475,3 +484,60 @@ def test_time_too_large_ends_with_the_stop_reason(capsys):
                         "--t", "0.7", "--t-grid", "0.6,1,3")
     assert code == EXIT_MATH
     assert json.loads(out)["error"].endswith(f"t0 = 0.6: {sel.stop_reason}")
+
+
+# --- the command line: each command takes only the options it reads --------------------
+
+READS = {"analyze": [], "mehler": ["--t"], "kernel": ["--t"],
+         "decompose": ["--t", "--t-grid"], "verify": ["--t", "--t-grid"],
+         "evolve": ["--t", "--grid-points", "--domain", "--input"],
+         "norms": ["--t", "--p", "--q"], "exponents": ["--t-grid", "--p", "--q", "--out"]}
+OPTION_VALUES = {"--t": "0.05", "--t-grid": "1e-3,1e-1,5", "--grid-points": "65",
+                 "--domain": "4", "--input": "state.json", "--p": "2", "--q": "inf",
+                 "--out": "sweep.csv"}
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c in READS for o in OPTION_VALUES
+                                             if o not in READS[c]])
+def test_command_rejects_options_it_does_not_read(tmp_path, capsys, command, option):
+    path = write_problem(tmp_path, HEAT_PROBLEM)
+    code, out = run_cli(capsys, command, path, option, OPTION_VALUES[option])
+    rep = json.loads(out)
+    assert code == EXIT_PARSE
+    assert (rep["kind"], rep["operation"]) == ("ParseError", "parse_args")
+    assert rep["error"].endswith(f"unrecognized arguments: {option} {OPTION_VALUES[option]}")
+    # after --fixture, the option's value lands on the problem-file argument
+    code, out = run_cli(capsys, command, "--fixture", "heat", option, OPTION_VALUES[option])
+    assert code == EXIT_PARSE
+    assert json.loads(out)["operation"] == "parse_args"
+
+
+@pytest.mark.parametrize("command, flag", [("analyze", "--t"), ("exponents", "--t"),
+                                           ("verify", "--to"), ("decompose", "--to")])
+def test_no_prefix_is_read_as_tol(tmp_path, capsys, command, flag):
+    path = write_problem(tmp_path, HEAT_PROBLEM)
+    code, out = run_cli(capsys, command, path, flag, "0.5")
+    assert code == EXIT_PARSE
+    assert json.loads(out)["error"].endswith(f"unrecognized arguments: {flag} 0.5")
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["analyze"],
+                                  ["analyze", "--fixture", "nosuch"],
+                                  ["exponents", "both.json", "--fixture", "heat"],
+                                  ["verify", "--fixture", "heat", "--t", "abc"],
+                                  ["evolve", "--fixture", "heat", "--grid-points", "1.5"],
+                                  ["norms", "--fixture", "heat", "--p"]])
+def test_malformed_command_line_is_parse_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    rep = json.loads(out)
+    assert code == EXIT_PARSE
+    assert (rep["kind"], rep["module"], rep["operation"]) == ("ParseError", "cli",
+                                                              "parse_args")
+    assert capsys.readouterr().err == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--t-grid" in capsys.readouterr().out

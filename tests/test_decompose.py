@@ -403,7 +403,7 @@ def test_build_one_polar_split_per_grid_point(monkeypatch):
         return polar(q, t, tol, checks)
     monkeypatch.setattr(decompose, "_polar", counted)
     build_decomposition(kolmogorov(), 0.05)
-    assert sum(splits) == len(decompose._default_t_grid()) + 1
+    assert sum(splits) == len(decompose.default_t_grid()) + 1
 
 
 # --- end-to-end ------------------------------------------------------------------
