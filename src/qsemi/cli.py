@@ -353,7 +353,17 @@ class _Parser(argparse.ArgumentParser):
         raise _parse_error(f"{self.prog}: {message}", "parse_args")
 
 
-#: the options besides the problem source and --tol, for the commands that read them
+def _not_read(prog: str, option: str):
+    """The type of an option of another command, which rejects it with its
+    value: unknown to the command, the value would be read as the problem file."""
+    def reject(value):
+        raise _parse_error(f"{prog}: unrecognized arguments: {option} {value}",
+                           "parse_args")
+    return reject
+
+
+#: the options besides the problem source and --tol, for the commands that read
+#: them; the others reject them (_not_read)
 _OPTIONS = {
     "--t": {"type": float, "default": 0.1},
     "--t-grid": {"help": "t_min,t_max,points[,log|lin]"},
@@ -390,8 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--fixture", choices=fixture_names(),
                             help="built-in fixture instead of a file")
         p.add_argument("--tol", type=float)
-        for option in options:
-            p.add_argument(option, **_OPTIONS[option])
+        for option, spec in _OPTIONS.items():
+            if option in options:
+                p.add_argument(option, **spec)
+            else:
+                p.add_argument(option, type=_not_read(p.prog, option),
+                               default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     return ap
 
 

@@ -21,6 +21,16 @@ Every per-t stage (_polar, _unitary, mehler.inverse_twisted, _strang and
 the checks of _factors_at) is one piece of code that runs at one time or
 stacked over a grid of times; select_gamma runs the whole grid at once, and
 the public stage functions and build_decomposition run it at one t.
+
+Matrix exponentials: a time point of the build forms at most six, each once.
+_polar forms exp(-2itJQ), exp(-2itJ conj Q), exp(+-2itJA) and S = exp(2tJB)
+and keeps exp(-2itJA) and S on PolarFactors.  _unitary reads (D, M, W) off
+S and checks them against the product of the three factors in closed form:
+the shears are I + X with X^2 = 0, and only e^{tM} (n x n) takes expm.
+_strang multiplies the kept exp(-2itJA) by exp(2iJ sR_s), the Cayley
+transform that inverse_twisted returns.  The public stage functions form
+their own exponentials, and verify_decomposition forms every shadow by expm,
+so its matrix residual checks these closed forms independently.
 """
 from __future__ import annotations
 
@@ -59,7 +69,6 @@ from .quadform import (
     conjugate_by_linear,
     embed_cross,
     embed_xixi,
-    embed_xx,
     shear_transform,
     standard_J,
 )
@@ -80,16 +89,24 @@ STRANG_RADIUS = np.log(2) / 6
 class PolarFactors:
     """Real forms a_t, b_t with exp(-2itJA) exp(2tJB) = exp(-2itJQ).
 
-    Over a grid of T times, t, A, B and recon_residual are stacked: shapes
-    (T,), (T, 2n, 2n), (T, 2n, 2n) and (T,); indexing picks one time.
+    EA = exp(-2itJA) and S = exp(2tJB) are the two exponentials of that
+    identity, which the split computes for recon_residual: the unitary split
+    reads (D, M, W) off S and the Strang middle term multiplies by EA.
+
+    Over a grid of T times, t, A, B, EA, S and recon_residual are stacked:
+    shapes (T,), (T, 2n, 2n) for the four matrices and (T,); indexing picks
+    one time.
     """
     t: float
     A: np.ndarray
     B: np.ndarray
+    EA: np.ndarray
+    S: np.ndarray
     recon_residual: float
 
     def __getitem__(self, i) -> "PolarFactors":
-        return PolarFactors(self.t[i], self.A[i], self.B[i], self.recon_residual[i])
+        return PolarFactors(self.t[i], self.A[i], self.B[i], self.EA[i], self.S[i],
+                            self.recon_residual[i])
 
 
 @dataclass
@@ -178,15 +195,16 @@ def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
     lam = np.linalg.eigvalsh(A)[..., 0]
     checks(lam < -tol * scaleA, NotPSDWithinTol,
            lambda i: f"A has lambda_min = {lam.flat[i]:.3e}", module=_MOD, operation=op)
-    EA, EAinv = sla.expm(np.stack([2j * tJ @ A, -2j * tJ @ A]))
-    B = np.linalg.solve(2 * tJ, _log(EA @ E1, tol, checks))
+    EAinv, EA = sla.expm(np.stack([2j * tJ @ A, -2j * tJ @ A]))
+    B = np.linalg.solve(2 * tJ, _log(EAinv @ E1, tol, checks))
     imag = _fro(B.imag)
     checks(imag > tol * np.maximum(1.0, _fro(B)), NotRealWithinTol,
            lambda i: f"imag part of B has norm {imag.flat[i]:.3e}",
            module=_MOD, operation=op)
     B = (B.real + B.real.mT) / 2
-    recon = _fro(EAinv @ sla.expm(2 * tJ @ B) - E1)
-    return PolarFactors(t[()], A, B, recon[()])
+    S = sla.expm(2 * tJ @ B)
+    recon = _fro(EA @ S - E1)
+    return PolarFactors(t[()], A, B, EA, S, recon[()])
 
 
 def polar_factors(q: QuadraticForm, t: float, *, tol: float = DEFAULT_TOL) -> PolarFactors:
@@ -197,32 +215,37 @@ def polar_factors(q: QuadraticForm, t: float, *, tol: float = DEFAULT_TOL) -> Po
     (BranchCut otherwise); imaginary parts are checked then truncated.
     """
     if t == 0:
-        return PolarFactors(0.0, q.Q.real.copy(), q.Q.imag.copy(), 0.0)
+        I = np.eye(2 * q.n)
+        return PolarFactors(0.0, q.Q.real.copy(), q.Q.imag.copy(), I, I.copy(), 0.0)
     return _polar(q, t, tol, Checks())
 
 
-def _three_factor_product(D, M, W, t, J):
-    # middle block [[0, M^T], [M, 0]] equals 2 embed_cross(M)
-    return (sla.expm(-2 * t * J @ embed_xixi(D).real)
-            @ sla.expm(-2 * t * J @ embed_cross(M).real)
-            @ sla.expm(t * J @ embed_xx(W).real))
+def _three_factor_product(D, M, W, t):
+    """[[I, -2tD], [0, I]] diag(e^{-tM}, e^{tM^T}) [[I, 0], [-tW, I]], the
+    product of the three factors of the unitary split.
+
+    The shears are the exponentials of square-zero matrices, so they are
+    exact; only e^{tM} (n x n) goes through expm, which keeps the residual a
+    check of the log that gave M.
+    """
+    R = sla.expm(t * M).mT                  # e^{tM^T}
+    L = np.linalg.inv(R).mT                 # e^{-tM}
+    X, Y = -2 * t * D, -t * W
+    return np.block([[L + X @ R @ Y, X @ R], [R @ Y, R]])
 
 
-def _unitary(B, t, checks: Checks) -> UnitaryFactors:
-    """unitary_factorization at t > 0, a time or an array of times (B and the
-    factors stacked over them)."""
-    B = np.asarray(B, dtype=float)
-    n = B.shape[-1] // 2
-    J = standard_J(n)
+def _unitary(S, t, checks: Checks) -> UnitaryFactors:
+    """unitary_factorization of S = exp(2tJB) at t > 0, a time or an array of
+    times (S and the factors stacked over them)."""
+    n = S.shape[-1] // 2
     t = np.asarray(t, dtype=float)[..., None, None]
-    S = sla.expm(2 * t * J @ B)
     S12, S21, S22 = S[..., :n, n:], S[..., n:, :n], S[..., n:, n:]
     M = _log(S22.mT, DEFAULT_TOL, checks).real / t
     S22 = checks.clean(S22, np.eye(n))
     W = -np.linalg.solve(S22, S21) / t
     D = -np.linalg.solve(S22.mT, S12.mT).mT / (2 * t)
     D, W = (D + D.mT) / 2, (W + W.mT) / 2
-    res = _fro(_three_factor_product(D, M, W, t, J) - S)
+    res = _fro(_three_factor_product(D, M, W, t) - S)
     return UnitaryFactors(D=D, M=M, W=W, residual=res[()], iterations=0)
 
 
@@ -238,27 +261,26 @@ def unitary_factorization(B, t: float) -> UnitaryFactors:
     with D and W symmetric because S is symplectic.  The splitting exists
     exactly when S22 has no eigenvalue on (-inf, 0] (BranchCut otherwise).
     """
+    B = np.asarray(B, dtype=float)
+    n = B.shape[0] // 2
     if t == 0:
-        B = np.asarray(B, dtype=float)
-        n = B.shape[0] // 2
         return UnitaryFactors(D=-B[n:, n:], M=-2 * B[n:, :n], W=2 * B[:n, :n],
                               residual=0.0, iterations=0)
-    return _unitary(B, t, Checks())
+    return _unitary(sla.expm(2 * t * standard_J(n) @ B), t, Checks())
 
 
-def _strang(A, B, tol: float, checks: Checks) -> np.ndarray:
-    """strang_middle of each pair of a stack of pairs (A, B)."""
+def _strang(A, B, EA, EB, tol: float, checks: Checks) -> np.ndarray:
+    """strang_middle of each pair of a stack of pairs (A, B), given their
+    exponentials EA = exp(-2iJA) and EB = exp(2iJB)."""
     op = "strang_middle"
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
     J = standard_J(A.shape[-1] // 2)
     na = np.linalg.norm(A, 2, axis=(-2, -1))
     nb = np.linalg.norm(B, 2, axis=(-2, -1))
     checks((na >= STRANG_RADIUS) | (nb >= STRANG_RADIUS), RadiusExceeded,
            lambda i: f"|A| = {na.flat[i]:.4f}, |B| = {nb.flat[i]:.4f} must be below "
                      f"log(2)/6 = {STRANG_RADIUS:.4f}", module=_MOD, operation=op)
-    A, B = checks.clean(A, 0.0), checks.clean(B, 0.0)
-    EB, EA = sla.expm(np.stack([2j * J @ B, -2j * J @ A]))
+    I = np.eye(J.shape[0])
+    EA, EB = checks.clean(EA, I), checks.clean(EB, I)
     P = np.linalg.solve(-2j * J, _log(EB @ EA @ EB, tol, checks))
     imag = _fro(P.imag)
     checks(imag > tol * np.maximum(1.0, _fro(P)), NotRealWithinTol,
@@ -275,7 +297,11 @@ def strang_middle(A, B, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     build checks both of those inequalities itself (decompose._factors_at).
     A and B may be stacks of pairs, giving the stack of middle terms.
     """
-    return _strang(A, B, tol, Checks())
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    J = standard_J(A.shape[-1] // 2)
+    EB, EA = sla.expm(np.stack([2j * J @ B, -2j * J @ A]))
+    return _strang(A, B, EA, EB, tol, Checks())
 
 
 def default_t_grid(t_max: float = 0.1) -> np.ndarray:
@@ -301,9 +327,9 @@ def _factors_at(q, q_sheared, cert, gamma, alpha, pol, t0, *, tol,
     """
     op = "build_decomposition"
     t = np.asarray(pol.t, dtype=float)
-    uni = _unitary(pol.B, t, checks)
+    uni = _unitary(pol.S, t, checks)
     s = gamma * t ** alpha
-    Rs, pf = inverse_twisted(cert.N, s, tol, checks)
+    Rs, pf, ERs = inverse_twisted(cert.N, s, tol, checks)
     Nmat = twisted_form_matrix(cert.N)
     lo = np.linalg.eigvalsh(Rs - Nmat)[..., 0]
     hi = np.linalg.eigvalsh(2 * Nmat - Rs)[..., 0]
@@ -311,7 +337,7 @@ def _factors_at(q, q_sheared, cert, gamma, alpha, pol, t0, *, tol,
            lambda i: f"arctan sandwich margins ({lo.flat[i]:.2e}, {hi.flat[i]:.2e})",
            module=_MOD, operation=op)
     Am, Bm = t[..., None, None] * pol.A, s[..., None, None] * Rs
-    P = _strang(Am, Bm, tol, checks)
+    P = _strang(Am, Bm, pol.EA, ERs, tol, checks)
     for what, gap in (("p_t >= a_t/2", P - Am / 2), ("5B <= A", Am - 5 * Bm)):
         margin = np.linalg.eigvalsh(gap)[..., 0]
         checks(margin < -tol, NotPSDWithinTol,
@@ -391,7 +417,8 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
             raise GammaCollapsed(f"polar factors failed at t = {t_grid[i]:.3g}: {exc}",
                                  module=_MOD, operation="select_gamma") from exc
         gammas[i] = _gammas(p, U, Nbar, alpha, tol=tol, checks=Checks())
-        pol.A[i], pol.B[i] = p.A, p.B  # the stacked pass failed where this passes
+        # the stacked pass failed where this passes
+        pol.A[i], pol.B[i], pol.EA[i], pol.S[i] = p.A, p.B, p.EA, p.S
     gamma = 0.9 * float(gammas.min())
     if not np.isfinite(gamma) or gamma <= 0:
         raise GammaCollapsed(f"gamma = {gamma}", module=_MOD,

@@ -221,9 +221,10 @@ def mat_cos(A) -> np.ndarray:
     return cos_sin(as_square(A, operation="mat_cos"), 1.0)[0]
 
 
-def arctan(A, tol: float, checks: Checks) -> np.ndarray:
+def arctan(A, tol: float, checks: Checks) -> tuple[np.ndarray, np.ndarray]:
     """arctan of each matrix of a stack (..., m, m) of spectral radius < 1,
-    as (2i)^{-1} log(I + X) with X = (I - iA)^{-1} 2iA = (I + iA)(I - iA)^{-1} - I.
+    as (2i)^{-1} log(I + X) with X = (I - iA)^{-1} 2iA = (I + iA)(I - iA)^{-1} - I,
+    and the Cayley transform I + X = exp(2i arctan A).
 
     That is the power series on its disc of convergence, and it tolerates
     defective (e.g. nilpotent) arguments; X is formed without the
@@ -240,13 +241,13 @@ def arctan(A, tol: float, checks: Checks) -> np.ndarray:
            module=_MOD, operation="mat_arctan")
     A = checks.clean(A, 0)
     X = np.linalg.solve(I - 1j * A, 2j * A)
-    return log_principal(I + X, X, tol, checks) / 2j
+    return log_principal(I + X, X, tol, checks) / 2j, I + X
 
 
 def mat_arctan(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Matrix arctangent on the spectral-radius < 1 regime, of a matrix or of
     each matrix of a stack; see arctan."""
-    return arctan(as_square(A, operation="mat_arctan"), tol, Checks())
+    return arctan(as_square(A, operation="mat_arctan"), tol, Checks())[0]
 
 
 @dataclass

@@ -262,9 +262,10 @@ def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
     return GaussianKernel(n, complex(c), K)
 
 
-def inverse_twisted(N, s, tol: float, checks: Checks) -> tuple[np.ndarray, np.ndarray]:
+def inverse_twisted(N, s, tol: float, checks: Checks
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R_s, prefactor) of mehler_inverse_twisted at s, a number or an array
-    of them (R_s then stacked over s).
+    of them (R_s then stacked over s), and exp(2iJ s R_s).
 
     R_s = (sJ)^{-1} arctan(F) for F = s J NN, through the stacked log
     (matfun.arctan keeps the relative accuracy of a small F), and R_s = NN at
@@ -272,7 +273,9 @@ def inverse_twisted(N, s, tol: float, checks: Checks) -> tuple[np.ndarray, np.nd
     prefactor sqrt(det cos(s J R_s)) on the branch continuous from s = 0 is
     det(I + F^2)^{-1/4}: the eigenvalues of F^2 are -(s omega)^2 in
     (-1/2, 0] for the frequencies omega of J NN (NN >= 0), so I + F^2 stays
-    invertible along the path.  Checks: 0 <= s and s |NN| < 2^{-1/2}
+    invertible along the path.  exp(2iJ s R_s) = exp(2i arctan F) is the
+    Cayley transform (I + iF)(I - iF)^{-1}, which matfun.arctan forms on the
+    way, so it needs no expm.  Checks: 0 <= s and s |NN| < 2^{-1/2}
     (SeriesRegimeViolated), then a real prefactor.
     """
     op = "mehler_inverse_twisted"
@@ -287,12 +290,13 @@ def inverse_twisted(N, s, tol: float, checks: Checks) -> tuple[np.ndarray, np.nd
            module=_MOD, operation=op)
     s = checks.clean(s, 0.0)
     F = s[..., None, None] * (J @ NN)
-    Rs = J.T @ arctan(F, tol, checks).real / np.where(s > 0, s, 1.0)[..., None, None]
+    atan, cayley = arctan(F, tol, checks)
+    Rs = J.T @ atan.real / np.where(s > 0, s, 1.0)[..., None, None]
     Rs = np.where((s > 0)[..., None, None], (Rs + Rs.mT) / 2, NN)
     pf = np.linalg.det(np.eye(NN.shape[0]) + F @ F).astype(complex) ** -0.25
     checks(np.abs(pf.imag) > 1e-10 * np.abs(pf), SeriesRegimeViolated,
            lambda i: f"prefactor not real: {pf.flat[i]}", module=_MOD, operation=op)
-    return Rs, pf.real
+    return Rs, pf.real, cayley
 
 
 def mehler_inverse_twisted(N, s: float, *, tol: float = DEFAULT_TOL,
@@ -305,7 +309,7 @@ def mehler_inverse_twisted(N, s: float, *, tol: float = DEFAULT_TOL,
     form (see inverse_twisted), at s or at every s of an array.  Requires
     s |NN| < 2^{-1/2} (SeriesRegimeViolated otherwise).
     """
-    Rs, pf = inverse_twisted(N, s, tol, Checks())
+    Rs, pf, _ = inverse_twisted(N, s, tol, Checks())
     return Rs, pf[()]
 
 

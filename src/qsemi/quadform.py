@@ -11,6 +11,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,13 +25,19 @@ _MOD = "quadform"
 _SYM_TOL = 1e-12
 
 
+@functools.cache
 def standard_J(n: int) -> np.ndarray:
-    """Matrix of the standard symplectic form: [[0, I], [-I, 0]]."""
+    """Matrix of the standard symplectic form: [[0, I], [-I, 0]].
+
+    Built once per n and shared, so it is read-only.
+    """
     if n < 1:
         raise DimensionMismatch("n must be >= 1", module=_MOD, operation="standard_J")
     Z = np.zeros((n, n))
     I = np.eye(n)
-    return np.block([[Z, I], [-I, Z]])
+    J = np.block([[Z, I], [-I, Z]])
+    J.flags.writeable = False
+    return J
 
 
 @dataclass

@@ -501,15 +501,24 @@ OPTION_VALUES = {"--t": "0.05", "--t-grid": "1e-3,1e-1,5", "--grid-points": "65"
                                              if o not in READS[c]])
 def test_command_rejects_options_it_does_not_read(tmp_path, capsys, command, option):
     path = write_problem(tmp_path, HEAT_PROBLEM)
-    code, out = run_cli(capsys, command, path, option, OPTION_VALUES[option])
-    rep = json.loads(out)
-    assert code == EXIT_PARSE
-    assert (rep["kind"], rep["operation"]) == ("ParseError", "parse_args")
-    assert rep["error"].endswith(f"unrecognized arguments: {option} {OPTION_VALUES[option]}")
-    # after --fixture, the option's value lands on the problem-file argument
-    code, out = run_cli(capsys, command, "--fixture", "heat", option, OPTION_VALUES[option])
-    assert code == EXIT_PARSE
-    assert json.loads(out)["operation"] == "parse_args"
+    # after --fixture, too, where the option's value would fill the problem-file slot
+    for source in ([path], ["--fixture", "heat"]):
+        code, out = run_cli(capsys, command, *source, option, OPTION_VALUES[option])
+        rep = json.loads(out)
+        assert code == EXIT_PARSE
+        assert (rep["kind"], rep["operation"]) == ("ParseError", "parse_args")
+        assert rep["error"].endswith(
+            f"unrecognized arguments: {option} {OPTION_VALUES[option]}")
+
+
+def test_rejected_options_are_neither_listed_nor_read(tmp_path, capsys):
+    # analyze reads no t grid, so the file's malformed one is never parsed
+    path = write_problem(tmp_path, {**HEAT_PROBLEM, "t_grid": "junk"})
+    assert run_cli(capsys, "analyze", path)[0] == EXIT_OK
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--fixture",
+                                                                    "--tol"}
 
 
 @pytest.mark.parametrize("command, flag", [("analyze", "--t"), ("exponents", "--t"),

@@ -26,6 +26,7 @@ from qsemi import (
 )
 from qsemi import decompose
 from qsemi.decompose import _three_factor_product
+from qsemi.matfun import Checks
 from qsemi.errors import (
     DegenerateTime,
     GammaCollapsed,
@@ -35,8 +36,11 @@ from qsemi.errors import (
     TimeTooLarge,
 )
 from qsemi.fixtures import harmonic, heat, kolmogorov, shifted_diagonal
-from qsemi.mehler import kernel_right_transport
+from qsemi.mehler import inverse_twisted, kernel_right_transport
 from qsemi.singular import graph_condition
+
+
+GRAPH_FIXTURES = ("heat", "harmonic", "kolmogorov", "fokker-planck", "shifted-diagonal")
 
 
 def random_accretive(rng, n, norm=1.0, rank=None):
@@ -112,10 +116,104 @@ def test_unitary_random_reconstruction():
             uni = unitary_factorization(B, t)
             assert uni.iterations == 0
             assert uni.residual < 1e-13
-            recon = _three_factor_product(uni.D, uni.M, uni.W, t, J)
+            recon = _three_factor_product(uni.D, uni.M, uni.W, t)
             assert np.linalg.norm(recon - sla.expm(2 * t * J @ B)) < 1e-13
             assert np.abs(uni.D - uni.D.T).max() < 1e-14
             assert np.abs(uni.W - uni.W.T).max() < 1e-14
+
+
+# --- closed-form exponentials of the build ----------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+@pytest.mark.parametrize("t", [1e-3, 0.1])
+def test_three_factor_product_matches_expm(n, t):
+    rng = np.random.default_rng(10 * n + int(t > 0.01))
+    J = standard_J(n)
+    Z = np.zeros((n, n))
+    for _ in range(5):
+        D, M, W = rng.standard_normal((3, n, n))
+        D, W = D + D.T, W + W.T
+        want = (sla.expm(-2 * t * J @ np.block([[Z, Z], [Z, D]]))
+                @ sla.expm(-t * J @ np.block([[Z, M.T], [M, Z]]))
+                @ sla.expm(t * J @ np.block([[W, Z], [Z, Z]])))
+        got = _three_factor_product(D, M, W, t)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def skew(rng, n):
+    G = rng.standard_normal((n, n))
+    return G - G.T
+
+
+@pytest.mark.parametrize("source", GRAPH_FIXTURES + ("random-2", "random-5"))
+def test_inverse_twisted_cayley_matches_expm(source):
+    # exp(2iJ s R_s) as the Cayley transform of F = s J NN, down to s = 1e-12 smax
+    if source.startswith("random"):
+        N = skew(np.random.default_rng(3), int(source[-1]))
+    else:
+        N = graph_condition(singular_space(get_fixture(source))).N
+    NN = twisted_form_matrix(N)
+    J = standard_J(len(N))
+    I = np.eye(2 * len(N))
+    smax = 2 ** -0.5 / np.linalg.norm(NN, 2)
+    s = smax * np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999])
+    Rs, _, cayley = inverse_twisted(N, s, 1e-9, Checks())
+    for k in range(len(s)):
+        want = sla.expm(2j * J @ (s[k] * Rs[k]))
+        # relative to the part beyond I, which is of order s
+        assert np.linalg.norm(cayley[k] - want) <= 1e-14 * np.linalg.norm(want - I), s[k]
+
+
+def test_polar_keeps_its_exponentials():
+    rng = np.random.default_rng(5)
+    forms = [get_fixture(name) for name in GRAPH_FIXTURES]
+    forms += [random_accretive(rng, n) for n in (2, 5)]
+    grid = np.logspace(-3, -1, 4)
+    for q in forms:
+        J = standard_J(q.n)
+        stacked = decompose._polar(q, grid, 1e-9, Checks(grid.shape))
+        for pol in [polar_factors(q, 0.03)] + [stacked[k] for k in range(len(grid))]:
+            S = sla.expm(2 * pol.t * J @ pol.B)
+            EA = sla.expm(-2j * pol.t * J @ pol.A)
+            assert np.linalg.norm(pol.S - S) <= 1e-14 * np.linalg.norm(S)
+            assert np.linalg.norm(pol.EA - EA) <= 1e-14 * np.linalg.norm(EA)
+
+
+def test_build_middle_term_matches_strang_middle():
+    rng = np.random.default_rng(11)
+    cases = [(get_fixture(name), 0.03, None) for name in GRAPH_FIXTURES]
+    cases += [(random_accretive(rng, n), 0.01, np.logspace(-3, -2, 10)) for n in (2, 5)]
+    for q, t, grid in cases:
+        f = build_decomposition(q, t, t_grid=grid)
+        want = strang_middle(t * f.polar.A, f.s * f.Rs)
+        assert np.linalg.norm(t * f.Pt - want) <= 1e-14 * np.linalg.norm(want)
+
+
+class CountedExpm:
+    """scipy.linalg with expm counting the matrices of each stack it gets."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def __getattr__(self, name):
+        return getattr(sla, name)
+
+    def expm(self, A):
+        self.entries += int(np.prod(np.shape(A)[:-2]))
+        return sla.expm(A)
+
+
+def test_build_six_exponentials_per_time_point(monkeypatch):
+    # five in the polar split (two of them kept for the unitary split and the
+    # Strang middle term) and e^{tM}; verify_decomposition forms each of its
+    # six shadows by expm, independently of those closed forms
+    counted = CountedExpm()
+    monkeypatch.setattr(decompose, "sla", counted)
+    f = build_decomposition(kolmogorov(), 0.05)
+    assert counted.entries <= 6 * (len(decompose.default_t_grid()) + 1)
+    counted.entries = 0
+    verify_decomposition(f)
+    assert counted.entries == 6
 
 
 # --- Strang middle term --------------------------------------------------------
@@ -213,6 +311,28 @@ def test_select_gamma_propagates_programming_errors(monkeypatch):
         select_gamma(q, rep, graph_condition(rep))
 
 
+def test_select_gamma_takes_a_failed_polar_entry_from_its_rerun(monkeypatch):
+    # an entry that fails in the stacked polar pass but passes alone is taken
+    # from the rerun, with every factor the later stages read
+    q = kolmogorov()
+    rep = singular_space(q)
+    cert = graph_condition(rep)
+    want = select_gamma(q, rep, cert)
+    polar = decompose._polar
+
+    def spoiled(q, t, tol, checks):
+        pol = polar(q, t, tol, checks)
+        if np.ndim(t):
+            checks.bad[3] = True
+            for X in (pol.A, pol.B, pol.EA, pol.S):
+                X[3] = 0
+        return pol
+    monkeypatch.setattr(decompose, "_polar", spoiled)
+    got = select_gamma(q, rep, cert)
+    assert (got.gamma, got.t0, got.stop_reason) == (want.gamma, want.t0, want.stop_reason)
+    assert np.array_equal(got.gamma_grid, want.gamma_grid)
+
+
 def test_select_gamma_stop_reason():
     from qsemi.fixtures import fokker_planck
     q = fokker_planck()
@@ -224,9 +344,6 @@ def test_select_gamma_stop_reason():
     q = heat(1)
     rep = singular_space(q)
     assert select_gamma(q, rep, graph_condition(rep)).stop_reason is None
-
-
-GRAPH_FIXTURES = ("heat", "harmonic", "kolmogorov", "fokker-planck", "shifted-diagonal")
 
 
 def reference_select_gamma(q, report, cert, t_grid, tol=1e-9):
@@ -479,7 +596,7 @@ def test_stage_reconstructions_random_forms():
         pol = polar_factors(q, t)
         assert pol.recon_residual < 1e-10
         uni = unitary_factorization(pol.B, t)
-        recon = _three_factor_product(uni.D, uni.M, uni.W, t, J)
+        recon = _three_factor_product(uni.D, uni.M, uni.W, t)
         assert np.linalg.norm(recon - sla.expm(2 * t * J @ pol.B)) < 1e-10
         A_m = t * pol.A
         if np.linalg.norm(A_m, 2) < 0.1:

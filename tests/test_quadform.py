@@ -20,6 +20,16 @@ def test_standard_J_n1():
     assert np.array_equal(standard_J(1), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+def test_standard_J_is_built_once_and_read_only():
+    J = standard_J(3)
+    I, Z = np.eye(3), np.zeros((3, 3))
+    assert np.array_equal(J, np.block([[Z, I], [-I, Z]]))
+    assert standard_J(3) is J
+    assert not J.flags.writeable
+    with pytest.raises(ValueError):
+        J[0, 0] = 1.0
+
+
 def test_standard_J_orthogonal():
     J = standard_J(3)
     assert np.allclose(J @ J.T, np.eye(6), atol=1e-15)
