@@ -295,7 +295,7 @@ def _input_state(args, n: int) -> GaussianState:
 
 
 def cmd_evolve(q: QuadraticForm, args) -> dict:
-    if args.fixture == "x-squared":
+    if graph_condition(singular_space(q, tol=args.tol), tol=args.tol) is None:
         points = max(args.grid_points, 3) | 1  # odd count puts a node at 0
         return counterexample_demo(q, args.t, points=points,
                                    domain=args.domain, tol=args.tol)

@@ -29,8 +29,9 @@ S and checks them against the product of the three factors in closed form:
 the shears are I + X with X^2 = 0, and only e^{tM} (n x n) takes expm.
 _strang multiplies the kept exp(-2itJA) by exp(2iJ sR_s), the Cayley
 transform that inverse_twisted returns.  The public stage functions form
-their own exponentials, and verify_decomposition forms every shadow by expm,
-so its matrix residual checks these closed forms independently.
+their own exponentials, and verify_decomposition forms every shadow by expm
+(the twisted one, on both sides of the middle term, once), so its matrix
+residual checks these closed forms independently.
 """
 from __future__ import annotations
 
@@ -493,10 +494,11 @@ def verify_decomposition(f: DecompositionFactors) -> dict:
     n = q.n
     J = standard_J(n)
 
+    twisted = sla.expm(-2j * J @ (s * f.Rs))  # the shadow on both sides of the middle
     shadow = _phase_shadow(f.Gsym)
-    shadow = shadow @ sla.expm(-2j * J @ (s * f.Rs))
+    shadow = shadow @ twisted
     shadow = shadow @ sla.expm(-2j * J @ (t * f.Pt))
-    shadow = shadow @ sla.expm(-2j * J @ (s * f.Rs))
+    shadow = shadow @ twisted
     shadow = shadow @ sla.expm(-2j * t * J @ (1j * embed_xixi(f.D_op)))
     shadow = shadow @ sla.expm(-2j * t * J @ (-1j * embed_cross(f.M_op)))
     shadow = shadow @ _phase_shadow(t * f.W_op - f.Gsym)

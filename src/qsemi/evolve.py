@@ -3,6 +3,8 @@
 Closed-form path: Gaussian states c exp(-Ax.x/2 + b.x) are closed under
 kernel application, Fourier multipliers exp(i t D grad.grad), moduli and
 convolutions, so every norm and derivative below is exact linear algebra.
+A state evaluates at one point or at an (n, ...) array of points, and
+d^alpha u = H_alpha u with H_alpha from the multivariate Hermite recurrence.
 
 Grid path: tensorized trapezoid quadrature on uniform grids (n <= 2) used to
 cross-validate the closed forms and to evolve non-Gaussian inputs.
@@ -14,6 +16,7 @@ lockstep over the stack, one stacked evaluation per width.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,9 +72,13 @@ class GaussianState:
                                 module=_MOD, operation="GaussianState")
         self.A, self.b = A, b
 
-    def __call__(self, x) -> complex:
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        return self.c * np.exp(-0.5 * x @ self.A @ x + self.b @ x)
+    def __call__(self, x):
+        """u at a point x of shape (n,), or at each point of an (n, ...)
+        array; for n = 1 a scalar is a point."""
+        x = np.asarray(x, dtype=complex)
+        X = x.reshape(self.n, -1)
+        quad = np.einsum("ik,ij,jk->k", X, self.A, X)
+        return (self.c * np.exp(-0.5 * quad + self.b @ X)).reshape(x.shape[1:])[()]
 
     def modulus(self) -> "GaussianState":
         """|u| as a Gaussian state (real data)."""
@@ -100,11 +107,14 @@ class GridFunction:
         lo, hi, m = self.axes[axis]
         return np.linspace(lo, hi, int(m))
 
-    def weights(self, axis: int) -> np.ndarray:
-        lo, hi, m = self.axes[axis]
-        h = (hi - lo) / (int(m) - 1)
-        w = np.full(int(m), h)
-        w[0] = w[-1] = h / 2
+    def weights(self) -> np.ndarray:
+        """Tensor-product trapezoid weights of the whole grid."""
+        w = 1.0
+        for lo, hi, m in self.axes:
+            h = (hi - lo) / (int(m) - 1)
+            wa = np.full(int(m), h)
+            wa[0] = wa[-1] = h / 2
+            w = np.multiply.outer(w, wa)
         return w
 
 
@@ -122,12 +132,13 @@ class NormFitReport:
 
 def sample_state(u: GaussianState, axes) -> GridFunction:
     """Evaluate a Gaussian state on a tensor grid."""
-    grids = np.meshgrid(*[np.linspace(a[0], a[1], int(a[2])) for a in axes],
-                        indexing="ij")
-    X = np.stack([g.ravel() for g in grids])  # (n, Npts)
-    quad = np.einsum("ik,ij,jk->k", X, u.A, X)
-    vals = u.c * np.exp(-0.5 * quad + u.b @ X)
-    return GridFunction(u.n, tuple(axes), vals.reshape(grids[0].shape))
+    return GridFunction(u.n, tuple(axes), u(_grid_points(axes)))
+
+
+def _grid_points(axes) -> np.ndarray:
+    """The nodes of a tensor grid as one (n, m_1, ..., m_n) array."""
+    return np.stack(np.meshgrid(*[np.linspace(lo, hi, int(m)) for lo, hi, m in axes],
+                                indexing="ij"))
 
 
 # --------------------------------------------------------------------------
@@ -190,10 +201,7 @@ def lp_norm(u, p: float) -> float:
     if isinstance(u, GridFunction):
         if np.isinf(p):
             return float(np.abs(u.samples).max())
-        w = u.weights(0)
-        for ax in range(1, u.n):
-            w = np.multiply.outer(w, u.weights(ax))
-        return float((np.abs(u.samples) ** p * w).sum() ** (1 / p))
+        return float((np.abs(u.samples) ** p * u.weights()).sum() ** (1 / p))
     raise DimensionMismatch(f"unsupported input {type(u)}", module=_MOD,
                             operation="lp_norm")
 
@@ -229,9 +237,7 @@ def apply_kernel_grid(k: GaussianKernel, u: GridFunction) -> GridFunction:
             f"{1.0 / max(width, 1e-300):.3g}",
             module=_MOD, operation="apply_kernel_grid")
     Kxx, Kxy, Kyy = k.K[:n, :n], k.K[:n, n:], k.K[n:, n:]
-    w = u.weights(0)
-    for ax in range(1, n):
-        w = np.multiply.outer(w, u.weights(ax))
+    w = u.weights()
 
     def ring_mask(shape):
         mask = np.zeros(shape, dtype=bool)
@@ -256,13 +262,11 @@ def apply_kernel_grid(k: GaussianKernel, u: GridFunction) -> GridFunction:
         # balance: exp(-K_ab x y) = exp(-K_ab x y - c_ab (x^2+y^2)/2) times
         # compensating Gaussians folded into the one-sided fields
         C = np.abs(Kxy)
+        X = _grid_points(u.axes).reshape(n, -1)
 
         def field(M, comp):
-            X = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")])
             quad = np.einsum("ik,ij,jk->k", X, M, X)
-            corr = comp @ (X ** 2)
-            return np.exp(-0.5 * quad + 0.5 * corr).reshape(
-                tuple(len(p) for p in nodes))
+            return np.exp(-0.5 * quad + 0.5 * comp @ X ** 2).reshape(u.samples.shape)
 
         Px = field(Kxx, C.sum(axis=1))
         Py = field(Kyy, C.sum(axis=0))
@@ -462,73 +466,32 @@ def fit_exponent(t_values, norms) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 # derivative growth
 
-def _derivative_polys(u: GaussianState, m_max: int) -> list[dict]:
-    """Coefficient arrays of p_alpha with d^alpha u = p_alpha(x) u(x).
+def _derivative_norm(u: GaussianState, m: int, X: np.ndarray) -> np.ndarray:
+    """|d^m u|_F at each point of X (n, P), by the Hermite recurrence.
 
-    p_{alpha + e_j} = d_j p_alpha + p_alpha * (b_j - (Ax)_j); levels[m] maps
-    each multi-index of order m to a dense coefficient array of shape
-    (m+1,) * n in the numpy polynomial convention.
+    d^alpha u = H_alpha u with H_0 = 1 and, for y = b - Ax,
+    H_{alpha + e_i} = y_i H_alpha - sum_l alpha_l A_il H_{alpha - e_l};
+    |d^m u|_F^2 = sum over |alpha| = m of (m! / alpha!) |H_alpha u|^2.
+    A multi-index is the sorted tuple of its coordinates, built from its
+    prefix by its last coordinate, so each one is computed once.
     """
-    n = u.n
-    levels = [{(0,) * n: np.ones((1,) * n, dtype=complex)}]
-    for m in range(1, m_max + 1):
-        prev = levels[-1]
-        cur = {}
-        for alpha in prev:
-            for j in range(n):
-                beta = tuple(a + (1 if i == j else 0) for i, a in enumerate(alpha))
-                if beta in cur:
-                    continue
-                pa = prev[alpha]
-                shape = tuple(s + 1 for s in pa.shape)
-                out = np.zeros(shape, dtype=complex)
-                # derivative d_j p_alpha
-                sl_src = [slice(None)] * n
-                sl_dst = [slice(None)] * n
-                deg = pa.shape[j]
-                if deg > 1:
-                    sl_src[j] = slice(1, None)
-                    sl_dst[j] = slice(0, deg - 1)
-                    ks = np.arange(1, deg).reshape(
-                        [-1 if i == j else 1 for i in range(n)])
-                    pad = tuple(slice(0, s) for s in pa[tuple(sl_src)].shape)
-                    out[tuple(sl_dst)][pad] += pa[tuple(sl_src)] * ks
-                # + b_j p_alpha
-                pad = tuple(slice(0, s) for s in pa.shape)
-                out[pad] += u.b[j] * pa
-                # - (A x)_j p_alpha  (shift by one in each x_i)
-                for i in range(n):
-                    if u.A[j, i] == 0:
-                        continue
-                    sl = [slice(0, s) for s in pa.shape]
-                    sl[i] = slice(1, pa.shape[i] + 1)
-                    out[tuple(sl)] -= u.A[j, i] * pa
-                cur[beta] = out
-        levels.append(cur)
-    return levels
-
-
-def _poly_eval(coeffs: np.ndarray, X: list[np.ndarray]) -> np.ndarray:
-    from numpy.polynomial import polynomial as P
-    if len(X) == 1:
-        return P.polyval(X[0], coeffs)
-    return P.polyval2d(X[0], X[1], coeffs)
-
-
-def _frobenius_field(u: GaussianState, level: dict, X: list[np.ndarray]) -> np.ndarray:
-    """|d^m u|_F evaluated on the point set X (list of coordinate arrays)."""
-    pts = np.stack([x.ravel() for x in X])
-    quad = (-0.5 * np.einsum("ik,ij,jk->k", pts, u.A, pts)
-            + u.b @ pts).reshape(X[0].shape)
-    gauss = np.abs(u.c * np.exp(quad))
-    total = np.zeros(X[0].shape)
-    m = sum(next(iter(level)))
-    for alpha, coeffs in level.items():
-        mult = math.factorial(m)
-        for a in alpha:
-            mult //= math.factorial(a)
-        total += mult * np.abs(_poly_eval(coeffs, X)) ** 2
-    return np.sqrt(total) * gauss
+    y = u.b[:, None] - u.A @ X
+    H = {(): np.ones(X.shape[1], dtype=complex)}
+    for order in range(1, m + 1):
+        for beta in itertools.combinations_with_replacement(range(u.n), order):
+            *alpha, i = beta
+            h = y[i] * H[tuple(alpha)]
+            for l in set(alpha):
+                rest = list(alpha)
+                rest.remove(l)
+                h -= alpha.count(l) * u.A[i, l] * H[tuple(rest)]
+            H[beta] = h
+    total = 0.0
+    for beta in itertools.combinations_with_replacement(range(u.n), m):
+        orderings = math.factorial(m) // math.prod(math.factorial(beta.count(j))
+                                                   for j in set(beta))
+        total = total + orderings * np.abs(H[beta]) ** 2
+    return np.sqrt(total) * np.abs(u(X))
 
 
 def derivative_growth_check(k: GaussianKernel, G, u: GaussianState,
@@ -537,8 +500,8 @@ def derivative_growth_check(k: GaussianKernel, G, u: GaussianState,
     for m = 0..m_max, with w(x) = (<Gx> + <G^T x>)/2 evaluated at the
     maximizer x* of the unweighted derivative norm.
 
-    Derivatives are analytic (polynomial-times-Gaussian recurrences); the
-    maximizer is located by a two-stage grid search, never finite differences.
+    Derivatives are exact (the Hermite recurrence); the maximizer is located
+    by a three-stage grid search, never finite differences.
     """
     G = np.asarray(G, dtype=float)
     out = apply_kernel_gaussian(k, u)
@@ -546,7 +509,6 @@ def derivative_growth_check(k: GaussianKernel, G, u: GaussianState,
     if n > 2:
         raise DimensionMismatch("derivative check implemented for n <= 2",
                                 module=_MOD, operation="derivative_growth_check")
-    levels = _derivative_polys(out, m_max)
     ReA = out.A.real
     center = np.linalg.solve(ReA, out.b.real)
     radius = 6.0 / math.sqrt(np.linalg.eigvalsh(ReA).min()) + np.abs(center).max()
@@ -556,13 +518,10 @@ def derivative_growth_check(k: GaussianKernel, G, u: GaussianState,
         x_best = center.copy()
         span = radius
         for _stage in range(3):
-            axes_pts = [np.linspace(x_best[i] - span, x_best[i] + span, 81)
-                        for i in range(n)]
-            X = list(np.meshgrid(*axes_pts, indexing="ij"))
-            field = _frobenius_field(out, levels[m], X)
-            idx = np.unravel_index(np.argmax(field), field.shape)
-            x_best = np.array([axes_pts[i][idx[i]] for i in range(n)])
-            best = field[idx]
+            X = _grid_points([(x - span, x + span, 81) for x in x_best]).reshape(n, -1)
+            field = _derivative_norm(out, m, X)
+            j = np.argmax(field)
+            x_best, best = X[:, j], field[j]
             span /= 20.0
         wx = 0.5 * (math.sqrt(1 + float(np.sum((G @ x_best) ** 2)))
                     + math.sqrt(1 + float(np.sum((G.T @ x_best) ** 2))))
@@ -598,12 +557,9 @@ def miraculous_bound_check(N, eps: float, D, u, axes=None) -> float:
     if isinstance(u, GaussianState):
         lhs_state = apply_kernel_gaussian(ktw, _half_dispersion(u, D))
         rhs_state = convolve_gaussian(eps * Rmat, u.modulus())
-        grids = np.meshgrid(*[np.linspace(a[0], a[1], int(a[2])) for a in axes],
-                            indexing="ij")
-        X = np.stack([g.ravel() for g in grids])
-        lhs = np.abs([lhs_state(x) for x in X.T])
-        warped = X - (D @ N) @ X
-        rhs = pref * np.abs([rhs_state(x) for x in warped.T])
+        X = _grid_points(axes).reshape(n, -1)
+        lhs = np.abs(lhs_state(X))
+        rhs = pref * np.abs(rhs_state(X - (D @ N) @ X))
         return float((lhs - rhs).max())
     if isinstance(u, GridFunction):
         if spectral_norm(D) > 0:

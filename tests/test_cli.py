@@ -179,6 +179,16 @@ def test_evolve_x_squared_demo(capsys):
     assert rep["kernel_error"] == "NonIntegrableSymbol"
 
 
+def test_evolve_demo_on_a_problem_file_without_graph(tmp_path, capsys):
+    # the demo is chosen by the failed graph condition, not the fixture name
+    path = tmp_path / "x2.json"
+    path.write_text(json.dumps({"n": 1, "Q_re": [[1, 0], [0, 0]]}))
+    code, out = run_cli(capsys, "evolve", str(path), "--t", "0.1")
+    rep = json.loads(out)
+    assert code == EXIT_OK
+    assert rep["jump_preserved"] is True
+
+
 def test_evolve_gaussian_report(capsys):
     code, out = run_cli(capsys, "evolve", "--fixture", "heat", "--t", "0.2")
     rep = json.loads(out)

@@ -206,14 +206,15 @@ class CountedExpm:
 def test_build_six_exponentials_per_time_point(monkeypatch):
     # five in the polar split (two of them kept for the unitary split and the
     # Strang middle term) and e^{tM}; verify_decomposition forms each of its
-    # six shadows by expm, independently of those closed forms
+    # five distinct shadows by expm (the twisted one, on both sides of the
+    # middle term, once), independently of those closed forms
     counted = CountedExpm()
     monkeypatch.setattr(decompose, "sla", counted)
     f = build_decomposition(kolmogorov(), 0.05)
     assert counted.entries <= 6 * (len(decompose.default_t_grid()) + 1)
     counted.entries = 0
     verify_decomposition(f)
-    assert counted.entries == 6
+    assert counted.entries == 5
 
 
 # --- Strang middle term --------------------------------------------------------

@@ -5,6 +5,10 @@ quadrature against closed forms, the brute-force Fokker-Planck quadrature
 from test_mehler, and the explicit constants in the twisted-vs-dispersion
 convolution bound.
 """
+import itertools
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -36,6 +40,7 @@ from qsemi.errors import (
     NonPositiveSample,
 )
 from qsemi.evolve import (
+    _derivative_norm,
     _half_dispersion,
     convolve_gaussian,
     dispersion_gaussian,
@@ -316,6 +321,56 @@ def test_heat_exponent_is_tight():
 
 
 # --- derivative growth --------------------------------------------------------
+
+def derivative_norm_mpmath(u, m, x, dps=30):
+    """|d^m u(x)|_F from mpmath.diff, each alpha weighted by its m! / alpha!
+    orderings of the partial derivatives."""
+    with mpmath.workdps(dps):
+        c = mpmath.mpc(complex(u.c))
+        A = [[mpmath.mpc(complex(a)) for a in row] for row in u.A]
+        b = [mpmath.mpc(complex(v)) for v in u.b]
+
+        def f(*y):
+            quad = sum(A[i][j] * y[i] * y[j] for i in range(u.n) for j in range(u.n))
+            return c * mpmath.exp(-quad / 2 + sum(bi * yi for bi, yi in zip(b, y)))
+
+        total = mpmath.mpf(0)
+        for alpha in itertools.product(range(m + 1), repeat=u.n):
+            if sum(alpha) != m:
+                continue
+            weight = math.factorial(m) // math.prod(math.factorial(a) for a in alpha)
+            total += weight * abs(mpmath.diff(f, [mpmath.mpf(v) for v in x], alpha)) ** 2
+        return float(mpmath.sqrt(total))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_derivative_norm_matches_mpmath(n):
+    rng = np.random.default_rng(131 + n)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u = GaussianState(n, complex(*rng.standard_normal(2)),
+                      1.5 * np.eye(n) + 0.3 * (G + G.T),
+                      rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    X = rng.uniform(-1.5, 1.5, (n, 3))
+    for m in range(7):
+        got = _derivative_norm(u, m, X)
+        for j in range(X.shape[1]):
+            want = derivative_norm_mpmath(u, m, X[:, j])
+            assert abs(got[j] - want) <= 1e-12 * want, (m, j, got[j], want)
+
+
+def test_gaussian_state_evaluates_point_arrays():
+    u = GaussianState(2, 0.7 - 0.2j, np.array([[1.2, 0.3j], [0.3j, 0.8]]),
+                      np.array([0.4, -0.1 + 0.5j]))
+    grid = np.stack(np.meshgrid(np.linspace(-2, 2, 4), np.linspace(-1, 3, 5),
+                                indexing="ij"))
+    pointwise = np.array([[u(grid[:, i, j]) for j in range(5)] for i in range(4)])
+    assert grid.shape == (2, 4, 5) and u(grid).shape == (4, 5)
+    assert np.allclose(u(grid), pointwise, rtol=1e-14, atol=0)
+    flat = grid.reshape(2, -1)
+    assert np.allclose(u(flat), pointwise.ravel(), rtol=1e-14, atol=0)
+    v = GaussianState(1, 1.3, np.array([[0.8]]), np.array([0.2j]))
+    assert np.isscalar(v(0.5)) and np.isscalar(v(np.array([0.5])))
+    assert abs(v(0.5) - 1.3 * np.exp(-0.8 * 0.25 / 2 + 0.1j)) < 1e-15
 
 def test_derivative_growth_heat_first_order():
     # sup |d(e^{t Delta} u)| <= C t^{-1/2} |u|_inf with C < 1 for a unit Gaussian
