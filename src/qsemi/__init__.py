@@ -34,6 +34,7 @@ from .evolve import (
     norm_fit_report,
     norm_sweep,
     op_norm_1_inf,
+    op_norm_edge,
     op_norm_lower_gaussian,
     sample_state,
 )

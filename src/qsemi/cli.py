@@ -24,6 +24,7 @@ from .evolve import (
     lp_norm,
     norm_fit_report,
     norm_sweep,
+    on_edge,
     op_norm_1_inf,
 )
 from .fixtures import fixture_names, get_fixture
@@ -294,11 +295,29 @@ def _input_state(args, n: int) -> GaussianState:
     return GaussianState(n, complex(c_re, c_im), A_re + 1j * A_im, b_re + 1j * b_im)
 
 
+#: the jump demo's grid when --grid-points and --domain are not given
+DEMO_GRID_POINTS = 128
+DEMO_DOMAIN = 8.0
+
+
 def cmd_evolve(q: QuadraticForm, args) -> dict:
-    if graph_condition(singular_space(q, tol=args.tol), tol=args.tol) is None:
-        points = max(args.grid_points, 3) | 1  # odd count puts a node at 0
-        return counterexample_demo(q, args.t, points=points,
-                                   domain=args.domain, tol=args.tol)
+    """The Gaussian evolution of --input, or, for a form without the graph
+    condition, the jump demo on the grid of --grid-points and --domain; the
+    options of the other path are a ParseError."""
+    demo = graph_condition(singular_space(q, tol=args.tol), tol=args.tol) is None
+    other_path = ({"--input": args.input} if demo else
+                  {"--grid-points": args.grid_points, "--domain": args.domain})
+    for option, value in other_path.items():
+        if value is not None:
+            why = ("the jump demo takes no input state" if demo else
+                   "the Gaussian path evolves in closed form, on no grid")
+            raise _parse_error(f"evolve: {option} {value} is not read: {why}",
+                               "cmd_evolve")
+    if demo:
+        points = DEMO_GRID_POINTS if args.grid_points is None else args.grid_points
+        return counterexample_demo(
+            q, args.t, points=max(points, 3) | 1,  # odd count puts a node at 0
+            domain=DEMO_DOMAIN if args.domain is None else args.domain, tol=args.tol)
     u = _input_state(args, q.n)
     k = kernel_from_symbol(mehler_symbol(q, args.t, tol=args.tol))
     v = apply_kernel_gaussian(k, u)
@@ -317,9 +336,18 @@ def _parse_exponent(s: str) -> float:
         raise _parse_error(f"exponent {s!r} is not a number", "parse_exponent") from exc
 
 
+#: how norm_sweep computes the norm, by (p == 1, q == inf)
+_NORM_METHODS = {
+    (True, True): "exact sup |g|",
+    (False, True): "exact sup_x |g(x, .)|_p'",
+    (True, False): "exact sup_y |g(., y)|_q",
+    (False, False): "gaussian lower bound",
+}
+
+
 def cmd_norms(q: QuadraticForm, args) -> dict:
     value = norm_sweep(q, args.t, args.p, args.q, tol=args.tol)
-    method = "exact sup |g|" if args.p == 1 and np.isinf(args.q) else "gaussian lower bound"
+    method = _NORM_METHODS[args.p == 1, bool(np.isinf(args.q))]
     return {"t": args.t, "p": args.p, "q": args.q, "norm": value, "method": method}
 
 
@@ -340,6 +368,7 @@ def cmd_exponents(q: QuadraticForm, args) -> dict:
     return {"p": args.p, "q": args.q, "r": fit.r, "k0": report.k0,
             "fitted_slope": fit.fitted_slope, "r_squared": fit.r_squared,
             "cpq_bound": fit.cpq, "verdict": verdict,
+            "exact": on_edge(args.p, args.q),
             "t_values": list(map(float, grid)),
             "norms": list(map(float, norms))}
 
@@ -348,6 +377,29 @@ def cmd_exponents(q: QuadraticForm, args) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """Raises a malformed command line as a ParseError, not as usage text."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        """argparse's, except that an option no command knows is unrecognized
+        together with the token after it (unless that token is an option):
+        argparse would give that token to the problem-file slot."""
+        args = sys.argv[1:] if args is None else list(args)
+        kept, unknown = [], []
+        i = 0
+        while i < len(args):
+            token = args[i]
+            if token == "--":
+                kept += args[i:]
+                break
+            if token.startswith("--") and token.split("=")[0] not in _KNOWN:
+                takes = ("=" not in token and i + 1 < len(args)
+                         and not args[i + 1].startswith("-"))
+                unknown += args[i:i + 1 + takes]
+                i += 1 + takes
+            else:
+                kept.append(token)
+                i += 1
+        namespace, extras = argparse.ArgumentParser.parse_known_args(self, kept, namespace)
+        return namespace, unknown + extras
 
     def error(self, message):
         raise _parse_error(f"{self.prog}: {message}", "parse_args")
@@ -367,13 +419,15 @@ def _not_read(prog: str, option: str):
 _OPTIONS = {
     "--t": {"type": float, "default": 0.1},
     "--t-grid": {"help": "t_min,t_max,points[,log|lin]"},
-    "--grid-points": {"type": int, "default": 128},
-    "--domain": {"type": float, "default": 8.0},
+    "--grid-points": {"type": int, "help": f"jump-demo grid (default {DEMO_GRID_POINTS})"},
+    "--domain": {"type": float, "help": f"jump-demo half-width (default {DEMO_DOMAIN})"},
     "--input": {"help": "Gaussian input state (JSON)"},
     "--p": {"type": _parse_exponent, "default": "1"},
     "--q": {"type": _parse_exponent, "default": "inf"},
     "--out": {"help": "write the t-sweep as CSV (t,value)"},
 }
+#: every option string of every command: the others are unknown to all of them
+_KNOWN = {"--help", "--fixture", "--tol", *_OPTIONS}
 _COMMANDS = {
     "analyze": (cmd_analyze, ()),
     "mehler": (cmd_mehler, ("--t",)),

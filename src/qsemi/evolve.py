@@ -9,10 +9,15 @@ d^alpha u = H_alpha u with H_alpha from the multivariate Hermite recurrence.
 Grid path: tensorized trapezoid quadrature on uniform grids (n <= 2) used to
 cross-validate the closed forms and to evolve non-Gaussian inputs.
 
-Sweeps: op_norm_1_inf and op_norm_lower_gaussian also take kernels stacked
-over a grid of times, and norm_sweep evaluates a whole t-grid at once, as one
-stacked Mehler -> kernel -> norm pass; the lower bound's width search runs in
-lockstep over the stack, one stacked evaluation per width.
+Norms: on the edge of the exponent square (p = 1 or q = inf) the
+L^p -> L^q norm is a closed form in the kernel's blocks (op_norm_edge);
+inside it (1 < p <= q < inf) op_norm_lower_gaussian gives a lower bound by a
+search over Gaussian input widths.
+
+Sweeps: the norms also take kernels stacked over a grid of times, and
+norm_sweep evaluates a whole t-grid at once, as one stacked Mehler -> kernel
+-> norm pass; the lower bound's width search runs in lockstep over the
+stack, one stacked evaluation per width.
 """
 from __future__ import annotations
 
@@ -347,6 +352,43 @@ def op_norm_1_inf(k: GaussianKernel, *, tol: float = DEFAULT_TOL) -> float:
     return np.abs(k.c)[()]
 
 
+def on_edge(p: float, q: float) -> bool:
+    """Whether (p, q) lies on the edge p = 1 or q = inf of the exponent
+    square, where norm_sweep's norm is exact."""
+    return bool(p == 1 or np.isinf(q))
+
+
+def op_norm_edge(k: GaussianKernel, p: float, q: float, *,
+                 tol: float = DEFAULT_TOL) -> float:
+    """L^p -> L^q norm on the edge p = 1 or q = inf, in closed form.  A
+    stacked kernel gives the norm of each.
+
+    With r the Young exponent (p' for q = inf, q for p = 1), the norm is
+    sup_x |g(x, .)|_r for q = inf (Hölder, attained) and sup_y |g(., y)|_r
+    for p = 1 (Minkowski).  For g = c exp(-z.Kz/2), z = (x, y),
+
+        int |g(x, y)|^r dy = |c|^r (2 pi / r)^{n/2} det(Re K_yy)^{-1/2}
+                             exp(-(r/2) x.Sx),
+
+    S the Schur complement of Re K_yy in Re K, and likewise with x and y
+    exchanged.  Re K is positive semidefinite (op_norm_1_inf decides it), so
+    S is too and the supremum sits at x = 0; r = inf gives sup |g| = |c|.
+    """
+    if not (1 <= p and 1 <= q and on_edge(p, q)):
+        raise ExponentOrder(f"(p, q) = ({p}, {q}): need p, q >= 1 and p = 1 or "
+                            "q = inf", module=_MOD, operation="op_norm_edge")
+    c_abs = op_norm_1_inf(k, tol=tol)
+    r = _young_exponent(p, q)
+    if np.isinf(r):
+        return c_abs
+    n = k.n
+    block, what = ((k.K[..., n:, n:], "K_yy") if np.isinf(q)
+                   else (k.K[..., :n, :n], "K_xx"))
+    check_integrable(block, NonIntegrable, module=_MOD, operation="op_norm_edge",
+                     what=what)
+    return _centered_lp_norm(c_abs, block.real, r)
+
+
 WIDTH_GRID = np.linspace(-2.0, 2.0, 41)  #: log10 of the lower bound's widths
 WIDTH_REFINE = 40  #: golden-section steps after the width grid
 
@@ -354,6 +396,7 @@ WIDTH_REFINE = 40  #: golden-section steps after the width grid
 def op_norm_lower_gaussian(k: GaussianKernel, p: float, q: float) -> float:
     """Lower bound on the L^p -> L^q norm over centered isotropic Gaussians
     of width 10^ls, ls on WIDTH_GRID, golden-section refined WIDTH_REFINE times.
+    norm_sweep uses it inside the exponent square only, 1 < p <= q < inf.
 
     A stacked kernel gives the bound of each: the width grid and the
     golden-section steps run in lockstep, one stacked evaluation per step.
@@ -388,8 +431,8 @@ def op_norm_lower_gaussian(k: GaussianKernel, p: float, q: float) -> float:
 def norm_sweep(form: QuadraticForm, t, p: float, q: float, *,
                tol: float = DEFAULT_TOL):
     """L^p -> L^q norm of exp(-t q^w), q^w the operator of `form`, at a
-    time t or at each time of an array t: sup |g| exactly for (1, inf), the
-    Gaussian lower bound otherwise.
+    time t or at each time of an array t: exact on the edge p = 1 or
+    q = inf (op_norm_edge), the Gaussian lower bound inside the square.
 
     The Mehler symbol, the kernel and the norm are each computed on the whole
     stack at once.  A failure is the one a loop over t would meet first: at
@@ -397,8 +440,8 @@ def norm_sweep(form: QuadraticForm, t, p: float, q: float, *,
     """
     try:
         k = kernel_from_symbol(mehler_symbol(form, t, tol=tol))
-        if p == 1 and np.isinf(q):
-            return op_norm_1_inf(k, tol=tol)
+        if on_edge(p, q):
+            return op_norm_edge(k, p, q, tol=tol)
         return op_norm_lower_gaussian(k, p, q)
     except QsemiError as exc:
         if exc.index:  # an earlier t may fail in a later stage: that comes first

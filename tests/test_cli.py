@@ -163,6 +163,25 @@ def test_norms_exact_1_inf(capsys):
     assert rep["method"] == "exact sup |g|"
 
 
+@pytest.mark.parametrize("p, q, method", [
+    ("2", "inf", "exact sup_x |g(x, .)|_p'"), ("inf", "inf", "exact sup_x |g(x, .)|_p'"),
+    ("1", "2", "exact sup_y |g(., y)|_q"), ("2", "2", "gaussian lower bound")])
+def test_norms_method_names_the_closed_form(capsys, p, q, method):
+    code, out = run_cli(capsys, "norms", "--fixture", "heat", "--t", "0.37",
+                        "--p", p, "--q", q)
+    assert code == EXIT_OK
+    assert json.loads(out)["method"] == method
+
+
+@pytest.mark.parametrize("p, q, exact", [("1", "inf", True), ("2", "inf", True),
+                                         ("1", "2", True), ("2", "4", False)])
+def test_exponents_report_says_whether_exact(capsys, p, q, exact):
+    code, out = run_cli(capsys, "exponents", "--fixture", "heat", "--p", p, "--q", q,
+                        "--t-grid", "1e-3,1e-1,5")
+    assert code == EXIT_OK
+    assert json.loads(out)["exact"] is exact
+
+
 def test_mehler_report(capsys):
     code, out = run_cli(capsys, "mehler", "--fixture", "harmonic", "--t", "1.0")
     rep = json.loads(out)
@@ -242,6 +261,7 @@ def test_exponents_kolmogorov_2_inf_respected(capsys):
     assert code == EXIT_OK
     assert rep["k0"] == 1
     assert rep["verdict"] == "respected"
+    assert abs(rep["fitted_slope"] + 1.0) <= 0.01
 
 
 # --- problem-file and t-grid parsing -------------------------------------------------
@@ -461,6 +481,30 @@ def test_evolve_bad_input_is_parse_error(tmp_path, capsys, text):
     assert json.loads(out)["kind"] == "ParseError"
 
 
+def test_evolve_demo_rejects_an_input_state(tmp_path, capsys):
+    # the jump demo evolves no Gaussian state: a malformed one is still an error
+    path = write_state(tmp_path, "{")
+    code, out = run_cli(capsys, "evolve", "--fixture", "x-squared", "--input", path)
+    rep = json.loads(out)
+    assert code == EXIT_PARSE
+    assert rep["kind"] == "ParseError" and "--input" in rep["error"]
+
+
+@pytest.mark.parametrize("option, value", [("--grid-points", "5"), ("--domain", "1")])
+def test_evolve_gaussian_path_rejects_grid_options(capsys, option, value):
+    code, out = run_cli(capsys, "evolve", "--fixture", "heat", "--t", "0.2", option, value)
+    rep = json.loads(out)
+    assert code == EXIT_PARSE
+    assert rep["kind"] == "ParseError" and option in rep["error"]
+
+
+def test_evolve_demo_takes_its_grid_options(capsys):
+    _, default = run_cli(capsys, "evolve", "--fixture", "x-squared")
+    code, out = run_cli(capsys, "evolve", "--fixture", "x-squared",
+                        "--grid-points", "128", "--domain", "8")
+    assert code == EXIT_OK and out == default
+
+
 def test_evolve_nonintegrable_input_is_math_error(tmp_path, capsys):
     path = write_state(tmp_path, json.dumps(dict(GOOD_STATE, A_re=[[-1.0]])))
     code, out = run_cli(capsys, "evolve", "--fixture", "heat", "--input", path)
@@ -529,6 +573,18 @@ def test_rejected_options_are_neither_listed_nor_read(tmp_path, capsys):
         main(["analyze", "--help"])
     assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--fixture",
                                                                     "--tol"}
+
+
+@pytest.mark.parametrize("source", [["--fixture", "heat"], ["problem"]])
+@pytest.mark.parametrize("unknown", [["--foo", "0.5"], ["--foo=0.5"]])
+def test_unknown_option_is_named_with_its_value(tmp_path, capsys, source, unknown):
+    # after --fixture the value would otherwise fill the problem-file slot
+    source = [write_problem(tmp_path, HEAT_PROBLEM) if s == "problem" else s for s in source]
+    for argv in (source + unknown, unknown + source):
+        code, out = run_cli(capsys, "analyze", *argv)
+        rep = json.loads(out)
+        assert code == EXIT_PARSE
+        assert rep["error"].endswith(f"unrecognized arguments: {' '.join(unknown)}")
 
 
 @pytest.mark.parametrize("command, flag", [("analyze", "--t"), ("exponents", "--t"),

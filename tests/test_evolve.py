@@ -45,8 +45,16 @@ from qsemi.evolve import (
     convolve_gaussian,
     dispersion_gaussian,
     norm_sweep,
+    op_norm_edge,
 )
-from qsemi.fixtures import harmonic, heat, x_squared
+from qsemi.fixtures import (
+    fokker_planck,
+    harmonic,
+    heat,
+    kolmogorov,
+    shifted_diagonal,
+    x_squared,
+)
 from qsemi.mehler import GaussianKernel, MehlerSymbol
 
 from test_mehler import fokker_planck_oracle, graph_fixtures, random_accretive_form
@@ -210,14 +218,24 @@ def reference_lower_gaussian(k, p, q, log_sigma_range=(-2.0, 2.0), points=41,
     return max(max(vals), f1, f2)
 
 
-def reference_sweep(q, ts, p, qq):
-    """One Mehler symbol, kernel and norm per t."""
-    norms = []
-    for t in ts:
-        k = kernel_from_symbol(mehler_symbol(q, float(t)))
-        norms.append(op_norm_1_inf(k) if p == 1 and np.isinf(qq)
-                     else reference_lower_gaussian(k, p, qq))
-    return np.array(norms)
+def reference_edge_norm(k, p, q):
+    """The L^p -> L^q norm of one kernel for p = 1 or q = inf: |c| for
+    (1, inf), else the L^r norm of |g(0, .)| (q = inf, r = p') or of
+    |g(., 0)| (p = 1, r = q), a Gaussian integral over the other variable."""
+    n = k.n
+    if p == 1 and np.isinf(q):
+        return abs(k.c)
+    if np.isinf(q):
+        r, B = (1.0 if np.isinf(p) else p / (p - 1)), k.K[n:, n:].real
+    else:
+        r, B = q, k.K[:n, :n].real
+    return abs(k.c) * ((2 * np.pi / r) ** (n / 2) / math.sqrt(np.linalg.det(B))) ** (1 / r)
+
+
+def reference_sweep(q, ts, norm, *args):
+    """One Mehler symbol, kernel and norm(kernel, *args) per t."""
+    return np.array([norm(kernel_from_symbol(mehler_symbol(q, float(t))), *args)
+                     for t in ts])
 
 
 def assert_same_norms(stacked, ref):
@@ -231,10 +249,16 @@ def test_norm_sweep_matches_per_t_reference():
     ts = np.logspace(-4, -1, 5)
     forms = graph_fixtures() + [random_accretive_form(rng, n) for n in (2, 5)]
     for q in forms:
-        for p in (1, 2):
-            assert_same_norms(norm_sweep(q, ts, p, np.inf),
-                              reference_sweep(q, ts, p, np.inf))
-    assert_same_norms(norm_sweep(heat(2), ts, 2, 2), reference_sweep(heat(2), ts, 2, 2))
+        for p, qq in ((1, np.inf), (2, np.inf), (1, 2)):
+            assert_same_norms(norm_sweep(q, ts, p, qq),
+                              reference_sweep(q, ts, reference_edge_norm, p, qq))
+        # the width search, stacked against one search per t
+        k = kernel_from_symbol(mehler_symbol(q, ts))
+        for p, qq in ((2, np.inf), (2, 2)):
+            assert_same_norms(op_norm_lower_gaussian(k, p, qq),
+                              reference_sweep(q, ts, reference_lower_gaussian, p, qq))
+    assert_same_norms(norm_sweep(heat(2), ts, 2, 2),
+                      reference_sweep(heat(2), ts, reference_lower_gaussian, 2, 2))
 
 
 def test_lower_gaussian_stack_zeroes_where_per_width_does():
@@ -265,6 +289,105 @@ def test_norm_sweep_raises_the_per_t_loops_first_failure():
     with pytest.raises(DegenerateTime) as info:
         norm_sweep(harmonic(1), np.array([0.1, 10.0, 1e6]), 2, np.inf)
     assert info.value.index == 2 and "overflows" in str(info.value)
+
+
+# --- edge norms in closed form ----------------------------------------------------
+
+def test_edge_norm_kolmogorov_2_inf_matches_quadrature():
+    # |g(0, y)|^2 in units of its marginal widths, twice its conditional ones:
+    # the box [-8, 8]^2 covers 16 conditional widths, where the tail is 1e-14
+    for t in (1e-3, 1e-2, 0.1):
+        k = kernel_from_symbol(mehler_symbol(kolmogorov(), t))
+        K = k.K[2:, 2:]
+        sd = np.sqrt(np.diag(np.linalg.inv(K.real)) / 2)
+        with mpmath.workdps(20):
+            c = mpmath.mpc(complex(k.c))
+            a, b, d = (mpmath.mpc(complex(K[0, 0])) * sd[0] ** 2,
+                       mpmath.mpc(complex(K[0, 1])) * sd[0] * sd[1],
+                       mpmath.mpc(complex(K[1, 1])) * sd[1] ** 2)
+
+            def g2(u, v):
+                return abs(c * mpmath.exp(-(a * u * u + 2 * b * u * v + d * v * v) / 2)) ** 2
+
+            mass = mpmath.quad(g2, [-8, 0, 8], [-8, 0, 8], method="gauss-legendre",
+                               maxdegree=5) * sd[0] * sd[1]
+            ref = float(mpmath.sqrt(mass))
+        assert abs(op_norm_edge(k, 2, np.inf) / ref - 1) <= 1e-12
+
+
+def test_edge_norms_heat_closed_forms():
+    ts = np.array([1e-3, 0.37, 2.0])
+    k = kernel_from_symbol(mehler_symbol(heat(1), ts))
+    for p, q in ((1, 2), (2, np.inf)):
+        assert np.abs(op_norm_edge(k, p, q) / (8 * np.pi * ts) ** -0.25 - 1).max() <= 1e-12
+
+
+def test_edge_norms_1_1_conserved_mass():
+    # positive kernels: |T|_{1->1} = sup_y int g(x, y) dx = sup T*1, and the
+    # adjoint generator sends 1 to 0 (heat, kolmogorov) or to -1 (fokker-planck)
+    ts = np.logspace(-4, -1, 5)
+    for q, exact in ((heat(1), np.ones_like(ts)), (kolmogorov(), np.ones_like(ts)),
+                     (fokker_planck(), np.exp(-ts))):
+        assert np.abs(norm_sweep(q, ts, 1, 1) / exact - 1).max() <= 1e-12
+
+
+def test_edge_norms_bound_the_width_search():
+    rng = np.random.default_rng(7)
+    ts = np.logspace(-4, -1, 5)
+    random_forms = [random_accretive_form(rng, n) for n in (2, 5)]
+    # the (1, 1) search on heat, kolmogorov and fokker-planck peaks at its
+    # widest input, whose Schur complement cancels down to rounding: there it
+    # overshoots the exact norms (test above) by 1e-9 to 36%
+    for forms, pairs in ((graph_fixtures() + random_forms,
+                          ((2, np.inf), (1, 2), (np.inf, np.inf))),
+                         ([harmonic(1), shifted_diagonal()] + random_forms, ((1, 1),))):
+        for q in forms:
+            k = kernel_from_symbol(mehler_symbol(q, ts))
+            for p, qq in pairs:
+                assert (op_norm_edge(k, p, qq)
+                        >= (1 - 1e-12) * op_norm_lower_gaussian(k, p, qq)).all()
+
+
+def test_edge_norm_1_inf_is_the_sup_norm():
+    ts = np.logspace(-4, -1, 5)
+    for q in graph_fixtures():
+        k = kernel_from_symbol(mehler_symbol(q, ts))
+        assert np.array_equal(op_norm_edge(k, 1, np.inf), op_norm_1_inf(k))
+        assert np.array_equal(norm_sweep(q, ts, 1, np.inf), op_norm_1_inf(k))
+
+
+def test_edge_norm_rejects_a_block_without_decay():
+    # Re K is positive semidefinite throughout; entry 1 has no decay in y,
+    # entry 2 none in x, and the (1, inf) norm needs neither
+    Ks = np.array([[[1.0, -1.0], [-1.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]],
+                   [[0.0, 0.0], [0.0, 1.0]]], dtype=complex)
+    k = GaussianKernel(1, np.ones(3, dtype=complex), Ks)
+    for (p, q), index in (((2, np.inf), 1), ((np.inf, np.inf), 1), ((1, 2), 2)):
+        with pytest.raises(NonIntegrable) as info:
+            op_norm_edge(k, p, q)
+        assert info.value.index == index
+    assert np.array_equal(op_norm_edge(k, 1, np.inf), np.ones(3))
+    with pytest.raises(NonIntegrable) as info:  # Re K not positive semidefinite
+        op_norm_edge(GaussianKernel(1, np.ones(2, dtype=complex),
+                                    np.array([Ks[0], -Ks[0]])), 2, np.inf)
+    assert info.value.index == 1
+    for p, q in ((2, 2), (0.5, np.inf), (1, 0.5)):
+        with pytest.raises(ExponentOrder):
+            op_norm_edge(k, p, q)
+
+
+def test_edge_sweeps_run_no_width_search(monkeypatch):
+    from qsemi import evolve
+    calls = []
+    real = evolve._width_ratios
+    monkeypatch.setattr(evolve, "_width_ratios",
+                        lambda *a: calls.append(1) or real(*a))
+    ts = np.logspace(-3, -1, 4)
+    for p, q in ((2, np.inf), (1, 2)):
+        norm_sweep(kolmogorov(), ts, p, q)
+    assert not calls
+    norm_sweep(kolmogorov(), ts, 2, 2)
+    assert calls
 
 
 # --- exponents -------------------------------------------------------------------
