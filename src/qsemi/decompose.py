@@ -44,7 +44,6 @@ from .errors import (
     DegenerateTime,
     GammaCollapsed,
     GraphConditionFailed,
-    NonIntegrableComposition,
     NotPSDWithinTol,
     NotRealWithinTol,
     QsemiError,
@@ -54,7 +53,6 @@ from .errors import (
 from .matfun import DEFAULT_TOL, Checks, first_index, log_principal, null_space
 from .mehler import (
     GaussianKernel,
-    compose_kernels,
     kernel_from_symbol,
     kernel_left_phase,
     kernel_right_dispersion,
@@ -63,7 +61,7 @@ from .mehler import (
     inverse_twisted,
     mehler_symbol,
     twisted_form_matrix,
-    twisted_kernel,
+    twisted_sandwich,
 )
 from .quadform import (
     QuadraticForm,
@@ -353,21 +351,25 @@ def _factors_at(q, q_sheared, cert, gamma, alpha, pol, t0, *, tol,
 
 def _gammas(pol, U, Nbar, alpha, *, tol, checks: Checks) -> np.ndarray:
     """gamma_t at each time of pol.  Checks: A_t positive on the complement
-    of the singular space (GammaCollapsed)."""
+    of the singular space, and the pencil's Cholesky of it (GammaCollapsed)."""
     t = np.asarray(pol.t)
     Abar = U.T @ pol.A @ U
     lam = np.linalg.eigvalsh(Abar)[..., 0] if Abar.size else np.ones(t.shape)
-    checks(lam <= 0, GammaCollapsed,
+    # one LAPACK generalized eigenproblem per t: on rank-n forms the pencil is
+    # ill-conditioned (another reduction moves gamma_t by up to 1e-5), and its
+    # Cholesky of A_t can fail though lambda_min(A_t) > 0, which fails that t
+    bad = lam <= 0
+    mu = np.zeros(t.shape)
+    for k in np.ndindex(t.shape):
+        if Nbar.size and not bad[k]:
+            try:
+                mu[k] = sla.eigh(Nbar, Abar[k], eigvals_only=True).max()
+            except np.linalg.LinAlgError:
+                bad[k] = True
+    checks(bad, GammaCollapsed,
            lambda i: f"A_t not positive on the complement of S at t = {t.flat[i]:.3g} "
                      f"(lambda_min = {lam.flat[i]:.3e})",
            module=_MOD, operation="select_gamma")
-    Abar = checks.clean(Abar, np.eye(Abar.shape[-1]))
-    # one LAPACK generalized eigenproblem per t: on rank-n forms the pencil is
-    # ill-conditioned, and another reduction of it moves gamma_t by up to 1e-5
-    mu = np.zeros(t.shape)
-    if Nbar.size:
-        for k in np.ndindex(t.shape):
-            mu[k] = sla.eigh(Nbar, Abar[k], eigvals_only=True).max()
     vanishes = mu <= tol  # the twisted form vanishes on the complement
     t_alpha = checks.clean(t, 1.0) ** (1 - alpha)
     return np.where(vanishes, 1e6, t_alpha / (10 * np.where(vanishes, 1.0, mu)))
@@ -488,7 +490,9 @@ def verify_decomposition(f: DecompositionFactors) -> dict:
     matrix_residual: Frobenius distance between the product of the factor
     shadows and exp(-2itJQ).  kernel_residual: relative distance between the
     composed Gaussian kernel of all factors (scalar prefactors included) and
-    the kernel synthesized directly from the symbol of exp(-t q^w).
+    the kernel synthesized directly from the symbol of exp(-t q^w).  The two
+    twisted factors act on the middle kernel in covariance form
+    (mehler.twisted_sandwich), so no kernel of order 1/s is formed.
     """
     q, t, s = f.q, f.t, f.s
     n = q.n
@@ -505,18 +509,8 @@ def verify_decomposition(f: DecompositionFactors) -> dict:
     direct = sla.expm(-2j * t * J @ q.Q)
     matrix_residual = float(np.linalg.norm(shadow - direct))
 
-    eps = 2 * s
-    stage = "twisted o middle"
-    try:
-        ktw = twisted_kernel(f.N, eps)
-        kp = kernel_from_symbol(mehler_symbol(QuadraticForm(n, f.Pt), t))
-        k = compose_kernels(ktw, kp)
-        stage = "middle o twisted"
-        k = compose_kernels(k, ktw)
-    except NonIntegrableComposition as exc:
-        raise NonIntegrableComposition(
-            f"composition failed at {stage}: {exc}",
-            module=_MOD, operation="verify_decomposition") from exc
+    k = twisted_sandwich(kernel_from_symbol(mehler_symbol(QuadraticForm(n, f.Pt), t)),
+                         f.N, 2 * s)
     k = kernel_left_phase(k, f.Gsym)
     k = kernel_right_dispersion(k, f.D_op, t)
     k = kernel_right_transport(k, f.M_op, t)

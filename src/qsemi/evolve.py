@@ -38,15 +38,14 @@ from .errors import (
     ResolutionTooCoarse,
     TruncationTooLarge,
 )
-from .matfun import DEFAULT_TOL, first_index, spectral_norm
+from .matfun import DEFAULT_TOL, Checks, first_index, spectral_norm
 from .mehler import (
     GaussianKernel,
     check_integrable,
+    disperse,
+    gaussian_integral,
     kernel_from_symbol,
     mehler_symbol,
-    not_integrable,
-    sqrt_det_pd,
-    sqrt_det_pd_mask,
     twisted_kernel,
 )
 from .quadform import QuadraticForm
@@ -150,40 +149,27 @@ def _grid_points(axes) -> np.ndarray:
 # closed-form Gaussian evolution
 
 def apply_kernel_gaussian(k: GaussianKernel, u: GaussianState) -> GaussianState:
-    """Exact output of int g(x, y) u(y) dy for a Gaussian state u.
-
-    Needs Re(K_yy + A) positive-definite; the kernel block alone may be
-    degenerate (rank-deficient smoothing) as long as the input supplies the
-    missing decay.
+    """Exact output of int g(x, y) u(y) dy for a Gaussian state u, the
+    gaussian_integral over y.  Needs Re(K_yy + A) positive-definite; K_yy
+    alone may be degenerate if the input supplies the missing decay.
     """
     if k.n != u.n:
         raise DimensionMismatch("kernel/state dimension mismatch",
                                 module=_MOD, operation="apply_kernel_gaussian")
     n = k.n
-    Kyy = k.K[n:, n:]
-    Kyx = k.K[n:, :n]
-    W = Kyy + u.A
-    check_integrable(W, NonIntegrable, module=_MOD,
-                     operation="apply_kernel_gaussian", what="combined y-quadratic")
-    Winv = np.linalg.inv(W)
-    A_out = k.K[:n, :n] - Kyx.T @ Winv @ Kyx
-    b_out = -Kyx.T @ Winv @ u.b
-    c_out = (k.c * u.c * (2 * np.pi) ** (n / 2) / sqrt_det_pd(W)
-             * np.exp(0.5 * u.b @ Winv @ u.b))
-    return GaussianState(n, complex(c_out), A_out, b_out)
+    K = k.K.copy()
+    K[n:, n:] += u.A
+    c, A, b = gaussian_integral(K, np.concatenate([np.zeros(n), u.b]), n, NonIntegrable,
+                                module=_MOD, operation="apply_kernel_gaussian",
+                                what="combined y-quadratic")
+    return GaussianState(n, complex(k.c * u.c * c), A, b)
 
 
 def dispersion_gaussian(u: GaussianState, D, t: float) -> GaussianState:
-    """exp(i t D grad.grad) u in closed form (Fourier multiplier)."""
-    D = np.asarray(D, dtype=float)
-    Ainv = np.linalg.inv(u.A)
-    Atil = Ainv + 2j * t * D
-    A_out = np.linalg.inv(Atil)
-    v = Ainv @ u.b
-    c_out = (u.c / (sqrt_det_pd(u.A) * sqrt_det_pd(Atil))
-             * np.exp(0.5 * u.b @ v - 0.5 * v @ A_out @ v))
-    b_out = A_out @ v
-    return GaussianState(u.n, complex(c_out), A_out, b_out)
+    """exp(i t D grad.grad) u in closed form (Fourier multiplier, disperse)."""
+    c, A, b = disperse(u.A, u.b, np.asarray(D, dtype=float), t, NonIntegrableSymbol,
+                       module=_MOD, operation="dispersion_gaussian", what="A")
+    return GaussianState(u.n, complex(u.c * c), A, b)
 
 
 def convolve_gaussian(A_conv, u: GaussianState) -> GaussianState:
@@ -312,29 +298,24 @@ def _centered_lp_norm(c_abs, ReA, p: float):
 
 def _width_ratios(k: GaussianKernel, ls, p: float, q: float):
     """|k u|_q / |u|_p for the centered Gaussian u of width 10^ls, one width
-    per kernel of a stack, and 0 where k u is not integrable.
-
-    This is apply_kernel_gaussian and lp_norm for u = exp(-|x|^2 10^(-2 ls) / 2),
-    run on the stack: their three integrability tests (not_integrable on
-    K_yy + A, sqrt_det_pd_mask on K_yy + A, Re A_out positive definite) give 0
-    entry by entry.  Entries that fail a test continue with identity blocks,
-    so no later step raises.
+    per kernel of a stack: apply_kernel_gaussian and lp_norm for
+    u = exp(-|x|^2 10^(-2 ls) / 2) on the stack, and 0 where the first would
+    raise (gaussian_integral records the entry, or Re A_out is not positive
+    definite); a failed entry goes on with identity blocks.
     """
     n = k.n
     I = np.eye(n)
     s = 10.0 ** (-2 * np.asarray(ls))
-    W = k.K[..., n:, n:] + I * s[..., None, None]
-    Kyx = k.K[..., n:, :n]
-    bad = not_integrable(W)[0]
-    W = np.where(bad[..., None, None], I, W)
-    root, bad_root = sqrt_det_pd_mask(W)
-    bad |= bad_root
-    A = k.K[..., :n, :n] - Kyx.mT @ np.linalg.inv(W) @ Kyx
-    A = (A + A.mT) / 2
-    bad |= np.linalg.eigvalsh(A.real)[..., 0] <= 0
-    A = np.where(bad[..., None, None], I, A)
-    c = np.abs(k.c * (2 * np.pi) ** (n / 2) / root)
-    ratio = _centered_lp_norm(c, A.real, q) / _centered_lp_norm(1.0, I * s[..., None, None], p)
+    K = k.K.copy()
+    K[..., n:, n:] += I * s[..., None, None]
+    checks = Checks(K.shape[:-2])
+    c, A, _ = gaussian_integral(K, None, n, NonIntegrable, module=_MOD,
+                                operation="apply_kernel_gaussian",
+                                what="combined y-quadratic", checks=checks)
+    bad = checks.bad | (np.linalg.eigvalsh(A.real)[..., 0] <= 0)
+    A = np.where(bad[..., None, None], I, A.real)
+    ratio = (_centered_lp_norm(np.abs(k.c * c), A, q)
+             / _centered_lp_norm(1.0, I * s[..., None, None], p))
     return np.where(bad, 0.0, ratio)
 
 
@@ -396,13 +377,14 @@ WIDTH_REFINE = 40  #: golden-section steps after the width grid
 def op_norm_lower_gaussian(k: GaussianKernel, p: float, q: float) -> float:
     """Lower bound on the L^p -> L^q norm over centered isotropic Gaussians
     of width 10^ls, ls on WIDTH_GRID, golden-section refined WIDTH_REFINE times.
-    norm_sweep uses it inside the exponent square only, 1 < p <= q < inf.
+    norm_sweep uses it inside the exponent square only, 1 < p <= q < inf;
+    it requires 1 <= p <= q (ExponentOrder).
 
     A stacked kernel gives the bound of each: the width grid and the
     golden-section steps run in lockstep, one stacked evaluation per step.
     """
-    if not (1 <= p and 1 <= q):
-        raise ExponentOrder(f"(p, q) = ({p}, {q}) out of range", module=_MOD,
+    if not (1 <= p <= q):
+        raise ExponentOrder(f"need 1 <= p <= q, got ({p}, {q})", module=_MOD,
                             operation="op_norm_lower_gaussian")
 
     def ratio(ls):  # one width per kernel

@@ -4,19 +4,15 @@ Symbols: exp(-t q^w) acts, when det cos(tJQ) != 0, as c (e^{-m})^w with
 c = det cos(tJQ)^{-1/2} (on the branch continuous from 1 at t = 0, a
 Pfaffian; see matfun.cos_sin_sqrt_det) and m the form of J^{-1} tan(tJQ).
 
-Kernels: whenever the xi-xi block of m has positive-definite real part, the
-operator (e^{-m})^w is an integral transform with kernel
+Kernels: whenever the xi-xi block B of m has positive-definite real part,
+(e^{-m})^w has the kernel g(x, y) = c exp(-K(x, y).(x, y)/2), stored as the
+prefactor c and the complex symmetric K on the stacked variable (x, y).
 
-    g(x, y) = (2 pi)^{-n/2} det(B)^{-1/2}
-              exp(-k((x+y)/2)/2 - B^{-1}(x-y).(x-y)/2
-                  - i (x-y).B^{-1} L (x+y)/2),
-
-with k of matrix R - L^T B^{-1} L.  Kernels are stored as a prefactor plus a
-complex symmetric matrix on the stacked variable (x, y), so composition,
-application to Gaussian states, and sup-norm extraction are plain linear
-algebra.  Square roots of determinants of complex symmetric matrices with
-positive-definite real part follow the branch that is positive on real
-positive-definite matrices (eigenvalue-wise principal square root).
+Gaussian integrals: kernel synthesis (over xi), composition (the middle
+variable), the dispersion factor (the Fourier variable) and, in evolve,
+kernel application (y) each integrate one block through gaussian_integral,
+whose one decision is check_integrable.  The twisted factors act on a kernel
+in covariance form (twisted_sandwich), with no kernel of order 1/eps.
 
 Sweeps: mehler_symbol and kernel_from_symbol take a whole grid of times at
 once and return symbols and kernels stacked over it.  The grid is one stacked
@@ -110,11 +106,8 @@ def sqrt_det_pd_mask(A) -> tuple[np.ndarray, np.ndarray]:
 def sqrt_det_pd(A) -> complex:
     """The root of sqrt_det_pd_mask; NonIntegrableSymbol on a masked matrix."""
     root, bad = sqrt_det_pd_mask(A)
-    i = first_index(bad)
-    if i is not None:
-        raise NonIntegrableSymbol(
-            "matrix has an eigenvalue with nonpositive real part",
-            module=_MOD, operation="sqrt_det_pd", index=i)
+    Checks()(bad, NonIntegrableSymbol, "matrix has an eigenvalue with nonpositive "
+             "real part", module=_MOD, operation="sqrt_det_pd")
     return root
 
 
@@ -129,20 +122,42 @@ def not_integrable(W) -> tuple[np.ndarray, np.ndarray]:
     int exp(-Wz.z/2) dz is taken to diverge, lambda_min(H) <= _PD_RELATIVE
     |H|_2 for H = sym Re W, and that lambda_min."""
     W = np.asarray(W)
-    H = (W.real + W.real.mT) / 2
-    lam = np.linalg.eigvalsh(H)[..., 0]
-    return lam <= _PD_RELATIVE * np.linalg.norm(H, 2, axis=(-2, -1)), lam
+    lam = np.linalg.eigvalsh((W.real + W.real.mT) / 2)  # |H|_2 = max |lam|
+    return lam[..., 0] <= _PD_RELATIVE * np.abs(lam).max(axis=-1), lam[..., 0]
 
 
-def check_integrable(W, error, *, module: str, operation: str, what: str) -> None:
-    """Raise error from module.operation at the first block of W, named
-    `what`, that not_integrable flags."""
+def check_integrable(W, error, *, module: str, operation: str, what: str,
+                     checks: Checks | None = None) -> None:
+    """Fail, as error from module.operation, the blocks of W, named `what`,
+    that not_integrable flags: Checks(), the default, raises at the first."""
     bad, lam = not_integrable(W)
-    i = first_index(bad)
-    if i is not None:
-        raise error(f"{what} must have positive-definite real part "
-                    f"(lambda_min = {lam.flat[i]:.3e})", module=module,
-                    operation=operation, index=i)
+    (checks or Checks())(bad, error, lambda i: f"{what} must have positive-definite "
+                         f"real part (lambda_min = {lam.flat[i]:.3e})",
+                         module=module, operation=operation)
+
+
+def gaussian_integral(K, b, m, error, *, module: str, operation: str, what: str,
+                      checks: Checks | None = None):
+    """(c, S, l) with int exp(-z.Kz/2 + b.z) dw = c exp(-r.Sr/2 + l.r) over
+    the last m coordinates w of z = (r, w), K (..., d, d) and b (..., d) (or
+    None, for 0) on one entry or a stack: for W = K_ww, S = K_rr - K_rw
+    W^{-1} K_wr, l = b_r - K_rw W^{-1} b_w and c = (2 pi)^{m/2} det(W)^{-1/2}
+    exp(b_w.W^{-1} b_w / 2), the root that of sqrt_det_pd_mask.  The one
+    decision, check_integrable on W, goes to checks: Checks() raises, a
+    recording Checks keeps the failed entries, whose W becomes I.
+    """
+    r, I = K.shape[-1] - m, np.eye(m)
+    b = np.zeros(K.shape[:-1]) if b is None else b
+    checks = Checks() if checks is None else checks
+    check_integrable(K[..., r:, r:], error, module=module, operation=operation,
+                     what=what, checks=checks)
+    W = checks.clean(K[..., r:, r:], I)
+    X = np.linalg.solve(W, np.concatenate([K[..., r:, :r], b[..., r:, None]], axis=-1))
+    S = K[..., :r, :r] - K[..., :r, r:] @ X[..., :r]
+    l = b[..., :r] - (K[..., :r, r:] @ X[..., r:])[..., 0]
+    c = ((2 * np.pi) ** (m / 2) / sqrt_det_pd_mask(W)[0]
+         * np.exp(np.sum(b[..., r:] * X[..., r], axis=-1) / 2))
+    return c, (S + S.mT) / 2, l
 
 
 def mehler_symbol(q: QuadraticForm, t, *,
@@ -171,7 +186,8 @@ def mehler_symbol(q: QuadraticForm, t, *,
 
 
 def kernel_from_symbol(sym: MehlerSymbol) -> GaussianKernel:
-    """Gaussian kernel of sym.c * (e^{-m})^w; requires Re B positive-definite.
+    """Gaussian kernel of sym.c * (e^{-m})^w, the gaussian_integral of
+    (2 pi)^{-n} sym.c exp(i (x - y).xi - m((x + y)/2, xi)) over xi.
 
     Raises NonIntegrableSymbol exactly when the graph condition fails for the
     underlying form (degenerate Re B), in which case the operator has no
@@ -179,20 +195,14 @@ def kernel_from_symbol(sym: MehlerSymbol) -> GaussianKernel:
     kernels stacked over t.
     """
     n = sym.n
-    bf = block_decompose(sym.M)
-    R, L, B = bf.R, bf.L, bf.B
-    check_integrable(B, NonIntegrableSymbol, module=_MOD,
-                     operation="kernel_from_symbol", what="xi-xi block of the symbol")
-    Binv = np.linalg.inv(B)
-    Kk = R - L.mT @ Binv @ L
-    I = np.eye(n)
-    E_mid = np.hstack([I, I]) / 2.0      # (x, y) -> (x + y)/2
-    E_diff = np.hstack([I, -I])          # (x, y) -> x - y
-    K = E_mid.T @ Kk @ E_mid + E_diff.T @ Binv @ E_diff
-    cross = E_diff.T @ (Binv @ L) @ E_mid
-    K = K + 1j * (cross + cross.mT)
-    c = sym.c * (2 * np.pi) ** (-n / 2) / sqrt_det_pd(B)
-    return GaussianKernel(n, c, K)
+    ix, w = np.r_[:n, :n, n:2 * n], np.repeat([1.0, 1.0, 2.0], n)
+    K = sym.M[..., ix[:, None], ix] * np.outer(w, w) / 2  # m at ((x + y)/2, xi)
+    phase = np.kron([[0, 0, -1], [0, 0, 1], [-1, 1, 0]], np.eye(n))  # i (x - y).xi
+    c, K, _ = gaussian_integral(K + 1j * phase, None, n,
+                                NonIntegrableSymbol, module=_MOD,
+                                operation="kernel_from_symbol",
+                                what="xi-xi block of the symbol")
+    return GaussianKernel(n, sym.c * (2 * np.pi) ** -n * c, K)
 
 
 def twisted_kernel(N, eps: float) -> GaussianKernel:
@@ -239,27 +249,59 @@ def diagnostics_PVMN(sym: MehlerSymbol) -> KernelDiagnostics:
 
 
 def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
-    """Exact composition g(x, y) = int g1(x, z) g2(z, y) dz.
-
-    The z-quadratic block must have positive-definite real part; the result
-    follows by completing the square (Schur complement) with the deformation
-    branch of the determinant square root.
-    """
+    """Exact composition g(x, y) = int g1(x, z) g2(z, y) dz, the
+    gaussian_integral over z; the z-z block must have positive-definite real
+    part."""
     if k1.n != k2.n:
         raise DimensionMismatch("kernel dimensions differ", module=_MOD,
                                 operation="compose_kernels")
     n = k1.n
-    P1, Q1, R1 = k1.K[:n, :n], k1.K[:n, n:], k1.K[n:, n:]
-    P2, Q2, R2 = k2.K[:n, :n], k2.K[:n, n:], k2.K[n:, n:]
-    W = R1 + P2
-    check_integrable(W, NonIntegrableComposition, module=_MOD,
-                     operation="compose_kernels", what="middle-variable block")
-    Winv = np.linalg.inv(W)
-    C = np.hstack([Q1.T, Q2])  # linear coefficient of z as a map of (x, y)
-    Z = np.zeros((n, n))
-    K = np.block([[P1, Z], [Z, R2]]) - C.T @ Winv @ C
-    c = k1.c * k2.c * (2 * np.pi) ** (n / 2) / sqrt_det_pd(W)
-    return GaussianKernel(n, complex(c), K)
+    K1, K2, Z = k1.K, k2.K, np.zeros((n, n))
+    K = np.block([[K1[:n, :n], Z, K1[:n, n:]],
+                  [Z, K2[n:, n:], K2[n:, :n]],
+                  [K1[n:, :n], K2[:n, n:], K1[n:, n:] + K2[:n, :n]]])
+    c, K, _ = gaussian_integral(K, None, n, NonIntegrableComposition, module=_MOD,
+                                operation="compose_kernels", what="middle-variable block")
+    return GaussianKernel(n, complex(k1.c * k2.c * c), K)
+
+
+def twisted_sandwich(k: GaussianKernel, N, eps: float) -> GaussianKernel:
+    """Kernel of TW o k o TW, TW = (e^{-(eps/2) |xi - Nx|^2})^w, N real skew,
+    in covariance form: TW g(x, y) = E_w[exp(i w.Nx) g(x - w, y)] and
+    g TW(x, y) = E_w[g(x, y + w) exp(i w.Ny)] for w ~ N(0, eps I), one
+    gaussian_integral over (w1, w2) / sqrt(eps) against the standard normal
+    density, with block I + eps [[K_xx, -K_xy], [-K_yx, K_yy]]: no 1/eps
+    appears, unlike in twisted_kernel, whose entries cancel in composition.
+    """
+    n = k.n
+    sgn = np.repeat([-np.sqrt(eps), np.sqrt(eps)], n)  # x - w1 and y + w2
+    KS = k.K * sgn
+    phase = 1j * np.sqrt(eps) * np.kron(np.eye(2), N)
+    K = np.block([[k.K, KS + phase], [KS.T - phase, sgn[:, None] * KS + np.eye(2 * n)]])
+    c, K, _ = gaussian_integral(K, None, 2 * n, NonIntegrableComposition, module=_MOD,
+                                operation="twisted_sandwich", what="block I + eps A")
+    return GaussianKernel(n, complex(k.c * c * (2 * np.pi) ** -n), K)
+
+
+def disperse(K, b, D, t: float, error, *, module: str, operation: str, what: str):
+    """exp(i t D grad.grad), D real symmetric (even degenerate), on the last n
+    coordinates y of exp(-z.Kz/2 + b.z), z = (x, y), as (c, K', b') for the
+    result c exp(-z.K'z/2 + b'.z): gaussian_integral from y to its Fourier
+    variable eta (block K_yy, named `what`), the multiplier
+    exp(-i t D eta.eta), and gaussian_integral back to y."""
+    n = D.shape[0]
+    r = K.shape[-1] - n
+    keep = np.ix_(*[np.r_[:r, r + n:r + 2 * n]] * 2)  # of (x, new, old); old is integrated
+    c = (2 * np.pi) ** -n
+    for sign, mult, block in ((1j, 0, what), (-1j, 2j * t * D, "transformed " + what)):
+        K2 = np.zeros((r + 2 * n, r + 2 * n), dtype=complex)
+        K2[keep] = K  # old = y, new = eta; then old = eta, new = y
+        K2[r + n:, r + n:] += mult
+        K2[r:r + n, r + n:] = K2[r + n:, r:r + n] = sign * np.eye(n)
+        pf, K, b = gaussian_integral(K2, np.concatenate([b[:r], np.zeros(n), b[r:]]), n,
+                                     error, module=module, operation=operation, what=block)
+        c = c * pf
+    return c, K, b
 
 
 def inverse_twisted(N, s, tol: float, checks: Checks
@@ -347,25 +389,10 @@ def kernel_right_transport(k: GaussianKernel, M, t: float) -> GaussianKernel:
 
 
 def kernel_right_dispersion(k: GaussianKernel, D, t: float) -> GaussianKernel:
-    """Right-compose with exp(i t D grad.grad), D real symmetric.
-
-    The y-slice of the kernel is a Gaussian with positive-definite real part,
-    on which the Fourier multiplier exp(-i t D xi.xi) acts in closed form;
-    degenerate (even zero) D is fine.
-    """
-    D = np.asarray(D, dtype=float)
-    n = k.n
-    A = k.K[n:, n:]
-    Kyx = k.K[n:, :n]
-    check_integrable(A, NonIntegrableSymbol, module=_MOD,
-                     operation="kernel_right_dispersion",
-                     what="y-y block of the kernel")
-    Ainv = np.linalg.inv(A)
-    Atil = Ainv + 2j * t * D
-    SA = np.linalg.inv(Atil)
-    mult = 1.0 / (sqrt_det_pd(A) * sqrt_det_pd(Atil))
-    Mmid = Ainv - Ainv @ SA @ Ainv
-    Kxx = k.K[:n, :n] - Kyx.T @ Mmid @ Kyx
-    Kyx_new = SA @ Ainv @ Kyx
-    K = np.block([[Kxx, Kyx_new.T], [Kyx_new, SA]])
-    return GaussianKernel(n, complex(k.c * mult), K)
+    """Right-compose with exp(i t D grad.grad), D real symmetric (even zero):
+    disperse on the y-slice of the kernel, whose K_yy must be integrable."""
+    c, K, _ = disperse(k.K, np.zeros(2 * k.n), np.asarray(D, dtype=float), t,
+                       NonIntegrableSymbol, module=_MOD,
+                       operation="kernel_right_dispersion",
+                       what="y-y block of the kernel")
+    return GaussianKernel(k.n, complex(k.c * c), K)

@@ -75,14 +75,6 @@ class QuadraticForm:
                 module=_MOD, operation="QuadraticForm")
         self.Q = Q
 
-    @classmethod
-    def from_matrix(cls, Q, tol: float = DEFAULT_TOL) -> "QuadraticForm":
-        Q = np.asarray(Q, dtype=complex)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] % 2 != 0:
-            raise DimensionMismatch(f"Q must be 2n x 2n, got {Q.shape}",
-                                    module=_MOD, operation="from_matrix")
-        return cls(Q.shape[0] // 2, Q, tol)
-
 
 def hamilton_map(q: QuadraticForm) -> np.ndarray:
     """F = JQ."""

@@ -2,7 +2,11 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,3 +620,36 @@ def test_help_exits_zero(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert "--t-grid" in capsys.readouterr().out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_gamma_pencil_failure_is_a_typed_error(capsys):
+    # on this grid the Cholesky inside the gamma pencil fails at a point where
+    # lambda_min(A_t) > 0; that point fails the selection like any other
+    grid = np.logspace(-6, -5, 10)
+    code, out = run_cli(capsys, "decompose", str(ROOT / "bench" / "rank_n_kernel_gate_n2.json"),
+                        "--t", "1e-5", "--t-grid", "1e-6,1e-5,10")
+    rep = json.loads(out)
+    assert code in (EXIT_OK, EXIT_MATH)
+    if code == EXIT_MATH:
+        assert rep["kind"] == "GammaCollapsed"
+        named = re.search(r"at t = (\S+) ", rep["error"]).group(1)
+        assert named in {f"{t:.3g}" for t in grid}
+
+
+def test_norms_rejects_p_above_q(capsys):
+    code, out = run_cli(capsys, "norms", "--fixture", "heat", "--p", "3", "--q", "2",
+                        "--t", "0.1")
+    rep = json.loads(out)
+    assert code == EXIT_MATH
+    assert (rep["kind"], rep["operation"]) == ("ExponentOrder", "op_norm_lower_gaussian")
+
+
+def test_python_m_qsemi_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-m", "qsemi", "analyze", "--fixture", "heat"],
+                         capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert json.loads(run.stdout)["k0"] == 0

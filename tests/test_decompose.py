@@ -1,5 +1,8 @@
 """Factorization machinery tests: polar factors, three-factor splitting,
 Strang middle term, gamma selection, end-to-end decomposition."""
+import json
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from qsemi import (
     unitary_factorization,
     verify_decomposition,
 )
-from qsemi import decompose
+from qsemi import cli, decompose
 from qsemi.decompose import _three_factor_product
 from qsemi.matfun import Checks
 from qsemi.errors import (
@@ -635,3 +638,67 @@ def test_kolmogorov_splitting_kernel_level():
     k_full = kernel_from_symbol(mehler_symbol(q_full, t))
     assert abs(k_split.c - k_full.c) < 1e-10 * abs(k_full.c)
     assert np.linalg.norm(k_split.K - k_full.K) < 1e-9
+
+
+# --- the kernel gate in the t -> 0 regime -----------------------------------
+
+#: a rank-n form on which the kernel residual of verify used to reach 3e-2 at
+#: t = 1e-4, from the 1/s entries of the near-delta twisted kernel
+REPRODUCER = Path(__file__).resolve().parents[1] / "bench" / "rank_n_kernel_gate_n2.json"
+KERNEL_GRID = np.logspace(-3, -2, 10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_kernel_gate_rank_n_forms_at_small_t(n):
+    rng = np.random.default_rng(400 + n)
+    for _ in range(4):
+        q = random_accretive(rng, n, rank=n)
+        report = singular_space(q)
+        sel = select_gamma(q, report, graph_condition(report), KERNEL_GRID)
+        for t in (1e-5, 1e-3, 1e-2):
+            r = verify_decomposition(build_decomposition(q, t, gamma_sel=sel))
+            assert r["matrix_residual"] < 1e-9, (n, t)
+            assert r["kernel_residual"] <= 1e-10, (n, t)
+
+
+def test_kernel_gate_with_a_skew_certificate():
+    # kolmogorov conjugated by the shear (x, xi) -> (x, xi + Gx) of a skew G:
+    # its certificate has N != 0, so the twisted factors carry a phase
+    G = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    q = conjugate_by_linear(kolmogorov(), shear_transform(G))
+    assert np.abs(graph_condition(singular_space(q)).N).max() > 0.1
+    for t in (1e-5, 1e-3, 1e-2):
+        r = verify_decomposition(build_decomposition(q, t, t_grid=KERNEL_GRID))
+        assert r["kernel_residual"] <= 1e-10, t
+
+
+@pytest.mark.parametrize("t", ["1e-2", "1e-3", "1e-4", "1e-5", "1e-6"])
+def test_kernel_gate_reproducer_passes_verify(capsys, t):
+    code = cli.main(["verify", str(REPRODUCER), "--t", t])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_OK, rep
+    assert rep["kernel_residual"] <= 1e-10
+
+
+def test_gammas_fails_a_point_whose_pencil_cholesky_fails(monkeypatch):
+    # eigvalsh can find lambda_min(A_t) > 0 where the pencil's Cholesky of
+    # A_t still fails: that grid point fails, as one with lambda_min <= 0 does
+    q = kolmogorov()
+    cert = graph_condition(singular_space(q))
+    U = decompose._perp_basis(singular_space(q).basis, 4)
+    Nbar = U.T @ twisted_form_matrix(cert.N) @ U
+    ts = np.array([1e-3, 1e-2, 5e-2])
+    pol = decompose._polar(q, ts, 1e-9, Checks())
+    eigh = sla.eigh
+
+    def failing_eigh(a, b, **kwargs):
+        if np.allclose(b, U.T @ pol.A[1] @ U, rtol=1e-12, atol=0):
+            raise np.linalg.LinAlgError("leading minor of order 2 of B is not positive definite")
+        return eigh(a, b, **kwargs)
+
+    monkeypatch.setattr(decompose.sla, "eigh", failing_eigh)
+    checks = Checks(ts.shape)
+    decompose._gammas(pol, U, Nbar, 3, tol=1e-9, checks=checks)
+    assert checks.bad.tolist() == [False, True, False]
+    with pytest.raises(GammaCollapsed, match="at t = 0.01 "):
+        decompose._gammas(pol, U, Nbar, 3, tol=1e-9, checks=Checks())

@@ -1,10 +1,11 @@
 """The Gaussian integrability decision, taken in one place (mehler.not_integrable).
 
 Every site that integrates a Gaussian over a variable (kernel synthesis, the
-kernel diagnostics, kernel composition, the right dispersion action, kernel
-application to a Gaussian state, and the lower bound's stacked width search)
-must reach the same verdict on the same quadratic block, each raising its own
-error type.  The blocks below are diag(1, x) with x = 0 (the graph condition
+kernel diagnostics, kernel composition, the twisted factors in covariance
+form, the right dispersion action, kernel application to a Gaussian state,
+and the lower bound's stacked width search) must reach the same verdict on
+the same quadratic block, each raising its own error type.  All but the
+diagnostics integrate through one primitive, mehler.gaussian_integral.  The blocks below are diag(1, x) with x = 0 (the graph condition
 failing exactly), x = 2^-41 (just below the relative threshold 1e-12) and
 x = 2^-39 (just above it); both are exact in the sums the sites form.
 """
@@ -26,13 +27,16 @@ from qsemi.errors import (
     QsemiError,
 )
 from qsemi.evolve import _width_ratios
+from qsemi.matfun import Checks
 from qsemi.mehler import (
     GaussianKernel,
     MehlerSymbol,
+    gaussian_integral,
     kernel_right_dispersion,
     not_integrable,
     sqrt_det_pd,
     sqrt_det_pd_mask,
+    twisted_sandwich,
 )
 from qsemi.quadform import BlockForm
 
@@ -70,6 +74,10 @@ SITES = {
     "kernel_right_dispersion": (lambda x: kernel_right_dispersion(kernel(I2, block(x)), I2, 0.1),
                                 NonIntegrableSymbol, "kernel_right_dispersion"),
     "apply_kernel_gaussian": (apply_site, NonIntegrable, "apply_kernel_gaussian"),
+    # the block I + eps A of the covariance form, at eps = 1: diag(1, x, 1, 1)
+    "twisted_sandwich": (lambda x: twisted_sandwich(kernel(np.diag([0.0, x - 1.0]), Z2),
+                                                    Z2, 1.0),
+                         NonIntegrableComposition, "twisted_sandwich"),
 }
 
 
@@ -141,3 +149,56 @@ def test_sqrt_det_pd_mask_matches_the_raising_form():
     with pytest.raises(NonIntegrableSymbol) as info:
         sqrt_det_pd(A)
     assert info.value.index == 1
+
+
+SITE = {"module": "test", "operation": "site", "what": "W"}
+
+
+def random_forms(rng, count, d):
+    """count complex symmetric d x d matrices with positive-definite real part,
+    and linear terms."""
+    G = rng.standard_normal((count, d, d))
+    S = rng.standard_normal((count, d, d))
+    K = G @ G.mT + 0.1 * np.eye(d) + 0.5j * (S + S.mT)
+    return K, rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+
+
+def test_gaussian_integral_stacked_matches_one_entry():
+    rng = np.random.default_rng(17)
+    failing = (2, 5)
+    for d, m in ((2, 1), (4, 2), (5, 2), (6, 3), (3, 3)):
+        K, b = random_forms(rng, 8, d)
+        K[failing, d - m:, d - m:] = 0.0  # no decay in w
+        checks = Checks((8,))
+        c, S, l = gaussian_integral(K, b, m, NonIntegrable, checks=checks, **SITE)
+        assert checks.bad.tolist() == [j in failing for j in range(8)]
+        kept = [j for j in range(8) if j not in failing]
+        # the failed entries leave the others as they are without them
+        c2, S2, l2 = gaussian_integral(K[kept], b[kept], m, NonIntegrable, **SITE)
+        for j, (cj, Sj, lj) in zip(kept, zip(c2, S2, l2)):
+            c1, S1, l1 = gaussian_integral(K[j], b[j], m, NonIntegrable, **SITE)
+            for one, stacked in ((c1, c[j]), (S1, S[j]), (l1, l[j]), (c1, cj), (S1, Sj),
+                                 (l1, lj)):
+                assert np.linalg.norm(stacked - one) <= 1e-14 * max(np.linalg.norm(one), 1e-300)
+        for j in failing:
+            with pytest.raises(NonIntegrable) as info:
+                gaussian_integral(K[j], b[j], m, NonIntegrable, **SITE)
+            assert (info.value.operation, info.value.module) == ("site", "test")
+        with pytest.raises(NonIntegrable) as info:
+            gaussian_integral(K, b, m, NonIntegrable, **SITE)
+        assert info.value.index == failing[0]
+
+
+def test_gaussian_integral_matches_quadrature():
+    # one integrated coordinate: the trapezoid rule on a wide, fine grid is
+    # exact to rounding for a Gaussian
+    rng = np.random.default_rng(23)
+    K, b = random_forms(rng, 3, 3)
+    w = np.linspace(-30.0, 30.0, 60001)
+    r = np.array([0.3, -0.7])
+    for Kj, bj in zip(K, b):
+        c, S, l = gaussian_integral(Kj, bj, 1, NonIntegrable, **SITE)
+        z = np.concatenate([np.broadcast_to(r[:, None], (2, w.size)), w[None]])
+        f = np.exp(-0.5 * np.einsum("ik,ij,jk->k", z, Kj, z) + bj @ z)
+        ref = np.trapezoid(f, w)
+        assert abs(c * np.exp(-0.5 * r @ S @ r + l @ r) - ref) <= 1e-12 * abs(ref)

@@ -30,7 +30,7 @@ from qsemi.fixtures import (
     shifted_diagonal,
     x_squared,
 )
-from qsemi.mehler import MehlerSymbol
+from qsemi.mehler import MehlerSymbol, twisted_sandwich
 
 
 def graph_fixtures():
@@ -292,6 +292,30 @@ def test_compose_kolmogorov_semigroup():
     k12 = compose_kernels(k1, k2)
     ktot = kernel_from_symbol(mehler_symbol(kolmogorov(), t1 + t2))
     assert kernel_close(k12, ktot.c, ktot.K, rtol=1e-9)
+
+
+def test_twisted_sandwich_matches_composition_with_the_twisted_kernel():
+    # at moderate eps the 1/eps entries of twisted_kernel cancel harmlessly in
+    # compose_kernels, which checks the covariance form's signs and phases
+    N = np.array([[0.0, 0.8], [-0.8, 0.0]])
+    for q, t in ((kolmogorov(), 0.1), (harmonic(2), 0.3), (heat(2), 0.05)):
+        k = kernel_from_symbol(mehler_symbol(q, t))
+        for eps in (0.05, 0.4):
+            tw = twisted_kernel(N, eps)
+            ref = compose_kernels(compose_kernels(tw, k), tw)
+            assert kernel_close(twisted_sandwich(k, N, eps), ref.c, ref.K, rtol=1e-12)
+
+
+def test_twisted_sandwich_stays_accurate_as_eps_vanishes():
+    # TW -> identity, so the sandwich tends to k; its change is of order
+    # eps |K| down to rounding, with no 1/eps entry to cancel
+    k = kernel_from_symbol(mehler_symbol(kolmogorov(), 1e-3))
+    N = np.array([[0.0, 0.8], [-0.8, 0.0]])
+    for eps in (1e-14, 1e-18, 1e-22, 1e-26):
+        rel = eps * np.linalg.norm(k.K) + 1e-15
+        kt = twisted_sandwich(k, N, eps)
+        assert abs(kt.c - k.c) <= 2 * rel * abs(k.c)
+        assert np.linalg.norm(kt.K - k.K) <= 2 * rel * np.linalg.norm(k.K)
 
 
 # --- twisted inversion --------------------------------------------------------
