@@ -28,7 +28,7 @@ from .evolve import (
     op_norm_1_inf,
 )
 from .fixtures import fixture_names, get_fixture
-from .matfun import DEFAULT_TOL, psd_check
+from .matfun import DEFAULT_TOL
 from .mehler import diagnostics_PVMN, kernel_from_symbol, mehler_symbol
 from .quadform import QuadraticForm, block_decompose
 from .singular import graph_condition, singular_space
@@ -144,7 +144,8 @@ def resolve_tol(flag: float | None, problem: dict) -> float:
 
 
 def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticForm:
-    """Build the form from --fixture, else from the problem file's object."""
+    """Build the form from --fixture, else from the problem file's object,
+    whose Re Q QuadraticForm must find PSD within tol (ParseError if not)."""
     if fixture:
         return get_fixture(fixture)
     try:
@@ -162,12 +163,10 @@ def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticFor
     scale = max(1.0, float(np.linalg.norm(Q)))
     if np.linalg.norm(Q - Q.T) > 1e-9 * scale:
         raise _parse_error("Q is not symmetric within 1e-9", "load_problem")
-    ok, lam = psd_check(Q.real, tol=1e-9 * scale)
-    if not ok:
-        raise _parse_error(
-            f"Re Q is not positive semidefinite (lambda_min = {lam:.3e})",
-            "load_problem")
-    return QuadraticForm(n, Q, tol)
+    try:
+        return QuadraticForm(n, Q, tol)
+    except errors.NotPSDWithinTol as exc:
+        raise _parse_error(str(exc), "load_problem") from exc
 
 
 def load_t_grid(flag: str | None, problem: dict) -> np.ndarray | None:

@@ -477,13 +477,6 @@ def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
                        checks=Checks())
 
 
-def _phase_shadow(theta: np.ndarray) -> np.ndarray:
-    n = theta.shape[0]
-    I = np.eye(n)
-    Z = np.zeros((n, n))
-    return np.block([[I, Z], [theta, I]])
-
-
 def verify_decomposition(f: DecompositionFactors) -> dict:
     """Check the factorization at matrix and kernel level.
 
@@ -499,13 +492,13 @@ def verify_decomposition(f: DecompositionFactors) -> dict:
     J = standard_J(n)
 
     twisted = sla.expm(-2j * J @ (s * f.Rs))  # the shadow on both sides of the middle
-    shadow = _phase_shadow(f.Gsym)
+    shadow = shear_transform(f.Gsym)
     shadow = shadow @ twisted
     shadow = shadow @ sla.expm(-2j * J @ (t * f.Pt))
     shadow = shadow @ twisted
     shadow = shadow @ sla.expm(-2j * t * J @ (1j * embed_xixi(f.D_op)))
     shadow = shadow @ sla.expm(-2j * t * J @ (-1j * embed_cross(f.M_op)))
-    shadow = shadow @ _phase_shadow(t * f.W_op - f.Gsym)
+    shadow = shadow @ shear_transform(t * f.W_op - f.Gsym)
     direct = sla.expm(-2j * t * J @ q.Q)
     matrix_residual = float(np.linalg.norm(shadow - direct))
 

@@ -69,11 +69,8 @@ class GaussianState:
             raise DimensionMismatch(f"A {A.shape} / b {b.shape} for n = {self.n}",
                                     module=_MOD, operation="GaussianState")
         A = (A + A.T) / 2
-        lam = float(np.linalg.eigvalsh(A.real).min())
-        if lam <= 0:
-            raise NonIntegrable(f"Re A must be positive-definite "
-                                f"(lambda_min = {lam:.3e})",
-                                module=_MOD, operation="GaussianState")
+        check_integrable(A, NonIntegrable, module=_MOD, operation="GaussianState",
+                         what="A")
         self.A, self.b = A, b
 
     def __call__(self, x):
@@ -300,8 +297,8 @@ def _width_ratios(k: GaussianKernel, ls, p: float, q: float):
     """|k u|_q / |u|_p for the centered Gaussian u of width 10^ls, one width
     per kernel of a stack: apply_kernel_gaussian and lp_norm for
     u = exp(-|x|^2 10^(-2 ls) / 2) on the stack, and 0 where the first would
-    raise (gaussian_integral records the entry, or Re A_out is not positive
-    definite); a failed entry goes on with identity blocks.
+    raise (gaussian_integral, or check_integrable on the output's A, records
+    the entry); a failed entry goes on with identity blocks.
     """
     n = k.n
     I = np.eye(n)
@@ -312,11 +309,12 @@ def _width_ratios(k: GaussianKernel, ls, p: float, q: float):
     c, A, _ = gaussian_integral(K, None, n, NonIntegrable, module=_MOD,
                                 operation="apply_kernel_gaussian",
                                 what="combined y-quadratic", checks=checks)
-    bad = checks.bad | (np.linalg.eigvalsh(A.real)[..., 0] <= 0)
-    A = np.where(bad[..., None, None], I, A.real)
+    check_integrable(A, NonIntegrable, module=_MOD, operation="GaussianState",
+                     what="A", checks=checks)
+    A = np.where(checks.bad[..., None, None], I, A.real)
     ratio = (_centered_lp_norm(np.abs(k.c * c), A, q)
              / _centered_lp_norm(1.0, I * s[..., None, None], p))
-    return np.where(bad, 0.0, ratio)
+    return np.where(checks.bad, 0.0, ratio)
 
 
 def op_norm_1_inf(k: GaussianKernel, *, tol: float = DEFAULT_TOL) -> float:
@@ -567,12 +565,13 @@ def miraculous_bound_check(N, eps: float, D, u, axes=None) -> float:
 
     TW the twisted diffusion with parameter eps, r of matrix
     (eps^2 I + D^2)^{-1}.  Gaussian states evaluate both sides in closed
-    form; grid inputs are supported for D = 0 only (no warp).
+    form (TW by _twisted_gaussian); grid inputs, for D = 0 only (no warp),
+    by quadrature against twisted_kernel.
     """
     N = np.asarray(N, dtype=float)
     D = np.asarray(D, dtype=float)
     n = N.shape[0]
-    ktw = twisted_kernel(N, eps)
+    ktw = twisted_kernel(N, eps)  # checks N and eps; the grid path applies it
     Rmat = np.linalg.inv(eps ** 2 * np.eye(n) + D @ D)
     pref = (2 * np.pi) ** (-n / 2) * float(np.linalg.det(
         eps ** 2 * np.eye(n) + D @ D)) ** (-0.25)
@@ -580,7 +579,7 @@ def miraculous_bound_check(N, eps: float, D, u, axes=None) -> float:
         axes = tuple((-8.0, 8.0, 65) for _ in range(n))
 
     if isinstance(u, GaussianState):
-        lhs_state = apply_kernel_gaussian(ktw, _half_dispersion(u, D))
+        lhs_state = _twisted_gaussian(_half_dispersion(u, D), N, eps)
         rhs_state = convolve_gaussian(eps * Rmat, u.modulus())
         X = _grid_points(axes).reshape(n, -1)
         lhs = np.abs(lhs_state(X))
@@ -598,6 +597,19 @@ def miraculous_bound_check(N, eps: float, D, u, axes=None) -> float:
         return float((lhs - rhs).max())
     raise DimensionMismatch(f"unsupported input {type(u)}", module=_MOD,
                             operation="miraculous_bound_check")
+
+
+def _twisted_gaussian(u: GaussianState, N, eps: float) -> GaussianState:
+    """TW u, TW = (e^{-(eps/2) |xi - Nx|^2})^w, in covariance form as in
+    mehler.twisted_sandwich: E_w[exp(i w.Nx) u(x - w)], w ~ N(0, eps I), one
+    gaussian_integral over w / sqrt(eps) with block I + eps A: no 1/eps entry."""
+    n, r = u.n, np.sqrt(eps)
+    Kxw = -r * u.A + 1j * r * N
+    K = np.block([[u.A, Kxw], [Kxw.T, np.eye(n) + eps * u.A]])
+    c, A, b = gaussian_integral(K, np.concatenate([u.b, -r * u.b]), n, NonIntegrable,
+                                module=_MOD, operation="miraculous_bound_check",
+                                what="block I + eps A")
+    return GaussianState(n, complex(u.c * c * (2 * np.pi) ** (-n / 2)), A, b)
 
 
 def _half_dispersion(u: GaussianState, D) -> GaussianState:

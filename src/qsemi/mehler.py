@@ -10,9 +10,11 @@ prefactor c and the complex symmetric K on the stacked variable (x, y).
 
 Gaussian integrals: kernel synthesis (over xi), composition (the middle
 variable), the dispersion factor (the Fourier variable) and, in evolve,
-kernel application (y) each integrate one block through gaussian_integral,
-whose one decision is check_integrable.  The twisted factors act on a kernel
-in covariance form (twisted_sandwich), with no kernel of order 1/eps.
+kernel application (y) each integrate one block through gaussian_integral.
+Its one decision, check_integrable (not_integrable, reported), is also the
+only integrability test of sqrt_det_pd and of evolve's Gaussian states.
+The twisted factors act on a kernel in covariance form (twisted_sandwich),
+with no kernel of order 1/eps.
 
 Sweeps: mehler_symbol and kernel_from_symbol take a whole grid of times at
 once and return symbols and kernels stacked over it.  The grid is one stacked
@@ -90,27 +92,6 @@ class KernelDiagnostics:
     Nright: np.ndarray
 
 
-def sqrt_det_pd_mask(A) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(det A) for complex symmetric A with positive-definite real part,
-    or for each matrix of a stack (..., m, m), and the mask of the matrices
-    with an eigenvalue of nonpositive real part, whose root is off the branch.
-
-    Every eigenvalue has positive real part, so the product of principal
-    square roots is the continuous deformation of the positive branch on
-    real positive-definite matrices.
-    """
-    w = np.linalg.eigvals(np.asarray(A, dtype=complex))
-    return np.exp(0.5 * np.sum(np.log(w), axis=-1))[()], (w.real <= 0).any(axis=-1)
-
-
-def sqrt_det_pd(A) -> complex:
-    """The root of sqrt_det_pd_mask; NonIntegrableSymbol on a masked matrix."""
-    root, bad = sqrt_det_pd_mask(A)
-    Checks()(bad, NonIntegrableSymbol, "matrix has an eigenvalue with nonpositive "
-             "real part", module=_MOD, operation="sqrt_det_pd")
-    return root
-
-
 #: positive-definiteness is judged relative to the block scale so that
 #: legitimately tiny smoothing blocks (order t^(2 k0 + 1)) are not rejected,
 #: while exact zeros (graph condition failing) always are
@@ -136,13 +117,29 @@ def check_integrable(W, error, *, module: str, operation: str, what: str,
                          module=module, operation=operation)
 
 
+def _sqrt_det(W) -> np.ndarray:
+    """sqrt(det W) of each block W (..., m, m) that not_integrable passes, as
+    the product of the principal roots of its eigenvalues, all in Re > 0: the
+    positive branch on real positive-definite W, deformed continuously."""
+    w = np.linalg.eigvals(np.asarray(W, dtype=complex))
+    return np.exp(0.5 * np.sum(np.log(w), axis=-1))[()]
+
+
+def sqrt_det_pd(A) -> complex:
+    """_sqrt_det of A (..., m, m) after check_integrable, which raises
+    NonIntegrableSymbol at the first failing matrix."""
+    check_integrable(A, NonIntegrableSymbol, module=_MOD, operation="sqrt_det_pd",
+                     what="matrix")
+    return _sqrt_det(A)
+
+
 def gaussian_integral(K, b, m, error, *, module: str, operation: str, what: str,
                       checks: Checks | None = None):
     """(c, S, l) with int exp(-z.Kz/2 + b.z) dw = c exp(-r.Sr/2 + l.r) over
     the last m coordinates w of z = (r, w), K (..., d, d) and b (..., d) (or
     None, for 0) on one entry or a stack: for W = K_ww, S = K_rr - K_rw
     W^{-1} K_wr, l = b_r - K_rw W^{-1} b_w and c = (2 pi)^{m/2} det(W)^{-1/2}
-    exp(b_w.W^{-1} b_w / 2), the root that of sqrt_det_pd_mask.  The one
+    exp(b_w.W^{-1} b_w / 2), the root that of _sqrt_det.  The one
     decision, check_integrable on W, goes to checks: Checks() raises, a
     recording Checks keeps the failed entries, whose W becomes I.
     """
@@ -155,7 +152,7 @@ def gaussian_integral(K, b, m, error, *, module: str, operation: str, what: str,
     X = np.linalg.solve(W, np.concatenate([K[..., r:, :r], b[..., r:, None]], axis=-1))
     S = K[..., :r, :r] - K[..., :r, r:] @ X[..., :r]
     l = b[..., :r] - (K[..., :r, r:] @ X[..., r:])[..., 0]
-    c = ((2 * np.pi) ** (m / 2) / sqrt_det_pd_mask(W)[0]
+    c = ((2 * np.pi) ** (m / 2) / _sqrt_det(W)
          * np.exp(np.sum(b[..., r:] * X[..., r], axis=-1) / 2))
     return c, (S + S.mT) / 2, l
 

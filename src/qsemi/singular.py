@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidTolerance
-from .matfun import DEFAULT_TOL, null_space
+from .matfun import DEFAULT_TOL
 from .quadform import QuadraticForm, hamilton_map
 
 _MOD = "singular"
@@ -58,10 +58,12 @@ class GraphCertificate:
 def singular_space(q: QuadraticForm, tol: float = DEFAULT_TOL) -> SingularSpaceReport:
     """Compute S, its dimension and the global index k0.
 
-    All 2n iterates Re(Q) (Im F)^l are stacked and a single SVD kernel call
-    produces S; k0 comes from the ranks of the incremental stacks, which are
-    monotone, using one consistent absolute threshold.  tol must lie in
-    (0, 1) (InvalidTolerance).
+    All 2n iterates Re(Q) (Im F)^l are stacked, and one SVD of the stack
+    gives its rank (singular values >= tol * sigma_max, or >= tol when
+    sigma_max < tol), the two singular values bracketing it, and S, spanned
+    by the right singular vectors past it.  k0 is the first l whose prefix
+    stack of levels 0..l has that rank (the whole stack at l = 2n - 1).
+    tol must lie in (0, 1) (InvalidTolerance).
     """
     _check_tol(tol, "singular_space")
     n2 = 2 * q.n
@@ -74,24 +76,19 @@ def singular_space(q: QuadraticForm, tol: float = DEFAULT_TOL) -> SingularSpaceR
         P = P @ ImF
     full = np.vstack(blocks)
 
-    sv = np.linalg.svd(full, compute_uv=False)
+    _, sv, vh = np.linalg.svd(full.astype(complex))
     smax = sv[0] if sv.size else 0.0
     thresh = tol * smax if smax >= tol else tol
-    rank_full = int((sv >= thresh).sum())
-    dim_S = n2 - rank_full
-    kept = float(sv[rank_full - 1]) if rank_full > 0 else float("nan")
-    dropped = float(sv[rank_full]) if rank_full < sv.size else 0.0
+    rank = int((sv >= thresh).sum())
+    dim_S = n2 - rank
+    kept = float(sv[rank - 1]) if rank > 0 else float("nan")
+    dropped = float(sv[rank]) if rank < sv.size else 0.0
+    basis = vh[rank:].T.real  # the stack is real, so S is a real subspace
 
-    basis = null_space(full, tol=tol)
-    if basis.shape[1] != dim_S:  # null_space uses its own threshold; same rule
-        dim_S = basis.shape[1]
-    basis = basis.real  # all stacked matrices are real, so S is a real subspace
-
-    k0 = 0
-    for k in range(n2):
-        stack_k = np.vstack(blocks[: k + 1])
-        sv_k = np.linalg.svd(stack_k, compute_uv=False)
-        if n2 - int((sv_k >= thresh).sum()) == dim_S:
+    k0 = n2 - 1
+    for k in range(n2 - 1):
+        sv_k = np.linalg.svd(np.vstack(blocks[: k + 1]), compute_uv=False)
+        if int((sv_k >= thresh).sum()) == rank:
             k0 = k
             break
     return SingularSpaceReport(basis=basis, k0=k0, dim=dim_S, tol=tol,

@@ -130,6 +130,22 @@ def test_problem_file_rejects_nonaccretive(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("lam_min, tol, code", [
+    (-1e-10, "1e-12", EXIT_PARSE), (-1e-10, "1e-3", EXIT_OK), (-1e-10, None, EXIT_OK),
+    (-1e-6, "1e-12", EXIT_PARSE), (-1e-6, "1e-3", EXIT_OK), (-1e-6, None, EXIT_PARSE)])
+def test_positivity_of_re_q_is_judged_at_the_runs_tolerance(tmp_path, capsys, monkeypatch,
+                                                           lam_min, tol, code):
+    # one decision, QuadraticForm's at tol |Q|; a failure is a parse error
+    monkeypatch.delenv("QSEMI_TOL", raising=False)
+    path = tmp_path / "slightly_negative.json"
+    path.write_text(json.dumps({"n": 1, "Q_re": [[lam_min, 0.0], [0.0, 1.0]]}))
+    got, out = run_cli(capsys, "analyze", str(path), *(["--tol", tol] if tol else []))
+    assert got == code
+    if code == EXIT_PARSE:
+        assert json.loads(out)["kind"] == "ParseError"
+        assert f"lambda_min = {lam_min:.3e}" in json.loads(out)["error"]
+
+
 def test_missing_input_is_parse_error(capsys):
     code, out = run_cli(capsys, "analyze")
     assert code == EXIT_PARSE

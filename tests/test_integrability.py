@@ -3,11 +3,14 @@
 Every site that integrates a Gaussian over a variable (kernel synthesis, the
 kernel diagnostics, kernel composition, the twisted factors in covariance
 form, the right dispersion action, kernel application to a Gaussian state,
-and the lower bound's stacked width search) must reach the same verdict on
-the same quadratic block, each raising its own error type.  All but the
-diagnostics integrate through one primitive, mehler.gaussian_integral.  The blocks below are diag(1, x) with x = 0 (the graph condition
-failing exactly), x = 2^-41 (just below the relative threshold 1e-12) and
-x = 2^-39 (just above it); both are exact in the sums the sites form.
+and the lower bound's stacked width search), and every site that asks a
+Gaussian block to be integrable (a GaussianState's A, sqrt_det_pd), must
+reach the same verdict on the same quadratic block, each raising its own
+error type.  All but the diagnostics, GaussianState and sqrt_det_pd
+integrate through one primitive, mehler.gaussian_integral.  The blocks below
+are diag(1, x) with x = 0 (the graph condition failing exactly), x = 2^-41
+(just below the relative threshold 1e-12) and x = 2^-39 (just above it);
+both are exact in the sums the sites form.
 """
 import numpy as np
 import pytest
@@ -35,7 +38,6 @@ from qsemi.mehler import (
     kernel_right_dispersion,
     not_integrable,
     sqrt_det_pd,
-    sqrt_det_pd_mask,
     twisted_sandwich,
 )
 from qsemi.quadform import BlockForm
@@ -78,6 +80,9 @@ SITES = {
     "twisted_sandwich": (lambda x: twisted_sandwich(kernel(np.diag([0.0, x - 1.0]), Z2),
                                                     Z2, 1.0),
                          NonIntegrableComposition, "twisted_sandwich"),
+    "GaussianState": (lambda x: GaussianState(2, 1.0, block(x), np.zeros(2)),
+                      NonIntegrable, "GaussianState"),
+    "sqrt_det_pd": (lambda x: sqrt_det_pd(block(x)), NonIntegrableSymbol, "sqrt_det_pd"),
 }
 
 
@@ -139,16 +144,21 @@ def test_width_ratios_zero_exactly_where_apply_raises():
         assert raised_any and passed_any
 
 
-def test_sqrt_det_pd_mask_matches_the_raising_form():
+def test_sqrt_det_pd_raises_at_the_first_failing_matrix():
     A = np.stack([block(ABOVE), np.diag([1.0, -1.0]).astype(complex),
                   np.array([[2.0, 1j], [1j, 1.0]])])
-    root, bad = sqrt_det_pd_mask(A)
-    assert bad.tolist() == [False, True, False]
-    assert root[0] == sqrt_det_pd(A[0]) and root[2] == sqrt_det_pd(A[2])
-    assert abs(root[2] - np.sqrt(3.0)) < 1e-15
     with pytest.raises(NonIntegrableSymbol) as info:
         sqrt_det_pd(A)
     assert info.value.index == 1
+    assert abs(sqrt_det_pd(A[2]) - np.sqrt(3.0)) < 1e-15
+
+
+def test_sqrt_det_pd_rejects_an_indefinite_real_part():
+    # det = -0.2 + 9 = 8.8 and both eigenvalues have positive real part, yet
+    # Re A = diag(2, -0.1) is indefinite: the Gaussian diverges
+    with pytest.raises(NonIntegrableSymbol) as info:
+        sqrt_det_pd(np.array([[2.0, 3j], [3j, -0.1]]))
+    assert "lambda_min = -1.000e-01" in str(info.value)
 
 
 SITE = {"module": "test", "operation": "site", "what": "W"}

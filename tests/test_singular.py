@@ -6,15 +6,18 @@ SVD), so the two paths share no code.
 """
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.linalg import null_space as scipy_null_space
 
 from qsemi import (
+    QuadraticForm,
     conjugate_by_linear,
     graph_condition,
     hamilton_map,
     isotropic_cone_check,
     shear_transform,
     singular_space,
+    standard_J,
 )
 from qsemi.decompose import polar_factors
 from qsemi.errors import InvalidTolerance
@@ -200,6 +203,47 @@ def test_transformation_law_under_shear():
         target = np.linalg.inv(L) @ rep.basis
         assert subspace_distance(rept.basis, target) < 1e-8
         assert rept.k0 == rep.k0
+
+
+def seeded_forms():
+    """The fixtures, their conjugates by random symplectic maps (the same dim
+    and k0), and random forms whose Re Q has rank r < 2n: with a random Im Q
+    the stack fills up after about 2n / r levels, without one S = Ker Re Q."""
+    rng = np.random.default_rng(71)
+    forms = [heat(1), heat(2), harmonic(1), kolmogorov(), fokker_planck(),
+             shifted_diagonal(), x_squared()]
+    for q in list(forms):
+        H = rng.standard_normal((2 * q.n, 2 * q.n))
+        forms.append(conjugate_by_linear(q, expm(standard_J(q.n) @ (H + H.T) / 4)))
+    for n in (1, 2, 3):
+        for r in range(1, 2 * n):
+            X = rng.standard_normal((2 * n, r))
+            S = rng.standard_normal((2 * n, 2 * n))
+            for im in (S + S.T, np.zeros((2 * n, 2 * n))):
+                forms.append(QuadraticForm(n, X @ X.T + 1j * im))
+    return forms
+
+
+def test_one_rank_decision_gives_dim_basis_gap_and_k0():
+    # brute force: the rank of every prefix stack of levels 0..l, each
+    # judged against the whole stack's largest singular value (the level by
+    # level oracle above judges each level against its own, which on the
+    # conjugated forms keeps rounding noise of 1e-17 as rank)
+    for q in seeded_forms():
+        rep = singular_space(q)
+        ImF = hamilton_map(q).imag
+        levels = [q.Q.real @ np.linalg.matrix_power(ImF, l) for l in range(2 * q.n)]
+        smax = np.linalg.norm(np.vstack(levels), 2)
+        thresh = rep.tol * smax if smax >= rep.tol else rep.tol
+        dims = [2 * q.n - np.linalg.matrix_rank(np.vstack(levels[:l + 1]), tol=thresh)
+                for l in range(2 * q.n)]
+        assert rep.dim == dims[-1]
+        assert rep.k0 == oracle_k0(dims)
+        assert rep.dim == 2 * q.n or rep.sv_kept >= thresh
+        assert rep.sv_dropped < thresh
+        assert rep.basis.shape == (2 * q.n, rep.dim)
+        assert np.abs(rep.basis.T @ rep.basis - np.eye(rep.dim)).max(initial=0.0) < 1e-12
+        assert np.abs(np.vstack(levels) @ rep.basis).max(initial=0.0) <= 2 * thresh
 
 
 def test_report_gap_is_exposed():
