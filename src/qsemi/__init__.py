@@ -75,7 +75,6 @@ from .singular import (
     GraphCertificate,
     SingularSpaceReport,
     graph_condition,
-    isotropic_cone_check,
     singular_space,
 )
 

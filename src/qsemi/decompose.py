@@ -19,8 +19,8 @@ operator-convention matrices stored in DecompositionFactors.
 
 Every per-t stage (_polar, _unitary, mehler.inverse_twisted, _strang and
 the checks of _factors_at) is one piece of code that runs at one time or
-stacked over a grid of times; select_gamma runs the whole grid at once, and
-the public stage functions and build_decomposition run it at one t.
+stacked over a grid of times; select_gamma runs the grid and the build time
+t at once, and the public stage functions run at one t.
 
 Matrix exponentials: a time point of the build forms at most six, each once.
 _polar forms exp(-2itJQ), exp(-2itJ conj Q), exp(+-2itJA) and S = exp(2tJB)
@@ -35,7 +35,7 @@ residual checks these closed forms independently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -133,11 +133,14 @@ class GammaSelection:
     t_grid: np.ndarray
     gamma_grid: np.ndarray
     stop_reason: str | None = None   # "<error type>: <message>" that ended t0
+    factors: DecompositionFactors = field(repr=False, default=None)  # grid, then t
+    t_failed: bool = False           # whether the entry at t failed a check
 
 
 @dataclass
 class DecompositionFactors:
-    """Everything needed to evaluate and verify the factorization at time t."""
+    """Everything needed to evaluate and verify the factorization at time t,
+    or stacked over the times of select_gamma's pass; indexing picks one."""
     q: QuadraticForm
     t: float
     G: np.ndarray
@@ -151,9 +154,17 @@ class DecompositionFactors:
     Rs: np.ndarray
     prefactor: float
     s: float
-    t0: float
+    t0: float = float("nan")         # the validity horizon, set by select_gamma
     polar: PolarFactors = field(repr=False, default=None)
     q_sheared: QuadraticForm = field(repr=False, default=None)
+
+    def __getitem__(self, i) -> "DecompositionFactors":
+        u = self.unitary
+        return replace(self, t=self.t[i], c_t=self.c_t[i], Pt=self.Pt[i],
+                       unitary=replace(u, D=u.D[i], M=u.M[i], W=u.W[i],
+                                       residual=u.residual[i]),
+                       Rs=self.Rs[i], prefactor=self.prefactor[i], s=self.s[i],
+                       polar=self.polar[i])
 
     # operator-convention factor matrices (see module docstring)
     @property
@@ -233,13 +244,13 @@ def _three_factor_product(D, M, W, t):
     return np.block([[L + X @ R @ Y, X @ R], [R @ Y, R]])
 
 
-def _unitary(S, t, checks: Checks) -> UnitaryFactors:
+def _unitary(S, t, tol: float, checks: Checks) -> UnitaryFactors:
     """unitary_factorization of S = exp(2tJB) at t > 0, a time or an array of
     times (S and the factors stacked over them)."""
     n = S.shape[-1] // 2
     t = np.asarray(t, dtype=float)[..., None, None]
     S12, S21, S22 = S[..., :n, n:], S[..., n:, :n], S[..., n:, n:]
-    M = _log(S22.mT, DEFAULT_TOL, checks).real / t
+    M = _log(S22.mT, tol, checks).real / t
     S22 = checks.clean(S22, np.eye(n))
     W = -np.linalg.solve(S22, S21) / t
     D = -np.linalg.solve(S22.mT, S12.mT).mT / (2 * t)
@@ -265,7 +276,7 @@ def unitary_factorization(B, t: float) -> UnitaryFactors:
     if t == 0:
         return UnitaryFactors(D=-B[n:, n:], M=-2 * B[n:, :n], W=2 * B[:n, :n],
                               residual=0.0, iterations=0)
-    return _unitary(sla.expm(2 * t * standard_J(n) @ B), t, Checks())
+    return _unitary(sla.expm(2 * t * standard_J(n) @ B), t, DEFAULT_TOL, Checks())
 
 
 def _strang(A, B, EA, EB, tol: float, checks: Checks) -> np.ndarray:
@@ -308,14 +319,7 @@ def default_t_grid(t_max: float = 0.1) -> np.ndarray:
     return np.logspace(-3, np.log10(t_max), 20)
 
 
-def _perp_basis(basis: np.ndarray, n2: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(basis)."""
-    if basis.shape[1] == 0:
-        return np.eye(n2)
-    return null_space(basis.T.astype(complex)).real
-
-
-def _factors_at(q, q_sheared, cert, gamma, alpha, pol, t0, *, tol,
+def _factors_at(q, q_sheared, cert, gamma, alpha, pol, *, tol,
                 checks: Checks) -> DecompositionFactors:
     """Run every per-t stage at (pol.t, gamma) on the polar factors pol, at
     one time or stacked over a grid, and return the factors.
@@ -326,7 +330,7 @@ def _factors_at(q, q_sheared, cert, gamma, alpha, pol, t0, *, tol,
     """
     op = "build_decomposition"
     t = np.asarray(pol.t, dtype=float)
-    uni = _unitary(pol.S, t, checks)
+    uni = _unitary(pol.S, t, tol, checks)
     s = gamma * t ** alpha
     Rs, pf, ERs = inverse_twisted(cert.N, s, tol, checks)
     Nmat = twisted_form_matrix(cert.N)
@@ -346,7 +350,7 @@ def _factors_at(q, q_sheared, cert, gamma, alpha, pol, t0, *, tol,
     return DecompositionFactors(
         q=q, t=t[()], G=cert.G, N=cert.N, Gsym=cert.Gsym, gamma=gamma,
         alpha=alpha, c_t=c_t[()], Pt=P / t[..., None, None], unitary=uni, Rs=Rs,
-        prefactor=pf[()], s=s[()], t0=t0, polar=pol, q_sheared=q_sheared)
+        prefactor=pf[()], s=s[()], polar=pol, q_sheared=q_sheared)
 
 
 def _gammas(pol, U, Nbar, alpha, *, tol, checks: Checks) -> np.ndarray:
@@ -376,7 +380,7 @@ def _gammas(pol, U, Nbar, alpha, *, tol, checks: Checks) -> np.ndarray:
 
 
 def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
-                 cert: GraphCertificate, t_grid=None, *,
+                 cert: GraphCertificate, t_grid=None, *, t: float | None = None,
                  tol: float = DEFAULT_TOL) -> GammaSelection:
     """Pick the twisted-diffusion strength gamma and the validity horizon t0.
 
@@ -392,28 +396,37 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     stages at gamma.  Each records its failed entries; the first of them is
     run again alone, which raises (first pass) or names (second pass) the
     error a loop over the ascending grid meets first.  The grid must be
-    nonempty and every point positive (DegenerateTime).
+    nonempty and every point positive (DegenerateTime).  The build time t,
+    when given, is one extra last entry of both passes that gamma and t0
+    never see: its failure only sets t_failed.  factors keeps the second
+    pass's factors (a failed entry holds cleaned values); the default grid
+    reaches t.
     """
     if cert is None:
         raise GraphConditionFailed("no graph certificate", module=_MOD,
                                    operation="select_gamma")
-    t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, float).ravel()
+    t_grid = (default_t_grid(max(0.1, t or 0)) if t_grid is None
+              else np.asarray(t_grid, float).ravel())
     if t_grid.size == 0:
         raise DegenerateTime("the t grid is empty", module=_MOD, operation="select_gamma")
-    i = first_index(~(t_grid > 0))
+    times = np.append(t_grid, [] if t is None else t)
+    i = first_index(~(times > 0))
     if i is not None:
-        raise DegenerateTime(f"grid point t = {t_grid[i]} is not positive",
+        raise DegenerateTime(f"grid point t = {times[i]} is not positive",
                              module=_MOD, operation="select_gamma", index=i)
-    t_grid = np.sort(t_grid)
+    G = t_grid.size
+    times[:G] = t_grid = np.sort(t_grid)
     q_sheared = conjugate_by_linear(q, shear_transform(cert.Gsym))
-    report_sh = singular_space(q_sheared, tol=report.tol)
     alpha = 2 * report.k0 + 1
-    U = _perp_basis(report_sh.basis, 2 * q.n)
+    # S(q o T) = T^-1 S(q) (T^-1: shear by -Gsym), so no second rank decision
+    U = null_space((shear_transform(-cert.Gsym) @ report.basis).T).real
     Nbar = U.T @ twisted_form_matrix(cert.N) @ U
-    checks = Checks(t_grid.shape)
-    pol = _polar(q_sheared, t_grid, tol, checks)
-    gammas = _gammas(pol, U, Nbar, alpha, tol=tol, checks=checks)
-    for i in np.flatnonzero(checks.bad):
+    checks = Checks(times.shape)
+    pol = _polar(q_sheared, times, tol, checks)
+    grid = Checks()
+    grid.bad = checks.bad[:G]  # a view: the grid's failures land in checks
+    gammas = _gammas(pol[:G], U, Nbar, alpha, tol=tol, checks=grid)
+    for i in np.flatnonzero(grid.bad):
         try:
             p = _polar(q_sheared, t_grid[i], tol, Checks())
         except (QsemiError, np.linalg.LinAlgError) as exc:
@@ -422,17 +435,17 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
         gammas[i] = _gammas(p, U, Nbar, alpha, tol=tol, checks=Checks())
         # the stacked pass failed where this passes
         pol.A[i], pol.B[i], pol.EA[i], pol.S[i] = p.A, p.B, p.EA, p.S
+        pol.recon_residual[i] = p.recon_residual
     gamma = 0.9 * float(gammas.min())
     if not np.isfinite(gamma) or gamma <= 0:
         raise GammaCollapsed(f"gamma = {gamma}", module=_MOD,
                              operation="select_gamma")
-    checks = Checks(t_grid.shape)
-    _factors_at(q, q_sheared, cert, gamma, alpha, pol, pol.t, tol=tol, checks=checks)
+    grid.bad[:] = False  # the reruns mended the grid; a failed t entry stays failed
+    factors = _factors_at(q, q_sheared, cert, gamma, alpha, pol, tol=tol, checks=checks)
     t0, stop_reason = float(t_grid[-1]), None
-    for i in np.flatnonzero(checks.bad):
+    for i in np.flatnonzero(grid.bad):
         try:
-            _factors_at(q, q_sheared, cert, gamma, alpha, pol[i], pol.t[i], tol=tol,
-                        checks=Checks())
+            _factors_at(q, q_sheared, cert, gamma, alpha, pol[i], tol=tol, checks=Checks())
         except (QsemiError, np.linalg.LinAlgError) as exc:
             t0 = float(t_grid[i - 1]) if i else 0.0
             stop_reason = f"{type(exc).__name__}: {exc}"
@@ -441,17 +454,18 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
         why = f": {stop_reason}" if stop_reason else ""
         raise GammaCollapsed(f"no grid point passes the validity predicates{why}",
                              module=_MOD, operation="select_gamma")
-    return GammaSelection(gamma, t0, t_grid, gammas, stop_reason)
+    return GammaSelection(gamma, t0, t_grid, gammas, stop_reason,
+                          replace(factors, t0=t0), bool(checks.bad[G:].any()))
 
 
 def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
-                        gamma_sel: GammaSelection | None = None,
                         tol: float = DEFAULT_TOL) -> DecompositionFactors:
     """Run the full pipeline at time t > 0 and return the factor data.
 
-    Pipeline: singular space -> graph certificate -> shear conjugation ->
-    gamma selection -> at t, the per-t stages and checks that set t0 (polar
-    factors, unitary split, twisted inversion, Strang middle) -> prefactor.
+    Pipeline: singular space -> graph certificate -> select_gamma, whose
+    stacked passes run t with the grid (shear, polar factors, unitary split,
+    twisted inversion, Strang middle, prefactor) -> its entry at t.  Beyond
+    t0, TimeTooLarge; a failure at t runs the stages again alone, and raises.
     """
     if not t > 0:
         raise DegenerateTime(f"t = {t} must be positive", module=_MOD,
@@ -462,19 +476,18 @@ def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
         raise GraphConditionFailed(
             "singular space meets {0} x R^n; the factorization hypothesis fails",
             module=_MOD, operation="build_decomposition")
-    if gamma_sel is None:
-        if t_grid is None and t > 0.1:
-            t_grid = default_t_grid(t_max=t)
-        gamma_sel = select_gamma(q, report, cert, t_grid, tol=tol)
+    gamma_sel = select_gamma(q, report, cert, t_grid, t=t, tol=tol)
     if t > gamma_sel.t0 * (1 + 1e-12):
         why = f": {gamma_sel.stop_reason}" if gamma_sel.stop_reason else ""
         raise TimeTooLarge(f"t = {t} beyond the validity horizon t0 = "
                            f"{gamma_sel.t0}{why}", module=_MOD,
                            operation="build_decomposition")
-    q_sheared = conjugate_by_linear(q, shear_transform(cert.Gsym))
-    return _factors_at(q, q_sheared, cert, gamma_sel.gamma, 2 * report.k0 + 1,
-                       polar_factors(q_sheared, t, tol=tol), gamma_sel.t0, tol=tol,
-                       checks=Checks())
+    f = gamma_sel.factors
+    if not gamma_sel.t_failed:
+        return f[-1]
+    pol = _polar(f.q_sheared, t, tol, Checks())  # alone at t, a failure raises
+    f = _factors_at(q, f.q_sheared, cert, f.gamma, f.alpha, pol, tol=tol, checks=Checks())
+    return replace(f, t0=gamma_sel.t0)
 
 
 def verify_decomposition(f: DecompositionFactors) -> dict:

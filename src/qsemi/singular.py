@@ -122,16 +122,3 @@ def graph_condition(report: SingularSpaceReport, tol: float = DEFAULT_TOL,
     Gsym = (G + G.T) / 2
     return GraphCertificate(G=G, N=N, Gsym=Gsym)
 
-
-def isotropic_cone_check(a, report: SingularSpaceReport) -> float:
-    """max over basis columns v of |a(v)| for a real symmetric PSD matrix a.
-
-    Zero (vacuously) when S is trivial; small residuals certify that the form
-    a vanishes on S.
-    """
-    a = np.asarray(a, dtype=float)
-    basis = np.asarray(report.basis, dtype=float)
-    if basis.shape[1] == 0:
-        return 0.0
-    vals = np.einsum("ij,ik,kj->j", basis, a, basis)
-    return float(np.abs(vals).max())

@@ -26,7 +26,6 @@ from qsemi import (
     mehler_symbol,
     miraculous_bound_check,
     op_norm_1_inf,
-    select_gamma,
     singular_space,
     standard_J,
     strang_middle,
@@ -176,10 +175,8 @@ def test_criterion_06_end_to_end_decomposition():
     worst_mat = 0.0
     worst_ker = 0.0
     for q in (heat(1), shifted_diagonal(), kolmogorov()):
-        rep = singular_space(q)
-        sel = select_gamma(q, rep, graph_condition(rep))
         for t in (0.01, 0.02, 0.05):
-            f = build_decomposition(q, t, gamma_sel=sel)
+            f = build_decomposition(q, t)
             r = verify_decomposition(f)
             worst_mat = max(worst_mat, r["matrix_residual"])
             worst_ker = max(worst_ker, r["kernel_residual"])

@@ -1,6 +1,7 @@
 """Factorization machinery tests: polar factors, three-factor splitting,
 Strang middle term, gamma selection, end-to-end decomposition."""
 import json
+import sys
 from pathlib import Path
 
 import mpmath
@@ -13,7 +14,6 @@ from qsemi import (
     build_decomposition,
     conjugate_by_linear,
     get_fixture,
-    isotropic_cone_check,
     kernel_from_symbol,
     mehler_inverse_twisted,
     mehler_symbol,
@@ -29,8 +29,9 @@ from qsemi import (
 )
 from qsemi import cli, decompose
 from qsemi.decompose import _three_factor_product
-from qsemi.matfun import Checks
+from qsemi.matfun import Checks, null_space
 from qsemi.errors import (
+    BranchCut,
     DegenerateTime,
     GammaCollapsed,
     NotPSDWithinTol,
@@ -76,14 +77,14 @@ def test_polar_kolmogorov():
     pol = polar_factors(q, 0.05)
     assert pol.recon_residual < 1e-10
     assert np.linalg.eigvalsh(pol.A).min() >= -1e-12
-    assert isotropic_cone_check(pol.A, rep) < 1e-9
+    assert abs(rep.basis.T @ pol.A @ rep.basis).max() < 1e-9
 
 
 def test_polar_vanishes_on_singular_space_all_fixtures():
     for q in (heat(2), harmonic(1), kolmogorov(), shifted_diagonal()):
         rep = singular_space(q)
         pol = polar_factors(q, 0.03)
-        assert isotropic_cone_check(pol.A, rep) < 1e-8
+        assert abs(rep.basis.T @ pol.A @ rep.basis).max(initial=0.0) < 1e-8
 
 
 # --- unitary factorization ----------------------------------------------------
@@ -306,7 +307,7 @@ def test_gamma_kolmogorov_stable_across_grid():
 
 def test_select_gamma_propagates_programming_errors(monkeypatch):
     # only QsemiError and LinAlgError end the t0 prefix; a bug surfaces
-    def broken(B, t, checks):
+    def broken(S, t, tol, checks):
         raise TypeError("broken stage")
     monkeypatch.setattr(decompose, "_unitary", broken)
     q = heat(1)
@@ -358,7 +359,7 @@ def reference_select_gamma(q, report, cert, t_grid, tol=1e-9):
     q_sh = conjugate_by_linear(q, shear_transform(cert.Gsym))
     alpha = 2 * report.k0 + 1
     Nmat = twisted_form_matrix(cert.N)
-    U = decompose._perp_basis(singular_space(q_sh, tol=report.tol).basis, 2 * q.n)
+    U = null_space(singular_space(q_sh, tol=report.tol).basis.T).real
     Nbar = U.T @ Nmat @ U
     gammas, pols = [], []
     for t in t_grid:
@@ -473,10 +474,14 @@ def test_select_gamma_rejects_an_empty_grid():
         select_gamma(q, rep, graph_condition(rep), [])
 
 
-@pytest.mark.parametrize("t", [0.0, -0.01])
+@pytest.mark.parametrize("t", [0.0, -0.01, np.nan])
 def test_build_rejects_nonpositive_time(t):
     with pytest.raises(DegenerateTime):
         build_decomposition(heat(1), t)
+    rep = singular_space(heat(1))
+    with pytest.raises(DegenerateTime, match="is not positive") as exc:
+        select_gamma(heat(1), rep, graph_condition(rep), t=t)
+    assert exc.value.index == len(decompose.default_t_grid())
 
 
 def gamma_t_mpmath(q_sh, cert, t, dps=40):
@@ -527,6 +532,86 @@ def test_build_one_polar_split_per_grid_point(monkeypatch):
     assert sum(splits) == len(decompose.default_t_grid()) + 1
 
 
+def count_calls(monkeypatch, module, name):
+    """The list that grows by one at each call of module.name, from whichever
+    qsemi module makes it."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    for m in list(sys.modules.values()):
+        if getattr(m, "__name__", "").startswith("qsemi") and vars(m).get(name) is real:
+            monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+def test_verify_runs_each_stage_once(capsys, monkeypatch):
+    # t joins select_gamma's stacked passes, whose singular space is the shear
+    # image of the one decided: nothing is run a second time at t
+    from qsemi import quadform, singular
+    calls = {name: count_calls(monkeypatch, module, name)
+             for module, name in ((singular, "singular_space"),
+                                  (quadform, "conjugate_by_linear"),
+                                  (decompose, "_polar"), (decompose, "_factors_at"))}
+    assert cli.main(["verify", "--fixture", "kolmogorov"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+
+
+def fail_unitary_at(monkeypatch, t_bad):
+    """Make the unitary split fail the entry at time t_bad, alone or stacked."""
+    unitary = decompose._unitary
+
+    def failing(S, t, tol, checks):
+        checks(np.asarray(t) == t_bad, BranchCut,
+               lambda i: f"planted failure at entry {i}", module="decompose",
+               operation="unitary_factorization")
+        return unitary(S, t, tol, checks)
+    monkeypatch.setattr(decompose, "_unitary", failing)
+
+
+def test_a_failure_only_at_t_raises_what_the_stages_raise_alone_at_t(monkeypatch):
+    q, t = kolmogorov(), 0.0123
+    rep = singular_space(q)
+    cert = graph_condition(rep)
+    want = select_gamma(q, rep, cert, t=t)
+    fail_unitary_at(monkeypatch, t)
+    sel = select_gamma(q, rep, cert, t=t)
+    assert sel.t_failed and not want.t_failed
+    assert (sel.gamma, sel.t0, sel.stop_reason) == (want.gamma, want.t0, want.stop_reason)
+    q_sh = sel.factors.q_sheared
+    with pytest.raises(QsemiError) as alone:
+        decompose._factors_at(q, q_sh, cert, sel.gamma, sel.factors.alpha,
+                              decompose._polar(q_sh, t, 1e-9, Checks()), tol=1e-9,
+                              checks=Checks())
+    with pytest.raises(QsemiError) as built:
+        build_decomposition(q, t)
+    assert type(built.value) is type(alone.value) is BranchCut
+    assert str(built.value) == str(alone.value)
+    assert "entry 0" in str(built.value)
+
+
+def test_a_time_beyond_t0_is_too_large_before_any_failure_at_t(monkeypatch):
+    fail_unitary_at(monkeypatch, 0.2)
+    with pytest.raises(TimeTooLarge, match="t0 = 0.1"):
+        build_decomposition(kolmogorov(), 0.2, t_grid=np.logspace(-3, -1, 20))
+
+
+def test_every_log_of_a_build_takes_the_runs_tolerance(monkeypatch):
+    from qsemi import matfun
+    tols = []
+    log = matfun.log_principal
+
+    def spy(Z, X, tol, checks):
+        tols.append(tol)
+        return log(Z, X, tol, checks)
+    for module in (decompose, matfun):
+        monkeypatch.setattr(module, "log_principal", spy)
+    build_decomposition(kolmogorov(), 0.05, tol=1e-7)
+    assert tols and set(tols) == {1e-7}
+
+
 # --- end-to-end ------------------------------------------------------------------
 
 def test_build_heat_factors_collapse():
@@ -572,10 +657,8 @@ def test_verify_fixtures_three_times():
     fixtures = [heat(1), shifted_diagonal(), kolmogorov(), harmonic(1),
                 fokker_planck()]
     for q in fixtures:
-        rep = singular_space(q)
-        sel = select_gamma(q, rep, graph_condition(rep))
         for t in (0.01, 0.02, 0.05):
-            f = build_decomposition(q, t, gamma_sel=sel)
+            f = build_decomposition(q, t)
             r = verify_decomposition(f)
             assert r["matrix_residual"] < 1e-9, (q, t)
             assert r["kernel_residual"] < 1e-6, (q, t)
@@ -653,10 +736,8 @@ def test_kernel_gate_rank_n_forms_at_small_t(n):
     rng = np.random.default_rng(400 + n)
     for _ in range(4):
         q = random_accretive(rng, n, rank=n)
-        report = singular_space(q)
-        sel = select_gamma(q, report, graph_condition(report), KERNEL_GRID)
         for t in (1e-5, 1e-3, 1e-2):
-            r = verify_decomposition(build_decomposition(q, t, gamma_sel=sel))
+            r = verify_decomposition(build_decomposition(q, t, t_grid=KERNEL_GRID))
             assert r["matrix_residual"] < 1e-9, (n, t)
             assert r["kernel_residual"] <= 1e-10, (n, t)
 
@@ -685,7 +766,7 @@ def test_gammas_fails_a_point_whose_pencil_cholesky_fails(monkeypatch):
     # A_t still fails: that grid point fails, as one with lambda_min <= 0 does
     q = kolmogorov()
     cert = graph_condition(singular_space(q))
-    U = decompose._perp_basis(singular_space(q).basis, 4)
+    U = null_space(singular_space(q).basis.T).real
     Nbar = U.T @ twisted_form_matrix(cert.N) @ U
     ts = np.array([1e-3, 1e-2, 5e-2])
     pol = decompose._polar(q, ts, 1e-9, Checks())

@@ -1,12 +1,12 @@
 """Singular space, global index and graph condition tests.
 
 The independent oracle intersects the kernels of Re(Q)(Im F)^l one level at
-a time with scipy's null_space (the package stacks all levels into a single
-SVD), so the two paths share no code.
+a time with scipy's SVD (the package stacks all levels into a single SVD), so
+the two paths share no code.
 """
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, svd
 from scipy.linalg import null_space as scipy_null_space
 
 from qsemi import (
@@ -14,7 +14,6 @@ from qsemi import (
     conjugate_by_linear,
     graph_condition,
     hamilton_map,
-    isotropic_cone_check,
     shear_transform,
     singular_space,
     standard_J,
@@ -32,21 +31,33 @@ from qsemi.fixtures import (
 
 
 def iterated_kernel_oracle(q):
-    """Intersect Ker(Re Q (Im F)^l) level by level; returns (basis, dims)."""
+    """Intersect Ker(Re Q (Im F)^l) level by level; returns (basis, dims).
+
+    Every level is judged against one scale, the largest singular value of
+    the whole stack: judged against its own, a level that is zero up to
+    rounding would keep its noise as rank."""
     n2 = 2 * q.n
     ReQ = q.Q.real
     ImF = hamilton_map(q).imag
+    levels = [ReQ @ np.linalg.matrix_power(ImF, level) for level in range(n2)]
+    thresh = 1e-10 * np.linalg.norm(np.vstack(levels), 2)
     basis = np.eye(n2)
     dims = []
-    for level in range(n2):
-        M = ReQ @ np.linalg.matrix_power(ImF, level)
+    for M in levels:
         if basis.shape[1] == 0:
             dims.append(0)
             continue
-        K = scipy_null_space(M @ basis, rcond=1e-10)
-        basis = basis @ K
+        _, sv, vh = svd(M @ basis)
+        basis = basis @ vh[int((sv > thresh).sum()):].T
         dims.append(basis.shape[1])
     return basis, dims
+
+
+def conjugated_kolmogorov():
+    """kolmogorov conjugated by a symplectic map expm(J H / 2): its zero
+    levels are zero only up to rounding (singular values ~1e-17)."""
+    H = np.random.default_rng(0).standard_normal((4, 4))
+    return conjugate_by_linear(kolmogorov(), expm(standard_J(2) @ (H + H.T) / 4))
 
 
 def oracle_k0(dims):
@@ -109,7 +120,7 @@ def test_fokker_planck_singular_space():
 
 def test_all_fixtures_match_oracle():
     for q in (heat(1), heat(2), harmonic(1), kolmogorov(), fokker_planck(),
-              shifted_diagonal(), x_squared()):
+              shifted_diagonal(), x_squared(), conjugated_kolmogorov()):
         rep = singular_space(q)
         basis, dims = iterated_kernel_oracle(q)
         assert rep.dim == basis.shape[1]
@@ -158,22 +169,22 @@ def test_graph_membership_characterization():
 def test_isotropic_cone_heat():
     q = heat(2)
     rep = singular_space(q)
-    assert isotropic_cone_check(q.Q.real, rep) < 1e-14
+    assert abs(rep.basis.T @ q.Q.real @ rep.basis).max() < 1e-14
 
 
 def test_isotropic_cone_empty_basis():
-    rep = singular_space(kolmogorov())
-    # vacuous on the trivial-subspace report of the harmonic oscillator
-    rep0 = singular_space(harmonic(1))
-    assert isotropic_cone_check(np.eye(2), rep0) == 0.0
-    del rep
+    # the trivial singular space of the harmonic oscillator has no basis
+    # column, so every form vanishes on it
+    rep = singular_space(harmonic(1))
+    assert rep.basis.shape == (2, 0)
+    assert abs(rep.basis.T @ np.eye(2) @ rep.basis).max(initial=0.0) == 0.0
 
 
 def test_isotropic_cone_polar_factor():
     q = shifted_diagonal()
     rep = singular_space(q)
     pol = polar_factors(q, 0.1)
-    assert isotropic_cone_check(pol.A, rep) < 1e-9
+    assert abs(rep.basis.T @ pol.A @ rep.basis).max() < 1e-9
 
 
 def test_stability_under_perturbation():
@@ -226,9 +237,7 @@ def seeded_forms():
 
 def test_one_rank_decision_gives_dim_basis_gap_and_k0():
     # brute force: the rank of every prefix stack of levels 0..l, each
-    # judged against the whole stack's largest singular value (the level by
-    # level oracle above judges each level against its own, which on the
-    # conjugated forms keeps rounding noise of 1e-17 as rank)
+    # judged against the whole stack's largest singular value
     for q in seeded_forms():
         rep = singular_space(q)
         ImF = hamilton_map(q).imag
