@@ -63,7 +63,6 @@ from .mehler import (
 from .quadform import (
     BlockForm,
     QuadraticForm,
-    block_assemble,
     block_decompose,
     conjugate_by_linear,
     evaluate,

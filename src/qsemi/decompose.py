@@ -20,7 +20,9 @@ operator-convention matrices stored in DecompositionFactors.
 Every per-t stage (_polar, _unitary, mehler.inverse_twisted, _strang and
 the checks of _factors_at) is one piece of code that runs at one time or
 stacked over a grid of times; select_gamma runs the grid and the build time
-t at once, and the public stage functions run at one t.
+t at once, and the public stage functions run at one t.  A stacked pass
+records each failed entry's first error (matfun.Checks), so no entry is run
+again alone to learn it.
 
 Matrix exponentials: a time point of the build forms at most six, each once.
 _polar forms exp(-2itJQ), exp(-2itJ conj Q), exp(+-2itJA) and S = exp(2tJB)
@@ -134,7 +136,7 @@ class GammaSelection:
     gamma_grid: np.ndarray
     stop_reason: str | None = None   # "<error type>: <message>" that ended t0
     factors: DecompositionFactors = field(repr=False, default=None)  # grid, then t
-    t_failed: bool = False           # whether the entry at t failed a check
+    t_error: QsemiError | None = None  # the first error of the entry at t
 
 
 @dataclass
@@ -362,17 +364,18 @@ def _gammas(pol, U, Nbar, alpha, *, tol, checks: Checks) -> np.ndarray:
     # one LAPACK generalized eigenproblem per t: on rank-n forms the pencil is
     # ill-conditioned (another reduction moves gamma_t by up to 1e-5), and its
     # Cholesky of A_t can fail though lambda_min(A_t) > 0, which fails that t
-    bad = lam <= 0
+    chol = np.zeros(t.shape, dtype=bool)
     mu = np.zeros(t.shape)
     for k in np.ndindex(t.shape):
-        if Nbar.size and not bad[k]:
+        if Nbar.size and lam[k] > 0:
             try:
                 mu[k] = sla.eigh(Nbar, Abar[k], eigvals_only=True).max()
             except np.linalg.LinAlgError:
-                bad[k] = True
-    checks(bad, GammaCollapsed,
-           lambda i: f"A_t not positive on the complement of S at t = {t.flat[i]:.3g} "
-                     f"(lambda_min = {lam.flat[i]:.3e})",
+                chol[k] = True
+    checks((lam <= 0) | chol, GammaCollapsed,
+           lambda i: ("the pencil's Cholesky of A_t failed" if chol.flat[i] else
+                      "A_t not positive on the complement of S")
+                     + f" at t = {t.flat[i]:.3g} (lambda_min = {lam.flat[i]:.3e})",
            module=_MOD, operation="select_gamma")
     vanishes = mu <= tol  # the twisted form vanishes on the complement
     t_alpha = checks.clean(t, 1.0) ** (1 - alpha)
@@ -393,14 +396,15 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     stop_reason names the error that ended it.
 
     Two stacked passes over the grid: polar factors and gamma_t, then the
-    stages at gamma.  Each records its failed entries; the first of them is
-    run again alone, which raises (first pass) or names (second pass) the
-    error a loop over the ascending grid meets first.  The grid must be
-    nonempty and every point positive (DegenerateTime).  The build time t,
-    when given, is one extra last entry of both passes that gamma and t0
-    never see: its failure only sets t_failed.  factors keeps the second
-    pass's factors (a failed entry holds cleaned values); the default grid
-    reaches t.
+    stages at gamma.  Each records every failed entry's first error, the one
+    a loop over the ascending grid would meet there.  The first failed grid
+    entry of the first pass raises its error (a polar one wrapped in
+    GammaCollapsed); that of the second pass ends t0 and is stop_reason.
+    The grid must be nonempty and every point positive (DegenerateTime).
+    The build time t, when given, is one extra last entry of the polar
+    factors and of the second pass that gamma and t0 never see: its first
+    error only sets t_error.  factors keeps the second pass's factors (a
+    failed entry holds cleaned values); the default grid reaches t.
     """
     if cert is None:
         raise GraphConditionFailed("no graph certificate", module=_MOD,
@@ -423,39 +427,30 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     Nbar = U.T @ twisted_form_matrix(cert.N) @ U
     checks = Checks(times.shape)
     pol = _polar(q_sheared, times, tol, checks)
-    grid = Checks()
-    grid.bad = checks.bad[:G]  # a view: the grid's failures land in checks
+    grid = Checks(G)
+    grid.bad |= checks.bad[:G]  # a failed polar entry keeps the polar error
     gammas = _gammas(pol[:G], U, Nbar, alpha, tol=tol, checks=grid)
-    for i in np.flatnonzero(grid.bad):
-        try:
-            p = _polar(q_sheared, t_grid[i], tol, Checks())
-        except (QsemiError, np.linalg.LinAlgError) as exc:
-            raise GammaCollapsed(f"polar factors failed at t = {t_grid[i]:.3g}: {exc}",
-                                 module=_MOD, operation="select_gamma") from exc
-        gammas[i] = _gammas(p, U, Nbar, alpha, tol=tol, checks=Checks())
-        # the stacked pass failed where this passes
-        pol.A[i], pol.B[i], pol.EA[i], pol.S[i] = p.A, p.B, p.EA, p.S
-        pol.recon_residual[i] = p.recon_residual
+    i = first_index(grid.bad)
+    if i in checks.errors:
+        exc = checks.errors[i]
+        raise GammaCollapsed(f"polar factors failed at t = {t_grid[i]:.3g}: {exc}",
+                             module=_MOD, operation="select_gamma") from exc
+    if i is not None:
+        raise grid.errors[i]
     gamma = 0.9 * float(gammas.min())
     if not np.isfinite(gamma) or gamma <= 0:
         raise GammaCollapsed(f"gamma = {gamma}", module=_MOD,
                              operation="select_gamma")
-    grid.bad[:] = False  # the reruns mended the grid; a failed t entry stays failed
     factors = _factors_at(q, q_sheared, cert, gamma, alpha, pol, tol=tol, checks=checks)
-    t0, stop_reason = float(t_grid[-1]), None
-    for i in np.flatnonzero(grid.bad):
-        try:
-            _factors_at(q, q_sheared, cert, gamma, alpha, pol[i], tol=tol, checks=Checks())
-        except (QsemiError, np.linalg.LinAlgError) as exc:
-            t0 = float(t_grid[i - 1]) if i else 0.0
-            stop_reason = f"{type(exc).__name__}: {exc}"
-            break
-    if t0 == 0.0:
-        why = f": {stop_reason}" if stop_reason else ""
-        raise GammaCollapsed(f"no grid point passes the validity predicates{why}",
+    i = first_index(checks.bad[:G])
+    exc = None if i is None else checks.errors[i]
+    stop_reason = None if exc is None else f"{type(exc).__name__}: {exc}"
+    if i == 0:
+        raise GammaCollapsed(f"no grid point passes the validity predicates: {stop_reason}",
                              module=_MOD, operation="select_gamma")
+    t0 = float(t_grid[-1 if i is None else i - 1])
     return GammaSelection(gamma, t0, t_grid, gammas, stop_reason,
-                          replace(factors, t0=t0), bool(checks.bad[G:].any()))
+                          replace(factors, t0=t0), checks.errors.get(G))
 
 
 def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
@@ -465,7 +460,7 @@ def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
     Pipeline: singular space -> graph certificate -> select_gamma, whose
     stacked passes run t with the grid (shear, polar factors, unitary split,
     twisted inversion, Strang middle, prefactor) -> its entry at t.  Beyond
-    t0, TimeTooLarge; a failure at t runs the stages again alone, and raises.
+    t0, TimeTooLarge; then the entry's first error at t, if it has one.
     """
     if not t > 0:
         raise DegenerateTime(f"t = {t} must be positive", module=_MOD,
@@ -482,12 +477,9 @@ def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
         raise TimeTooLarge(f"t = {t} beyond the validity horizon t0 = "
                            f"{gamma_sel.t0}{why}", module=_MOD,
                            operation="build_decomposition")
-    f = gamma_sel.factors
-    if not gamma_sel.t_failed:
-        return f[-1]
-    pol = _polar(f.q_sheared, t, tol, Checks())  # alone at t, a failure raises
-    f = _factors_at(q, f.q_sheared, cert, f.gamma, f.alpha, pol, tol=tol, checks=Checks())
-    return replace(f, t0=gamma_sel.t0)
+    if gamma_sel.t_error is not None:
+        raise gamma_sel.t_error
+    return gamma_sel.factors[-1]
 
 
 def verify_decomposition(f: DecompositionFactors) -> dict:

@@ -5,8 +5,9 @@ All routines are dense and target matrices of size at most ~40x40; inputs are
 validated for finiteness and shape, never mutated.  The log and arctan, cos/sin
 at a grid of times, the Pfaffian and sqrt(det cos) also take stacks, one matrix
 per entry.  A computation on a stack reports its failed checks through Checks:
-it raises at the first failing entry, or records the failing entries and goes
-on, so that one pass over a grid finds every entry that fails.
+it raises at the first failing entry, or records each failing entry with its
+first error and goes on, so that one pass over a grid finds every entry that
+fails, and why.
 """
 from __future__ import annotations
 
@@ -67,24 +68,32 @@ class Checks:
     Checks() raises each check's error at its first failing entry.
     Checks(shape) instead records the failing entries in the mask `bad` and
     lets the computation go on: a pass over a whole grid then finds every
-    entry that fails some check.  The computation replaces the failed entries
-    by benign values (clean) before any later solve or inverse, so that one
-    failed entry cannot stop the others.
+    entry that fails some check.  `errors` maps each failed entry's flattened
+    index to its first error, built when the entry fails as Checks() would
+    raise it, with `index` its position in the stack.  The computation
+    replaces the failed entries by benign values (clean) before any later
+    solve or inverse, so that one failed entry cannot stop the others.
     """
 
     def __init__(self, shape=None):
         self.bad = None if shape is None else np.zeros(shape, dtype=bool)
+        self.errors: dict = {}
 
     def __call__(self, mask, error, message, *, module: str, operation: str):
         """Fail the entries of mask with error; message is a string or a
         function of the (flattened) index of the entry it describes."""
+        def fail(i):
+            return error(message(i) if callable(message) else message,
+                         module=module, operation=operation, index=i)
+
         mask = np.asarray(mask, dtype=bool)
         if self.bad is None:
             i = first_index(mask)
             if i is not None:
-                raise error(message(i) if callable(message) else message,
-                            module=module, operation=operation, index=i)
-        else:
+                raise fail(i)
+        elif mask.any():
+            for i in np.flatnonzero(mask & ~self.bad).tolist():
+                self.errors[i] = fail(i)
             self.bad |= mask
 
     def clean(self, X, benign):

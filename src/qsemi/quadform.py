@@ -135,14 +135,6 @@ def block_decompose(m) -> BlockForm:
     return BlockForm(R=2 * m[..., :n, :n], L=2 * m[..., n:, :n], B=2 * m[..., n:, n:])
 
 
-def block_assemble(bf: BlockForm) -> np.ndarray:
-    """Inverse of block_decompose (lossless round trip)."""
-    R = np.asarray(bf.R, dtype=complex)
-    L = np.asarray(bf.L, dtype=complex)
-    B = np.asarray(bf.B, dtype=complex)
-    return np.block([[R / 2, L.T / 2], [L / 2, B / 2]])
-
-
 # --- embeddings of n x n blocks into 2n x 2n form matrices -----------------
 # Used by the decomposition: forms supported on x.x, x.xi and xi.xi only.
 # Each also embeds every block of a stack (..., n, n).

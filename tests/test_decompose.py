@@ -316,36 +316,18 @@ def test_select_gamma_propagates_programming_errors(monkeypatch):
         select_gamma(q, rep, graph_condition(rep))
 
 
-def test_select_gamma_takes_a_failed_polar_entry_from_its_rerun(monkeypatch):
-    # an entry that fails in the stacked polar pass but passes alone is taken
-    # from the rerun, with every factor the later stages read
-    q = kolmogorov()
-    rep = singular_space(q)
-    cert = graph_condition(rep)
-    want = select_gamma(q, rep, cert)
-    polar = decompose._polar
-
-    def spoiled(q, t, tol, checks):
-        pol = polar(q, t, tol, checks)
-        if np.ndim(t):
-            checks.bad[3] = True
-            for X in (pol.A, pol.B, pol.EA, pol.S):
-                X[3] = 0
-        return pol
-    monkeypatch.setattr(decompose, "_polar", spoiled)
-    got = select_gamma(q, rep, cert)
-    assert (got.gamma, got.t0, got.stop_reason) == (want.gamma, want.t0, want.stop_reason)
-    assert np.array_equal(got.gamma_grid, want.gamma_grid)
-
-
-def test_select_gamma_stop_reason():
+def test_select_gamma_stop_reason(monkeypatch):
+    # the stop reason is the first failing entry's recorded error: nothing is
+    # run again alone to name it
     from qsemi.fixtures import fokker_planck
     q = fokker_planck()
     rep = singular_space(q)
+    calls = count_stages(monkeypatch)
     sel = select_gamma(q, rep, graph_condition(rep),
                        np.logspace(-3, np.log10(2), 30))
     assert abs(sel.t0 - 0.539) < 1e-3
     assert sel.stop_reason.startswith("RadiusExceeded: [decompose.strang_middle]")
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
     q = heat(1)
     rep = singular_space(q)
     assert select_gamma(q, rep, graph_condition(rep)).stop_reason is None
@@ -546,6 +528,11 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_stages(monkeypatch):
+    return {name: count_calls(monkeypatch, decompose, name)
+            for name in ("_polar", "_gammas", "_factors_at")}
+
+
 def test_verify_runs_each_stage_once(capsys, monkeypatch):
     # t joins select_gamma's stacked passes, whose singular space is the shear
     # image of the one decided: nothing is run a second time at t
@@ -565,7 +552,7 @@ def fail_unitary_at(monkeypatch, t_bad):
 
     def failing(S, t, tol, checks):
         checks(np.asarray(t) == t_bad, BranchCut,
-               lambda i: f"planted failure at entry {i}", module="decompose",
+               lambda i: f"planted failure at t = {np.ravel(t)[i]}", module="decompose",
                operation="unitary_factorization")
         return unitary(S, t, tol, checks)
     monkeypatch.setattr(decompose, "_unitary", failing)
@@ -578,7 +565,7 @@ def test_a_failure_only_at_t_raises_what_the_stages_raise_alone_at_t(monkeypatch
     want = select_gamma(q, rep, cert, t=t)
     fail_unitary_at(monkeypatch, t)
     sel = select_gamma(q, rep, cert, t=t)
-    assert sel.t_failed and not want.t_failed
+    assert sel.t_error is not None and want.t_error is None
     assert (sel.gamma, sel.t0, sel.stop_reason) == (want.gamma, want.t0, want.stop_reason)
     q_sh = sel.factors.q_sheared
     with pytest.raises(QsemiError) as alone:
@@ -587,9 +574,31 @@ def test_a_failure_only_at_t_raises_what_the_stages_raise_alone_at_t(monkeypatch
                               checks=Checks())
     with pytest.raises(QsemiError) as built:
         build_decomposition(q, t)
-    assert type(built.value) is type(alone.value) is BranchCut
-    assert str(built.value) == str(alone.value)
-    assert "entry 0" in str(built.value)
+    assert type(built.value) is type(alone.value) is type(sel.t_error) is BranchCut
+    assert str(built.value) == str(alone.value) == str(sel.t_error)
+
+
+def test_a_build_failing_at_t_runs_each_stage_once(monkeypatch):
+    fail_unitary_at(monkeypatch, 0.0123)
+    calls = count_stages(monkeypatch)
+    with pytest.raises(BranchCut, match="planted failure at t = 0.0123"):
+        build_decomposition(kolmogorov(), 0.0123)
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("seed, n", [(24, 2), (36, 2), (2, 5), (3, 5)])
+def test_a_pencil_whose_cholesky_fails_exits_as_gamma_collapsed(tmp_path, capsys, seed, n):
+    # rank-n forms at t = 1e-6, where lambda_min(A_t) ~ 1e-17 > 0 but the
+    # pencil's Cholesky of A_t fails: a typed error, not a traceback
+    q = random_accretive(np.random.default_rng(seed), n, rank=n)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": n, "Q_re": q.Q.real.tolist(),
+                                "Q_im": q.Q.imag.tolist()}))
+    code = cli.main(["decompose", str(path), "--t", "1e-6", "--t-grid", "1e-6,1e-4,10"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_MATH
+    assert rep["kind"] == "GammaCollapsed"
+    assert "Cholesky" in rep["error"]
 
 
 def test_a_time_beyond_t0_is_too_large_before_any_failure_at_t(monkeypatch):
@@ -781,5 +790,5 @@ def test_gammas_fails_a_point_whose_pencil_cholesky_fails(monkeypatch):
     checks = Checks(ts.shape)
     decompose._gammas(pol, U, Nbar, 3, tol=1e-9, checks=checks)
     assert checks.bad.tolist() == [False, True, False]
-    with pytest.raises(GammaCollapsed, match="at t = 0.01 "):
+    with pytest.raises(GammaCollapsed, match="Cholesky of A_t failed at t = 0.01 "):
         decompose._gammas(pol, U, Nbar, 3, tol=1e-9, checks=Checks())

@@ -18,7 +18,6 @@ import pytest
 from qsemi import (
     GaussianState,
     apply_kernel_gaussian,
-    block_assemble,
     compose_kernels,
     diagnostics_PVMN,
     kernel_from_symbol,
@@ -40,7 +39,6 @@ from qsemi.mehler import (
     sqrt_det_pd,
     twisted_sandwich,
 )
-from qsemi.quadform import BlockForm
 
 SINGULAR, BELOW, ABOVE = 0.0, 2.0 ** -41, 2.0 ** -39
 I2 = np.eye(2)
@@ -52,7 +50,7 @@ def block(x):
 
 
 def symbol(x):
-    return MehlerSymbol(2, 1.0, block_assemble(BlockForm(R=I2, L=Z2, B=block(x))), 0.1)
+    return MehlerSymbol(2, 1.0, np.block([[I2, Z2], [Z2, block(x)]]) / 2, 0.1)
 
 
 def kernel(Kxx, Kyy):

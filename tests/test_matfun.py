@@ -28,6 +28,7 @@ from qsemi.errors import (
     BranchCut,
     ConjugatePointOnPath,
     NonSquare,
+    QsemiError,
     SpectralRadiusTooLarge,
 )
 from qsemi.matfun import Checks, cos_sin, log_principal, pfaffian
@@ -124,6 +125,45 @@ def test_log_stack_branch_cut_names_the_entry():
     assert checks.bad.tolist() == [False, False, True, True]
     assert np.isfinite(L).all()
     assert np.abs(L[1] - np.log(2) * np.eye(2)).max() < 1e-15
+
+
+def test_recording_checks_keep_each_entrys_first_error():
+    # two checks that overlap on entry 0, whose first error is the first check's
+    stages = ((np.array([[True, False, True], [False, False, False]]), BranchCut, "m", "a"),
+              (np.array([[True, True, False], [False, False, True]]), NonSquare, "n", "b"))
+
+    def run(checks, only=None):
+        for mask, error, module, operation in stages:
+            if only is not None:
+                mask = mask & (np.arange(mask.size).reshape(mask.shape) == only)
+            checks(mask, error, lambda i: f"{operation} fails at {i}",
+                   module=module, operation=operation)
+
+    recorded = Checks((2, 3))
+    run(recorded)
+    assert recorded.bad.tolist() == [[True, True, True], [False, False, True]]
+    assert sorted(recorded.errors) == [0, 1, 2, 5]
+    assert str(recorded.errors[0]) == "[m.a] a fails at 0"
+    assert str(recorded.errors[5]) == "[n.b] b fails at 5"
+    for i, exc in recorded.errors.items():
+        # what a raising Checks gives when entry i alone fails
+        with pytest.raises(QsemiError) as alone:
+            run(Checks(), only=i)
+        assert type(exc) is type(alone.value) and str(exc) == str(alone.value)
+        assert (exc.module, exc.operation) == (alone.value.module, alone.value.operation)
+        assert exc.index == alone.value.index == i
+
+
+def test_recording_checks_name_each_failure_of_a_loop():
+    # messages that close over a loop variable are built when their entry fails
+    checks = Checks((3,))
+    for what, margin in (("lower", np.array([-1.0, 2.0, 3.0])),
+                         ("upper", np.array([4.0, -5.0, -6.0]))):
+        checks(margin < 0, NonSquare, lambda i: f"{what} margin {margin[i]}",
+               module="m", operation="a")
+    assert {i: str(e) for i, e in checks.errors.items()} == {
+        0: "[m.a] lower margin -1.0", 1: "[m.a] upper margin -5.0",
+        2: "[m.a] upper margin -6.0"}
 
 
 def test_log_exp_roundtrip_random():

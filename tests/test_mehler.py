@@ -10,7 +10,6 @@ import pytest
 
 from qsemi import (
     QuadraticForm,
-    block_assemble,
     block_decompose,
     compose_kernels,
     diagnostics_PVMN,
@@ -123,7 +122,8 @@ def test_symbol_stack_raises_at_first_conjugate_point():
 
 def test_symbol_block_roundtrip():
     sym = mehler_symbol(kolmogorov(), 0.15)
-    assert np.allclose(block_assemble(block_decompose(sym.M)), sym.M, atol=1e-14)
+    bf = block_decompose(sym.M)
+    assert np.allclose(np.block([[bf.R, bf.L.T], [bf.L, bf.B]]) / 2, sym.M, atol=1e-14)
 
 
 # --- kernels ----------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from qsemi import (
     QuadraticForm,
-    block_assemble,
     block_decompose,
     conjugate_by_linear,
     evaluate,
@@ -163,7 +162,8 @@ def test_block_roundtrip_random():
     rng = np.random.default_rng(47)
     S = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     S = (S + S.T) / 2
-    assert np.allclose(block_assemble(block_decompose(S)), S, atol=1e-14)
+    bf = block_decompose(S)
+    assert np.allclose(np.block([[bf.R, bf.L.T], [bf.L, bf.B]]) / 2, S, atol=1e-14)
 
 
 def test_form_symmetrization_warning():
