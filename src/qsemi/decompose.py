@@ -24,16 +24,20 @@ t at once, and the public stage functions run at one t.  A stacked pass
 records each failed entry's first error (matfun.Checks), so no entry is run
 again alone to learn it.
 
-Matrix exponentials: a time point of the build forms at most six, each once.
-_polar forms exp(-2itJQ), exp(-2itJ conj Q), exp(+-2itJA) and S = exp(2tJB)
-and keeps exp(-2itJA) and S on PolarFactors.  _unitary reads (D, M, W) off
-S and checks them against the product of the three factors in closed form:
-the shears are I + X with X^2 = 0, and only e^{tM} (n x n) takes expm.
-_strang multiplies the kept exp(-2itJA) by exp(2iJ sR_s), the Cayley
-transform that inverse_twisted returns.  The public stage functions form
-their own exponentials, and verify_decomposition forms every shadow by expm
-(the twisted one, on both sides of the middle term, once), so its matrix
-residual checks these closed forms independently.
+Matrix exponentials: a time point of the build forms four, each once.  For
+X = JS with S symmetric, J^T X^T J = -X, so exp(-X) = J^T exp(X)^T J
+(matfun.expm_hamiltonian).  _polar forms exp(-2itJQ), exp(2itJA) and
+S = exp(2tJB); exp(-2itJ conj Q) is the conjugate of exp(2itJQ) =
+J^T exp(-2itJQ)^T J, and exp(-2itJA) = J^T exp(2itJA)^T J.  It keeps
+exp(-2itJA) and S on PolarFactors.  _unitary reads (D, M, W) off S and
+checks them against the product of the three factors in closed form: the
+shears are I + X with X^2 = 0, and only e^{tM} (n x n) takes expm.  _strang
+multiplies the kept exp(-2itJA) by exp(2iJ sR_s), the Cayley transform that
+inverse_twisted returns.  Each (c tJ)^{-1} L is J^T L / (c t), with no
+solve.  The public stage functions form their own exponentials, and
+verify_decomposition forms every shadow by expm (the twisted one, on both
+sides of the middle term, once), so its matrix residual checks these closed
+forms independently.
 """
 from __future__ import annotations
 
@@ -52,7 +56,14 @@ from .errors import (
     RadiusExceeded,
     TimeTooLarge,
 )
-from .matfun import DEFAULT_TOL, Checks, first_index, log_principal, null_space
+from .matfun import (
+    DEFAULT_TOL,
+    Checks,
+    expm_hamiltonian,
+    first_index,
+    log_principal,
+    null_space,
+)
 from .mehler import (
     GaussianKernel,
     kernel_from_symbol,
@@ -195,9 +206,12 @@ def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
     """polar_factors at t > 0, a time or an array of times (factors stacked)."""
     op = "polar_factors"
     t = np.asarray(t, dtype=float)
-    tJ = t[..., None, None] * standard_J(q.n)
-    E1, E2 = sla.expm(np.stack([-2j * tJ @ q.Q, -2j * tJ @ q.Q.conj()]))
-    A = np.linalg.solve(-4j * tJ, _log(E1 @ E2, tol, checks))
+    J = standard_J(q.n)
+    t_ = t[..., None, None]
+    tJ = t_ * J
+    # exp(-2itJ conj Q) is the conjugate of exp(2itJQ) = E1^-1
+    E1, E1inv = expm_hamiltonian(-2j * tJ @ q.Q)
+    A = 1j * (J.T @ _log(E1 @ E1inv.conj(), tol, checks)) / (4 * t_)
     scaleA = np.maximum(1.0, _fro(A))
     imag = _fro(A.imag)
     checks(imag > tol * scaleA, NotRealWithinTol,
@@ -207,8 +221,8 @@ def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
     lam = np.linalg.eigvalsh(A)[..., 0]
     checks(lam < -tol * scaleA, NotPSDWithinTol,
            lambda i: f"A has lambda_min = {lam.flat[i]:.3e}", module=_MOD, operation=op)
-    EAinv, EA = sla.expm(np.stack([2j * tJ @ A, -2j * tJ @ A]))
-    B = np.linalg.solve(2 * tJ, _log(EAinv @ E1, tol, checks))
+    EAinv, EA = expm_hamiltonian(2j * tJ @ A)
+    B = J.T @ _log(EAinv @ E1, tol, checks) / (2 * t_)
     imag = _fro(B.imag)
     checks(imag > tol * np.maximum(1.0, _fro(B)), NotRealWithinTol,
            lambda i: f"imag part of B has norm {imag.flat[i]:.3e}",
@@ -293,7 +307,7 @@ def _strang(A, B, EA, EB, tol: float, checks: Checks) -> np.ndarray:
                      f"log(2)/6 = {STRANG_RADIUS:.4f}", module=_MOD, operation=op)
     I = np.eye(J.shape[0])
     EA, EB = checks.clean(EA, I), checks.clean(EB, I)
-    P = np.linalg.solve(-2j * J, _log(EB @ EA @ EB, tol, checks))
+    P = 1j * (J.T @ _log(EB @ EA @ EB, tol, checks)) / 2
     imag = _fro(P.imag)
     checks(imag > tol * np.maximum(1.0, _fro(P)), NotRealWithinTol,
            lambda i: f"imag part of P has norm {imag.flat[i]:.3e}",

@@ -1,5 +1,6 @@
-"""Dense complex matrix functions: principal log, cos/arctan, Pfaffians and
-the continuous branch of sqrt(det cos), rank-revealing null spaces, PSD tests.
+"""Dense complex matrix functions: principal log, cos/arctan, the pair
+exp(+-X) of a Hamiltonian X from one exponential, Pfaffians and the
+continuous branch of sqrt(det cos), rank-revealing null spaces, PSD tests.
 
 All routines are dense and target matrices of size at most ~40x40; inputs are
 validated for finiteness and shape, never mutated.  The log and arctan, cos/sin
@@ -225,6 +226,20 @@ def cos_sin(A, t) -> tuple[np.ndarray, np.ndarray]:
     return (E[0] + E[1]) / 2, (E[0] - E[1]) / 2j
 
 
+def expm_hamiltonian(X) -> tuple[np.ndarray, np.ndarray]:
+    """exp(X) and exp(-X) for each X = J S of a stack (..., 2n, 2n), with
+    J = [[0, I], [-I, 0]] and S complex symmetric, from one expm call.
+
+    J^T X^T J = -X for such X, so exp(-X) = J^T exp(X)^T J exactly: for
+    exp(X) = [[a, b], [c, d]] that is [[d^T, -b^T], [-c^T, a^T]], a block
+    permutation with no rounding.
+    """
+    E = sla.expm(X)
+    n = E.shape[-1] // 2
+    a, b, c, d = E[..., :n, :n], E[..., :n, n:], E[..., n:, :n], E[..., n:, n:]
+    return E, np.block([[d.mT, -b.mT], [-c.mT, a.mT]])
+
+
 def mat_cos(A) -> np.ndarray:
     """cos(A) = (exp(iA) + exp(-iA)) / 2."""
     return cos_sin(as_square(A, operation="mat_cos"), 1.0)[0]
@@ -306,16 +321,19 @@ def pfaffian(A) -> complex:
 def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
                      ) -> tuple[np.ndarray, np.ndarray, complex]:
     """cos(tJQ), sin(tJQ) and sqrt(det cos(tJQ)) on the branch continuous in
-    t from 1 at t = 0, for a time t or at every time of an array t.
+    t from 1 at t = 0, for Q complex symmetric and a time t or at every time
+    of an array t.
 
-    J cos(tJQ) is skew-symmetric (cos(tJQ) is an even function of the
-    Hamiltonian matrix tJQ), so Pf(J cos(tJQ)) / Pf(J) squares to
-    det cos(tJQ); being a polynomial in the entries that equals 1 at t = 0,
-    it is that branch (Hormander, Math. Z. 219, 1995).  cos vanishes only on
-    the real axis, so det cos(sJQ) has a zero for some s in (0, t] exactly
-    when JQ has a real eigenvalue lambda with t |lambda| >= pi/2; that is
-    reported as ConjugatePointOnPath.  One eigvals(JQ) serves every t, and
-    one expm call gives cos and sin at every t.
+    cos and sin are (E + E^-1) / 2 and (E - E^-1) / 2i for E = exp(itJQ),
+    with E^-1 = exp(-itJQ) = J^T E^T J (expm_hamiltonian): one expm call on
+    the stack of itJQ gives both at every t.  J cos(tJQ) = (JE - (JE)^T) / 2
+    is then skew-symmetric to the last bit, so Pf(J cos(tJQ)) / Pf(J)
+    squares to det cos(tJQ); being a polynomial in the entries that equals 1
+    at t = 0, it is that branch (Hormander, Math. Z. 219, 1995).  cos
+    vanishes only on the real axis, so det cos(sJQ) has a zero for some s in
+    (0, t] exactly when JQ has a real eigenvalue lambda with t |lambda| >=
+    pi/2; that is reported as ConjugatePointOnPath.  One eigvals(JQ) serves
+    every t.
     """
     from .quadform import standard_J  # local import to avoid a cycle
 
@@ -343,14 +361,14 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
             f"det cos vanishes on the path: real eigenvalue {lam[hit][0].real:.6g} "
             f"of JQ at t = {ti:.6g}", module=_MOD, operation=op, index=i)
     with np.errstate(over="ignore", invalid="ignore"):
-        C, S = cos_sin(JQ, t)
+        E, Einv = expm_hamiltonian(1j * np.multiply.outer(t, JQ))
+        C, S = (E + Einv) / 2, (E - Einv) / 2j
     i = first_index(~np.isfinite(C).all(axis=(-2, -1)))
     if i is not None:
         raise DegenerateTime(f"cos(tJQ) overflows at t = {t.flat[i]:.6g}",
                              module=_MOD, operation=op, index=i)
-    JC = J @ C
     # Pf(J) = (-1)^(n(n-1)/2) for J = [[0, I], [-I, 0]]
-    return C, S, pfaffian((JC - JC.mT) / 2) / (-1) ** (n * (n - 1) // 2)
+    return C, S, pfaffian(J @ C) / (-1) ** (n * (n - 1) // 2)
 
 
 def sqrt_det_cos_tracked(Q, t, *,

@@ -19,8 +19,9 @@ with no kernel of order 1/eps.
 Sweeps: mehler_symbol and kernel_from_symbol take a whole grid of times at
 once and return symbols and kernels stacked over it.  The grid is one stacked
 computation: one eigvals(JQ) decides the conjugate points for every t, one
-expm call gives cos(tJQ) and sin(tJQ) for every t, and the Pfaffian, the tan
-solve, the kernel blocks and every positivity check run on the stack.
+expm call on the stack of itJQ gives cos(tJQ) and sin(tJQ) for every t (with
+exp(-itJQ) = J^T exp(itJQ)^T J), and the Pfaffian, the tan solve, the kernel
+blocks and every positivity check run on the stack.
 """
 from __future__ import annotations
 
@@ -176,7 +177,7 @@ def mehler_symbol(q: QuadraticForm, t, *,
         raise DegenerateTime(str(exc), module=_MOD, operation="mehler_symbol",
                              index=exc.index) from exc
     J = standard_J(q.n)
-    M = np.linalg.solve(J, np.linalg.solve(C, S))
+    M = J.T @ np.linalg.solve(C, S)
     M = (M + M.mT) / 2
     M[t == 0] = 0  # the zero symbol, without the signed zeros of the solve
     return MehlerSymbol(q.n, 1.0 / root, M, t[()])

@@ -76,7 +76,7 @@ def singular_space(q: QuadraticForm, tol: float = DEFAULT_TOL) -> SingularSpaceR
         P = P @ ImF
     full = np.vstack(blocks)
 
-    _, sv, vh = np.linalg.svd(full.astype(complex))
+    _, sv, vh = np.linalg.svd(full.astype(complex), full_matrices=False)
     smax = sv[0] if sv.size else 0.0
     thresh = tol * smax if smax >= tol else tol
     rank = int((sv >= thresh).sum())

@@ -27,9 +27,9 @@ from qsemi import (
     unitary_factorization,
     verify_decomposition,
 )
-from qsemi import cli, decompose
+from qsemi import cli, decompose, matfun
 from qsemi.decompose import _three_factor_product
-from qsemi.matfun import Checks, null_space
+from qsemi.matfun import Checks, mat_log_principal, null_space
 from qsemi.errors import (
     BranchCut,
     DegenerateTime,
@@ -207,18 +207,46 @@ class CountedExpm:
         return sla.expm(A)
 
 
-def test_build_six_exponentials_per_time_point(monkeypatch):
-    # five in the polar split (two of them kept for the unitary split and the
-    # Strang middle term) and e^{tM}; verify_decomposition forms each of its
-    # five distinct shadows by expm (the twisted one, on both sides of the
-    # middle term, once), independently of those closed forms
+def test_build_four_exponentials_per_time_point(monkeypatch):
+    # three in the polar split, exp(-2itJQ), exp(2itJA) and exp(2tJB), the
+    # first two each with its inverse from matfun.expm_hamiltonian, and
+    # e^{tM}; verify_decomposition forms each of its five distinct shadows by
+    # expm (the twisted one, on both sides of the middle term, once),
+    # independently of those closed forms
     counted = CountedExpm()
-    monkeypatch.setattr(decompose, "sla", counted)
+    for module in (decompose, matfun):
+        monkeypatch.setattr(module, "sla", counted)
     f = build_decomposition(kolmogorov(), 0.05)
-    assert counted.entries <= 6 * (len(decompose.default_t_grid()) + 1)
-    counted.entries = 0
+    assert counted.entries == 4 * (len(decompose.default_t_grid()) + 1)
+    shadows = CountedExpm()
+    monkeypatch.setattr(decompose, "sla", shadows)
     verify_decomposition(f)
-    assert counted.entries == 5
+    assert shadows.entries == 5
+
+
+def polar_two_expm(q, t):
+    """A and B of polar_factors with every exponential by its own expm and
+    every (c tJ)^{-1} by a solve."""
+    tJ = t * standard_J(q.n)
+    E1, E2 = sla.expm(np.stack([-2j * tJ @ q.Q, -2j * tJ @ q.Q.conj()]))
+    A = np.linalg.solve(-4j * tJ, mat_log_principal(E1 @ E2)).real
+    A = (A + A.T) / 2
+    EAinv = sla.expm(2j * tJ @ A)
+    B = np.linalg.solve(2 * tJ, mat_log_principal(EAinv @ E1)).real
+    return A, (B + B.T) / 2
+
+
+def test_polar_factors_match_the_two_expm_route():
+    rng = np.random.default_rng(29)
+    forms = [get_fixture(name) for name in GRAPH_FIXTURES]
+    forms += [random_accretive(rng, n) for n in (1, 2, 5, 10)]
+    forms += [random_accretive(rng, n, rank=n) for n in (1, 2, 5)]
+    for q in forms:
+        for t in (1e-3, 1e-2, 0.05):
+            pol = polar_factors(q, t)
+            A, B = polar_two_expm(q, t)
+            assert np.abs(pol.A - A).max() <= 1e-12 * max(1.0, np.abs(A).max()), (q.n, t)
+            assert np.abs(pol.B - B).max() <= 1e-12 * max(1.0, np.abs(B).max()), (q.n, t)
 
 
 # --- Strang middle term --------------------------------------------------------
@@ -586,10 +614,42 @@ def test_a_build_failing_at_t_runs_each_stage_once(monkeypatch):
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
 
 
-@pytest.mark.parametrize("seed, n", [(24, 2), (36, 2), (2, 5), (3, 5)])
+class FailingEigh:
+    """scipy.linalg with the pencil's eigh failing at its k-th call."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __getattr__(self, name):
+        return getattr(sla, name)
+
+    def eigh(self, *args, **kwargs):
+        self.k -= 1
+        if self.k == 0:
+            raise np.linalg.LinAlgError("leading minor of order 2 of B is not positive definite")
+        return sla.eigh(*args, **kwargs)
+
+
+def test_a_planted_cholesky_failure_exits_as_gamma_collapsed(capsys, monkeypatch):
+    # the third grid point's pencil fails, as LAPACK's Cholesky of A_t can
+    # where lambda_min(A_t) > 0: a typed error, not a traceback
+    monkeypatch.setattr(decompose, "sla", FailingEigh(3))
+    code = cli.main(["decompose", "--fixture", "kolmogorov", "--t", "0.01",
+                     "--t-grid", "1e-3,1e-1,5"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_MATH
+    assert rep["kind"] == "GammaCollapsed"
+    assert "Cholesky" in rep["error"]
+    assert "at t = 0.01 " in rep["error"]
+
+
+@pytest.mark.parametrize("seed, n", [(36, 2), (2, 5)])
 def test_a_pencil_whose_cholesky_fails_exits_as_gamma_collapsed(tmp_path, capsys, seed, n):
     # rank-n forms at t = 1e-6, where lambda_min(A_t) ~ 1e-17 > 0 but the
-    # pencil's Cholesky of A_t fails: a typed error, not a traceback
+    # pencil's Cholesky of A_t fails: a typed error, not a traceback.  Such
+    # forms sit where rounding decides positivity, so a seed may stop failing
+    # there when the polar factor's rounding moves; the planted failure above
+    # keeps the path covered
     q = random_accretive(np.random.default_rng(seed), n, rank=n)
     path = tmp_path / "form.json"
     path.write_text(json.dumps({"n": n, "Q_re": q.Q.real.tolist(),

@@ -31,7 +31,14 @@ from qsemi.errors import (
     QsemiError,
     SpectralRadiusTooLarge,
 )
-from qsemi.matfun import Checks, cos_sin, log_principal, pfaffian
+from qsemi.matfun import (
+    Checks,
+    cos_sin,
+    cos_sin_sqrt_det,
+    expm_hamiltonian,
+    log_principal,
+    pfaffian,
+)
 from qsemi.mehler import twisted_form_matrix
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -215,6 +222,49 @@ def test_cos_sin_pythagoras():
         A *= 5.0 / np.linalg.norm(A, 2)
         C, S = cos_sin(A, 1.0)
         assert np.linalg.norm(C @ C + S @ S - np.eye(4)) < 1e-10 * np.linalg.norm(C @ C)
+
+
+def random_complex_symmetric(rng, n):
+    """A complex symmetric 2n x 2n matrix of spectral norm 1."""
+    X = rng.standard_normal((2, 2 * n, 2 * n))
+    Q = X[0] + X[0].T + 1j * (X[1] + X[1].T)
+    return Q / np.linalg.norm(Q, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_exponential_pair_matches_expm_of_minus_x(n):
+    # exp(-X) = J^T exp(X)^T J for X = J S, S complex symmetric
+    rng = np.random.default_rng(100 + n)
+    J = standard_J(n)
+    for _ in range(3):
+        Q = random_complex_symmetric(rng, n)
+        for t in (1e-6, 1e-3, 0.1, 1.0):
+            for X in (1j * t * J @ Q, -2j * t * J @ Q):
+                E, Einv = expm_hamiltonian(X)
+                assert np.array_equal(E, sla.expm(X))
+                want = sla.expm(-X)
+                assert np.linalg.norm(Einv - want) <= 1e-13 * np.linalg.norm(want), t
+
+
+def test_exponential_pair_of_a_stack_matches_each_entry():
+    rng = np.random.default_rng(7)
+    J = standard_J(3)
+    X = np.stack([t * J @ random_complex_symmetric(rng, 3) for t in (0.01, 0.5, 2.0)])
+    E, Einv = expm_hamiltonian(X)
+    for k in range(len(X)):
+        Ek, Ekinv = expm_hamiltonian(X[k])
+        assert np.array_equal(E[k], Ek) and np.array_equal(Einv[k], Ekinv)
+
+
+def test_j_cos_is_exactly_skew():
+    # the Pfaffian needs J cos(tJQ) skew, and the pair gives it to the last bit
+    rng = np.random.default_rng(43)
+    ts = np.concatenate([[0.0], np.logspace(-6, 0, 13)])
+    for n in (1, 2, 5, 10):
+        J = standard_J(n)
+        C, _, _ = cos_sin_sqrt_det(random_complex_symmetric(rng, n) / 2, ts)
+        JC = J @ C
+        assert np.all(JC + JC.mT == 0), n
 
 
 def test_arctan_zero():

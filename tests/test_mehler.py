@@ -20,6 +20,7 @@ from qsemi import (
     twisted_form_matrix,
     twisted_kernel,
 )
+from qsemi import matfun
 from qsemi.errors import DegenerateTime, NonIntegrableSymbol, SeriesRegimeViolated
 from qsemi.fixtures import (
     fokker_planck,
@@ -101,6 +102,18 @@ def test_symbol_stack_matches_per_t():
                 assert abs(ks.c[j - 1] - k.c) <= 1e-13 * abs(k.c)
                 assert np.abs(ks.K[j - 1] - k.K).max() <= 1e-13 * np.abs(k.K).max()
     assert mehler_symbol(kolmogorov(), ts).c[0] == 1.0
+
+
+def test_symbol_sweep_passes_each_time_to_expm_once(monkeypatch):
+    # exp(itJQ) at every t in one stack; exp(-itJQ) is its J^T E^T J
+    entries, expm = [], matfun.sla.expm
+
+    def counted(A):
+        entries.append(int(np.prod(np.shape(A)[:-2])))
+        return expm(A)
+    monkeypatch.setattr(matfun.sla, "expm", counted)
+    mehler_symbol(random_accretive_form(np.random.default_rng(2), 5), np.logspace(-3, 0, 40))
+    assert entries == [40]
 
 
 def test_symbol_stack_raises_at_first_conjugate_point():

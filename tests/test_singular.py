@@ -255,6 +255,52 @@ def test_one_rank_decision_gives_dim_basis_gap_and_k0():
         assert np.abs(np.vstack(levels) @ rep.basis).max(initial=0.0) <= 2 * thresh
 
 
+def svd_spy(monkeypatch, *, full: bool):
+    """The list of (full_matrices, compute_uv) of every np.linalg.svd call;
+    with full, every call that computes U asks for the full U."""
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((full_matrices, compute_uv))
+        return svd(a, full_matrices=full_matrices or full, compute_uv=compute_uv, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def bench_style_forms():
+    """The seeded forms, and random n = 5 and 10 forms with Re Q of full
+    rank and of rank n."""
+    rng = np.random.default_rng(73)
+    forms = seeded_forms()
+    for n in (5, 10):
+        for rank in (2 * n, n):
+            X = rng.standard_normal((2 * n, rank))
+            S = rng.standard_normal((2 * n, 2 * n))
+            forms.append(QuadraticForm(n, X @ X.T + 1j * (S + S.T)))
+    return forms
+
+
+def test_singular_space_asks_for_no_full_u(monkeypatch):
+    # the stack is (4n^2) x 2n, and only its singular values and V are read
+    calls = svd_spy(monkeypatch, full=False)
+    singular_space(bench_style_forms()[-1])
+    assert calls and not any(full and uv for full, uv in calls)
+
+
+def test_thin_and_full_svd_give_the_same_singular_space(monkeypatch):
+    forms = bench_style_forms()
+    thin = [singular_space(q) for q in forms]
+    svd_spy(monkeypatch, full=True)
+    for q, rep in zip(forms, thin):
+        full = singular_space(q)
+        assert (rep.k0, rep.dim) == (full.k0, full.dim)
+        assert full.sv_kept == pytest.approx(rep.sv_kept, rel=1e-14, nan_ok=True)
+        scale = 1.0 if np.isnan(rep.sv_kept) else rep.sv_kept
+        assert abs(full.sv_dropped - rep.sv_dropped) <= 1e-14 * scale
+        P, Pfull = rep.basis @ rep.basis.T, full.basis @ full.basis.T
+        assert np.abs(P - Pfull).max(initial=0.0) <= 1e-13
+
+
 def test_report_gap_is_exposed():
     rep = singular_space(kolmogorov())
     assert rep.gap_ratio > 1e6
