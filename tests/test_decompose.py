@@ -643,22 +643,43 @@ def test_a_planted_cholesky_failure_exits_as_gamma_collapsed(capsys, monkeypatch
     assert "at t = 0.01 " in rep["error"]
 
 
-@pytest.mark.parametrize("seed, n", [(36, 2), (2, 5)])
+def real_pencil_failures(q, ts):
+    """The times of ts where lambda_min(A_t) > 0 on the complement of the
+    singular space but LAPACK's Cholesky of A_t in the pencil fails."""
+    rep = singular_space(q)
+    U = null_space(rep.basis.T).real
+    Nbar = U.T @ twisted_form_matrix(graph_condition(rep).N) @ U
+    pol = decompose._polar(q, ts, 1e-9, Checks(ts.shape))
+    failed = []
+    for t, A in zip(ts, U.T @ pol.A @ U):
+        if np.linalg.eigvalsh(A)[0] > 0:
+            try:
+                sla.eigh(Nbar, A, eigvals_only=True)
+            except np.linalg.LinAlgError:
+                failed.append(float(t))
+    return failed
+
+
+@pytest.mark.parametrize("seed, n", [(24, 2), (36, 2), (2, 5), (3, 5)])
 def test_a_pencil_whose_cholesky_fails_exits_as_gamma_collapsed(tmp_path, capsys, seed, n):
-    # rank-n forms at t = 1e-6, where lambda_min(A_t) ~ 1e-17 > 0 but the
+    # rank-n forms at t ~ 1e-6, where lambda_min(A_t) ~ 1e-17 > 0 but the
     # pencil's Cholesky of A_t fails: a typed error, not a traceback.  Such
-    # forms sit where rounding decides positivity, so a seed may stop failing
-    # there when the polar factor's rounding moves; the planted failure above
-    # keeps the path covered
+    # forms sit where rounding decides positivity, so which t fails moves
+    # with the polar factor's rounding: the t is the first one of a fixed
+    # grid where the real LAPACK Cholesky fails
     q = random_accretive(np.random.default_rng(seed), n, rank=n)
+    failed = real_pencil_failures(q, np.logspace(-7, -5, 21))
+    assert failed
+    t = failed[0]
     path = tmp_path / "form.json"
     path.write_text(json.dumps({"n": n, "Q_re": q.Q.real.tolist(),
                                 "Q_im": q.Q.imag.tolist()}))
-    code = cli.main(["decompose", str(path), "--t", "1e-6", "--t-grid", "1e-6,1e-4,10"])
+    code = cli.main(["decompose", str(path), "--t", repr(t), "--t-grid", f"{t!r},1e-4,10"])
     rep = json.loads(capsys.readouterr().out)
     assert code == cli.EXIT_MATH
     assert rep["kind"] == "GammaCollapsed"
     assert "Cholesky" in rep["error"]
+    assert f"at t = {t:.3g} " in rep["error"]
 
 
 def test_a_time_beyond_t0_is_too_large_before_any_failure_at_t(monkeypatch):
