@@ -33,11 +33,11 @@ exp(-2itJA) and S on PolarFactors.  _unitary reads (D, M, W) off S and
 checks them against the product of the three factors in closed form: the
 shears are I + X with X^2 = 0, and only e^{tM} (n x n) takes expm.  _strang
 multiplies the kept exp(-2itJA) by exp(2iJ sR_s), the Cayley transform that
-inverse_twisted returns.  Each (c tJ)^{-1} L is J^T L / (c t), with no
-solve.  The public stage functions form their own exponentials, and
-verify_decomposition forms every shadow by expm (the twisted one, on both
-sides of the middle term, once), so its matrix residual checks these closed
-forms independently.
+inverse_twisted forms with R_s from one n x n solve (no log, no expm).  Each
+(c tJ)^{-1} L is J^T L / (c t), with no solve.  The public stage functions
+form their own exponentials, and verify_decomposition forms every shadow by
+expm (the twisted one, on both sides of the middle term, once), so its
+matrix residual checks these closed forms independently.
 """
 from __future__ import annotations
 
@@ -348,7 +348,7 @@ def _factors_at(q, q_sheared, cert, gamma, alpha, pol, *, tol,
     t = np.asarray(pol.t, dtype=float)
     uni = _unitary(pol.S, t, tol, checks)
     s = gamma * t ** alpha
-    Rs, pf, ERs = inverse_twisted(cert.N, s, tol, checks)
+    Rs, pf, ERs = inverse_twisted(cert.N, s, checks)
     Nmat = twisted_form_matrix(cert.N)
     lo = np.linalg.eigvalsh(Rs - Nmat)[..., 0]
     hi = np.linalg.eigvalsh(2 * Nmat - Rs)[..., 0]

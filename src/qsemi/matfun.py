@@ -1,11 +1,11 @@
-"""Dense complex matrix functions: principal log, cos/arctan, the pair
+"""Dense complex matrix functions: principal log, cos and arctan, the pair
 exp(+-X) of a Hamiltonian X from one exponential, Pfaffians and the
 continuous branch of sqrt(det cos), rank-revealing null spaces, PSD tests.
 
 All routines are dense and target matrices of size at most ~40x40; inputs are
-validated for finiteness and shape, never mutated.  The log and arctan, cos/sin
-at a grid of times, the Pfaffian and sqrt(det cos) also take stacks, one matrix
-per entry.  A computation on a stack reports its failed checks through Checks:
+validated for finiteness and shape, never mutated.  The log, cos, arctan and
+Pfaffian also take stacks, one matrix per entry, and sqrt(det cos(tJQ)) a grid
+of times.  A computation on a stack reports its failed checks through Checks:
 it raises at the first failing entry, or records each failing entry with its
 first error and goes on, so that one pass over a grid finds every entry that
 fails, and why.
@@ -155,7 +155,7 @@ def _log1p_pade(X) -> np.ndarray:
 def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
     """Principal log of each matrix Z of a stack (..., m, m), given X = Z - I.
 
-    A caller that has X more accurately than Z - I (arctan, where X is
+    A caller that has X more accurately than Z - I (mat_arctan, where X is
     O(s) for an argument of order s) keeps that accuracy: Z is only rooted
     where |X|_1 > _PADE_THETA, each root doubling the absolute error of
     that entry alone.  Inverse scaling and squaring (Al-Mohy and Higham,
@@ -215,17 +215,6 @@ def mat_log_principal(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     return log_principal(A, A - np.eye(A.shape[-1]), tol, Checks())
 
 
-def cos_sin(A, t) -> tuple[np.ndarray, np.ndarray]:
-    """cos(tA) = (exp(itA) + exp(-itA)) / 2 and sin(tA) = (exp(itA) -
-    exp(-itA)) / 2i, from one expm call on the stack of +-itA.
-
-    t is a time or an array of times; the results have shape t.shape + A.shape.
-    """
-    tA = np.multiply.outer(np.asarray(t, dtype=float), A)
-    E = sla.expm(np.stack([1j * tA, -1j * tA]))
-    return (E[0] + E[1]) / 2, (E[0] - E[1]) / 2j
-
-
 def expm_hamiltonian(X) -> tuple[np.ndarray, np.ndarray]:
     """exp(X) and exp(-X) for each X = J S of a stack (..., 2n, 2n), with
     J = [[0, I], [-I, 0]] and S complex symmetric, from one expm call.
@@ -241,37 +230,34 @@ def expm_hamiltonian(X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mat_cos(A) -> np.ndarray:
-    """cos(A) = (exp(iA) + exp(-iA)) / 2."""
-    return cos_sin(as_square(A, operation="mat_cos"), 1.0)[0]
+    """cos(A) = (exp(iA) + exp(-iA)) / 2, from one expm on the stack of +-iA."""
+    A = as_square(A, operation="mat_cos")
+    E = sla.expm(np.stack([1j * A, -1j * A]))
+    return (E[0] + E[1]) / 2
 
 
-def arctan(A, tol: float, checks: Checks) -> tuple[np.ndarray, np.ndarray]:
-    """arctan of each matrix of a stack (..., m, m) of spectral radius < 1,
-    as (2i)^{-1} log(I + X) with X = (I - iA)^{-1} 2iA = (I + iA)(I - iA)^{-1} - I,
-    and the Cayley transform I + X = exp(2i arctan A).
+def mat_arctan(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """arctan of a matrix, or of each matrix of a stack (..., m, m), of
+    spectral radius < 1, as (2i)^{-1} log(I + X) with
+    X = (I - iA)^{-1} 2iA = (I + iA)(I - iA)^{-1} - I.
 
     That is the power series on its disc of convergence, and it tolerates
     defective (e.g. nilpotent) arguments; X is formed without the
     cancellation of subtracting I, so a small A keeps its relative accuracy.
-    Checks: spectral radius below 1 - tol (SpectralRadiusTooLarge).
+    Raises SpectralRadiusTooLarge unless the spectral radius is below 1 - tol.
     """
+    op = "mat_arctan"
+    A = as_square(A, operation=op)
     I = np.eye(A.shape[-1])
     # the spectral radius is at most either norm: eigenvalues only where it may fail
     far = ~(np.minimum(_norm1(A), _norm1(A.mT)) < 1.0 - tol)
     rho = np.zeros(A.shape[:-2])
     rho[far] = np.abs(np.linalg.eigvals(A[far])).max(axis=-1, initial=0.0)
-    checks(rho >= 1.0 - tol, SpectralRadiusTooLarge,
-           lambda i: f"spectral radius {rho.flat[i]:.6f} not strictly below 1",
-           module=_MOD, operation="mat_arctan")
-    A = checks.clean(A, 0)
+    Checks()(rho >= 1.0 - tol, SpectralRadiusTooLarge,
+             lambda i: f"spectral radius {rho.flat[i]:.6f} not strictly below 1",
+             module=_MOD, operation=op)
     X = np.linalg.solve(I - 1j * A, 2j * A)
-    return log_principal(I + X, X, tol, checks) / 2j, I + X
-
-
-def mat_arctan(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Matrix arctangent on the spectral-radius < 1 regime, of a matrix or of
-    each matrix of a stack; see arctan."""
-    return arctan(as_square(A, operation="mat_arctan"), tol, Checks())[0]
+    return log_principal(I + X, X, tol, Checks()) / 2j
 
 
 @dataclass

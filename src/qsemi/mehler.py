@@ -14,7 +14,8 @@ kernel application (y) each integrate one block through gaussian_integral.
 Its one decision, check_integrable (not_integrable, reported), is also the
 only integrability test of sqrt_det_pd and of evolve's Gaussian states.
 The twisted factors act on a kernel in covariance form (twisted_sandwich),
-with no kernel of order 1/eps.
+with no kernel of order 1/eps; inverse_twisted writes them as evolutions in
+closed form from one SVD of N, with no matrix log, expm or eigenvalues.
 
 Sweeps: mehler_symbol and kernel_from_symbol take a whole grid of times at
 once and return symbols and kernels stacked over it.  The grid is one stacked
@@ -41,10 +42,8 @@ from .errors import (
 from .matfun import (
     DEFAULT_TOL,
     Checks,
-    arctan,
     cos_sin_sqrt_det,
     first_index,
-    spectral_norm,
 )
 from .quadform import QuadraticForm, block_decompose, standard_J
 
@@ -203,16 +202,25 @@ def kernel_from_symbol(sym: MehlerSymbol) -> GaussianKernel:
     return GaussianKernel(n, sym.c * (2 * np.pi) ** -n * c, K)
 
 
+def _real_skew(N, operation: str) -> np.ndarray:
+    """N as a real array, or DimensionMismatch unless it is square, finite
+    and real skew-symmetric within 1e-12 max(1, |N|)."""
+    N = np.asarray(N, dtype=complex)
+    if not (N.ndim == 2 and N.shape[0] == N.shape[1] and np.isfinite(N).all()
+            and not N.imag.any()
+            and np.linalg.norm(N + N.T) <= 1e-12 * max(1.0, np.linalg.norm(N))):
+        raise DimensionMismatch("N must be square, finite and real skew-symmetric",
+                                module=_MOD, operation=operation)
+    return N.real.copy()
+
+
 def twisted_kernel(N, eps: float) -> GaussianKernel:
     """Exact kernel of (e^{-(eps/2) |xi - Nx|^2})^w for N real skew-symmetric:
 
         (2 pi eps)^{-n/2} exp(-|x - y|^2 / (2 eps) + i (x - y).Nx).
     """
-    N = np.asarray(N, dtype=float)
+    N = _real_skew(N, "twisted_kernel")
     n = N.shape[0]
-    if N.shape != (n, n) or np.linalg.norm(N + N.T) > 1e-12 * max(1.0, np.linalg.norm(N)):
-        raise DimensionMismatch("N must be real skew-symmetric",
-                                module=_MOD, operation="twisted_kernel")
     if eps <= 0:
         raise NonIntegrableSymbol("eps must be positive",
                                   module=_MOD, operation="twisted_kernel")
@@ -302,54 +310,59 @@ def disperse(K, b, D, t: float, error, *, module: str, operation: str, what: str
     return c, K, b
 
 
-def inverse_twisted(N, s, tol: float, checks: Checks
+def inverse_twisted(N, s, checks: Checks
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R_s, prefactor) of mehler_inverse_twisted at s, a number or an array
-    of them (R_s then stacked over s), and exp(2iJ s R_s).
+    of them (R_s then stacked over s), and exp(2iJ s R_s), for N real skew.
 
-    R_s = (sJ)^{-1} arctan(F) for F = s J NN, through the stacked log
-    (matfun.arctan keeps the relative accuracy of a small F), and R_s = NN at
-    s = 0.  As s J R_s = arctan(F) and cos(arctan F) = (I + F^2)^{-1/2}, the
-    prefactor sqrt(det cos(s J R_s)) on the branch continuous from s = 0 is
-    det(I + F^2)^{-1/4}: the eigenvalues of F^2 are -(s omega)^2 in
-    (-1/2, 0] for the frequencies omega of J NN (NN >= 0), so I + F^2 stays
-    invertible along the path.  exp(2iJ s R_s) = exp(2i arctan F) is the
-    Cayley transform (I + iF)(I - iF)^{-1}, which matfun.arctan forms on the
-    way, so it needs no expm.  Checks: 0 <= s and s |NN| < 2^{-1/2}
-    (SeriesRegimeViolated), then a real prefactor.
+    NN = L^T L for L = [-N, I] and L J L^T = -2N, so by f(AB) = A g(BA) B
+    (Higham, Functions of Matrices, SIAM 2008, sec. 1.8) every function of
+    F = s J NN = (s J L^T) L is one of L s J L^T = -2sN.  For N = U diag(w) V^T
+    and x = 2sw (artanh(x)/x = 1 at x = 0, so R_s = NN at s = 0):
+
+        R_s = (sJ)^{-1} arctan(F) = L^T V diag(artanh(x)/x) V^T L,
+        sqrt(det cos(s J R_s)) = det(I + F^2)^{-1/4} = prod (1 - x^2)^{-1/4},
+        exp(2iJ s R_s) = (I + iF)(I - iF)^{-1} = I + 2is J L^T (I + 2isN)^{-1} L.
+
+    Checks: 0 <= s and s |NN| < 2^{-1/2} (SeriesRegimeViolated); |NN|_2 =
+    1 + max(w)^2, so the regime keeps x <= s (1 + w^2) < 2^{-1/2} and the
+    prefactor real.  One s gives exactly its entry of a (flattened) stack.
     """
     op = "mehler_inverse_twisted"
-    NN = twisted_form_matrix(N)
-    J = standard_J(NN.shape[0] // 2)
+    n = N.shape[0]
+    L = np.hstack([-N, np.eye(n)])
+    _, w, Vt = np.linalg.svd(N)
+    nrm = 1 + w.max(initial=0.0) ** 2
     s = np.asarray(s, dtype=float)
-    nrm = spectral_norm(NN)
     checks(s < 0, SeriesRegimeViolated, "s must be nonnegative", module=_MOD,
            operation=op)
     checks(s * nrm >= 2 ** -0.5, SeriesRegimeViolated,
            lambda i: f"s |NN| = {s.flat[i] * nrm:.4f} >= 2^(-1/2)",
            module=_MOD, operation=op)
-    s = checks.clean(s, 0.0)
-    F = s[..., None, None] * (J @ NN)
-    atan, cayley = arctan(F, tol, checks)
-    Rs = J.T @ atan.real / np.where(s > 0, s, 1.0)[..., None, None]
-    Rs = np.where((s > 0)[..., None, None], (Rs + Rs.mT) / 2, NN)
-    pf = np.linalg.det(np.eye(NN.shape[0]) + F @ F).astype(complex) ** -0.25
-    checks(np.abs(pf.imag) > 1e-10 * np.abs(pf), SeriesRegimeViolated,
-           lambda i: f"prefactor not real: {pf.flat[i]}", module=_MOD, operation=op)
-    return Rs, pf.real, cayley
+    shape = s.shape
+    s = checks.clean(s, 0.0).reshape(-1, 1, 1)
+    x = 2 * s[:, 0] * w
+    VL = Vt @ L
+    ratio = np.divide(np.arctanh(x), x, out=np.ones_like(x), where=x > 0)
+    Rs = VL.T @ (ratio[..., None] * VL)
+    X = np.linalg.solve(np.eye(n) + 2j * s * N, L)
+    cayley = np.eye(2 * n) + 2j * s * (np.vstack([np.eye(n), -N]) @ X)
+    out = (Rs + Rs.mT) / 2, np.prod((1 - x) * (1 + x), axis=-1) ** -0.25, cayley
+    return tuple(a.reshape(shape + a.shape[1:]) for a in out)
 
 
-def mehler_inverse_twisted(N, s: float, *, tol: float = DEFAULT_TOL,
-                           ) -> tuple[np.ndarray, float]:
+def mehler_inverse_twisted(N, s: float) -> tuple[np.ndarray, float]:
     """Write the twisted diffusion as an evolution operator:
 
         (e^{-s |xi - Nx|^2})^w = sqrt(det cos(s J R_s)) exp(-s r_s^w),
 
     returning (R_s, prefactor) with R_s = (sJ)^{-1} arctan(s J NN), in closed
-    form (see inverse_twisted), at s or at every s of an array.  Requires
-    s |NN| < 2^{-1/2} (SeriesRegimeViolated otherwise).
+    form (see inverse_twisted), at s or at every s of an array.  N must be
+    real skew-symmetric (DimensionMismatch otherwise), and s |NN| < 2^{-1/2}
+    (SeriesRegimeViolated otherwise).
     """
-    Rs, pf, _ = inverse_twisted(N, s, tol, Checks())
+    N = _real_skew(N, "mehler_inverse_twisted")
+    Rs, pf, _ = inverse_twisted(N, s, Checks())
     return Rs, pf[()]
 
 

@@ -151,7 +151,8 @@ def skew(rng, n):
 
 @pytest.mark.parametrize("source", GRAPH_FIXTURES + ("random-2", "random-5"))
 def test_inverse_twisted_cayley_matches_expm(source):
-    # exp(2iJ s R_s) as the Cayley transform of F = s J NN, down to s = 1e-12 smax
+    # exp(2iJ s R_s) as the Cayley transform of F = s J NN, down to s = 1e-12
+    # smax, and exactly I at s = 0
     if source.startswith("random"):
         N = skew(np.random.default_rng(3), int(source[-1]))
     else:
@@ -160,9 +161,10 @@ def test_inverse_twisted_cayley_matches_expm(source):
     J = standard_J(len(N))
     I = np.eye(2 * len(N))
     smax = 2 ** -0.5 / np.linalg.norm(NN, 2)
-    s = smax * np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999])
-    Rs, _, cayley = inverse_twisted(N, s, 1e-9, Checks())
-    for k in range(len(s)):
+    s = smax * np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999])
+    Rs, _, cayley = inverse_twisted(N, s, Checks())
+    assert np.array_equal(cayley[0], I)
+    for k in range(1, len(s)):
         want = sla.expm(2j * J @ (s[k] * Rs[k]))
         # relative to the part beyond I, which is of order s
         assert np.linalg.norm(cayley[k] - want) <= 1e-14 * np.linalg.norm(want - I), s[k]
@@ -394,7 +396,7 @@ def reference_select_gamma(q, report, cert, t_grid, tol=1e-9):
         try:
             unitary_factorization(pol.B, t)
             s = gamma * t ** alpha
-            Rs, _ = mehler_inverse_twisted(cert.N, s, tol=tol)
+            Rs, _ = mehler_inverse_twisted(cert.N, s)
             lo = np.linalg.eigvalsh(Rs - Nmat).min()
             hi = np.linalg.eigvalsh(2 * Nmat - Rs).min()
             if lo < -1e-10 or hi < -1e-10:

@@ -21,7 +21,12 @@ from qsemi import (
     twisted_kernel,
 )
 from qsemi import matfun
-from qsemi.errors import DegenerateTime, NonIntegrableSymbol, SeriesRegimeViolated
+from qsemi.errors import (
+    DegenerateTime,
+    DimensionMismatch,
+    NonIntegrableSymbol,
+    SeriesRegimeViolated,
+)
 from qsemi.fixtures import (
     fokker_planck,
     harmonic,
@@ -30,7 +35,8 @@ from qsemi.fixtures import (
     shifted_diagonal,
     x_squared,
 )
-from qsemi.mehler import MehlerSymbol, twisted_sandwich
+from qsemi.matfun import Checks
+from qsemi.mehler import MehlerSymbol, inverse_twisted, twisted_sandwich
 
 
 def graph_fixtures():
@@ -368,6 +374,18 @@ def test_inverse_twisted_regime_guard():
         mehler_inverse_twisted(N, s_bad)
 
 
+def test_inverse_twisted_rejects_n_that_is_not_real_skew():
+    good = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    for N in (np.array([[0.0, 0.5], [0.5, 0.0]]), good + 1e-9 * np.eye(2),
+              np.zeros((2, 3)), np.zeros(2), good * 1j,
+              np.array([[0.0, np.nan], [np.nan, 0.0]])):
+        with pytest.raises(DimensionMismatch):
+            mehler_inverse_twisted(N, 0.1)
+    # skew within 1e-12 |N| passes
+    Rs, _ = mehler_inverse_twisted(good + 1e-14 * np.eye(2), 0.1)
+    assert np.isfinite(Rs).all()
+
+
 def test_inverse_twisted_matches_arctan_formula():
     from qsemi import mat_arctan, standard_J
     rng = np.random.default_rng(71)
@@ -399,20 +417,28 @@ def series_inverse_twisted(N, s):
 
 
 def test_inverse_twisted_stack_matches_series():
-    # the closed form keeps the series' relative accuracy down to s = 1e-12 smax
+    # the closed form keeps the series' relative accuracy down to s = 1e-12 smax,
+    # and one s gives exactly its entry of the stack
+    from qsemi import standard_J
     rng = np.random.default_rng(79)
-    for n in (1, 2, 5):
+    for n in (1, 2, 5, 10):
         A = rng.standard_normal((n, n))
         N = A - A.T
-        smax = 2 ** -0.5 / np.linalg.norm(twisted_form_matrix(N), 2)
+        NN = twisted_form_matrix(N)
+        smax = 2 ** -0.5 / np.linalg.norm(NN, 2)
         s = smax * np.array([0.0, 1e-12, 1e-6, 1e-2, 0.3, 0.9])
         Rs, pf = mehler_inverse_twisted(N, s)
         assert Rs.shape == (6, 2 * n, 2 * n) and pf.shape == (6,)
+        _, _, cayley = inverse_twisted(N, s, Checks())
         for j in range(6):
             ref = series_inverse_twisted(N, s[j])
             assert np.linalg.norm(Rs[j] - ref) <= 1e-14 * np.linalg.norm(ref)
+            F = s[j] * standard_J(n) @ NN
+            pf_ref = np.linalg.det(np.eye(2 * n) + F @ F) ** -0.25
+            assert abs(pf[j] - pf_ref) <= 1e-14 * pf_ref
             one = mehler_inverse_twisted(N, s[j])
             assert (one[0] == Rs[j]).all() and one[1] == pf[j]
+            assert (inverse_twisted(N, s[j], Checks())[2] == cayley[j]).all()
     with pytest.raises(SeriesRegimeViolated) as exc:
         mehler_inverse_twisted(N, smax * np.array([0.5, 0.7, 1.1]))
     assert exc.value.index == 2
