@@ -143,13 +143,20 @@ def resolve_tol(flag: float | None, problem: dict) -> float:
     return tol
 
 
+def _integer(value, name: str) -> int:
+    """A count of a problem file, which must be a JSON integer (ValueError)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} = {value!r} must be an integer")
+    return value
+
+
 def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticForm:
     """Build the form from --fixture, else from the problem file's object,
     whose Re Q QuadraticForm must find PSD within tol (ParseError if not)."""
     if fixture:
         return get_fixture(fixture)
     try:
-        n = int(problem["n"])
+        n = _integer(problem["n"], "n")
         if n < 1:
             raise ValueError(f"n = {n} must be at least 1")
         Q_re = np.asarray(problem["Q_re"], dtype=float).reshape(2 * n, 2 * n)
@@ -169,27 +176,34 @@ def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticFor
         raise _parse_error(str(exc), "load_problem") from exc
 
 
+#: whether a --t-grid spacing, in any case, is log-spaced
+_SPACINGS = {"log": True, "true": True, "1": True, "lin": False, "false": False, "0": False}
+
+
 def load_t_grid(flag: str | None, problem: dict) -> np.ndarray | None:
     """The t grid: --t-grid t_min,t_max,points[,log|lin], else the problem
-    file's t_grid, else None, which leaves it to decompose's default.
+    file's t_grid (an integer points, a boolean log_spaced), else None, which
+    leaves it to decompose's default.
 
     Every grid point must be positive (ParseError otherwise): at t = 0 there
     is neither a kernel nor a factorization to check."""
-    if flag:
-        parts = flag.split(",")
-        if len(parts) < 3:
-            raise _parse_error(f"--t-grid {flag!r} needs t_min,t_max,points",
-                               "load_t_grid")
-        spec = {"t_min": parts[0], "t_max": parts[1], "points": parts[2],
-                "log_spaced": len(parts) < 4
-                or parts[3].strip().lower() in ("log", "true", "1")}
-    elif problem.get("t_grid"):
-        spec = problem["t_grid"]
-    else:
-        return None
     try:
-        t_min, t_max = float(spec["t_min"]), float(spec["t_max"])
-        points, log_spaced = int(spec["points"]), spec.get("log_spaced", True)
+        if flag:
+            parts = flag.split(",")
+            spacing = parts[3].strip().lower() if len(parts) == 4 else "log"
+            if len(parts) not in (3, 4) or spacing not in _SPACINGS:
+                raise ValueError(f"--t-grid {flag!r} is not t_min,t_max,points[,log|lin]")
+            t_min, t_max, points = float(parts[0]), float(parts[1]), int(parts[2])
+            log_spaced = _SPACINGS[spacing]
+        elif problem.get("t_grid"):
+            spec = problem["t_grid"]
+            t_min, t_max = float(spec["t_min"]), float(spec["t_max"])
+            points = _integer(spec["points"], "points")
+            log_spaced = spec.get("log_spaced", True)
+            if not isinstance(log_spaced, bool):
+                raise ValueError(f"log_spaced = {log_spaced!r} is not a boolean")
+        else:
+            return None
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise _parse_error(f"malformed t grid: {exc}", "load_t_grid") from exc
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or points < 1:
@@ -294,29 +308,14 @@ def _input_state(args, n: int) -> GaussianState:
     return GaussianState(n, complex(c_re, c_im), A_re + 1j * A_im, b_re + 1j * b_im)
 
 
-#: the jump demo's grid when --grid-points and --domain are not given
-DEMO_GRID_POINTS = 128
-DEMO_DOMAIN = 8.0
-
-
 def cmd_evolve(q: QuadraticForm, args) -> dict:
     """The Gaussian evolution of --input, or, for a form without the graph
-    condition, the jump demo on the grid of --grid-points and --domain; the
-    options of the other path are a ParseError."""
-    demo = graph_condition(singular_space(q, tol=args.tol), tol=args.tol) is None
-    other_path = ({"--input": args.input} if demo else
-                  {"--grid-points": args.grid_points, "--domain": args.domain})
-    for option, value in other_path.items():
-        if value is not None:
-            why = ("the jump demo takes no input state" if demo else
-                   "the Gaussian path evolves in closed form, on no grid")
-            raise _parse_error(f"evolve: {option} {value} is not read: {why}",
-                               "cmd_evolve")
-    if demo:
-        points = DEMO_GRID_POINTS if args.grid_points is None else args.grid_points
-        return counterexample_demo(
-            q, args.t, points=max(points, 3) | 1,  # odd count puts a node at 0
-            domain=DEMO_DOMAIN if args.domain is None else args.domain, tol=args.tol)
+    condition, the jump demo, which takes no input state (ParseError)."""
+    if graph_condition(singular_space(q, tol=args.tol), tol=args.tol) is None:
+        if args.input is not None:
+            raise _parse_error(f"evolve: --input {args.input} is not read: the jump "
+                               "demo takes no input state", "cmd_evolve")
+        return counterexample_demo(q, args.t, tol=args.tol)
     u = _input_state(args, q.n)
     k = kernel_from_symbol(mehler_symbol(q, args.t, tol=args.tol))
     v = apply_kernel_gaussian(k, u)
@@ -377,11 +376,21 @@ def cmd_exponents(q: QuadraticForm, args) -> dict:
 class _Parser(argparse.ArgumentParser):
     """Raises a malformed command line as a ParseError, not as usage text."""
 
+    def error(self, message):
+        raise _parse_error(f"{self.prog}: {message}", "parse_args")
+
+
+class _CommandParser(_Parser):
+    """A command's parser: it takes an option it does not know as unrecognized,
+    with its value.  The top-level parser passes every token after the command
+    on to it."""
+
     def parse_known_args(self, args=None, namespace=None):
-        """argparse's, except that an option no command knows is unrecognized
-        together with the token after it (unless that token is an option):
-        argparse would give that token to the problem-file slot."""
-        args = sys.argv[1:] if args is None else list(args)
+        """argparse's, except that an option this parser does not know is
+        unrecognized together with the token after it, unless that token is an
+        option (a negative number is a value, as argparse reads it): argparse
+        would give that token to the problem-file slot."""
+        known, number = self._option_string_actions, self._negative_number_matcher
         kept, unknown = [], []
         i = 0
         while i < len(args):
@@ -389,76 +398,58 @@ class _Parser(argparse.ArgumentParser):
             if token == "--":
                 kept += args[i:]
                 break
-            if token.startswith("--") and token.split("=")[0] not in _KNOWN:
-                takes = ("=" not in token and i + 1 < len(args)
-                         and not args[i + 1].startswith("-"))
+            if token.startswith("--") and token.split("=")[0] not in known:
+                has_next = "=" not in token and i + 1 < len(args)
+                takes = has_next and (not args[i + 1].startswith("-")
+                                      or number.match(args[i + 1]) is not None)
                 unknown += args[i:i + 1 + takes]
                 i += 1 + takes
             else:
                 kept.append(token)
                 i += 1
-        namespace, extras = argparse.ArgumentParser.parse_known_args(self, kept, namespace)
+        namespace, extras = super().parse_known_args(kept, namespace)
         return namespace, unknown + extras
 
-    def error(self, message):
-        raise _parse_error(f"{self.prog}: {message}", "parse_args")
 
-
-def _not_read(prog: str, option: str):
-    """The type of an option of another command, which rejects it with its
-    value: unknown to the command, the value would be read as the problem file."""
-    def reject(value):
-        raise _parse_error(f"{prog}: unrecognized arguments: {option} {value}",
-                           "parse_args")
-    return reject
-
-
-#: the options besides the problem source and --tol, for the commands that read
-#: them; the others reject them (_not_read)
+#: the options besides the problem source and --tol; a command's parser knows
+#: only those of its _COMMANDS entry, and takes any other as unrecognized
 _OPTIONS = {
     "--t": {"type": float, "default": 0.1},
     "--t-grid": {"help": "t_min,t_max,points[,log|lin]"},
-    "--grid-points": {"type": int, "help": f"jump-demo grid (default {DEMO_GRID_POINTS})"},
-    "--domain": {"type": float, "help": f"jump-demo half-width (default {DEMO_DOMAIN})"},
     "--input": {"help": "Gaussian input state (JSON)"},
     "--p": {"type": _parse_exponent, "default": "1"},
     "--q": {"type": _parse_exponent, "default": "inf"},
     "--out": {"help": "write the t-sweep as CSV (t,value)"},
 }
-#: every option string of every command: the others are unknown to all of them
-_KNOWN = {"--help", "--fixture", "--tol", *_OPTIONS}
 _COMMANDS = {
     "analyze": (cmd_analyze, ()),
     "mehler": (cmd_mehler, ("--t",)),
     "kernel": (cmd_kernel, ("--t",)),
     "decompose": (cmd_decompose, ("--t", "--t-grid")),
     "verify": (cmd_verify, ("--t", "--t-grid")),
-    "evolve": (cmd_evolve, ("--t", "--grid-points", "--domain", "--input")),
+    "evolve": (cmd_evolve, ("--t", "--input")),
     "norms": (cmd_norms, ("--t", "--p", "--q")),
     "exponents": (cmd_exponents, ("--t-grid", "--p", "--q", "--out")),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # subparsers do not inherit allow_abbrev: without it, a prefix reads --t as --tol
+    # no prefix is read as an option (--to is not --tol): a command's parser takes
+    # it as unknown, and the top level's allow_abbrev=False rejects one of --help
     ap = _Parser(prog="qsemi", allow_abbrev=False,
                  description="analyze semigroups generated by accretive quadratic "
                              "differential operators")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (fn, options) in _COMMANDS.items():
-        p = sub.add_parser(name, allow_abbrev=False)
+        p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("file", nargs="?", help="problem file (JSON)")
         source.add_argument("--fixture", choices=fixture_names(),
                             help="built-in fixture instead of a file")
         p.add_argument("--tol", type=float)
-        for option, spec in _OPTIONS.items():
-            if option in options:
-                p.add_argument(option, **spec)
-            else:
-                p.add_argument(option, type=_not_read(p.prog, option),
-                               default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return ap
 
 

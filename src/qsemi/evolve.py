@@ -621,13 +621,14 @@ def _half_dispersion(u: GaussianState, D) -> GaussianState:
 # reciprocal demo
 
 def counterexample_demo(q: QuadraticForm, t: float = 0.1, *,
-                        points: int = 2001, domain: float = 4.0,
                         tol: float = DEFAULT_TOL) -> dict:
-    """Evolve a jump discontinuity under a fixture violating the graph
-    condition and report that no smoothing occurs.
+    """Evolve the jump of u = H(x) exp(-x^2) at x = 0 under a form violating
+    the graph condition and report that no smoothing occurs.
 
-    Requires a multiplication-type fixture (symbol supported on the physical
-    variables), for which exp(-t q^w) is multiplication by exp(-t q(x, 0)).
+    Requires a multiplication-type form (symbol supported on the physical
+    variables) with n = 1, for which exp(-t q^w) is multiplication by
+    exp(-t q(x, 0)): continuous and 1 at x = 0, so the jump stays 1, in
+    closed form.  kernel_error names the refusal of the kernel synthesis.
     """
     report = singular_space(q, tol=tol)
     if graph_condition(report, tol=tol) is not None:
@@ -642,25 +643,10 @@ def counterexample_demo(q: QuadraticForm, t: float = 0.1, *,
     if n != 1:
         raise DimensionMismatch("demo implemented for n = 1",
                                 module=_MOD, operation="counterexample_demo")
-    xs = np.linspace(-domain, domain, points)
-    jump_at = 0.0
-    u = np.where(xs >= jump_at, 1.0, 0.0) * np.exp(-xs ** 2)
-    i_hi = int(np.searchsorted(xs, jump_at))
-    jump_before = abs(u[i_hi] - u[i_hi - 1])
-    mult = np.exp(-t * q.Q[0, 0].real * xs ** 2)
-    v = mult * u
-    jump_after = abs(v[i_hi] - v[i_hi - 1])
-
     kernel_error = None
     try:
         kernel_from_symbol(mehler_symbol(q, t))
     except NonIntegrableSymbol as exc:
         kernel_error = type(exc).__name__
-    return {
-        "t": t,
-        "jump_before": float(jump_before),
-        "jump_after": float(jump_after),
-        "jump_preserved": bool(abs(jump_after - jump_before)
-                               <= 1e-3 * max(jump_before, 1e-300)),
-        "kernel_error": kernel_error,
-    }
+    return {"t": t, "jump_before": 1.0, "jump_after": 1.0, "jump_preserved": True,
+            "kernel_error": kernel_error}

@@ -228,6 +228,22 @@ def test_evolve_demo_on_a_problem_file_without_graph(tmp_path, capsys):
     assert rep["jump_preserved"] is True
 
 
+def test_evolve_demo_keeps_the_jump_in_closed_form(tmp_path, capsys):
+    # exp(-t q(x, 0)) is continuous and 1 at x = 0, for any complex q(x, 0) with
+    # Re >= 0: the jump of H(x) exp(-x^2) there stays 1
+    rng = np.random.default_rng(17)
+    q_xx = [0.0, 1j, *(rng.uniform(0, 5, 6) + 1j * rng.uniform(-5, 5, 6))]
+    for z in q_xx:
+        path = write_problem(tmp_path, {"n": 1, "Q_re": [[z.real, 0.0], [0.0, 0.0]],
+                                        "Q_im": [[z.imag, 0.0], [0.0, 0.0]]})
+        for t in ("1e-3", "0.1", "1", "3"):
+            code, out = run_cli(capsys, "evolve", path, "--t", t)
+            rep = json.loads(out)
+            assert code == EXIT_OK, (z, t, rep)
+            assert (rep["jump_before"], rep["jump_after"], rep["jump_preserved"]) == (
+                1.0, 1.0, True)
+
+
 def test_evolve_gaussian_report(capsys):
     code, out = run_cli(capsys, "evolve", "--fixture", "heat", "--t", "0.2")
     rep = json.loads(out)
@@ -297,7 +313,8 @@ def write_problem(tmp_path, problem):
 
 @pytest.mark.parametrize("grid", ["0.1,a,3", "0.1", "0.1,1", "1e-3,1e-1,0",
                                   "1e-3,1e-1,-2", "0,1e-1,5", "-1e-3,1e-1,5,log",
-                                  "1e-3,nan,5", "1e-3,1e-1,2.5"])
+                                  "1e-3,nan,5", "1e-3,1e-1,2.5", "1e-3,0.1,3,banana",
+                                  "1e-3,0.1,3,", "1e-3,0.1,3,yes", "1e-3,0.1,3,log,lin"])
 def test_t_grid_flag_parse_errors(capsys, grid):
     code, out = run_cli(capsys, "exponents", "--fixture", "heat", f"--t-grid={grid}")
     assert code == EXIT_PARSE
@@ -310,12 +327,42 @@ def test_t_grid_flag_parse_errors(capsys, grid):
                                     {"t_min": 1e-3, "t_max": 1e-1, "points": 0},
                                     {"t_min": 0.0, "t_max": 1e-1, "points": 5},
                                     {"t_min": "x", "t_max": 1e-1, "points": 5},
-                                    [1e-3, 1e-1, 5]])
+                                    [1e-3, 1e-1, 5],
+                                    {"t_min": 1e-3, "t_max": 1e-1, "points": 3.9},
+                                    {"t_min": 1e-3, "t_max": 1e-1, "points": 3.0},
+                                    {"t_min": 1e-3, "t_max": 1e-1, "points": True},
+                                    {"t_min": 1e-3, "t_max": 1e-1, "points": "3"},
+                                    *({"t_min": 1e-3, "t_max": 1e-1, "points": 3,
+                                       "log_spaced": spacing}
+                                      for spacing in ("false", "log", 0, 1, None))])
 def test_t_grid_file_parse_errors(tmp_path, capsys, t_grid):
     path = write_problem(tmp_path, dict(HEAT_PROBLEM, t_grid=t_grid))
     code, out = run_cli(capsys, "exponents", path)
     assert code == EXIT_PARSE
     assert json.loads(out)["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("spacing, log", [(None, True), ("log", True), ("LOG", True),
+                                          (" Log ", True), ("true", True), ("True", True),
+                                          ("1", True), ("lin", False), ("LIN", False),
+                                          ("Lin", False), ("false", False), ("FALSE", False),
+                                          ("0", False)])
+def test_t_grid_flag_spacing(capsys, spacing, log):
+    grid = "1e-3,0.1,3" if spacing is None else f"1e-3,0.1,3,{spacing}"
+    code, out = run_cli(capsys, "exponents", "--fixture", "heat", f"--t-grid={grid}")
+    assert code == EXIT_OK
+    assert json.loads(out)["t_values"][1] == pytest.approx(0.01 if log else 0.0505)
+
+
+@pytest.mark.parametrize("spacing, log", [(None, True), (True, True), (False, False)])
+def test_t_grid_file_spacing(tmp_path, capsys, spacing, log):
+    t_grid = {"t_min": 1e-3, "t_max": 1e-1, "points": 3}
+    if spacing is not None:
+        t_grid["log_spaced"] = spacing
+    code, out = run_cli(capsys, "exponents", write_problem(tmp_path, dict(HEAT_PROBLEM,
+                                                                         t_grid=t_grid)))
+    assert code == EXIT_OK
+    assert json.loads(out)["t_values"][1] == pytest.approx(0.01 if log else 0.0505)
 
 
 @pytest.mark.parametrize("command", ["exponents", "decompose", "verify"])
@@ -347,7 +394,8 @@ def test_descending_t_grid_sets_the_same_horizon(capsys):
                                     {"n": 0}, {"n": -1}, {"n": "one"},
                                     {"Q_re": [[float("nan"), 0.0], [0.0, 1.0]]},
                                     {"Q_im": [[0.0, float("inf")], [float("inf"), 0.0]]},
-                                    {"Q_im": [[0.0, 1.0]]}])
+                                    {"Q_im": [[0.0, 1.0]]},
+                                    {"n": 1.5}, {"n": 1.0}, {"n": True}, {"n": "1"}])
 def test_problem_file_parse_errors(tmp_path, capsys, change):
     path = write_problem(tmp_path, dict(HEAT_PROBLEM, **change))
     code, out = run_cli(capsys, "exponents", path)
@@ -510,21 +558,6 @@ def test_evolve_demo_rejects_an_input_state(tmp_path, capsys):
     assert rep["kind"] == "ParseError" and "--input" in rep["error"]
 
 
-@pytest.mark.parametrize("option, value", [("--grid-points", "5"), ("--domain", "1")])
-def test_evolve_gaussian_path_rejects_grid_options(capsys, option, value):
-    code, out = run_cli(capsys, "evolve", "--fixture", "heat", "--t", "0.2", option, value)
-    rep = json.loads(out)
-    assert code == EXIT_PARSE
-    assert rep["kind"] == "ParseError" and option in rep["error"]
-
-
-def test_evolve_demo_takes_its_grid_options(capsys):
-    _, default = run_cli(capsys, "evolve", "--fixture", "x-squared")
-    code, out = run_cli(capsys, "evolve", "--fixture", "x-squared",
-                        "--grid-points", "128", "--domain", "8")
-    assert code == EXIT_OK and out == default
-
-
 def test_evolve_nonintegrable_input_is_math_error(tmp_path, capsys):
     path = write_state(tmp_path, json.dumps(dict(GOOD_STATE, A_re=[[-1.0]])))
     code, out = run_cli(capsys, "evolve", "--fixture", "heat", "--input", path)
@@ -564,25 +597,27 @@ def test_time_too_large_ends_with_the_stop_reason(capsys):
 
 READS = {"analyze": [], "mehler": ["--t"], "kernel": ["--t"],
          "decompose": ["--t", "--t-grid"], "verify": ["--t", "--t-grid"],
-         "evolve": ["--t", "--grid-points", "--domain", "--input"],
+         "evolve": ["--t", "--input"],
          "norms": ["--t", "--p", "--q"], "exponents": ["--t-grid", "--p", "--q", "--out"]}
-OPTION_VALUES = {"--t": "0.05", "--t-grid": "1e-3,1e-1,5", "--grid-points": "65",
-                 "--domain": "4", "--input": "state.json", "--p": "2", "--q": "inf",
-                 "--out": "sweep.csv"}
+OPTION_VALUES = {"--t": "0.05", "--t-grid": "1e-3,1e-1,5", "--input": "state.json",
+                 "--p": "2", "--q": "inf", "--out": "sweep.csv"}
+#: the options and values tried on each command: also the jump demo's grid options,
+#: which the CLI no longer has, so that every command rejects them
+TRIED = {**OPTION_VALUES, "--grid-points": "65", "--domain": "4"}
 
 
-@pytest.mark.parametrize("command, option", [(c, o) for c in READS for o in OPTION_VALUES
+@pytest.mark.parametrize("command, option", [(c, o) for c in READS for o in TRIED
                                              if o not in READS[c]])
 def test_command_rejects_options_it_does_not_read(tmp_path, capsys, command, option):
     path = write_problem(tmp_path, HEAT_PROBLEM)
     # after --fixture, too, where the option's value would fill the problem-file slot
     for source in ([path], ["--fixture", "heat"]):
-        code, out = run_cli(capsys, command, *source, option, OPTION_VALUES[option])
-        rep = json.loads(out)
-        assert code == EXIT_PARSE
-        assert (rep["kind"], rep["operation"]) == ("ParseError", "parse_args")
-        assert rep["error"].endswith(
-            f"unrecognized arguments: {option} {OPTION_VALUES[option]}")
+        for value in (TRIED[option], "-0.5"):
+            code, out = run_cli(capsys, command, *source, option, value)
+            rep = json.loads(out)
+            assert code == EXIT_PARSE
+            assert (rep["kind"], rep["operation"]) == ("ParseError", "parse_args")
+            assert rep["error"].endswith(f"unrecognized arguments: {option} {value}")
 
 
 def test_rejected_options_are_neither_listed_nor_read(tmp_path, capsys):
@@ -595,16 +630,20 @@ def test_rejected_options_are_neither_listed_nor_read(tmp_path, capsys):
                                                                     "--tol"}
 
 
-@pytest.mark.parametrize("source", [["--fixture", "heat"], ["problem"]])
-@pytest.mark.parametrize("unknown", [["--foo", "0.5"], ["--foo=0.5"]])
+@pytest.mark.parametrize("source", [["--fixture", "heat"], ["problem"],
+                                    ["--fixture", "x-squared"]])
+@pytest.mark.parametrize("unknown", [["--foo", "0.5"], ["--foo=0.5"], ["--foo", "-0.5"],
+                                     ["--grid-points", "95", "--domain", "6"]])
 def test_unknown_option_is_named_with_its_value(tmp_path, capsys, source, unknown):
-    # after --fixture the value would otherwise fill the problem-file slot
+    # after --fixture the value would otherwise fill the problem-file slot; evolve
+    # runs the jump demo on x-squared and the Gaussian path on the heat problem
     source = [write_problem(tmp_path, HEAT_PROBLEM) if s == "problem" else s for s in source]
-    for argv in (source + unknown, unknown + source):
-        code, out = run_cli(capsys, "analyze", *argv)
-        rep = json.loads(out)
-        assert code == EXIT_PARSE
-        assert rep["error"].endswith(f"unrecognized arguments: {' '.join(unknown)}")
+    for command in ("analyze", "evolve"):
+        for argv in (source + unknown, unknown + source):
+            code, out = run_cli(capsys, command, *argv)
+            rep = json.loads(out)
+            assert code == EXIT_PARSE
+            assert rep["error"].endswith(f"unrecognized arguments: {' '.join(unknown)}")
 
 
 @pytest.mark.parametrize("command, flag", [("analyze", "--t"), ("exponents", "--t"),
@@ -639,6 +678,17 @@ def test_help_exits_zero(capsys):
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_synopsis_lists_each_commands_options():
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI")[1].split("```")[1]
+    synopsis = {}
+    for line in block.strip().splitlines():
+        if line.startswith("qsemi "):
+            command = line.split()[1]
+        synopsis.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+    assert synopsis == {name: {"--fixture", "--tol", *options}
+                        for name, (_, options) in cli._COMMANDS.items()}
 
 
 def test_gamma_pencil_failure_is_a_typed_error(capsys):
