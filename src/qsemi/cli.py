@@ -133,7 +133,7 @@ def resolve_tol(flag: float | None, problem: dict) -> float:
     else:
         return DEFAULT_TOL
     try:
-        tol = float(value)
+        tol = float(value) if source == "QSEMI_TOL" else _number(value, source)
     except (OverflowError, TypeError, ValueError) as exc:
         raise _parse_error(f"{source} = {value!r} is not a number",
                            "resolve_tol") from exc
@@ -150,6 +150,22 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _number(value, name: str) -> float:
+    """A number of a problem file, which must be a JSON number, not a boolean
+    or a string (ValueError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} = {value!r} must be a number")
+    return float(value)
+
+
+def _matrix(value, name: str, m: int) -> np.ndarray:
+    """An m x m matrix of a problem file, nested lists of JSON numbers
+    (ValueError)."""
+    entries = np.asarray(value, dtype=object).ravel().tolist()
+    return np.array([_number(v, f"an entry of {name}") for v in entries],
+                    dtype=float).reshape(m, m)
+
+
 def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticForm:
     """Build the form from --fixture, else from the problem file's object,
     whose Re Q QuadraticForm must find PSD within tol (ParseError if not)."""
@@ -159,8 +175,8 @@ def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticFor
         n = _integer(problem["n"], "n")
         if n < 1:
             raise ValueError(f"n = {n} must be at least 1")
-        Q_re = np.asarray(problem["Q_re"], dtype=float).reshape(2 * n, 2 * n)
-        Q_im = (np.asarray(problem["Q_im"], dtype=float).reshape(2 * n, 2 * n)
+        Q_re = _matrix(problem["Q_re"], "Q_re", 2 * n)
+        Q_im = (_matrix(problem["Q_im"], "Q_im", 2 * n)
                 if "Q_im" in problem else np.zeros_like(Q_re))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise _parse_error(f"malformed problem file: {exc}", "load_problem") from exc
@@ -197,7 +213,7 @@ def load_t_grid(flag: str | None, problem: dict) -> np.ndarray | None:
             log_spaced = _SPACINGS[spacing]
         elif problem.get("t_grid"):
             spec = problem["t_grid"]
-            t_min, t_max = float(spec["t_min"]), float(spec["t_max"])
+            t_min, t_max = _number(spec["t_min"], "t_min"), _number(spec["t_max"], "t_max")
             points = _integer(spec["points"], "points")
             log_spaced = spec.get("log_spaced", True)
             if not isinstance(log_spaced, bool):
@@ -327,6 +343,18 @@ def cmd_evolve(q: QuadraticForm, args) -> dict:
     }
 
 
+def _time(value: str) -> float:
+    """A --t value, which must be a finite number: every command that takes a
+    time decides it here, before any pipeline."""
+    try:
+        t = float(value)
+    except ValueError:
+        t = math.nan
+    if not math.isfinite(t):
+        raise argparse.ArgumentTypeError(f"{value!r} is not a finite number")
+    return t
+
+
 def _parse_exponent(s: str) -> float:
     try:
         return np.inf if s in ("inf", "Inf", "oo") else float(s)
@@ -414,7 +442,7 @@ class _CommandParser(_Parser):
 #: the options besides the problem source and --tol; a command's parser knows
 #: only those of its _COMMANDS entry, and takes any other as unrecognized
 _OPTIONS = {
-    "--t": {"type": float, "default": 0.1},
+    "--t": {"type": _time, "default": 0.1},
     "--t-grid": {"help": "t_min,t_max,points[,log|lin]"},
     "--input": {"help": "Gaussian input state (JSON)"},
     "--p": {"type": _parse_exponent, "default": "1"},

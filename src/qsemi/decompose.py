@@ -24,8 +24,9 @@ t at once, and the public stage functions run at one t.  A stacked pass
 records each failed entry's first error (matfun.Checks), so no entry is run
 again alone to learn it.
 
-Matrix exponentials: a time point of the build forms four, each once.  For
-X = JS with S symmetric, J^T X^T J = -X, so exp(-X) = J^T exp(X)^T J
+Matrix exponentials: a time point of the build forms four, each once, by
+matfun.expm, which takes the whole grid in one stacked pass per Pade degree.
+For X = JS with S symmetric, J^T X^T J = -X, so exp(-X) = J^T exp(X)^T J
 (matfun.expm_hamiltonian).  _polar forms exp(-2itJQ), exp(2itJA) and
 S = exp(2tJB); exp(-2itJ conj Q) is the conjugate of exp(2itJQ) =
 J^T exp(-2itJQ)^T J, and exp(-2itJA) = J^T exp(2itJA)^T J.  It keeps
@@ -35,9 +36,10 @@ shears are I + X with X^2 = 0, and only e^{tM} (n x n) takes expm.  _strang
 multiplies the kept exp(-2itJA) by exp(2iJ sR_s), the Cayley transform that
 inverse_twisted forms with R_s from one n x n solve (no log, no expm).  Each
 (c tJ)^{-1} L is J^T L / (c t), with no solve.  The public stage functions
-form their own exponentials, and verify_decomposition forms every shadow by
-expm (the twisted one, on both sides of the middle term, once), so its
-matrix residual checks these closed forms independently.
+form their own exponentials, by matfun.expm too.  verify_decomposition forms
+every shadow by scipy.linalg.expm (the twisted one, on both sides of the
+middle term, once), a second implementation of the exponential, so its
+matrix residual checks these closed forms and matfun.expm independently.
 """
 from __future__ import annotations
 
@@ -59,6 +61,7 @@ from .errors import (
 from .matfun import (
     DEFAULT_TOL,
     Checks,
+    expm,
     expm_hamiltonian,
     first_index,
     log_principal,
@@ -228,7 +231,7 @@ def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
            lambda i: f"imag part of B has norm {imag.flat[i]:.3e}",
            module=_MOD, operation=op)
     B = (B.real + B.real.mT) / 2
-    S = sla.expm(2 * tJ @ B)
+    S = expm(2 * tJ @ B)
     recon = _fro(EA @ S - E1)
     return PolarFactors(t[()], A, B, EA, S, recon[()])
 
@@ -254,10 +257,14 @@ def _three_factor_product(D, M, W, t):
     exact; only e^{tM} (n x n) goes through expm, which keeps the residual a
     check of the log that gave M.
     """
-    R = sla.expm(t * M).mT                  # e^{tM^T}
+    R = expm(t * M).mT                      # e^{tM^T}
     L = np.linalg.inv(R).mT                 # e^{-tM}
     X, Y = -2 * t * D, -t * W
-    return np.block([[L + X @ R @ Y, X @ R], [R @ Y, R]])
+    n = R.shape[-1]
+    P = np.empty(R.shape[:-2] + (2 * n, 2 * n))
+    P[..., :n, :n], P[..., :n, n:] = L + X @ R @ Y, X @ R
+    P[..., n:, :n], P[..., n:, n:] = R @ Y, R
+    return P
 
 
 def _unitary(S, t, tol: float, checks: Checks) -> UnitaryFactors:
@@ -292,7 +299,7 @@ def unitary_factorization(B, t: float) -> UnitaryFactors:
     if t == 0:
         return UnitaryFactors(D=-B[n:, n:], M=-2 * B[n:, :n], W=2 * B[:n, :n],
                               residual=0.0, iterations=0)
-    return _unitary(sla.expm(2 * t * standard_J(n) @ B), t, DEFAULT_TOL, Checks())
+    return _unitary(expm(2 * t * standard_J(n) @ B), t, DEFAULT_TOL, Checks())
 
 
 def _strang(A, B, EA, EB, tol: float, checks: Checks) -> np.ndarray:
@@ -326,7 +333,7 @@ def strang_middle(A, B, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     J = standard_J(A.shape[-1] // 2)
-    EB, EA = sla.expm(np.stack([2j * J @ B, -2j * J @ A]))
+    EB, EA = expm(np.stack([2j * J @ B, -2j * J @ A]))
     return _strang(A, B, EA, EB, tol, Checks())
 
 
@@ -375,21 +382,27 @@ def _gammas(pol, U, Nbar, alpha, *, tol, checks: Checks) -> np.ndarray:
     t = np.asarray(pol.t)
     Abar = U.T @ pol.A @ U
     lam = np.linalg.eigvalsh(Abar)[..., 0] if Abar.size else np.ones(t.shape)
-    # one LAPACK generalized eigenproblem per t: on rank-n forms the pencil is
-    # ill-conditioned (another reduction moves gamma_t by up to 1e-5), and its
-    # Cholesky of A_t can fail though lambda_min(A_t) > 0, which fails that t
-    chol = np.zeros(t.shape, dtype=bool)
+    # one LAPACK generalized eigenproblem per t, ?sygvd as scipy.linalg.eigh
+    # calls it: on rank-n forms the pencil is ill-conditioned (another
+    # reduction moves gamma_t by up to 1e-5), and its Cholesky of A_t can fail
+    # though lambda_min(A_t) > 0 (info > m), which fails that t
+    m = len(Nbar)
+    info = np.zeros(t.shape, dtype=int)
     mu = np.zeros(t.shape)
+    sygvd = sla.get_lapack_funcs("sygvd", (Nbar, Abar))
     for k in np.ndindex(t.shape):
-        if Nbar.size and lam[k] > 0:
-            try:
-                mu[k] = sla.eigh(Nbar, Abar[k], eigvals_only=True).max()
-            except np.linalg.LinAlgError:
-                chol[k] = True
-    checks((lam <= 0) | chol, GammaCollapsed,
-           lambda i: ("the pencil's Cholesky of A_t failed" if chol.flat[i] else
-                      "A_t not positive on the complement of S")
-                     + f" at t = {t.flat[i]:.3g} (lambda_min = {lam.flat[i]:.3e})",
+        if m and lam[k] > 0:
+            w, _, info[k] = sygvd(Nbar, Abar[k], jobz="N", uplo="L")
+            if info[k] == 0:
+                mu[k] = w.max()
+
+    def why(i):
+        code = info.flat[i]
+        return ("A_t not positive on the complement of S" if code == 0 else
+                "the pencil's Cholesky of A_t failed" if code > m else
+                "the pencil's eigenvalues did not converge")
+    checks((lam <= 0) | (info != 0), GammaCollapsed,
+           lambda i: why(i) + f" at t = {t.flat[i]:.3g} (lambda_min = {lam.flat[i]:.3e})",
            module=_MOD, operation="select_gamma")
     vanishes = mu <= tol  # the twisted form vanishes on the complement
     t_alpha = checks.clean(t, 1.0) ** (1 - alpha)

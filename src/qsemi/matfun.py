@@ -1,14 +1,19 @@
-"""Dense complex matrix functions: principal log, cos and arctan, the pair
-exp(+-X) of a Hamiltonian X from one exponential, Pfaffians and the
-continuous branch of sqrt(det cos), rank-revealing null spaces, PSD tests.
+"""Dense complex matrix functions: the exponential and principal log of a
+stack of matrices, cos and arctan, the pair exp(+-X) of a Hamiltonian X from
+one exponential, Pfaffians and the continuous branch of sqrt(det cos),
+rank-revealing null spaces, PSD tests.
 
 All routines are dense and target matrices of size at most ~40x40; inputs are
-validated for finiteness and shape, never mutated.  The log, cos, arctan and
-Pfaffian also take stacks, one matrix per entry, and sqrt(det cos(tJQ)) a grid
-of times.  A computation on a stack reports its failed checks through Checks:
-it raises at the first failing entry, or records each failing entry with its
-first error and goes on, so that one pass over a grid finds every entry that
-fails, and why.
+validated for finiteness and shape, never mutated.  The exponential, log, cos,
+arctan and Pfaffian also take stacks, one matrix per entry, and
+sqrt(det cos(tJQ)) a grid of times.  expm and the log choose their Pade degree
+(and expm its squarings) per entry and evaluate each degree in one stacked pass,
+so an entry comes out as it would alone.  The build and the symbols form every
+exponential by expm; decompose.verify_decomposition and the kernel transport
+it applies keep scipy.linalg.expm as an independent oracle.  A computation on
+a stack reports its failed checks through Checks: it raises at the first
+failing entry, or records each failing entry with its first error and goes
+on, so that one pass over a grid finds every entry that fails, and why.
 """
 from __future__ import annotations
 
@@ -30,15 +35,36 @@ DEFAULT_TOL = 1e-9
 
 _MOD = "matfun"
 
-#: degree of the diagonal Pade approximant to log(I + X), evaluated as the
-#: Gauss-Legendre sum of its partial fractions, and the 1-norm of X below
-#: which it is accurate to unit roundoff (bound of Higham, Functions of
-#: Matrices, SIAM 2008, sec. 11.4, evaluated for this degree)
-_PADE_DEGREE = 10
-_PADE_THETA = 0.45
+#: the diagonal Pade approximants to log(I + X), of degree m = 1..10, each
+#: evaluated as the Gauss-Legendre sum of its partial fractions: the 1-norm of
+#: X up to which degree m is accurate to unit roundoff, from the Kenney-Laub
+#: relative bound |r_m(-x) - log(1 - x)| <= 2^-53 |log(1 - x)| (Higham,
+#: Functions of Matrices, SIAM 2008, sec. 11.4), solved at 60 digits and
+#: rounded down
+_LOG_THETA = (3.65e-8, 3.75e-4, 8.19e-3, 3.78e-2, 9.29e-2, 0.165, 0.245, 0.325,
+              0.399, 0.466)
+
+#: the diagonal Pade approximants r_m = (V - U)^-1 (V + U) to exp, of degree
+#: m = 3, 5, 7, 9, 13 (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table
+#: 2.3 and eq. (2.4)): the 1-norm of X up to which r_m(X) is exp(X) to unit
+#: roundoff, and the coefficients b_0, ..., b_m of r_m divided by b_1.  b_0 is
+#: 2 b_1 at every degree, so a square-zero X (the heat form's JQ) gives
+#: exactly U = X, V = 2I and r_m(X) = I + X
+_EXPM_PADE = {m: (theta, tuple(b / c[1] for b in c)) for m, theta, c in (
+    (3, 1.495585217958292e-2, (120, 60, 12, 1)),
+    (5, 2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
+    (7, 9.504178996162932e-1, (17297280, 8648640, 1995840, 277200, 25200, 1512,
+                               56, 1)),
+    (9, 2.097847961257068, (17643225600, 8821612800, 2075673600, 302702400,
+                            30270240, 2162160, 110880, 3960, 90, 1)),
+    (13, 5.371920351148152, (64764752532480000, 32382376266240000,
+                             7771770303897600, 1187353796428800, 129060195264000,
+                             10559470521600, 670442572800, 33522128640,
+                             1323241920, 40840800, 960960, 16380, 182, 1)),
+)}
 
 #: square roots per entry, and Denman-Beavers steps per root, at most: 64
-#: roots bring the log of any finite matrix within _PADE_THETA of 0, and a
+#: roots bring the log of any finite matrix within _LOG_THETA[-1] of 0, and a
 #: root converges in far fewer steps
 _MAX_STEPS = 64
 
@@ -137,19 +163,34 @@ def _sqrt_db(A) -> np.ndarray:
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the _PADE_DEGREE-point Gauss-Legendre rule on
-    [0, 1]; computed on first use, so that importing runs no LAPACK."""
-    u, w = np.polynomial.legendre.leggauss(_PADE_DEGREE)
-    return (u + 1) / 2, w / 2
+    """Nodes and weights of the m-point Gauss-Legendre rules on [0, 1] for each
+    degree m of _LOG_THETA, in row m - 1, padded with zeros; computed on first
+    use, so that importing runs no LAPACK."""
+    M = len(_LOG_THETA)
+    nodes, weights = np.zeros((M, M)), np.zeros((M, M))
+    for m in range(1, M + 1):
+        u, w = np.polynomial.legendre.leggauss(m)
+        nodes[m - 1, :m], weights[m - 1, :m] = (u + 1) / 2, w / 2
+    return nodes, weights
 
 
 def _log1p_pade(X) -> np.ndarray:
-    """log(I + X) for each matrix of a stack with |X|_1 <= _PADE_THETA: the
-    diagonal Pade approximant sum_j w_j X (I + u_j X)^-1, whose partial
-    fractions are the Gauss-Legendre rule for int_0^1 X (I + uX)^-1 du."""
-    nodes, weights = _gauss_legendre()
-    S = np.eye(X.shape[-1]) + nodes.reshape((-1,) + (1,) * X.ndim) * X
-    return np.tensordot(weights, np.linalg.solve(S, X), axes=1)
+    """log(I + X) for each matrix of a stack with |X|_1 <= _LOG_THETA[-1]: the
+    diagonal Pade approximant sum_j w_j X (I + u_j X)^-1 of the smallest degree
+    m with |X|_1 <= _LOG_THETA[m - 1], whose partial fractions are the m-point
+    Gauss-Legendre rule for int_0^1 X (I + uX)^-1 du.  One solve takes every
+    (entry, node) pair of the stack."""
+    k = X.shape[-1]
+    Xs = X.reshape(-1, k, k)
+    M = len(_LOG_THETA)
+    degree = np.minimum(np.searchsorted(_LOG_THETA, _norm1(Xs)), M - 1) + 1
+    pair = np.arange(M) < degree[:, None]
+    entry = np.nonzero(pair)[0]
+    nodes, weights = (a[degree - 1][pair] for a in _gauss_legendre())
+    Y = np.linalg.solve(np.eye(k) + nodes[:, None, None] * Xs[entry], Xs[entry])
+    L = np.zeros_like(Xs)
+    np.add.at(L, entry, weights[:, None, None] * Y)
+    return L.reshape(X.shape)
 
 
 def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
@@ -157,7 +198,7 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
 
     A caller that has X more accurately than Z - I (mat_arctan, where X is
     O(s) for an argument of order s) keeps that accuracy: Z is only rooted
-    where |X|_1 > _PADE_THETA, each root doubling the absolute error of
+    where |X|_1 > _LOG_THETA[-1], each root doubling the absolute error of
     that entry alone.  Inverse scaling and squaring (Al-Mohy and Higham,
     SIAM J. Sci. Comput. 34(4), 2012): log Z = 2^k log(I + X_k) with
     X_k = Z^(1/2^k) - I, by square roots then a Pade approximant.
@@ -193,14 +234,14 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
     Z = np.array(checks.clean(Z, I), dtype=complex)
     X = np.array(checks.clean(X, 0), dtype=complex)
     roots = np.zeros(Z.shape[:-2], dtype=int)
-    need = _norm1(X) > _PADE_THETA
+    need = _norm1(X) > _LOG_THETA[-1]
     for _ in range(_MAX_STEPS):
         if not need.any():
             break
         Z[need] = _sqrt_db(Z[need])
         X[need] = Z[need] - I
         roots += need
-        need &= _norm1(X) > _PADE_THETA
+        need &= _norm1(X) > _LOG_THETA[-1]
     return _log1p_pade(X) * 2.0 ** roots[..., None, None]
 
 
@@ -215,6 +256,60 @@ def mat_log_principal(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     return log_principal(A, A - np.eye(A.shape[-1]), tol, Checks())
 
 
+def _pade_uv(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """The odd and even parts U and V of the Pade approximant with coefficients
+    b (_EXPM_PADE) at each matrix of the stack A, as Higham (2005) evaluates
+    them: from A^2, A^4 and A^6 at degree 13, from the powers of A^2 below."""
+    I = np.eye(A.shape[-1])
+    A2 = A @ A
+    if len(b) == 14:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+        return U, V
+    powers = [I, A2]
+    while len(powers) < len(b) // 2:
+        powers.append(powers[-1] @ A2)
+    return (A @ sum(c * P for c, P in zip(b[1::2], powers)),
+            sum(c * P for c, P in zip(b[0::2], powers)))
+
+
+def expm(X) -> np.ndarray:
+    """exp of a real or complex matrix, or of each matrix of a stack (..., m, m),
+    by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+
+    Each entry takes the smallest degree m in 3, 5, 7, 9 with |X|_1 <= theta_m,
+    else degree 13 on X / 2^s, with s the fewest halvings that bring |X|_1
+    within theta_13, and s squarings after.  The entries of one degree go
+    through one stacked pass, and the quotient is I + 2 (V - U)^-1 U, as
+    scipy.linalg.expm forms it: (V - U)^-1 (V + U) loses accuracy.  An entry
+    comes out as it would alone.
+    """
+    X = np.asarray(X)
+    k = X.shape[-1]
+    A = X.reshape(-1, k, k).astype(np.result_type(X, float), copy=False)
+    E = np.empty_like(A)
+    norm = _norm1(A)
+    degree = np.full(norm.shape, 13)
+    for m in (9, 7, 5, 3):
+        degree[norm <= _EXPM_PADE[m][0]] = m
+    # a non-finite entry is left unscaled, to come out non-finite
+    big = (degree == 13) & np.isfinite(norm)
+    s = np.zeros(norm.shape, dtype=int)
+    s[big] = np.ceil(np.log2(norm[big] / _EXPM_PADE[13][0])).clip(0)
+    for m in np.unique(degree).tolist():
+        i = np.flatnonzero(degree == m)
+        U, V = _pade_uv(A[i] * 2.0 ** -s[i, None, None], _EXPM_PADE[m][1])
+        E[i] = np.eye(k) + 2 * np.linalg.solve(V - U, U)
+    for j in range(s.max(initial=0)):
+        i = np.flatnonzero(s > j)
+        E[i] = E[i] @ E[i]
+    return E.reshape(X.shape)
+
+
 def expm_hamiltonian(X) -> tuple[np.ndarray, np.ndarray]:
     """exp(X) and exp(-X) for each X = J S of a stack (..., 2n, 2n), with
     J = [[0, I], [-I, 0]] and S complex symmetric, from one expm call.
@@ -223,10 +318,13 @@ def expm_hamiltonian(X) -> tuple[np.ndarray, np.ndarray]:
     exp(X) = [[a, b], [c, d]] that is [[d^T, -b^T], [-c^T, a^T]], a block
     permutation with no rounding.
     """
-    E = sla.expm(X)
+    E = expm(X)
     n = E.shape[-1] // 2
     a, b, c, d = E[..., :n, :n], E[..., :n, n:], E[..., n:, :n], E[..., n:, n:]
-    return E, np.block([[d.mT, -b.mT], [-c.mT, a.mT]])
+    Einv = np.empty_like(E)
+    Einv[..., :n, :n], Einv[..., :n, n:] = d.mT, -b.mT
+    Einv[..., n:, :n], Einv[..., n:, n:] = -c.mT, a.mT
+    return E, Einv
 
 
 def mat_cos(A) -> np.ndarray:

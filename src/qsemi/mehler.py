@@ -20,9 +20,11 @@ closed form from one SVD of N, with no matrix log, expm or eigenvalues.
 Sweeps: mehler_symbol and kernel_from_symbol take a whole grid of times at
 once and return symbols and kernels stacked over it.  The grid is one stacked
 computation: one eigvals(JQ) decides the conjugate points for every t, one
-expm call on the stack of itJQ gives cos(tJQ) and sin(tJQ) for every t (with
-exp(-itJQ) = J^T exp(itJQ)^T J), and the Pfaffian, the tan solve, the kernel
-blocks and every positivity check run on the stack.
+matfun.expm call on the stack of itJQ gives cos(tJQ) and sin(tJQ) for every t
+(with exp(-itJQ) = J^T exp(itJQ)^T J), and the Pfaffian, the tan solve, the
+kernel blocks and every positivity check run on the stack.
+kernel_right_transport, which only verify_decomposition applies, keeps
+scipy.linalg.expm, the oracle's exponential.
 """
 from __future__ import annotations
 

@@ -403,6 +403,41 @@ def test_problem_file_parse_errors(tmp_path, capsys, change):
     assert json.loads(out)["kind"] == "ParseError"
 
 
+@pytest.mark.parametrize("change, named", [
+    ({"Q_re": [[0.0, 0.0], [0.0, True]]}, "True"),
+    ({"Q_re": [[0.0, 0.0], [0.0, "1"]]}, "'1'"),
+    ({"Q_im": [[False, 0.0], [0.0, 0.0]]}, "False"),
+    ({"Q_im": [[0.0, "0.5"], ["0.5", 0.0]]}, "'0.5'"),
+    ({"t_grid": {"t_min": True, "t_max": 0.1, "points": 3}}, "t_min = True"),
+    ({"t_grid": {"t_min": 1e-3, "t_max": "0.1", "points": 3}}, "t_max = '0.1'"),
+    ({"tolerances": {"default": "1e-3"}}, "tolerances.default = '1e-3'"),
+    ({"tolerances": {"default": True}}, "tolerances.default = True")])
+def test_problem_file_numbers_must_be_json_numbers(tmp_path, capsys, change, named):
+    # a JSON boolean or numeric string is not read as the number it spells
+    code, out = run_cli(capsys, "exponents", write_problem(tmp_path, dict(HEAT_PROBLEM,
+                                                                         **change)))
+    rep = json.loads(out)
+    assert code == EXIT_PARSE
+    assert rep["kind"] == "ParseError"
+    assert named in rep["error"]
+
+
+TIME_COMMANDS = [name for name, (_, options) in cli._COMMANDS.items() if "--t" in options]
+
+
+@pytest.mark.parametrize("command", TIME_COMMANDS)
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "NaN"])
+def test_a_time_that_is_not_finite_is_parse_error(capsys, command, t):
+    # decided once, by the command line, before any pipeline
+    fixture = "x-squared" if command == "evolve" else "heat"
+    code, out = run_cli(capsys, command, "--fixture", fixture, f"--t={t}")
+    rep = json.loads(out)
+    assert code == EXIT_PARSE
+    assert (rep["kind"], rep["module"], rep["operation"]) == ("ParseError", "cli",
+                                                              "parse_args")
+    assert f"argument --t: {t!r} is not a finite number" in rep["error"]
+
+
 def test_problem_file_parsed_once(tmp_path, capsys, monkeypatch):
     path = write_problem(tmp_path, dict(HEAT_PROBLEM, t_grid={
         "t_min": 1e-3, "t_max": 1e-1, "points": 5}))

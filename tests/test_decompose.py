@@ -196,34 +196,49 @@ def test_build_middle_term_matches_strang_middle():
 
 
 class CountedExpm:
-    """scipy.linalg with expm counting the matrices of each stack it gets."""
+    """scipy.linalg with expm counting the matrices of each stack it gets;
+    called, it counts for the exponential it wraps (matfun.expm)."""
 
-    def __init__(self):
-        self.entries = 0
+    def __init__(self, expm=sla.expm):
+        self.entries, self.wrapped = 0, expm
 
     def __getattr__(self, name):
         return getattr(sla, name)
 
     def expm(self, A):
         self.entries += int(np.prod(np.shape(A)[:-2]))
-        return sla.expm(A)
+        return self.wrapped(A)
+
+    __call__ = expm
 
 
 def test_build_four_exponentials_per_time_point(monkeypatch):
     # three in the polar split, exp(-2itJQ), exp(2itJA) and exp(2tJB), the
     # first two each with its inverse from matfun.expm_hamiltonian, and
-    # e^{tM}; verify_decomposition forms each of its five distinct shadows by
-    # expm (the twisted one, on both sides of the middle term, once),
-    # independently of those closed forms
-    counted = CountedExpm()
+    # e^{tM}, all by matfun.expm; verify_decomposition forms each of its five
+    # distinct shadows by scipy's expm (the twisted one, on both sides of the
+    # middle term, once), independently of those closed forms
+    counted = CountedExpm(matfun.expm)
     for module in (decompose, matfun):
-        monkeypatch.setattr(module, "sla", counted)
+        monkeypatch.setattr(module, "expm", counted)
     f = build_decomposition(kolmogorov(), 0.05)
     assert counted.entries == 4 * (len(decompose.default_t_grid()) + 1)
     shadows = CountedExpm()
     monkeypatch.setattr(decompose, "sla", shadows)
     verify_decomposition(f)
     assert shadows.entries == 5
+
+
+def test_build_and_symbols_send_no_matrix_to_scipy_expm(monkeypatch):
+    # scipy's expm is verify's oracle, so the pipeline it checks must not use it
+    def refused(A):
+        raise AssertionError("scipy.linalg.expm called")
+    monkeypatch.setattr(sla, "expm", refused)
+    for q, t in ((kolmogorov(), 0.05), (random_accretive(np.random.default_rng(4), 5), 0.01)):
+        build_decomposition(q, t)
+        mehler_symbol(q, np.logspace(-3, -1, 7))
+    with pytest.raises(AssertionError, match="scipy.linalg.expm called"):
+        verify_decomposition(build_decomposition(kolmogorov(), 0.05))
 
 
 def polar_two_expm(q, t):
@@ -616,26 +631,34 @@ def test_a_build_failing_at_t_runs_each_stage_once(monkeypatch):
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
 
 
-class FailingEigh:
-    """scipy.linalg with the pencil's eigh failing at its k-th call."""
+class FailingSygvd:
+    """scipy.linalg whose LAPACK ?sygvd, the pencil's generalized eigensolver,
+    reports a failed Cholesky of its second matrix (info > m) at its k-th call,
+    or at every call where fails(b) holds."""
 
-    def __init__(self, k):
-        self.k = k
+    def __init__(self, k=None, fails=None):
+        self.k, self.fails = k, fails
 
     def __getattr__(self, name):
         return getattr(sla, name)
 
-    def eigh(self, *args, **kwargs):
-        self.k -= 1
-        if self.k == 0:
-            raise np.linalg.LinAlgError("leading minor of order 2 of B is not positive definite")
-        return sla.eigh(*args, **kwargs)
+    def get_lapack_funcs(self, names, arrays=()):
+        sygvd = sla.get_lapack_funcs(names, arrays)
+
+        def failing(a, b, **kwargs):
+            if self.k is not None:
+                self.k -= 1
+            w, v, info = sygvd(a, b, **kwargs)
+            if self.k == 0 or (self.fails is not None and self.fails(b)):
+                info = len(a) + 2  # the leading minor of order 2 of b
+            return w, v, info
+        return failing
 
 
 def test_a_planted_cholesky_failure_exits_as_gamma_collapsed(capsys, monkeypatch):
     # the third grid point's pencil fails, as LAPACK's Cholesky of A_t can
     # where lambda_min(A_t) > 0: a typed error, not a traceback
-    monkeypatch.setattr(decompose, "sla", FailingEigh(3))
+    monkeypatch.setattr(decompose, "sla", FailingSygvd(k=3))
     code = cli.main(["decompose", "--fixture", "kolmogorov", "--t", "0.01",
                      "--t-grid", "1e-3,1e-1,5"])
     rep = json.loads(capsys.readouterr().out)
@@ -670,7 +693,7 @@ def test_a_pencil_whose_cholesky_fails_exits_as_gamma_collapsed(tmp_path, capsys
     # with the polar factor's rounding: the t is the first one of a fixed
     # grid where the real LAPACK Cholesky fails
     q = random_accretive(np.random.default_rng(seed), n, rank=n)
-    failed = real_pencil_failures(q, np.logspace(-7, -5, 21))
+    failed = real_pencil_failures(q, np.logspace(-7, -5, 81))
     assert failed
     t = failed[0]
     path = tmp_path / "form.json"
@@ -862,14 +885,8 @@ def test_gammas_fails_a_point_whose_pencil_cholesky_fails(monkeypatch):
     Nbar = U.T @ twisted_form_matrix(cert.N) @ U
     ts = np.array([1e-3, 1e-2, 5e-2])
     pol = decompose._polar(q, ts, 1e-9, Checks())
-    eigh = sla.eigh
-
-    def failing_eigh(a, b, **kwargs):
-        if np.allclose(b, U.T @ pol.A[1] @ U, rtol=1e-12, atol=0):
-            raise np.linalg.LinAlgError("leading minor of order 2 of B is not positive definite")
-        return eigh(a, b, **kwargs)
-
-    monkeypatch.setattr(decompose.sla, "eigh", failing_eigh)
+    monkeypatch.setattr(decompose, "sla", FailingSygvd(
+        fails=lambda b: np.allclose(b, U.T @ pol.A[1] @ U, rtol=1e-12, atol=0)))
     checks = Checks(ts.shape)
     decompose._gammas(pol, U, Nbar, 3, tol=1e-9, checks=checks)
     assert checks.bad.tolist() == [False, True, False]
