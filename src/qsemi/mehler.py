@@ -11,6 +11,8 @@ prefactor c and the complex symmetric K on the stacked variable (x, y).
 Gaussian integrals: kernel synthesis (over xi), composition (the middle
 variable), the dispersion factor (the Fourier variable) and, in evolve,
 kernel application (y) each integrate one block through gaussian_integral.
+Its prefactor's sqrt(det W) (_sqrt_det) takes no eigenvalues: the branch
+comes from one batched slogdet of the even-order leading minors of W.
 Its one decision, check_integrable (not_integrable, reported), is also the
 only integrability test of sqrt_det_pd and of evolve's Gaussian states.
 The twisted factors act on a kernel in covariance form (twisted_sandwich),
@@ -120,18 +122,45 @@ def check_integrable(W, error, *, module: str, operation: str, what: str,
 
 
 def _sqrt_det(W) -> np.ndarray:
-    """sqrt(det W) of each block W (..., m, m) that not_integrable passes, as
-    the product of the principal roots of its eigenvalues, all in Re > 0: the
-    positive branch on real positive-definite W, deformed continuously."""
-    w = np.linalg.eigvals(np.asarray(W, dtype=complex))
-    return np.exp(0.5 * np.sum(np.log(w), axis=-1))[()]
+    """sqrt(det W) of each complex symmetric block W (..., m, m) that
+    not_integrable passes, on the branch continuous along Re W + is Im W
+    from the positive root at s = 0 (the product of the principal roots of
+    W's eigenvalues), with no eigenvalues: one batched slogdet of the
+    leading minors W_2j of order 2, 4, ..., m, each padded with I.
+
+    The ratio det W_2j / det W_2j-2 is the determinant of a 2 x 2 (or 1 x 1)
+    Schur complement S, whose real part is positive-definite: for
+    z = (-W_11^{-1} W_12 x, x), z*Wz = x*Sx, so Re x*Sx = z*(Re W)z > 0, as
+    (W + W*)/2 = Re W.  The ratio's argument so stays in (-pi, pi) along the
+    path, and the root is exp((log|det W| + i theta)/2) for theta the sum of
+    the principal arguments of the ratios: arg det W less 2 pi per wrap.
+    """
+    W = np.asarray(W, dtype=complex)
+    m = W.shape[-1]
+    h = np.arange(m) // 2  # index a is in minor j (order 2j + 2, or m) for j >= a // 2
+    lead = np.maximum.outer(h, h) <= np.arange((m + 1) // 2)[:, None, None]
+    sign, logdet = np.linalg.slogdet(np.where(lead, W[..., None, :, :], np.eye(m)))
+    phi = np.arctan2(sign.imag, sign.real)
+    wraps = np.rint((phi[..., 1:] - phi[..., :-1]) / (2 * np.pi)).sum(axis=-1)
+    return np.exp((logdet[..., -1] + 1j * (phi[..., -1] - 2 * np.pi * wraps)) / 2)[()]
 
 
 def sqrt_det_pd(A) -> complex:
-    """_sqrt_det of A (..., m, m) after check_integrable, which raises
-    NonIntegrableSymbol at the first failing matrix."""
-    check_integrable(A, NonIntegrableSymbol, module=_MOD, operation="sqrt_det_pd",
-                     what="matrix")
+    """_sqrt_det of A (..., m, m): DimensionMismatch at the first matrix that
+    is not square and complex symmetric within 1e-12 max(1, |A|) (the integral
+    of exp(-z.Az/2) sees only sym A, so it has no root for another A), then
+    check_integrable, which raises NonIntegrableSymbol at the first failing
+    matrix."""
+    A = np.asarray(A, dtype=complex)
+    op = "sqrt_det_pd"
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionMismatch(f"A of shape {A.shape} is not a (stack of) square "
+                                "matrices", module=_MOD, operation=op)
+    Checks()(np.linalg.norm(A - A.mT, axis=(-2, -1))
+             > 1e-12 * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1))),
+             DimensionMismatch, "matrix must be complex symmetric", module=_MOD,
+             operation=op)
+    check_integrable(A, NonIntegrableSymbol, module=_MOD, operation=op, what="matrix")
     return _sqrt_det(A)
 
 
@@ -141,7 +170,8 @@ def gaussian_integral(K, b, m, error, *, module: str, operation: str, what: str,
     the last m coordinates w of z = (r, w), K (..., d, d) and b (..., d) (or
     None, for 0) on one entry or a stack: for W = K_ww, S = K_rr - K_rw
     W^{-1} K_wr, l = b_r - K_rw W^{-1} b_w and c = (2 pi)^{m/2} det(W)^{-1/2}
-    exp(b_w.W^{-1} b_w / 2), the root that of _sqrt_det.  The one
+    exp(b_w.W^{-1} b_w / 2), the root that of _sqrt_det (from the leading
+    minors of W, with no eigenvalues; K is complex symmetric).  The one
     decision, check_integrable on W, goes to checks: Checks() raises, a
     recording Checks keeps the failed entries, whose W becomes I.
     """

@@ -23,6 +23,7 @@ from qsemi import (
     kernel_from_symbol,
 )
 from qsemi.errors import (
+    DimensionMismatch,
     NonIntegrable,
     NonIntegrableComposition,
     NonIntegrableSymbol,
@@ -210,3 +211,18 @@ def test_gaussian_integral_matches_quadrature():
         f = np.exp(-0.5 * np.einsum("ik,ij,jk->k", z, Kj, z) + bj @ z)
         ref = np.trapezoid(f, w)
         assert abs(c * np.exp(-0.5 * r @ S @ r + l @ r) - ref) <= 1e-12 * abs(ref)
+
+
+def test_sqrt_det_pd_rejects_a_matrix_that_is_not_complex_symmetric():
+    # sym Re A = I passes check_integrable, and det A = 1 - 9 = -8; but the
+    # integral of exp(-z.Az/2) sees only sym A = I, so no root belongs to A
+    A = np.array([[1.0, 3j], [-3j, 1.0]])
+    with pytest.raises(DimensionMismatch) as info:
+        sqrt_det_pd(A)
+    assert info.value.operation == "sqrt_det_pd"
+    with pytest.raises(DimensionMismatch) as info:
+        sqrt_det_pd(np.stack([I2, I2 + 1e-11 * A.imag, A]))
+    assert info.value.index == 1
+    assert sqrt_det_pd(I2 + 1e-13 * A.imag) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(DimensionMismatch):
+        sqrt_det_pd(np.ones((2, 3)))

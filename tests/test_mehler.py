@@ -3,10 +3,15 @@
 Closed-form oracles: the heat kernel (4 pi t)^{-n/2} exp(-|x-y|^2/(4t)); the
 twisted-diffusion kernel; the harmonic-oscillator symbol computed from the
 J-plane closed forms (cosh/tanh); and a brute-force quadrature of the Weyl
-oscillatory integral for the degenerate Fokker-Planck symbol.
+oscillatory integral for the degenerate Fokker-Planck symbol.  The Gaussian
+prefactor's sqrt(det W) is checked against a 40-digit mpmath eigenvalue
+product.
 """
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsemi import (
     QuadraticForm,
@@ -20,7 +25,7 @@ from qsemi import (
     twisted_form_matrix,
     twisted_kernel,
 )
-from qsemi import matfun
+from qsemi import matfun, mehler
 from qsemi.errors import (
     DegenerateTime,
     DimensionMismatch,
@@ -35,8 +40,15 @@ from qsemi.fixtures import (
     shifted_diagonal,
     x_squared,
 )
+from qsemi.evolve import norm_sweep
 from qsemi.matfun import Checks
-from qsemi.mehler import MehlerSymbol, inverse_twisted, twisted_sandwich
+from qsemi.mehler import (
+    MehlerSymbol,
+    _sqrt_det,
+    inverse_twisted,
+    kernel_right_dispersion,
+    twisted_sandwich,
+)
 
 
 def graph_fixtures():
@@ -455,3 +467,148 @@ def test_inverse_twisted_mehler_roundtrip():
     sym = mehler_symbol(QuadraticForm(2, Rs.astype(complex)), s)
     assert np.linalg.norm(sym.M - s * NN) < 1e-9
     assert abs(sym.c - 1 / pf) < 1e-9
+
+
+# --- the root sqrt(det W) of the Gaussian prefactor ----------------------------
+
+def eigenvalue_root(W):
+    """The reference branch: the product of the principal roots of the
+    eigenvalues of W, all in Re > 0 when Re W is positive-definite."""
+    return np.exp(0.5 * np.sum(np.log(np.linalg.eigvals(W)), axis=-1))[()]
+
+
+def mpmath_root(W):
+    """eigenvalue_root at 40 digits."""
+    with mpmath.workdps(40):
+        M = mpmath.matrix(W.tolist())
+        lam = [M[0, 0]] if len(W) == 1 else mpmath.eig(M, left=False, right=False)
+        return complex(mpmath.fprod(mpmath.sqrt(x) for x in lam))
+
+
+def complex_symmetric_block(rng, m, cond, scale):
+    """Re W with eigenvalues from 1 down to 1/cond, Im W symmetric of norm scale."""
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    ReW = (Q * np.logspace(0, -np.log10(cond), m)) @ Q.T
+    S = rng.standard_normal((m, m))
+    S = S + S.T
+    return (ReW + ReW.T) / 2 + 1j * scale * S / np.linalg.norm(S, 2)
+
+
+def test_sqrt_det_matches_a_40_digit_eigenvalue_product():
+    rng = np.random.default_rng(19)
+    blocks = [complex_symmetric_block(rng, m, cond, scale)
+              for m in (1, 2, 3, 4, 5, 8, 10)
+              for cond in ((1.0,) if m == 1 else (1.0, 1e4, 1e8))
+              for scale in (1e-2, 1.0, 1e2, 1e4)]
+    blocks += [complex_symmetric_block(rng, 20, 1e8, 1e4),
+               complex_symmetric_block(rng, 20, 1e4, 1e-2)]
+    worst = worst_eig = 0.0
+    for W in blocks:
+        ref = mpmath_root(W)
+        worst = max(worst, abs(_sqrt_det(W) / ref - 1))
+        worst_eig = max(worst_eig, abs(eigenvalue_root(W) / ref - 1))
+    # both lose what det W's own conditioning costs (1.3e-13 at m = 2, cond 1e8)
+    assert worst <= worst_eig and worst < 1e-12, (worst, worst_eig)
+
+
+def test_sqrt_det_takes_the_branch_where_arg_det_winds():
+    # Re W ~ 0.01 I and |Im W| up to 1e3: the eigenvalues' arguments sum
+    # beyond pi, so the principal root of det W is minus the branch
+    rng = np.random.default_rng(20)
+    wound = 0
+    for m in (3, 4, 5, 6):
+        for k in range(8):
+            Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            signs = rng.choice([-1, 1], m) if k % 2 else rng.choice([-1, 1])
+            G = 0.1 * rng.standard_normal((m, m)) / np.sqrt(m)
+            W = 0.01 * (np.eye(m) + G @ G.T) + 1j * (Q * signs * rng.uniform(10, 1e3, m)) @ Q.T
+            W = (W + W.T) / 2
+            ref, root = mpmath_root(W), _sqrt_det(W)
+            assert abs(root / ref - 1) < 1e-13, (m, k)
+            wound += abs(np.sqrt(np.linalg.det(W)) / ref + 1) < 1e-6
+    assert wound >= 12
+
+
+def test_sqrt_det_of_a_number_is_its_principal_root():
+    rng = np.random.default_rng(21)
+    w = (np.abs(rng.standard_normal(2000)) * 10.0 ** rng.uniform(-8, 8, 2000)
+         + 1j * rng.standard_normal(2000) * 10.0 ** rng.uniform(-8, 8, 2000))
+    root = _sqrt_det(w[:, None, None])
+    assert np.abs(root / np.sqrt(w) - 1).max() <= 2e-15
+
+
+def test_sqrt_det_of_a_stack_is_each_entry_alone():
+    rng = np.random.default_rng(22)
+    for m in (1, 2, 3, 4, 5, 8, 10):
+        W = np.stack([complex_symmetric_block(rng, m, cond, scale)
+                      for cond in (1.0, 1e4, 1e8) for scale in (1e-2, 1.0, 1e2, 1e4)])
+        W = W.reshape(3, 4, m, m)
+        root = _sqrt_det(W)
+        assert root.shape == (3, 4)
+        for i in np.ndindex(3, 4):
+            assert _sqrt_det(W[i]) == root[i], (m, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       log_cond=st.floats(0, 3), log_scale=st.floats(-2, 4))
+def test_sqrt_det_squares_to_det_and_never_jumps_along_the_path(m, seed, log_cond,
+                                                                log_scale):
+    # the branch by its definition, with no eigenvalues: continuous along
+    # Re W + is Im W from the positive root of det Re W at s = 0
+    W = complex_symmetric_block(np.random.default_rng(seed), m, 10.0 ** log_cond,
+                                10.0 ** log_scale)
+    root = _sqrt_det(W)
+    det = np.linalg.det(W)
+    assert abs(root ** 2 - det) <= 1e-12 * abs(det)
+    # s |Im W| / lambda_min(Re W) <= 0.1 at s = 1e-8, then steps of 1.35x
+    s = np.r_[0.0, np.logspace(-8, 0, 63)]
+    path = _sqrt_det(W.real + 1j * s[:, None, None] * W.imag)
+    assert path[-1] == root
+    assert path[0].real > 0 and path[0].imag == 0
+    assert (np.abs(np.diff(path)) < np.abs(path[1:] + path[:-1])).all()
+
+
+def test_gaussian_integrals_take_no_eigenvalues(monkeypatch):
+    rng = np.random.default_rng(23)
+    q = random_accretive_form(rng, 5)
+    sym = mehler_symbol(q, np.logspace(-4, -1, 40))  # eigvals(JQ): conjugate points
+    k = kernel_from_symbol(mehler_symbol(q, 0.01))
+    calls, eigvals = [], np.linalg.eigvals
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return eigvals(A)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    kernel_from_symbol(sym)
+    compose_kernels(k, k)
+    A = rng.standard_normal((5, 5))
+    twisted_sandwich(k, A - A.T, 0.1)
+    kernel_right_dispersion(k, np.diag(rng.standard_normal(5)), 0.1)
+    assert calls == []
+
+
+def prefactors_both_ways(monkeypatch, run):
+    """run() with the leading-minor root, then with eigenvalue_root."""
+    ours = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(mehler, "_sqrt_det", eigenvalue_root)
+        return ours, run()
+
+
+def test_kernel_prefactors_match_the_eigenvalue_root(monkeypatch):
+    rng = np.random.default_rng(24)
+    forms = graph_fixtures() + [random_accretive_form(rng, n) for n in (1, 2, 5, 10)]
+    T = np.logspace(-4, -1, 40)
+    for q in forms:
+        sym = mehler_symbol(q, T)
+        k, ref = prefactors_both_ways(monkeypatch, lambda: kernel_from_symbol(sym))
+        assert (np.abs(k.c - ref.c) <= 1e-13 * np.abs(ref.c)).all(), q.n
+        assert (k.K == ref.K).all()
+
+
+def test_interior_norm_sweep_matches_the_eigenvalue_root(monkeypatch):
+    q = random_accretive_form(np.random.default_rng(25), 5)
+    T = np.logspace(-4, -1, 40)
+    norms, ref = prefactors_both_ways(monkeypatch, lambda: norm_sweep(q, T, 2, 4))
+    assert (np.abs(norms - ref) <= 1e-13 * np.abs(ref)).all()
