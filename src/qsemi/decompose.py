@@ -37,9 +37,11 @@ multiplies the kept exp(-2itJA) by exp(2iJ sR_s), the Cayley transform that
 inverse_twisted forms with R_s from one n x n solve (no log, no expm).  Each
 (c tJ)^{-1} L is J^T L / (c t), with no solve.  The public stage functions
 form their own exponentials, by matfun.expm too.  verify_decomposition forms
-every shadow by scipy.linalg.expm (the twisted one, on both sides of the
-middle term, once), a second implementation of the exponential, so its
-matrix residual checks these closed forms and matfun.expm independently.
+its five distinct shadows (the twisted one, on both sides of the middle
+term, once) in one scipy.linalg.expm call on their stack, a second
+implementation of the exponential, so its matrix residual checks these
+closed forms and matfun.expm independently.  Its kernel residual takes the
+symbols of p_t and q from one matfun.expm call (mehler.stacked_symbol).
 """
 from __future__ import annotations
 
@@ -75,7 +77,7 @@ from .mehler import (
     kernel_right_phase,
     kernel_right_transport,
     inverse_twisted,
-    mehler_symbol,
+    stacked_symbol,
     twisted_form_matrix,
     twisted_sandwich,
 )
@@ -513,36 +515,46 @@ def verify_decomposition(f: DecompositionFactors) -> dict:
     """Check the factorization at matrix and kernel level.
 
     matrix_residual: Frobenius distance between the product of the factor
-    shadows and exp(-2itJQ).  kernel_residual: relative distance between the
-    composed Gaussian kernel of all factors (scalar prefactors included) and
-    the kernel synthesized directly from the symbol of exp(-t q^w).  The two
-    twisted factors act on the middle kernel in covariance form
-    (mehler.twisted_sandwich), so no kernel of order 1/s is formed.
+    shadows and exp(-2itJQ).  The five distinct exponentials (the twisted
+    shadow, used on both sides of the middle term, the middle, dispersion and
+    transport shadows, and exp(-2itJQ)) come from one scipy.linalg.expm call
+    on their stack, independent of the build's closed forms and matfun.expm.
+
+    kernel_residual: relative distance between the composed Gaussian kernel
+    of all factors (scalar prefactors included) and the kernel synthesized
+    directly from the symbol of exp(-t q^w).  The symbols and kernels of the
+    middle form p_t (checked Re p_t >= 0 by QuadraticForm) and of q come from
+    one stacked pass (mehler.stacked_symbol); then the two twisted factors
+    act on the middle kernel in covariance form (mehler.twisted_sandwich),
+    so no kernel of order 1/s is formed, and the phase, dispersion and
+    transport factors follow.
     """
     q, t, s = f.q, f.t, f.s
     n = q.n
     J = standard_J(n)
 
-    twisted = sla.expm(-2j * J @ (s * f.Rs))  # the shadow on both sides of the middle
+    twisted, middle, dispersion, transport, direct = sla.expm(np.stack([
+        -2j * J @ (s * f.Rs),
+        -2j * J @ (t * f.Pt),
+        -2j * t * J @ (1j * embed_xixi(f.D_op)),
+        -2j * t * J @ (-1j * embed_cross(f.M_op)),
+        -2j * t * J @ q.Q]))
     shadow = shear_transform(f.Gsym)
-    shadow = shadow @ twisted
-    shadow = shadow @ sla.expm(-2j * J @ (t * f.Pt))
-    shadow = shadow @ twisted
-    shadow = shadow @ sla.expm(-2j * t * J @ (1j * embed_xixi(f.D_op)))
-    shadow = shadow @ sla.expm(-2j * t * J @ (-1j * embed_cross(f.M_op)))
+    for factor in (twisted, middle, twisted, dispersion, transport):
+        shadow = shadow @ factor
     shadow = shadow @ shear_transform(t * f.W_op - f.Gsym)
-    direct = sla.expm(-2j * t * J @ q.Q)
     matrix_residual = float(np.linalg.norm(shadow - direct))
 
-    k = twisted_sandwich(kernel_from_symbol(mehler_symbol(QuadraticForm(n, f.Pt), t)),
-                         f.N, 2 * s)
+    p = QuadraticForm(n, f.Pt)
+    kernels = kernel_from_symbol(stacked_symbol(np.stack([p.Q, q.Q]), t))
+    k, target = kernels[0], kernels[1]
+    k = twisted_sandwich(k, f.N, 2 * s)
     k = kernel_left_phase(k, f.Gsym)
     k = kernel_right_dispersion(k, f.D_op, t)
     k = kernel_right_transport(k, f.M_op, t)
     k = kernel_right_phase(k, t * f.W_op - f.Gsym)
     k = GaussianKernel(n, k.c * f.c_t, k.K)
 
-    target = kernel_from_symbol(mehler_symbol(q, t))
     dc = abs(k.c - target.c) / abs(target.c)
     dK = np.linalg.norm(k.K - target.K) / max(1.0, np.linalg.norm(target.K))
     return {"matrix_residual": matrix_residual,

@@ -6,9 +6,10 @@ rank-revealing null spaces, PSD tests.
 All routines are dense and target matrices of size at most ~40x40; inputs are
 validated for finiteness and shape, never mutated.  The exponential, log, cos,
 arctan and Pfaffian also take stacks, one matrix per entry, and
-sqrt(det cos(tJQ)) a grid of times.  expm and the log choose their Pade degree
-(and expm its squarings) per entry and evaluate each degree in one stacked pass,
-so an entry comes out as it would alone.  The build and the symbols form every
+sqrt(det cos(tJQ)) a stack of forms broadcast against a grid of times.  expm
+and the log choose their Pade degree (and expm its squarings) per entry and
+evaluate each degree in one stacked pass, so an entry comes out as it would
+alone.  The build and the symbols form every
 exponential by expm; decompose.verify_decomposition and the kernel transport
 it applies keep scipy.linalg.expm as an independent oracle.  A computation on
 a stack reports its failed checks through Checks: it raises at the first
@@ -405,26 +406,29 @@ def pfaffian(A) -> complex:
 def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
                      ) -> tuple[np.ndarray, np.ndarray, complex]:
     """cos(tJQ), sin(tJQ) and sqrt(det cos(tJQ)) on the branch continuous in
-    t from 1 at t = 0, for Q complex symmetric and a time t or at every time
-    of an array t.
+    t from 1 at t = 0, for Q complex symmetric, or a stack of them
+    (..., 2n, 2n), and a time t or an array of times, broadcast against the
+    stack: the results are stacked over the broadcast shape.
 
     cos and sin are (E + E^-1) / 2 and (E - E^-1) / 2i for E = exp(itJQ),
     with E^-1 = exp(-itJQ) = J^T E^T J (expm_hamiltonian): one expm call on
-    the stack of itJQ gives both at every t.  J cos(tJQ) = (JE - (JE)^T) / 2
-    is then skew-symmetric to the last bit, so Pf(J cos(tJQ)) / Pf(J)
+    the stack of itJQ gives both at every entry.  J cos(tJQ) = (JE - (JE)^T)
+    / 2 is then skew-symmetric to the last bit, so Pf(J cos(tJQ)) / Pf(J)
     squares to det cos(tJQ); being a polynomial in the entries that equals 1
     at t = 0, it is that branch (Hormander, Math. Z. 219, 1995).  cos
     vanishes only on the real axis, so det cos(sJQ) has a zero for some s in
     (0, t] exactly when JQ has a real eigenvalue lambda with t |lambda| >=
-    pi/2; that is reported as ConjugatePointOnPath.  One eigvals(JQ) serves
-    every t.
+    pi/2; that is reported as ConjugatePointOnPath, with index the entry's
+    position in the broadcast shape (a negative time's, in t).  One
+    eigvals(JQ) per form serves every t.  An entry's cos and sin come out as they would alone; its root may
+    differ in the last bit (pfaffian).
     """
     from .quadform import standard_J  # local import to avoid a cycle
 
     op = "sqrt_det_cos_tracked"
     Q = as_square(Q, operation=op)
-    n = Q.shape[0] // 2
-    if Q.shape != (2 * n, 2 * n):
+    n = Q.shape[-1] // 2
+    if Q.shape[-1] != 2 * n:
         raise NonSquare("Q must be 2n x 2n", module=_MOD, operation=op)
     t = np.asarray(t, dtype=float)
     i = first_index(t < 0)
@@ -437,19 +441,23 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
     real = np.abs(lam.imag) <= tol * np.abs(lam)
     # float products are monotone, so t * max|lambda| >= pi/2 exactly when
     # t |lambda| >= pi/2 for some real eigenvalue lambda
-    i = first_index(t * np.abs(lam[real]).max(initial=0.0) >= np.pi / 2)
+    reach = t * np.where(real, np.abs(lam), 0).max(axis=-1)
+    i = first_index(reach >= np.pi / 2)
     if i is not None:
-        ti = t.flat[i]
-        hit = real & (ti * np.abs(lam) >= np.pi / 2)
+        ti = np.broadcast_to(t, reach.shape).flat[i]
+        lam_i, real_i = (np.broadcast_to(a, reach.shape + lam.shape[-1:]).reshape(-1, 2 * n)[i]
+                         for a in (lam, real))
+        hit = real_i & (ti * np.abs(lam_i) >= np.pi / 2)
         raise ConjugatePointOnPath(
-            f"det cos vanishes on the path: real eigenvalue {lam[hit][0].real:.6g} "
+            f"det cos vanishes on the path: real eigenvalue {lam_i[hit][0].real:.6g} "
             f"of JQ at t = {ti:.6g}", module=_MOD, operation=op, index=i)
     with np.errstate(over="ignore", invalid="ignore"):
-        E, Einv = expm_hamiltonian(1j * np.multiply.outer(t, JQ))
+        E, Einv = expm_hamiltonian(1j * (t[..., None, None] * JQ))
         C, S = (E + Einv) / 2, (E - Einv) / 2j
     i = first_index(~np.isfinite(C).all(axis=(-2, -1)))
     if i is not None:
-        raise DegenerateTime(f"cos(tJQ) overflows at t = {t.flat[i]:.6g}",
+        ti = np.broadcast_to(t, C.shape[:-2]).flat[i]
+        raise DegenerateTime(f"cos(tJQ) overflows at t = {ti:.6g}",
                              module=_MOD, operation=op, index=i)
     # Pf(J) = (-1)^(n(n-1)/2) for J = [[0, I], [-I, 0]]
     return C, S, pfaffian(J @ C) / (-1) ** (n * (n - 1) // 2)

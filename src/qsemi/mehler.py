@@ -20,13 +20,15 @@ with no kernel of order 1/eps; inverse_twisted writes them as evolutions in
 closed form from one SVD of N, with no matrix log, expm or eigenvalues.
 
 Sweeps: mehler_symbol and kernel_from_symbol take a whole grid of times at
-once and return symbols and kernels stacked over it.  The grid is one stacked
-computation: one eigvals(JQ) decides the conjugate points for every t, one
-matfun.expm call on the stack of itJQ gives cos(tJQ) and sin(tJQ) for every t
-(with exp(-itJQ) = J^T exp(itJQ)^T J), and the Pfaffian, the tan solve, the
-kernel blocks and every positivity check run on the stack.
-kernel_right_transport, which only verify_decomposition applies, keeps
-scipy.linalg.expm, the oracle's exponential.
+once and return symbols and kernels stacked over it; stacked_symbol takes a
+stack of forms too, broadcast against the times (verify_decomposition's p_t
+and q at one t).  The stack is one computation: one eigvals(JQ) per form
+decides the conjugate points for every t, one matfun.expm call on the stack
+of itJQ gives cos(tJQ) and sin(tJQ) at every entry (with exp(-itJQ) =
+J^T exp(itJQ)^T J), and the Pfaffian, the tan solve, the kernel blocks and
+every positivity check run on the stack.  kernel_right_transport, which only
+verify_decomposition applies, keeps scipy.linalg.expm, the oracle's
+exponential.
 """
 from __future__ import annotations
 
@@ -59,7 +61,7 @@ class MehlerSymbol:
     """Symbol data (c, M, t): exp(-t q^w) = c (e^{-m})^w with m(X) = MX.X.
 
     Over a grid of T times, c, M and t are stacked: shapes (T,), (T, 2n, 2n)
-    and (T,).
+    and (T,); stacked_symbol stacks c and M over its forms too.
     """
     n: int
     c: complex
@@ -72,7 +74,8 @@ class GaussianKernel:
     """Kernel g(x, y) = c * exp(-K(x,y).(x,y)/2) on the stacked variable.
 
     Kernels at a grid of T times are stacked: c of shape (T,), K of shape
-    (T, 2n, 2n); evaluation by calling takes a single kernel.
+    (T, 2n, 2n); indexing picks one, and evaluation by calling takes a
+    single kernel.
     """
     n: int
     c: complex
@@ -81,6 +84,9 @@ class GaussianKernel:
     def __call__(self, x, y) -> complex:
         z = np.concatenate([np.atleast_1d(x), np.atleast_1d(y)]).astype(complex)
         return self.c * np.exp(-0.5 * z @ self.K @ z)
+
+    def __getitem__(self, i) -> "GaussianKernel":
+        return GaussianKernel(self.n, self.c[i], self.K[i])
 
 
 @dataclass
@@ -168,13 +174,15 @@ def gaussian_integral(K, b, m, error, *, module: str, operation: str, what: str,
                       checks: Checks | None = None):
     """(c, S, l) with int exp(-z.Kz/2 + b.z) dw = c exp(-r.Sr/2 + l.r) over
     the last m coordinates w of z = (r, w), K (..., d, d) and b (..., d) (or
-    None, for 0) on one entry or a stack: for W = K_ww, S = K_rr - K_rw
+    None, for 0) on one entry or a stack.  The integral sees only sym K =
+    (K + K^T)/2, so K stands for that below: for W = K_ww, S = K_rr - K_rw
     W^{-1} K_wr, l = b_r - K_rw W^{-1} b_w and c = (2 pi)^{m/2} det(W)^{-1/2}
     exp(b_w.W^{-1} b_w / 2), the root that of _sqrt_det (from the leading
-    minors of W, with no eigenvalues; K is complex symmetric).  The one
-    decision, check_integrable on W, goes to checks: Checks() raises, a
-    recording Checks keeps the failed entries, whose W becomes I.
+    minors of W, with no eigenvalues).  The one decision, check_integrable
+    on W, goes to checks: Checks() raises, a recording Checks keeps the
+    failed entries, whose W becomes I.
     """
+    K = (K + K.mT) / 2
     r, I = K.shape[-1] - m, np.eye(m)
     b = np.zeros(K.shape[:-1]) if b is None else b
     checks = Checks() if checks is None else checks
@@ -195,7 +203,22 @@ def mehler_symbol(q: QuadraticForm, t, *,
     J^{-1} tan(tJQ), on the determinant branch continuous from t = 0.
 
     t may be an array of times: c, M and t are then stacked over it.  A
-    failure names the first failing t, at QsemiError.index.
+    failure names the first failing t, at QsemiError.index.  This is
+    stacked_symbol of the one form q.Q.
+    """
+    return stacked_symbol(q.Q, t, tol=tol)
+
+
+def stacked_symbol(Q, t, *, tol: float = DEFAULT_TOL) -> MehlerSymbol:
+    """mehler_symbol of each form of a stack Q (..., 2n, 2n), complex
+    symmetric with Re Q >= 0 (as QuadraticForm keeps them), at a time or an
+    array of times t broadcast against the stack: c and M are stacked over
+    the broadcast shape, t is kept as given, and a failure's index is a
+    position in that shape (a negative time's, in t).
+
+    One matfun.cos_sin_sqrt_det pass gives cos, sin and the root at every
+    entry, then one stacked solve the tangents.  An entry's M comes out as it
+    would alone, its c up to the last bit of the Pfaffian root.
     """
     t = np.asarray(t, dtype=float)
     i = first_index(t < 0)
@@ -203,15 +226,16 @@ def mehler_symbol(q: QuadraticForm, t, *,
         raise DegenerateTime("t must be nonnegative", module=_MOD,
                              operation="mehler_symbol", index=i)
     try:
-        C, S, root = cos_sin_sqrt_det(q.Q, t, tol=tol)
+        C, S, root = cos_sin_sqrt_det(Q, t, tol=tol)
     except ConjugatePointOnPath as exc:
         raise DegenerateTime(str(exc), module=_MOD, operation="mehler_symbol",
                              index=exc.index) from exc
-    J = standard_J(q.n)
-    M = J.T @ np.linalg.solve(C, S)
+    n = C.shape[-1] // 2
+    M = standard_J(n).T @ np.linalg.solve(C, S)
     M = (M + M.mT) / 2
-    M[t == 0] = 0  # the zero symbol, without the signed zeros of the solve
-    return MehlerSymbol(q.n, 1.0 / root, M, t[()])
+    # the zero symbol, without the signed zeros of the solve
+    M = np.where((t == 0)[..., None, None], 0, M)
+    return MehlerSymbol(n, 1.0 / root, M, t[()])
 
 
 def kernel_from_symbol(sym: MehlerSymbol) -> GaussianKernel:

@@ -40,7 +40,15 @@ from qsemi.errors import (
     TimeTooLarge,
 )
 from qsemi.fixtures import harmonic, heat, kolmogorov, shifted_diagonal
-from qsemi.mehler import inverse_twisted, kernel_right_transport
+from qsemi.mehler import (
+    inverse_twisted,
+    kernel_left_phase,
+    kernel_right_dispersion,
+    kernel_right_phase,
+    kernel_right_transport,
+    twisted_sandwich,
+)
+from qsemi.quadform import embed_cross, embed_xixi
 from qsemi.singular import graph_condition
 
 
@@ -196,16 +204,18 @@ def test_build_middle_term_matches_strang_middle():
 
 
 class CountedExpm:
-    """scipy.linalg with expm counting the matrices of each stack it gets;
-    called, it counts for the exponential it wraps (matfun.expm)."""
+    """scipy.linalg with expm counting its calls and the matrices of each
+    stack it gets; called, it counts for the exponential it wraps
+    (matfun.expm)."""
 
     def __init__(self, expm=sla.expm):
-        self.entries, self.wrapped = 0, expm
+        self.calls, self.entries, self.wrapped = 0, 0, expm
 
     def __getattr__(self, name):
         return getattr(sla, name)
 
     def expm(self, A):
+        self.calls += 1
         self.entries += int(np.prod(np.shape(A)[:-2]))
         return self.wrapped(A)
 
@@ -215,18 +225,20 @@ class CountedExpm:
 def test_build_four_exponentials_per_time_point(monkeypatch):
     # three in the polar split, exp(-2itJQ), exp(2itJA) and exp(2tJB), the
     # first two each with its inverse from matfun.expm_hamiltonian, and
-    # e^{tM}, all by matfun.expm; verify_decomposition forms each of its five
-    # distinct shadows by scipy's expm (the twisted one, on both sides of the
-    # middle term, once), independently of those closed forms
+    # e^{tM}, all by matfun.expm; verify_decomposition forms its five
+    # distinct shadows (the twisted one, on both sides of the middle term,
+    # once) in one call of scipy's expm, independently of those closed forms,
+    # and the symbols of p_t and q in one call of matfun.expm
     counted = CountedExpm(matfun.expm)
     for module in (decompose, matfun):
         monkeypatch.setattr(module, "expm", counted)
     f = build_decomposition(kolmogorov(), 0.05)
     assert counted.entries == 4 * (len(decompose.default_t_grid()) + 1)
-    shadows = CountedExpm()
+    shadows, counted.calls, counted.entries = CountedExpm(), 0, 0
     monkeypatch.setattr(decompose, "sla", shadows)
     verify_decomposition(f)
-    assert shadows.entries == 5
+    assert (shadows.calls, shadows.entries) == (1, 5)
+    assert (counted.calls, counted.entries) == (1, 2)
 
 
 def test_build_and_symbols_send_no_matrix_to_scipy_expm(monkeypatch):
@@ -866,6 +878,47 @@ def test_kernel_gate_with_a_skew_certificate():
     for t in (1e-5, 1e-3, 1e-2):
         r = verify_decomposition(build_decomposition(q, t, t_grid=KERNEL_GRID))
         assert r["kernel_residual"] <= 1e-10, t
+
+
+#: a real twisted form, Re Q = |xi - Nx|^2 and Im Q = 0: its singular space
+#: is the graph of the skew N, so the twisted factors carry that N
+TWIST = np.array([[0, 0.6, -0.3], [-0.6, 0, 0.4], [0.3, -0.4, 0]])
+
+
+def reference_residuals(f):
+    """verify_decomposition's residuals with each shadow by its own scipy
+    expm and the symbol and kernel of p_t and of q each on its own."""
+    q, t, s, n = f.q, f.t, f.s, f.q.n
+    J = standard_J(n)
+    twisted = sla.expm(-2j * J @ (s * f.Rs))
+    shadow = shear_transform(f.Gsym) @ twisted @ sla.expm(-2j * J @ (t * f.Pt)) @ twisted
+    shadow = shadow @ sla.expm(-2j * t * J @ (1j * embed_xixi(f.D_op)))
+    shadow = shadow @ sla.expm(-2j * t * J @ (-1j * embed_cross(f.M_op)))
+    shadow = shadow @ shear_transform(t * f.W_op - f.Gsym)
+    matrix_residual = np.linalg.norm(shadow - sla.expm(-2j * t * J @ q.Q))
+    k = kernel_from_symbol(mehler_symbol(QuadraticForm(n, f.Pt), t))
+    k = kernel_left_phase(twisted_sandwich(k, f.N, 2 * s), f.Gsym)
+    k = kernel_right_transport(kernel_right_dispersion(k, f.D_op, t), f.M_op, t)
+    k = kernel_right_phase(k, t * f.W_op - f.Gsym)
+    target = kernel_from_symbol(mehler_symbol(q, t))
+    dc = abs(k.c * f.c_t - target.c) / abs(target.c)
+    dK = np.linalg.norm(k.K - target.K) / max(1.0, np.linalg.norm(target.K))
+    return {"matrix_residual": matrix_residual, "kernel_residual": max(dc, dK)}
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-2])
+def test_verify_with_a_nonzero_twist(tmp_path, capsys, t):
+    Q = twisted_form_matrix(TWIST)
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps({"n": 3, "Q_re": Q.tolist(),
+                                "Q_im": np.zeros_like(Q).tolist()}))
+    code = cli.main(["verify", str(path), "--t", repr(t)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_OK, rep
+    f = build_decomposition(QuadraticForm(3, Q), t)
+    assert np.abs(f.N).max() > 0.1
+    for key, value in reference_residuals(f).items():
+        assert abs(rep[key] - value) <= 1e-14, key
 
 
 @pytest.mark.parametrize("t", ["1e-2", "1e-3", "1e-4", "1e-5", "1e-6"])

@@ -151,6 +151,42 @@ def test_symbol_stack_raises_at_first_conjugate_point():
     assert (info.value.index, str(info.value)) == first
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stacked_symbol_entries_come_out_as_alone(n):
+    # F forms at one t, and against a grid of T times (shape (T, F)): each
+    # entry's cos, sin, M and kernel are its form's own to the last bit; the
+    # root goes through the stacked Pfaffian, whose products may round
+    # differently with the length of the stack
+    rng = np.random.default_rng(500 + n)
+    forms = [random_accretive_form(rng, n) for _ in range(3)]
+    few = 8 * np.finfo(float).eps
+    Q = np.stack([q.Q for q in forms])
+    for t, alone in ((0.3, 0.3), (np.logspace(-3, 0, 7)[:, None], np.logspace(-3, 0, 7))):
+        C, S, root = matfun.cos_sin_sqrt_det(Q, t)
+        sym = mehler.stacked_symbol(Q, t)
+        k = kernel_from_symbol(sym)
+        assert sym.M.shape == np.broadcast_shapes(np.shape(t), (3,)) + Q.shape[1:]
+        for j, q in enumerate(forms):
+            C1, S1, root1 = matfun.cos_sin_sqrt_det(q.Q, alone)
+            one = mehler_symbol(q, alone)
+            k1 = kernel_from_symbol(one)
+            for stacked, own in ((C, C1), (S, S1), (sym.M, one.M), (k.K, k1.K)):
+                assert np.array_equal(stacked[..., j, :, :], own)
+            for stacked, own in ((root, root1), (sym.c, one.c)):
+                assert (np.abs(stacked[..., j] - own) <= few * np.abs(own)).all()
+
+
+def test_stacked_symbol_names_the_failing_entry():
+    # q = i (x^2 + xi^2)/2 meets a conjugate point at t = pi; next to the heat
+    # form its failure is entry 1 of the stack, with the message it has alone
+    q = QuadraticForm(1, 0.5j * np.eye(2))
+    with pytest.raises(DegenerateTime) as alone:
+        mehler_symbol(q, 3.5)
+    with pytest.raises(DegenerateTime) as stacked:
+        mehler.stacked_symbol(np.stack([heat(1).Q, q.Q]), 3.5)
+    assert (stacked.value.index, str(stacked.value)) == (1, str(alone.value))
+
+
 def test_symbol_block_roundtrip():
     sym = mehler_symbol(kolmogorov(), 0.15)
     bf = block_decompose(sym.M)
@@ -295,6 +331,18 @@ def test_compose_heat_semigroup():
     k12 = compose_kernels(k1, k2)
     c_ref, K_ref = heat_kernel_oracle(1, t1 + t2)
     assert kernel_close(k12, c_ref, K_ref, rtol=1e-11)
+
+
+def test_compose_integrates_the_symmetric_part():
+    # exp(-z.Kz/2) sees only sym K: K = diag(I, [[1, 3i], [-3i, 1]]) is the
+    # identity kernel's function, so composing the two gives c = pi, and the
+    # kernel of composing the identity kernel with itself
+    K = np.eye(4, dtype=complex)
+    K[2, 3], K[3, 2] = 3j, -3j
+    ident = mehler.GaussianKernel(2, 1.0, np.eye(4, dtype=complex))
+    k, ref = compose_kernels(mehler.GaussianKernel(2, 1.0, K), ident), compose_kernels(ident, ident)
+    assert abs(k.c - np.pi) <= 1e-15 * np.pi and ref.c == k.c
+    assert np.array_equal(k.K, ref.K)
 
 
 def test_compose_near_delta():
