@@ -15,9 +15,11 @@ inside it (1 < p <= q < inf) op_norm_lower_gaussian gives a lower bound by a
 search over Gaussian input widths.
 
 Sweeps: the norms also take kernels stacked over a grid of times, and
-norm_sweep evaluates a whole t-grid at once, as one stacked Mehler -> kernel
--> norm pass; the lower bound's width search runs in lockstep over the
-stack, one stacked evaluation per width.
+norm_sweep evaluates a whole t-grid at once, as one stacked flow -> kernel
+-> norm pass: the kernels and |c| come from the flow exp(-2itJQ), taken
+at its midpoint (mehler.flow_kernel), with no Mehler symbol; the lower
+bound's width search runs in lockstep over the stack, one stacked
+evaluation per width.
 """
 from __future__ import annotations
 
@@ -43,6 +45,7 @@ from .mehler import (
     GaussianKernel,
     check_integrable,
     disperse,
+    flow_kernel,
     gaussian_integral,
     kernel_from_symbol,
     mehler_symbol,
@@ -414,12 +417,14 @@ def norm_sweep(form: QuadraticForm, t, p: float, q: float, *,
     time t or at each time of an array t: exact on the edge p = 1 or
     q = inf (op_norm_edge), the Gaussian lower bound inside the square.
 
-    The Mehler symbol, the kernel and the norm are each computed on the whole
-    stack at once.  A failure is the one a loop over t would meet first: at
-    the first failing t, from the first stage that fails there.
+    The kernels come from the flow exp(-2itJQ) (mehler.flow_kernel, whose c
+    is the modulus |c|, all a norm reads), and they and the norms are each
+    computed on the whole stack at once.  A failure is the one a loop over t
+    would meet first: at the first failing t, from the first stage that fails
+    there.
     """
     try:
-        k = kernel_from_symbol(mehler_symbol(form, t, tol=tol))
+        k = flow_kernel(form, t)
         if on_edge(p, q):
             return op_norm_edge(k, p, q, tol=tol)
         return op_norm_lower_gaussian(k, p, q)

@@ -28,7 +28,15 @@ of itJQ gives cos(tJQ) and sin(tJQ) at every entry (with exp(-itJQ) =
 J^T exp(itJQ)^T J), and the Pfaffian, the tan solve, the kernel blocks and
 every positivity check run on the stack.  kernel_right_transport, which only
 verify_decomposition applies, keeps scipy.linalg.expm, the oracle's
-exponential.
+exponential.  This symbol route serves the mehler, kernel and evolve
+commands and verify_decomposition, whose oracle it stays.
+
+Norms: flow_kernel gives the kernels of a sweep straight from the flow
+exp(-2itJQ), with the modulus |c| for the prefactor, from its midpoint:
+one stacked expm of itJQ, as the symbol route takes, then one slogdet and
+one solve of the rows of exp(-itJQ) and its inverse, so that the kernel
+sees the growth of exp(-itJQ) and not of its square; evolve.norm_sweep,
+and so the norms and exponents commands, take their kernels from it.
 """
 from __future__ import annotations
 
@@ -49,6 +57,7 @@ from .matfun import (
     DEFAULT_TOL,
     Checks,
     cos_sin_sqrt_det,
+    expm_hamiltonian,
     first_index,
 )
 from .quadform import QuadraticForm, block_decompose, standard_J
@@ -256,6 +265,80 @@ def kernel_from_symbol(sym: MehlerSymbol) -> GaussianKernel:
                                 operation="kernel_from_symbol",
                                 what="xi-xi block of the symbol")
     return GaussianKernel(n, sym.c * (2 * np.pi) ** -n * c, K)
+
+
+def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
+    """Kernel of exp(-t q^w), with c the modulus |c| of its prefactor, at a
+    time or at each time of an array t (stacked over it), from the flow
+    T = exp(-2itJQ) = [[A, B], [C, D]] in n x n blocks (Mehler's formula in
+    generating-function form; Hormander, Math. Z. 219, 1995):
+
+        K = i [[-D B^-1, B^-T], [B^-1, -B^-1 A]],
+        |c| = (2 pi)^{-n/2} |det B|^{-1/2}.
+
+    T is not formed: it is taken from its midpoint.  One matfun.expm call on
+    the stack of itJQ, the symbol route's exponential, gives E = exp(-itJQ)
+    and E^-1 (expm_hamiltonian).  With w = E(y, eta), (x, xi) = T(y, eta) is
+    E w, so for M = [E_x; E^-1_x] and N = [E_xi; E^-1_xi], the rows of E and
+    E^-1 of x and of xi, (x, y) = M w and (xi, eta) = N w: the kernel's
+    (xi, eta) = [[D B^-1, -B^-T], [B^-1, -B^-1 A]] (x, y) is L = N M^-1, so
+    K = i diag(-I, I) L.  M E = [[A, B], [I, 0]] and det E = 1, so
+    |det M| = |det B|.  One slogdet and one 2n x 2n solve, with no
+    eigvals(JQ), Pfaffian, tan solve or xi-integral.  M and N hold E's
+    growth, as the symbol route's tan(tJQ) does, not that of T, its
+    square: T's columns lose a slower mode's part once a faster one
+    outgrows it by 1/eps.  c is |c| only: its phase needs the branch of
+    det(iB)^{-1/2} continuous from t = 0, which this does not track, so it
+    serves the norms, and kernel_from_symbol gives the kernel with its
+    phase.
+
+    Decisions, each raising at its first failing t with that t's index:
+    t >= 0 and E finite (DegenerateTime, where the symbol route's exp(itJQ)
+    overflows), then B invertible (NonIntegrableSymbol: no kernel).  B is
+    judged by the cosines of the angles between the plane T(0 + C^n) =
+    span [B; D] and that of the positions, 1 / hypot(1, sigma(D B^-1)),
+    which do not grow with T and at small t, where D is near I, are the
+    singular values of B.  B is refused where M is singular, or the least
+    cosine is <= _PD_RELATIVE max(the largest, |tJQ|_2) (B = 0 where the
+    graph condition fails, as for x^2).  The size of the exponent's
+    argument bounds what its rounding leaves in the cosines: without it a
+    1 x 1 B would be refused only at exact zero, and the rotation
+    i(x^2 + xi^2)/2 at t = pi, where B is sin pi, accepted at the rounding
+    of cos(pi/2).
+    """
+    op = "flow_kernel"
+    t = np.asarray(t, dtype=float)
+    Checks()(t < 0, DegenerateTime, "t must be nonnegative", module=_MOD, operation=op)
+    n = q.n
+    JQ = standard_J(n) @ q.Q
+    with np.errstate(over="ignore", invalid="ignore"):
+        Einv, E = expm_hamiltonian(1j * t[..., None, None] * JQ)
+    Checks()(~np.isfinite(E).all(axis=(-2, -1)), DegenerateTime,
+             lambda i: f"exp(-itJQ) overflows at t = {t.flat[i]:.6g}",
+             module=_MOD, operation=op)
+    # scaled by 2^-f to modulus below 1 (E^-1 holds E's entries): L is
+    # unchanged, and log|det M| gains 2nf log 2
+    f = np.frexp(np.abs(E).max(axis=(-2, -1)))[1]
+    s = np.ldexp(1.0, -f)[..., None, None]
+    M = np.concatenate([E[..., :n, :], Einv[..., :n, :]], axis=-2) * s
+    N = np.concatenate([E[..., n:, :], Einv[..., n:, :]], axis=-2) * s
+    sign, logdet = np.linalg.slogdet(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = np.linalg.solve(np.where((sign == 0)[..., None, None], np.eye(2 * n), M).mT,
+                            N.mT).mT
+    singular = (sign == 0) | ~np.isfinite(L).all(axis=(-2, -1))
+    a = np.linalg.svd(np.where(singular[..., None, None], 0, L[..., :n, :n]),
+                      compute_uv=False)
+    cos_min = np.where(singular, 0.0, 1 / np.hypot(1, a[..., 0]))
+    scale = np.maximum(1 / np.hypot(1, a[..., -1]), t * np.linalg.norm(JQ, 2))
+    Checks()(cos_min <= _PD_RELATIVE * scale, NonIntegrableSymbol,
+             lambda i: (f"B, the x-xi block of exp(-2itJQ), is singular at t = "
+                        f"{t.flat[i]:.6g} (least cosine {cos_min.flat[i]:.3e} of "
+                        f"[B; D] to the positions, at scale {scale.flat[i]:.3e}): "
+                        "no kernel"), module=_MOD, operation=op)
+    K = 1j * np.concatenate([-L[..., :n, :], L[..., n:, :]], axis=-2)
+    c = (2 * np.pi) ** (-n / 2) * np.exp(-(logdet + 2 * n * np.log(2) * f) / 2)
+    return GaussianKernel(n, c[()], (K + K.mT) / 2)
 
 
 def _real_skew(N, operation: str) -> np.ndarray:

@@ -58,6 +58,46 @@ def test_kernel_x_squared_exit_code(capsys):
     assert rep["module"] == "mehler"
 
 
+@pytest.mark.parametrize("command, flags", [("norms", ["--t", "0.1"]),
+                                            ("exponents", ["--t-grid", "1e-3,1e-1,5"])])
+def test_norms_of_x_squared_have_no_kernel(capsys, command, flags):
+    # the flow exp(-2itJQ) of x^2 has x-xi block B = 0
+    code, out = run_cli(capsys, command, "--fixture", "x-squared", *flags)
+    assert code == EXIT_MATH
+    assert json.loads(out)["kind"] == "NonIntegrableSymbol"
+
+
+def test_norms_of_harmonic_at_a_long_time(capsys):
+    # |g| = (2 pi sinh t)^{-1/2}: exp(-2itJQ) overflows past t = 710, while
+    # the norm, and exp(-itJQ), stay in range to t = 1420
+    code, out = run_cli(capsys, "norms", "--fixture", "harmonic", "--t", "1000",
+                        "--p", "1", "--q", "inf")
+    assert code == EXIT_OK
+    exact = np.exp(-(np.log(np.pi) + 1000.0) / 2)  # 2 pi sinh t = pi e^t
+    assert abs(json.loads(out)["norm"] / exact - 1) <= 1e-12
+    code, out = run_cli(capsys, "norms", "--fixture", "harmonic", "--t", "1500")
+    assert code == EXIT_MATH and json.loads(out)["kind"] == "DegenerateTime"
+
+
+#: q = i (x^2 + xi^2)/2, whose semigroup is the Schrodinger evolution of the
+#: harmonic oscillator: |g| = (2 pi |sin t|)^{-1/2}, past the conjugate point
+#: pi/2 of its Mehler symbol too
+SCHRODINGER_PROBLEM = {"n": 1, "Q_re": [[0, 0], [0, 0]], "Q_im": [[0.5, 0], [0, 0.5]]}
+
+
+def test_norms_of_the_schrodinger_form(capsys, tmp_path):
+    path = write_problem(tmp_path, SCHRODINGER_PROBLEM)
+    for t in (1.0, 3.5):
+        code, out = run_cli(capsys, "norms", path, "--t", str(t), "--p", "1", "--q", "inf")
+        assert code == EXIT_OK
+        exact = (2 * np.pi * abs(np.sin(t))) ** -0.5
+        assert abs(json.loads(out)["norm"] / exact - 1) <= 1e-14
+    # Re K = 0: no (2, inf) norm
+    code, out = run_cli(capsys, "norms", path, "--t", "1", "--p", "2", "--q", "inf")
+    assert code == EXIT_MATH
+    assert json.loads(out)["kind"] == "NonIntegrable"
+
+
 def test_verify_kolmogorov(capsys):
     code, out = run_cli(capsys, "verify", "--fixture", "kolmogorov", "--t", "0.05")
     rep = json.loads(out)

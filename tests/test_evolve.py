@@ -56,7 +56,7 @@ from qsemi.fixtures import (
     shifted_diagonal,
     x_squared,
 )
-from qsemi.mehler import GaussianKernel, MehlerSymbol
+from qsemi.mehler import GaussianKernel, MehlerSymbol, flow_kernel
 
 from test_mehler import fokker_planck_oracle, graph_fixtures, random_accretive_form
 
@@ -288,17 +288,25 @@ def test_lower_gaussian_stack_zeroes_where_per_width_does():
 
 
 def test_norm_sweep_raises_the_per_t_loops_first_failure():
-    # q = i (x^2 + xi^2)/2 crosses a conjugate point at t = pi, but no t has
-    # a kernel: the loop over t stops at the first t, in the kernel stage
+    # q = i (x^2 + xi^2)/2: exp(-2itJQ) is the rotation by t, so B = sin t and
+    # |g| = (2 pi |sin t|)^{-1/2}; the symbol route meets a conjugate point at
+    # t = pi, the flow fails only where sin t = 0
     rotation = QuadraticForm(1, 0.5j * np.eye(2))
     ts = np.linspace(0.5, 4.0, 8)
     with pytest.raises(DegenerateTime):
         mehler_symbol(rotation, ts)
-    for p in (1, 2):
-        with pytest.raises(NonIntegrableSymbol) as info:
-            norm_sweep(rotation, ts, p, np.inf)
-        assert info.value.index == 0
-    # cos(tJQ) overflows at the last t only
+    exact = (2 * np.pi * np.abs(np.sin(ts))) ** -0.5
+    assert np.abs(norm_sweep(rotation, ts, 1, np.inf) / exact - 1).max() <= 1e-14
+    # Re K = 0: no decay in y at any t, so the loop stops at the first
+    with pytest.raises(NonIntegrable) as info:
+        norm_sweep(rotation, ts, 2, np.inf)
+    assert info.value.index == 0
+    # B = sin(pi) = 0, and there is no kernel there: the flow's B is the
+    # rounding of cos(pi/2), below 1e-12 of the exponent's argument
+    with pytest.raises(NonIntegrableSymbol) as info:
+        norm_sweep(rotation, np.array([0.5, 1.0, np.pi, 4.0]), 1, np.inf)
+    assert info.value.index == 2
+    # exp(-itJQ) overflows at the last t only
     with pytest.raises(DegenerateTime) as info:
         norm_sweep(harmonic(1), np.array([0.1, 10.0, 1e6]), 2, np.inf)
     assert info.value.index == 2 and "overflows" in str(info.value)
@@ -366,7 +374,9 @@ def test_edge_norm_1_inf_is_the_sup_norm():
     for q in graph_fixtures():
         k = kernel_from_symbol(mehler_symbol(q, ts))
         assert np.array_equal(op_norm_edge(k, 1, np.inf), op_norm_1_inf(k))
-        assert np.array_equal(norm_sweep(q, ts, 1, np.inf), op_norm_1_inf(k))
+        sup = norm_sweep(q, ts, 1, np.inf)
+        assert np.array_equal(sup, op_norm_1_inf(flow_kernel(q, ts)))
+        assert np.abs(sup / op_norm_1_inf(k) - 1).max() <= 1e-13
 
 
 def test_edge_norm_rejects_a_block_without_decay():

@@ -11,16 +11,24 @@ integrate through one primitive, mehler.gaussian_integral.  The blocks below
 are diag(1, x) with x = 0 (the graph condition failing exactly), x = 2^-41
 (just below the relative threshold 1e-12) and x = 2^-39 (just above it);
 both are exact in the sums the sites form.
+
+The norms' kernels come from the flow exp(-2itJQ) (mehler.flow_kernel),
+whose one decision, "B invertible", takes the same threshold 1e-12 on the
+cosines of the angles between span [B; D] and the positions' plane.  With
+D = I they are sigma(B) / sqrt(1 + sigma(B)^2), in the ratio sqrt(2) x on
+B = diag(1, x): at x = 2^-41 and 2^-39 its verdicts are not_integrable's.
 """
 import numpy as np
 import pytest
 
 from qsemi import (
     GaussianState,
+    QuadraticForm,
     apply_kernel_gaussian,
     compose_kernels,
     diagnostics_PVMN,
     kernel_from_symbol,
+    mehler_symbol,
 )
 from qsemi.errors import (
     DimensionMismatch,
@@ -34,6 +42,7 @@ from qsemi.matfun import Checks
 from qsemi.mehler import (
     GaussianKernel,
     MehlerSymbol,
+    flow_kernel,
     gaussian_integral,
     kernel_right_dispersion,
     not_integrable,
@@ -107,6 +116,28 @@ def test_sites_agree_at_the_threshold(name):
     with pytest.raises(error):
         site(BELOW)
     site(ABOVE)
+
+
+def test_flow_kernel_decides_b_invertible_at_the_threshold():
+    # q = xi.diag(1, x)xi: JQ is square-zero, so exp(-2itJQ) = I - 2itJQ exactly
+    # and at t = 1/2 its x-xi block is B = -i diag(1, x), whose singular values
+    # are 1 and x; the symbol route's xi-xi block is diag(1, x)/2 there
+    for x in (SINGULAR, BELOW, ABOVE):
+        form = QuadraticForm(2, np.block([[Z2, Z2], [Z2, block(x)]]))
+        refused = bool(not_integrable(block(x))[0])
+        assert refused == (x != ABOVE)
+        for site in (flow_kernel, lambda q, t: kernel_from_symbol(mehler_symbol(q, t))):
+            try:
+                site(form, 0.5)
+            except NonIntegrableSymbol:
+                assert refused, x
+            else:
+                assert not refused, x
+    with pytest.raises(NonIntegrableSymbol) as info:
+        flow_kernel(QuadraticForm(2, np.block([[Z2, Z2], [Z2, block(BELOW)]])),
+                    np.array([0.25, 0.5]))
+    assert info.value.operation == "flow_kernel" and info.value.index == 0
+    assert f"least cosine {BELOW / 2:.3e}" in str(info.value)
 
 
 def test_width_ratios_agree_at_the_threshold():

@@ -5,7 +5,8 @@ twisted-diffusion kernel; the harmonic-oscillator symbol computed from the
 J-plane closed forms (cosh/tanh); and a brute-force quadrature of the Weyl
 oscillatory integral for the degenerate Fokker-Planck symbol.  The Gaussian
 prefactor's sqrt(det W) is checked against a 40-digit mpmath eigenvalue
-product.
+product, and the norms' kernels from the flow exp(-2itJQ) against a 40-digit
+mpmath exponential.
 """
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from qsemi import (
     mehler_inverse_twisted,
     mehler_symbol,
     singular_space,
+    standard_J,
     twisted_form_matrix,
     twisted_kernel,
 )
@@ -40,7 +42,7 @@ from qsemi.fixtures import (
     shifted_diagonal,
     x_squared,
 )
-from qsemi.evolve import norm_sweep
+from qsemi.evolve import norm_sweep, op_norm_edge
 from qsemi.matfun import Checks
 from qsemi.mehler import (
     MehlerSymbol,
@@ -660,3 +662,105 @@ def test_interior_norm_sweep_matches_the_eigenvalue_root(monkeypatch):
     T = np.logspace(-4, -1, 40)
     norms, ref = prefactors_both_ways(monkeypatch, lambda: norm_sweep(q, T, 2, 4))
     assert (np.abs(norms - ref) <= 1e-13 * np.abs(ref)).all()
+
+
+# --- kernels from the flow exp(-2itJQ) -----------------------------------------
+
+def random_form_of_rank(rng, n, rank):
+    """Q = G G^T + i (S + S^T) with G of shape (2n, rank), scaled to spectral
+    norm 1: Re Q has rank `rank`."""
+    G = rng.standard_normal((2 * n, rank))
+    S = rng.standard_normal((2 * n, 2 * n))
+    Q = G @ G.T + 1j * (S + S.T)
+    return QuadraticForm(n, Q / np.linalg.norm(Q, 2))
+
+
+def mpmath_flow_kernel(q, t):
+    """The blocks (K_xx, K_xy, K_yx, K_yy) and |c| of the kernel of exp(-t q^w)
+    from T = exp(-2itJQ) = [[A, B], [C, D]] at 40 digits, from the double
+    inputs as they are: K = i [[-D B^-1, B^-T], [B^-1, -B^-1 A]] and
+    |c| = (2 pi)^{-n/2} |det B|^{-1/2}."""
+    n = q.n
+    with mpmath.workdps(40):
+        X = (-2j * mpmath.mpf(t)) * (mpmath.matrix(standard_J(n).tolist())
+                                     * mpmath.matrix(q.Q.tolist()))
+        T = mpmath.expm(X)
+        A, B, D = T[:n, :n], T[:n, n:], T[n:, n:]
+        Binv = B ** -1
+        blocks = (-1j * D * Binv, 1j * Binv.T, 1j * Binv, -1j * Binv * A)
+        c = (2 * mpmath.pi) ** (-mpmath.mpf(n) / 2) / mpmath.sqrt(abs(mpmath.det(B)))
+        return [np.array(b.tolist(), dtype=complex) for b in blocks], float(c)
+
+
+def test_flow_kernel_matches_a_40_digit_flow():
+    rng = np.random.default_rng(26)
+    ts = np.array([1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+    worst, checked = 0.0, 0
+    for n in (1, 2, 3, 5):
+        for rank in (2 * n, n):
+            q = random_form_of_rank(rng, n, rank)
+            k = mehler.flow_kernel(q, ts)
+            assert k.c.shape == ts.shape and np.isrealobj(k.c)
+            for j, t in enumerate(ts):
+                blocks, c = mpmath_flow_kernel(q, t)
+                K = k.K[j]
+                ours = (K[:n, :n], K[:n, n:], K[n:, :n], K[n:, n:])
+                for a, b in zip(ours, blocks):
+                    worst = max(worst, np.linalg.norm(a - b) / np.linalg.norm(b))
+                worst = max(worst, abs(k.c[j] / c - 1))
+                checked += 1
+    assert checked == 40 and worst <= 1e-14, worst
+
+
+def test_flow_kernel_matches_the_symbol_route():
+    # the two routes share no stage after Q: the symbol's tan solve and
+    # xi-integral against the flow's blocks
+    rng = np.random.default_rng(27)
+    forms = graph_fixtures() + [random_form_of_rank(rng, n, r)
+                                for n in (1, 2, 5, 10) for r in (n, 2 * n)]
+    ts = np.logspace(-4, -1, 40)
+    for q in forms:
+        k, ref = mehler.flow_kernel(q, ts), kernel_from_symbol(mehler_symbol(q, ts))
+        err = np.linalg.norm(k.K - ref.K, axis=(-2, -1)) / np.linalg.norm(ref.K, axis=(-2, -1))
+        assert err.max() <= 1e-14 and np.abs(k.c / np.abs(ref.c) - 1).max() <= 1e-13, q.n
+
+
+def test_flow_kernel_decisions():
+    with pytest.raises(DegenerateTime) as info:
+        mehler.flow_kernel(heat(1), np.array([0.1, -1.0]))
+    assert info.value.index == 1 and "nonnegative" in str(info.value)
+    # x^2 has B = 0 at every t, and t = 0 has B = 0 on every form
+    for q, ts, index in ((x_squared(), [0.1, 0.2], 0), (heat(1), [0.1, 0.0], 1)):
+        with pytest.raises(NonIntegrableSymbol) as info:
+            mehler.flow_kernel(q, np.array(ts))
+        assert info.value.index == index
+    # a single time gives a single kernel
+    k = mehler.flow_kernel(heat(1), 0.25)
+    c, K = heat_kernel_oracle(1, 0.25)
+    assert kernel_close(k, c, K, rtol=1e-15) and np.ndim(k.c) == 0
+
+
+def test_flow_kernel_keeps_the_symbol_routes_reach():
+    # oscillators of frequencies 1 and 3: B = -i diag(sinh t, sinh 3t), whose
+    # condition number e^2t passes 1e12 at t = 13.8, and |g| = |c| =
+    # (2 pi)^-1 (sinh t sinh 3t)^{-1/2}; a symplectic rotation of the pair
+    # (x -> Gx, xi -> G xi) keeps the norms and mixes the modes in every block
+    ts = np.array([1.0, 5.0, 13.8, 20.0])
+    exact = 1 / (2 * np.pi * np.sqrt(np.sinh(ts) * np.sinh(3 * ts)))
+    diagonal = QuadraticForm(2, np.diag([0.5, 1.5, 0.5, 1.5]).astype(complex))
+    G = np.array([[0.8, -0.6], [0.6, 0.8]])
+    S = np.kron(np.eye(2), G)
+    rotated = QuadraticForm(2, (S.T @ diagonal.Q @ S).astype(complex))
+    for q, rtol in ((diagonal, 1e-13), (rotated, 1e-7)):
+        for p, qq in ((1, np.inf), (2, np.inf), (1, 2)):
+            norms = norm_sweep(q, ts, p, qq)
+            ref = op_norm_edge(kernel_from_symbol(mehler_symbol(q, ts)), p, qq)
+            assert np.abs(norms / ref - 1).max() <= rtol, (p, qq)
+        assert np.abs(norm_sweep(q, ts, 1, np.inf) / exact - 1).max() <= rtol
+    # exp(-2itJQ) of harmonic(1) overflows past t = 710, exp(-itJQ) past 1420,
+    # where the symbol route's cos(tJQ) does too
+    ts = np.array([700.0, 1000.0, 1400.0])
+    for p, qq in ((1, np.inf), (2, np.inf)):
+        norms = norm_sweep(harmonic(1), ts, p, qq)
+        ref = op_norm_edge(kernel_from_symbol(mehler_symbol(harmonic(1), ts)), p, qq)
+        assert np.abs(norms / ref - 1).max() <= 1e-12, (p, qq)
