@@ -43,15 +43,11 @@ EXIT_VERIFY = 4
 # canonical JSON
 
 def _fmt_float(x: float) -> str:
+    if math.isfinite(x):
+        return format(x, ".1f" if x.is_integer() and abs(x) < 1e16 else ".17g")
     if x != x:
         return '"nan"'
-    if x == float("inf"):
-        return '"inf"'
-    if x == float("-inf"):
-        return '"-inf"'
-    if x == int(x) and abs(x) < 1e16:
-        return format(x, ".1f")
-    return format(x, ".17g")
+    return '"inf"' if x > 0 else '"-inf"'
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
@@ -65,7 +61,10 @@ def dumps_canonical(obj, indent: int = 0) -> str:
                  for k, v in sorted(obj.items())]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        items = [dumps_canonical(v, indent + 1) for v in obj]
+        # a Python float is formatted in place: the lists of a report are
+        # mostly floats, and bools, numpy scalars and the rest recurse
+        items = [_fmt_float(v) if type(v) is float else dumps_canonical(v, indent + 1)
+                 for v in obj]
         if sum(len(s) for s in items) < 72 and all("\n" not in s for s in items):
             return "[" + ", ".join(items) + "]"
         return "[\n" + ",\n".join(pad1 + s for s in items) + "\n" + pad + "]"
@@ -158,12 +157,18 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+#: the types of the JSON numbers a problem file may hold (not bool)
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _matrix(value, name: str, m: int) -> np.ndarray:
     """An m x m matrix of a problem file, nested lists of JSON numbers
-    (ValueError)."""
+    (ValueError).  Entries all of a number type convert in one pass;
+    otherwise _number names the first entry that is not a number."""
     entries = np.asarray(value, dtype=object).ravel().tolist()
-    return np.array([_number(v, f"an entry of {name}") for v in entries],
-                    dtype=float).reshape(m, m)
+    if not _NUMBER_TYPES.issuperset(map(type, entries)):
+        entries = [_number(v, f"an entry of {name}") for v in entries]
+    return np.array(entries, dtype=float).reshape(m, m)
 
 
 def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticForm:

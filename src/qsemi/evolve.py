@@ -40,7 +40,14 @@ from .errors import (
     ResolutionTooCoarse,
     TruncationTooLarge,
 )
-from .matfun import DEFAULT_TOL, Checks, first_index, spectral_norm
+from .matfun import (
+    DEFAULT_TOL,
+    Checks,
+    cholesky_shift,
+    first_index,
+    lambda_min_exceeds,
+    spectral_norm,
+)
 from .mehler import (
     GaussianKernel,
     check_integrable,
@@ -323,10 +330,26 @@ def _width_ratios(k: GaussianKernel, ls, p: float, q: float):
 def op_norm_1_inf(k: GaussianKernel, *, tol: float = DEFAULT_TOL) -> float:
     """L^1 -> L^inf norm = sup |g|; the real part of K is PSD, so the
     supremum sits on the null space of Re K and equals |c|.  A stacked
-    kernel gives the norm of each."""
+    kernel gives the norm of each.
+
+    The decision, lambda_min(sym Re K) >= -tau for tau = tol max(1, |c|),
+    takes no eigenvalues where a Cholesky factorization of sym Re K + tau I,
+    less the rounding allowance, certifies it (matfun.lambda_min_exceeds).
+    That is tried only on the entries whose tau exceeds their allowance:
+    elsewhere the certificate would need Re K definite beyond its rounding,
+    which a kernel's Re K, with its null space, seldom is.  The other
+    entries take eigvalsh as before."""
     Kr = k.K.real
-    lam = np.linalg.eigvalsh((Kr + Kr.mT) / 2)[..., 0]
-    i = first_index(lam < -tol * np.maximum(1.0, np.abs(k.c)))
+    H = (Kr + Kr.mT) / 2
+    tau = tol * np.maximum(np.abs(k.c), np.ones(H.shape[:-2]))
+    shift = cholesky_shift(H, -tau)
+    tried = shift < 0
+    rest = (~tried if tried.any() and lambda_min_exceeds(H[tried], shift[tried])
+            else np.ones(tried.shape, dtype=bool))
+    lam = np.full(tried.shape, np.inf)
+    if rest.any():
+        lam[rest] = np.linalg.eigvalsh(H[rest])[..., 0]
+    i = first_index(lam < -tau)
     if i is not None:
         raise NonIntegrable(f"Re K has lambda_min = {lam.flat[i]:.3e}; sup |g| is "
                             "infinite", module=_MOD, operation="op_norm_1_inf",

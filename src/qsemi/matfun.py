@@ -1,7 +1,8 @@
 """Dense complex matrix functions: the exponential and principal log of a
 stack of matrices, cos and arctan, the pair exp(+-X) of a Hamiltonian X from
 one exponential, Pfaffians and the continuous branch of sqrt(det cos),
-rank-revealing null spaces, PSD tests.
+rank-revealing null spaces, PSD tests, and the Cholesky certificate that
+spares an eigenvalue gate its eigenvalues where it can prove them.
 
 All routines are dense and target matrices of size at most ~40x40; inputs are
 validated for finiteness and shape, never mutated.  The exponential, log, cos,
@@ -257,25 +258,46 @@ def mat_log_principal(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     return log_principal(A, A - np.eye(A.shape[-1]), tol, Checks())
 
 
+def _add_identity(S, c) -> np.ndarray:
+    """S + c I for each matrix of a stack, formed in S (or in a contiguous
+    copy) and returned: only the diagonal is added to, so an off-diagonal
+    -0.0 stays -0.0 where S + c I gives +0.0."""
+    S = np.ascontiguousarray(S)
+    k = S.shape[-1]
+    S.reshape(S.shape[:-2] + (k * k,))[..., ::k + 1] += c
+    return S
+
+
 def _pade_uv(A, b) -> tuple[np.ndarray, np.ndarray]:
     """The odd and even parts U and V of the Pade approximant with coefficients
     b (_EXPM_PADE) at each matrix of the stack A, as Higham (2005) evaluates
-    them: from A^2, A^4 and A^6 at degree 13, from the powers of A^2 below."""
-    I = np.eye(A.shape[-1])
+    them: from A^2, A^4 and A^6 at degree 13, from the powers of A^2 below.
+
+    The sums are accumulated in place, term by term in the order of Higham's
+    sums (the identity term first below degree 13, where c_0 I + c_2 A^2 is
+    c_2 A^2 + c_0 I, and last at degree 13), so each entry rounds as in
+    those sums, up to the sign of a zero (_add_identity)."""
     A2 = A @ A
+    scratch = np.empty_like(A2)
+
+    def add(S, c, P):  # S += c P, with no new array
+        S += np.multiply(P, c, out=scratch)
+        return S
+
     if len(b) == 14:
         A4 = A2 @ A2
         A6 = A4 @ A2
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
-        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
-        return U, V
-    powers = [I, A2]
-    while len(powers) < len(b) // 2:
-        powers.append(powers[-1] @ A2)
-    return (A @ sum(c * P for c, P in zip(b[1::2], powers)),
-            sum(c * P for c, P in zip(b[0::2], powers)))
+        U = A6 @ add(add(b[13] * A6, b[11], A4), b[9], A2)
+        U = A @ _add_identity(add(add(add(U, b[7], A6), b[5], A4), b[3], A2), b[1])
+        V = A6 @ add(add(b[12] * A6, b[10], A4), b[8], A2)
+        return U, _add_identity(add(add(add(V, b[6], A6), b[4], A4), b[2], A2), b[0])
+    U, V = _add_identity(b[3] * A2, b[1]), _add_identity(b[2] * A2, b[0])
+    P = A2
+    for c_odd, c_even in zip(b[5::2], b[4::2]):
+        P = P @ A2
+        add(U, c_odd, P)
+        add(V, c_even, P)
+    return A @ U, V
 
 
 def expm(X) -> np.ndarray:
@@ -287,7 +309,10 @@ def expm(X) -> np.ndarray:
     within theta_13, and s squarings after.  The entries of one degree go
     through one stacked pass, and the quotient is I + 2 (V - U)^-1 U, as
     scipy.linalg.expm forms it: (V - U)^-1 (V + U) loses accuracy.  An entry
-    comes out as it would alone.
+    comes out as it would alone.  A degree's pass accumulates its sums in
+    place (_pade_uv), rescales nothing where every entry has s = 0 (every
+    degree below 13), and forms V - U and I + 2 (V - U)^-1 U in place: the
+    result is that of the sums formed out of place, up to the sign of a zero.
     """
     X = np.asarray(X)
     k = X.shape[-1]
@@ -303,8 +328,14 @@ def expm(X) -> np.ndarray:
     s[big] = np.ceil(np.log2(norm[big] / _EXPM_PADE[13][0])).clip(0)
     for m in np.unique(degree).tolist():
         i = np.flatnonzero(degree == m)
-        U, V = _pade_uv(A[i] * 2.0 ** -s[i, None, None], _EXPM_PADE[m][1])
-        E[i] = np.eye(k) + 2 * np.linalg.solve(V - U, U)
+        Ai = A[i]
+        if s[i].any():
+            Ai *= 2.0 ** -s[i, None, None]
+        U, V = _pade_uv(Ai, _EXPM_PADE[m][1])
+        V -= U
+        Y = np.linalg.solve(V, U)
+        Y *= 2
+        E[i] = _add_identity(Y, 1)
     for j in range(s.max(initial=0)):
         i = np.flatnonzero(s > j)
         E[i] = E[i] @ E[i]
@@ -507,3 +538,49 @@ def spectral_norm(A) -> float:
     if A.size == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
+
+
+def rounding_allowance(m: int) -> float:
+    """2 (m + 1)^2 u, u = 2^-53: the relative room a certificate leaves for
+    the rounding of an m x m matrix's Cholesky factorization
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
+    2002, Thm 10.3), of its Frobenius norm (relative error below m^2 u / 2),
+    and of the eigenvalues and singular values LAPACK computes (error
+    p(m) u |H|_2, p(m) a modest function of m, here taken below
+    (m + 1)^2 / 2)."""
+    return 2 * (m + 1) ** 2 * 2.0 ** -53
+
+
+def cholesky_shift(H, floor, *, rel: float = 0.0) -> np.ndarray:
+    """The shift s = f + a of lambda_min_exceeds for the floor
+    f = floor + rel |H|_F of each matrix of a stack H (..., m, m), real
+    symmetric, with a = rounding_allowance(m) (|H|_F + |f|); inf or nan
+    where H is not finite."""
+    H = np.asarray(H)
+    F = np.sqrt(np.einsum("...ij,...ij->...", H, H))
+    if rel:
+        floor = floor + rel * F
+    return floor + rounding_allowance(H.shape[-1]) * (F + np.abs(floor))
+
+
+def lambda_min_exceeds(H, shift) -> bool:
+    """Whether one stacked Cholesky factorization of H - s I proves, for the
+    shift s = cholesky_shift(H, floor, rel=rel) of each matrix of a stack H
+    (..., m, m), real symmetric, that eigvalsh finds lambda_min(H) > floor +
+    rel |H|_2: a certificate, never a refusal.
+
+    Where the factorization runs to completion, R^T R = G + dG for the
+    rounded G = H - s I with |dG|_2 <= (m + 1) u trace G to first order
+    (Higham, Thm 10.3, and |R|_2^2 <= trace R^T R), so lambda_min(H) >= s - (m + 1) u (m^(1/2)
+    |H|_F + m |s|) - u (|H|_F + |s|); a exceeds that loss plus eigvalsh's
+    error and the rounding of |H|_F in the floor.  A non-finite shift (H not
+    finite) proves nothing.
+    """
+    shift = np.asarray(shift)
+    if np.size(H) == 0 or not np.isfinite(shift).all():
+        return False
+    try:
+        np.linalg.cholesky(_add_identity(np.array(H, dtype=float), -shift[..., None]))
+    except np.linalg.LinAlgError:
+        return False
+    return True

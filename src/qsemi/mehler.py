@@ -56,9 +56,12 @@ from .errors import (
 from .matfun import (
     DEFAULT_TOL,
     Checks,
+    cholesky_shift,
     cos_sin_sqrt_det,
     expm_hamiltonian,
     first_index,
+    lambda_min_exceeds,
+    rounding_allowance,
 )
 from .quadform import QuadraticForm, block_decompose, standard_J
 
@@ -117,19 +120,32 @@ class KernelDiagnostics:
 _PD_RELATIVE = 1e-12
 
 
+def _sym_re(W) -> np.ndarray:
+    """H = sym Re W of each block of a stack W (..., m, m)."""
+    W = np.asarray(W)
+    return (W.real + W.real.mT) / 2
+
+
 def not_integrable(W) -> tuple[np.ndarray, np.ndarray]:
     """The one integrability decision: mask of the blocks W (..., m, m) whose
     int exp(-Wz.z/2) dz is taken to diverge, lambda_min(H) <= _PD_RELATIVE
     |H|_2 for H = sym Re W, and that lambda_min."""
-    W = np.asarray(W)
-    lam = np.linalg.eigvalsh((W.real + W.real.mT) / 2)  # |H|_2 = max |lam|
+    lam = np.linalg.eigvalsh(_sym_re(W))  # |H|_2 = max |lam|
     return lam[..., 0] <= _PD_RELATIVE * np.abs(lam).max(axis=-1), lam[..., 0]
 
 
 def check_integrable(W, error, *, module: str, operation: str, what: str,
                      checks: Checks | None = None) -> None:
     """Fail, as error from module.operation, the blocks of W, named `what`,
-    that not_integrable flags: Checks(), the default, raises at the first."""
+    that not_integrable flags: Checks(), the default, raises at the first.
+
+    A stack that one Cholesky factorization certifies, lambda_min(H) >
+    _PD_RELATIVE |H|_F >= _PD_RELATIVE |H|_2 with room for the rounding
+    (matfun.lambda_min_exceeds), passes with no eigenvalues; any other
+    stack is decided by not_integrable, whole."""
+    H = _sym_re(W)
+    if lambda_min_exceeds(H, cholesky_shift(H, 0.0, rel=_PD_RELATIVE)):
+        return
     bad, lam = not_integrable(W)
     (checks or Checks())(bad, error, lambda i: f"{what} must have positive-definite "
                          f"real part (lambda_min = {lam.flat[i]:.3e})",
@@ -267,6 +283,31 @@ def kernel_from_symbol(sym: MehlerSymbol) -> GaussianKernel:
     return GaussianKernel(n, sym.c * (2 * np.pi) ** -n * c, K)
 
 
+def _cosine_rule(L11, t, JQ, singular) -> tuple[np.ndarray, np.ndarray]:
+    """(least cosine, scale) of flow_kernel's "B invertible" rule, B refused
+    where cos <= _PD_RELATIVE scale, for each L11 = D B^-1 of a stack (k, n, n)
+    at the times t (k,), singular marking the entries refused outright.
+
+    sigma_max(L11) <= |L11|_F, |tJQ|_2 <= |tJQ|_F and the greatest cosine is
+    at most 1: an entry that passes the rule on these bounds, with room for
+    the rounding of both norms and of the SVDs (twice
+    matfun.rounding_allowance), passes it on the singular values, and gets
+    (1, 0) with no SVD.  Only the others take the SVDs of the rule.
+    """
+    n = L11.shape[-1]
+    cos_min, scale = np.ones(t.shape), np.zeros(t.shape)
+    judge = singular | ~(1 / np.hypot(1, np.linalg.norm(L11, axis=(-2, -1)))
+                         > _PD_RELATIVE * np.maximum(1, t * np.linalg.norm(JQ))
+                         * (1 + 2 * rounding_allowance(2 * n)))
+    if judge.any():
+        a = np.linalg.svd(np.where(singular[judge, None, None], 0, L11[judge]),
+                          compute_uv=False)
+        cos_min[judge] = np.where(singular[judge], 0.0, 1 / np.hypot(1, a[..., 0]))
+        scale[judge] = np.maximum(1 / np.hypot(1, a[..., -1]),
+                                  t[judge] * np.linalg.norm(JQ, 2))
+    return cos_min, scale
+
+
 def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
     """Kernel of exp(-t q^w), with c the modulus |c| of its prefactor, at a
     time or at each time of an array t (stacked over it), from the flow
@@ -304,7 +345,8 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
     argument bounds what its rounding leaves in the cosines: without it a
     1 x 1 B would be refused only at exact zero, and the rotation
     i(x^2 + xi^2)/2 at t = pi, where B is sin pi, accepted at the rounding
-    of cos(pi/2).
+    of cos(pi/2).  The SVDs of the rule are taken only at the entries that
+    its Frobenius bounds do not pass (_cosine_rule).
     """
     op = "flow_kernel"
     t = np.asarray(t, dtype=float)
@@ -323,18 +365,18 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
     M = np.concatenate([E[..., :n, :], Einv[..., :n, :]], axis=-2) * s
     N = np.concatenate([E[..., n:, :], Einv[..., n:, :]], axis=-2) * s
     sign, logdet = np.linalg.slogdet(M)
+    if (sign == 0).any():  # solved as I, and refused below
+        M = np.where((sign == 0)[..., None, None], np.eye(2 * n), M)
     with np.errstate(over="ignore", invalid="ignore"):
-        L = np.linalg.solve(np.where((sign == 0)[..., None, None], np.eye(2 * n), M).mT,
-                            N.mT).mT
+        L = np.linalg.solve(M.mT, N.mT).mT
     singular = (sign == 0) | ~np.isfinite(L).all(axis=(-2, -1))
-    a = np.linalg.svd(np.where(singular[..., None, None], 0, L[..., :n, :n]),
-                      compute_uv=False)
-    cos_min = np.where(singular, 0.0, 1 / np.hypot(1, a[..., 0]))
-    scale = np.maximum(1 / np.hypot(1, a[..., -1]), t * np.linalg.norm(JQ, 2))
+    tf = t.ravel()
+    cos_min, scale = _cosine_rule(L[..., :n, :n].reshape(-1, n, n), tf, JQ,
+                                  singular.ravel())
     Checks()(cos_min <= _PD_RELATIVE * scale, NonIntegrableSymbol,
              lambda i: (f"B, the x-xi block of exp(-2itJQ), is singular at t = "
-                        f"{t.flat[i]:.6g} (least cosine {cos_min.flat[i]:.3e} of "
-                        f"[B; D] to the positions, at scale {scale.flat[i]:.3e}): "
+                        f"{tf[i]:.6g} (least cosine {cos_min[i]:.3e} of "
+                        f"[B; D] to the positions, at scale {scale[i]:.3e}): "
                         "no kernel"), module=_MOD, operation=op)
     K = 1j * np.concatenate([-L[..., :n, :], L[..., n:, :]], axis=-2)
     c = (2 * np.pi) ** (-n / 2) * np.exp(-(logdet + 2 * n * np.log(2) * f) / 2)

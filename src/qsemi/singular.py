@@ -76,14 +76,14 @@ def singular_space(q: QuadraticForm, tol: float = DEFAULT_TOL) -> SingularSpaceR
         P = P @ ImF
     full = np.vstack(blocks)
 
-    _, sv, vh = np.linalg.svd(full.astype(complex), full_matrices=False)
+    _, sv, vh = np.linalg.svd(full, full_matrices=False)
     smax = sv[0] if sv.size else 0.0
     thresh = tol * smax if smax >= tol else tol
     rank = int((sv >= thresh).sum())
     dim_S = n2 - rank
     kept = float(sv[rank - 1]) if rank > 0 else float("nan")
     dropped = float(sv[rank]) if rank < sv.size else 0.0
-    basis = vh[rank:].T.real  # the stack is real, so S is a real subspace
+    basis = vh[rank:].T  # the stack is real, and so is S
 
     k0 = n2 - 1
     for k in range(n2 - 1):

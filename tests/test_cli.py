@@ -319,6 +319,85 @@ def test_canonical_json_is_parseable():
     assert rep["y"] == {"im": -2.0, "re": 1.0}
 
 
+def recursive_dumps(obj, indent=0):
+    """dumps_canonical as it wrote every list entry, floats included, by a
+    recursive call on the entry."""
+    pad, pad1 = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{pad1}{json.dumps(str(k))}: {recursive_dumps(v, indent + 1)}"
+                 for k, v in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        items = [recursive_dumps(v, indent + 1) for v in obj]
+        if sum(len(s) for s in items) < 72 and all("\n" not in s for s in items):
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + ",\n".join(pad1 + s for s in items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if x != x:
+            return '"nan"'
+        if x in (float("inf"), float("-inf")):
+            return '"inf"' if x > 0 else '"-inf"'
+        return format(x, ".1f" if x == int(x) and abs(x) < 1e16 else ".17g")
+    if isinstance(obj, (complex, np.complexfloating)):
+        return recursive_dumps({"im": float(obj.imag), "re": float(obj.real)}, indent)
+    if isinstance(obj, np.ndarray):
+        return recursive_dumps(obj.tolist(), indent)
+    return json.dumps(obj)
+
+
+def test_canonical_lists_match_the_recursive_writer():
+    # Python floats are formatted in place; bools, ints, numpy scalars, None,
+    # strings, complex numbers and nested lists still recurse
+    floats = [0.0, -0.0, 1.0, -3.0, 0.1, 1 / 3, 1e16, 1e16 - 2, -1e300, 5e-324,
+              float("nan"), float("inf"), float("-inf"), 2.0 ** 53 + 2]
+    cases = [
+        floats,
+        [True, False, 1.0, 0.0, True],
+        [1, 2.5, np.float64(0.1), np.float64(-0.0), np.int64(7), np.float32(0.25)],
+        [None, "a", 1.0, complex(1, -2), np.complex128(-0.0 + 3j)],
+        [[0.5, 1.0], [True, [2.0, float("nan")]], []],
+        (1.0, -0.0, np.float64("inf")),
+        {"t_values": floats, "norms": [x * 2 for x in floats], "exact": True,
+         "K": np.array([[1.0, -0.0], [2.5, 3.0]])},
+        list(map(float, np.logspace(-4, -1, 40))),
+    ]
+    for obj in cases:
+        assert dumps_canonical(obj) == recursive_dumps(obj), obj
+    assert dumps_canonical([True, 1.0, False]) == "[true, 1.0, false]"
+
+
+def test_problem_matrices_parse_and_fail_as_one_entry_at_a_time():
+    def reference(value, name, m):
+        entries = np.asarray(value, dtype=object).ravel().tolist()
+        return np.array([cli._number(v, f"an entry of {name}") for v in entries],
+                        dtype=float).reshape(m, m)
+
+    values = [[[1, 2.5], [-3, 1e300]], [[0, 2 ** 70], [3, 4]], [[1.0, True], [0, 1]],
+              [[1.0, "1"], [0, 1]], [[1.0, None], [0, 1]], [[1.0, 2.0], [3.0]],
+              [[1.0, 2.0, 3.0]], 5, "abc", {}, [[[1.0]]], [[10 ** 400, 0], [0, 1]],
+              [[1.0, [2.0]], [3.0, 4.0]], [[float("nan"), 0], [0, 1]]]
+    for value in values:
+        for m in (1, 2):
+            try:
+                want = reference(value, "Q_re", m)
+            except (OverflowError, TypeError, ValueError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    cli._matrix(value, "Q_re", m)
+                assert str(info.value) == str(exc), value
+            else:
+                got = cli._matrix(value, "Q_re", m)
+                assert got.dtype == float and np.array_equal(got, want, equal_nan=True)
+
+
 # --- (2, inf) sweeps ------------------------------------------------------------
 
 def test_exponents_heat_2_inf_tight(capsys):

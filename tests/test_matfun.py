@@ -333,6 +333,67 @@ def test_expm_of_a_nilpotent_jq_matches_mpmath(form):
             assert np.array_equal(Ek, np.eye(len(Xk)) + Xk)
 
 
+def reference_expm(X):
+    """expm as each degree evaluated its Pade sums before they were formed in
+    place: sum() of the terms, a rescale of every entry, I + 2 (V - U)^-1 U
+    out of place.  The in-place form may differ only in the sign of a zero."""
+    k = X.shape[-1]
+    A = X.reshape(-1, k, k).astype(np.result_type(X, float))
+    E = np.empty_like(A)
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    degree = np.full(norm.shape, 13)
+    for m in (9, 7, 5, 3):
+        degree[norm <= _EXPM_PADE[m][0]] = m
+    big = (degree == 13) & np.isfinite(norm)
+    s = np.zeros(norm.shape, dtype=int)
+    s[big] = np.ceil(np.log2(norm[big] / _EXPM_PADE[13][0])).clip(0)
+    I = np.eye(k)
+    for m in np.unique(degree).tolist():
+        i = np.flatnonzero(degree == m)
+        Ai, b = A[i] * 2.0 ** -s[i, None, None], _EXPM_PADE[m][1]
+        A2 = Ai @ Ai
+        if m == 13:
+            A4 = A2 @ A2
+            A6 = A4 @ A2
+            U = Ai @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                      + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+            V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+                 + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+        else:
+            powers = [I, A2]
+            while len(powers) < len(b) // 2:
+                powers.append(powers[-1] @ A2)
+            U = Ai @ sum(c * P for c, P in zip(b[1::2], powers))
+            V = sum(c * P for c, P in zip(b[0::2], powers))
+        E[i] = I + 2 * np.linalg.solve(V - U, U)
+    for j in range(s.max(initial=0)):
+        i = np.flatnonzero(s > j)
+        E[i] = E[i] @ E[i]
+    return E.reshape(X.shape)
+
+
+def test_expm_matches_its_out_of_place_evaluation():
+    # entries of every degree, 13 with and without squarings, real and
+    # complex, in one stack: equal to the last bit (== treats -0.0 as 0.0)
+    rng = np.random.default_rng(29)
+    norms = [f * theta for theta, _ in _EXPM_PADE.values() for f in (0.5, 0.99)]
+    norms += [6.0, 40.0, 1e3]
+    for k in (1, 2, 4, 10, 20):
+        G = rng.standard_normal((2, len(norms), k, k))
+        for X in (G[0], G[0] + 1j * G[1]):
+            X = X * (np.array(norms) / np.abs(X).sum(axis=-2).max(axis=-1))[:, None, None]
+            E = expm(X)
+            assert E.dtype == X.dtype
+            assert np.array_equal(E, reference_expm(X)), (k, X.dtype)
+            for j, Xj in enumerate(X):
+                assert np.array_equal(expm(Xj), E[j])
+    # heat's square-zero JQ still gives exactly I + X, as before
+    JQ = standard_J(1) @ heat(1).Q
+    X = np.stack([c * JQ for c in (1e-3j, 0.3j, -2j, 40j, 0.3)])
+    assert np.array_equal(expm(X), np.eye(2) + X)
+    assert np.array_equal(expm(X), reference_expm(X))
+
+
 def test_expm_of_an_empty_stack():
     for dtype in (float, complex):
         E = expm(np.zeros((0, 4, 4), dtype=dtype))
