@@ -20,10 +20,8 @@ from .decompose import (
 )
 from .evolve import (
     GaussianState,
-    GridFunction,
     NormFitReport,
     apply_kernel_gaussian,
-    apply_kernel_grid,
     compute_cpq,
     counterexample_demo,
     derivative_growth_check,
@@ -36,7 +34,6 @@ from .evolve import (
     op_norm_1_inf,
     op_norm_edge,
     op_norm_lower_gaussian,
-    sample_state,
 )
 from .fixtures import fixture_names, get_fixture
 from .matfun import (

@@ -161,14 +161,15 @@ def _number(value, name: str) -> float:
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _matrix(value, name: str, m: int) -> np.ndarray:
-    """An m x m matrix of a problem file, nested lists of JSON numbers
-    (ValueError).  Entries all of a number type convert in one pass;
-    otherwise _number names the first entry that is not a number."""
+def _matrix(value, name: str, shape: tuple) -> np.ndarray:
+    """An array of the given shape from a problem or state file, nested
+    lists of JSON numbers (ValueError).  Entries all of a number type convert
+    in one pass; otherwise _number names the first entry that is not a
+    number."""
     entries = np.asarray(value, dtype=object).ravel().tolist()
     if not _NUMBER_TYPES.issuperset(map(type, entries)):
         entries = [_number(v, f"an entry of {name}") for v in entries]
-    return np.array(entries, dtype=float).reshape(m, m)
+    return np.array(entries, dtype=float).reshape(shape)
 
 
 def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticForm:
@@ -180,8 +181,8 @@ def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticFor
         n = _integer(problem["n"], "n")
         if n < 1:
             raise ValueError(f"n = {n} must be at least 1")
-        Q_re = _matrix(problem["Q_re"], "Q_re", 2 * n)
-        Q_im = (_matrix(problem["Q_im"], "Q_im", 2 * n)
+        Q_re = _matrix(problem["Q_re"], "Q_re", (2 * n, 2 * n))
+        Q_im = (_matrix(problem["Q_im"], "Q_im", (2 * n, 2 * n))
                 if "Q_im" in problem else np.zeros_like(Q_re))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise _parse_error(f"malformed problem file: {exc}", "load_problem") from exc
@@ -309,18 +310,20 @@ def cmd_verify(q: QuadraticForm, args) -> dict:
 
 def _input_state(args, n: int) -> GaussianState:
     """The --input state: a JSON object with A_re and optional A_im, b_re,
-    b_im, c_re, c_im (finite numbers, n x n and n entries); else exp(-|x|^2/2).
+    b_im, c_re, c_im (n x n and n entries, finite JSON numbers as in a
+    problem file); else exp(-|x|^2/2).
     """
     if not args.input:
         return GaussianState(n, 1.0, np.eye(n, dtype=complex), np.zeros(n))
     try:
         with open(args.input, encoding="utf-8") as fh:
             d = json.load(fh)
-        A_re = np.asarray(d["A_re"], float).reshape(n, n)
-        A_im = np.asarray(d.get("A_im", np.zeros((n, n))), float).reshape(n, n)
-        b_re = np.asarray(d.get("b_re", np.zeros(n)), float).reshape(n)
-        b_im = np.asarray(d.get("b_im", np.zeros(n)), float).reshape(n)
-        c_re, c_im = float(d.get("c_re", 1.0)), float(d.get("c_im", 0.0))
+        A_re = _matrix(d["A_re"], "A_re", (n, n))
+        A_im = _matrix(d.get("A_im", np.zeros((n, n))), "A_im", (n, n))
+        b_re = _matrix(d.get("b_re", np.zeros(n)), "b_re", n)
+        b_im = _matrix(d.get("b_im", np.zeros(n)), "b_im", n)
+        c_re = _number(d.get("c_re", 1.0), "c_re")
+        c_im = _number(d.get("c_im", 0.0), "c_im")
     except (AttributeError, KeyError, OSError, OverflowError, TypeError,
             ValueError) as exc:
         raise _parse_error(f"malformed input state: {exc}", "input_state") from exc

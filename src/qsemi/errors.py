@@ -92,14 +92,6 @@ class NonIntegrable(QsemiError):
     pass
 
 
-class TruncationTooLarge(QsemiError):
-    pass
-
-
-class ResolutionTooCoarse(QsemiError):
-    pass
-
-
 class NonPositiveSample(QsemiError):
     pass
 

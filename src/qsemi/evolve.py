@@ -6,9 +6,6 @@ convolutions, so every norm and derivative below is exact linear algebra.
 A state evaluates at one point or at an (n, ...) array of points, and
 d^alpha u = H_alpha u with H_alpha from the multivariate Hermite recurrence.
 
-Grid path: tensorized trapezoid quadrature on uniform grids (n <= 2) used to
-cross-validate the closed forms and to evolve non-Gaussian inputs.
-
 Norms: on the edge of the exponent square (p = 1 or q = inf) the
 L^p -> L^q norm is a closed form in the kernel's blocks (op_norm_edge);
 inside it (1 < p <= q < inf) op_norm_lower_gaussian gives a lower bound by a
@@ -37,8 +34,6 @@ from .errors import (
     NonIntegrableSymbol,
     NonPositiveSample,
     QsemiError,
-    ResolutionTooCoarse,
-    TruncationTooLarge,
 )
 from .matfun import (
     DEFAULT_TOL,
@@ -46,17 +41,16 @@ from .matfun import (
     cholesky_shift,
     first_index,
     lambda_min_exceeds,
-    spectral_norm,
 )
 from .mehler import (
     GaussianKernel,
+    _real_skew,
     check_integrable,
     disperse,
     flow_kernel,
     gaussian_integral,
     kernel_from_symbol,
     mehler_symbol,
-    twisted_kernel,
 )
 from .quadform import QuadraticForm
 from .singular import graph_condition, singular_space
@@ -98,38 +92,6 @@ class GaussianState:
 
 
 @dataclass
-class GridFunction:
-    """Samples on a uniform tensor grid; axes are (min, max, points) triples."""
-    n: int
-    axes: tuple
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if len(self.axes) != self.n:
-            raise DimensionMismatch("axes/dimension mismatch",
-                                    module=_MOD, operation="GridFunction")
-        shape = tuple(int(a[2]) for a in self.axes)
-        if any(p < 2 for p in shape):
-            raise ResolutionTooCoarse("need at least 2 points per axis",
-                                      module=_MOD, operation="GridFunction")
-        self.samples = np.asarray(self.samples, dtype=complex).reshape(shape)
-
-    def nodes(self, axis: int) -> np.ndarray:
-        lo, hi, m = self.axes[axis]
-        return np.linspace(lo, hi, int(m))
-
-    def weights(self) -> np.ndarray:
-        """Tensor-product trapezoid weights of the whole grid."""
-        w = 1.0
-        for lo, hi, m in self.axes:
-            h = (hi - lo) / (int(m) - 1)
-            wa = np.full(int(m), h)
-            wa[0] = wa[-1] = h / 2
-            w = np.multiply.outer(w, wa)
-        return w
-
-
-@dataclass
 class NormFitReport:
     p: float
     q: float
@@ -139,11 +101,6 @@ class NormFitReport:
     norms: np.ndarray
     fitted_slope: float
     r_squared: float
-
-
-def sample_state(u: GaussianState, axes) -> GridFunction:
-    """Evaluate a Gaussian state on a tensor grid."""
-    return GridFunction(u.n, tuple(axes), u(_grid_points(axes)))
 
 
 def _grid_points(axes) -> np.ndarray:
@@ -187,108 +144,14 @@ def convolve_gaussian(A_conv, u: GaussianState) -> GaussianState:
     return apply_kernel_gaussian(GaussianKernel(n, 1.0 + 0j, K), u)
 
 
-def lp_norm(u, p: float) -> float:
-    """L^p norm, closed form for Gaussian states, quadrature sum for grids."""
+def lp_norm(u: GaussianState, p: float) -> float:
+    """L^p norm of a Gaussian state, in closed form."""
     if not (1 <= p):
         raise ExponentOrder(f"p = {p} out of range", module=_MOD, operation="lp_norm")
-    if isinstance(u, GaussianState):
-        ReA = u.A.real
-        Reb = u.b.real
-        peak = float(np.exp(0.5 * Reb @ np.linalg.solve(ReA, Reb)))
-        return _centered_lp_norm(abs(u.c), ReA, p) * peak
-    if isinstance(u, GridFunction):
-        if np.isinf(p):
-            return float(np.abs(u.samples).max())
-        return float((np.abs(u.samples) ** p * u.weights()).sum() ** (1 / p))
-    raise DimensionMismatch(f"unsupported input {type(u)}", module=_MOD,
-                            operation="lp_norm")
-
-
-# --------------------------------------------------------------------------
-# grid evolution
-
-TRUNCATION_TOL = 1e-6  #: largest boundary-ring mass, relative to the output
-
-
-def apply_kernel_grid(k: GaussianKernel, u: GridFunction) -> GridFunction:
-    """Tensorized trapezoid quadrature of int g(x, y) u(y) dy on u's grid.
-
-    n = 1 evaluates the full exponent matrix; n = 2 factorizes the x-y
-    coupling axis by axis, with Gaussian balancing of each factor so that no
-    intermediate overflows even for sharply peaked kernels.  The boundary-ring
-    mass of the integrand serves as the truncation-error estimate; the grid
-    step must resolve the kernel scale 1/sqrt(|K|).
-    """
-    if k.n != u.n:
-        raise DimensionMismatch("kernel/grid dimension mismatch",
-                                module=_MOD, operation="apply_kernel_grid")
-    if u.n > 2:
-        raise DimensionMismatch("grid evolution is implemented for n <= 2",
-                                module=_MOD, operation="apply_kernel_grid")
-    n = u.n
-    nodes = [u.nodes(ax) for ax in range(n)]
-    steps = [nodes[ax][1] - nodes[ax][0] for ax in range(n)]
-    width = float(np.linalg.norm(k.K, 2)) ** 0.5
-    if max(steps) * width > 1.5:
-        raise ResolutionTooCoarse(
-            f"grid step {max(steps):.3g} too coarse for kernel scale "
-            f"{1.0 / max(width, 1e-300):.3g}",
-            module=_MOD, operation="apply_kernel_grid")
-    Kxx, Kxy, Kyy = k.K[:n, :n], k.K[:n, n:], k.K[n:, n:]
-    w = u.weights()
-
-    def ring_mask(shape):
-        mask = np.zeros(shape, dtype=bool)
-        for ax in range(len(shape)):
-            sl = [slice(None)] * len(shape)
-            sl[ax] = 0
-            mask[tuple(sl)] = True
-            sl[ax] = -1
-            mask[tuple(sl)] = True
-        return mask
-
-    if n == 1:
-        x = nodes[0]
-        E = np.exp(-0.5 * (Kxx[0, 0] * x[:, None] ** 2
-                           + 2 * Kxy[0, 0] * np.outer(x, x)
-                           + Kyy[0, 0] * x[None, :] ** 2))
-        V = u.samples * w
-        out = k.c * (E @ V)
-        ring = ring_mask(V.shape)
-        tail = abs(k.c) * float((np.abs(E[:, ring]) @ np.abs(V[ring])).max())
-    else:
-        # balance: exp(-K_ab x y) = exp(-K_ab x y - c_ab (x^2+y^2)/2) times
-        # compensating Gaussians folded into the one-sided fields
-        C = np.abs(Kxy)
-        X = _grid_points(u.axes).reshape(n, -1)
-
-        def field(M, comp):
-            quad = np.einsum("ik,ij,jk->k", X, M, X)
-            return np.exp(-0.5 * quad + 0.5 * comp @ X ** 2).reshape(u.samples.shape)
-
-        Px = field(Kxx, C.sum(axis=1))
-        Py = field(Kyy, C.sum(axis=0))
-        Fs = [[np.exp(-Kxy[a, b] * np.outer(nodes[a], nodes[b])
-                      - 0.5 * C[a, b] * (nodes[a][:, None] ** 2
-                                         + nodes[b][None, :] ** 2))
-               for b in range(2)] for a in range(2)]
-        V = Py * u.samples * w
-        T = np.einsum("ak,bk,jk->jab", Fs[0][1], Fs[1][1], V, optimize=True)
-        out = k.c * Px * np.einsum("aj,bj,jab->ab", Fs[0][0], Fs[1][0], T,
-                                   optimize=True)
-        ring = ring_mask(V.shape)
-        Vr = np.where(ring, np.abs(V), 0.0)
-        Tr = np.einsum("ak,bk,jk->jab", np.abs(Fs[0][1]), np.abs(Fs[1][1]), Vr,
-                       optimize=True)
-        tail = (np.abs(Px) * np.einsum("aj,bj,jab->ab", np.abs(Fs[0][0]),
-                                       np.abs(Fs[1][0]), Tr, optimize=True)).max()
-        tail = abs(k.c) * float(tail)
-    scale = max(np.abs(out).max(), 1e-300)
-    if tail > TRUNCATION_TOL * scale:
-        raise TruncationTooLarge(
-            f"boundary mass {tail:.3e} vs output scale {scale:.3e}",
-            module=_MOD, operation="apply_kernel_grid")
-    return GridFunction(n, u.axes, out)
+    ReA = u.A.real
+    Reb = u.b.real
+    peak = float(np.exp(0.5 * Reb @ np.linalg.solve(ReA, Reb)))
+    return _centered_lp_norm(abs(u.c), ReA, p) * peak
 
 
 # --------------------------------------------------------------------------
@@ -584,47 +447,37 @@ def derivative_growth_check(k: GaussianKernel, G, u: GaussianState,
 # --------------------------------------------------------------------------
 # twisted-vs-dispersion bound
 
-def miraculous_bound_check(N, eps: float, D, u, axes=None) -> float:
-    """Max over grid nodes of LHS - RHS for the pointwise bound
+BOUND_AXIS = (-8.0, 8.0, 65)  #: each axis of miraculous_bound_check's grid
+
+
+def miraculous_bound_check(N, eps: float, D, u: GaussianState) -> float:
+    """Max over the nodes of the grid BOUND_AXIS^n of LHS - RHS for the
+    pointwise bound
 
         |TW e^{(i/2) d(grad)} u(x)|
             <= (2 pi)^{-n/2} det(eps^2 I + D^2)^{-1/4}
                (e^{-eps r / 2} * |u|)(x - DNx),
 
     TW the twisted diffusion with parameter eps, r of matrix
-    (eps^2 I + D^2)^{-1}.  Gaussian states evaluate both sides in closed
-    form (TW by _twisted_gaussian); grid inputs, for D = 0 only (no warp),
-    by quadrature against twisted_kernel.
+    (eps^2 I + D^2)^{-1}.  Both sides of the Gaussian state u are closed
+    forms (TW by _twisted_gaussian).  N must be real skew-symmetric
+    (DimensionMismatch) and eps positive (NonIntegrableSymbol).
     """
-    N = np.asarray(N, dtype=float)
+    N = _real_skew(N, "miraculous_bound_check", _MOD)
+    if eps <= 0:
+        raise NonIntegrableSymbol("eps must be positive", module=_MOD,
+                                  operation="miraculous_bound_check")
     D = np.asarray(D, dtype=float)
     n = N.shape[0]
-    ktw = twisted_kernel(N, eps)  # checks N and eps; the grid path applies it
     Rmat = np.linalg.inv(eps ** 2 * np.eye(n) + D @ D)
     pref = (2 * np.pi) ** (-n / 2) * float(np.linalg.det(
         eps ** 2 * np.eye(n) + D @ D)) ** (-0.25)
-    if axes is None:
-        axes = tuple((-8.0, 8.0, 65) for _ in range(n))
-
-    if isinstance(u, GaussianState):
-        lhs_state = _twisted_gaussian(_half_dispersion(u, D), N, eps)
-        rhs_state = convolve_gaussian(eps * Rmat, u.modulus())
-        X = _grid_points(axes).reshape(n, -1)
-        lhs = np.abs(lhs_state(X))
-        rhs = pref * np.abs(rhs_state(X - (D @ N) @ X))
-        return float((lhs - rhs).max())
-    if isinstance(u, GridFunction):
-        if spectral_norm(D) > 0:
-            raise DimensionMismatch("grid path supports D = 0 only",
-                                    module=_MOD, operation="miraculous_bound_check")
-        lhs = np.abs(apply_kernel_grid(ktw, u).samples)
-        conv_K = np.block([[eps * Rmat, -eps * Rmat], [-eps * Rmat, eps * Rmat]])
-        mod = GridFunction(u.n, u.axes, np.abs(u.samples))
-        rhs = pref * np.abs(apply_kernel_grid(
-            GaussianKernel(n, 1.0 + 0j, conv_K.astype(complex)), mod).samples)
-        return float((lhs - rhs).max())
-    raise DimensionMismatch(f"unsupported input {type(u)}", module=_MOD,
-                            operation="miraculous_bound_check")
+    lhs_state = _twisted_gaussian(_half_dispersion(u, D), N, eps)
+    rhs_state = convolve_gaussian(eps * Rmat, u.modulus())
+    X = _grid_points((BOUND_AXIS,) * n).reshape(n, -1)
+    lhs = np.abs(lhs_state(X))
+    rhs = pref * np.abs(rhs_state(X - (D @ N) @ X))
+    return float((lhs - rhs).max())
 
 
 def _twisted_gaussian(u: GaussianState, N, eps: float) -> GaussianState:

@@ -532,14 +532,6 @@ def psd_check(H, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     return lam_min >= -tol, lam_min
 
 
-def spectral_norm(A) -> float:
-    """Operator 2-norm."""
-    A = np.asarray(A, dtype=complex)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.norm(A, 2))
-
-
 def rounding_allowance(m: int) -> float:
     """2 (m + 1)^2 u, u = 2^-53: the relative room a certificate leaves for
     the rounding of an m x m matrix's Cholesky factorization

@@ -383,15 +383,15 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
     return GaussianKernel(n, c[()], (K + K.mT) / 2)
 
 
-def _real_skew(N, operation: str) -> np.ndarray:
-    """N as a real array, or DimensionMismatch unless it is square, finite
-    and real skew-symmetric within 1e-12 max(1, |N|)."""
+def _real_skew(N, operation: str, module: str = _MOD) -> np.ndarray:
+    """N as a real array, or DimensionMismatch (from module.operation) unless
+    it is square, finite and real skew-symmetric within 1e-12 max(1, |N|)."""
     N = np.asarray(N, dtype=complex)
     if not (N.ndim == 2 and N.shape[0] == N.shape[1] and np.isfinite(N).all()
             and not N.imag.any()
             and np.linalg.norm(N + N.T) <= 1e-12 * max(1.0, np.linalg.norm(N))):
         raise DimensionMismatch("N must be square, finite and real skew-symmetric",
-                                module=_MOD, operation=operation)
+                                module=module, operation=operation)
     return N.real.copy()
 
 

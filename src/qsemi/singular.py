@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidTolerance
-from .matfun import DEFAULT_TOL
+from .matfun import DEFAULT_TOL, rounding_allowance
 from .quadform import QuadraticForm, hamilton_map
 
 _MOD = "singular"
@@ -31,7 +31,8 @@ class SingularSpaceReport:
     """Orthonormal basis of S together with the index data and the SVD gap.
 
     sv_kept / sv_dropped expose the singular values bracketing the rank
-    decision so borderline cases can be audited by callers.
+    decision so borderline cases can be audited by callers; sv_max is the
+    largest.
     """
     basis: np.ndarray          # (2n, d), orthonormal real columns
     k0: int
@@ -39,10 +40,15 @@ class SingularSpaceReport:
     tol: float = field(repr=False, default=DEFAULT_TOL)
     sv_kept: float = field(repr=False, default=float("nan"))
     sv_dropped: float = field(repr=False, default=float("nan"))
+    sv_max: float = field(repr=False, default=0.0)
 
     @property
     def gap_ratio(self) -> float:
-        if self.sv_dropped == 0.0 or np.isnan(self.sv_dropped):
+        """sv_kept / sv_dropped; inf where no value is dropped (nan) or the
+        dropped one is at the SVD's rounding level, rounding_allowance(2n)
+        sv_max or less: an exact gap."""
+        m = self.basis.shape[0]
+        if not self.sv_dropped > rounding_allowance(m) * self.sv_max:
             return float("inf")
         return self.sv_kept / self.sv_dropped
 
@@ -92,7 +98,7 @@ def singular_space(q: QuadraticForm, tol: float = DEFAULT_TOL) -> SingularSpaceR
             k0 = k
             break
     return SingularSpaceReport(basis=basis, k0=k0, dim=dim_S, tol=tol,
-                               sv_kept=kept, sv_dropped=dropped)
+                               sv_kept=kept, sv_dropped=dropped, sv_max=float(smax))
 
 
 def graph_condition(report: SingularSpaceReport, tol: float = DEFAULT_TOL,

@@ -40,6 +40,8 @@ def test_analyze_shifted_diagonal(capsys):
     rep = json.loads(out)
     assert code == EXIT_OK
     assert abs(rep["graph"]["G"][0] - 1.0) < 1e-10
+    # the dropped singular value is rounding (3.4e-17 of 2): an exact gap
+    assert rep["gap_ratio"] == "inf"
 
 
 def test_analyze_x_squared_fails_graph(capsys):
@@ -391,10 +393,10 @@ def test_problem_matrices_parse_and_fail_as_one_entry_at_a_time():
                 want = reference(value, "Q_re", m)
             except (OverflowError, TypeError, ValueError) as exc:
                 with pytest.raises(type(exc)) as info:
-                    cli._matrix(value, "Q_re", m)
+                    cli._matrix(value, "Q_re", (m, m))
                 assert str(info.value) == str(exc), value
             else:
-                got = cli._matrix(value, "Q_re", m)
+                got = cli._matrix(value, "Q_re", (m, m))
                 assert got.dtype == float and np.array_equal(got, want, equal_nan=True)
 
 
@@ -695,7 +697,11 @@ def test_evolve_input_state(tmp_path, capsys):
     json.dumps(dict(GOOD_STATE, c_im=[1.0])),
     json.dumps(dict(GOOD_STATE, A_re=[[float("nan")]])),
     json.dumps(dict(GOOD_STATE, b_im=[float("inf")])),
-    json.dumps(dict(GOOD_STATE, c_re=1e400))])
+    json.dumps(dict(GOOD_STATE, c_re=1e400)),
+    json.dumps(dict(GOOD_STATE, c_re="2")),
+    json.dumps(dict(GOOD_STATE, c_re=True)),
+    json.dumps(dict(GOOD_STATE, A_re="1")),
+    json.dumps(dict(GOOD_STATE, b_re=["0.5"]))])
 def test_evolve_bad_input_is_parse_error(tmp_path, capsys, text):
     path = str(tmp_path / "missing.json") if text is None else write_state(tmp_path, text)
     code, out = run_cli(capsys, "evolve", "--fixture", "heat", "--input", path)

@@ -1,7 +1,7 @@
 """Evolution, norm and estimate tests.
 
-Oracles: classical Gaussian convolution algebra (variance addition), grid
-quadrature against closed forms, the brute-force Fokker-Planck quadrature
+Oracles: classical Gaussian convolution algebra (variance addition), a
+trapezoid quadrature on tensor grids (written here) against closed forms, the brute-force Fokker-Planck quadrature
 from test_mehler, and the explicit constants in the twisted-vs-dispersion
 convolution bound.
 """
@@ -14,10 +14,8 @@ import pytest
 
 from qsemi import (
     GaussianState,
-    GridFunction,
     QuadraticForm,
     apply_kernel_gaussian,
-    apply_kernel_grid,
     compute_cpq,
     counterexample_demo,
     derivative_growth_check,
@@ -28,11 +26,11 @@ from qsemi import (
     miraculous_bound_check,
     op_norm_1_inf,
     op_norm_lower_gaussian,
-    sample_state,
     twisted_kernel,
 )
 from qsemi.errors import (
     DegenerateTime,
+    DimensionMismatch,
     ExponentOrder,
     FixtureHasGraph,
     NonIntegrable,
@@ -41,6 +39,7 @@ from qsemi.errors import (
 )
 from qsemi.evolve import (
     _derivative_norm,
+    _grid_points,
     _half_dispersion,
     _twisted_gaussian,
     convolve_gaussian,
@@ -119,18 +118,54 @@ def test_dispersion_preserves_mass_and_sup_decay():
     assert lp_norm(v, np.inf) < lp_norm(u, np.inf)
 
 
-# --- grid evolution ------------------------------------------------------------
+# --- grid evolution: a trapezoid oracle for the closed forms -------------------
+
+def trapezoid_weights(axes):
+    """Tensor-product trapezoid weights of the grid of (lo, hi, points) axes."""
+    w = 1.0
+    for lo, hi, m in axes:
+        wa = np.full(m, (hi - lo) / (m - 1))
+        wa[[0, -1]] /= 2
+        w = np.multiply.outer(w, wa)
+    return w
+
+
+def quadrature_lp_norm(samples, axes, p):
+    """L^p norm of grid samples: the largest modulus at p = inf, else the
+    trapezoid sum of |u|^p."""
+    if np.isinf(p):
+        return np.abs(samples).max()
+    return (np.abs(samples) ** p * trapezoid_weights(axes)).sum() ** (1 / p)
+
+
+def quadrature_apply(k, samples, axes):
+    """int g(x, y) u(y) dy at the grid's nodes, u given by its samples there,
+    by the trapezoid rule on the same grid (n <= 2).  n = 1 takes the whole
+    exponent at each node pair; n = 2 factors exp(-x.K_xy y) into one
+    node-by-node matrix per entry of K_xy and contracts axis by axis."""
+    n = k.n
+    Kxx, Kxy, Kyy = k.K[:n, :n], k.K[:n, n:], k.K[n:, n:]
+    x = [np.linspace(lo, hi, m) for lo, hi, m in axes]
+    V = samples * trapezoid_weights(axes)
+    if n == 1:
+        E = np.exp(-0.5 * (Kxx[0, 0] * x[0][:, None] ** 2 + 2 * Kxy[0, 0] * np.outer(x[0], x[0])
+                           + Kyy[0, 0] * x[0][None, :] ** 2))
+        return k.c * E @ V
+    X = _grid_points(axes)
+    Px, Py = (np.exp(-0.5 * np.einsum("i...,ij,j...->...", X, M, X)) for M in (Kxx, Kyy))
+    F = [[np.exp(-Kxy[a, b] * np.outer(x[a], x[b])) for b in range(2)] for a in range(2)]
+    T = np.einsum("il,jl,kl->ijk", F[0][1], F[1][1], Py * V, optimize=True)
+    return k.c * Px * np.einsum("ik,jk,ijk->ij", F[0][0], F[1][0], T, optimize=True)
+
 
 def test_grid_vs_closed_form_heat_1d():
     t = 0.2
     k = kernel_from_symbol(mehler_symbol(heat(1), t))
     u = unit_gaussian()
     axes = ((-8.0, 8.0, 128),)
-    ug = sample_state(u, axes)
-    vg = apply_kernel_grid(k, ug)
-    v = apply_kernel_gaussian(k, u)
-    ref = sample_state(v, axes)
-    err = np.abs(vg.samples - ref.samples).max() / np.abs(ref.samples).max()
+    vg = quadrature_apply(k, u(_grid_points(axes)), axes)
+    ref = apply_kernel_gaussian(k, u)(_grid_points(axes))
+    err = np.abs(vg - ref).max() / np.abs(ref).max()
     assert err < 1e-6
 
 
@@ -139,9 +174,9 @@ def test_grid_vs_closed_form_twisted_2d():
     k = twisted_kernel(N, 0.5)
     u = unit_gaussian(2)
     axes = ((-8.0, 8.0, 128), (-8.0, 8.0, 128))
-    vg = apply_kernel_grid(k, sample_state(u, axes))
-    ref = sample_state(apply_kernel_gaussian(k, u), axes)
-    err = np.abs(vg.samples - ref.samples).max() / np.abs(ref.samples).max()
+    vg = quadrature_apply(k, u(_grid_points(axes)), axes)
+    ref = apply_kernel_gaussian(k, u)(_grid_points(axes))
+    err = np.abs(vg - ref).max() / np.abs(ref).max()
     assert err < 1e-6
 
 
@@ -149,9 +184,9 @@ def test_grid_near_identity_kernel():
     k = kernel_from_symbol(mehler_symbol(heat(1), 2e-4))
     u = unit_gaussian()
     axes = ((-8.0, 8.0, 2049),)
-    ug = sample_state(u, axes)
-    vg = apply_kernel_grid(k, ug)
-    assert np.abs(vg.samples - ug.samples).max() < 1e-3
+    ug = u(_grid_points(axes))
+    vg = quadrature_apply(k, ug, axes)
+    assert np.abs(vg - ug).max() < 1e-3
 
 
 # --- norms -----------------------------------------------------------------------
@@ -165,17 +200,19 @@ def test_lp_norm_gaussian_closed_forms():
 
 def test_lp_norm_grid_matches_closed_form():
     # centered state: the sup sits exactly on a node, so p = inf is exact too
+    axes = ((-12.0, 12.0, 257),)
     u = GaussianState(1, 1.3, np.array([[0.8]], dtype=complex), np.zeros(1))
-    g = sample_state(u, ((-12.0, 12.0, 257),))
+    g = u(_grid_points(axes))
     for p in (1, 2, np.inf):
-        assert abs(lp_norm(g, p) - lp_norm(u, p)) < 1e-6 * lp_norm(u, p)
+        assert abs(quadrature_lp_norm(g, axes, p) - lp_norm(u, p)) < 1e-6 * lp_norm(u, p)
     # off-center peaks are node-limited at p = inf
     u2 = GaussianState(1, 1.3, np.array([[0.8]], dtype=complex),
                        np.array([0.2], dtype=complex))
-    g2 = sample_state(u2, ((-12.0, 12.0, 257),))
+    g2 = u2(_grid_points(axes))
     for p in (1, 2):
-        assert abs(lp_norm(g2, p) - lp_norm(u2, p)) < 1e-6 * lp_norm(u2, p)
-    assert abs(lp_norm(g2, np.inf) - lp_norm(u2, np.inf)) < 1e-3 * lp_norm(u2, np.inf)
+        assert abs(quadrature_lp_norm(g2, axes, p) - lp_norm(u2, p)) < 1e-6 * lp_norm(u2, p)
+    assert (abs(quadrature_lp_norm(g2, axes, np.inf) - lp_norm(u2, np.inf))
+            < 1e-3 * lp_norm(u2, np.inf))
 
 
 def test_op_norm_heat():
@@ -570,17 +607,32 @@ def corollary_rhs(n, eps, D, p, q):
             * eps ** (-n / (2 * r)) * detf ** (1 / (2 * r) - 0.25))
 
 
-def test_miraculous_bound_gaussian_fixture():
+@pytest.mark.parametrize("D", [np.diag([1.0, 2.0]), np.zeros((2, 2))],
+                         ids=["diagonal", "zero"])
+def test_miraculous_bound_gaussian_fixture(D):
     u = unit_gaussian(2)
-    D = np.diag([1.0, 2.0])
     assert miraculous_bound_check(N_ROT, 0.3, D, u) <= 1e-6
 
 
+@pytest.mark.parametrize("N, eps, kind", [
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), 0.3, DimensionMismatch),
+    (N_ROT, 0.0, NonIntegrableSymbol)], ids=["symmetric-N", "zero-eps"])
+def test_miraculous_bound_rejects_a_bad_twist(N, eps, kind):
+    with pytest.raises(kind, match=r"\[evolve\.miraculous_bound_check\]"):
+        miraculous_bound_check(N, eps, np.zeros((2, 2)), unit_gaussian(2))
+
+
 def test_miraculous_bound_d_zero_grid():
+    # at D = 0 there is no warp, and both sides are the quadrature oracle's:
+    # the twisted kernel and the convolution with exp(-|x|^2 / (2 eps))
     u = unit_gaussian(2)
     axes = ((-8.0, 8.0, 96), (-8.0, 8.0, 96))
-    ug = sample_state(u, axes)
-    v = miraculous_bound_check(N_ROT, 0.4, np.zeros((2, 2)), ug)
+    ug = u(_grid_points(axes))
+    eps, I = 0.4, np.eye(2)
+    lhs = np.abs(quadrature_apply(twisted_kernel(N_ROT, eps), ug, axes))
+    conv = GaussianKernel(2, 1.0 + 0j, np.block([[I, -I], [-I, I]]) / eps + 0j)
+    rhs = (2 * np.pi) ** -1 * eps ** -1 * np.abs(quadrature_apply(conv, np.abs(ug), axes))
+    v = (lhs - rhs).max()
     assert v <= 1e-8
 
 
