@@ -24,17 +24,22 @@ t at once, and the public stage functions run at one t.  A stacked pass
 records each failed entry's first error (matfun.Checks), so no entry is run
 again alone to learn it.
 
-Matrix exponentials: a time point of the build forms four, each once, by
-matfun.expm, which takes the whole grid in one stacked pass per Pade degree.
-For X = JS with S symmetric, J^T X^T J = -X, so exp(-X) = J^T exp(X)^T J
-(matfun.expm_hamiltonian).  _polar forms exp(-2itJQ), exp(2itJA) and
-S = exp(2tJB); exp(-2itJ conj Q) is the conjugate of exp(2itJQ) =
-J^T exp(-2itJQ)^T J, and exp(-2itJA) = J^T exp(2itJA)^T J.  It keeps
-exp(-2itJA) and S on PolarFactors.  _unitary reads (D, M, W) off S and
+Matrix functions: a time point of the build forms three exponentials, each
+once, by matfun.expm, which takes the whole grid in one stacked pass per
+Pade degree, and three principal logs (matfun.log_principal).  For X = JS
+with S symmetric, J^T X^T J = -X, so exp(-X) = J^T exp(X)^T J
+(matfun.expm_hamiltonian).  _polar forms exp(-2itJQ) and exp(2itJA), with
+A from the log of exp(-4itJA) = exp(-2itJQ) exp(-2itJ conj Q);
+exp(-2itJ conj Q) is the conjugate of exp(2itJQ) = J^T exp(-2itJQ)^T J, and
+exp(-2itJA) = J^T exp(2itJA)^T J.  S = exp(2tJB) is the real part of
+exp(2itJA) exp(-2itJQ), taken with no log of B and no exponential of it.
+_polar keeps exp(-2itJA) and S on PolarFactors.  _unitary reads (D, M, W),
+with the log of S22^T, off S and
 checks them against the product of the three factors in closed form: the
 shears are I + X with X^2 = 0, and only e^{tM} (n x n) takes expm.  _strang
 multiplies the kept exp(-2itJA) by exp(2iJ sR_s), the Cayley transform that
-inverse_twisted forms with R_s from one n x n solve (no log, no expm).  Each
+inverse_twisted forms with R_s from one n x n solve (no log, no expm), and
+takes the log of the product.  Each
 (c tJ)^{-1} L is J^T L / (c t), with no solve.  The public stage functions
 form their own exponentials, by matfun.expm too.  verify_decomposition forms
 its five distinct shadows (the twisted one, on both sides of the middle
@@ -54,6 +59,7 @@ from .errors import (
     DegenerateTime,
     GammaCollapsed,
     GraphConditionFailed,
+    NonSquare,
     NotPSDWithinTol,
     NotRealWithinTol,
     QsemiError,
@@ -68,6 +74,7 @@ from .matfun import (
     first_index,
     log_principal,
     null_space,
+    rounding_allowance,
 )
 from .mehler import (
     GaussianKernel,
@@ -106,23 +113,34 @@ STRANG_RADIUS = np.log(2) / 6
 class PolarFactors:
     """Real forms a_t, b_t with exp(-2itJA) exp(2tJB) = exp(-2itJQ).
 
-    EA = exp(-2itJA) and S = exp(2tJB) are the two exponentials of that
-    identity, which the split computes for recon_residual: the unitary split
-    reads (D, M, W) off S and the Strang middle term multiplies by EA.
+    EA = exp(-2itJA) and S = exp(2tJB) are the two factors of that identity:
+    the unitary split reads (D, M, W) off S and the Strang middle term
+    multiplies by EA.  S is read off exp(2itJA) exp(-2itJQ) with no log, so
+    B = (2tJ)^-1 log S is formed only when read, by the principal log
+    (BranchCut where S leaves its branch); the build never reads it.
 
-    Over a grid of T times, t, A, B, EA, S and recon_residual are stacked:
-    shapes (T,), (T, 2n, 2n) for the four matrices and (T,); indexing picks
+    Over a grid of T times, t, A, EA, S and recon_residual are stacked:
+    shapes (T,), (T, 2n, 2n) for the three matrices and (T,); indexing picks
     one time.
     """
     t: float
     A: np.ndarray
-    B: np.ndarray
     EA: np.ndarray
     S: np.ndarray
     recon_residual: float
+    _B: np.ndarray | None = field(default=None, repr=False)  # b_t, once formed
+
+    @property
+    def B(self) -> np.ndarray:
+        if self._B is None:
+            S = self.S
+            t = 2 * np.asarray(self.t, dtype=float)[..., None, None]
+            B = standard_J(S.shape[-1] // 2).T @ _log(S, DEFAULT_TOL, Checks()).real / t
+            self._B = (B + B.mT) / 2
+        return self._B
 
     def __getitem__(self, i) -> "PolarFactors":
-        return PolarFactors(self.t[i], self.A[i], self.B[i], self.EA[i], self.S[i],
+        return PolarFactors(self.t[i], self.A[i], self.EA[i], self.S[i],
                             self.recon_residual[i])
 
 
@@ -216,8 +234,12 @@ def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
     tJ = t_ * J
     # exp(-2itJ conj Q) is the conjugate of exp(2itJQ) = E1^-1
     E1, E1inv = expm_hamiltonian(-2j * tJ @ q.Q)
-    A = 1j * (J.T @ _log(E1 @ E1inv.conj(), tol, checks)) / (4 * t_)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = 1j * (J.T @ _log(E1 @ E1inv.conj(), tol, checks)) / (4 * t_)
     scaleA = np.maximum(1.0, _fro(A))
+    # the division by 4t overflows where t is near the least float (1e-310)
+    checks(~np.isfinite(scaleA), DegenerateTime,
+           lambda i: f"A is not finite at t = {t.flat[i]:.3g}", module=_MOD, operation=op)
     imag = _fro(A.imag)
     checks(imag > tol * scaleA, NotRealWithinTol,
            lambda i: f"imag part of A has norm {imag.flat[i]:.3e}",
@@ -227,27 +249,31 @@ def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
     checks(lam < -tol * scaleA, NotPSDWithinTol,
            lambda i: f"A has lambda_min = {lam.flat[i]:.3e}", module=_MOD, operation=op)
     EAinv, EA = expm_hamiltonian(2j * tJ @ A)
-    B = J.T @ _log(EAinv @ E1, tol, checks) / (2 * t_)
-    imag = _fro(B.imag)
-    checks(imag > tol * np.maximum(1.0, _fro(B)), NotRealWithinTol,
-           lambda i: f"imag part of B has norm {imag.flat[i]:.3e}",
+    S = EAinv @ E1
+    # S is symplectic, so R = Re S has R^T J R = J + (Im S)^T J Im S: R is
+    # symplectic to second order in Im S, and R^-1 Im S = J^T R^T J Im S to
+    # first order is the imaginary part of the generator 2tJB (J^T, being
+    # orthogonal, leaves the norm alone)
+    imag = _fro(S.real.mT @ J @ S.imag) / (2 * t)
+    checks(imag > tol * scaleA, NotRealWithinTol,
+           lambda i: f"imag part of S has norm {imag.flat[i]:.3e} at its generator",
            module=_MOD, operation=op)
-    B = (B.real + B.real.mT) / 2
-    S = expm(2 * tJ @ B)
+    S = np.ascontiguousarray(S.real)
     recon = _fro(EA @ S - E1)
-    return PolarFactors(t[()], A, B, EA, S, recon[()])
+    return PolarFactors(t[()], A, EA, S, recon[()])
 
 
 def polar_factors(q: QuadraticForm, t: float, *, tol: float = DEFAULT_TOL) -> PolarFactors:
     """Split exp(-t q^w) into self-adjoint and unitary matrix shadows.
 
-    A comes from exp(-4itJA) = exp(-2itJQ) exp(-2itJ conj(Q)); B from
-    exp(2tJB) = exp(2itJA) exp(-2itJQ).  Both logs must stay principal
-    (BranchCut otherwise); imaginary parts are checked then truncated.
+    A comes from exp(-4itJA) = exp(-2itJQ) exp(-2itJ conj(Q)), whose log
+    must stay principal (BranchCut otherwise); S = exp(2tJB) is the real part
+    of exp(2itJA) exp(-2itJQ), and B its log, formed when read.  The
+    imaginary parts of A and of S's generator are checked, then truncated.
     """
     if t == 0:
         I = np.eye(2 * q.n)
-        return PolarFactors(0.0, q.Q.real.copy(), q.Q.imag.copy(), I, I.copy(), 0.0)
+        return PolarFactors(0.0, q.Q.real.copy(), I, I.copy(), 0.0, q.Q.imag.copy())
     return _polar(q, t, tol, Checks())
 
 
@@ -308,13 +334,22 @@ def _strang(A, B, EA, EB, tol: float, checks: Checks) -> np.ndarray:
     """strang_middle of each pair of a stack of pairs (A, B), given their
     exponentials EA = exp(-2iJA) and EB = exp(2iJB)."""
     op = "strang_middle"
-    J = standard_J(A.shape[-1] // 2)
-    na = np.linalg.norm(A, 2, axis=(-2, -1))
-    nb = np.linalg.norm(B, 2, axis=(-2, -1))
+    m = A.shape[-1]
+    J = standard_J(m // 2)
+    fa, fb = _fro(A), _fro(B)
+    finite = np.isfinite(fa + fb)
+    checks(~finite, NonSquare, "A or B has non-finite entries", module=_MOD, operation=op)
+    # |.|_2 <= |.|_F: Frobenius norms below the radius with room for their
+    # rounding and the SVD's pass an entry with no SVD
+    svd = finite & ~(np.maximum(fa, fb) * (1 + rounding_allowance(m)) < STRANG_RADIUS)
+    na, nb = np.zeros(fa.shape), np.zeros(fb.shape)
+    if svd.any():
+        na[svd] = np.linalg.norm(A[svd], 2, axis=(-2, -1))
+        nb[svd] = np.linalg.norm(B[svd], 2, axis=(-2, -1))
     checks((na >= STRANG_RADIUS) | (nb >= STRANG_RADIUS), RadiusExceeded,
            lambda i: f"|A| = {na.flat[i]:.4f}, |B| = {nb.flat[i]:.4f} must be below "
                      f"log(2)/6 = {STRANG_RADIUS:.4f}", module=_MOD, operation=op)
-    I = np.eye(J.shape[0])
+    I = np.eye(m)
     EA, EB = checks.clean(EA, I), checks.clean(EB, I)
     P = 1j * (J.T @ _log(EB @ EA @ EB, tol, checks)) / 2
     imag = _fro(P.imag)
@@ -344,10 +379,11 @@ def default_t_grid(t_max: float = 0.1) -> np.ndarray:
     return np.logspace(-3, np.log10(t_max), 20)
 
 
-def _factors_at(q, q_sheared, cert, gamma, alpha, pol, *, tol,
+def _factors_at(q, q_sheared, cert, Nmat, gamma, alpha, pol, *, tol,
                 checks: Checks) -> DecompositionFactors:
     """Run every per-t stage at (pol.t, gamma) on the polar factors pol, at
-    one time or stacked over a grid, and return the factors.
+    one time or stacked over a grid, and return the factors; Nmat is
+    twisted_form_matrix(cert.N).
 
     Stages and checks, in order: unitary split, twisted-diffusion inversion,
     arctan sandwich, Strang middle term, P >= A/2, 5B <= A.  A failed check
@@ -358,7 +394,6 @@ def _factors_at(q, q_sheared, cert, gamma, alpha, pol, *, tol,
     uni = _unitary(pol.S, t, tol, checks)
     s = gamma * t ** alpha
     Rs, pf, ERs = inverse_twisted(cert.N, s, checks)
-    Nmat = twisted_form_matrix(cert.N)
     lo = np.linalg.eigvalsh(Rs - Nmat)[..., 0]
     hi = np.linalg.eigvalsh(2 * Nmat - Rs)[..., 0]
     checks((lo < -1e-10) | (hi < -1e-10), NotPSDWithinTol,
@@ -453,7 +488,8 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     alpha = 2 * report.k0 + 1
     # S(q o T) = T^-1 S(q) (T^-1: shear by -Gsym), so no second rank decision
     U = null_space((shear_transform(-cert.Gsym) @ report.basis).T).real
-    Nbar = U.T @ twisted_form_matrix(cert.N) @ U
+    Nmat = twisted_form_matrix(cert.N)
+    Nbar = U.T @ Nmat @ U
     checks = Checks(times.shape)
     pol = _polar(q_sheared, times, tol, checks)
     grid = Checks(G)
@@ -470,7 +506,8 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     if not np.isfinite(gamma) or gamma <= 0:
         raise GammaCollapsed(f"gamma = {gamma}", module=_MOD,
                              operation="select_gamma")
-    factors = _factors_at(q, q_sheared, cert, gamma, alpha, pol, tol=tol, checks=checks)
+    factors = _factors_at(q, q_sheared, cert, Nmat, gamma, alpha, pol, tol=tol,
+                          checks=checks)
     i = first_index(checks.bad[:G])
     exc = None if i is None else checks.errors[i]
     stop_reason = None if exc is None else f"{type(exc).__name__}: {exc}"

@@ -214,29 +214,34 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
     checks(~np.isfinite(Z).all(axis=(-2, -1)), NonSquare,
            "matrix has non-finite entries", module=_MOD, operation=op)
     Z, X = checks.clean(Z, I), checks.clean(X, 0)
+    norm = _norm1(X)
     # |lambda - 1| <= |X|_1 <= (1 - tol) / (1 + tol) puts every eigenvalue in
     # the right half-plane with |lambda| >= tol * max(|lambda|, 1), so only
-    # the entries farther from I need their eigenvalues
-    far = ~(_norm1(X) <= (1 - tol) / (1 + tol))
-    w = np.ones(Z.shape[:-1], dtype=complex)
-    w[far] = np.linalg.eigvals(Z[far])
-    scale = np.maximum(np.abs(w).max(axis=-1, initial=0.0), 1.0)
-    zero = np.abs(w) < tol * scale[..., None]
-    neg = (w.real < 0) & (np.abs(w.imag) < tol * np.abs(w))
+    # the entries farther from I need their eigenvalues, and a stack with none
+    # takes no branch test
+    far = ~(norm <= (1 - tol) / (1 + tol))
+    if far.any():
+        w = np.ones(Z.shape[:-1], dtype=complex)
+        w[far] = np.linalg.eigvals(Z[far])
+        scale = np.maximum(np.abs(w).max(axis=-1, initial=0.0), 1.0)
+        zero = np.abs(w) < tol * scale[..., None]
+        neg = (w.real < 0) & (np.abs(w.imag) < tol * np.abs(w))
 
-    def cut(i):
-        for lam, z, n in zip(w.reshape(-1, m)[i], zero.reshape(-1, m)[i],
-                             neg.reshape(-1, m)[i]):
-            if z:
-                return f"eigenvalue {lam} too close to 0"
-            if n:
-                return f"eigenvalue {lam} on the negative real axis"
+        def cut(i):
+            for lam, z, n in zip(w.reshape(-1, m)[i], zero.reshape(-1, m)[i],
+                                 neg.reshape(-1, m)[i]):
+                if z:
+                    return f"eigenvalue {lam} too close to 0"
+                if n:
+                    return f"eigenvalue {lam} on the negative real axis"
 
-    checks((zero | neg).any(axis=-1), BranchCut, cut, module=_MOD, operation=op)
-    Z = np.array(checks.clean(Z, I), dtype=complex)
-    X = np.array(checks.clean(X, 0), dtype=complex)
+        checks((zero | neg).any(axis=-1), BranchCut, cut, module=_MOD, operation=op)
+        Z, X, norm = checks.clean(Z, I), checks.clean(X, 0), checks.clean(norm, 0)
     roots = np.zeros(Z.shape[:-2], dtype=int)
-    need = _norm1(X) > _LOG_THETA[-1]
+    need = norm > _LOG_THETA[-1]
+    if need.any():
+        # the roots replace entries in place, in copies of Z and X
+        Z, X = np.array(Z, dtype=complex), np.array(X, dtype=complex)
     for _ in range(_MAX_STEPS):
         if not need.any():
             break
@@ -244,7 +249,7 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
         X[need] = Z[need] - I
         roots += need
         need &= _norm1(X) > _LOG_THETA[-1]
-    return _log1p_pade(X) * 2.0 ** roots[..., None, None]
+    return _log1p_pade(np.asarray(X, dtype=complex)) * 2.0 ** roots[..., None, None]
 
 
 def mat_log_principal(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:

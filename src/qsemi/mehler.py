@@ -269,18 +269,23 @@ def kernel_from_symbol(sym: MehlerSymbol) -> GaussianKernel:
 
     Raises NonIntegrableSymbol exactly when the graph condition fails for the
     underlying form (degenerate Re B), in which case the operator has no
-    locally integrable Gaussian kernel.  A symbol stacked over t gives the
-    kernels stacked over t.
+    locally integrable Gaussian kernel, and DegenerateTime where the kernel,
+    of order 1/t, is not finite in floating point (t ~ 1e-310).  A symbol
+    stacked over t gives the kernels stacked over t.
     """
     n = sym.n
+    op = "kernel_from_symbol"
     ix, w = np.r_[:n, :n, n:2 * n], np.repeat([1.0, 1.0, 2.0], n)
     K = sym.M[..., ix[:, None], ix] * np.outer(w, w) / 2  # m at ((x + y)/2, xi)
     phase = np.kron([[0, 0, -1], [0, 0, 1], [-1, 1, 0]], np.eye(n))  # i (x - y).xi
     c, K, _ = gaussian_integral(K + 1j * phase, None, n,
-                                NonIntegrableSymbol, module=_MOD,
-                                operation="kernel_from_symbol",
+                                NonIntegrableSymbol, module=_MOD, operation=op,
                                 what="xi-xi block of the symbol")
-    return GaussianKernel(n, sym.c * (2 * np.pi) ** -n * c, K)
+    c = sym.c * (2 * np.pi) ** -n * c
+    bad = ~(np.isfinite(c) & np.isfinite(K).all(axis=(-2, -1)))
+    Checks()(bad, DegenerateTime, lambda i: "the kernel is not finite at t = "
+             f"{np.broadcast_to(sym.t, bad.shape).flat[i]:.3g}", module=_MOD, operation=op)
+    return GaussianKernel(n, c, K)
 
 
 def _cosine_rule(L11, t, JQ, singular) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +421,9 @@ def twisted_form_matrix(N) -> np.ndarray:
     """Matrix of |xi - Nx|^2 on R^{2n}: [[N^T N, N], [-N, I]] for N skew."""
     N = np.asarray(N, dtype=float)
     n = N.shape[0]
-    return np.block([[N.T @ N, N], [-N, np.eye(n)]])
+    T = np.empty((2 * n, 2 * n))
+    T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:] = N.T @ N, N, -N, np.eye(n)
+    return T
 
 
 def diagnostics_PVMN(sym: MehlerSymbol) -> KernelDiagnostics:

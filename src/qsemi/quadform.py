@@ -111,9 +111,9 @@ def shear_transform(Gsym) -> np.ndarray:
     """
     Gsym = np.asarray(Gsym, dtype=float)
     n = Gsym.shape[0]
-    Z = np.zeros((n, n))
-    I = np.eye(n)
-    return np.block([[I, Z], [Gsym, I]])
+    T = np.eye(2 * n)
+    T[n:, :n] = Gsym
+    return T
 
 
 @dataclass
@@ -149,12 +149,16 @@ def embed_xx(W) -> np.ndarray:
 def embed_xixi(D) -> np.ndarray:
     """Matrix of the form (D xi).xi, D symmetric n x n."""
     D = np.asarray(D, dtype=complex)
-    Z = np.zeros_like(D)
-    return np.block([[Z, Z], [Z, D]])
+    n = D.shape[-1]
+    E = np.zeros(D.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    E[..., n:, n:] = D
+    return E
 
 
 def embed_cross(M) -> np.ndarray:
     """Matrix of the form (M x).xi for an arbitrary n x n M."""
     M = np.asarray(M, dtype=complex)
-    Z = np.zeros_like(M)
-    return np.block([[Z, M.mT / 2], [M / 2, Z]])
+    n = M.shape[-1]
+    E = np.zeros(M.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    E[..., :n, n:], E[..., n:, :n] = M.mT / 2, M / 2
+    return E

@@ -1,11 +1,13 @@
-"""The certificates in front of the spectral gates of a norm sweep.
+"""The certificates in front of the spectral gates of a norm sweep and of
+the build's Strang middle term.
 
-Three gates decide on eigenvalues or singular values:
+Four gates decide on eigenvalues or singular values:
 
 - evolve.op_norm_1_inf: lambda_min(sym Re K) >= -tau, tau = tol max(1, |c|);
 - mehler.check_integrable (not_integrable): lambda_min(H) > 1e-12 |H|_2;
 - mehler.flow_kernel's "B invertible" rule (_cosine_rule): the least
-  cosine 1 / hypot(1, sigma_max(L11)) > 1e-12 max(the greatest, |tJQ|_2).
+  cosine 1 / hypot(1, sigma_max(L11)) > 1e-12 max(the greatest, |tJQ|_2);
+- decompose._strang's radius: |A|_2 and |B|_2 below log(2)/6.
 
 Before each, a certificate passes the entries it can prove pass: one stacked
 Cholesky factorization of the shifted matrix (matfun.lambda_min_exceeds,
@@ -25,11 +27,12 @@ import sys
 import numpy as np
 import pytest
 
-from qsemi import QuadraticForm
-from qsemi.errors import NonIntegrable, NonIntegrableSymbol
+from qsemi import QuadraticForm, build_decomposition
+from qsemi.decompose import STRANG_RADIUS, _strang
+from qsemi.errors import NonIntegrable, NonIntegrableSymbol, RadiusExceeded
 from qsemi.evolve import norm_sweep, op_norm_1_inf
-from qsemi.fixtures import heat
-from qsemi.matfun import cholesky_shift, lambda_min_exceeds, rounding_allowance
+from qsemi.fixtures import fokker_planck, heat, kolmogorov
+from qsemi.matfun import Checks, cholesky_shift, expm, lambda_min_exceeds, rounding_allowance
 from qsemi.mehler import (
     GaussianKernel,
     _cosine_rule,
@@ -172,6 +175,77 @@ def test_cosine_rule_takes_singular_entries_as_refused():
     cos_min, scale = _cosine_rule(L11, np.ones(3), standard_J(2),
                                   np.array([False, True, False]))
     assert cos_min.tolist() == [1.0, 0.0, 1.0] and scale[1] > 0
+
+
+def with_spectral_norm(rng, m, norm, rank):
+    """A real symmetric m x m matrix of the given rank whose spectral norm is
+    norm (up to the rounding of forming it); rank 1 has |.|_F = |.|_2, the
+    certificate's tightest case."""
+    lam = np.zeros(m)
+    lam[:rank] = norm * rng.uniform(0.1, 1.0, rank) * rng.choice([-1.0, 1.0], rank)
+    lam[0] = norm * rng.choice([-1.0, 1.0])
+    Q = orthogonal(rng, m)
+    H = (Q * lam) @ Q.T
+    return (H + H.T) / 2
+
+
+def test_strang_radius_certificate_passes_only_what_the_svd_passes():
+    # pairs (A, B), one of them a few rounding units either side of the
+    # radius or a few allowances below it, the other at several scales below
+    # it: the entries the radius refuses are those whose SVD norm reaches it,
+    # with the SVD's message, and the Frobenius certificate passes none of them
+    rng = np.random.default_rng(61)
+    certified = 0
+    for n in (1, 2, 3, 5, 10):
+        m = 2 * n
+        a = rounding_allowance(m)
+        pairs = []
+        for rank in (1, m):
+            for d in [k * EPS for k in range(-6, 7)] + [-0.5 * a, -2 * a, -10 * a, -1e3 * a]:
+                for other in (0.0, 1e-30, 1e-12, 1e-3, 0.5):
+                    near = with_spectral_norm(rng, m, STRANG_RADIUS * (1 + d), rank)
+                    far = with_spectral_norm(rng, m, STRANG_RADIUS * other, rank)
+                    pairs += [(near, far), (far, near)]
+        A, B = (np.array(x) for x in zip(*pairs))
+        J = standard_J(n)
+        EA, EB = expm(-2j * J @ A), expm(2j * J @ B)
+        checks = Checks(len(A))
+        _strang(A, B, EA, EB, 1e-9, checks)
+        na, nb = (np.linalg.norm(X, 2, axis=(-2, -1)) for X in (A, B))
+        refused = np.flatnonzero((na >= STRANG_RADIUS) | (nb >= STRANG_RADIUS))
+        assert refused.size and refused.size < len(A)
+        got = {i: e for i, e in checks.errors.items() if isinstance(e, RadiusExceeded)}
+        assert sorted(got) == refused.tolist()
+        for i in refused:
+            assert str(got[i]) == (
+                f"[decompose.strang_middle] |A| = {na[i]:.4f}, |B| = {nb[i]:.4f} must "
+                f"be below log(2)/6 = {STRANG_RADIUS:.4f}")
+        fro = np.maximum(np.linalg.norm(A, axis=(-2, -1)), np.linalg.norm(B, axis=(-2, -1)))
+        passed = fro * (1 + a) < STRANG_RADIUS
+        certified += passed.sum()
+        assert not np.isin(np.flatnonzero(passed), refused).any(), n
+    assert certified > 0
+
+
+def test_a_build_takes_no_svd_where_the_radius_certificate_passes(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame and not frame.f_globals.get("__name__", "").startswith("qsemi."):
+            frame = frame.f_back
+        if frame and frame.f_code.co_name == "_strang":
+            calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+    # np.linalg.norm(X, 2) reaches svd through numpy.linalg._linalg
+    for module in (np.linalg, sys.modules["numpy.linalg._linalg"]):
+        monkeypatch.setattr(module, "svd", counted)
+    build_decomposition(kolmogorov(), 0.01, t_grid=np.logspace(-3, -2, 10))
+    assert calls == []
+    # a grid out to t = 2 passes the radius (at t0 ~ 0.539), where the SVD decides
+    build_decomposition(fokker_planck(), 0.01, t_grid=np.logspace(-3, np.log10(2), 30))
+    assert calls
 
 
 # --- a failing entry still meets the rule's own error -------------------------

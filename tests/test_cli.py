@@ -135,6 +135,33 @@ def test_kernel_overflow_is_typed_error(capsys):
     assert json.loads(out)["kind"] == "DegenerateTime"
 
 
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_a_build_at_a_subnormal_time_is_typed_error(capsys, command):
+    # at t = 1e-310 the polar factor's division by 4t overflows: the entry at
+    # t fails as a typed error, before the Strang radius takes any SVD of it
+    code, out = run_cli(capsys, command, "--fixture", "heat", "--t", "1e-310")
+    rep = json.loads(out)
+    assert code == EXIT_MATH
+    assert rep["kind"] == "DegenerateTime"
+    assert rep["error"] == "[decompose.polar_factors] A is not finite at t = 1e-310"
+
+
+@pytest.mark.parametrize("command", ["kernel", "evolve"])
+@pytest.mark.parametrize("t, finite", [("1e-308", True), ("1e-310", False)])
+def test_a_kernel_that_is_not_finite_is_typed_error(capsys, command, t, finite):
+    # the kernel is of order 1/t: at 1e-310 it leaves the floats, and the
+    # report would print "nan"
+    code, out = run_cli(capsys, command, "--fixture", "heat", "--t", t)
+    rep = json.loads(out)
+    if finite:
+        assert code == EXIT_OK
+        assert not re.search(r'"-?(nan|inf)"', out)
+        return
+    assert code == EXIT_MATH
+    assert rep["kind"] == "DegenerateTime"
+    assert rep["error"] == f"[mehler.kernel_from_symbol] the kernel is not finite at t = {t}"
+
+
 def test_problem_file_roundtrip(tmp_path, capsys):
     Q = np.zeros((2, 2))
     Q[1, 1] = 1.0

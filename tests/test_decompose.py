@@ -34,7 +34,9 @@ from qsemi.errors import (
     BranchCut,
     DegenerateTime,
     GammaCollapsed,
+    NonSquare,
     NotPSDWithinTol,
+    NotRealWithinTol,
     QsemiError,
     RadiusExceeded,
     TimeTooLarge,
@@ -222,18 +224,29 @@ class CountedExpm:
     __call__ = expm
 
 
-def test_build_four_exponentials_per_time_point(monkeypatch):
-    # three in the polar split, exp(-2itJQ), exp(2itJA) and exp(2tJB), the
-    # first two each with its inverse from matfun.expm_hamiltonian, and
-    # e^{tM}, all by matfun.expm; verify_decomposition forms its five
-    # distinct shadows (the twisted one, on both sides of the middle term,
-    # once) in one call of scipy's expm, independently of those closed forms,
-    # and the symbols of p_t and q in one call of matfun.expm
+def test_build_three_exponentials_per_time_point(monkeypatch):
+    # two in the polar split, exp(-2itJQ) and exp(2itJA), each with its
+    # inverse from matfun.expm_hamiltonian, and e^{tM}, all by matfun.expm;
+    # and three logs, the polar split's of exp(-4itJA), the unitary split's
+    # of S22^T and the Strang middle term's.  verify_decomposition forms its
+    # five distinct shadows (the twisted one, on both sides of the middle
+    # term, once) in one call of scipy's expm, independently of those closed
+    # forms, and the symbols of p_t and q in one call of matfun.expm
     counted = CountedExpm(matfun.expm)
     for module in (decompose, matfun):
         monkeypatch.setattr(module, "expm", counted)
+    logs = []
+    log = matfun.log_principal
+
+    def counted_log(Z, X, tol, checks):
+        logs.append(int(np.prod(np.shape(Z)[:-2])))
+        return log(Z, X, tol, checks)
+    for module in (decompose, matfun):
+        monkeypatch.setattr(module, "log_principal", counted_log)
     f = build_decomposition(kolmogorov(), 0.05)
-    assert counted.entries == 4 * (len(decompose.default_t_grid()) + 1)
+    points = len(decompose.default_t_grid()) + 1
+    assert counted.entries == 3 * points
+    assert sum(logs) == 3 * points
     shadows, counted.calls, counted.entries = CountedExpm(), 0, 0
     monkeypatch.setattr(decompose, "sla", shadows)
     verify_decomposition(f)
@@ -276,6 +289,39 @@ def test_polar_factors_match_the_two_expm_route():
             A, B = polar_two_expm(q, t)
             assert np.abs(pol.A - A).max() <= 1e-12 * max(1.0, np.abs(A).max()), (q.n, t)
             assert np.abs(pol.B - B).max() <= 1e-12 * max(1.0, np.abs(B).max()), (q.n, t)
+
+
+def test_a_planted_imaginary_part_of_s_fails_its_check(monkeypatch):
+    # S is the real part of exp(2itJA) exp(-2itJQ): an exp(2itJA) off by a
+    # phase leaves S an imaginary part, which its check refuses, alone and
+    # at its entry of a stacked pass
+    pair = decompose.expm_hamiltonian
+    calls = []
+
+    def planted(X):
+        E, Einv = pair(X)
+        calls.append(1)
+        return (E * (1 + 1e-6j), Einv) if len(calls) % 2 == 0 else (E, Einv)
+    monkeypatch.setattr(decompose, "expm_hamiltonian", planted)
+    with pytest.raises(NotRealWithinTol, match=r"imag part of S has norm .* at its generator"):
+        polar_factors(kolmogorov(), 0.05)
+    checks = Checks(3)
+    decompose._polar(kolmogorov(), np.array([0.01, 0.02, 0.05]), 1e-9, checks)
+    assert checks.bad.all()
+    assert all(isinstance(e, NotRealWithinTol) and "imag part of S" in str(e)
+               for e in checks.errors.values())
+
+
+def test_polar_forms_b_from_s_when_read():
+    # the build never reads B; read, it is the log of S, and at t = 0 Im Q
+    q = random_accretive(np.random.default_rng(31), 2)
+    J = standard_J(2)
+    pol = polar_factors(q, 0.02)
+    assert pol._B is None
+    assert np.linalg.norm(sla.expm(2 * 0.02 * J @ pol.B) - pol.S) <= 1e-14 * np.linalg.norm(pol.S)
+    assert np.array_equal(polar_factors(q, 0.0).B, q.Q.imag)
+    stacked = decompose._polar(q, np.array([0.01, 0.02]), 1e-9, Checks(2))
+    assert np.array_equal(stacked.B[1], stacked[1].B)
 
 
 # --- Strang middle term --------------------------------------------------------
@@ -330,6 +376,13 @@ def test_strang_odd():
 def test_strang_radius_guard():
     with pytest.raises(RadiusExceeded):
         strang_middle(0.2 * np.eye(2), np.zeros((2, 2)))
+
+
+def test_strang_refuses_a_non_finite_entry_before_its_svd():
+    A = np.stack([0.01 * np.eye(2), np.full((2, 2), np.nan), 0.2 * np.eye(2)])
+    with pytest.raises(NonSquare, match="A or B has non-finite entries") as exc:
+        strang_middle(A, np.zeros((3, 2, 2)))
+    assert exc.value.index == 1
 
 
 # --- gamma selection ------------------------------------------------------------
@@ -421,7 +474,7 @@ def reference_select_gamma(q, report, cert, t_grid, tol=1e-9):
     for pol in pols:
         t = pol.t
         try:
-            unitary_factorization(pol.B, t)
+            decompose._unitary(pol.S, t, tol, Checks())
             s = gamma * t ** alpha
             Rs, _ = mehler_inverse_twisted(cert.N, s)
             lo = np.linalg.eigvalsh(Rs - Nmat).min()
@@ -626,9 +679,9 @@ def test_a_failure_only_at_t_raises_what_the_stages_raise_alone_at_t(monkeypatch
     assert (sel.gamma, sel.t0, sel.stop_reason) == (want.gamma, want.t0, want.stop_reason)
     q_sh = sel.factors.q_sheared
     with pytest.raises(QsemiError) as alone:
-        decompose._factors_at(q, q_sh, cert, sel.gamma, sel.factors.alpha,
-                              decompose._polar(q_sh, t, 1e-9, Checks()), tol=1e-9,
-                              checks=Checks())
+        decompose._factors_at(q, q_sh, cert, twisted_form_matrix(cert.N), sel.gamma,
+                              sel.factors.alpha, decompose._polar(q_sh, t, 1e-9, Checks()),
+                              tol=1e-9, checks=Checks())
     with pytest.raises(QsemiError) as built:
         build_decomposition(q, t)
     assert type(built.value) is type(alone.value) is type(sel.t_error) is BranchCut

@@ -35,7 +35,11 @@ from qsemi.fixtures import heat, kolmogorov
 from qsemi.matfun import (
     _EXPM_PADE,
     _LOG_THETA,
+    _MAX_STEPS,
     Checks,
+    _log1p_pade,
+    _norm1,
+    _sqrt_db,
     cos_sin_sqrt_det,
     expm,
     expm_hamiltonian,
@@ -151,6 +155,99 @@ def test_log_stack_branch_cut_names_the_entry():
     assert checks.bad.tolist() == [False, False, True, True]
     assert np.isfinite(L).all()
     assert np.abs(L[1] - np.log(2) * np.eye(2)).max() < 1e-15
+
+
+def log_by_the_branch_test(Z, X, tol, checks):
+    """log_principal as it ran on every stack before its branch-free path:
+    the eigenvalues of the entries beyond |X|_1 <= (1 - tol) / (1 + tol)
+    (none, on a stack without such entries), then Z and X cleaned and copied
+    as complex matrices."""
+    m = Z.shape[-1]
+    I = np.eye(m)
+    checks(~np.isfinite(Z).all(axis=(-2, -1)), NonSquare,
+           "matrix has non-finite entries", module="matfun", operation="mat_log_principal")
+    Z, X = checks.clean(Z, I), checks.clean(X, 0)
+    far = ~(_norm1(X) <= (1 - tol) / (1 + tol))
+    w = np.ones(Z.shape[:-1], dtype=complex)
+    w[far] = np.linalg.eigvals(Z[far])
+    scale = np.maximum(np.abs(w).max(axis=-1, initial=0.0), 1.0)
+    zero = np.abs(w) < tol * scale[..., None]
+    neg = (w.real < 0) & (np.abs(w.imag) < tol * np.abs(w))
+
+    def cut(i):
+        for lam, z, n in zip(w.reshape(-1, m)[i], zero.reshape(-1, m)[i],
+                             neg.reshape(-1, m)[i]):
+            if z:
+                return f"eigenvalue {lam} too close to 0"
+            if n:
+                return f"eigenvalue {lam} on the negative real axis"
+
+    checks((zero | neg).any(axis=-1), BranchCut, cut, module="matfun",
+           operation="mat_log_principal")
+    Z = np.array(checks.clean(Z, I), dtype=complex)
+    X = np.array(checks.clean(X, 0), dtype=complex)
+    roots = np.zeros(Z.shape[:-2], dtype=int)
+    need = _norm1(X) > _LOG_THETA[-1]
+    for _ in range(_MAX_STEPS):
+        if not need.any():
+            break
+        Z[need] = _sqrt_db(Z[need])
+        X[need] = Z[need] - I
+        roots += need
+        need &= _norm1(X) > _LOG_THETA[-1]
+    return _log1p_pade(X) * 2.0 ** roots[..., None, None]
+
+
+def test_log_skips_the_branch_test_bit_for_bit(monkeypatch):
+    # near I (no root), rooted (0.466 < |X|_1 < 1) and far (|X|_1 > 1)
+    # entries, complex and real: a stack with no far entry takes no
+    # eigenvalues, and every stack's logs, and its BranchCut, are those of the
+    # branch test run as before
+    rng = np.random.default_rng(37)
+    m = 4
+
+    def entries(norms, dtype):
+        G = rng.standard_normal((len(norms), m, m)).astype(dtype)
+        if dtype is complex:
+            G += 1j * rng.standard_normal((len(norms), m, m))
+        return np.eye(m) + np.array(norms)[:, None, None] * G / _norm1(G)[:, None, None]
+
+    for dtype in (complex, float):
+        near = entries([1e-8, 0.1, 0.4], dtype)
+        rooted = entries([0.5, 0.8, 0.99], dtype)
+        far = entries([0.2, 0.4], dtype) + 1.5 * np.eye(m)  # |X|_1 > 1.5
+        cut = np.diag([-3.0, 1.0, 1.0, 1.0]).astype(dtype)[None]
+        for Z in (np.concatenate([near, rooted]), rooted, near[:1], near[:0],
+                  np.concatenate([far[:1], near, rooted, far[1:]])):
+            for checks in (Checks(), Checks(Z.shape[:-2])):
+                got = log_principal(Z, Z - np.eye(m), 1e-9, checks)
+                want = log_by_the_branch_test(Z, Z - np.eye(m), 1e-9, Checks())
+                assert got.dtype == want.dtype == complex
+                assert np.array_equal(got, want)
+        Z = np.concatenate([near, rooted, far])
+        assert np.array_equal(log_principal(Z, Z - np.eye(m), 1e-9, Checks())[:6],
+                              log_principal(Z[:6], Z[:6] - np.eye(m), 1e-9, Checks()))
+        Z = np.concatenate([near, rooted, cut, far, cut])
+        with pytest.raises(BranchCut) as got:
+            log_principal(Z, Z - np.eye(m), 1e-9, Checks())
+        with pytest.raises(BranchCut) as want:
+            log_by_the_branch_test(Z, Z - np.eye(m), 1e-9, Checks())
+        assert got.value.index == want.value.index == 6
+        assert str(got.value) == str(want.value)
+        got, want = Checks(Z.shape[:-2]), Checks(Z.shape[:-2])
+        assert np.array_equal(log_principal(Z, Z - np.eye(m), 1e-9, got),
+                              log_by_the_branch_test(Z, Z - np.eye(m), 1e-9, want))
+        assert got.bad.tolist() == want.bad.tolist()
+        assert {i: str(e) for i, e in got.errors.items()} == {
+            i: str(e) for i, e in want.errors.items()}
+
+    def refused(*args):
+        raise AssertionError("eigvals called")
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    Z = np.concatenate([near, rooted])
+    log_principal(Z, Z - np.eye(m), 1e-9, Checks())
+    with pytest.raises(AssertionError, match="eigvals called"):
+        log_principal(far, far - np.eye(m), 1e-9, Checks())
 
 
 def test_recording_checks_keep_each_entrys_first_error():
