@@ -20,7 +20,6 @@ from .decompose import (
 )
 from .evolve import (
     GaussianState,
-    NormFitReport,
     apply_kernel_gaussian,
     compute_cpq,
     counterexample_demo,
@@ -29,11 +28,11 @@ from .evolve import (
     fit_exponent,
     lp_norm,
     miraculous_bound_check,
-    norm_fit_report,
     norm_sweep,
     op_norm_1_inf,
     op_norm_edge,
     op_norm_lower_gaussian,
+    young_exponent,
 )
 from .fixtures import fixture_names, get_fixture
 from .matfun import (

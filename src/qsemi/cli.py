@@ -20,12 +20,14 @@ from .decompose import build_decomposition, default_t_grid, verify_decomposition
 from .evolve import (
     GaussianState,
     apply_kernel_gaussian,
+    compute_cpq,
     counterexample_demo,
+    fit_exponent,
     lp_norm,
-    norm_fit_report,
     norm_sweep,
     on_edge,
     op_norm_1_inf,
+    young_exponent,
 )
 from .fixtures import fixture_names, get_fixture
 from .matfun import DEFAULT_TOL
@@ -389,19 +391,20 @@ def cmd_exponents(q: QuadraticForm, args) -> dict:
     report = singular_space(q, tol=args.tol)
     grid = default_t_grid() if args.t_grid is None else args.t_grid
     norms = norm_sweep(q, grid, args.p, args.q, tol=args.tol)
-    fit = norm_fit_report(args.p, args.q, q.n, report.k0, grid, norms)
-    if abs(fit.fitted_slope + fit.cpq) <= 0.02:
+    slope, r_squared = fit_exponent(grid, norms)
+    cpq = compute_cpq(args.p, args.q, q.n, report.k0)
+    if abs(slope + cpq) <= 0.02:
         verdict = "tight"
-    elif fit.fitted_slope >= -fit.cpq - 0.02:
+    elif slope >= -cpq - 0.02:
         verdict = "respected"
     else:
         verdict = "violated"
     if args.out:
         np.savetxt(args.out, np.column_stack([grid, norms]), fmt="%.17g",
                    delimiter=",", header="t,value", comments="", encoding="utf-8")
-    return {"p": args.p, "q": args.q, "r": fit.r, "k0": report.k0,
-            "fitted_slope": fit.fitted_slope, "r_squared": fit.r_squared,
-            "cpq_bound": fit.cpq, "verdict": verdict,
+    return {"p": args.p, "q": args.q, "r": young_exponent(args.p, args.q),
+            "k0": report.k0, "fitted_slope": slope, "r_squared": r_squared,
+            "cpq_bound": cpq, "verdict": verdict,
             "exact": on_edge(args.p, args.q),
             "t_values": list(map(float, grid)),
             "norms": list(map(float, norms))}

@@ -39,7 +39,6 @@ from .matfun import (
     DEFAULT_TOL,
     Checks,
     cholesky_shift,
-    first_index,
     lambda_min_exceeds,
 )
 from .mehler import (
@@ -89,18 +88,6 @@ class GaussianState:
         """|u| as a Gaussian state (real data)."""
         return GaussianState(self.n, abs(self.c), self.A.real.astype(complex),
                              self.b.real.astype(complex))
-
-
-@dataclass
-class NormFitReport:
-    p: float
-    q: float
-    r: float
-    cpq: float
-    t_values: np.ndarray
-    norms: np.ndarray
-    fitted_slope: float
-    r_squared: float
 
 
 def _grid_points(axes) -> np.ndarray:
@@ -212,11 +199,9 @@ def op_norm_1_inf(k: GaussianKernel, *, tol: float = DEFAULT_TOL) -> float:
     lam = np.full(tried.shape, np.inf)
     if rest.any():
         lam[rest] = np.linalg.eigvalsh(H[rest])[..., 0]
-    i = first_index(lam < -tau)
-    if i is not None:
-        raise NonIntegrable(f"Re K has lambda_min = {lam.flat[i]:.3e}; sup |g| is "
-                            "infinite", module=_MOD, operation="op_norm_1_inf",
-                            index=i)
+    Checks()(lam < -tau, NonIntegrable, lambda i: f"Re K has lambda_min = "
+             f"{lam.flat[i]:.3e}; sup |g| is infinite", module=_MOD,
+             operation="op_norm_1_inf")
     return np.abs(k.c)[()]
 
 
@@ -246,7 +231,7 @@ def op_norm_edge(k: GaussianKernel, p: float, q: float, *,
         raise ExponentOrder(f"(p, q) = ({p}, {q}): need p, q >= 1 and p = 1 or "
                             "q = inf", module=_MOD, operation="op_norm_edge")
     c_abs = op_norm_1_inf(k, tol=tol)
-    r = _young_exponent(p, q)
+    r = young_exponent(p, q)
     if np.isinf(r):
         return c_abs
     n = k.n
@@ -320,7 +305,7 @@ def norm_sweep(form: QuadraticForm, t, p: float, q: float, *,
         raise
 
 
-def _young_exponent(p: float, q: float) -> float:
+def young_exponent(p: float, q: float) -> float:
     """r with 1/r = 1 - 1/p + 1/q, the kernel's exponent in Young's inequality
     for L^p -> L^q; inf where 1 - 1/p + 1/q <= 0."""
     rinv = 1 - (0.0 if np.isinf(p) else 1 / p) + (0.0 if np.isinf(q) else 1 / q)
@@ -335,23 +320,12 @@ def compute_cpq(p: float, q: float, n: int, k0: int) -> float:
     if not (1 <= p <= q):
         raise ExponentOrder(f"need 1 <= p <= q, got ({p}, {q})",
                             module=_MOD, operation="compute_cpq")
-    r = _young_exponent(p, q)
+    r = young_exponent(p, q)
     if r <= 2:
         return n * (2 * k0 + r - 1) / (2 * r)
     if np.isinf(r):
         return n * (2 * k0 + 1) / 2
     return n * (2 * k0 + 1) * (r - 1) / (2 * r)
-
-
-def norm_fit_report(p: float, q: float, n: int, k0: int,
-                    t_values, norms) -> NormFitReport:
-    """Package a measured t-sweep with its derived exponent data."""
-    slope, r2 = fit_exponent(t_values, norms)
-    return NormFitReport(p=p, q=q, r=_young_exponent(p, q),
-                         cpq=compute_cpq(p, q, n, k0),
-                         t_values=np.asarray(t_values, float),
-                         norms=np.asarray(norms, float),
-                         fitted_slope=slope, r_squared=r2)
 
 
 def fit_exponent(t_values, norms) -> tuple[float, float]:
@@ -472,7 +446,7 @@ def miraculous_bound_check(N, eps: float, D, u: GaussianState) -> float:
     Rmat = np.linalg.inv(eps ** 2 * np.eye(n) + D @ D)
     pref = (2 * np.pi) ** (-n / 2) * float(np.linalg.det(
         eps ** 2 * np.eye(n) + D @ D)) ** (-0.25)
-    lhs_state = _twisted_gaussian(_half_dispersion(u, D), N, eps)
+    lhs_state = _twisted_gaussian(dispersion_gaussian(u, D, 0.5), N, eps)
     rhs_state = convolve_gaussian(eps * Rmat, u.modulus())
     X = _grid_points((BOUND_AXIS,) * n).reshape(n, -1)
     lhs = np.abs(lhs_state(X))
@@ -493,15 +467,10 @@ def _twisted_gaussian(u: GaussianState, N, eps: float) -> GaussianState:
     return GaussianState(n, complex(u.c * c * (2 * np.pi) ** (-n / 2)), A, b)
 
 
-def _half_dispersion(u: GaussianState, D) -> GaussianState:
-    """exp((i/2) d(grad)) u, i.e. the Fourier multiplier exp(-(i/2) d(xi))."""
-    return dispersion_gaussian(u, np.asarray(D, float), 0.5)
-
-
 # --------------------------------------------------------------------------
 # reciprocal demo
 
-def counterexample_demo(q: QuadraticForm, t: float = 0.1, *,
+def counterexample_demo(q: QuadraticForm, t: float, *,
                         tol: float = DEFAULT_TOL) -> dict:
     """Evolve the jump of u = H(x) exp(-x^2) at x = 0 under a form violating
     the graph condition and report that no smoothing occurs.

@@ -78,10 +78,8 @@ def as_square(A, *, operation: str = "") -> np.ndarray:
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise NonSquare(f"expected square matrix, got shape {A.shape}",
                         module=_MOD, operation=operation)
-    i = first_index(~np.isfinite(A).all(axis=(-2, -1)))
-    if i is not None:
-        raise NonSquare("matrix has non-finite entries",
-                        module=_MOD, operation=operation, index=i)
+    Checks()(~np.isfinite(A).all(axis=(-2, -1)), NonSquare,
+             "matrix has non-finite entries", module=_MOD, operation=operation)
     return A
 
 
@@ -371,7 +369,7 @@ def mat_cos(A) -> np.ndarray:
     return (E[0] + E[1]) / 2
 
 
-def mat_arctan(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
+def mat_arctan(A) -> np.ndarray:
     """arctan of a matrix, or of each matrix of a stack (..., m, m), of
     spectral radius < 1, as (2i)^{-1} log(I + X) with
     X = (I - iA)^{-1} 2iA = (I + iA)(I - iA)^{-1} - I.
@@ -379,20 +377,21 @@ def mat_arctan(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     That is the power series on its disc of convergence, and it tolerates
     defective (e.g. nilpotent) arguments; X is formed without the
     cancellation of subtracting I, so a small A keeps its relative accuracy.
-    Raises SpectralRadiusTooLarge unless the spectral radius is below 1 - tol.
+    Raises SpectralRadiusTooLarge unless the spectral radius is below
+    1 - DEFAULT_TOL.
     """
     op = "mat_arctan"
     A = as_square(A, operation=op)
     I = np.eye(A.shape[-1])
     # the spectral radius is at most either norm: eigenvalues only where it may fail
-    far = ~(np.minimum(_norm1(A), _norm1(A.mT)) < 1.0 - tol)
+    far = ~(np.minimum(_norm1(A), _norm1(A.mT)) < 1.0 - DEFAULT_TOL)
     rho = np.zeros(A.shape[:-2])
     rho[far] = np.abs(np.linalg.eigvals(A[far])).max(axis=-1, initial=0.0)
-    Checks()(rho >= 1.0 - tol, SpectralRadiusTooLarge,
+    Checks()(rho >= 1.0 - DEFAULT_TOL, SpectralRadiusTooLarge,
              lambda i: f"spectral radius {rho.flat[i]:.6f} not strictly below 1",
              module=_MOD, operation=op)
     X = np.linalg.solve(I - 1j * A, 2j * A)
-    return log_principal(I + X, X, tol, Checks()) / 2j
+    return log_principal(I + X, X, DEFAULT_TOL, Checks()) / 2j
 
 
 @dataclass
@@ -467,10 +466,9 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
     if Q.shape[-1] != 2 * n:
         raise NonSquare("Q must be 2n x 2n", module=_MOD, operation=op)
     t = np.asarray(t, dtype=float)
-    i = first_index(t < 0)
-    if i is not None:
-        raise ConjugatePointOnPath("path parameter must be nonnegative",
-                                   module=_MOD, operation=op, index=i)
+    check = Checks()
+    check(t < 0, ConjugatePointOnPath, "path parameter must be nonnegative",
+          module=_MOD, operation=op)
     J = standard_J(n)
     JQ = J @ Q
     lam = np.linalg.eigvals(JQ)
@@ -478,23 +476,22 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
     # float products are monotone, so t * max|lambda| >= pi/2 exactly when
     # t |lambda| >= pi/2 for some real eigenvalue lambda
     reach = t * np.where(real, np.abs(lam), 0).max(axis=-1)
-    i = first_index(reach >= np.pi / 2)
-    if i is not None:
-        ti = np.broadcast_to(t, reach.shape).flat[i]
+    ts = np.broadcast_to(t, reach.shape)  # the time of each entry
+
+    def conjugate_point(i):
         lam_i, real_i = (np.broadcast_to(a, reach.shape + lam.shape[-1:]).reshape(-1, 2 * n)[i]
                          for a in (lam, real))
-        hit = real_i & (ti * np.abs(lam_i) >= np.pi / 2)
-        raise ConjugatePointOnPath(
-            f"det cos vanishes on the path: real eigenvalue {lam_i[hit][0].real:.6g} "
-            f"of JQ at t = {ti:.6g}", module=_MOD, operation=op, index=i)
+        hit = real_i & (ts.flat[i] * np.abs(lam_i) >= np.pi / 2)
+        return (f"det cos vanishes on the path: real eigenvalue {lam_i[hit][0].real:.6g} "
+                f"of JQ at t = {ts.flat[i]:.6g}")
+
+    check(reach >= np.pi / 2, ConjugatePointOnPath, conjugate_point, module=_MOD,
+          operation=op)
     with np.errstate(over="ignore", invalid="ignore"):
         E, Einv = expm_hamiltonian(1j * (t[..., None, None] * JQ))
         C, S = (E + Einv) / 2, (E - Einv) / 2j
-    i = first_index(~np.isfinite(C).all(axis=(-2, -1)))
-    if i is not None:
-        ti = np.broadcast_to(t, C.shape[:-2]).flat[i]
-        raise DegenerateTime(f"cos(tJQ) overflows at t = {ti:.6g}",
-                             module=_MOD, operation=op, index=i)
+    check(~np.isfinite(C).all(axis=(-2, -1)), DegenerateTime,
+          lambda i: f"cos(tJQ) overflows at t = {ts.flat[i]:.6g}", module=_MOD, operation=op)
     # Pf(J) = (-1)^(n(n-1)/2) for J = [[0, I], [-I, 0]]
     return C, S, pfaffian(J @ C) / (-1) ** (n * (n - 1) // 2)
 

@@ -59,7 +59,6 @@ from .matfun import (
     cholesky_shift,
     cos_sin_sqrt_det,
     expm_hamiltonian,
-    first_index,
     lambda_min_exceeds,
     rounding_allowance,
 )
@@ -246,10 +245,8 @@ def stacked_symbol(Q, t, *, tol: float = DEFAULT_TOL) -> MehlerSymbol:
     would alone, its c up to the last bit of the Pfaffian root.
     """
     t = np.asarray(t, dtype=float)
-    i = first_index(t < 0)
-    if i is not None:
-        raise DegenerateTime("t must be nonnegative", module=_MOD,
-                             operation="mehler_symbol", index=i)
+    Checks()(t < 0, DegenerateTime, "t must be nonnegative", module=_MOD,
+             operation="mehler_symbol")
     try:
         C, S, root = cos_sin_sqrt_det(Q, t, tol=tol)
     except ConjugatePointOnPath as exc:
@@ -301,7 +298,9 @@ def _cosine_rule(L11, t, JQ, singular) -> tuple[np.ndarray, np.ndarray]:
     """
     n = L11.shape[-1]
     cos_min, scale = np.ones(t.shape), np.zeros(t.shape)
-    judge = singular | ~(1 / np.hypot(1, np.linalg.norm(L11, axis=(-2, -1)))
+    with np.errstate(over="ignore"):  # a norm that overflows sends its entry to the SVDs
+        fro = np.linalg.norm(L11, axis=(-2, -1))
+    judge = singular | ~(1 / np.hypot(1, fro)
                          > _PD_RELATIVE * np.maximum(1, t * np.linalg.norm(JQ))
                          * (1 + 2 * rounding_allowance(2 * n)))
     if judge.any():
@@ -339,10 +338,11 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
     phase.
 
     Decisions, each raising at its first failing t with that t's index:
-    t >= 0 and E finite (DegenerateTime, where the symbol route's exp(itJQ)
-    overflows), then B invertible (NonIntegrableSymbol: no kernel).  B is
-    judged by the cosines of the angles between the plane T(0 + C^n) =
-    span [B; D] and that of the positions, 1 / hypot(1, sigma(D B^-1)),
+    t >= 0, E finite (DegenerateTime, where the symbol route's exp(itJQ)
+    overflows) and L finite where M is not singular (DegenerateTime: the
+    kernel is below float reach), then B invertible (NonIntegrableSymbol: no
+    kernel).  B is judged by the cosines of the angles between the plane
+    T(0 + C^n) = span [B; D] and that of the positions, 1 / hypot(1, sigma(D B^-1)),
     which do not grow with T and at small t, where D is near I, are the
     singular values of B.  B is refused where M is singular, or the least
     cosine is <= _PD_RELATIVE max(the largest, |tJQ|_2) (B = 0 where the
@@ -374,7 +374,12 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
         M = np.where((sign == 0)[..., None, None], np.eye(2 * n), M)
     with np.errstate(over="ignore", invalid="ignore"):
         L = np.linalg.solve(M.mT, N.mT).mT
-    singular = (sign == 0) | ~np.isfinite(L).all(axis=(-2, -1))
+    # M is scaled to modulus below 1, so L leaves the floats only where the
+    # kernel, of order 1/t, does (t ~ 1e-310), not where B is singular
+    Checks()((sign != 0) & ~np.isfinite(L).all(axis=(-2, -1)), DegenerateTime,
+             lambda i: f"the kernel is not finite at t = {t.flat[i]:.6g}",
+             module=_MOD, operation=op)
+    singular = sign == 0
     tf = t.ravel()
     cos_min, scale = _cosine_rule(L[..., :n, :n].reshape(-1, n, n), tf, JQ,
                                   singular.ravel())
@@ -427,18 +432,26 @@ def twisted_form_matrix(N) -> np.ndarray:
 
 
 def diagnostics_PVMN(sym: MehlerSymbol) -> KernelDiagnostics:
-    """P, V and the left/right warp matrices of the kernel's real part."""
+    """P, V and the left/right warp matrices of the kernel's real part.
+
+    NonIntegrableSymbol where Re B is not positive-definite, DegenerateTime
+    where the matrices are not finite (Re B ~ t, so near t = 1e-310)."""
+    op = "diagnostics_PVMN"
     bf = block_decompose(sym.M)
     R, L, B = bf.R, bf.L, bf.B
-    check_integrable(B, NonIntegrableSymbol, module=_MOD,
-                     operation="diagnostics_PVMN", what="xi-xi block of the symbol")
+    check_integrable(B, NonIntegrableSymbol, module=_MOD, operation=op,
+                     what="xi-xi block of the symbol")
     ReB, ImB = B.real, B.imag
     ReL, ImL = L.real, L.imag
-    ReB_inv = np.linalg.inv(ReB)
-    P = np.linalg.inv(ReB + ImB @ ReB_inv @ ImB)
-    V = R.real - ReL.T @ ReB_inv @ ReL
-    Mleft = np.eye(sym.n) - ImL / 2 + ImB @ ReB_inv @ ReL / 2
-    Nright = np.eye(sym.n) + ImL / 2 - ImB @ ReB_inv @ ReL / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        ReB_inv = np.linalg.inv(ReB)
+        P = np.linalg.inv(ReB + ImB @ ReB_inv @ ImB)
+        V = R.real - ReL.T @ ReB_inv @ ReL
+        Mleft = np.eye(sym.n) - ImL / 2 + ImB @ ReB_inv @ ReL / 2
+        Nright = np.eye(sym.n) + ImL / 2 - ImB @ ReB_inv @ ReL / 2
+    if not all(np.isfinite(X).all() for X in (P, V, Mleft, Nright)):
+        raise DegenerateTime(f"the diagnostics are not finite at t = {sym.t:.3g}",
+                             module=_MOD, operation=op)
     return KernelDiagnostics(P=P, V=(V + V.T) / 2, Mleft=Mleft, Nright=Nright)
 
 

@@ -91,13 +91,14 @@ def evaluate(q: QuadraticForm, X) -> complex:
     return complex(X @ q.Q @ X)
 
 
-def conjugate_by_linear(q: QuadraticForm, T, *, tol: float = DEFAULT_TOL) -> QuadraticForm:
-    """Form of q(TX), i.e. matrix T^T Q T; T must be a real invertible 2n x 2n."""
+def conjugate_by_linear(q: QuadraticForm, T) -> QuadraticForm:
+    """Form of q(TX), i.e. matrix T^T Q T; T must be a real 2n x 2n with
+    |det T| >= DEFAULT_TOL (SingularTransform otherwise)."""
     T = np.asarray(T, dtype=float)
     if T.shape != (2 * q.n, 2 * q.n):
         raise DimensionMismatch(f"T must be {2*q.n}x{2*q.n}, got {T.shape}",
                                 module=_MOD, operation="conjugate_by_linear")
-    if abs(np.linalg.det(T)) < tol:
+    if abs(np.linalg.det(T)) < DEFAULT_TOL:
         raise SingularTransform("T is numerically singular",
                                 module=_MOD, operation="conjugate_by_linear")
     return QuadraticForm(q.n, T.T @ q.Q @ T, q.tol)

@@ -34,7 +34,7 @@ from qsemi import (
     verify_decomposition,
 )
 from qsemi.errors import NonIntegrableSymbol
-from qsemi.evolve import _half_dispersion
+from qsemi.evolve import dispersion_gaussian
 from qsemi.fixtures import heat, kolmogorov, shifted_diagonal, x_squared
 from qsemi.mehler import MehlerSymbol
 
@@ -251,7 +251,7 @@ def test_criterion_09_twisted_vs_dispersion():
         for ls in np.linspace(-1.5, 1.5, 21):
             ug = GaussianState(2, 1.0, 10.0 ** (-2 * ls) * np.eye(2, dtype=complex),
                                np.zeros(2))
-            v = apply_kernel_gaussian(ktw, _half_dispersion(ug, D))
+            v = apply_kernel_gaussian(ktw, dispersion_gaussian(ug, D, 0.5))
             measured = max(measured, lp_norm(v, q) / lp_norm(ug, p))
         ok &= measured <= rhs * (1 + 1e-9)
         details.append(f"(p,q)=({p},{q}): {measured:.4f} <= {rhs:.4f}")

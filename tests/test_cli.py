@@ -1,11 +1,13 @@
 """CLI behavior: determinism, exit codes, problem-file parsing, reports."""
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_quietly(capsys, *argv):
+    """run_cli with every warning an error, so none reaches stderr unseen."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, *argv)
+    return code, json.loads(out)
 
 
 def test_analyze_deterministic_bytes(capsys):
@@ -139,11 +149,23 @@ def test_kernel_overflow_is_typed_error(capsys):
 def test_a_build_at_a_subnormal_time_is_typed_error(capsys, command):
     # at t = 1e-310 the polar factor's division by 4t overflows: the entry at
     # t fails as a typed error, before the Strang radius takes any SVD of it
-    code, out = run_cli(capsys, command, "--fixture", "heat", "--t", "1e-310")
-    rep = json.loads(out)
+    # and, cleaned, before the eigenvalues of A
+    for fixture in ("heat", "kolmogorov"):
+        code, rep = run_quietly(capsys, command, "--fixture", fixture, "--t", "1e-310")
+        assert code == EXIT_MATH
+        assert rep["kind"] == "DegenerateTime"
+        assert rep["error"] == "[decompose.polar_factors] A is not finite at t = 1e-310"
+
+
+@pytest.mark.parametrize("fixture", ["heat", "kolmogorov"])
+def test_a_grid_point_below_float_reach_is_gamma_collapsed(capsys, fixture):
+    # the first polar failure of the grid ends select_gamma
+    code, rep = run_quietly(capsys, "decompose", "--fixture", fixture, "--t", "0.01",
+                            "--t-grid", "1e-310,0.1,5")
     assert code == EXIT_MATH
-    assert rep["kind"] == "DegenerateTime"
-    assert rep["error"] == "[decompose.polar_factors] A is not finite at t = 1e-310"
+    assert (rep["kind"], rep["error"]) == (
+        "GammaCollapsed", "[decompose.select_gamma] polar factors failed at t = 1e-310: "
+        "[decompose.polar_factors] A is not finite at t = 1e-310")
 
 
 @pytest.mark.parametrize("command", ["kernel", "evolve"])
@@ -160,6 +182,75 @@ def test_a_kernel_that_is_not_finite_is_typed_error(capsys, command, t, finite):
     assert code == EXIT_MATH
     assert rep["kind"] == "DegenerateTime"
     assert rep["error"] == f"[mehler.kernel_from_symbol] the kernel is not finite at t = {t}"
+
+
+# --- times below float reach: a typed error, no traceback and no warning ------------------
+
+@pytest.mark.parametrize("command, flags", [
+    ("norms", ["--t", "1e-310"]), ("norms", ["--t", "1e-310", "--p", "2"]),
+    ("exponents", ["--t-grid", "1e-310,1e-300,3"])])
+def test_a_flow_kernel_below_float_reach_is_degenerate_time(capsys, command, flags):
+    # heat is integrable at every t > 0: at 1e-310 its kernel, of order 1/t,
+    # leaves the floats, which is not a singular B
+    code, rep = run_quietly(capsys, command, "--fixture", "heat", *flags)
+    assert code == EXIT_MATH
+    assert rep["kind"] == "DegenerateTime"
+    assert rep["error"] == "[mehler.flow_kernel] the kernel is not finite at t = 1e-310"
+    # x^2 has B = 0 there too: no kernel
+    code, rep = run_quietly(capsys, command, "--fixture", "x-squared", *flags)
+    assert code == EXIT_MATH and rep["kind"] == "NonIntegrableSymbol"
+
+
+@pytest.mark.parametrize("t", ["1e-305", "1e-300"])
+def test_norms_near_float_reach_leak_no_warning(capsys, t):
+    # the Frobenius bound of the cosine rule overflows; the SVDs decide
+    code, rep = run_quietly(capsys, "norms", "--fixture", "heat", "--t", t)
+    assert code == EXIT_OK
+    assert rep["norm"] == pytest.approx((4 * np.pi * float(t)) ** -0.5, rel=1e-12)
+
+
+def test_mehler_at_a_degenerate_time_is_typed_error(capsys):
+    # Re B ~ 2e-310 has no finite inverse: the diagnostics would print "nan"
+    code, rep = run_quietly(capsys, "mehler", "--fixture", "heat", "--t", "1e-310")
+    assert code == EXIT_MATH
+    assert (rep["kind"], rep["error"]) == (
+        "DegenerateTime", "[mehler.diagnostics_PVMN] the diagnostics are not finite at "
+        "t = 1e-310")
+    code, rep = run_quietly(capsys, "mehler", "--fixture", "heat", "--t", "-0.5")
+    assert code == EXIT_MATH
+    assert (rep["kind"], rep["error"]) == ("DegenerateTime",
+                                           "[mehler.mehler_symbol] t must be nonnegative")
+
+
+def plant_in_kernel(monkeypatch, factor):
+    """Multiply the K of verify's composed kernel by factor, after its last factor."""
+    from qsemi import decompose
+    phase = decompose.kernel_right_phase
+
+    def planted(k, theta):
+        k = phase(k, theta)
+        return dataclasses.replace(k, K=k.K * factor)
+
+    monkeypatch.setattr(decompose, "kernel_right_phase", planted)
+
+
+@pytest.mark.parametrize("t", ["1e-2", "1e-200"])
+def test_verify_kernel_gate_sees_a_planted_error(capsys, monkeypatch, t):
+    # a 1e-3 relative error in every entry of K: below t ~ 1e-155 the target's
+    # |K|_F overflows, and an unscaled relative distance read 0 there
+    plant_in_kernel(monkeypatch, 1 + 1e-3)
+    code, rep = run_quietly(capsys, "verify", "--fixture", "heat", "--t", t)
+    assert code == EXIT_VERIFY
+    assert rep["passed"] is False
+    assert rep["kernel_residual"] == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_verify_kernel_gate_fails_a_nan(capsys, monkeypatch):
+    plant_in_kernel(monkeypatch, np.nan)
+    code, out = run_cli(capsys, "verify", "--fixture", "heat", "--t", "0.01")
+    assert code == EXIT_VERIFY
+    rep = json.loads(out)
+    assert rep["passed"] is False and rep["kernel_residual"] == "nan"
 
 
 def test_problem_file_roundtrip(tmp_path, capsys):

@@ -941,18 +941,18 @@ TWIST = np.array([[0, 0.6, -0.3], [-0.6, 0, 0.4], [0.3, -0.4, 0]])
 def reference_residuals(f):
     """verify_decomposition's residuals with each shadow by its own scipy
     expm and the symbol and kernel of p_t and of q each on its own."""
-    q, t, s, n = f.q, f.t, f.s, f.q.n
+    q, t, s, n, u = f.q, f.t, f.s, f.q.n, f.unitary
     J = standard_J(n)
     twisted = sla.expm(-2j * J @ (s * f.Rs))
     shadow = shear_transform(f.Gsym) @ twisted @ sla.expm(-2j * J @ (t * f.Pt)) @ twisted
-    shadow = shadow @ sla.expm(-2j * t * J @ (1j * embed_xixi(f.D_op)))
-    shadow = shadow @ sla.expm(-2j * t * J @ (-1j * embed_cross(f.M_op)))
-    shadow = shadow @ shear_transform(t * f.W_op - f.Gsym)
+    shadow = shadow @ sla.expm(-2j * t * J @ (1j * embed_xixi(-u.D)))
+    shadow = shadow @ sla.expm(-2j * t * J @ (-1j * embed_cross(u.M)))
+    shadow = shadow @ shear_transform(-t * u.W - f.Gsym)
     matrix_residual = np.linalg.norm(shadow - sla.expm(-2j * t * J @ q.Q))
     k = kernel_from_symbol(mehler_symbol(QuadraticForm(n, f.Pt), t))
     k = kernel_left_phase(twisted_sandwich(k, f.N, 2 * s), f.Gsym)
-    k = kernel_right_transport(kernel_right_dispersion(k, f.D_op, t), f.M_op, t)
-    k = kernel_right_phase(k, t * f.W_op - f.Gsym)
+    k = kernel_right_transport(kernel_right_dispersion(k, -u.D, t), u.M, t)
+    k = kernel_right_phase(k, -t * u.W - f.Gsym)
     target = kernel_from_symbol(mehler_symbol(q, t))
     dc = abs(k.c * f.c_t - target.c) / abs(target.c)
     dK = np.linalg.norm(k.K - target.K) / max(1.0, np.linalg.norm(target.K))

@@ -40,7 +40,6 @@ from qsemi.errors import (
 from qsemi.evolve import (
     _derivative_norm,
     _grid_points,
-    _half_dispersion,
     _twisted_gaussian,
     convolve_gaussian,
     dispersion_gaussian,
@@ -666,7 +665,7 @@ def test_twist_in_covariance_form_keeps_rounding_accuracy():
     # 5.9e-4 at 1e-13
     N = np.array([[0.0, 0.7], [-0.7, 0.0]])
     u = GaussianState(2, 1.0, np.eye(2, dtype=complex), np.array([0.5, -0.3 + 0.2j]))
-    v = _half_dispersion(u, np.diag([0.3, -0.2]))
+    v = dispersion_gaussian(u, np.diag([0.3, -0.2]), 0.5)
     for eps in (1e-6, 1e-10, 1e-13):
         A, ref = _twisted_gaussian(v, N, eps).A, twisted_schur_mpmath(v, N, eps)
         assert np.linalg.norm(A - ref) <= 1e-12 * np.linalg.norm(ref), eps
@@ -686,7 +685,7 @@ def test_twisted_dispersion_norm_ratios():
         for ls in np.linspace(-1.5, 1.5, 21):
             u = GaussianState(2, 1.0, 10.0 ** (-2 * ls) * np.eye(2, dtype=complex),
                               np.zeros(2))
-            v = apply_kernel_gaussian(ktw, _half_dispersion(u, D))
+            v = apply_kernel_gaussian(ktw, dispersion_gaussian(u, D, 0.5))
             measured = max(measured, lp_norm(v, q) / lp_norm(u, p))
         assert measured <= rhs * (1 + 1e-9), (p, q, measured, rhs)
 

@@ -19,6 +19,7 @@ from qsemi import (
     mat_arctan,
     mat_cos,
     mat_log_principal,
+    mehler_symbol,
     null_space,
     psd_check,
     sqrt_det_cos_tracked,
@@ -27,6 +28,7 @@ from qsemi import (
 from qsemi.errors import (
     BranchCut,
     ConjugatePointOnPath,
+    DegenerateTime,
     NonSquare,
     QsemiError,
     SpectralRadiusTooLarge,
@@ -650,6 +652,28 @@ def test_sqrt_det_cos_conjugate_point():
     Q = 0.5j * np.eye(2, dtype=complex)
     with pytest.raises(ConjugatePointOnPath):
         sqrt_det_cos_tracked(Q, 4.0)
+
+
+ROTATION = 0.5j * np.eye(2, dtype=complex)  # i (x^2 + xi^2)/2: det cos(tJQ) = 0 at t = pi
+
+
+@pytest.mark.parametrize("site, t, error, message, index", [
+    (lambda t: mehler_symbol(heat(1), t), [0.1, -0.2], DegenerateTime,
+     "[mehler.mehler_symbol] t must be nonnegative", 1),
+    (lambda t: mehler_symbol(heat(1), t), -0.5, DegenerateTime,
+     "[mehler.mehler_symbol] t must be nonnegative", 0),
+    (lambda t: sqrt_det_cos_tracked(heat(1).Q, t), -1.0, ConjugatePointOnPath,
+     "[matfun.sqrt_det_cos_tracked] path parameter must be nonnegative", 0),
+    (lambda t: sqrt_det_cos_tracked(ROTATION, t), [1.0, 4.0, 5.0], ConjugatePointOnPath,
+     "[matfun.sqrt_det_cos_tracked] det cos vanishes on the path: real eigenvalue "
+     "0.5 of JQ at t = 4", 1),
+    (lambda t: sqrt_det_cos_tracked(heat(1).Q + np.eye(2), t), [1.0, 1e6], DegenerateTime,
+     "[matfun.sqrt_det_cos_tracked] cos(tJQ) overflows at t = 1e+06", 1)],
+    ids=["symbol-grid", "symbol", "root", "conjugate-point", "overflow"])
+def test_a_failing_entry_keeps_its_error_and_index(site, t, error, message, index):
+    with pytest.raises(error) as info:
+        site(np.asarray(t))
+    assert (str(info.value), info.value.index) == (message, index)
 
 
 # --- null spaces and PSD checks ---------------------------------------------
