@@ -25,11 +25,14 @@ records each failed entry's first error (matfun.Checks), so no entry is run
 again alone to learn it.
 
 Matrix functions: a time point of the build forms three exponentials, each
-once, by matfun.expm, which takes the whole grid in one stacked pass per
-Pade degree, and three principal logs (matfun.log_principal).  For X = JS
-with S symmetric, J^T X^T J = -X, so exp(-X) = J^T exp(X)^T J
-(matfun.expm_hamiltonian).  _polar forms exp(-2itJQ) and exp(2itJA), with
-A from the log of exp(-4itJA) = exp(-2itJQ) exp(-2itJ conj Q);
+once, and three principal logs (matfun.log_principal).  exp(-2itJQ), one
+matrix over the grid and t, comes from one matfun.expm_grid call, Taylor
+sums on one set of powers of -2iJQ; exp(2itJA) and e^{tM}, distinct at each
+time, from matfun.expm, which takes the whole grid in one stacked pass per
+Pade degree.  For X = JS with S symmetric, J^T X^T J = -X, so exp(-X) =
+J^T exp(X)^T J (matfun.symplectic_inverse, which expm_hamiltonian applies).
+_polar forms exp(-2itJQ) and exp(2itJA), with A from the log of
+exp(-4itJA) = exp(-2itJQ) exp(-2itJ conj Q);
 exp(-2itJ conj Q) is the conjugate of exp(2itJQ) = J^T exp(-2itJQ)^T J, and
 exp(-2itJA) = J^T exp(2itJA)^T J.  S = exp(2tJB) is the real part of
 exp(2itJA) exp(-2itJQ), taken with no log of B and no exponential of it.
@@ -41,7 +44,7 @@ multiplies the kept exp(-2itJA) by exp(2iJ sR_s), the Cayley transform that
 inverse_twisted forms with R_s from one n x n solve (no log, no expm), and
 takes the log of the product.  Each
 (c tJ)^{-1} L is J^T L / (c t), with no solve.  The public stage functions
-form their own exponentials, by matfun.expm too.  verify_decomposition forms
+form their own exponentials, by the same two routes.  verify_decomposition forms
 its five distinct shadows (the twisted one, on both sides of the middle
 term, once) in one scipy.linalg.expm call on their stack, a second
 implementation of the exponential, so its matrix residual checks these
@@ -70,11 +73,13 @@ from .matfun import (
     DEFAULT_TOL,
     Checks,
     expm,
+    expm_grid,
     expm_hamiltonian,
     first_index,
     log_principal,
     null_space,
     rounding_allowance,
+    symplectic_inverse,
 )
 from .mehler import (
     GaussianKernel,
@@ -220,7 +225,8 @@ def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
     t_ = t[..., None, None]
     tJ = t_ * J
     # exp(-2itJ conj Q) is the conjugate of exp(2itJQ) = E1^-1
-    E1, E1inv = expm_hamiltonian(-2j * tJ @ q.Q)
+    E1 = expm_grid(-2j * J @ q.Q, t)
+    E1inv = symplectic_inverse(E1)
     with np.errstate(over="ignore", invalid="ignore"):
         A = 1j * (J.T @ _log(E1 @ E1inv.conj(), tol, checks)) / (4 * t_)
     scaleA = np.maximum(1.0, _fro(A))

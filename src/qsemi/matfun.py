@@ -1,8 +1,9 @@
 """Dense complex matrix functions: the exponential and principal log of a
-stack of matrices, cos and arctan, the pair exp(+-X) of a Hamiltonian X from
-one exponential, Pfaffians and the continuous branch of sqrt(det cos),
-rank-revealing null spaces, PSD tests, and the Cholesky certificate that
-spares an eigenvalue gate its eigenvalues where it can prove them.
+stack of matrices, the exponentials of one matrix along a grid of times, cos
+and arctan, the pair exp(+-X) of a Hamiltonian X from one exponential,
+Pfaffians and the continuous branch of sqrt(det cos), rank-revealing null
+spaces, PSD tests, and the Cholesky certificate that spares an eigenvalue
+gate its eigenvalues where it can prove them.
 
 All routines are dense and target matrices of size at most ~40x40; inputs are
 validated for finiteness and shape, never mutated.  The exponential, log, cos,
@@ -10,16 +11,24 @@ arctan and Pfaffian also take stacks, one matrix per entry, and
 sqrt(det cos(tJQ)) a stack of forms broadcast against a grid of times.  expm
 and the log choose their Pade degree (and expm its squarings) per entry and
 evaluate each degree in one stacked pass, so an entry comes out as it would
-alone.  The build and the symbols form every
-exponential by expm; decompose.verify_decomposition and the kernel transport
-it applies keep scipy.linalg.expm as an independent oracle.  A computation on
-a stack reports its failed checks through Checks: it raises at the first
-failing entry, or records each failing entry with its first error and goes
-on, so that one pass over a grid finds every entry that fails, and why.
+alone.  The input picks the exponential: one matrix B over the times t_k
+(the exp(itJQ) of mehler.flow_kernel, the exp(-2itJQ) of the polar split)
+takes expm_grid, whose truncated Taylor sums share one set of powers of B
+and need no solve.  Every stack of distinct matrices (exp(2itJA), e^{tM},
+the Strang middle term) takes expm, and so does cos_sin_sqrt_det's stack of
+itJQ over forms and times, the symbol route that verify_decomposition keeps
+as its oracle.  The exponential of a Hamiltonian has its inverse from
+symplectic_inverse, with no rounding.  decompose.verify_decomposition and
+the kernel transport it applies keep scipy.linalg.expm as an independent
+oracle.  A computation on a stack reports its failed checks through Checks:
+it raises at the first failing entry, or records each failing entry with
+its first error and goes on, so that one pass over a grid finds every entry
+that fails, and why.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +73,19 @@ _EXPM_PADE = {m: (theta, tuple(b / c[1] for b in c)) for m, theta, c in (
                              10559470521600, 670442572800, 33522128640,
                              1323241920, 40840800, 960960, 16380, 182, 1)),
 )}
+
+#: the truncated Taylor series T_m of exp, of degree m = 10, 12, 15, 18, 20,
+#: 25, 30 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1):
+#: the 1-norm of X up to which T_m(X) = exp(X + dX) with |dX|_1 <= 2^-53
+#: |X|_1, from the bound sum_k |c_k| |X|_1^k / |X|_1 <= 2^-53 on the series
+#: log(e^-x T_m(x)) = sum_{k > m} c_k x^k, solved at 60 digits on its first
+#: 150 terms and rounded down
+_TAYLOR_THETA = {10: 0.144182, 12: 0.299615, 15: 0.641083, 18: 1.09086,
+                 20: 1.43825, 25: 2.42858, 30: 3.53966}
+_TAYLOR_DEGREES, _TAYLOR_THETAS = (np.array(a) for a in zip(*_TAYLOR_THETA.items()))
+
+#: j! rounded once, for j = 0, ..., 30
+_FACTORIAL = np.array([float(math.factorial(j)) for j in range(31)])
 
 #: square roots per entry, and Denman-Beavers steps per root, at most: 64
 #: roots bring the log of any finite matrix within _LOG_THETA[-1] of 0, and a
@@ -345,21 +367,81 @@ def expm(X) -> np.ndarray:
     return E.reshape(X.shape)
 
 
-def expm_hamiltonian(X) -> tuple[np.ndarray, np.ndarray]:
-    """exp(X) and exp(-X) for each X = J S of a stack (..., 2n, 2n), with
-    J = [[0, I], [-I, 0]] and S complex symmetric, from one expm call.
+def expm_grid(B, t) -> np.ndarray:
+    """exp(t_k B) of one real or complex matrix B (k, k) at each time t_k of
+    a time or an array of times t, stacked over t, by truncated Taylor sums
+    on one set of powers (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2),
+    2011).
 
-    J^T X^T J = -X for such X, so exp(-X) = J^T exp(X)^T J exactly: for
-    exp(X) = [[a, b], [c, d]] that is [[d^T, -b^T], [-c^T, a^T]], a block
-    permutation with no rounding.
+    The powers A^j of A = B / 2^e, 2^e the least power of two above |B|_1,
+    are formed once: the scaling is exact and |A^j|_1 < 1.  Each entry takes
+    the smallest degree m of _TAYLOR_THETA with |t_k| |B|_1 <= theta_m, else
+    degree 30 on t_k B / 2^s, with s the fewest halvings that bring
+    |t_k| |B|_1 within theta_30, and s squarings after.  The terms past the
+    identity, tau^j / j! A^j with tau = t_k 2^(e - s), are summed from the
+    highest degree down, the smallest first, and I is added after, in one
+    rounding: I inside the sum would round every entry near it to I's
+    scale.  The entries of one degree take one broadcast matmul, a
+    (1 x m)(m x k^2) product per entry (on the real and imaginary parts
+    side by side), so an entry comes out as it would alone.  No solve.  An
+    entry with |t_k| |B|_1 not finite comes out nan.
     """
-    E = expm(X)
+    B = np.asarray(B)
+    k = B.shape[-1]
+    t = np.asarray(t, dtype=float)
+    tf = t.ravel()
+    norm = _norm1(B)
+    e = np.frexp(norm)[1]
+    A = B.astype(np.result_type(B, float)) * 2.0 ** -e
+    with np.errstate(over="ignore"):
+        x = np.abs(tf) * norm
+    finite = np.isfinite(x)
+    pick = np.searchsorted(_TAYLOR_THETAS, np.where(finite, x, 0))
+    s = np.zeros(tf.shape, dtype=int)
+    big = pick == len(_TAYLOR_THETAS)
+    s[big] = np.ceil(np.log2(x[big] / _TAYLOR_THETAS[-1]))
+    degree = _TAYLOR_DEGREES[np.minimum(pick, len(_TAYLOR_THETAS) - 1)]
+    tau = np.ldexp(np.where(finite, tf, 0), e - s)
+    # row r of P holds A^(D - r), as D reals or pairs of reals
+    D = degree.max(initial=1)
+    P = np.empty((D, k, k), dtype=A.dtype)
+    P[-1] = A
+    for r in range(D - 2, -1, -1):
+        np.matmul(P[r + 1], A, out=P[r])
+    P = P.reshape(D, k * k).view(float)
+    E = np.empty((tf.size, P.shape[-1]))
+    for m in np.unique(degree).tolist():
+        i = np.flatnonzero(degree == m)
+        j = np.arange(m, 0, -1)
+        c = tau[i, None, None] ** j / _FACTORIAL[j]  # (entries, 1, m)
+        E[i] = (c @ P[D - m:])[:, 0]
+    E = _add_identity(E.view(A.dtype).reshape(-1, k, k), 1)
+    for j in range(s.max(initial=0)):
+        i = np.flatnonzero(s > j)
+        E[i] = E[i] @ E[i]
+    E[~finite] = np.nan
+    return E.reshape(t.shape + (k, k))
+
+
+def symplectic_inverse(E) -> np.ndarray:
+    """E^-1 = J^T E^T J of each complex symplectic E (E^T J E = J) of a stack
+    (..., 2n, 2n), J = [[0, I], [-I, 0]]: for E = [[a, b], [c, d]] that is
+    [[d^T, -b^T], [-c^T, a^T]], a block permutation with no rounding.
+    exp(X) is symplectic for every X = J S with S complex symmetric, and
+    exp(-X) is its inverse."""
     n = E.shape[-1] // 2
     a, b, c, d = E[..., :n, :n], E[..., :n, n:], E[..., n:, :n], E[..., n:, n:]
     Einv = np.empty_like(E)
     Einv[..., :n, :n], Einv[..., :n, n:] = d.mT, -b.mT
     Einv[..., n:, :n], Einv[..., n:, n:] = -c.mT, a.mT
-    return E, Einv
+    return Einv
+
+
+def expm_hamiltonian(X) -> tuple[np.ndarray, np.ndarray]:
+    """exp(X) and exp(-X) = symplectic_inverse(exp(X)) for each X = J S of a
+    stack (..., 2n, 2n), S complex symmetric, from one expm call."""
+    E = expm(X)
+    return E, symplectic_inverse(E)
 
 
 def mat_cos(A) -> np.ndarray:

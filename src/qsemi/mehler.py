@@ -33,10 +33,12 @@ commands and verify_decomposition, whose oracle it stays.
 
 Norms: flow_kernel gives the kernels of a sweep straight from the flow
 exp(-2itJQ), with the modulus |c| for the prefactor, from its midpoint:
-one stacked expm of itJQ, as the symbol route takes, then one slogdet and
-one solve of the rows of exp(-itJQ) and its inverse, so that the kernel
-sees the growth of exp(-itJQ) and not of its square; evolve.norm_sweep,
-and so the norms and exponents commands, take their kernels from it.
+exp(itJQ) at every time from one matfun.expm_grid call, whose Taylor sums
+share the powers of iJQ (the symbol route's stack of itJQ takes expm), then
+one slogdet and one solve of the rows of exp(-itJQ) and its inverse, so
+that the kernel sees the growth of exp(-itJQ) and not of its square;
+evolve.norm_sweep, and so the norms and exponents commands, take their
+kernels from it.
 """
 from __future__ import annotations
 
@@ -58,9 +60,10 @@ from .matfun import (
     Checks,
     cholesky_shift,
     cos_sin_sqrt_det,
-    expm_hamiltonian,
+    expm_grid,
     lambda_min_exceeds,
     rounding_allowance,
+    symplectic_inverse,
 )
 from .quadform import QuadraticForm, block_decompose, standard_J
 
@@ -321,9 +324,9 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
         K = i [[-D B^-1, B^-T], [B^-1, -B^-1 A]],
         |c| = (2 pi)^{-n/2} |det B|^{-1/2}.
 
-    T is not formed: it is taken from its midpoint.  One matfun.expm call on
-    the stack of itJQ, the symbol route's exponential, gives E = exp(-itJQ)
-    and E^-1 (expm_hamiltonian).  With w = E(y, eta), (x, xi) = T(y, eta) is
+    T is not formed: it is taken from its midpoint.  One matfun.expm_grid
+    call, the exponentials of iJQ along t, gives E^-1 = exp(itJQ), and
+    matfun.symplectic_inverse E = exp(-itJQ).  With w = E(y, eta), (x, xi) = T(y, eta) is
     E w, so for M = [E_x; E^-1_x] and N = [E_xi; E^-1_xi], the rows of E and
     E^-1 of x and of xi, (x, y) = M w and (xi, eta) = N w: the kernel's
     (xi, eta) = [[D B^-1, -B^-T], [B^-1, -B^-1 A]] (x, y) is L = N M^-1, so
@@ -359,7 +362,8 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
     n = q.n
     JQ = standard_J(n) @ q.Q
     with np.errstate(over="ignore", invalid="ignore"):
-        Einv, E = expm_hamiltonian(1j * t[..., None, None] * JQ)
+        Einv = expm_grid(1j * JQ, t)
+    E = symplectic_inverse(Einv)
     Checks()(~np.isfinite(E).all(axis=(-2, -1)), DegenerateTime,
              lambda i: f"exp(-itJQ) overflows at t = {t.flat[i]:.6g}",
              module=_MOD, operation=op)

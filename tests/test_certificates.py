@@ -259,7 +259,7 @@ def test_flow_kernel_failure_keeps_its_error():
         assert info.value.index == 2
         assert str(info.value) == (
             "[mehler.flow_kernel] B, the x-xi block of exp(-2itJQ), is singular at "
-            "t = 3.14159 (least cosine 4.441e-16 of [B; D] to the positions, at "
+            "t = 3.14159 (least cosine 2.220e-16 of [B; D] to the positions, at "
             "scale 1.571e+00): no kernel")
 
 

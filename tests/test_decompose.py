@@ -226,15 +226,23 @@ class CountedExpm:
 
 def test_build_three_exponentials_per_time_point(monkeypatch):
     # two in the polar split, exp(-2itJQ) and exp(2itJA), each with its
-    # inverse from matfun.expm_hamiltonian, and e^{tM}, all by matfun.expm;
-    # and three logs, the polar split's of exp(-4itJA), the unitary split's
-    # of S22^T and the Strang middle term's.  verify_decomposition forms its
-    # five distinct shadows (the twisted one, on both sides of the middle
-    # term, once) in one call of scipy's expm, independently of those closed
-    # forms, and the symbols of p_t and q in one call of matfun.expm
+    # inverse by matfun.symplectic_inverse, and e^{tM}: exp(-2itJQ), one
+    # matrix over the times, from one matfun.expm_grid entry per time, and
+    # the two others, distinct per time, by matfun.expm; and three logs, the
+    # polar split's of exp(-4itJA), the unitary split's of S22^T and the
+    # Strang middle term's.  verify_decomposition forms its five distinct
+    # shadows (the twisted one, on both sides of the middle term, once) in
+    # one call of scipy's expm, independently of those closed forms, and the
+    # symbols of p_t and q in one call of matfun.expm
     counted = CountedExpm(matfun.expm)
     for module in (decompose, matfun):
         monkeypatch.setattr(module, "expm", counted)
+    grid = []
+
+    def counted_grid(B, t):
+        grid.append(np.size(t))
+        return matfun.expm_grid(B, t)
+    monkeypatch.setattr(decompose, "expm_grid", counted_grid)
     logs = []
     log = matfun.log_principal
 
@@ -245,13 +253,15 @@ def test_build_three_exponentials_per_time_point(monkeypatch):
         monkeypatch.setattr(module, "log_principal", counted_log)
     f = build_decomposition(kolmogorov(), 0.05)
     points = len(decompose.default_t_grid()) + 1
-    assert counted.entries == 3 * points
+    assert counted.entries == 2 * points
+    assert grid == [points]
     assert sum(logs) == 3 * points
     shadows, counted.calls, counted.entries = CountedExpm(), 0, 0
     monkeypatch.setattr(decompose, "sla", shadows)
     verify_decomposition(f)
     assert (shadows.calls, shadows.entries) == (1, 5)
     assert (counted.calls, counted.entries) == (1, 2)
+    assert grid == [points]
 
 
 def test_build_and_symbols_send_no_matrix_to_scipy_expm(monkeypatch):
@@ -294,19 +304,21 @@ def test_polar_factors_match_the_two_expm_route():
 def test_a_planted_imaginary_part_of_s_fails_its_check(monkeypatch):
     # S is the real part of exp(2itJA) exp(-2itJQ): an exp(2itJA) off by a
     # phase leaves S an imaginary part, which its check refuses, alone and
-    # at its entry of a stacked pass
+    # at its entry of a stacked pass.  exp(2itJA) is the polar split's only
+    # expm_hamiltonian call (exp(-2itJQ) is matfun.expm_grid's)
     pair = decompose.expm_hamiltonian
     calls = []
 
     def planted(X):
         E, Einv = pair(X)
-        calls.append(1)
-        return (E * (1 + 1e-6j), Einv) if len(calls) % 2 == 0 else (E, Einv)
+        calls.append(np.shape(X)[:-2])
+        return E * (1 + 1e-6j), Einv
     monkeypatch.setattr(decompose, "expm_hamiltonian", planted)
     with pytest.raises(NotRealWithinTol, match=r"imag part of S has norm .* at its generator"):
         polar_factors(kolmogorov(), 0.05)
     checks = Checks(3)
     decompose._polar(kolmogorov(), np.array([0.01, 0.02, 0.05]), 1e-9, checks)
+    assert calls == [(), (3,)]
     assert checks.bad.all()
     assert all(isinstance(e, NotRealWithinTol) and "imag part of S" in str(e)
                for e in checks.errors.values())

@@ -28,6 +28,7 @@ from qsemi import (
     op_norm_lower_gaussian,
     twisted_kernel,
 )
+from qsemi import evolve, matfun, mehler
 from qsemi.errors import (
     DegenerateTime,
     DimensionMismatch,
@@ -308,6 +309,27 @@ def test_norm_sweep_matches_per_t_reference():
                               reference_sweep(q, ts, reference_lower_gaussian, p, qq))
     assert_same_norms(norm_sweep(heat(2), ts, 2, 2),
                       reference_sweep(heat(2), ts, reference_lower_gaussian, 2, 2))
+
+
+def test_norm_sweep_takes_one_grid_exponential(monkeypatch):
+    # the sweep's flow is one matrix over the times: one matfun.expm_grid
+    # call for the whole grid, and no matfun.expm
+    def refused(X):
+        raise AssertionError("matfun.expm called")
+    for module in (matfun, mehler, evolve):
+        monkeypatch.setattr(module, "expm", refused, raising=False)
+    calls = []
+
+    def counted(B, t):
+        calls.append(np.shape(t))
+        return matfun.expm_grid(B, t)
+    monkeypatch.setattr(mehler, "expm_grid", counted)
+    ts = np.logspace(-3, -1, 40)
+    for q in (kolmogorov(), random_accretive_form(np.random.default_rng(5), 5)):
+        for p, qq in ((1, np.inf), (2, np.inf), (2, 2)):
+            calls.clear()
+            norm_sweep(q, ts, p, qq)
+            assert calls == [ts.shape], (p, qq)
 
 
 def test_lower_gaussian_stack_zeroes_where_per_width_does():

@@ -16,6 +16,7 @@ import scipy.linalg as sla
 
 from qsemi import (
     BranchTrackedScalar,
+    QuadraticForm,
     mat_arctan,
     mat_cos,
     mat_log_principal,
@@ -33,17 +34,19 @@ from qsemi.errors import (
     QsemiError,
     SpectralRadiusTooLarge,
 )
-from qsemi.fixtures import heat, kolmogorov
+from qsemi.fixtures import fokker_planck, harmonic, heat, kolmogorov, shifted_diagonal
 from qsemi.matfun import (
     _EXPM_PADE,
     _LOG_THETA,
     _MAX_STEPS,
+    _TAYLOR_THETA,
     Checks,
     _log1p_pade,
     _norm1,
     _sqrt_db,
     cos_sin_sqrt_det,
     expm,
+    expm_grid,
     expm_hamiltonian,
     log_principal,
     pfaffian,
@@ -349,10 +352,102 @@ def random_complex_symmetric(rng, n):
     return Q / np.linalg.norm(Q, 2)
 
 
-def expm_mpmath(X, dps: int = 30) -> np.ndarray:
-    """exp(X) to dps digits by mpmath, rounded to complex doubles."""
+def expm_mpmath(X, dps: int = 30, t: float = 1.0) -> np.ndarray:
+    """exp(tX) to dps digits by mpmath, with tX formed at dps digits, rounded
+    to complex doubles."""
     with mpmath.workdps(dps):
-        return np.array(mpmath.expm(mpmath.matrix(X.tolist())).tolist(), dtype=complex)
+        tX = mpmath.mpf(t) * mpmath.matrix(X.tolist())
+        return np.array(mpmath.expm(tX).tolist(), dtype=complex)
+
+
+def grid_cases():
+    """(B, times, deep) for B = 1j JQ of the graph fixtures and of ten seeded
+    random accretive forms, n <= 5: the times just below and just above each
+    theta_m of B's 1-norm, where the degree changes, and t = 3, past theta_30
+    on the random forms (B has 1-norm above 1.18 on each), so that a squaring
+    runs; deep, the times 2.5 and 20 theta_30 of it, take 2 and 5."""
+    rng = np.random.default_rng(61)
+    forms = [heat(1), harmonic(1), kolmogorov(), fokker_planck(), shifted_diagonal()]
+    for n in (1, 1, 1, 1, 2, 2, 2, 3, 3, 5):
+        G = rng.standard_normal((2, 2 * n, 2 * n))
+        Q = G[0] @ G[0].T + 1j * (G[1] + G[1].T)
+        forms.append(QuadraticForm(n, Q / np.linalg.norm(Q, 2)))
+    for q in forms:
+        B = 1j * standard_J(q.n) @ q.Q
+        thetas = np.array(list(_TAYLOR_THETA.values())) / _norm1(B)
+        yield (B, np.concatenate([thetas * (1 - 1e-3), thetas * (1 + 1e-3), [3.0]]),
+               thetas[-1] * np.array([2.5, 20.0]))
+
+
+def test_expm_grid_matches_mpmath():
+    # against 40 digits of exp(tB), entry by entry: no form's worst relative
+    # error exceeds both matfun.expm's worst on the same stack (whose input,
+    # tB in floats, has its rounding) and 2u.  Deeper in the squarings both
+    # err at the level of exp's condition (expm_errors)
+    squared = 0
+    for B, ts, deep in grid_cases():
+        E, ref = expm_grid(B, ts), expm(ts[:, None, None] * B)
+        worst = np.zeros(2)
+        for k, t in enumerate(ts):
+            want = expm_mpmath(B, dps=40, t=t)
+            worst = np.maximum(worst, [np.linalg.norm(F[k] - want) / np.linalg.norm(want)
+                                       for F in (E, ref)])
+        assert worst[0] <= max(worst[1], 2 * 2.0 ** -53), (len(B), worst)
+        squared += 3.0 * _norm1(B) > _TAYLOR_THETA[30]
+        for t, Ek in zip(deep, expm_grid(B, deep)):
+            expm_errors(Ek, t * B)
+    assert squared >= 10
+
+
+def test_expm_grid_of_a_nilpotent_jq_is_i_plus_tb():
+    # heat's JQ squares to zero: every power past the first is exactly zero,
+    # so each entry is I + tB to the last bit, also after squarings
+    ts = np.concatenate([[0.0], np.logspace(-4, 3, 15)])
+    for q in (heat(1), heat(2)):
+        JQ = standard_J(q.n) @ q.Q.real
+        for c in (1.0, 1j, -2j, 0.3 - 0.7j):
+            E = expm_grid(c * JQ, ts)
+            assert np.array_equal(E, np.eye(2 * q.n) + ts[:, None, None] * (c * JQ))
+
+
+def test_expm_grid_entry_is_its_single_time_result():
+    # an entry of a sweep equals its time alone, to the last bit; t = 0 gives
+    # exactly I, a scalar time one matrix, and a time with |t| |B|_1 not
+    # finite nan
+    rng = np.random.default_rng(67)
+    G = rng.standard_normal((2, 6, 6))
+    for B in (G[0], G[0] + 1j * G[1]):
+        ts = np.concatenate([[0.0, -0.5], np.logspace(-6, 1.5, 30)])
+        E = expm_grid(B, ts)
+        assert E.dtype == B.dtype and E.shape == ts.shape + B.shape
+        for k, t in enumerate(ts):
+            assert np.array_equal(E[k], expm_grid(B, t))
+        assert np.array_equal(E[0], np.eye(6))
+        assert np.isnan(expm_grid(B, [np.nan, np.inf, 1e308])).all(axis=(-2, -1)).all()
+
+
+def taylor_backward_error_bound(m: int, theta, terms: int = 150):
+    """sum_{k > m} |c_k| theta^(k - 1) for log(e^-x T_m(x)) = sum_k c_k x^k,
+    over its first `terms` terms past x^m, at the working precision: the
+    bound on |dX|_1 / |X|_1 of T_m(X) = exp(X + dX) at |X|_1 = theta.  The
+    series of log T_m comes from its derivative, T_m l' = T_m', with the
+    coefficients f_j = 1/j! of T_m."""
+    K = m + terms
+    f = [1 / mpmath.factorial(j) if j <= m else mpmath.mpf(0) for j in range(K + 1)]
+    l = [mpmath.mpf(0)] * (K + 1)
+    for k in range(1, K + 1):
+        l[k] = f[k] - mpmath.fsum(j * l[j] * f[k - j] for j in range(1, k)) / k
+    return mpmath.fsum(abs(l[k]) * theta ** (k - 1) for k in range(m + 1, K + 1))
+
+
+def test_each_taylor_theta_keeps_the_backward_error_below_u():
+    # at 60 digits: each theta_m keeps the bound <= 2^-53, and it is the
+    # root rounded down to its 6 digits, so 1e-5 more breaks it
+    with mpmath.workdps(60):
+        u = mpmath.mpf(2) ** -53
+        for m, theta in _TAYLOR_THETA.items():
+            assert taylor_backward_error_bound(m, mpmath.mpf(theta)) <= u, m
+            assert taylor_backward_error_bound(m, mpmath.mpf(theta) * (1 + 1e-5)) > u, m
 
 
 def expm_errors(E, X) -> tuple[float, float]:

@@ -725,6 +725,20 @@ def test_flow_kernel_matches_the_symbol_route():
         assert err.max() <= 1e-14 and np.abs(k.c / np.abs(ref.c) - 1).max() <= 1e-13, q.n
 
 
+def test_flow_kernel_sweep_entry_is_its_single_time_kernel():
+    # K and |c| of each entry of a sweep, to the last bit, on the fixtures and
+    # seeded random forms, with times past theta_30 of the flow's exponent
+    rng = np.random.default_rng(71)
+    forms = graph_fixtures() + [random_form_of_rank(rng, n, r)
+                                for n in (1, 2, 5, 10) for r in (n, 2 * n)]
+    ts = np.logspace(-4, 0.5, 40)
+    for q in forms:
+        k = mehler.flow_kernel(q, ts)
+        for i, t in enumerate(ts):
+            alone = mehler.flow_kernel(q, t)
+            assert np.array_equal(k.K[i], alone.K) and k.c[i] == alone.c, (q.n, t)
+
+
 def test_flow_kernel_decisions():
     with pytest.raises(DegenerateTime) as info:
         mehler.flow_kernel(heat(1), np.array([0.1, -1.0]))
