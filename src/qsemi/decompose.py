@@ -25,7 +25,9 @@ records each failed entry's first error (matfun.Checks), so no entry is run
 again alone to learn it.
 
 Matrix functions: a time point of the build forms three exponentials, each
-once, and three principal logs (matfun.log_principal).  exp(-2itJQ), one
+once, and three principal logs (matfun.log_principal: truncated Taylor sums
+by Paterson-Stockmeyer, the whole stack in one pass of matmuls, with no
+solve where no entry needs a square root).  exp(-2itJQ), one
 matrix over the grid and t, comes from one matfun.expm_grid call, Taylor
 sums on one set of powers of -2iJQ; exp(2itJA) and e^{tM}, distinct at each
 time, from matfun.expm, which takes the whole grid in one stacked pass per

@@ -9,12 +9,14 @@ All routines are dense and target matrices of size at most ~40x40; inputs are
 validated for finiteness and shape, never mutated.  The exponential, log, cos,
 arctan and Pfaffian also take stacks, one matrix per entry, and
 sqrt(det cos(tJQ)) a stack of forms broadcast against a grid of times.  expm
-and the log choose their Pade degree (and expm its squarings) per entry and
-evaluate each degree in one stacked pass, so an entry comes out as it would
-alone.  The input picks the exponential: one matrix B over the times t_k
-(the exp(itJQ) of mehler.flow_kernel, the exp(-2itJQ) of the polar split)
-takes expm_grid, whose truncated Taylor sums share one set of powers of B
-and need no solve.  Every stack of distinct matrices (exp(2itJA), e^{tM},
+chooses its Pade degree and squarings per entry and evaluates each degree in
+one stacked pass; the log chooses the degree of its Taylor sum per entry and
+evaluates the whole stack in one Paterson-Stockmeyer pass of matmuls, no
+solve.  Either way an entry comes out as it would alone.  The input picks the
+exponential: one matrix B over the times t_k (the exp(itJQ) of
+mehler.flow_kernel, the exp(-2itJQ) of the polar split) takes expm_grid,
+whose truncated Taylor sums share one set of powers of B and need no
+solve.  Every stack of distinct matrices (exp(2itJA), e^{tM},
 the Strang middle term) takes expm, and so does cos_sin_sqrt_det's stack of
 itJQ over forms and times, the symbol route that verify_decomposition keeps
 as its oracle.  The exponential of a Hamiltonian has its inverse from
@@ -27,7 +29,7 @@ that fails, and why.
 """
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -46,14 +48,25 @@ DEFAULT_TOL = 1e-9
 
 _MOD = "matfun"
 
-#: the diagonal Pade approximants to log(I + X), of degree m = 1..10, each
-#: evaluated as the Gauss-Legendre sum of its partial fractions: the 1-norm of
-#: X up to which degree m is accurate to unit roundoff, from the Kenney-Laub
-#: relative bound |r_m(-x) - log(1 - x)| <= 2^-53 |log(1 - x)| (Higham,
+#: the truncated Taylor series sum_{j <= m} (-1)^(j+1) X^j / j of log(I + X),
+#: of degree m = 4, 8, ..., 56: the 1-norm of X up to which degree m is
+#: accurate to unit roundoff, from the relative bound sum_{j > m} x^j / j <=
+#: 2^-53 (-log(1 - x)) on the remainder at x = |X|_1 (the form of Higham,
 #: Functions of Matrices, SIAM 2008, sec. 11.4), solved at 60 digits and
-#: rounded down
-_LOG_THETA = (3.65e-8, 3.75e-4, 8.19e-3, 3.78e-2, 9.29e-2, 0.165, 0.245, 0.325,
-              0.399, 0.466)
+#: rounded down to six digits.  The top theta is log_principal's root
+#: threshold
+_LOG_TAYLOR_THETA = {4: 1.53493e-4, 8: 0.0133249, 12: 0.0578566, 16: 0.119727,
+                     20: 0.184649, 24: 0.246082, 28: 0.301835, 32: 0.351591,
+                     36: 0.395744, 40: 0.434913, 44: 0.46974, 48: 0.500814,
+                     52: 0.528654, 56: 0.5537}
+_LOG_THETAS = np.array(list(_LOG_TAYLOR_THETA.values()))
+_LOG_ROOT = _LOG_THETAS[-1]
+#: the Paterson-Stockmeyer blocks of the log's Taylor sum, from its
+#: coefficients c_j = (-1)^(j+1) / j (c_0 = 0): row i of _LOG_BLOCK holds
+#: c_4i, ..., c_(4i+3), those of I, X, X^2, X^3 in block B_i, and _LOG_TOP[i]
+#: is c_(4i+4), that of the X^4 which tops a sum of i + 1 blocks
+_LOG_COEF = np.array([0.0] + [(-1) ** (j + 1) / j for j in range(1, 4 * len(_LOG_THETAS) + 1)])
+_LOG_BLOCK, _LOG_TOP = _LOG_COEF[:-1].reshape(-1, 4), _LOG_COEF[4::4]
 
 #: the diagonal Pade approximants r_m = (V - U)^-1 (V + U) to exp, of degree
 #: m = 3, 5, 7, 9, 13 (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table
@@ -88,8 +101,8 @@ _TAYLOR_DEGREES, _TAYLOR_THETAS = (np.array(a) for a in zip(*_TAYLOR_THETA.items
 _FACTORIAL = np.array([float(math.factorial(j)) for j in range(31)])
 
 #: square roots per entry, and Denman-Beavers steps per root, at most: 64
-#: roots bring the log of any finite matrix within _LOG_THETA[-1] of 0, and a
-#: root converges in far fewer steps
+#: roots bring the log of any finite matrix within _LOG_ROOT of 0, and a root
+#: converges in far fewer steps
 _MAX_STEPS = 64
 
 
@@ -155,8 +168,14 @@ class Checks:
 
 
 def _norm1(X) -> np.ndarray:
-    """Matrix 1-norm of each matrix of a stack."""
-    return np.abs(X).sum(axis=-2).max(axis=-1)
+    """Matrix 1-norm of each matrix of a stack (0 for a 0 x 0 matrix)."""
+    return np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
+
+
+def _flat_stack(X) -> np.ndarray:
+    """A stack (..., k, k) as a stack (N, k, k) of its N matrices, also for
+    k = 0, where reshape(-1, k, k) cannot tell N."""
+    return X.reshape((math.prod(X.shape[:-2]),) + X.shape[-2:])
 
 
 def _sqrt_db(A) -> np.ndarray:
@@ -183,47 +202,60 @@ def _sqrt_db(A) -> np.ndarray:
     return Y
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the m-point Gauss-Legendre rules on [0, 1] for each
-    degree m of _LOG_THETA, in row m - 1, padded with zeros; computed on first
-    use, so that importing runs no LAPACK."""
-    M = len(_LOG_THETA)
-    nodes, weights = np.zeros((M, M)), np.zeros((M, M))
-    for m in range(1, M + 1):
-        u, w = np.polynomial.legendre.leggauss(m)
-        nodes[m - 1, :m], weights[m - 1, :m] = (u + 1) / 2, w / 2
-    return nodes, weights
+def _log1p_taylor(X, norm) -> np.ndarray:
+    """log(I + X) for each matrix of a stack with |X|_1 = norm <= _LOG_ROOT:
+    the Taylor sum of the least degree m = 4r of _LOG_TAYLOR_THETA with
+    norm <= theta_m, by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) in
+    blocks of four terms,
 
+        B_0 + X^4 (B_1 + ... + X^4 (B_(r-1) + c_m X^4)),
 
-def _log1p_pade(X) -> np.ndarray:
-    """log(I + X) for each matrix of a stack with |X|_1 <= _LOG_THETA[-1]: the
-    diagonal Pade approximant sum_j w_j X (I + u_j X)^-1 of the smallest degree
-    m with |X|_1 <= _LOG_THETA[m - 1], whose partial fractions are the m-point
-    Gauss-Legendre rule for int_0^1 X (I + uX)^-1 du.  One solve takes every
-    (entry, node) pair of the stack."""
+    with B_i = c_4i I + c_(4i+1) X + c_(4i+2) X^2 + c_(4i+3) X^3.  Each entry
+    takes three matmuls for X^2, X^3 and X^4, r - 1 Horner steps, and one
+    contraction of fixed length 4 with its powers per block; no solve.  The
+    entries are taken fewest blocks first, so that those in a Horner step
+    are a trailing slice of the stack, and an entry comes out as it would
+    alone."""
     k = X.shape[-1]
-    Xs = X.reshape(-1, k, k)
-    M = len(_LOG_THETA)
-    degree = np.minimum(np.searchsorted(_LOG_THETA, _norm1(Xs)), M - 1) + 1
-    pair = np.arange(M) < degree[:, None]
-    entry = np.nonzero(pair)[0]
-    nodes, weights = (a[degree - 1][pair] for a in _gauss_legendre())
-    Y = np.linalg.solve(np.eye(k) + nodes[:, None, None] * Xs[entry], Xs[entry])
-    L = np.zeros_like(Xs)
-    np.add.at(L, entry, weights[:, None, None] * Y)
+    Xs = _flat_stack(X)
+    N = len(Xs)
+    top = np.searchsorted(_LOG_THETAS, norm.ravel()).tolist()  # each entry's top block
+    order = None
+    if top != sorted(top):
+        order = np.argsort(top, kind="stable")
+        Xs, top = Xs[order], sorted(top)
+    P = np.empty((N, 4, k, k), dtype=complex)
+    P[:, 0] = np.eye(k)
+    P[:, 1] = Xs
+    np.matmul(P[:, 1], P[:, 1], out=P[:, 2])
+    np.matmul(P[:, 2], P[:, 1], out=P[:, 3])
+    X4 = P[:, 2] @ P[:, 2]
+    L = _LOG_TOP[top, None, None] * X4
+    Pf, Lf = P.reshape(N, 4, k * k).view(float), L.reshape(N, k * k).view(float)
+    for i in range(top[-1] if top else -1, -1, -1):
+        # the entries from `more` on have a block above i, from `this` on block i
+        more, this = bisect.bisect_left(top, i + 1), bisect.bisect_left(top, i)
+        if more < N:
+            L[more:] = L[more:] @ X4[more:]
+        Lf[this:] += _LOG_BLOCK[i] @ Pf[this:]
+    if order is not None:
+        L[order] = L.copy()
     return L.reshape(X.shape)
 
 
 def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
     """Principal log of each matrix Z of a stack (..., m, m), given X = Z - I.
 
+    Inverse scaling and squaring (Al-Mohy and Higham, SIAM J. Sci. Comput.
+    34(4), 2012): log Z = 2^k log(I + X_k) with X_k = Z^(1/2^k) - I, k the
+    fewest Denman-Beavers square roots that bring |X_k|_1 within _LOG_ROOT,
+    then the Taylor sum of log(I + X_k) of the least degree whose theta
+    bounds |X_k|_1 (_log1p_taylor: matmuls only).  An entry within _LOG_ROOT
+    of I takes no root, and a stack of such entries no solve and no inverse.
     A caller that has X more accurately than Z - I (mat_arctan, where X is
-    O(s) for an argument of order s) keeps that accuracy: Z is only rooted
-    where |X|_1 > _LOG_THETA[-1], each root doubling the absolute error of
-    that entry alone.  Inverse scaling and squaring (Al-Mohy and Higham,
-    SIAM J. Sci. Comput. 34(4), 2012): log Z = 2^k log(I + X_k) with
-    X_k = Z^(1/2^k) - I, by square roots then a Pade approximant.
+    O(s) for an argument of order s) keeps that accuracy: each root forms
+    X_(k+1) = (Z^(1/2^(k+1)) + I)^-1 X_k, with no cancellation, and an entry
+    comes out as it would alone.
 
     Checks: Z must be finite (NonSquare), and no eigenvalue may sit on or
     numerically hug the closed negative real half-line (BranchCut).
@@ -234,7 +266,7 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
     checks(~np.isfinite(Z).all(axis=(-2, -1)), NonSquare,
            "matrix has non-finite entries", module=_MOD, operation=op)
     Z, X = checks.clean(Z, I), checks.clean(X, 0)
-    norm = _norm1(X)
+    norm = np.array(_norm1(X))
     # |lambda - 1| <= |X|_1 <= (1 - tol) / (1 + tol) puts every eigenvalue in
     # the right half-plane with |lambda| >= tol * max(|lambda|, 1), so only
     # the entries farther from I need their eigenvalues, and a stack with none
@@ -258,7 +290,7 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
         checks((zero | neg).any(axis=-1), BranchCut, cut, module=_MOD, operation=op)
         Z, X, norm = checks.clean(Z, I), checks.clean(X, 0), checks.clean(norm, 0)
     roots = np.zeros(Z.shape[:-2], dtype=int)
-    need = norm > _LOG_THETA[-1]
+    need = norm > _LOG_ROOT
     if need.any():
         # the roots replace entries in place, in copies of Z and X
         Z, X = np.array(Z, dtype=complex), np.array(X, dtype=complex)
@@ -266,15 +298,18 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
         if not need.any():
             break
         Z[need] = _sqrt_db(Z[need])
-        X[need] = Z[need] - I
+        # sqrt(Z) - I = (sqrt(Z) + I)^-1 (Z - I), with no cancellation
+        X[need] = np.linalg.solve(Z[need] + I, X[need])
+        norm[need] = _norm1(X[need])
         roots += need
-        need &= _norm1(X) > _LOG_THETA[-1]
-    return _log1p_pade(np.asarray(X, dtype=complex)) * 2.0 ** roots[..., None, None]
+        need &= norm > _LOG_ROOT
+    return _log1p_taylor(np.asarray(X, dtype=complex), norm) * 2.0 ** roots[..., None, None]
 
 
 def mat_log_principal(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Principal matrix logarithm of a matrix, or of each matrix of a stack
-    (..., m, m); see log_principal.
+    (..., m, m): square roots until |A - I|_1 <= 0.5537, then a truncated
+    Taylor sum of log(I + X) evaluated with matmuls only; see log_principal.
 
     Raises BranchCut when an eigenvalue sits on (or numerically hugs) the
     closed negative real half-line, where the principal branch is ill-defined.
@@ -340,8 +375,7 @@ def expm(X) -> np.ndarray:
     result is that of the sums formed out of place, up to the sign of a zero.
     """
     X = np.asarray(X)
-    k = X.shape[-1]
-    A = X.reshape(-1, k, k).astype(np.result_type(X, float), copy=False)
+    A = _flat_stack(X).astype(np.result_type(X, float), copy=False)
     E = np.empty_like(A)
     norm = _norm1(A)
     degree = np.full(norm.shape, 13)
@@ -415,7 +449,7 @@ def expm_grid(B, t) -> np.ndarray:
         j = np.arange(m, 0, -1)
         c = tau[i, None, None] ** j / _FACTORIAL[j]  # (entries, 1, m)
         E[i] = (c @ P[D - m:])[:, 0]
-    E = _add_identity(E.view(A.dtype).reshape(-1, k, k), 1)
+    E = _add_identity(E.view(A.dtype).reshape(tf.size, k, k), 1)
     for j in range(s.max(initial=0)):
         i = np.flatnonzero(s > j)
         E[i] = E[i] @ E[i]

@@ -37,11 +37,14 @@ from qsemi.errors import (
 from qsemi.fixtures import fokker_planck, harmonic, heat, kolmogorov, shifted_diagonal
 from qsemi.matfun import (
     _EXPM_PADE,
-    _LOG_THETA,
+    _LOG_BLOCK,
+    _LOG_ROOT,
+    _LOG_TAYLOR_THETA,
+    _LOG_TOP,
     _MAX_STEPS,
     _TAYLOR_THETA,
     Checks,
-    _log1p_pade,
+    _log1p_taylor,
     _norm1,
     _sqrt_db,
     cos_sin_sqrt_det,
@@ -141,7 +144,8 @@ def test_log_just_below_each_theta_matches_mpmath():
     rng = np.random.default_rng(29)
     G = rng.standard_normal((2, 4, 4))
     K = G[0] + 1j * G[1]
-    X = np.stack([0.99 * theta * K / np.abs(K).sum(axis=0).max() for theta in _LOG_THETA])
+    X = np.stack([0.99 * theta * K / np.abs(K).sum(axis=0).max()
+                  for theta in _LOG_TAYLOR_THETA.values()])
     L = log_principal(np.eye(4) + X, X, 1e-9, Checks())
     for Lk, Xk in zip(L, X):
         with mpmath.workdps(30):
@@ -192,19 +196,19 @@ def log_by_the_branch_test(Z, X, tol, checks):
     Z = np.array(checks.clean(Z, I), dtype=complex)
     X = np.array(checks.clean(X, 0), dtype=complex)
     roots = np.zeros(Z.shape[:-2], dtype=int)
-    need = _norm1(X) > _LOG_THETA[-1]
+    need = _norm1(X) > _LOG_ROOT
     for _ in range(_MAX_STEPS):
         if not need.any():
             break
         Z[need] = _sqrt_db(Z[need])
-        X[need] = Z[need] - I
+        X[need] = np.linalg.solve(Z[need] + I, X[need])
         roots += need
-        need &= _norm1(X) > _LOG_THETA[-1]
-    return _log1p_pade(X) * 2.0 ** roots[..., None, None]
+        need &= _norm1(X) > _LOG_ROOT
+    return _log1p_taylor(X, _norm1(X)) * 2.0 ** roots[..., None, None]
 
 
 def test_log_skips_the_branch_test_bit_for_bit(monkeypatch):
-    # near I (no root), rooted (0.466 < |X|_1 < 1) and far (|X|_1 > 1)
+    # near I (no root), rooted (_LOG_ROOT < |X|_1 < 1) and far (|X|_1 > 1)
     # entries, complex and real: a stack with no far entry takes no
     # eigenvalues, and every stack's logs, and its BranchCut, are those of the
     # branch test run as before
@@ -219,7 +223,7 @@ def test_log_skips_the_branch_test_bit_for_bit(monkeypatch):
 
     for dtype in (complex, float):
         near = entries([1e-8, 0.1, 0.4], dtype)
-        rooted = entries([0.5, 0.8, 0.99], dtype)
+        rooted = entries([0.6, 0.8, 0.99], dtype)
         far = entries([0.2, 0.4], dtype) + 1.5 * np.eye(m)  # |X|_1 > 1.5
         cut = np.diag([-3.0, 1.0, 1.0, 1.0]).astype(dtype)[None]
         for Z in (np.concatenate([near, rooted]), rooted, near[:1], near[:0],
@@ -253,6 +257,117 @@ def test_log_skips_the_branch_test_bit_for_bit(monkeypatch):
     log_principal(Z, Z - np.eye(m), 1e-9, Checks())
     with pytest.raises(AssertionError, match="eigvals called"):
         log_principal(far, far - np.eye(m), 1e-9, Checks())
+
+
+def log_remainder_excess(m: int, theta):
+    """sum_{j > m} theta^j / j - 2^-53 (-log(1 - theta)), at the working
+    precision: the Taylor sum of degree m meets its bound at |X|_1 = theta
+    where this is <= 0."""
+    total = -mpmath.log(1 - theta)
+    return total - mpmath.fsum(theta ** j / j for j in range(1, m + 1)) - 2.0 ** -53 * total
+
+
+def test_each_log_theta_keeps_the_remainder_below_u():
+    # at 60 digits: each theta_m keeps the bound, and it is the root rounded
+    # down to its 6 digits, so 1e-5 more breaks it.  The degrees are the
+    # multiples of the block length 4 that _LOG_BLOCK and _LOG_TOP serve, and
+    # the top theta, the root threshold, lies above the Pade table's 0.466
+    degrees, thetas = zip(*_LOG_TAYLOR_THETA.items())
+    assert list(degrees) == list(range(4, 4 * len(degrees) + 1, 4))
+    assert all(a < b for a, b in zip(thetas, thetas[1:]))
+    assert _LOG_ROOT == thetas[-1] >= 0.466
+    with mpmath.workdps(60):
+        for m, theta in _LOG_TAYLOR_THETA.items():
+            assert log_remainder_excess(m, mpmath.mpf(theta)) <= 0, m
+            assert log_remainder_excess(m, mpmath.mpf(theta) * (1 + 1e-5)) > 0, m
+    c = [0.0] + [(-1) ** (j + 1) / j for j in range(1, 4 * len(degrees) + 1)]
+    assert _LOG_BLOCK.tolist() == [c[4 * i:4 * i + 4] for i in range(len(degrees))]
+    assert _LOG_TOP.tolist() == c[4::4]
+
+
+def mp_log1p_of_multiples(K, a, dps=30):
+    """log(I + a_j K) for each a_j, to dps digits, from one eigendecomposition
+    K = V D V^-1 at dps digits: V log(I + a_j D) V^-1, the principal log while
+    every |a_j lambda| < 1.  mpmath.logm at k = 20 takes seconds per matrix."""
+    with mpmath.workdps(dps):
+        d, V = mpmath.eig(mpmath.matrix(K.tolist()))
+        Vinv = mpmath.inverse(V)
+        out = []
+        for aj in a:
+            f = [mpmath.log(1 + mpmath.mpf(float(aj)) * lam) for lam in d]
+            out.append(np.array((V * mpmath.diag(f) * Vinv).tolist(), dtype=complex))
+        return np.array(out)
+
+
+@pytest.mark.parametrize("k", [2, 4, 10, 20])
+def test_log_just_below_and_above_each_theta_matches_mpmath(k):
+    # |X|_1 at 0.999 and 1.001 theta_m, where the degree changes; above the
+    # top theta the entry takes one square root.  K has small integer parts
+    # and a_j 24 bits, so X = a_j K is exact and the reference is the log of
+    # the very X the stack holds
+    rng = np.random.default_rng(100 + k)
+    K = (rng.integers(-8, 9, (k, k)) + 1j * rng.integers(-8, 9, (k, k))).astype(complex)
+    thetas = np.array(list(_LOG_TAYLOR_THETA.values()))
+    a = (np.concatenate([0.999 * thetas, 1.001 * thetas]) / _norm1(K)).astype(np.float32)
+    X = a.astype(float)[:, None, None] * K
+    L = log_principal(np.eye(k) + X, X, 1e-9, Checks())
+    want = mp_log1p_of_multiples(K, a)
+    err = np.linalg.norm(L - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+    assert err.max() <= 1e-15, (err.argmax(), err.max())
+    if k <= 4:  # the reference against mpmath.logm itself
+        for j in (0, len(a) - 1):
+            assert np.linalg.norm(want[j] - mp_logm(np.eye(k) + X[j])) <= 1e-25
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 10, 20])
+def test_log_entry_is_its_single_entry_result(k):
+    # every degree, entries at and near I, rooted entries and far ones (with
+    # eigenvalues), shuffled: each entry of the stack is its log alone, to the
+    # last bit, through log_principal and mat_log_principal
+    rng = np.random.default_rng(200 + k)
+    G = rng.standard_normal((2, 40, k, k))
+    K = G[0] + 1j * G[1]
+    K /= _norm1(K)[:, None, None]
+    thetas = np.array(list(_LOG_TAYLOR_THETA.values()))
+    norms = np.concatenate([0.7 * thetas, 0.99 * thetas, [0.0, 1e-17, 1e-9, 0.6, 0.8, 0.95]])
+    X = norms[:, None, None] * K[:len(norms)]
+    Z = np.concatenate([np.eye(k) + X, sla.expm(3 * K[-6:])])
+    Z = Z[rng.permutation(len(Z))]
+    L = mat_log_principal(Z)
+    for j, Zj in enumerate(Z):
+        assert np.array_equal(L[j], mat_log_principal(Zj))
+        assert np.array_equal(L[j], log_principal(Zj, Zj - np.eye(k), 1e-9, Checks()))
+
+
+def test_log_without_roots_takes_no_solve(monkeypatch):
+    # up to the top theta, 0.5537, past the Pade table's 0.466: matmuls only;
+    # a rooted entry takes its Denman-Beavers inverses
+    rng = np.random.default_rng(41)
+    m = 6
+    G = rng.standard_normal((2, 8, m, m))
+    K = G[0] + 1j * G[1]
+    X = np.linspace(0.05, _LOG_ROOT, 8)[:, None, None] * K / _norm1(K)[:, None, None]
+    Z = np.eye(m) + X
+
+    def refused(*args, **kwargs):
+        raise AssertionError("solve or inv called")
+
+    want = log_principal(Z, X, 1e-9, Checks())
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    assert np.array_equal(log_principal(Z, X, 1e-9, Checks()), want)
+    with pytest.raises(AssertionError, match="solve or inv called"):
+        log_principal(Z * 1.01, Z * 1.01 - np.eye(m), 1e-9, Checks())
+
+
+def test_zero_size_matrices():
+    # a 0 x 0 matrix, a stack of them and an empty stack keep their shapes
+    for A in (np.zeros((0, 0)), np.zeros((3, 0, 0)), np.zeros((0, 4, 4))):
+        for f in (expm, mat_log_principal, mat_arctan):
+            assert f(A).shape == A.shape, f
+        assert all(E.shape == A.shape for E in expm_hamiltonian(A))
+    assert expm_grid(np.zeros((0, 0)), [0.1]).shape == (1, 0, 0)
+    assert expm_grid(np.zeros((0, 0)), [[0.1, 0.2]]).shape == (1, 2, 0, 0)
 
 
 def test_recording_checks_keep_each_entrys_first_error():
