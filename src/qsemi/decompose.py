@@ -30,8 +30,8 @@ by Paterson-Stockmeyer, the whole stack in one pass of matmuls, with no
 solve where no entry needs a square root).  exp(-2itJQ), one
 matrix over the grid and t, comes from one matfun.expm_grid call, Taylor
 sums on one set of powers of -2iJQ; exp(2itJA) and e^{tM}, distinct at each
-time, from matfun.expm, which takes the whole grid in one stacked pass per
-Pade degree.  For X = JS with S symmetric, J^T X^T J = -X, so exp(-X) =
+time, from matfun.expm, which takes the whole grid in one stacked pass of
+Taylor sums.  For X = JS with S symmetric, J^T X^T J = -X, so exp(-X) =
 J^T exp(X)^T J (matfun.symplectic_inverse, which expm_hamiltonian applies).
 _polar forms exp(-2itJQ) and exp(2itJA), with A from the log of
 exp(-4itJA) = exp(-2itJQ) exp(-2itJ conj Q);

@@ -9,15 +9,14 @@ All routines are dense and target matrices of size at most ~40x40; inputs are
 validated for finiteness and shape, never mutated.  The exponential, log, cos,
 arctan and Pfaffian also take stacks, one matrix per entry, and
 sqrt(det cos(tJQ)) a stack of forms broadcast against a grid of times.  expm
-chooses its Pade degree and squarings per entry and evaluates each degree in
-one stacked pass; the log chooses the degree of its Taylor sum per entry and
-evaluates the whole stack in one Paterson-Stockmeyer pass of matmuls, no
-solve.  Either way an entry comes out as it would alone.  The input picks the
-exponential: one matrix B over the times t_k (the exp(itJQ) of
-mehler.flow_kernel, the exp(-2itJQ) of the polar split) takes expm_grid,
-whose truncated Taylor sums share one set of powers of B and need no
-solve.  Every stack of distinct matrices (exp(2itJA), e^{tM},
-the Strang middle term) takes expm, and so does cos_sin_sqrt_det's stack of
+and the log each choose the degree of a truncated Taylor sum per entry (and
+expm its squarings) and evaluate the whole stack in one Paterson-Stockmeyer
+pass of matmuls (_taylor_ps), no solve; an entry comes out as it would
+alone.  The input picks the exponential: one matrix B over the times t_k
+(the exp(itJQ) of mehler.flow_kernel, the exp(-2itJQ) of the polar split)
+takes expm_grid, whose Taylor sums, of expm's degrees, share one set of
+powers of B.  Every stack of distinct matrices (exp(2itJA), e^{tM}, the
+Strang middle term) takes expm, and so does cos_sin_sqrt_det's stack of
 itJQ over forms and times, the symbol route that verify_decomposition keeps
 as its oracle.  The exponential of a Hamiltonian has its inverse from
 symplectic_inverse, with no rounding.  decompose.verify_decomposition and
@@ -34,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     BranchCut,
@@ -61,44 +59,31 @@ _LOG_TAYLOR_THETA = {4: 1.53493e-4, 8: 0.0133249, 12: 0.0578566, 16: 0.119727,
                      52: 0.528654, 56: 0.5537}
 _LOG_THETAS = np.array(list(_LOG_TAYLOR_THETA.values()))
 _LOG_ROOT = _LOG_THETAS[-1]
-#: the Paterson-Stockmeyer blocks of the log's Taylor sum, from its
-#: coefficients c_j = (-1)^(j+1) / j (c_0 = 0): row i of _LOG_BLOCK holds
-#: c_4i, ..., c_(4i+3), those of I, X, X^2, X^3 in block B_i, and _LOG_TOP[i]
-#: is c_(4i+4), that of the X^4 which tops a sum of i + 1 blocks
-_LOG_COEF = np.array([0.0] + [(-1) ** (j + 1) / j for j in range(1, 4 * len(_LOG_THETAS) + 1)])
-_LOG_BLOCK, _LOG_TOP = _LOG_COEF[:-1].reshape(-1, 4), _LOG_COEF[4::4]
 
-#: the diagonal Pade approximants r_m = (V - U)^-1 (V + U) to exp, of degree
-#: m = 3, 5, 7, 9, 13 (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table
-#: 2.3 and eq. (2.4)): the 1-norm of X up to which r_m(X) is exp(X) to unit
-#: roundoff, and the coefficients b_0, ..., b_m of r_m divided by b_1.  b_0 is
-#: 2 b_1 at every degree, so a square-zero X (the heat form's JQ) gives
-#: exactly U = X, V = 2I and r_m(X) = I + X
-_EXPM_PADE = {m: (theta, tuple(b / c[1] for b in c)) for m, theta, c in (
-    (3, 1.495585217958292e-2, (120, 60, 12, 1)),
-    (5, 2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
-    (7, 9.504178996162932e-1, (17297280, 8648640, 1995840, 277200, 25200, 1512,
-                               56, 1)),
-    (9, 2.097847961257068, (17643225600, 8821612800, 2075673600, 302702400,
-                            30270240, 2162160, 110880, 3960, 90, 1)),
-    (13, 5.371920351148152, (64764752532480000, 32382376266240000,
-                             7771770303897600, 1187353796428800, 129060195264000,
-                             10559470521600, 670442572800, 33522128640,
-                             1323241920, 40840800, 960960, 16380, 182, 1)),
-)}
-
-#: the truncated Taylor series T_m of exp, of degree m = 10, 12, 15, 18, 20,
-#: 25, 30 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1):
-#: the 1-norm of X up to which T_m(X) = exp(X + dX) with |dX|_1 <= 2^-53
-#: |X|_1, from the bound sum_k |c_k| |X|_1^k / |X|_1 <= 2^-53 on the series
-#: log(e^-x T_m(x)) = sum_{k > m} c_k x^k, solved at 60 digits on its first
-#: 150 terms and rounded down
-_TAYLOR_THETA = {10: 0.144182, 12: 0.299615, 15: 0.641083, 18: 1.09086,
-                 20: 1.43825, 25: 2.42858, 30: 3.53966}
+#: the truncated Taylor series T_m of exp, of degree m = 4, 8, ..., 32
+#: (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011, sec. 3): the 1-norm
+#: of X up to which T_m(X) = exp(X + dX) with |dX|_1 <= 2^-53 |X|_1, from the
+#: bound sum_k |c_k| |X|_1^k / |X|_1 <= 2^-53 on the series log(e^-x T_m(x))
+#: = sum_{k > m} c_k x^k, solved at 60 digits on its first 150 terms and
+#: rounded down to six digits
+_TAYLOR_THETA = {4: 3.39716e-4, 8: 0.0499122, 12: 0.299615, 16: 0.780287,
+                 20: 1.43825, 24: 2.21904, 28: 3.084, 32: 4.00756}
 _TAYLOR_DEGREES, _TAYLOR_THETAS = (np.array(a) for a in zip(*_TAYLOR_THETA.items()))
 
-#: j! rounded once, for j = 0, ..., 30
-_FACTORIAL = np.array([float(math.factorial(j)) for j in range(31)])
+#: j! rounded once, for j = 0, ..., 32: expm_grid divides tau^j by it, one
+#: rounding where a product with a rounded 1/j! takes two
+_FACTORIAL = np.array([float(math.factorial(j)) for j in range(_TAYLOR_DEGREES[-1] + 1)])
+
+#: the coefficients c_j of the two Taylor sums, (-1)^(j+1) / j for log(I + X)
+#: and 1/j! for exp, with c_0 = 0 in both (expm adds exp's I after the sum),
+#: and their Paterson-Stockmeyer blocks: row i of _LOG_BLOCK holds c_4i, ...,
+#: c_(4i+3), those of I, X, X^2, X^3 in block B_i, and _LOG_TOP[i] is
+#: c_(4i+4), that of the X^4 which tops a sum of i + 1 blocks; the same for
+#: _EXP_BLOCK and _EXP_TOP
+_LOG_COEF = np.array([0.0] + [(-1) ** (j + 1) / j for j in range(1, 4 * len(_LOG_THETAS) + 1)])
+_LOG_BLOCK, _LOG_TOP = _LOG_COEF[:-1].reshape(-1, 4), _LOG_COEF[4::4]
+_EXP_COEF = np.concatenate([[0.0], 1 / _FACTORIAL[1:]])
+_EXP_BLOCK, _EXP_TOP = _EXP_COEF[:-1].reshape(-1, 4), _EXP_COEF[4::4]
 
 #: square roots per entry, and Denman-Beavers steps per root, at most: 64
 #: roots bring the log of any finite matrix within _LOG_ROOT of 0, and a root
@@ -202,42 +187,43 @@ def _sqrt_db(A) -> np.ndarray:
     return Y
 
 
-def _log1p_taylor(X, norm) -> np.ndarray:
-    """log(I + X) for each matrix of a stack with |X|_1 = norm <= _LOG_ROOT:
-    the Taylor sum of the least degree m = 4r of _LOG_TAYLOR_THETA with
-    norm <= theta_m, by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) in
-    blocks of four terms,
+def _taylor_ps(X, top, block, top_coef) -> np.ndarray:
+    """The Taylor sum sum_{j <= m} c_j X^j for each matrix X of a stack, of
+    degree m = 4r for an entry whose top block (top) is r - 1, by
+    Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) in blocks of four terms,
 
         B_0 + X^4 (B_1 + ... + X^4 (B_(r-1) + c_m X^4)),
 
-    with B_i = c_4i I + c_(4i+1) X + c_(4i+2) X^2 + c_(4i+3) X^3.  Each entry
-    takes three matmuls for X^2, X^3 and X^4, r - 1 Horner steps, and one
+    with B_i = c_4i I + c_(4i+1) X + c_(4i+2) X^2 + c_(4i+3) X^3, from the
+    coefficient rows block[i] = c_4i, ..., c_(4i+3) and top_coef[i] = c_(4i+4)
+    (_LOG_BLOCK and _LOG_TOP, _EXP_BLOCK and _EXP_TOP).  Each entry takes
+    three matmuls for X^2, X^3 and X^4, r - 1 Horner steps, and one
     contraction of fixed length 4 with its powers per block; no solve.  The
     entries are taken fewest blocks first, so that those in a Horner step
     are a trailing slice of the stack, and an entry comes out as it would
-    alone."""
+    alone.  A real stack is summed in real arithmetic."""
     k = X.shape[-1]
     Xs = _flat_stack(X)
     N = len(Xs)
-    top = np.searchsorted(_LOG_THETAS, norm.ravel()).tolist()  # each entry's top block
+    top = np.ravel(top).tolist()
     order = None
     if top != sorted(top):
         order = np.argsort(top, kind="stable")
         Xs, top = Xs[order], sorted(top)
-    P = np.empty((N, 4, k, k), dtype=complex)
+    P = np.empty((N, 4, k, k), dtype=np.result_type(X, float))
     P[:, 0] = np.eye(k)
     P[:, 1] = Xs
     np.matmul(P[:, 1], P[:, 1], out=P[:, 2])
     np.matmul(P[:, 2], P[:, 1], out=P[:, 3])
     X4 = P[:, 2] @ P[:, 2]
-    L = _LOG_TOP[top, None, None] * X4
+    L = top_coef[top, None, None] * X4
     Pf, Lf = P.reshape(N, 4, k * k).view(float), L.reshape(N, k * k).view(float)
     for i in range(top[-1] if top else -1, -1, -1):
         # the entries from `more` on have a block above i, from `this` on block i
         more, this = bisect.bisect_left(top, i + 1), bisect.bisect_left(top, i)
         if more < N:
             L[more:] = L[more:] @ X4[more:]
-        Lf[this:] += _LOG_BLOCK[i] @ Pf[this:]
+        Lf[this:] += block[i] @ Pf[this:]
     if order is not None:
         L[order] = L.copy()
     return L.reshape(X.shape)
@@ -250,12 +236,13 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
     34(4), 2012): log Z = 2^k log(I + X_k) with X_k = Z^(1/2^k) - I, k the
     fewest Denman-Beavers square roots that bring |X_k|_1 within _LOG_ROOT,
     then the Taylor sum of log(I + X_k) of the least degree whose theta
-    bounds |X_k|_1 (_log1p_taylor: matmuls only).  An entry within _LOG_ROOT
+    bounds |X_k|_1 (_taylor_ps: matmuls only).  An entry within _LOG_ROOT
     of I takes no root, and a stack of such entries no solve and no inverse.
     A caller that has X more accurately than Z - I (mat_arctan, where X is
     O(s) for an argument of order s) keeps that accuracy: each root forms
     X_(k+1) = (Z^(1/2^(k+1)) + I)^-1 X_k, with no cancellation, and an entry
-    comes out as it would alone.
+    comes out as it would alone.  A real stack stays real: its roots and its
+    sum run in real arithmetic.
 
     Checks: Z must be finite (NonSquare), and no eigenvalue may sit on or
     numerically hug the closed negative real half-line (BranchCut).
@@ -293,7 +280,8 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
     need = norm > _LOG_ROOT
     if need.any():
         # the roots replace entries in place, in copies of Z and X
-        Z, X = np.array(Z, dtype=complex), np.array(X, dtype=complex)
+        dtype = np.result_type(Z, X, float)
+        Z, X = Z.astype(dtype), X.astype(dtype)
     for _ in range(_MAX_STEPS):
         if not need.any():
             break
@@ -303,7 +291,8 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
         norm[need] = _norm1(X[need])
         roots += need
         need &= norm > _LOG_ROOT
-    return _log1p_taylor(np.asarray(X, dtype=complex), norm) * 2.0 ** roots[..., None, None]
+    top = np.searchsorted(_LOG_THETAS, norm)
+    return _taylor_ps(X, top, _LOG_BLOCK, _LOG_TOP) * 2.0 ** roots[..., None, None]
 
 
 def mat_log_principal(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -328,73 +317,31 @@ def _add_identity(S, c) -> np.ndarray:
     return S
 
 
-def _pade_uv(A, b) -> tuple[np.ndarray, np.ndarray]:
-    """The odd and even parts U and V of the Pade approximant with coefficients
-    b (_EXPM_PADE) at each matrix of the stack A, as Higham (2005) evaluates
-    them: from A^2, A^4 and A^6 at degree 13, from the powers of A^2 below.
-
-    The sums are accumulated in place, term by term in the order of Higham's
-    sums (the identity term first below degree 13, where c_0 I + c_2 A^2 is
-    c_2 A^2 + c_0 I, and last at degree 13), so each entry rounds as in
-    those sums, up to the sign of a zero (_add_identity)."""
-    A2 = A @ A
-    scratch = np.empty_like(A2)
-
-    def add(S, c, P):  # S += c P, with no new array
-        S += np.multiply(P, c, out=scratch)
-        return S
-
-    if len(b) == 14:
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        U = A6 @ add(add(b[13] * A6, b[11], A4), b[9], A2)
-        U = A @ _add_identity(add(add(add(U, b[7], A6), b[5], A4), b[3], A2), b[1])
-        V = A6 @ add(add(b[12] * A6, b[10], A4), b[8], A2)
-        return U, _add_identity(add(add(add(V, b[6], A6), b[4], A4), b[2], A2), b[0])
-    U, V = _add_identity(b[3] * A2, b[1]), _add_identity(b[2] * A2, b[0])
-    P = A2
-    for c_odd, c_even in zip(b[5::2], b[4::2]):
-        P = P @ A2
-        add(U, c_odd, P)
-        add(V, c_even, P)
-    return A @ U, V
-
-
 def expm(X) -> np.ndarray:
     """exp of a real or complex matrix, or of each matrix of a stack (..., m, m),
-    by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+    by scaling and squaring a truncated Taylor sum (Al-Mohy and Higham, SIAM
+    J. Sci. Comput. 33(2), 2011).
 
-    Each entry takes the smallest degree m in 3, 5, 7, 9 with |X|_1 <= theta_m,
-    else degree 13 on X / 2^s, with s the fewest halvings that bring |X|_1
-    within theta_13, and s squarings after.  The entries of one degree go
-    through one stacked pass, and the quotient is I + 2 (V - U)^-1 U, as
-    scipy.linalg.expm forms it: (V - U)^-1 (V + U) loses accuracy.  An entry
-    comes out as it would alone.  A degree's pass accumulates its sums in
-    place (_pade_uv), rescales nothing where every entry has s = 0 (every
-    degree below 13), and forms V - U and I + 2 (V - U)^-1 U in place: the
-    result is that of the sums formed out of place, up to the sign of a zero.
+    Each entry takes the smallest degree m of _TAYLOR_THETA with |X|_1 <=
+    theta_m, else degree 32 on X / 2^s, with s the fewest halvings that bring
+    |X|_1 within theta_32, and s squarings after.  The terms past the
+    identity are summed for the whole stack in one Paterson-Stockmeyer pass
+    (_taylor_ps: matmuls only, no solve), and I is added after, as in
+    expm_grid.  An entry comes out as it would alone; a non-finite entry
+    comes out non-finite.
     """
     X = np.asarray(X)
     A = _flat_stack(X).astype(np.result_type(X, float), copy=False)
-    E = np.empty_like(A)
     norm = _norm1(A)
-    degree = np.full(norm.shape, 13)
-    for m in (9, 7, 5, 3):
-        degree[norm <= _EXPM_PADE[m][0]] = m
+    top = np.searchsorted(_TAYLOR_THETAS, norm)
     # a non-finite entry is left unscaled, to come out non-finite
-    big = (degree == 13) & np.isfinite(norm)
+    big = (top == len(_TAYLOR_THETAS)) & np.isfinite(norm)
     s = np.zeros(norm.shape, dtype=int)
-    s[big] = np.ceil(np.log2(norm[big] / _EXPM_PADE[13][0])).clip(0)
-    for m in np.unique(degree).tolist():
-        i = np.flatnonzero(degree == m)
-        Ai = A[i]
-        if s[i].any():
-            Ai *= 2.0 ** -s[i, None, None]
-        U, V = _pade_uv(Ai, _EXPM_PADE[m][1])
-        V -= U
-        Y = np.linalg.solve(V, U)
-        Y *= 2
-        E[i] = _add_identity(Y, 1)
+    if big.any():
+        s[big] = np.ceil(np.log2(norm[big] / _TAYLOR_THETAS[-1]))
+        A = A * 2.0 ** -s[:, None, None]
+    E = _taylor_ps(A, np.minimum(top, len(_TAYLOR_THETAS) - 1), _EXP_BLOCK, _EXP_TOP)
+    E = _add_identity(E, 1)
     for j in range(s.max(initial=0)):
         i = np.flatnonzero(s > j)
         E[i] = E[i] @ E[i]
@@ -410,8 +357,8 @@ def expm_grid(B, t) -> np.ndarray:
     The powers A^j of A = B / 2^e, 2^e the least power of two above |B|_1,
     are formed once: the scaling is exact and |A^j|_1 < 1.  Each entry takes
     the smallest degree m of _TAYLOR_THETA with |t_k| |B|_1 <= theta_m, else
-    degree 30 on t_k B / 2^s, with s the fewest halvings that bring
-    |t_k| |B|_1 within theta_30, and s squarings after.  The terms past the
+    degree 32 on t_k B / 2^s, with s the fewest halvings that bring
+    |t_k| |B|_1 within theta_32, and s squarings after.  The terms past the
     identity, tau^j / j! A^j with tau = t_k 2^(e - s), are summed from the
     highest degree down, the smallest first, and I is added after, in one
     rounding: I inside the sum would round every entry near it to I's
@@ -481,7 +428,7 @@ def expm_hamiltonian(X) -> tuple[np.ndarray, np.ndarray]:
 def mat_cos(A) -> np.ndarray:
     """cos(A) = (exp(iA) + exp(-iA)) / 2, from one expm on the stack of +-iA."""
     A = as_square(A, operation="mat_cos")
-    E = sla.expm(np.stack([1j * A, -1j * A]))
+    E = expm(np.stack([1j * A, -1j * A]))
     return (E[0] + E[1]) / 2
 
 
@@ -535,7 +482,7 @@ def pfaffian(A) -> complex:
     A = np.array(A, dtype=complex)
     m = A.shape[-1]
     batch = A.shape[:-2]
-    A = A.reshape(-1, m, m)
+    A = _flat_stack(A)
     r = np.arange(len(A))
     pf = np.ones(len(A), dtype=complex)
     zero = np.zeros(len(A), dtype=bool)
@@ -550,7 +497,8 @@ def pfaffian(A) -> complex:
         pf *= a
         u, v = A[:, k, k + 2:] / a[:, None], A[:, k + 1, k + 2:]
         A[:, k + 2:, k + 2:] += v[:, :, None] * u[:, None, :] - u[:, :, None] * v[:, None, :]
-    pf *= A[:, m - 2, m - 1]  # the last 2 x 2 block leaves no pivot to choose
+    if m:  # the last 2 x 2 block leaves no pivot to choose; Pf of 0 x 0 is 1
+        pf *= A[:, m - 2, m - 1]
     return np.where(zero, 0j, pf).reshape(batch)[()]
 
 

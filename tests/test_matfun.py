@@ -36,17 +36,17 @@ from qsemi.errors import (
 )
 from qsemi.fixtures import fokker_planck, harmonic, heat, kolmogorov, shifted_diagonal
 from qsemi.matfun import (
-    _EXPM_PADE,
     _LOG_BLOCK,
     _LOG_ROOT,
     _LOG_TAYLOR_THETA,
+    _LOG_THETAS,
     _LOG_TOP,
     _MAX_STEPS,
     _TAYLOR_THETA,
     Checks,
-    _log1p_taylor,
     _norm1,
     _sqrt_db,
+    _taylor_ps,
     cos_sin_sqrt_det,
     expm,
     expm_grid,
@@ -170,7 +170,7 @@ def log_by_the_branch_test(Z, X, tol, checks):
     """log_principal as it ran on every stack before its branch-free path:
     the eigenvalues of the entries beyond |X|_1 <= (1 - tol) / (1 + tol)
     (none, on a stack without such entries), then Z and X cleaned and copied
-    as complex matrices."""
+    in their own dtype."""
     m = Z.shape[-1]
     I = np.eye(m)
     checks(~np.isfinite(Z).all(axis=(-2, -1)), NonSquare,
@@ -193,8 +193,7 @@ def log_by_the_branch_test(Z, X, tol, checks):
 
     checks((zero | neg).any(axis=-1), BranchCut, cut, module="matfun",
            operation="mat_log_principal")
-    Z = np.array(checks.clean(Z, I), dtype=complex)
-    X = np.array(checks.clean(X, 0), dtype=complex)
+    Z, X = np.array(checks.clean(Z, I)), np.array(checks.clean(X, 0))
     roots = np.zeros(Z.shape[:-2], dtype=int)
     need = _norm1(X) > _LOG_ROOT
     for _ in range(_MAX_STEPS):
@@ -204,14 +203,15 @@ def log_by_the_branch_test(Z, X, tol, checks):
         X[need] = np.linalg.solve(Z[need] + I, X[need])
         roots += need
         need &= _norm1(X) > _LOG_ROOT
-    return _log1p_taylor(X, _norm1(X)) * 2.0 ** roots[..., None, None]
+    top = np.searchsorted(_LOG_THETAS, _norm1(X))
+    return _taylor_ps(X, top, _LOG_BLOCK, _LOG_TOP) * 2.0 ** roots[..., None, None]
 
 
 def test_log_skips_the_branch_test_bit_for_bit(monkeypatch):
     # near I (no root), rooted (_LOG_ROOT < |X|_1 < 1) and far (|X|_1 > 1)
     # entries, complex and real: a stack with no far entry takes no
     # eigenvalues, and every stack's logs, and its BranchCut, are those of the
-    # branch test run as before
+    # branch test run as before; a real stack's logs are real
     rng = np.random.default_rng(37)
     m = 4
 
@@ -231,7 +231,7 @@ def test_log_skips_the_branch_test_bit_for_bit(monkeypatch):
             for checks in (Checks(), Checks(Z.shape[:-2])):
                 got = log_principal(Z, Z - np.eye(m), 1e-9, checks)
                 want = log_by_the_branch_test(Z, Z - np.eye(m), 1e-9, Checks())
-                assert got.dtype == want.dtype == complex
+                assert got.dtype == want.dtype == dtype
                 assert np.array_equal(got, want)
         Z = np.concatenate([near, rooted, far])
         assert np.array_equal(log_principal(Z, Z - np.eye(m), 1e-9, Checks())[:6],
@@ -478,9 +478,9 @@ def expm_mpmath(X, dps: int = 30, t: float = 1.0) -> np.ndarray:
 def grid_cases():
     """(B, times, deep) for B = 1j JQ of the graph fixtures and of ten seeded
     random accretive forms, n <= 5: the times just below and just above each
-    theta_m of B's 1-norm, where the degree changes, and t = 3, past theta_30
-    on the random forms (B has 1-norm above 1.18 on each), so that a squaring
-    runs; deep, the times 2.5 and 20 theta_30 of it, take 2 and 5."""
+    theta_m of B's 1-norm, where the degree changes, and t = 4, past theta_32
+    on the random forms (B has 1-norm above 1.12 on each), so that a squaring
+    runs; deep, the times 2.5 and 20 theta_32 of it, take 2 and 5."""
     rng = np.random.default_rng(61)
     forms = [heat(1), harmonic(1), kolmogorov(), fokker_planck(), shifted_diagonal()]
     for n in (1, 1, 1, 1, 2, 2, 2, 3, 3, 5):
@@ -490,25 +490,25 @@ def grid_cases():
     for q in forms:
         B = 1j * standard_J(q.n) @ q.Q
         thetas = np.array(list(_TAYLOR_THETA.values())) / _norm1(B)
-        yield (B, np.concatenate([thetas * (1 - 1e-3), thetas * (1 + 1e-3), [3.0]]),
+        yield (B, np.concatenate([thetas * (1 - 1e-3), thetas * (1 + 1e-3), [4.0]]),
                thetas[-1] * np.array([2.5, 20.0]))
 
 
 def test_expm_grid_matches_mpmath():
     # against 40 digits of exp(tB), entry by entry: no form's worst relative
-    # error exceeds both matfun.expm's worst on the same stack (whose input,
-    # tB in floats, has its rounding) and 2u.  Deeper in the squarings both
-    # err at the level of exp's condition (expm_errors)
+    # error exceeds both scipy.linalg.expm's worst on the same stack (whose
+    # input, tB in floats, has its rounding) and 2u.  Deeper in the squarings
+    # both err at the level of exp's condition (expm_errors)
     squared = 0
     for B, ts, deep in grid_cases():
-        E, ref = expm_grid(B, ts), expm(ts[:, None, None] * B)
+        E, ref = expm_grid(B, ts), sla.expm(ts[:, None, None] * B)
         worst = np.zeros(2)
         for k, t in enumerate(ts):
             want = expm_mpmath(B, dps=40, t=t)
             worst = np.maximum(worst, [np.linalg.norm(F[k] - want) / np.linalg.norm(want)
                                        for F in (E, ref)])
         assert worst[0] <= max(worst[1], 2 * 2.0 ** -53), (len(B), worst)
-        squared += 3.0 * _norm1(B) > _TAYLOR_THETA[30]
+        squared += ts[-1] * _norm1(B) > max(_TAYLOR_THETA.values())
         for t, Ek in zip(deep, expm_grid(B, deep)):
             expm_errors(Ek, t * B)
     assert squared >= 10
@@ -609,7 +609,7 @@ def test_expm_of_a_stack_matches_mpmath():
     # real and complex, for n = 1, 2, 5 and (fewer: a 20 x 20 mpmath expm
     # takes ~0.8 s) 10; one stacked call per n and kind
     rng = np.random.default_rng(17)
-    norms = [f * theta for theta, _ in _EXPM_PADE.values() for f in (0.99, 1.01)]
+    norms = [f * theta for theta in _TAYLOR_THETA.values() for f in (0.99, 1.01)]
     norms += [12.0, 50.0]
     errors = []
     for n in (1, 2, 5, 10):
@@ -629,8 +629,8 @@ def test_expm_of_a_stack_matches_mpmath():
 
 @pytest.mark.parametrize("form", [heat(1), heat(2), kolmogorov()])
 def test_expm_of_a_nilpotent_jq_matches_mpmath(form):
-    # heat's JQ squares to zero: U = X and V = 2I exactly, so exp(X) = I + X
-    # to the last bit, at any scale and also after squaring
+    # heat's JQ squares to zero: every power past the first is exactly zero,
+    # so exp(X) = I + X to the last bit, at any scale and also after squaring
     JQ = standard_J(form.n) @ form.Q
     rng = np.random.default_rng(5)
     scales = 10.0 ** rng.uniform(-4, 1.7, 12) * np.exp(2j * np.pi * rng.uniform(size=12))
@@ -643,60 +643,51 @@ def test_expm_of_a_nilpotent_jq_matches_mpmath(form):
 
 
 def reference_expm(X):
-    """expm as each degree evaluated its Pade sums before they were formed in
-    place: sum() of the terms, a rescale of every entry, I + 2 (V - U)^-1 U
-    out of place.  The in-place form may differ only in the sign of a zero."""
+    """expm as its Taylor sums read, entry by entry and out of place: the
+    least degree m of _TAYLOR_THETA whose theta bounds |X|_1, else degree 32
+    on X / 2^s, then B_0 + X^4 (B_1 + ... + X^4 (B_(r-1) + X^4 / m!)) with
+    B_i the terms X^(4i+j) / (4i+j)!, j < 4 (no I in B_0), I added last and
+    s squarings.  Each block is the same contraction of four coefficients
+    with the stacked powers that expm takes, so the bits agree."""
     k = X.shape[-1]
     A = X.reshape(-1, k, k).astype(np.result_type(X, float))
     E = np.empty_like(A)
-    norm = np.abs(A).sum(axis=-2).max(axis=-1)
-    degree = np.full(norm.shape, 13)
-    for m in (9, 7, 5, 3):
-        degree[norm <= _EXPM_PADE[m][0]] = m
-    big = (degree == 13) & np.isfinite(norm)
-    s = np.zeros(norm.shape, dtype=int)
-    s[big] = np.ceil(np.log2(norm[big] / _EXPM_PADE[13][0])).clip(0)
+    c = np.array([0.0] + [1 / float(math.factorial(j)) for j in range(1, 33)])
     I = np.eye(k)
-    for m in np.unique(degree).tolist():
-        i = np.flatnonzero(degree == m)
-        Ai, b = A[i] * 2.0 ** -s[i, None, None], _EXPM_PADE[m][1]
-        A2 = Ai @ Ai
-        if m == 13:
-            A4 = A2 @ A2
-            A6 = A4 @ A2
-            U = Ai @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                      + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
-            V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-                 + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
-        else:
-            powers = [I, A2]
-            while len(powers) < len(b) // 2:
-                powers.append(powers[-1] @ A2)
-            U = Ai @ sum(c * P for c, P in zip(b[1::2], powers))
-            V = sum(c * P for c, P in zip(b[0::2], powers))
-        E[i] = I + 2 * np.linalg.solve(V - U, U)
-    for j in range(s.max(initial=0)):
-        i = np.flatnonzero(s > j)
-        E[i] = E[i] @ E[i]
+    for e, Ae in enumerate(A):
+        norm = np.abs(Ae).sum(axis=0).max()
+        m = next((m for m, theta in _TAYLOR_THETA.items() if norm <= theta), 32)
+        s = int(np.ceil(np.log2(norm / _TAYLOR_THETA[32]))) if norm > _TAYLOR_THETA[32] else 0
+        Ae = Ae * 2.0 ** -s
+        P = np.stack([I, Ae, Ae @ Ae, Ae @ Ae @ Ae]).astype(A.dtype)
+        X4 = P[2] @ P[2]
+        L = c[m] * X4
+        for i in range(m // 4 - 1, -1, -1):
+            if i < m // 4 - 1:
+                L = L @ X4
+            B = c[4 * i:4 * i + 4] @ P.reshape(4, -1).view(float)
+            L = L + B.view(A.dtype).reshape(k, k)
+        L = L + I
+        for _ in range(s):
+            L = L @ L
+        E[e] = L
     return E.reshape(X.shape)
 
 
 def test_expm_matches_its_out_of_place_evaluation():
-    # entries of every degree, 13 with and without squarings, real and
-    # complex, in one stack: equal to the last bit (== treats -0.0 as 0.0)
+    # entries of every degree, the top one with and without squarings, real
+    # and complex, in one stack: equal to the last bit (== treats -0.0 as 0.0)
     rng = np.random.default_rng(29)
-    norms = [f * theta for theta, _ in _EXPM_PADE.values() for f in (0.5, 0.99)]
-    norms += [6.0, 40.0, 1e3]
+    norms = [f * theta for theta in _TAYLOR_THETA.values() for f in (0.5, 0.99)]
+    norms += [0.0, 6.0, 40.0, 1e3]
     for k in (1, 2, 4, 10, 20):
         G = rng.standard_normal((2, len(norms), k, k))
         for X in (G[0], G[0] + 1j * G[1]):
-            X = X * (np.array(norms) / np.abs(X).sum(axis=-2).max(axis=-1))[:, None, None]
+            X = X * (np.array(norms) / _norm1(X))[:, None, None]
             E = expm(X)
             assert E.dtype == X.dtype
             assert np.array_equal(E, reference_expm(X)), (k, X.dtype)
-            for j, Xj in enumerate(X):
-                assert np.array_equal(expm(Xj), E[j])
-    # heat's square-zero JQ still gives exactly I + X, as before
+    # heat's square-zero JQ gives exactly I + X
     JQ = standard_J(1) @ heat(1).Q
     X = np.stack([c * JQ for c in (1e-3j, 0.3j, -2j, 40j, 0.3)])
     assert np.array_equal(expm(X), np.eye(2) + X)
@@ -717,6 +708,20 @@ def test_exponential_pair_of_a_stack_matches_each_entry():
     for k in range(len(X)):
         Ek, Ekinv = expm_hamiltonian(X[k])
         assert np.array_equal(E[k], Ek) and np.array_equal(Einv[k], Ekinv)
+    # expm itself: entries of every degree, the top one with and without
+    # squarings, real and complex, shuffled in one stack, keep their dtype
+    # and equal their exponential alone to the last bit
+    rng = np.random.default_rng(29)
+    norms = [f * theta for theta in _TAYLOR_THETA.values() for f in (0.5, 0.99)]
+    norms += [0.0, 6.0, 40.0, 1e3]
+    for k in (1, 2, 4, 10, 20):
+        G = rng.standard_normal((2, len(norms), k, k))
+        for X in (G[0], G[0] + 1j * G[1]):
+            X = X * (rng.permutation(norms) / _norm1(X))[:, None, None]
+            E = expm(X)
+            assert E.dtype == X.dtype
+            for j, Xj in enumerate(X):
+                assert np.array_equal(expm(Xj), E[j]), (k, X.dtype, j)
 
 
 def test_j_cos_is_exactly_skew():
@@ -808,6 +813,12 @@ def test_pfaffian_squares_to_det():
         d = np.linalg.det(A)
         assert abs(pfaffian(A) ** 2 - d) < 1e-12 * abs(d)
     assert pfaffian(standard_J(3)) == -1  # (-1)^{n(n-1)/2} for [[0, I], [-I, 0]]
+
+
+def test_pfaffian_of_a_0x0_matrix_is_one():
+    assert pfaffian(np.zeros((0, 0))) == 1
+    pf = pfaffian(np.zeros((2, 3, 0, 0)))
+    assert pf.shape == (2, 3) and (pf == 1).all()
 
 
 def test_pfaffian_stack_matches_each_matrix():
