@@ -37,10 +37,8 @@ from .evolve import (
 from .fixtures import fixture_names, get_fixture
 from .matfun import (
     BranchTrackedScalar,
-    mat_arctan,
     mat_cos,
     mat_log_principal,
-    null_space,
     psd_check,
     sqrt_det_cos_tracked,
 )
@@ -54,14 +52,12 @@ from .mehler import (
     mehler_inverse_twisted,
     mehler_symbol,
     twisted_form_matrix,
-    twisted_kernel,
 )
 from .quadform import (
     BlockForm,
     QuadraticForm,
     block_decompose,
     conjugate_by_linear,
-    evaluate,
     hamilton_map,
     shear_transform,
     standard_J,

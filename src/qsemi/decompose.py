@@ -32,7 +32,7 @@ matrix over the grid and t, comes from one matfun.expm_grid call, Taylor
 sums on one set of powers of -2iJQ; exp(2itJA) and e^{tM}, distinct at each
 time, from matfun.expm, which takes the whole grid in one stacked pass of
 Taylor sums.  For X = JS with S symmetric, J^T X^T J = -X, so exp(-X) =
-J^T exp(X)^T J (matfun.symplectic_inverse, which expm_hamiltonian applies).
+J^T exp(X)^T J (matfun.symplectic_inverse).
 _polar forms exp(-2itJQ) and exp(2itJA), with A from the log of
 exp(-4itJA) = exp(-2itJQ) exp(-2itJ conj Q);
 exp(-2itJ conj Q) is the conjugate of exp(2itJQ) = J^T exp(-2itJQ)^T J, and
@@ -76,10 +76,8 @@ from .matfun import (
     Checks,
     expm,
     expm_grid,
-    expm_hamiltonian,
     first_index,
     log_principal,
-    null_space,
     rounding_allowance,
     symplectic_inverse,
 )
@@ -160,7 +158,8 @@ class UnitaryFactors:
 
     residual is the Frobenius distance between that product and exp(2tJB).
     iterations is always 0, as the split is read off in closed form; the
-    field is kept so that callers reading the iteration count keep working.
+    field is kept for its reader, bench/spans.py, which sums it into a
+    per-op counter.
     """
     D: np.ndarray
     M: np.ndarray
@@ -244,7 +243,8 @@ def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
     lam = np.linalg.eigvalsh(A)[..., 0]
     checks(lam < -tol * scaleA, NotPSDWithinTol,
            lambda i: f"A has lambda_min = {lam.flat[i]:.3e}", module=_MOD, operation=op)
-    EAinv, EA = expm_hamiltonian(2j * tJ @ A)
+    EAinv = expm(2j * tJ @ A)
+    EA = symplectic_inverse(EAinv)
     S = EAinv @ E1
     # S is symplectic, so R = Re S has R^T J R = J + (Im S)^T J Im S: R is
     # symplectic to second order in Im S, and R^-1 Im S = J^T R^T J Im S to
@@ -480,8 +480,10 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     times[:G] = t_grid = np.sort(t_grid)
     q_sheared = conjugate_by_linear(q, shear_transform(cert.Gsym))
     alpha = 2 * report.k0 + 1
-    # S(q o T) = T^-1 S(q) (T^-1: shear by -Gsym), so no second rank decision
-    U = null_space((shear_transform(-cert.Gsym) @ report.basis).T).real
+    # S(q o T) = T^-1 S(q) (T^-1: shear by -Gsym), of the dimension that
+    # singular_space decided: its orthogonal complement, with no rank decision
+    U = np.linalg.qr(shear_transform(-cert.Gsym) @ report.basis,
+                     mode="complete")[0][:, report.dim:]
     Nmat = twisted_form_matrix(cert.N)
     Nbar = U.T @ Nmat @ U
     checks = Checks(times.shape)

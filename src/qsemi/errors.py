@@ -36,10 +36,6 @@ class BranchCut(QsemiError):
     pass
 
 
-class SpectralRadiusTooLarge(QsemiError):
-    pass
-
-
 class ConjugatePointOnPath(QsemiError):
     pass
 

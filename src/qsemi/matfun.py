@@ -1,30 +1,26 @@
 """Dense complex matrix functions: the exponential and principal log of a
-stack of matrices, the exponentials of one matrix along a grid of times, cos
-and arctan, the pair exp(+-X) of a Hamiltonian X from one exponential,
-Pfaffians and the continuous branch of sqrt(det cos), rank-revealing null
-spaces, PSD tests, and the Cholesky certificate that spares an eigenvalue
-gate its eigenvalues where it can prove them.
+stack of matrices, the exponentials of one matrix along a grid of times, cos,
+Pfaffians and the continuous branch of sqrt(det cos), PSD tests, and the
+Cholesky certificate that spares an eigenvalue gate its eigenvalues where it
+can prove them.
 
 All routines are dense and target matrices of size at most ~40x40; inputs are
-validated for finiteness and shape, never mutated.  The exponential, log, cos,
-arctan and Pfaffian also take stacks, one matrix per entry, and
-sqrt(det cos(tJQ)) a stack of forms broadcast against a grid of times.  expm
-and the log each choose the degree of a truncated Taylor sum per entry (and
-expm its squarings) and evaluate the whole stack in one Paterson-Stockmeyer
-pass of matmuls (_taylor_ps), no solve; an entry comes out as it would
-alone.  The input picks the exponential: one matrix B over the times t_k
-(the exp(itJQ) of mehler.flow_kernel, the exp(-2itJQ) of the polar split)
-takes expm_grid, whose Taylor sums, of expm's degrees, share one set of
-powers of B.  Every stack of distinct matrices (exp(2itJA), e^{tM}, the
-Strang middle term) takes expm, and so does cos_sin_sqrt_det's stack of
-itJQ over forms and times, the symbol route that verify_decomposition keeps
-as its oracle.  The exponential of a Hamiltonian has its inverse from
-symplectic_inverse, with no rounding.  decompose.verify_decomposition and
-the kernel transport it applies keep scipy.linalg.expm as an independent
-oracle.  A computation on a stack reports its failed checks through Checks:
-it raises at the first failing entry, or records each failing entry with
-its first error and goes on, so that one pass over a grid finds every entry
-that fails, and why.
+validated for finiteness and shape, never mutated.  The exponential, log, cos
+and Pfaffian also take stacks, one matrix per entry, and sqrt(det cos(tJQ)) a
+stack of forms broadcast against a grid of times.  expm and the log each
+choose the degree of a truncated Taylor sum per entry (and expm its
+squarings) and evaluate the whole stack in one Paterson-Stockmeyer pass of
+matmuls (_taylor_ps), no solve; an entry comes out as it would alone.  The
+input picks the exponential: one matrix over a grid of times takes
+expm_grid, whose Taylor sums, of expm's degrees and squarings
+(_degree_and_squarings), share one set of powers of the matrix; a stack of
+distinct matrices takes expm.  The exponential of a Hamiltonian X = JS, S
+complex symmetric, has its inverse exp(-X) from symplectic_inverse, with no
+rounding.  decompose.verify_decomposition and the kernel transport it
+applies keep scipy.linalg.expm as an independent oracle.  A computation on a
+stack reports its failed checks through Checks: it raises at the first
+failing entry, or records each failing entry with its first error and goes
+on, so that one pass over a grid finds every entry that fails, and why.
 """
 from __future__ import annotations
 
@@ -34,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BranchCut,
-    ConjugatePointOnPath,
-    DegenerateTime,
-    NonSquare,
-    SpectralRadiusTooLarge,
-)
+from .errors import BranchCut, ConjugatePointOnPath, DegenerateTime, NonSquare
 
 DEFAULT_TOL = 1e-9
 
@@ -238,10 +228,11 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
     then the Taylor sum of log(I + X_k) of the least degree whose theta
     bounds |X_k|_1 (_taylor_ps: matmuls only).  An entry within _LOG_ROOT
     of I takes no root, and a stack of such entries no solve and no inverse.
-    A caller that has X more accurately than Z - I (mat_arctan, where X is
-    O(s) for an argument of order s) keeps that accuracy: each root forms
-    X_(k+1) = (Z^(1/2^(k+1)) + I)^-1 X_k, with no cancellation, and an entry
-    comes out as it would alone.  A real stack stays real: its roots and its
+    X is a parameter so that a caller that has it more accurately than
+    Z - I keeps that accuracy (a Z = I + X with X of order s, formed with no
+    cancellation, as the small-t symbol will be): each root forms X_(k+1) =
+    (Z^(1/2^(k+1)) + I)^-1 X_k, with no cancellation, and an entry comes out
+    as it would alone.  A real stack stays real: its roots and its
     sum run in real arithmetic.
 
     Checks: Z must be finite (NonSquare), and no eigenvalue may sit on or
@@ -317,35 +308,45 @@ def _add_identity(S, c) -> np.ndarray:
     return S
 
 
+def _degree_and_squarings(x) -> tuple[np.ndarray, np.ndarray]:
+    """(i, s) for each 1-norm x of a Taylor exponential's argument: degree
+    m = 4 (i + 1), the least of _TAYLOR_THETA with x <= theta_m, else degree
+    32 on the argument over 2^s, with s the fewest halvings that bring x
+    within theta_32, and s squarings after.  A non-finite x takes no
+    halving."""
+    i = np.searchsorted(_TAYLOR_THETAS, x)
+    big = (i == len(_TAYLOR_THETAS)) & np.isfinite(x)
+    s = np.zeros(np.shape(x), dtype=int)
+    s[big] = np.ceil(np.log2(x[big] / _TAYLOR_THETAS[-1]))
+    return np.minimum(i, len(_TAYLOR_THETAS) - 1), s
+
+
+def _square(E, s) -> np.ndarray:
+    """E (N, k, k) with its entry j squared s[j] times, in place."""
+    for j in range(s.max(initial=0)):
+        i = np.flatnonzero(s > j)
+        E[i] = E[i] @ E[i]
+    return E
+
+
 def expm(X) -> np.ndarray:
     """exp of a real or complex matrix, or of each matrix of a stack (..., m, m),
     by scaling and squaring a truncated Taylor sum (Al-Mohy and Higham, SIAM
     J. Sci. Comput. 33(2), 2011).
 
-    Each entry takes the smallest degree m of _TAYLOR_THETA with |X|_1 <=
-    theta_m, else degree 32 on X / 2^s, with s the fewest halvings that bring
-    |X|_1 within theta_32, and s squarings after.  The terms past the
-    identity are summed for the whole stack in one Paterson-Stockmeyer pass
-    (_taylor_ps: matmuls only, no solve), and I is added after, as in
-    expm_grid.  An entry comes out as it would alone; a non-finite entry
-    comes out non-finite.
+    Each entry takes its degree and squarings from its 1-norm
+    (_degree_and_squarings).  The terms past the identity are summed for the
+    whole stack in one Paterson-Stockmeyer pass (_taylor_ps: matmuls only,
+    no solve), and I is added after, as in expm_grid.  An entry comes out as
+    it would alone; a non-finite entry comes out non-finite.
     """
     X = np.asarray(X)
     A = _flat_stack(X).astype(np.result_type(X, float), copy=False)
-    norm = _norm1(A)
-    top = np.searchsorted(_TAYLOR_THETAS, norm)
-    # a non-finite entry is left unscaled, to come out non-finite
-    big = (top == len(_TAYLOR_THETAS)) & np.isfinite(norm)
-    s = np.zeros(norm.shape, dtype=int)
-    if big.any():
-        s[big] = np.ceil(np.log2(norm[big] / _TAYLOR_THETAS[-1]))
+    top, s = _degree_and_squarings(_norm1(A))
+    if s.any():
         A = A * 2.0 ** -s[:, None, None]
-    E = _taylor_ps(A, np.minimum(top, len(_TAYLOR_THETAS) - 1), _EXP_BLOCK, _EXP_TOP)
-    E = _add_identity(E, 1)
-    for j in range(s.max(initial=0)):
-        i = np.flatnonzero(s > j)
-        E[i] = E[i] @ E[i]
-    return E.reshape(X.shape)
+    E = _add_identity(_taylor_ps(A, top, _EXP_BLOCK, _EXP_TOP), 1)
+    return _square(E, s).reshape(X.shape)
 
 
 def expm_grid(B, t) -> np.ndarray:
@@ -356,16 +357,15 @@ def expm_grid(B, t) -> np.ndarray:
 
     The powers A^j of A = B / 2^e, 2^e the least power of two above |B|_1,
     are formed once: the scaling is exact and |A^j|_1 < 1.  Each entry takes
-    the smallest degree m of _TAYLOR_THETA with |t_k| |B|_1 <= theta_m, else
-    degree 32 on t_k B / 2^s, with s the fewest halvings that bring
-    |t_k| |B|_1 within theta_32, and s squarings after.  The terms past the
-    identity, tau^j / j! A^j with tau = t_k 2^(e - s), are summed from the
-    highest degree down, the smallest first, and I is added after, in one
-    rounding: I inside the sum would round every entry near it to I's
-    scale.  The entries of one degree take one broadcast matmul, a
-    (1 x m)(m x k^2) product per entry (on the real and imaginary parts
-    side by side), so an entry comes out as it would alone.  No solve.  An
-    entry with |t_k| |B|_1 not finite comes out nan.
+    expm's degree m and squarings s for the 1-norm |t_k| |B|_1
+    (_degree_and_squarings).  The terms past the identity, tau^j / j! A^j
+    with tau = t_k 2^(e - s), are summed from the highest degree down, the
+    smallest first, and I is added after, in one rounding: I inside the sum
+    would round every entry near it to I's scale.  The entries of one degree
+    take one broadcast matmul, a (1 x m)(m x k^2) product per entry (on the
+    real and imaginary parts side by side), so an entry comes out as it
+    would alone.  No solve.  An entry with |t_k| |B|_1 not finite comes out
+    nan.
     """
     B = np.asarray(B)
     k = B.shape[-1]
@@ -377,11 +377,8 @@ def expm_grid(B, t) -> np.ndarray:
     with np.errstate(over="ignore"):
         x = np.abs(tf) * norm
     finite = np.isfinite(x)
-    pick = np.searchsorted(_TAYLOR_THETAS, np.where(finite, x, 0))
-    s = np.zeros(tf.shape, dtype=int)
-    big = pick == len(_TAYLOR_THETAS)
-    s[big] = np.ceil(np.log2(x[big] / _TAYLOR_THETAS[-1]))
-    degree = _TAYLOR_DEGREES[np.minimum(pick, len(_TAYLOR_THETAS) - 1)]
+    pick, s = _degree_and_squarings(np.where(finite, x, 0))
+    degree = _TAYLOR_DEGREES[pick]
     tau = np.ldexp(np.where(finite, tf, 0), e - s)
     # row r of P holds A^(D - r), as D reals or pairs of reals
     D = degree.max(initial=1)
@@ -396,10 +393,7 @@ def expm_grid(B, t) -> np.ndarray:
         j = np.arange(m, 0, -1)
         c = tau[i, None, None] ** j / _FACTORIAL[j]  # (entries, 1, m)
         E[i] = (c @ P[D - m:])[:, 0]
-    E = _add_identity(E.view(A.dtype).reshape(tf.size, k, k), 1)
-    for j in range(s.max(initial=0)):
-        i = np.flatnonzero(s > j)
-        E[i] = E[i] @ E[i]
+    E = _square(_add_identity(E.view(A.dtype).reshape(tf.size, k, k), 1), s)
     E[~finite] = np.nan
     return E.reshape(t.shape + (k, k))
 
@@ -418,43 +412,11 @@ def symplectic_inverse(E) -> np.ndarray:
     return Einv
 
 
-def expm_hamiltonian(X) -> tuple[np.ndarray, np.ndarray]:
-    """exp(X) and exp(-X) = symplectic_inverse(exp(X)) for each X = J S of a
-    stack (..., 2n, 2n), S complex symmetric, from one expm call."""
-    E = expm(X)
-    return E, symplectic_inverse(E)
-
-
 def mat_cos(A) -> np.ndarray:
     """cos(A) = (exp(iA) + exp(-iA)) / 2, from one expm on the stack of +-iA."""
     A = as_square(A, operation="mat_cos")
     E = expm(np.stack([1j * A, -1j * A]))
     return (E[0] + E[1]) / 2
-
-
-def mat_arctan(A) -> np.ndarray:
-    """arctan of a matrix, or of each matrix of a stack (..., m, m), of
-    spectral radius < 1, as (2i)^{-1} log(I + X) with
-    X = (I - iA)^{-1} 2iA = (I + iA)(I - iA)^{-1} - I.
-
-    That is the power series on its disc of convergence, and it tolerates
-    defective (e.g. nilpotent) arguments; X is formed without the
-    cancellation of subtracting I, so a small A keeps its relative accuracy.
-    Raises SpectralRadiusTooLarge unless the spectral radius is below
-    1 - DEFAULT_TOL.
-    """
-    op = "mat_arctan"
-    A = as_square(A, operation=op)
-    I = np.eye(A.shape[-1])
-    # the spectral radius is at most either norm: eigenvalues only where it may fail
-    far = ~(np.minimum(_norm1(A), _norm1(A.mT)) < 1.0 - DEFAULT_TOL)
-    rho = np.zeros(A.shape[:-2])
-    rho[far] = np.abs(np.linalg.eigvals(A[far])).max(axis=-1, initial=0.0)
-    Checks()(rho >= 1.0 - DEFAULT_TOL, SpectralRadiusTooLarge,
-             lambda i: f"spectral radius {rho.flat[i]:.6f} not strictly below 1",
-             module=_MOD, operation=op)
-    X = np.linalg.solve(I - 1j * A, 2j * A)
-    return log_principal(I + X, X, DEFAULT_TOL, Checks()) / 2j
 
 
 @dataclass
@@ -464,7 +426,8 @@ class BranchTrackedScalar:
     when path_parameter is a grid of times).
 
     steps_used is always 0: the branch is a closed form, not a path walk.  The
-    field is kept so that callers reading the step count keep working.
+    field is kept for its reader, bench/spans.py, which sums it into a
+    per-op counter.
     """
     value: complex
     path_parameter: float
@@ -510,7 +473,7 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
     stack: the results are stacked over the broadcast shape.
 
     cos and sin are (E + E^-1) / 2 and (E - E^-1) / 2i for E = exp(itJQ),
-    with E^-1 = exp(-itJQ) = J^T E^T J (expm_hamiltonian): one expm call on
+    with E^-1 = exp(-itJQ) = J^T E^T J (symplectic_inverse): one expm call on
     the stack of itJQ gives both at every entry.  J cos(tJQ) = (JE - (JE)^T)
     / 2 is then skew-symmetric to the last bit, so Pf(J cos(tJQ)) / Pf(J)
     squares to det cos(tJQ); being a polynomial in the entries that equals 1
@@ -552,7 +515,8 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
     check(reach >= np.pi / 2, ConjugatePointOnPath, conjugate_point, module=_MOD,
           operation=op)
     with np.errstate(over="ignore", invalid="ignore"):
-        E, Einv = expm_hamiltonian(1j * (t[..., None, None] * JQ))
+        E = expm(1j * (t[..., None, None] * JQ))
+        Einv = symplectic_inverse(E)
         C, S = (E + Einv) / 2, (E - Einv) / 2j
     check(~np.isfinite(C).all(axis=(-2, -1)), DegenerateTime,
           lambda i: f"cos(tJQ) overflows at t = {ts.flat[i]:.6g}", module=_MOD, operation=op)
@@ -566,27 +530,6 @@ def sqrt_det_cos_tracked(Q, t, *,
     see cos_sin_sqrt_det."""
     value = cos_sin_sqrt_det(Q, t, tol=tol)[2]
     return BranchTrackedScalar(value, np.asarray(t, dtype=float)[()], 0)
-
-
-def null_space(A, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of A.
-
-    Singular values below tol * sigma_max are treated as zero (absolute tol
-    when sigma_max is itself below tol).  May return a (cols, 0) matrix.
-    """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2:
-        raise NonSquare("expected a 2-d array", module=_MOD, operation="null_space")
-    if A.size == 0:
-        return np.eye(A.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(A)
-    smax = s[0] if s.size else 0.0
-    thresh = tol * smax if smax >= tol else tol
-    rank = int((s >= thresh).sum())
-    basis = vh[rank:].conj().T
-    if np.abs(basis.imag).max(initial=0.0) == 0.0:
-        basis = basis.real.astype(complex)
-    return basis
 
 
 def psd_check(H, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

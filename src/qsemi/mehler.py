@@ -343,7 +343,9 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
     Decisions, each raising at its first failing t with that t's index:
     t >= 0, E finite (DegenerateTime, where the symbol route's exp(itJQ)
     overflows) and L finite where M is not singular (DegenerateTime: the
-    kernel is below float reach), then B invertible (NonIntegrableSymbol: no
+    kernel is below float reach), then, where M is not singular,
+    _PD_RELATIVE t |JQ|_2 < 1 (DegenerateTime: past it the rule below
+    refuses every B, heat's too), then B invertible (NonIntegrableSymbol: no
     kernel).  B is judged by the cosines of the angles between the plane
     T(0 + C^n) = span [B; D] and that of the positions, 1 / hypot(1, sigma(D B^-1)),
     which do not grow with T and at small t, where D is near I, are the
@@ -387,6 +389,11 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
     tf = t.ravel()
     cos_min, scale = _cosine_rule(L[..., :n, :n].reshape(-1, n, n), tf, JQ,
                                   singular.ravel())
+    # where the rule's floor reaches 1, scale is t |JQ|_2, and no cosine passes
+    Checks()(~singular.ravel() & (_PD_RELATIVE * scale >= 1), DegenerateTime,
+             lambda i: (f"B cannot be judged at t = {tf[i]:.6g}: t |JQ|_2 = "
+                        f"{scale[i]:.3e} puts the rounding of exp(-2itJQ) above "
+                        "every cosine"), module=_MOD, operation=op)
     Checks()(cos_min <= _PD_RELATIVE * scale, NonIntegrableSymbol,
              lambda i: (f"B, the x-xi block of exp(-2itJQ), is singular at t = "
                         f"{tf[i]:.6g} (least cosine {cos_min[i]:.3e} of "
@@ -407,23 +414,6 @@ def _real_skew(N, operation: str, module: str = _MOD) -> np.ndarray:
         raise DimensionMismatch("N must be square, finite and real skew-symmetric",
                                 module=module, operation=operation)
     return N.real.copy()
-
-
-def twisted_kernel(N, eps: float) -> GaussianKernel:
-    """Exact kernel of (e^{-(eps/2) |xi - Nx|^2})^w for N real skew-symmetric:
-
-        (2 pi eps)^{-n/2} exp(-|x - y|^2 / (2 eps) + i (x - y).Nx).
-    """
-    N = _real_skew(N, "twisted_kernel")
-    n = N.shape[0]
-    if eps <= 0:
-        raise NonIntegrableSymbol("eps must be positive",
-                                  module=_MOD, operation="twisted_kernel")
-    I = np.eye(n)
-    Kxy = -I / eps - 1j * N
-    K = np.block([[I / eps, Kxy], [Kxy.T, I / eps]]).astype(complex)
-    c = (2 * np.pi * eps) ** (-n / 2)
-    return GaussianKernel(n, complex(c), K)
 
 
 def twisted_form_matrix(N) -> np.ndarray:
@@ -482,7 +472,7 @@ def twisted_sandwich(k: GaussianKernel, N, eps: float) -> GaussianKernel:
     g TW(x, y) = E_w[g(x, y + w) exp(i w.Ny)] for w ~ N(0, eps I), one
     gaussian_integral over (w1, w2) / sqrt(eps) against the standard normal
     density, with block I + eps [[K_xx, -K_xy], [-K_yx, K_yy]]: no 1/eps
-    appears, unlike in twisted_kernel, whose entries cancel in composition.
+    appears, unlike in TW's own kernel, whose entries cancel in composition.
     """
     n = k.n
     sgn = np.repeat([-np.sqrt(eps), np.sqrt(eps)], n)  # x - w1 and y + w2

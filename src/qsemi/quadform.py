@@ -81,16 +81,6 @@ def hamilton_map(q: QuadraticForm) -> np.ndarray:
     return standard_J(q.n) @ q.Q
 
 
-def evaluate(q: QuadraticForm, X) -> complex:
-    """q(X) = QX.X (bilinear, no conjugation)."""
-    X = np.asarray(X, dtype=complex).reshape(-1)
-    if X.shape[0] != 2 * q.n:
-        raise DimensionMismatch(
-            f"X must have length {2*q.n}, got {X.shape[0]}",
-            module=_MOD, operation="evaluate")
-    return complex(X @ q.Q @ X)
-
-
 def conjugate_by_linear(q: QuadraticForm, T) -> QuadraticForm:
     """Form of q(TX), i.e. matrix T^T Q T; T must be a real 2n x 2n with
     |det T| >= DEFAULT_TOL (SingularTransform otherwise)."""

@@ -1,0 +1,27 @@
+"""Reference computations that the tests compare the library against, and
+that no command or pipeline stage of the library needs.
+
+    from oracles import twisted_kernel
+
+pytest puts this directory on sys.path, so a test module imports it by name.
+"""
+import numpy as np
+
+from qsemi.mehler import GaussianKernel
+
+
+def twisted_kernel(N, eps: float) -> GaussianKernel:
+    """Exact kernel of (e^{-(eps/2) |xi - Nx|^2})^w for N real skew-symmetric
+    and eps > 0:
+
+        (2 pi eps)^{-n/2} exp(-|x - y|^2 / (2 eps) + i (x - y).Nx).
+
+    Its entries are of order 1/eps, so it serves moderate eps; the library
+    applies the twisted factor in covariance form (mehler.twisted_sandwich).
+    """
+    N = np.asarray(N, dtype=float)
+    n = N.shape[0]
+    I = np.eye(n)
+    Kxy = -I / eps - 1j * N
+    K = np.block([[I / eps, Kxy], [Kxy.T, I / eps]]).astype(complex)
+    return GaussianKernel(n, complex((2 * np.pi * eps) ** (-n / 2)), K)

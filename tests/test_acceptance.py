@@ -30,7 +30,6 @@ from qsemi import (
     standard_J,
     strang_middle,
     twisted_form_matrix,
-    twisted_kernel,
     verify_decomposition,
 )
 from qsemi.errors import NonIntegrableSymbol
@@ -38,6 +37,7 @@ from qsemi.evolve import dispersion_gaussian
 from qsemi.fixtures import heat, kolmogorov, shifted_diagonal, x_squared
 from qsemi.mehler import MehlerSymbol
 
+from oracles import twisted_kernel
 from test_mehler import fokker_planck_oracle
 from test_singular import iterated_kernel_oracle, oracle_k0, subspace_distance
 

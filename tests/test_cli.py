@@ -201,6 +201,25 @@ def test_a_flow_kernel_below_float_reach_is_degenerate_time(capsys, command, fla
     assert code == EXIT_MATH and rep["kind"] == "NonIntegrableSymbol"
 
 
+@pytest.mark.parametrize("command, flags, t", [
+    ("norms", ["--t", "1e13"], "1e+13"), ("norms", ["--t", "1e13", "--p", "2"], "1e+13"),
+    ("exponents", ["--t-grid", "1e-3,1e14,10"], "1.29155e+12")])
+def test_a_flow_kernel_past_the_cosine_rules_reach_is_degenerate_time(capsys, command, flags, t):
+    # past t |JQ|_2 = 1e12 the cosine rule's floor, 1e-12 t |JQ|_2, reaches 1,
+    # and no cosine can pass it: heat's B is not singular there
+    code, rep = run_quietly(capsys, command, "--fixture", "heat", *flags)
+    assert code == EXIT_MATH
+    assert rep["kind"] == "DegenerateTime"
+    assert rep["error"].startswith(f"[mehler.flow_kernel] B cannot be judged at t = {t}: "
+                                   "t |JQ|_2 = ")
+    # up to there heat passes, and x^2, whose B is 0, keeps its refusal
+    code, rep = run_quietly(capsys, "norms", "--fixture", "heat", "--t", "1e11")
+    assert code == EXIT_OK
+    assert rep["norm"] == pytest.approx((4 * np.pi * 1e11) ** -0.5, rel=1e-12)
+    code, rep = run_quietly(capsys, command, "--fixture", "x-squared", *flags)
+    assert code == EXIT_MATH and rep["kind"] == "NonIntegrableSymbol"
+
+
 @pytest.mark.parametrize("t", ["1e-305", "1e-300"])
 def test_norms_near_float_reach_leak_no_warning(capsys, t):
     # the Frobenius bound of the cosine rule overflows; the SVDs decide

@@ -29,7 +29,7 @@ from qsemi import (
 )
 from qsemi import cli, decompose, matfun
 from qsemi.decompose import _three_factor_product
-from qsemi.matfun import Checks, mat_log_principal, null_space
+from qsemi.matfun import Checks, mat_log_principal
 from qsemi.errors import (
     BranchCut,
     DegenerateTime,
@@ -305,15 +305,14 @@ def test_a_planted_imaginary_part_of_s_fails_its_check(monkeypatch):
     # S is the real part of exp(2itJA) exp(-2itJQ): an exp(2itJA) off by a
     # phase leaves S an imaginary part, which its check refuses, alone and
     # at its entry of a stacked pass.  exp(2itJA) is the polar split's only
-    # expm_hamiltonian call (exp(-2itJQ) is matfun.expm_grid's)
-    pair = decompose.expm_hamiltonian
+    # expm call (exp(-2itJQ) is matfun.expm_grid's)
+    expm = decompose.expm
     calls = []
 
     def planted(X):
-        E, Einv = pair(X)
         calls.append(np.shape(X)[:-2])
-        return E * (1 + 1e-6j), Einv
-    monkeypatch.setattr(decompose, "expm_hamiltonian", planted)
+        return expm(X) * (1 + 1e-6j)
+    monkeypatch.setattr(decompose, "expm", planted)
     with pytest.raises(NotRealWithinTol, match=r"imag part of S has norm .* at its generator"):
         polar_factors(kolmogorov(), 0.05)
     checks = Checks(3)
@@ -463,7 +462,7 @@ def reference_select_gamma(q, report, cert, t_grid, tol=1e-9):
     q_sh = conjugate_by_linear(q, shear_transform(cert.Gsym))
     alpha = 2 * report.k0 + 1
     Nmat = twisted_form_matrix(cert.N)
-    U = null_space(singular_space(q_sh, tol=report.tol).basis.T).real
+    U = sla.null_space(singular_space(q_sh, tol=report.tol).basis.T)
     Nbar = U.T @ Nmat @ U
     gammas, pols = [], []
     for t in t_grid:
@@ -549,6 +548,21 @@ def test_stacked_select_gamma_matches_a_loop_over_t_random(n):
                 reason = stacked_matches_reference(q, grid)
                 reasons.add(reason.split(":")[0] if reason else None)
     assert len(reasons) > 1  # the grids end the horizon in more than one way
+
+
+def test_stacked_select_gamma_matches_a_loop_over_t_on_tilted_singular_spaces():
+    # S off the coordinate axes: the graph of the skew TWIST (no shear), and
+    # kolmogorov's S sheared by a symmetric G, so that select_gamma's
+    # complement is taken of a tilted basis; the reference takes an SVD null
+    # space of the sheared form's own S
+    G = np.array([[0.3, 0.2], [0.2, -0.4]])
+    forms = [QuadraticForm(3, twisted_form_matrix(TWIST)),
+             conjugate_by_linear(kolmogorov(), shear_transform(G))]
+    for q in forms:
+        basis = singular_space(q).basis
+        assert np.abs(basis[:q.n]).max() > 0.1 and np.abs(basis[q.n:]).max() > 0.1
+        for grid in (np.logspace(-3, -1, 20), np.logspace(-3, np.log10(2), 30)):
+            stacked_matches_reference(q, grid)
 
 
 def test_select_gamma_sorts_a_descending_grid():
@@ -749,7 +763,7 @@ def real_pencil_failures(q, ts):
     """The times of ts where lambda_min(A_t) > 0 on the complement of the
     singular space but LAPACK's Cholesky of A_t in the pencil fails."""
     rep = singular_space(q)
-    U = null_space(rep.basis.T).real
+    U = sla.null_space(rep.basis.T)
     Nbar = U.T @ twisted_form_matrix(graph_condition(rep).N) @ U
     pol = decompose._polar(q, ts, 1e-9, Checks(ts.shape))
     failed = []
@@ -999,7 +1013,7 @@ def test_gammas_fails_a_point_whose_pencil_cholesky_fails(monkeypatch):
     # A_t still fails: that grid point fails, as one with lambda_min <= 0 does
     q = kolmogorov()
     cert = graph_condition(singular_space(q))
-    U = null_space(singular_space(q).basis.T).real
+    U = sla.null_space(singular_space(q).basis.T)
     Nbar = U.T @ twisted_form_matrix(cert.N) @ U
     ts = np.array([1e-3, 1e-2, 5e-2])
     pol = decompose._polar(q, ts, 1e-9, Checks())

@@ -26,7 +26,6 @@ from qsemi import (
     miraculous_bound_check,
     op_norm_1_inf,
     op_norm_lower_gaussian,
-    twisted_kernel,
 )
 from qsemi import evolve, matfun, mehler
 from qsemi.errors import (
@@ -57,6 +56,7 @@ from qsemi.fixtures import (
 )
 from qsemi.mehler import GaussianKernel, MehlerSymbol, flow_kernel
 
+from oracles import twisted_kernel
 from test_mehler import fokker_planck_oracle, graph_fixtures, random_accretive_form
 
 

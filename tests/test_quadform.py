@@ -6,12 +6,11 @@ from qsemi import (
     QuadraticForm,
     block_decompose,
     conjugate_by_linear,
-    evaluate,
     hamilton_map,
     shear_transform,
     standard_J,
 )
-from qsemi.errors import DimensionMismatch, NotPSDWithinTol, SingularTransform
+from qsemi.errors import NotPSDWithinTol, SingularTransform
 from qsemi.fixtures import heat, kolmogorov, shifted_diagonal
 
 
@@ -59,37 +58,6 @@ def test_hamilton_map_kolmogorov_nilpotency():
     assert np.allclose(ImF @ ImF, 0, atol=1e-15)
 
 
-def test_evaluate_diagonal_isotropic():
-    assert abs(evaluate(shifted_diagonal(), [1.0, 1.0])) < 1e-15
-
-
-def test_evaluate_heat():
-    assert abs(evaluate(heat(1), [3.0, 2.0]) - 4.0) < 1e-14
-
-
-def test_evaluate_against_double_loop():
-    rng = np.random.default_rng(31)
-    Re = rng.standard_normal((4, 4))
-    q = QuadraticForm(2, (Re @ Re.T + 1j * (lambda S: S + S.T)(
-        rng.standard_normal((4, 4)))))
-    X = rng.standard_normal(4)
-    direct = sum(q.Q[i, j] * X[i] * X[j] for i in range(4) for j in range(4))
-    assert abs(evaluate(q, X) - direct) < 1e-12
-
-
-def test_evaluate_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        evaluate(heat(1), [1.0, 2.0, 3.0])
-
-
-def test_evaluate_quadratic_scaling():
-    rng = np.random.default_rng(37)
-    q = heat(2)
-    X = rng.standard_normal(4)
-    s = 1.7
-    assert abs(evaluate(q, s * X) - s ** 2 * evaluate(q, X)) < 1e-12
-
-
 def test_conjugate_identity():
     q = kolmogorov()
     assert np.allclose(conjugate_by_linear(q, np.eye(4)).Q, q.Q, atol=1e-15)
@@ -115,7 +83,7 @@ def test_conjugate_matches_substitution():
     qt = conjugate_by_linear(q, T)
     for _ in range(5):
         X = rng.standard_normal(4)
-        assert abs(evaluate(qt, X) - evaluate(q, T @ X)) < 1e-12
+        assert abs(X @ qt.Q @ X - (T @ X) @ q.Q @ (T @ X)) < 1e-12
 
 
 def test_conjugate_roundtrip():
