@@ -8,6 +8,7 @@ stabilizes.  The graph condition asks whether this real subspace is the graph
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,17 +65,23 @@ class GraphCertificate:
 def singular_space(q: QuadraticForm, tol: float = DEFAULT_TOL) -> SingularSpaceReport:
     """Compute S, its dimension and the global index k0.
 
-    All 2n iterates Re(Q) (Im F)^l are stacked, and one SVD of the stack
-    gives its rank (singular values >= tol * sigma_max, or >= tol when
-    sigma_max < tol), the two singular values bracketing it, and S, spanned
-    by the right singular vectors past it.  k0 is the first l whose prefix
-    stack of levels 0..l has that rank (the whole stack at l = 2n - 1).
+    All 2n iterates Re(Q) (Im F / c)^l are stacked, c the power of two
+    nearest max |Q_ij| (1 for Q = 0), and one SVD of the stack gives its rank
+    (singular values >= tol * sigma_max, or >= tol when sigma_max < tol),
+    the two singular values bracketing it, and S, spanned by the right
+    singular vectors past it.  k0 is the first l whose prefix stack of
+    levels 0..l has that rank (the whole stack at l = 2n - 1).  The kernels
+    do not see c; dividing by it, exactly, makes the rank decision the same
+    for every positive multiple of q, where level l would otherwise scale
+    as |Im F|^l and the top levels hide the lower ones' rank.
     tol must lie in (0, 1) (InvalidTolerance).
     """
     _check_tol(tol, "singular_space")
     n2 = 2 * q.n
     ReQ = q.Q.real
-    ImF = hamilton_map(q).imag
+    scale = np.abs(q.Q).max()  # |Q|_F would overflow above entries of 1e154
+    e = round(math.log2(scale)) if 0 < scale < math.inf else 0
+    ImF = np.ldexp(hamilton_map(q).imag, -e)
     blocks = []
     P = np.eye(n2)
     for _ in range(n2):
@@ -107,7 +114,9 @@ def graph_condition(report: SingularSpaceReport, tol: float = DEFAULT_TOL,
 
     G solves G (Pi_x basis) = Pi_xi basis in the least-squares sense and is
     extended by zero off the projection of S, which is the minimal Frobenius
-    norm choice.  tol must lie in (0, 1) (InvalidTolerance).
+    norm choice.  One SVD of Pi_x basis gives both its rank (full column rank
+    is the graph condition) and G, by the pseudo-inverse from that SVD.
+    tol must lie in (0, 1) (InvalidTolerance).
     """
     _check_tol(tol, "graph_condition")
     basis = np.asarray(report.basis, dtype=float)
@@ -118,12 +127,10 @@ def graph_condition(report: SingularSpaceReport, tol: float = DEFAULT_TOL,
         return GraphCertificate(G=Z, N=Z.copy(), Gsym=Z.copy())
     X = basis[:n, :]
     Xi = basis[n:, :]
-    sv = np.linalg.svd(X, compute_uv=False)
-    smax = sv[0] if sv.size else 0.0
-    thresh = tol * max(smax, 1.0)
-    if int((sv >= thresh).sum()) < d:
+    u, sv, vt = np.linalg.svd(X, full_matrices=False)
+    if int((sv >= tol * max(sv[0], 1.0)).sum()) < d:
         return None
-    G = Xi @ np.linalg.pinv(X, rcond=tol)
+    G = Xi @ (vt.T @ ((1 / sv)[:, None] * u.T))
     N = (G - G.T) / 2
     Gsym = (G + G.T) / 2
     return GraphCertificate(G=G, N=N, Gsym=Gsym)

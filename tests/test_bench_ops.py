@@ -57,6 +57,17 @@ def test_every_op_of_the_seed_1_pool_passes_its_check(workload, tmp_path):
     assert not failed
 
 
+def test_a_bench_form_with_a_large_im_q_keeps_its_singular_space(tmp_path):
+    # an n = 10 form of rank-n Re Q with Im Q scaled by 8: its first bracket
+    # has full rank, so S = {0} and k0 = 1, as at Im Q unscaled
+    re, im = workloads.random_form(np.random.default_rng(0), 10, 1)
+    path = tmp_path / "im8.json"
+    workloads.write_problem(path, 10, re, 8 * im)
+    rc, out = run(["analyze", str(path)])
+    rep = json.loads(out)
+    assert rc == cli.EXIT_OK and (rep["S_dim"], rep["k0"]) == (0, 1)
+
+
 def test_exponents_norms_match_the_symbol_route(tmp_path):
     ops = workloads.generate("exponents-sweep", 1, tmp_path)
     T = workloads.T_VALUES

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from qsemi import cli
 from qsemi.cli import EXIT_MATH, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, dumps_canonical, main
+from qsemi.mehler import twisted_form_matrix
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +167,19 @@ def test_a_grid_point_below_float_reach_is_gamma_collapsed(capsys, fixture):
     assert (rep["kind"], rep["error"]) == (
         "GammaCollapsed", "[decompose.select_gamma] polar factors failed at t = 1e-310: "
         "[decompose.polar_factors] A is not finite at t = 1e-310")
+
+
+@pytest.mark.parametrize("scale", [1000, 3000, 10000])
+def test_an_overflowing_flow_is_gamma_collapsed_without_a_warning(capsys, tmp_path, scale):
+    # a strongly twisted real form: exp(-2itJQ) overflows on the grid, the
+    # log fails those entries, and the steps after it run on them quietly
+    twist = np.array([[0, 0.6, -0.3], [-0.6, 0, 0.4], [0.3, -0.4, 0]])
+    Q = twisted_form_matrix(scale * twist)
+    path = write_problem(tmp_path, {"n": 3, "Q_re": Q.tolist(),
+                                    "Q_im": np.zeros_like(Q).tolist()})
+    for argv in (["decompose", path], ["verify", path, "--t", "0.001"]):
+        code, rep = run_quietly(capsys, *argv)
+        assert code == EXIT_MATH and rep["kind"] == "GammaCollapsed"
 
 
 @pytest.mark.parametrize("command", ["kernel", "evolve"])

@@ -705,8 +705,8 @@ def test_a_failure_only_at_t_raises_what_the_stages_raise_alone_at_t(monkeypatch
     assert (sel.gamma, sel.t0, sel.stop_reason) == (want.gamma, want.t0, want.stop_reason)
     q_sh = sel.factors.q_sheared
     with pytest.raises(QsemiError) as alone:
-        decompose._factors_at(q, q_sh, cert, twisted_form_matrix(cert.N), sel.gamma,
-                              sel.factors.alpha, decompose._polar(q_sh, t, 1e-9, Checks()),
+        decompose._factors_at(q, q_sh, cert, sel.gamma, sel.factors.alpha,
+                              decompose._polar(q_sh, t, 1e-9, Checks()),
                               tol=1e-9, checks=Checks())
     with pytest.raises(QsemiError) as built:
         build_decomposition(q, t)

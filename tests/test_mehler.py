@@ -42,7 +42,7 @@ from qsemi.fixtures import (
     x_squared,
 )
 from qsemi.evolve import norm_sweep, op_norm_edge
-from qsemi.matfun import Checks
+from qsemi.matfun import Checks, rounding_allowance
 from qsemi.mehler import (
     MehlerSymbol,
     _sqrt_det,
@@ -416,17 +416,23 @@ def test_inverse_twisted_zero_skew():
 
 
 def test_inverse_twisted_sandwich_random():
+    # NN <= R_s <= 2NN, which the build takes from the closed form unchecked:
+    # both differences have rank at most n in 2n dimensions, so their least
+    # eigenvalue is 0 up to rounding relative to |NN|_2, at any twist
     rng = np.random.default_rng(67)
-    n = 3
-    A = rng.standard_normal((n, n))
-    N = A - A.T
-    NN = twisted_form_matrix(N)
-    smax = 2 ** -0.5 / np.linalg.norm(NN, 2)
-    s = 0.5 * smax
-    Rs, pf = mehler_inverse_twisted(N, s)
-    assert np.linalg.eigvalsh(Rs - NN).min() >= -1e-10
-    assert np.linalg.eigvalsh(2 * NN - Rs).min() >= -1e-10
-    assert pf >= 1.0 - 1e-12
+    for n in (1, 2, 3, 5):
+        for size in (1.0, 1e3, 1e5):
+            A = rng.standard_normal((n, n))
+            N = A - A.T  # 0 at n = 1
+            N *= size / max(np.linalg.norm(N, 2), 1e-300)
+            NN = twisted_form_matrix(N)
+            nrm = np.linalg.norm(NN, 2)
+            allowance = rounding_allowance(2 * n) * nrm
+            for s in np.array([0.1, 0.5, 0.99]) * 2 ** -0.5 / nrm:
+                Rs, pf = mehler_inverse_twisted(N, s)
+                assert np.linalg.eigvalsh(Rs - NN).min() >= -allowance
+                assert np.linalg.eigvalsh(2 * NN - Rs).min() >= -allowance
+                assert pf >= 1.0 - 1e-12
 
 
 def test_inverse_twisted_regime_guard():

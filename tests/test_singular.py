@@ -237,10 +237,11 @@ def seeded_forms():
 
 def test_one_rank_decision_gives_dim_basis_gap_and_k0():
     # brute force: the rank of every prefix stack of levels 0..l, each
-    # judged against the whole stack's largest singular value
+    # judged against the whole stack's largest singular value, with Im F
+    # divided by the power of two nearest max |Q_ij|
     for q in seeded_forms():
         rep = singular_space(q)
-        ImF = hamilton_map(q).imag
+        ImF = hamilton_map(q).imag / 2.0 ** np.round(np.log2(np.abs(q.Q).max()))
         levels = [q.Q.real @ np.linalg.matrix_power(ImF, l) for l in range(2 * q.n)]
         smax = np.linalg.norm(np.vstack(levels), 2)
         thresh = rep.tol * smax if smax >= rep.tol else rep.tol
@@ -253,6 +254,34 @@ def test_one_rank_decision_gives_dim_basis_gap_and_k0():
         assert rep.basis.shape == (2 * q.n, rep.dim)
         assert np.abs(rep.basis.T @ rep.basis - np.eye(rep.dim)).max(initial=0.0) < 1e-12
         assert np.abs(np.vstack(levels) @ rep.basis).max(initial=0.0) <= 2 * thresh
+
+
+@pytest.mark.parametrize("c", [2.0 ** -20, 1 / 8, 8, 2.0 ** 20, 2.0 ** 400])
+def test_the_rank_decision_does_not_see_the_scale_of_q(c):
+    # S and k0 are those of c q; each level of the stack scales as |Im F|^l,
+    # and unscaled the top levels would hide the rank of the lower ones
+    for q in seeded_forms():
+        rep, scaled = singular_space(q), singular_space(QuadraticForm(q.n, c * q.Q))
+        assert (scaled.dim, scaled.k0) == (rep.dim, rep.k0)
+
+
+@pytest.mark.parametrize("c", [1 / 8, 8, 2.0 ** 20])
+def test_the_rank_decision_does_not_see_the_scale_of_im_q(c):
+    # S and k0 are those of Re Q + i c Im Q for c > 0 (a tiny Im Q, c = 2^-20,
+    # is judged as rounding: test_stability_under_perturbation)
+    for q in seeded_forms():
+        rep = singular_space(q)
+        scaled = singular_space(QuadraticForm(q.n, q.Q.real + 1j * c * q.Q.imag))
+        assert (scaled.dim, scaled.k0) == (rep.dim, rep.k0)
+
+
+def test_entries_whose_squares_overflow_are_judged_too():
+    # |Q|_F overflows here (the constructor's own norm too, hence errstate),
+    # while the scaled stack stays finite: Re Q = 1e200 I, so S = {0}
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = QuadraticForm(1, 1e200 * np.eye(2) + 1e300j * np.array([[0, 1], [1, 0]]))
+    rep = singular_space(q)
+    assert (rep.dim, rep.k0) == (0, 0)
 
 
 def svd_spy(monkeypatch, *, full: bool):
