@@ -57,7 +57,6 @@ from .quadform import (
     BlockForm,
     QuadraticForm,
     block_decompose,
-    conjugate_by_linear,
     hamilton_map,
     shear_transform,
     standard_J,

@@ -24,35 +24,41 @@ t at once, and the public stage functions run at one t.  A stacked pass
 records each failed entry's first error (matfun.Checks), so no entry is run
 again alone to learn it.
 
-Matrix functions: a time point of the build forms three exponentials, each
+Matrix functions: a time point of the build forms two exponentials, each
 once, and three principal logs (matfun.log_principal: truncated Taylor sums
 by Paterson-Stockmeyer, the whole stack in one pass of matmuls, with no
-solve where no entry needs a square root).  exp(-2itJQ), one
-matrix over the grid and t, comes from one matfun.expm_grid call, Taylor
-sums on one set of powers of -2iJQ; exp(2itJA) and e^{tM}, distinct at each
-time, from matfun.expm, which takes the whole grid in one stacked pass of
-Taylor sums.  For X = JS with S symmetric, J^T X^T J = -X, so exp(-X) =
-J^T exp(X)^T J (matfun.symplectic_inverse).
+solve where no entry needs a square root).  exp(-2itJQ), one matrix over
+the grid and t, comes from one matfun.expm_grid call, Taylor sums on one set
+of powers of -2iJQ; exp(2itJA), distinct at each time, from matfun.expm,
+which takes the whole grid in one stacked pass of Taylor sums.  For X = JS
+with S symmetric, J^T X^T J = -X, so exp(-X) = J^T exp(X)^T J
+(matfun.symplectic_inverse).
 _polar forms exp(-2itJQ) and exp(2itJA), with A from the log of
 exp(-4itJA) = exp(-2itJQ) exp(-2itJ conj Q);
 exp(-2itJ conj Q) is the conjugate of exp(2itJQ) = J^T exp(-2itJQ)^T J, and
 exp(-2itJA) = J^T exp(2itJA)^T J.  S = exp(2tJB) is the real part of
 exp(2itJA) exp(-2itJQ), taken with no log of B and no exponential of it.
-_polar keeps exp(-2itJA) and S on PolarFactors.  _unitary reads (D, M, W),
-with the log of S22^T, off S and
-checks them against the product of the three factors in closed form: the
-shears are I + X with X^2 = 0, and only e^{tM} (n x n) takes expm.  _strang
+_polar keeps exp(-2itJA), S and exp(-2itJQ) on PolarFactors.  _unitary
+reads (D, M, W), with the log of S22^T, off S.  The two residuals, of the
+polar split against exp(-2itJQ) and of the product of the three factors
+against S (in closed form: the shears are I + X with X^2 = 0, and only
+e^{tM}, n x n, takes expm), are formed when read, at the entries read:
+decompose reports them at t, and verify never forms them.  _strang
 multiplies the kept exp(-2itJA) by exp(2iJ sR_s), the Cayley transform that
 inverse_twisted forms with R_s from one n x n solve (no log, no expm), and
 takes the log of the product.  The sandwich NN <= R_s <= 2NN is not checked
 again: it holds by inverse_twisted's closed form.  Each
 (c tJ)^{-1} L is J^T L / (c t), with no solve.  The public stage functions
-form their own exponentials, by the same two routes.  verify_decomposition forms
-its five distinct shadows (the twisted one, on both sides of the middle
-term, once) in one scipy.linalg.expm call on their stack, a second
-implementation of the exponential, so its matrix residual checks these
-closed forms and matfun.expm independently.  Its kernel residual takes the
-symbols of p_t and q from one matfun.expm call (mehler.stacked_symbol).
+form their own exponentials, by the same two routes.  The sheared form that
+select_gamma runs on is gated once: a shear has determinant 1 and cannot
+break what QuadraticForm checked of q (quadform._congruence_unchecked).
+verify_decomposition forms its five distinct shadows (the twisted one, on
+both sides of the middle term, once) in one scipy.linalg.expm call on their
+stack, a second implementation of the exponential, so its matrix residual
+checks these closed forms and matfun.expm independently.  Its kernel
+residual takes the symbols of p_t and q from one matfun.expm call
+(mehler.stacked_symbol), and the transport e^{-tM} from the oracle's
+transport shadow.
 """
 from __future__ import annotations
 
@@ -96,7 +102,7 @@ from .mehler import (
 )
 from .quadform import (
     QuadraticForm,
-    conjugate_by_linear,
+    _congruence_unchecked,
     embed_cross,
     embed_xixi,
     shear_transform,
@@ -119,21 +125,24 @@ STRANG_RADIUS = np.log(2) / 6
 class PolarFactors:
     """Real forms a_t, b_t with exp(-2itJA) exp(2tJB) = exp(-2itJQ).
 
-    EA = exp(-2itJA) and S = exp(2tJB) are the two factors of that identity:
-    the unitary split reads (D, M, W) off S and the Strang middle term
-    multiplies by EA.  S is read off exp(2itJA) exp(-2itJQ) with no log, so
-    B = (2tJ)^-1 log S is formed only when read, by the principal log
-    (BranchCut where S leaves its branch); the build never reads it.
+    EA = exp(-2itJA) and S = exp(2tJB) are the two factors of that identity,
+    E1 = exp(-2itJQ) its right-hand side: the unitary split reads (D, M, W)
+    off S and the Strang middle term multiplies by EA.  S is read off
+    exp(2itJA) exp(-2itJQ) with no log, so B = (2tJ)^-1 log S is formed only
+    when read, by the principal log (BranchCut where S leaves its branch);
+    the build never reads it.  recon_residual, the Frobenius distance
+    between EA S and E1, is formed when read too: decompose reports it at t,
+    and verify never reads it.
 
-    Over a grid of T times, t, A, EA, S and recon_residual are stacked:
-    shapes (T,), (T, 2n, 2n) for the three matrices and (T,); indexing picks
+    Over a grid of T times, t, A, EA, S, E1 and recon_residual are stacked:
+    shapes (T,), (T, 2n, 2n) for the four matrices and (T,); indexing picks
     one time.
     """
     t: float
     A: np.ndarray
     EA: np.ndarray
     S: np.ndarray
-    recon_residual: float
+    E1: np.ndarray = field(repr=False)
     _B: np.ndarray | None = field(default=None, repr=False)  # b_t, once formed
 
     @property
@@ -145,9 +154,14 @@ class PolarFactors:
             self._B = (B + B.mT) / 2
         return self._B
 
+    @property
+    def recon_residual(self):
+        # E1 overflows at large t, where its entry has failed
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _fro(self.EA @ self.S - self.E1)[()]
+
     def __getitem__(self, i) -> "PolarFactors":
-        return PolarFactors(self.t[i], self.A[i], self.EA[i], self.S[i],
-                            self.recon_residual[i])
+        return PolarFactors(self.t[i], self.A[i], self.EA[i], self.S[i], self.E1[i])
 
 
 @dataclass
@@ -157,16 +171,29 @@ class UnitaryFactors:
         exp(2tJB) = exp(-2tJ [[0,0],[0,D]]) exp(-tJ [[0,M^T],[M,0]])
                     exp(tJ [[W,0],[0,0]]).
 
-    residual is the Frobenius distance between that product and exp(2tJB).
-    iterations is always 0, as the split is read off in closed form; the
-    field is kept for its reader, bench/spans.py, which sums it into a
-    per-op counter.
+    residual, the Frobenius distance between that product and S =
+    exp(2tJB), is formed when read (_three_factor_product): decompose
+    reports it at t, and verify never reads it.  iterations is always 0, as
+    the split is read off in closed form; the field is kept for its reader,
+    bench/spans.py, which sums it into a per-op counter.
+
+    Over a grid of T times, D, M, W, t and S are stacked; indexing picks
+    one time.
     """
     D: np.ndarray
     M: np.ndarray
     W: np.ndarray
-    residual: float
-    iterations: int
+    t: float = field(repr=False)
+    S: np.ndarray = field(repr=False)
+    iterations: int = 0
+
+    @property
+    def residual(self):
+        t = np.asarray(self.t, dtype=float)[..., None, None]
+        return _fro(_three_factor_product(self.D, self.M, self.W, t) - self.S)[()]
+
+    def __getitem__(self, i) -> "UnitaryFactors":
+        return replace(self, D=self.D[i], M=self.M[i], W=self.W[i], t=self.t[i], S=self.S[i])
 
 
 @dataclass
@@ -202,12 +229,9 @@ class DecompositionFactors:
     q_sheared: QuadraticForm = field(repr=False, default=None)
 
     def __getitem__(self, i) -> "DecompositionFactors":
-        u = self.unitary
         return replace(self, t=self.t[i], c_t=self.c_t[i], Pt=self.Pt[i],
-                       unitary=replace(u, D=u.D[i], M=u.M[i], W=u.W[i],
-                                       residual=u.residual[i]),
-                       Rs=self.Rs[i], prefactor=self.prefactor[i], s=self.s[i],
-                       polar=self.polar[i])
+                       unitary=self.unitary[i], Rs=self.Rs[i],
+                       prefactor=self.prefactor[i], s=self.s[i], polar=self.polar[i])
 
 
 def _fro(X) -> np.ndarray:
@@ -259,8 +283,7 @@ def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
                lambda i: f"imag part of S has norm {imag.flat[i]:.3e} at its generator",
                module=_MOD, operation=op)
         S = np.ascontiguousarray(S.real)
-        recon = _fro(EA @ S - E1)
-    return PolarFactors(t[()], A, EA, S, recon[()])
+    return PolarFactors(t[()], A, EA, S, E1)
 
 
 def polar_factors(q: QuadraticForm, t: float, *, tol: float = DEFAULT_TOL) -> PolarFactors:
@@ -273,7 +296,7 @@ def polar_factors(q: QuadraticForm, t: float, *, tol: float = DEFAULT_TOL) -> Po
     """
     if t == 0:
         I = np.eye(2 * q.n)
-        return PolarFactors(0.0, q.Q.real.copy(), I, I.copy(), 0.0, q.Q.imag.copy())
+        return PolarFactors(0.0, q.Q.real.copy(), I, I.copy(), I.copy(), q.Q.imag.copy())
     return _polar(q, t, tol, Checks())
 
 
@@ -299,15 +322,15 @@ def _unitary(S, t, tol: float, checks: Checks) -> UnitaryFactors:
     """unitary_factorization of S = exp(2tJB) at t > 0, a time or an array of
     times (S and the factors stacked over them)."""
     n = S.shape[-1] // 2
-    t = np.asarray(t, dtype=float)[..., None, None]
+    t = np.asarray(t, dtype=float)
+    t_ = t[..., None, None]
     S12, S21, S22 = S[..., :n, n:], S[..., n:, :n], S[..., n:, n:]
-    M = _log(S22.mT, tol, checks).real / t
+    M = _log(S22.mT, tol, checks).real / t_
     S22 = checks.clean(S22, np.eye(n))
-    W = -np.linalg.solve(S22, S21) / t
-    D = -np.linalg.solve(S22.mT, S12.mT).mT / (2 * t)
+    W = -np.linalg.solve(S22, S21) / t_
+    D = -np.linalg.solve(S22.mT, S12.mT).mT / (2 * t_)
     D, W = (D + D.mT) / 2, (W + W.mT) / 2
-    res = _fro(_three_factor_product(D, M, W, t) - S)
-    return UnitaryFactors(D=D, M=M, W=W, residual=res[()], iterations=0)
+    return UnitaryFactors(D=D, M=M, W=W, t=t[()], S=S)
 
 
 def unitary_factorization(B, t: float) -> UnitaryFactors:
@@ -326,7 +349,7 @@ def unitary_factorization(B, t: float) -> UnitaryFactors:
     n = B.shape[0] // 2
     if t == 0:
         return UnitaryFactors(D=-B[n:, n:], M=-2 * B[n:, :n], W=2 * B[:n, :n],
-                              residual=0.0, iterations=0)
+                              t=0.0, S=np.eye(2 * n))
     return _unitary(expm(2 * t * standard_J(n) @ B), t, DEFAULT_TOL, Checks())
 
 
@@ -477,7 +500,8 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
              "not positive", module=_MOD, operation="select_gamma")
     G = t_grid.size
     times[:G] = t_grid = np.sort(t_grid)
-    q_sheared = conjugate_by_linear(q, shear_transform(cert.Gsym))
+    # a shear has determinant 1: q_sheared needs none of QuadraticForm's checks
+    q_sheared = _congruence_unchecked(q, shear_transform(cert.Gsym))
     alpha = 2 * report.k0 + 1
     # S(q o T) = T^-1 S(q) (T^-1: shear by -Gsym), of the dimension that
     # singular_space decided: its orthogonal complement, with no rank decision
@@ -550,6 +574,8 @@ def verify_decomposition(f: DecompositionFactors) -> dict:
     shadow, used on both sides of the middle term, the middle, dispersion and
     transport shadows, and exp(-2itJQ)) come from one scipy.linalg.expm call
     on their stack, independent of the build's closed forms and matfun.expm.
+    The transport shadow is diag(e^{-tM}, e^{tM^T}), so its upper-left block
+    is also the kernel's transport: verify makes no other scipy call.
 
     kernel_residual: relative distance between the composed Gaussian kernel
     of all factors (scalar prefactors included) and the kernel synthesized
@@ -581,7 +607,7 @@ def verify_decomposition(f: DecompositionFactors) -> dict:
     k = twisted_sandwich(k, f.N, 2 * s)
     k = kernel_left_phase(k, f.Gsym)
     k = kernel_right_dispersion(k, -u.D, t)
-    k = kernel_right_transport(k, u.M, t)
+    k = kernel_right_transport(k, u.M, t, transport[:n, :n].real)
     k = kernel_right_phase(k, -t * u.W - f.Gsym)
     k = GaussianKernel(n, k.c * f.c_t, k.K)
 

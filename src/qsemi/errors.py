@@ -40,10 +40,6 @@ class ConjugatePointOnPath(QsemiError):
     pass
 
 
-class SingularTransform(QsemiError):
-    pass
-
-
 class NotPSDWithinTol(QsemiError):
     pass
 

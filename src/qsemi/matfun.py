@@ -16,11 +16,12 @@ expm_grid, whose Taylor sums, of expm's degrees and squarings
 (_degree_and_squarings), share one set of powers of the matrix; a stack of
 distinct matrices takes expm.  The exponential of a Hamiltonian X = JS, S
 complex symmetric, has its inverse exp(-X) from symplectic_inverse, with no
-rounding.  decompose.verify_decomposition and the kernel transport it
-applies keep scipy.linalg.expm as an independent oracle.  A computation on a
-stack reports its failed checks through Checks: it raises at the first
-failing entry, or records each failing entry with its first error and goes
-on, so that one pass over a grid finds every entry that fails, and why.
+rounding.  decompose.verify_decomposition keeps scipy.linalg.expm as an
+independent oracle, for its shadows and the kernel transport it applies.  A
+computation on a stack reports its failed checks through Checks: it raises
+at the first failing entry, or records each failing entry with its first
+error and goes on, so that one pass over a grid finds every entry that
+fails, and why.
 """
 from __future__ import annotations
 
@@ -135,8 +136,9 @@ class Checks:
 
     def clean(self, X, benign):
         """X (one value, vector or matrix per entry) with the entries failed
-        so far replaced by benign."""
-        if self.bad is None:
+        so far replaced by benign: X itself, not a copy, while none has
+        failed."""
+        if self.bad is None or not self.bad.any():
             return X
         bad = self.bad.reshape(self.bad.shape + (1,) * (np.ndim(X) - self.bad.ndim))
         return np.where(bad, benign, X)
@@ -346,7 +348,9 @@ def expm(X) -> np.ndarray:
     if s.any():
         A = A * 2.0 ** -s[:, None, None]
     E = _add_identity(_taylor_ps(A, top, _EXP_BLOCK, _EXP_TOP), 1)
-    return _square(E, s).reshape(X.shape)
+    # an entry whose exponential overflows squares to inf or nan, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _square(E, s).reshape(X.shape)
 
 
 def expm_grid(B, t) -> np.ndarray:
@@ -539,6 +543,20 @@ def psd_check(H, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     Hs = (H + H.conj().mT) / 2
     lam_min = float(np.linalg.eigvalsh(Hs).min()) if H.size else 0.0
     return lam_min >= -tol, lam_min
+
+
+def frobenius(X) -> float:
+    """|X|_F of one matrix, as |X 2^-e|_F 2^e with 2^e the power of two at or
+    below max |X_ij| when that is above 1 and finite (smaller entries cannot
+    overflow, and an inf or nan entry is left to np.linalg.norm).  The
+    scaling is exact, so this is np.linalg.norm(X) wherever that is finite,
+    and it overflows only where |X|_F does, not where np.linalg.norm squares
+    entries above 1e154."""
+    big = float(np.abs(X).max(initial=0.0))
+    if not 1 < big < math.inf:
+        return float(np.linalg.norm(X))
+    e = math.frexp(big)[1] - 1
+    return float(np.linalg.norm(X * 2.0 ** -e)) * 2.0 ** e
 
 
 def rounding_allowance(m: int) -> float:

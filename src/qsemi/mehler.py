@@ -27,8 +27,9 @@ decides the conjugate points for every t, one matfun.expm call on the stack
 of itJQ gives cos(tJQ) and sin(tJQ) at every entry (with exp(-itJQ) =
 J^T exp(itJQ)^T J), and the Pfaffian, the tan solve, the kernel blocks and
 every positivity check run on the stack.  kernel_right_transport, which only
-verify_decomposition applies, keeps scipy.linalg.expm, the oracle's
-exponential.  This symbol route serves the mehler, kernel and evolve
+verify_decomposition applies, takes e^{-tM} from its caller, which forms it
+with the oracle's exponential (scipy.linalg.expm); this module calls no
+scipy.  This symbol route serves the mehler, kernel and evolve
 commands and verify_decomposition, whose oracle it stays.
 
 Norms: flow_kernel gives the kernels of a sweep straight from the flow
@@ -45,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     ConjugatePointOnPath,
@@ -583,11 +583,12 @@ def kernel_right_phase(k: GaussianKernel, theta) -> GaussianKernel:
     return GaussianKernel(n, k.c, K)
 
 
-def kernel_right_transport(k: GaussianKernel, M, t: float) -> GaussianKernel:
-    """Right-compose with the transport flow u -> u(e^{tM} .)."""
+def kernel_right_transport(k: GaussianKernel, M, t: float, T) -> GaussianKernel:
+    """Right-compose with the transport flow u -> u(e^{tM} .), given its
+    inverse T = e^{-tM}, which the caller forms; the prefactor is
+    exp(-t tr M)."""
     M = np.asarray(M, dtype=float)
     n = k.n
-    T = sla.expm(-t * M)
     E = np.block([[np.eye(n), np.zeros((n, n))], [np.zeros((n, n)), T]])
     K = E.T @ k.K @ E
     c = k.c * np.exp(-t * np.trace(M))

@@ -1,6 +1,6 @@
 """Quadratic forms on phase space R^{2n}: the symplectic matrix J, Hamilton
-maps, the (r, L, b) block convention, and conjugation by linear changes of
-variables.
+maps, the (r, L, b) block convention, phase-space shears and the form of q
+after one.
 
 Conventions used throughout the package:
   * a form q is stored as the unique complex symmetric Q with q(X) = QX.X
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSDWithinTol, SingularTransform
-from .matfun import DEFAULT_TOL, psd_check
+from .errors import DimensionMismatch, NotPSDWithinTol
+from .matfun import DEFAULT_TOL, frobenius, psd_check
 
 _MOD = "quadform"
 
@@ -60,8 +60,8 @@ class QuadraticForm:
         if not np.all(np.isfinite(Q.real)) or not np.all(np.isfinite(Q.imag)):
             raise DimensionMismatch("Q has non-finite entries",
                                     module=_MOD, operation="QuadraticForm")
-        scale = max(np.linalg.norm(Q), 1.0)
-        asym = np.linalg.norm(Q - Q.T)
+        scale = max(frobenius(Q), 1.0)
+        asym = frobenius(Q - Q.T)
         if asym > _SYM_TOL * scale:
             warnings.warn(
                 f"symmetrizing Q: asymmetry {asym:.3e} exceeds {_SYM_TOL:.0e} "
@@ -81,17 +81,15 @@ def hamilton_map(q: QuadraticForm) -> np.ndarray:
     return standard_J(q.n) @ q.Q
 
 
-def conjugate_by_linear(q: QuadraticForm, T) -> QuadraticForm:
-    """Form of q(TX), i.e. matrix T^T Q T; T must be a real 2n x 2n with
-    |det T| >= DEFAULT_TOL (SingularTransform otherwise)."""
-    T = np.asarray(T, dtype=float)
-    if T.shape != (2 * q.n, 2 * q.n):
-        raise DimensionMismatch(f"T must be {2*q.n}x{2*q.n}, got {T.shape}",
-                                module=_MOD, operation="conjugate_by_linear")
-    if abs(np.linalg.det(T)) < DEFAULT_TOL:
-        raise SingularTransform("T is numerically singular",
-                                module=_MOD, operation="conjugate_by_linear")
-    return QuadraticForm(q.n, T.T @ q.Q @ T, q.tol)
+def _congruence_unchecked(q: QuadraticForm, T) -> QuadraticForm:
+    """The form of q(TX), of matrix T^T Q T symmetrized as QuadraticForm
+    does, with none of QuadraticForm's checks: for a real T of determinant 1
+    (decompose.select_gamma's shear), whose congruence cannot break the
+    symmetry, finiteness or Re Q >= 0 that q was validated for."""
+    Q = T.T @ q.Q @ T
+    form = object.__new__(QuadraticForm)
+    form.n, form.Q, form.tol = q.n, (Q + Q.T) / 2, q.tol
+    return form
 
 
 def shear_transform(Gsym) -> np.ndarray:

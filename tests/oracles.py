@@ -1,13 +1,22 @@
 """Reference computations that the tests compare the library against, and
 that no command or pipeline stage of the library needs.
 
-    from oracles import twisted_kernel
+    from oracles import conjugate_by_linear, twisted_kernel
 
 pytest puts this directory on sys.path, so a test module imports it by name.
 """
 import numpy as np
 
 from qsemi.mehler import GaussianKernel
+from qsemi.quadform import QuadraticForm
+
+
+def conjugate_by_linear(q: QuadraticForm, T) -> QuadraticForm:
+    """The form of q(TX), of matrix T^T Q T, validated as any QuadraticForm
+    (the library's one congruence, quadform._congruence_unchecked, is for
+    the shear of select_gamma and skips that)."""
+    T = np.asarray(T, dtype=float)
+    return QuadraticForm(q.n, T.T @ q.Q @ T, q.tol)
 
 
 def twisted_kernel(N, eps: float) -> GaussianKernel:

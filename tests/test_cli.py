@@ -339,6 +339,24 @@ def test_positivity_of_re_q_is_judged_at_the_runs_tolerance(tmp_path, capsys, mo
         assert f"lambda_min = {lam_min:.3e}" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("re00", [-1e150, -1e160, -1e300])
+def test_a_far_from_positive_re_q_with_large_entries_is_refused(tmp_path, capsys, re00):
+    # QuadraticForm's scale |Q|_F is taken with no overflow: past entries of
+    # 1e154 it was inf, and so was its tolerance on lambda_min(Re Q)
+    path = write_problem(tmp_path, {"n": 1, "Q_re": [[re00, 0.0], [0.0, 1.0]]})
+    code, rep = run_quietly(capsys, "analyze", path)
+    assert code == EXIT_PARSE and rep["kind"] == "ParseError"
+    assert "Re Q must be positive semidefinite" in rep["error"]
+
+
+def test_a_large_im_q_widens_the_positivity_tolerance_with_no_warning(tmp_path, capsys):
+    # lambda_min(Re Q) = -1e200 lies within the tolerance 1e-9 |Q|_F ~ 1.4e291
+    path = write_problem(tmp_path, {"n": 1, "Q_re": [[-1e200, 0.0], [0.0, 1.0]],
+                                    "Q_im": [[0.0, 1e300], [1e300, 0.0]]})
+    code, rep = run_quietly(capsys, "analyze", path)
+    assert code == EXIT_OK and rep["S_dim"] == 1
+
+
 def test_missing_input_is_parse_error(capsys):
     code, out = run_cli(capsys, "analyze")
     assert code == EXIT_PARSE

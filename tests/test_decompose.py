@@ -12,7 +12,6 @@ import scipy.linalg as sla
 from qsemi import (
     QuadraticForm,
     build_decomposition,
-    conjugate_by_linear,
     get_fixture,
     kernel_from_symbol,
     mehler_inverse_twisted,
@@ -52,6 +51,8 @@ from qsemi.mehler import (
 )
 from qsemi.quadform import embed_cross, embed_xixi
 from qsemi.singular import graph_condition
+
+from oracles import conjugate_by_linear
 
 
 GRAPH_FIXTURES = ("heat", "harmonic", "kolmogorov", "fokker-planck", "shifted-diagonal")
@@ -226,14 +227,17 @@ class CountedExpm:
 
 def test_build_three_exponentials_per_time_point(monkeypatch):
     # two in the polar split, exp(-2itJQ) and exp(2itJA), each with its
-    # inverse by matfun.symplectic_inverse, and e^{tM}: exp(-2itJQ), one
-    # matrix over the times, from one matfun.expm_grid entry per time, and
-    # the two others, distinct per time, by matfun.expm; and three logs, the
-    # polar split's of exp(-4itJA), the unitary split's of S22^T and the
-    # Strang middle term's.  verify_decomposition forms its five distinct
-    # shadows (the twisted one, on both sides of the middle term, once) in
-    # one call of scipy's expm, independently of those closed forms, and the
-    # symbols of p_t and q in one call of matfun.expm
+    # inverse by matfun.symplectic_inverse: exp(-2itJQ), one matrix over the
+    # times, from one matfun.expm_grid entry per time, and exp(2itJA),
+    # distinct per time, by matfun.expm; and three logs, the polar split's
+    # of exp(-4itJA), the unitary split's of S22^T and the Strang middle
+    # term's.  e^{tM} is formed only where the unitary residual is read:
+    # decompose reads it at t, one entry, and verify never.
+    # verify_decomposition forms its five distinct shadows (the twisted one,
+    # on both sides of the middle term, once) in one call of scipy's expm,
+    # independently of those closed forms, and takes the kernel's transport
+    # from that call too; the symbols of p_t and q take one call of
+    # matfun.expm
     counted = CountedExpm(matfun.expm)
     for module in (decompose, matfun):
         monkeypatch.setattr(module, "expm", counted)
@@ -253,11 +257,14 @@ def test_build_three_exponentials_per_time_point(monkeypatch):
         monkeypatch.setattr(module, "log_principal", counted_log)
     f = build_decomposition(kolmogorov(), 0.05)
     points = len(decompose.default_t_grid()) + 1
-    assert counted.entries == 2 * points
+    assert counted.entries == points
     assert grid == [points]
     assert sum(logs) == 3 * points
+    assert f.unitary.residual < 1e-13
+    assert counted.entries == points + 1
+    # scipy's expm counted wherever the library reaches it
     shadows, counted.calls, counted.entries = CountedExpm(), 0, 0
-    monkeypatch.setattr(decompose, "sla", shadows)
+    monkeypatch.setattr(sla, "expm", shadows.expm)
     verify_decomposition(f)
     assert (shadows.calls, shadows.entries) == (1, 5)
     assert (counted.calls, counted.entries) == (1, 2)
@@ -333,6 +340,24 @@ def test_polar_forms_b_from_s_when_read():
     assert np.array_equal(polar_factors(q, 0.0).B, q.Q.imag)
     stacked = decompose._polar(q, np.array([0.01, 0.02]), 1e-9, Checks(2))
     assert np.array_equal(stacked.B[1], stacked[1].B)
+
+
+def test_residuals_formed_on_read_match_the_stacked_formulas():
+    # the residuals are formed when read, on the entries read: the stacked
+    # pass's value at each entry, as the build once formed them all, and the
+    # one decompose reports at t, to the bit
+    for name in GRAPH_FIXTURES:
+        q, t = get_fixture(name), 0.03
+        rep = singular_space(q)
+        stacked = select_gamma(q, rep, graph_condition(rep), t=t).factors
+        u, pol = stacked.unitary, stacked.polar
+        res = decompose._fro(_three_factor_product(u.D, u.M, u.W, u.t[:, None, None]) - u.S)
+        recon = decompose._fro(pol.EA @ pol.S - pol.E1)
+        assert np.array_equal(u.residual, res) and np.array_equal(pol.recon_residual, recon)
+        for i in range(len(res)):
+            assert (u[i].residual, pol[i].recon_residual) == (res[i], recon[i]), (name, i)
+        f = build_decomposition(q, t)
+        assert (f.unitary.residual, f.polar.recon_residual) == (res[-1], recon[-1]), name
 
 
 # --- Strang middle term --------------------------------------------------------
@@ -675,7 +700,7 @@ def test_verify_runs_each_stage_once(capsys, monkeypatch):
     from qsemi import quadform, singular
     calls = {name: count_calls(monkeypatch, module, name)
              for module, name in ((singular, "singular_space"),
-                                  (quadform, "conjugate_by_linear"),
+                                  (quadform, "_congruence_unchecked"),
                                   (decompose, "_polar"), (decompose, "_factors_at"))}
     assert cli.main(["verify", "--fixture", "kolmogorov"]) == cli.EXIT_OK
     capsys.readouterr()
@@ -923,7 +948,7 @@ def test_kolmogorov_splitting_kernel_level():
     Mtrans = np.array([[0.0, 1.0], [0.0, 0.0]])  # v d/dx
 
     k_diff = kernel_from_symbol(mehler_symbol(q_diff, t))
-    k_split = kernel_right_transport(k_diff, Mtrans, t)
+    k_split = kernel_right_transport(k_diff, Mtrans, t, sla.expm(-t * Mtrans))
     k_full = kernel_from_symbol(mehler_symbol(q_full, t))
     assert abs(k_split.c - k_full.c) < 1e-10 * abs(k_full.c)
     assert np.linalg.norm(k_split.K - k_full.K) < 1e-9
@@ -977,7 +1002,8 @@ def reference_residuals(f):
     matrix_residual = np.linalg.norm(shadow - sla.expm(-2j * t * J @ q.Q))
     k = kernel_from_symbol(mehler_symbol(QuadraticForm(n, f.Pt), t))
     k = kernel_left_phase(twisted_sandwich(k, f.N, 2 * s), f.Gsym)
-    k = kernel_right_transport(kernel_right_dispersion(k, -u.D, t), u.M, t)
+    k = kernel_right_transport(kernel_right_dispersion(k, -u.D, t), u.M, t,
+                               sla.expm(-t * u.M))
     k = kernel_right_phase(k, -t * u.W - f.Gsym)
     target = kernel_from_symbol(mehler_symbol(q, t))
     dc = abs(k.c * f.c_t - target.c) / abs(target.c)

@@ -8,6 +8,7 @@ below recomputes these from truncated scalar series, independent of the
 matrix routines under test.
 """
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -47,6 +48,7 @@ from qsemi.matfun import (
     cos_sin_sqrt_det,
     expm,
     expm_grid,
+    frobenius,
     log_principal,
     pfaffian,
     symplectic_inverse,
@@ -406,6 +408,17 @@ def test_recording_checks_name_each_failure_of_a_loop():
         2: "[m.a] upper margin -6.0"}
 
 
+def test_clean_copies_only_once_an_entry_has_failed():
+    # until an entry fails, clean hands X back as it is, with no copy
+    X = np.arange(12.0).reshape(3, 2, 2)
+    checks = Checks((3,))
+    assert checks.clean(X, 0) is X
+    checks(np.array([False, True, False]), NonSquare, "planted", module="m", operation="a")
+    cleaned = checks.clean(X, -1.0)
+    assert cleaned is not X and np.array_equal(X, np.arange(12.0).reshape(3, 2, 2))
+    assert np.array_equal(cleaned[[0, 2]], X[[0, 2]]) and (cleaned[1] == -1).all()
+
+
 def test_log_exp_roundtrip_random():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -698,6 +711,22 @@ def test_expm_matches_its_out_of_place_evaluation():
     assert np.array_equal(E[[0, 3]], reference_expm(X[[0, 3]]))
 
 
+def test_expm_squares_an_overflowing_entry_quietly():
+    # the first stack of test_expm_matches_its_out_of_place_evaluation (real,
+    # k = 1), whose last entry, of norm 1e3, overflows in its squarings: it
+    # comes out inf with no warning, and the others as they would alone
+    rng = np.random.default_rng(29)
+    norms = [f * theta for theta in _TAYLOR_THETA.values() for f in (0.5, 0.99)]
+    norms += [0.0, 6.0, 40.0, 1e3]
+    X = rng.standard_normal((2, len(norms), 1, 1))[0]
+    X = X * (np.array(norms) / _norm1(X))[:, None, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = expm(X)
+    assert np.isposinf(E[-1]).all()
+    assert np.array_equal(E[:-1], reference_expm(X[:-1]))
+
+
 def test_expm_of_an_empty_stack():
     for dtype in (float, complex):
         E = expm(np.zeros((0, 4, 4), dtype=dtype))
@@ -907,6 +936,23 @@ def test_a_failing_entry_keeps_its_error_and_index(site, t, error, message, inde
 
 
 # --- PSD checks --------------------------------------------------------------
+
+def test_frobenius_is_numpys_norm_where_that_is_finite():
+    # the scaling by a power of two is exact: the same bits on matrices of
+    # every scale that np.linalg.norm reaches, and a finite norm past them
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        k = rng.integers(1, 7)
+        X = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-150, 150)
+        for Y in (X, X + 1j * X[::-1]):
+            assert frobenius(Y) == np.linalg.norm(Y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius(np.array([[-1e160, 0], [0, 1]])) == 1e160
+        assert frobenius(np.array([[3e200, 4e200j]])) == pytest.approx(5e200, rel=1e-15)
+        assert frobenius(np.full((2, 2), 1.5e308)) == np.inf
+    assert frobenius(np.zeros((0, 0))) == 0.0
+
 
 def test_psd_check_examples():
     ok, lam = psd_check(np.eye(2))

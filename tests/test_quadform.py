@@ -5,13 +5,14 @@ import pytest
 from qsemi import (
     QuadraticForm,
     block_decompose,
-    conjugate_by_linear,
     hamilton_map,
     shear_transform,
     standard_J,
 )
-from qsemi.errors import NotPSDWithinTol, SingularTransform
+from qsemi.errors import NotPSDWithinTol
 from qsemi.fixtures import heat, kolmogorov, shifted_diagonal
+
+from oracles import conjugate_by_linear
 
 
 def test_standard_J_n1():
@@ -102,11 +103,6 @@ def test_hamilton_map_symplectic_conjugation():
     lhs = hamilton_map(qt)
     rhs = np.linalg.inv(T) @ hamilton_map(q) @ T
     assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_conjugate_rejects_singular():
-    with pytest.raises(SingularTransform):
-        conjugate_by_linear(heat(1), np.zeros((2, 2)))
 
 
 def test_block_decompose_heat_symbol():

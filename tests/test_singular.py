@@ -11,7 +11,6 @@ from scipy.linalg import null_space as scipy_null_space
 
 from qsemi import (
     QuadraticForm,
-    conjugate_by_linear,
     graph_condition,
     hamilton_map,
     shear_transform,
@@ -28,6 +27,8 @@ from qsemi.fixtures import (
     shifted_diagonal,
     x_squared,
 )
+
+from oracles import conjugate_by_linear
 
 
 def iterated_kernel_oracle(q):
