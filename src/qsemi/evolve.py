@@ -35,15 +35,11 @@ from .errors import (
     NonPositiveSample,
     QsemiError,
 )
-from .matfun import (
-    DEFAULT_TOL,
-    Checks,
-    cholesky_shift,
-    lambda_min_exceeds,
-)
+from .matfun import DEFAULT_TOL, Checks, lambda_min_exceeds
 from .mehler import (
     GaussianKernel,
     _real_skew,
+    _sym_re,
     check_integrable,
     disperse,
     flow_kernel,
@@ -182,26 +178,19 @@ def op_norm_1_inf(k: GaussianKernel, *, tol: float = DEFAULT_TOL) -> float:
     supremum sits on the null space of Re K and equals |c|.  A stacked
     kernel gives the norm of each.
 
-    The decision, lambda_min(sym Re K) >= -tau for tau = tol max(1, |c|),
-    takes no eigenvalues where a Cholesky factorization of sym Re K + tau I,
-    less the rounding allowance, certifies it (matfun.lambda_min_exceeds).
-    That is tried only on the entries whose tau exceeds their allowance:
-    elsewhere the certificate would need Re K definite beyond its rounding,
-    which a kernel's Re K, with its null space, seldom is.  The other
-    entries take eigvalsh as before."""
-    Kr = k.K.real
-    H = (Kr + Kr.mT) / 2
-    tau = tol * np.maximum(np.abs(k.c), np.ones(H.shape[:-2]))
-    shift = cholesky_shift(H, -tau)
-    tried = shift < 0
-    rest = (~tried if tried.any() and lambda_min_exceeds(H[tried], shift[tried])
-            else np.ones(tried.shape, dtype=bool))
-    lam = np.full(tried.shape, np.inf)
-    if rest.any():
-        lam[rest] = np.linalg.eigvalsh(H[rest])[..., 0]
-    Checks()(lam < -tau, NonIntegrable, lambda i: f"Re K has lambda_min = "
-             f"{lam.flat[i]:.3e}; sup |g| is infinite", module=_MOD,
-             operation="op_norm_1_inf")
+    Re K is taken as PSD where lambda_min(H) >= -tol |H|_2 for H = sym Re K:
+    relative to the kernel's own size, as mehler.check_integrable's rule, so
+    that a kernel's rounding decides nothing at small t, where its entries
+    grow like a power of 1/t, and Re K = 0 passes.  A stack that one
+    Cholesky factorization certifies (matfun.lambda_min_exceeds) takes no
+    eigenvalues; any other stack is decided by eigvalsh, whole."""
+    H = _sym_re(k.K)
+    if not lambda_min_exceeds(H, -tol):
+        lam = np.linalg.eigvalsh(H)
+        lam_min = lam[..., 0]
+        Checks()(lam_min < -tol * np.abs(lam).max(axis=-1), NonIntegrable,
+                 lambda i: f"Re K has lambda_min = {lam_min.flat[i]:.3e}; "
+                 "sup |g| is infinite", module=_MOD, operation="op_norm_1_inf")
     return np.abs(k.c)[()]
 
 

@@ -545,18 +545,30 @@ def psd_check(H, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     return lam_min >= -tol, lam_min
 
 
-def frobenius(X) -> float:
-    """|X|_F of one matrix, as |X 2^-e|_F 2^e with 2^e the power of two at or
-    below max |X_ij| when that is above 1 and finite (smaller entries cannot
-    overflow, and an inf or nan entry is left to np.linalg.norm).  The
-    scaling is exact, so this is np.linalg.norm(X) wherever that is finite,
-    and it overflows only where |X|_F does, not where np.linalg.norm squares
-    entries above 1e154."""
+def _power_of_two(X) -> float:
+    """2^e, the power of two at or below max |X_ij| when that is above 1 and
+    finite, else 1 (smaller entries cannot overflow, and an inf or nan entry
+    is left as it is): X / 2^e is exact, with no entry above 2."""
     big = float(np.abs(X).max(initial=0.0))
-    if not 1 < big < math.inf:
-        return float(np.linalg.norm(X))
-    e = math.frexp(big)[1] - 1
-    return float(np.linalg.norm(X * 2.0 ** -e)) * 2.0 ** e
+    return 2.0 ** (math.frexp(big)[1] - 1) if 1 < big < math.inf else 1.0
+
+
+def frobenius(X) -> float:
+    """|X|_F of one matrix, as |X / 2^e|_F 2^e with 2^e of _power_of_two.
+    The scaling is exact, so this is np.linalg.norm(X) wherever that is
+    finite, and it overflows only where |X|_F does, not where np.linalg.norm
+    squares entries above 1e154."""
+    s = _power_of_two(X)
+    return float(np.linalg.norm(X / s)) * s
+
+
+def asymmetry(X) -> float:
+    """|X - X^T|_F / max(1, |X|_F) of one square matrix, formed on X / 2^e
+    as frobenius does: neither X - X^T nor |X|_F overflows near float range,
+    where the unscaled ratio reads inf / inf."""
+    s = _power_of_two(X)
+    S = X / s
+    return float(np.linalg.norm(S - S.T)) / max(1 / s, float(np.linalg.norm(S)))
 
 
 def rounding_allowance(m: int) -> float:
@@ -570,36 +582,37 @@ def rounding_allowance(m: int) -> float:
     return 2 * (m + 1) ** 2 * 2.0 ** -53
 
 
-def cholesky_shift(H, floor, *, rel: float = 0.0) -> np.ndarray:
-    """The shift s = f + a of lambda_min_exceeds for the floor
-    f = floor + rel |H|_F of each matrix of a stack H (..., m, m), real
-    symmetric, with a = rounding_allowance(m) (|H|_F + |f|); inf or nan
-    where H is not finite."""
-    H = np.asarray(H)
-    F = np.sqrt(np.einsum("...ij,...ij->...", H, H))
-    if rel:
-        floor = floor + rel * F
-    return floor + rounding_allowance(H.shape[-1]) * (F + np.abs(floor))
+def lambda_min_exceeds(H, rel: float) -> bool:
+    """Whether one stacked Cholesky factorization proves, for each matrix of
+    a stack H (..., m, m), real symmetric, that eigvalsh finds lambda_min(H)
+    > rel |H|_2: a certificate, never a refusal.  It is the library's one
+    certificate in front of a positivity rule (mehler.check_integrable,
+    evolve.op_norm_1_inf); where it fails, the rule decides.
 
-
-def lambda_min_exceeds(H, shift) -> bool:
-    """Whether one stacked Cholesky factorization of H - s I proves, for the
-    shift s = cholesky_shift(H, floor, rel=rel) of each matrix of a stack H
-    (..., m, m), real symmetric, that eigvalsh finds lambda_min(H) > floor +
-    rel |H|_2: a certificate, never a refusal.
-
-    Where the factorization runs to completion, R^T R = G + dG for the
-    rounded G = H - s I with |dG|_2 <= (m + 1) u trace G to first order
-    (Higham, Thm 10.3, and |R|_2^2 <= trace R^T R), so lambda_min(H) >= s - (m + 1) u (m^(1/2)
-    |H|_F + m |s|) - u (|H|_F + |s|); a exceeds that loss plus eigvalsh's
-    error and the rounding of |H|_F in the floor.  A non-finite shift (H not
-    finite) proves nothing.
+    The factorization is of H - s I for the shift s = f + a (|H|_F + |f|),
+    a = rounding_allowance(m), from the floor f = rel |H|_F for rel >= 0 and
+    f = rel |H|_F / m^(1/2) for rel < 0: |H|_2 lies between |H|_F / m^(1/2)
+    and |H|_F, so f is at or above rel |H|_2 either way, and the decision is
+    the same for H and 2^k H short of underflow and overflow.  Where the factorization runs to completion,
+    R^T R = G + dG for the rounded G = H - s I with |dG|_2 <= (m + 1) u
+    trace G to first order (Higham, Thm 10.3, and |R|_2^2 <= trace R^T R),
+    so lambda_min(H) >= s - (m + 1) u (m^(1/2) |H|_F + m |s|) - u (|H|_F +
+    |s|); a exceeds that loss plus eigvalsh's error and the rounding of |H|_F
+    in the floor.  A shift that is not finite (H not finite, or |H|_F
+    overflowing) proves nothing.
     """
-    shift = np.asarray(shift)
-    if np.size(H) == 0 or not np.isfinite(shift).all():
+    H = np.array(H, dtype=float)
+    if H.size == 0:
+        return False
+    m = H.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = np.sqrt(np.einsum("...ij,...ij->...", H, H))
+        floor = rel * F if rel >= 0 else rel * F / math.sqrt(m)
+        shift = floor + rounding_allowance(m) * (F + np.abs(floor))
+    if not np.isfinite(shift).all():
         return False
     try:
-        np.linalg.cholesky(_add_identity(np.array(H, dtype=float), -shift[..., None]))
+        np.linalg.cholesky(_add_identity(H, -shift[..., None]))
     except np.linalg.LinAlgError:
         return False
     return True

@@ -58,7 +58,6 @@ from .errors import (
 from .matfun import (
     DEFAULT_TOL,
     Checks,
-    cholesky_shift,
     cos_sin_sqrt_det,
     expm_grid,
     lambda_min_exceeds,
@@ -142,11 +141,9 @@ def check_integrable(W, error, *, module: str, operation: str, what: str,
     that not_integrable flags: Checks(), the default, raises at the first.
 
     A stack that one Cholesky factorization certifies, lambda_min(H) >
-    _PD_RELATIVE |H|_F >= _PD_RELATIVE |H|_2 with room for the rounding
-    (matfun.lambda_min_exceeds), passes with no eigenvalues; any other
-    stack is decided by not_integrable, whole."""
-    H = _sym_re(W)
-    if lambda_min_exceeds(H, cholesky_shift(H, 0.0, rel=_PD_RELATIVE)):
+    _PD_RELATIVE |H|_2 (matfun.lambda_min_exceeds), passes with no
+    eigenvalues; any other stack is decided by not_integrable, whole."""
+    if lambda_min_exceeds(_sym_re(W), _PD_RELATIVE):
         return
     bad, lam = not_integrable(W)
     (checks or Checks())(bad, error, lambda i: f"{what} must have positive-definite "

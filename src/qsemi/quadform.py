@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPSDWithinTol
-from .matfun import DEFAULT_TOL, frobenius, psd_check
+from .matfun import DEFAULT_TOL, asymmetry, frobenius, psd_check
 
 _MOD = "quadform"
 
@@ -61,8 +61,8 @@ class QuadraticForm:
             raise DimensionMismatch("Q has non-finite entries",
                                     module=_MOD, operation="QuadraticForm")
         scale = max(frobenius(Q), 1.0)
-        asym = frobenius(Q - Q.T)
-        if asym > _SYM_TOL * scale:
+        asym = asymmetry(Q)
+        if asym > _SYM_TOL:
             warnings.warn(
                 f"symmetrizing Q: asymmetry {asym:.3e} exceeds {_SYM_TOL:.0e} "
                 "relative; Weyl symbols only see the symmetric part",

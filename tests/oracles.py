@@ -1,10 +1,13 @@
 """Reference computations that the tests compare the library against, and
 that no command or pipeline stage of the library needs.
 
-    from oracles import conjugate_by_linear, twisted_kernel
+    from oracles import conjugate_by_linear, mp_expm, twisted_kernel
 
 pytest puts this directory on sys.path, so a test module imports it by name.
+The mpmath references return mpmath matrices: a caller keeps working at its
+precision and rounds to doubles (to_complex) as its own last step.
 """
+import mpmath
 import numpy as np
 
 from qsemi.mehler import GaussianKernel
@@ -34,3 +37,26 @@ def twisted_kernel(N, eps: float) -> GaussianKernel:
     Kxy = -I / eps - 1j * N
     K = np.block([[I / eps, Kxy], [Kxy.T, I / eps]]).astype(complex)
     return GaussianKernel(n, complex((2 * np.pi * eps) ** (-n / 2)), K)
+
+
+def _mp(X) -> mpmath.matrix:
+    """X as an mpmath matrix: a numpy array's doubles are taken exactly."""
+    return X if isinstance(X, mpmath.matrix) else mpmath.matrix(np.asarray(X).tolist())
+
+
+def mp_expm(X, t, dps: int) -> mpmath.matrix:
+    """exp(tX) at dps digits, with tX formed at dps digits."""
+    with mpmath.workdps(dps):
+        return mpmath.expm(mpmath.mpf(t) * _mp(X))
+
+
+def mp_logm(A, dps: int) -> mpmath.matrix:
+    """log A at dps digits.  mpmath's branch is the principal one only away
+    from the negative real axis, so a caller keeps A's eigenvalues there."""
+    with mpmath.workdps(dps):
+        return mpmath.logm(_mp(A))
+
+
+def to_complex(M: mpmath.matrix) -> np.ndarray:
+    """An mpmath matrix rounded to complex doubles."""
+    return np.array(M.tolist(), dtype=complex)

@@ -3,26 +3,28 @@ the build's Strang middle term.
 
 Four gates decide on eigenvalues or singular values:
 
-- evolve.op_norm_1_inf: lambda_min(sym Re K) >= -tau, tau = tol max(1, |c|);
+- evolve.op_norm_1_inf: lambda_min(sym Re K) >= -tol |sym Re K|_2;
 - mehler.check_integrable (not_integrable): lambda_min(H) > 1e-12 |H|_2;
 - mehler.flow_kernel's "B invertible" rule (_cosine_rule): the least
   cosine 1 / hypot(1, sigma_max(L11)) > 1e-12 max(the greatest, |tJQ|_2);
 - decompose._strang's radius: |A|_2 and |B|_2 below log(2)/6.
 
-Before each, a certificate passes the entries it can prove pass: one stacked
-Cholesky factorization of the shifted matrix (matfun.lambda_min_exceeds,
-shift matfun.cholesky_shift), or Frobenius bounds.  A certificate must never
-pass an entry the gate's own rule refuses, so the matrices below put
-lambda_min (or the least cosine) a few rounding units either side of each
-gate's floor, and a few allowances above it, at scales 1e-30 to 1e30 and
-sizes up to 20; the blocks diag(1, 2^-41) and diag(1, 2^-39) sit just
-below and just above not_integrable's threshold.  Where a certificate fails,
-the rule runs as before, so a stack with one failing entry raises the same
-error, index and message as before (the messages below are those of the
-rule alone).  A passing sweep takes no eigvalsh and no SVD in mehler or
-evolve.
+Before each, a certificate passes the entries it can prove pass: for the
+first two, the one stacked Cholesky factorization of
+matfun.lambda_min_exceeds(H, rel), which proves lambda_min(H) > rel |H|_2
+(rel = -tol and 1e-12); for the others, a Cholesky factorization or
+Frobenius bounds.  A certificate must never pass an entry the gate's own
+rule refuses, so the matrices below put lambda_min (or the least cosine) a
+few rounding units either side of each gate's floor, and a few allowances
+above it, at scales 1e-30 to 1e30 and sizes up to 20; the blocks
+diag(1, 2^-41) and diag(1, 2^-39) sit just below and just above
+not_integrable's threshold.  Where a certificate fails, the rule runs as
+before, so a stack with one failing entry raises the same error, index and
+message as before (the messages below are those of the rule alone).  A
+passing sweep takes no eigvalsh and no SVD in mehler or evolve.
 """
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -32,10 +34,11 @@ from qsemi.decompose import STRANG_RADIUS, _strang
 from qsemi.errors import NonIntegrable, NonIntegrableSymbol, RadiusExceeded
 from qsemi.evolve import norm_sweep, op_norm_1_inf
 from qsemi.fixtures import fokker_planck, heat, kolmogorov
-from qsemi.matfun import Checks, cholesky_shift, expm, lambda_min_exceeds, rounding_allowance
+from qsemi.matfun import Checks, expm, lambda_min_exceeds, rounding_allowance
 from qsemi.mehler import (
     GaussianKernel,
     _cosine_rule,
+    _sym_re,
     check_integrable,
     flow_kernel,
     not_integrable,
@@ -52,10 +55,13 @@ def orthogonal(rng, m):
     return Q * np.sign(np.diag(R))
 
 
-def with_lambda_min(rng, m, scale, lam_min):
+def with_lambda_min(rng, m, scale, lam_min, norm=None):
     """A real symmetric m x m matrix of norm ~ scale whose least eigenvalue
-    is lam_min (up to the rounding of forming it)."""
+    is lam_min (up to the rounding of forming it), and whose greatest is
+    norm when that is given (m >= 2)."""
     lam = scale * rng.uniform(0.1, 1.0, m)
+    if norm is not None:
+        lam[-1] = norm
     lam[0] = lam_min
     Q = orthogonal(rng, m)
     H = (Q * lam) @ Q.T
@@ -76,7 +82,7 @@ def test_integrability_certificate_passes_only_what_not_integrable_passes():
         for scale in SCALES:
             for d in offsets(m, 1e-12):
                 H = with_lambda_min(rng, m, scale, (1e-12 + d) * scale)
-                if lambda_min_exceeds(H, cholesky_shift(H, 0.0, rel=1e-12)):
+                if lambda_min_exceeds(H, 1e-12):
                     certified += 1
                     assert not not_integrable(H)[0], (m, scale, d)
     assert certified > 0
@@ -87,7 +93,7 @@ def test_integrability_certificate_at_the_threshold_blocks(x, passes):
     for scale in SCALES:
         H = np.diag([1.0, x]) * scale
         assert bool(not_integrable(H)[0]) != passes
-        assert lambda_min_exceeds(H, cholesky_shift(H, 0.0, rel=1e-12)) == passes
+        assert lambda_min_exceeds(H, 1e-12) == passes
         # and through the gate itself
         if passes:
             check_integrable(H, NonIntegrable, module="test", operation="site", what="W")
@@ -98,42 +104,122 @@ def test_integrability_certificate_at_the_threshold_blocks(x, passes):
 
 
 def test_sup_norm_certificate_passes_only_what_eigvalsh_passes():
+    # lambda_min at rel |H|_2 plus the offsets, for the relative floors of
+    # op_norm_1_inf's rule (rel = -tol): a certified entry is one whose
+    # eigvalsh lambda_min is above rel |H|_2 (the rule passes it)
     rng = np.random.default_rng(43)
     certified = 0
     for m in SIZES:
         for scale in SCALES:
-            for tau_rel in (1e-9, 1e-12, 1e-14, 2e-15):
-                tau = tau_rel * scale
-                for d in offsets(m, tau_rel):
-                    H = with_lambda_min(rng, m, scale, -tau + d * scale)
-                    shift = cholesky_shift(H, -tau)
-                    if shift < 0 and lambda_min_exceeds(H, shift):
+            for rel in (-1e-9, -1e-12, -1e-14, -2e-15):
+                for d in offsets(m, -rel) + [-rel / 2, -rel, -2 * rel]:
+                    H = with_lambda_min(rng, m, scale, (rel + d) * scale, norm=scale)
+                    if lambda_min_exceeds(H, rel):
                         certified += 1
-                        assert np.linalg.eigvalsh(H)[0] >= -tau, (m, scale, tau_rel, d)
+                        lam = np.linalg.eigvalsh(H)
+                        assert lam[0] > rel * np.abs(lam).max(), (m, scale, rel, d)
     assert certified > 0
+
+
+@pytest.mark.parametrize("rel", [-1e-9, 1e-12])
+def test_certificate_decides_alike_at_every_power_of_two(rel):
+    # the floor and the allowance scale with |H|_F, and a power of two
+    # scales every step of the factorization exactly
+    rng = np.random.default_rng(44)
+    for m in SIZES:
+        for scale in SCALES:
+            for d in offsets(m, abs(rel)) + [abs(rel) / 2, abs(rel), 2 * abs(rel)]:
+                H = with_lambda_min(rng, m, scale, (rel + d) * scale, norm=scale)
+                passes = lambda_min_exceeds(H, rel)
+                for k in (-200, -40, 40, 200):
+                    assert lambda_min_exceeds(H * 2.0 ** k, rel) == passes, (m, scale, d, k)
+
+
+def test_gates_decide_alike_at_every_power_of_two():
+    # op_norm_1_inf and check_integrable on a stack and on 2^k times it:
+    # the same entry raises, or none does; the offsets run downwards, so
+    # the first failing entry is past the passing ones
+    rng = np.random.default_rng(45)
+    for m in (2, 4, 10, 20):
+        for rel in (-1e-9, 1e-12):
+            for d in (offsets(m, abs(rel))[::-1], [1e-3, 0.1]):
+                H = np.stack([with_lambda_min(rng, m, 1.0, rel + x, norm=1.0) for x in d])
+                decided = []
+                for k in (0, -200, -40, 40, 200):
+                    K = (H * 2.0 ** k).astype(complex)
+                    try:
+                        if rel < 0:
+                            op_norm_1_inf(GaussianKernel(m // 2, np.ones(len(K)) + 0j, K))
+                        else:
+                            check_integrable(K, NonIntegrable, module="test", operation="site",
+                                             what="W")
+                        decided.append(None)
+                    except NonIntegrable as exc:
+                        decided.append(exc.index)
+                assert decided == decided[:1] * 5, (m, rel, decided)
 
 
 def test_sup_norm_gate_decides_as_eigvalsh():
     # op_norm_1_inf on kernels whose Re K is such an H, stacked over the
-    # offsets: it raises exactly where eigvalsh's lambda_min < -tau, at the
-    # first such entry
+    # offsets: it raises exactly where eigvalsh's lambda_min < -tol |Re K|_2,
+    # at the first such entry, whatever |c|; the last four offsets (a few
+    # allowances above the floor) also make a stack of their own
     rng = np.random.default_rng(47)
     for m in (2, 4, 10, 20):
         for scale in (1e-6, 1.0, 1e6):
             for c in (1.0, 1e4, 1e12):
-                tau = 1e-9 * c
-                lams = [-tau + d * scale for d in offsets(m, tau / scale)]
-                K = np.stack([with_lambda_min(rng, m, scale, lam) for lam in lams])
-                k = GaussianKernel(m // 2, np.full(len(K), c + 0j), K.astype(complex))
-                lam = np.linalg.eigvalsh(K)[:, 0]
-                fails = np.flatnonzero(lam < -tau)
-                if fails.size == 0:
-                    assert np.array_equal(op_norm_1_inf(k), np.full(len(K), c))
-                    continue
-                with pytest.raises(NonIntegrable) as info:
-                    op_norm_1_inf(k)
-                assert info.value.index == fails[0]
-                assert f"lambda_min = {lam[fails[0]]:.3e}" in str(info.value)
+                for d in (offsets(m, 1e-9), offsets(m, 1e-9)[-4:]):
+                    lams = [(-1e-9 + x) * scale for x in d]
+                    K = np.stack([with_lambda_min(rng, m, scale, lam, norm=scale)
+                                  for lam in lams])
+                    k = GaussianKernel(m // 2, np.full(len(K), c + 0j), K.astype(complex))
+                    lam = np.linalg.eigvalsh(K)
+                    fails = np.flatnonzero(lam[:, 0] < -1e-9 * np.abs(lam).max(axis=-1))
+                    if fails.size == 0:
+                        assert np.array_equal(op_norm_1_inf(k), np.full(len(K), c))
+                        continue
+                    with pytest.raises(NonIntegrable) as info:
+                        op_norm_1_inf(k)
+                    assert info.value.index == fails[0]
+                    assert f"lambda_min = {lam[fails[0], 0]:.3e}" in str(info.value)
+
+
+def test_sup_norm_gate_passes_a_zero_real_part():
+    # Re K = 0 (a purely oscillatory kernel, Schrodinger's): lambda_min = 0
+    # = -tol |Re K|_2 is on the passing side of the rule
+    rng = np.random.default_rng(48)
+    S = rng.standard_normal((3, 4, 4))
+    k = GaussianKernel(2, np.array([1.0, 2.0, 3.0]) + 0j, 1j * (S + S.mT))
+    assert not lambda_min_exceeds(np.zeros((3, 4, 4)), -1e-9)
+    assert op_norm_1_inf(k).tolist() == [1.0, 2.0, 3.0]
+
+
+def test_sup_norm_gate_certifies_kolmogorov_with_room(monkeypatch):
+    # kolmogorov's flow kernels on the sweep's grid: lambda_min(sym Re K) is
+    # rounding, within a few units of 0 relative to |Re K|_2 ~ t^-3, so the
+    # rule passes each entry by about tol |Re K|_2, and the certificate
+    # proves it with no eigvalsh
+    k = flow_kernel(kolmogorov(), np.logspace(-4, -1, 40))
+    lam = np.linalg.eigvalsh(_sym_re(k.K))
+    norm = np.abs(lam).max(axis=-1)
+    assert (lam[:, 0] + 1e-9 * norm >= 1e-10 * norm).all()
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    assert np.array_equal(op_norm_1_inf(k), np.abs(k.c))
+
+
+def test_a_shift_out_of_float_range_proves_nothing_quietly():
+    # |H|_F overflows near 1e300: the shift is not finite, and no
+    # RuntimeWarning is printed on the way
+    H = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]) * 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rel in (-1e-9, 1e-12):
+            assert not lambda_min_exceeds(H, rel)
+            assert lambda_min_exceeds(H[:1], rel)
+            assert not lambda_min_exceeds(np.full((2, 2), np.nan), rel)
 
 
 def cosine_rule_by_svd(L11, t, JQ):

@@ -313,6 +313,15 @@ def test_problem_file_rejects_asymmetric(tmp_path, capsys):
     assert json.loads(out)["kind"] == "ParseError"
 
 
+def test_an_asymmetric_q_near_float_range_is_refused_with_no_warning(tmp_path, capsys):
+    # Q - Q^T and |Q|_F are taken on Q / 2^e: unscaled, both overflowed, and
+    # the rule read inf > 1e-9 inf as symmetric
+    path = write_problem(tmp_path, {"n": 1, "Q_re": [[1, 1.7e308], [-1.7e308, 1]]})
+    code, rep = run_quietly(capsys, "analyze", path)
+    assert code == EXIT_PARSE and rep["kind"] == "ParseError"
+    assert rep["error"] == "[cli.load_problem] Q is not symmetric within 1e-9"
+
+
 def test_problem_file_rejects_nonaccretive(tmp_path, capsys):
     path = tmp_path / "bad2.json"
     path.write_text(json.dumps({
@@ -360,6 +369,25 @@ def test_a_large_im_q_widens_the_positivity_tolerance_with_no_warning(tmp_path, 
 def test_missing_input_is_parse_error(capsys):
     code, out = run_cli(capsys, "analyze")
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read problem file"), ("[1, 2]", "problem file must hold a JSON object")])
+def test_a_missing_or_non_object_problem_file_is_parse_error(tmp_path, capsys, content,
+                                                             message):
+    path = tmp_path / "problem.json"
+    if content is not None:
+        path.write_text(content)
+    code, rep = run_quietly(capsys, "analyze", str(path))
+    assert code == EXIT_PARSE and rep["kind"] == "ParseError"
+    assert (rep["module"], rep["operation"]) == ("cli", "load_problem")
+    assert message in rep["error"]
+
+
+def test_a_non_numeric_exponent_is_parse_error(capsys):
+    code, rep = run_quietly(capsys, "norms", "--fixture", "heat", "--p", "abc")
+    assert code == EXIT_PARSE and rep["kind"] == "ParseError"
+    assert (rep["module"], rep["operation"]) == ("cli", "parse_exponent")
 
 
 def test_exponents_heat_tight(capsys, tmp_path):
@@ -419,6 +447,12 @@ def test_mehler_report(capsys):
     assert code == EXIT_OK
     assert abs(rep["c"]["re"] - 1 / np.cosh(0.5)) < 1e-10
     assert rep["diagnostics"] is not None
+
+
+def test_mehler_without_a_graph_reports_no_diagnostics(capsys):
+    # x^2's symbol has no P, V, M, N splitting: the report says so, exit 0
+    code, rep = run_quietly(capsys, "mehler", "--fixture", "x-squared")
+    assert code == EXIT_OK and rep["diagnostics"] is None
 
 
 def test_evolve_x_squared_demo(capsys):

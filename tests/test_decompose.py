@@ -52,7 +52,7 @@ from qsemi.mehler import (
 from qsemi.quadform import embed_cross, embed_xixi
 from qsemi.singular import graph_condition
 
-from oracles import conjugate_by_linear
+from oracles import conjugate_by_linear, mp_expm, mp_logm
 
 
 GRAPH_FIXTURES = ("heat", "harmonic", "kolmogorov", "fokker-planck", "shifted-diagonal")
@@ -118,6 +118,22 @@ def test_unitary_single_block_D():
     assert np.allclose(uni.D, -Dp, atol=1e-12)
     assert np.allclose(uni.M, 0, atol=1e-12)
     assert np.allclose(uni.W, 0, atol=1e-12)
+
+
+def test_unitary_at_t_zero_is_the_limit_of_small_t():
+    # S = I, and (D, M, W) = (-B22, -2 B21, 2 B11): the split at t = 1e-3
+    # to 1e-7 approaches it at rate t |B|_2^2
+    rng = np.random.default_rng(80)
+    for n in (1, 2, 5):
+        B = rng.standard_normal((2 * n, 2 * n))
+        B = (B + B.T) / 2
+        zero = unitary_factorization(B, 0)
+        assert zero.t == 0.0 and np.array_equal(zero.S, np.eye(2 * n))
+        assert zero.residual == 0.0
+        for t in (1e-3, 1e-5, 1e-7):
+            uni = unitary_factorization(B, t)
+            for got, limit in ((uni.D, zero.D), (uni.M, zero.M), (uni.W, zero.W)):
+                assert np.linalg.norm(got - limit) <= 4 * t * np.linalg.norm(B, 2) ** 2, (n, t)
 
 
 def test_unitary_random_reconstruction():
@@ -632,11 +648,10 @@ def gamma_t_mpmath(q_sh, cert, t, dps=40):
     t^(1 - alpha) / (10 mu) for alpha = 3 and mu the largest eigenvalue of the
     pencil (NN, A_t), with A_t from the polar log of exp(-2itJQ) exp(-2itJ conj(Q))."""
     m = q_sh.Q.shape[0]
+    J = standard_J(m // 2)
     with mpmath.workdps(dps):
-        Q = mpmath.matrix(q_sh.Q.tolist())
-        J = mpmath.matrix(standard_J(m // 2).tolist())
-        E = mpmath.expm(-2j * t * J * Q) * mpmath.expm(-2j * t * J * Q.apply(mpmath.conj))
-        A = (-4j * t * J) ** -1 * mpmath.logm(E)
+        E = mp_expm(-2j * J @ q_sh.Q, t, dps) * mp_expm(-2j * J @ q_sh.Q.conj(), t, dps)
+        A = (-4j * t * mpmath.matrix(J.tolist())) ** -1 * mp_logm(E, dps)
         A = mpmath.matrix([[mpmath.re(A[r, c] + A[c, r]) / 2 for c in range(m)]
                            for r in range(m)])
         Linv = mpmath.cholesky(A) ** -1

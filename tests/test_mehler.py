@@ -51,7 +51,7 @@ from qsemi.mehler import (
     twisted_sandwich,
 )
 
-from oracles import twisted_kernel
+from oracles import mp_expm, twisted_kernel
 
 
 def graph_fixtures():
@@ -695,9 +695,7 @@ def mpmath_flow_kernel(q, t):
     |c| = (2 pi)^{-n/2} |det B|^{-1/2}."""
     n = q.n
     with mpmath.workdps(40):
-        X = (-2j * mpmath.mpf(t)) * (mpmath.matrix(standard_J(n).tolist())
-                                     * mpmath.matrix(q.Q.tolist()))
-        T = mpmath.expm(X)
+        T = mp_expm(-2j * standard_J(n) @ q.Q, t, 40)
         A, B, D = T[:n, :n], T[:n, n:], T[n:, n:]
         Binv = B ** -1
         blocks = (-1j * D * Binv, 1j * Binv.T, 1j * Binv, -1j * Binv * A)

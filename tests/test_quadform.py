@@ -1,4 +1,6 @@
 """Phase-space quadratic form tests."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from qsemi import (
 )
 from qsemi.errors import NotPSDWithinTol
 from qsemi.fixtures import heat, kolmogorov, shifted_diagonal
+from qsemi.quadform import embed_xx
 
 from oracles import conjugate_by_linear
 
@@ -135,6 +138,30 @@ def test_form_symmetrization_warning():
     with pytest.warns(UserWarning):
         q = QuadraticForm(1, Q)
     assert np.allclose(q.Q, (Q + Q.T) / 2, atol=1e-15)
+
+
+def test_an_asymmetric_q_near_float_range_is_symmetrized_with_no_runtime_warning():
+    # the asymmetry is taken on Q / 2^e: unscaled, Q - Q^T overflowed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        q = QuadraticForm(1, np.array([[1.0, 1.7e308], [-1.7e308, 1.0]]))
+    assert [w.category for w in caught] == [UserWarning]
+    assert str(caught[0].message).startswith("symmetrizing Q")
+    assert np.array_equal(q.Q, np.eye(2))
+
+
+def test_embed_xx_is_the_form_on_x_alone():
+    # (W x).x at X = (x, xi), for each W of a stack
+    rng = np.random.default_rng(48)
+    W = rng.standard_normal((3, 2, 2))
+    W = W + W.mT
+    E = embed_xx(W)
+    assert E.shape == (3, 4, 4) and E.dtype == complex
+    assert np.array_equal(E[:, :2, :2], W)
+    assert not E[:, 2:].any() and not E[:, :, 2:].any()
+    X = rng.standard_normal(4)
+    assert np.allclose(E @ X @ X, np.einsum("kij,i,j->k", W, X[:2], X[:2]),
+                       rtol=1e-14, atol=0)
 
 
 def test_form_rejects_nonaccretive():
