@@ -486,8 +486,10 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
     (0, t] exactly when JQ has a real eigenvalue lambda with t |lambda| >=
     pi/2; that is reported as ConjugatePointOnPath, with index the entry's
     position in the broadcast shape (a negative time's, in t).  One
-    eigvals(JQ) per form serves every t.  An entry's cos and sin come out as they would alone; its root may
-    differ in the last bit (pfaffian).
+    eigvals(JQ) per form serves every t, and none is taken where
+    max t max |JQ|_1 (1 + 2 rounding_allowance(2n)) < pi/2 certifies the
+    whole stack, since |lambda| <= |JQ|_1.  An entry's cos and sin come out
+    as they would alone; its root may differ in the last bit (pfaffian).
     """
     from .quadform import standard_J  # local import to avoid a cycle
 
@@ -502,22 +504,28 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
           module=_MOD, operation=op)
     J = standard_J(n)
     JQ = J @ Q
-    lam = np.linalg.eigvals(JQ)
-    real = np.abs(lam.imag) <= tol * np.abs(lam)
-    # float products are monotone, so t * max|lambda| >= pi/2 exactly when
-    # t |lambda| >= pi/2 for some real eigenvalue lambda
-    reach = t * np.where(real, np.abs(lam), 0).max(axis=-1)
-    ts = np.broadcast_to(t, reach.shape)  # the time of each entry
+    # the time of each entry
+    ts = np.broadcast_to(t, np.broadcast_shapes(t.shape, JQ.shape[:-2]))
+    # |lambda| <= |JQ|_1, and eigvals' rounding stays within the allowance:
+    # below pi/2 for the whole stack (a nan compares false), no entry can
+    # meet a conjugate point
+    if not (t.max(initial=0.0) * _norm1(JQ).max(initial=0.0)
+            * (1 + 2 * rounding_allowance(2 * n)) < np.pi / 2):
+        lam = np.linalg.eigvals(JQ)
+        real = np.abs(lam.imag) <= tol * np.abs(lam)
+        # float products are monotone, so t * max|lambda| >= pi/2 exactly when
+        # t |lambda| >= pi/2 for some real eigenvalue lambda
+        reach = t * np.where(real, np.abs(lam), 0).max(axis=-1)
 
-    def conjugate_point(i):
-        lam_i, real_i = (np.broadcast_to(a, reach.shape + lam.shape[-1:]).reshape(-1, 2 * n)[i]
-                         for a in (lam, real))
-        hit = real_i & (ts.flat[i] * np.abs(lam_i) >= np.pi / 2)
-        return (f"det cos vanishes on the path: real eigenvalue {lam_i[hit][0].real:.6g} "
-                f"of JQ at t = {ts.flat[i]:.6g}")
+        def conjugate_point(i):
+            lam_i, real_i = (np.broadcast_to(a, reach.shape + lam.shape[-1:])
+                             .reshape(-1, 2 * n)[i] for a in (lam, real))
+            hit = real_i & (ts.flat[i] * np.abs(lam_i) >= np.pi / 2)
+            return (f"det cos vanishes on the path: real eigenvalue "
+                    f"{lam_i[hit][0].real:.6g} of JQ at t = {ts.flat[i]:.6g}")
 
-    check(reach >= np.pi / 2, ConjugatePointOnPath, conjugate_point, module=_MOD,
-          operation=op)
+        check(reach >= np.pi / 2, ConjugatePointOnPath, conjugate_point, module=_MOD,
+              operation=op)
     with np.errstate(over="ignore", invalid="ignore"):
         E = expm(1j * (t[..., None, None] * JQ))
         Einv = symplectic_inverse(E)
@@ -540,7 +548,7 @@ def psd_check(H, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """(is_psd, lambda_min) for the Hermitian symmetrization of H (of every
     matrix of H, for a stack)."""
     H = as_square(H, operation="psd_check")
-    Hs = (H + H.conj().mT) / 2
+    Hs = H / 2 + H.conj().mT / 2
     lam_min = float(np.linalg.eigvalsh(Hs).min()) if H.size else 0.0
     return lam_min >= -tol, lam_min
 

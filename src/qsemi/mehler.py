@@ -22,22 +22,26 @@ closed form from one SVD of N, with no matrix log, expm or eigenvalues.
 Sweeps: mehler_symbol and kernel_from_symbol take a whole grid of times at
 once and return symbols and kernels stacked over it; stacked_symbol takes a
 stack of forms too, broadcast against the times (verify_decomposition's p_t
-and q at one t).  The stack is one computation: one eigvals(JQ) per form
-decides the conjugate points for every t, one matfun.expm call on the stack
-of itJQ gives cos(tJQ) and sin(tJQ) at every entry (with exp(-itJQ) =
-J^T exp(itJQ)^T J), and the Pfaffian, the tan solve, the kernel blocks and
-every positivity check run on the stack.  kernel_right_transport, which only
-verify_decomposition applies, takes e^{-tM} from its caller, which forms it
-with the oracle's exponential (scipy.linalg.expm); this module calls no
-scipy.  This symbol route serves the mehler, kernel and evolve
-commands and verify_decomposition, whose oracle it stays.
+and q at one t).  The stack is one computation: the conjugate points of
+every t are decided at once, by one bound max t |JQ|_1 < pi/2 where that
+certifies the stack and otherwise by one eigvals(JQ) per form, one
+matfun.expm call on the stack of itJQ gives cos(tJQ) and sin(tJQ) at every
+entry (with exp(-itJQ) = J^T exp(itJQ)^T J), and the Pfaffian, the tan
+solve, the kernel blocks and every positivity check run on the stack.
+kernel_right_transport, which only verify_decomposition applies, takes
+e^{-tM} from its caller, which forms it with the oracle's exponential
+(scipy.linalg.expm); this module calls no scipy.  This symbol route serves
+the mehler, kernel and evolve commands and verify_decomposition, whose
+oracle it stays.
 
 Norms: flow_kernel gives the kernels of a sweep straight from the flow
 exp(-2itJQ), with the modulus |c| for the prefactor, from its midpoint:
 exp(itJQ) at every time from one matfun.expm_grid call, whose Taylor sums
 share the powers of iJQ (the symbol route's stack of itJQ takes expm), then
-one slogdet and one solve of the rows of exp(-itJQ) and its inverse, so
-that the kernel sees the growth of exp(-itJQ) and not of its square;
+one slogdet and one solve of the rows of exp(-itJQ) and its inverse, both
+read off exp(itJQ)'s blocks, so that the kernel sees the growth of
+exp(-itJQ) and not of its square.  A sweep of T times holds at most four
+stacks of T (2n)^2 complex numbers at once: each is dropped once read.
 evolve.norm_sweep, and so the norms and exponents commands, take their
 kernels from it.
 """
@@ -62,7 +66,6 @@ from .matfun import (
     expm_grid,
     lambda_min_exceeds,
     rounding_allowance,
-    symplectic_inverse,
 )
 from .quadform import QuadraticForm, block_decompose, standard_J
 
@@ -322,10 +325,13 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
         |c| = (2 pi)^{-n/2} |det B|^{-1/2}.
 
     T is not formed: it is taken from its midpoint.  One matfun.expm_grid
-    call, the exponentials of iJQ along t, gives E^-1 = exp(itJQ), and
-    matfun.symplectic_inverse E = exp(-itJQ).  With w = E(y, eta), (x, xi) = T(y, eta) is
-    E w, so for M = [E_x; E^-1_x] and N = [E_xi; E^-1_xi], the rows of E and
-    E^-1 of x and of xi, (x, y) = M w and (xi, eta) = N w: the kernel's
+    call, the exponentials of iJQ along t, gives E^-1 = exp(itJQ) =
+    [[a, b], [c, d]], and E = exp(-itJQ) = [[d^T, -b^T], [-c^T, a^T]]
+    (matfun.symplectic_inverse) is not formed: M and N below are written,
+    transposed, straight from a, b, c and d.  With w = E(y, eta),
+    (x, xi) = T(y, eta) is E w, so for M = [E_x; E^-1_x] and
+    N = [E_xi; E^-1_xi], the rows of E and E^-1 of x and of xi,
+    (x, y) = M w and (xi, eta) = N w: the kernel's
     (xi, eta) = [[D B^-1, -B^-T], [B^-1, -B^-1 A]] (x, y) is L = N M^-1, so
     K = i diag(-I, I) L.  M E = [[A, B], [I, 0]] and det E = 1, so
     |det M| = |det B|.  One slogdet and one 2n x 2n solve, with no
@@ -361,22 +367,32 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
     n = q.n
     JQ = standard_J(n) @ q.Q
     with np.errstate(over="ignore", invalid="ignore"):
-        Einv = expm_grid(1j * JQ, t)
-    E = symplectic_inverse(Einv)
-    Checks()(~np.isfinite(E).all(axis=(-2, -1)), DegenerateTime,
+        X = expm_grid(1j * JQ, t)  # E^-1, whose entries are E's
+    Checks()(~np.isfinite(X).all(axis=(-2, -1)), DegenerateTime,
              lambda i: f"exp(-itJQ) overflows at t = {t.flat[i]:.6g}",
              module=_MOD, operation=op)
-    # scaled by 2^-f to modulus below 1 (E^-1 holds E's entries): L is
+    a, b, c, d = X[..., :n, :n], X[..., :n, n:], X[..., n:, :n], X[..., n:, n:]
+    # E = [[d^T, -b^T], [-c^T, a^T]] (symplectic_inverse), so M = [E_x; X_x]
+    # and N = [E_xi; X_xi] are written transposed, as the solve takes them
+    Mt, Nt = np.empty_like(X), np.empty_like(X)
+    Mt[..., :n, :n], Mt[..., :n, n:], Mt[..., n:, n:] = d, a.mT, b.mT
+    np.negative(b, out=Mt[..., n:, :n])
+    Nt[..., :n, n:], Nt[..., n:, :n], Nt[..., n:, n:] = c.mT, a, d.mT
+    np.negative(c, out=Nt[..., :n, :n])
+    # scaled by 2^-f to modulus below 1 once the signs are set (a product
+    # by 2^-f + 0i does not commute with negation on a signed zero): L is
     # unchanged, and log|det M| gains 2nf log 2
-    f = np.frexp(np.abs(E).max(axis=(-2, -1)))[1]
+    f = np.frexp(np.abs(X).max(axis=(-2, -1)))[1]
+    del X, a, b, c, d
     s = np.ldexp(1.0, -f)[..., None, None]
-    M = np.concatenate([E[..., :n, :], Einv[..., :n, :]], axis=-2) * s
-    N = np.concatenate([E[..., n:, :], Einv[..., n:, :]], axis=-2) * s
-    sign, logdet = np.linalg.slogdet(M)
+    Mt *= s
+    Nt *= s
+    sign, logdet = np.linalg.slogdet(Mt.mT)
     if (sign == 0).any():  # solved as I, and refused below
-        M = np.where((sign == 0)[..., None, None], np.eye(2 * n), M)
+        Mt = np.where((sign == 0)[..., None, None], np.eye(2 * n), Mt)
     with np.errstate(over="ignore", invalid="ignore"):
-        L = np.linalg.solve(M.mT, N.mT).mT
+        L = np.linalg.solve(Mt, Nt).mT
+    del Mt, Nt
     # M is scaled to modulus below 1, so L leaves the floats only where the
     # kernel, of order 1/t, does (t ~ 1e-310), not where B is singular
     Checks()((sign != 0) & ~np.isfinite(L).all(axis=(-2, -1)), DegenerateTime,
@@ -396,9 +412,16 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
                         f"{tf[i]:.6g} (least cosine {cos_min[i]:.3e} of "
                         f"[B; D] to the positions, at scale {scale[i]:.3e}): "
                         "no kernel"), module=_MOD, operation=op)
-    K = 1j * np.concatenate([-L[..., :n, :], L[..., n:, :]], axis=-2)
+    # K = i diag(-I, I) L, then (K + K^T) / 2, one stack at a time
+    K = np.empty(L.shape, dtype=L.dtype)
+    np.negative(L[..., :n, :], out=K[..., :n, :])
+    K[..., n:, :] = L[..., n:, :]
+    del L
+    K *= 1j
+    K = K + K.mT
+    K /= 2
     c = (2 * np.pi) ** (-n / 2) * np.exp(-(logdet + 2 * n * np.log(2) * f) / 2)
-    return GaussianKernel(n, c[()], (K + K.mT) / 2)
+    return GaussianKernel(n, c[()], K)
 
 
 def _real_skew(N, operation: str, module: str = _MOD) -> np.ndarray:

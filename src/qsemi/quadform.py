@@ -67,7 +67,7 @@ class QuadraticForm:
                 f"symmetrizing Q: asymmetry {asym:.3e} exceeds {_SYM_TOL:.0e} "
                 "relative; Weyl symbols only see the symmetric part",
                 stacklevel=2)
-        Q = (Q + Q.T) / 2
+        Q = Q / 2 + Q.T / 2  # (Q + Q^T) / 2 would overflow past 9e307
         ok, lam = psd_check(Q.real, tol=self.tol * scale)
         if not ok:
             raise NotPSDWithinTol(
@@ -88,7 +88,7 @@ def _congruence_unchecked(q: QuadraticForm, T) -> QuadraticForm:
     symmetry, finiteness or Re Q >= 0 that q was validated for."""
     Q = T.T @ q.Q @ T
     form = object.__new__(QuadraticForm)
-    form.n, form.Q, form.tol = q.n, (Q + Q.T) / 2, q.tol
+    form.n, form.Q, form.tol = q.n, Q / 2 + Q.T / 2, q.tol
     return form
 
 

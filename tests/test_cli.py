@@ -366,6 +366,16 @@ def test_a_large_im_q_widens_the_positivity_tolerance_with_no_warning(tmp_path, 
     assert code == EXIT_OK and rep["S_dim"] == 1
 
 
+def test_a_symmetric_q_with_an_entry_near_float_range_is_analyzed_with_no_warning(
+        tmp_path, capsys):
+    # Q is symmetrized, and Re Q's positivity judged, as Q/2 + Q^T/2: the
+    # sum Q + Q^T overflowed to inf and psd_check refused it as NonSquare
+    path = write_problem(tmp_path, {"n": 1, "Q_re": [[1.7e308, 0.0], [0.0, 1.0]]})
+    code, rep = run_quietly(capsys, "analyze", path)
+    assert code == EXIT_OK
+    assert rep["S_dim"] == 1 and rep["graph"] is None
+
+
 def test_missing_input_is_parse_error(capsys):
     code, out = run_cli(capsys, "analyze")
     assert code == EXIT_PARSE

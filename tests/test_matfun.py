@@ -911,13 +911,32 @@ ROTATION = 0.5j * np.eye(2, dtype=complex)  # i (x^2 + xi^2)/2: det cos(tJQ) = 0
     (lambda t: sqrt_det_cos_tracked(ROTATION, t), [1.0, 4.0, 5.0], ConjugatePointOnPath,
      "[matfun.sqrt_det_cos_tracked] det cos vanishes on the path: real eigenvalue "
      "0.5 of JQ at t = 4", 1),
+    # the first conjugate point, t = pi, where t |JQ|_1 = pi/2 is not certified
+    (lambda t: cos_sin_sqrt_det(ROTATION, t), [0.1, np.nextafter(np.pi, 0), np.pi],
+     ConjugatePointOnPath, "[matfun.sqrt_det_cos_tracked] det cos vanishes on the "
+     "path: real eigenvalue 0.5 of JQ at t = 3.14159", 2),
     (lambda t: sqrt_det_cos_tracked(heat(1).Q + np.eye(2), t), [1.0, 1e6], DegenerateTime,
      "[matfun.sqrt_det_cos_tracked] cos(tJQ) overflows at t = 1e+06", 1)],
-    ids=["symbol-grid", "symbol", "root", "conjugate-point", "overflow"])
+    ids=["symbol-grid", "symbol", "root", "conjugate-point", "first-conjugate-point",
+         "overflow"])
 def test_a_failing_entry_keeps_its_error_and_index(site, t, error, message, index):
     with pytest.raises(error) as info:
         site(np.asarray(t))
     assert (str(info.value), info.value.index) == (message, index)
+
+
+def test_a_certified_stack_takes_no_eigvals(monkeypatch):
+    # max t |JQ|_1 below pi/2 bounds every t |lambda|: no conjugate point to find
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: calls.append(A.shape) or eigvals(A))
+    rng = np.random.default_rng(73)
+    Q = np.stack([random_complex_symmetric(rng, n) for n in (3, 3)])
+    bound = np.abs(standard_J(3) @ Q).sum(axis=-2).max()
+    cos_sin_sqrt_det(Q, np.linspace(0, 0.99, 5)[:, None] * np.pi / 2 / bound)
+    assert calls == []
+    cos_sin_sqrt_det(Q, np.array([0.1, np.pi / 2 / bound])[:, None])
+    assert calls == [Q.shape]
 
 
 # --- PSD checks --------------------------------------------------------------

@@ -8,6 +8,8 @@ prefactor's sqrt(det W) is checked against a 40-digit mpmath eigenvalue
 product, and the norms' kernels from the flow exp(-2itJQ) against a 40-digit
 mpmath exponential.
 """
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -789,3 +791,21 @@ def test_flow_kernel_keeps_the_symbol_routes_reach():
         norms = norm_sweep(harmonic(1), ts, p, qq)
         ref = op_norm_edge(kernel_from_symbol(mehler_symbol(harmonic(1), ts)), p, qq)
         assert np.abs(norms / ref - 1).max() <= 1e-12, (p, qq)
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_flow_kernel_holds_at_most_four_stacks(n):
+    # a stack is T (2n)^2 complex numbers; numpy reports its buffers to
+    # tracemalloc, so the traced peak counts every temporary of a sweep
+    q = random_form_of_rank(np.random.default_rng(72), n, 2 * n)
+    ts = np.logspace(-4, -1, 40)
+    stack = ts.size * (2 * n) ** 2 * 16
+    for sweep in (lambda: mehler.flow_kernel(q, ts), lambda: norm_sweep(q, ts, 2, np.inf)):
+        sweep()  # the first call fills the caches it reads (standard_J)
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * stack, peak / stack

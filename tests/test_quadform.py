@@ -13,7 +13,8 @@ from qsemi import (
 )
 from qsemi.errors import NotPSDWithinTol
 from qsemi.fixtures import heat, kolmogorov, shifted_diagonal
-from qsemi.quadform import embed_xx
+from qsemi.matfun import psd_check
+from qsemi.quadform import _congruence_unchecked, embed_xx
 
 from oracles import conjugate_by_linear
 
@@ -148,6 +149,18 @@ def test_an_asymmetric_q_near_float_range_is_symmetrized_with_no_runtime_warning
     assert [w.category for w in caught] == [UserWarning]
     assert str(caught[0].message).startswith("symmetrizing Q")
     assert np.array_equal(q.Q, np.eye(2))
+
+
+def test_a_symmetric_q_near_float_range_is_kept_with_no_runtime_warning():
+    # halving before the sum: (Q + Q^T) / 2 overflowed in the sum
+    Q = np.array([[1.7e308, 1e150], [1e150, 1.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = QuadraticForm(1, Q)
+        assert psd_check(Q.real)[0]
+        sheared = _congruence_unchecked(q, shear_transform([[1e-160]]))
+    assert np.array_equal(q.Q, Q)
+    assert np.isfinite(sheared.Q).all() and np.array_equal(sheared.Q, sheared.Q.T)
 
 
 def test_embed_xx_is_the_form_on_x_alone():
