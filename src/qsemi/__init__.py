@@ -39,7 +39,6 @@ from .matfun import (
     BranchTrackedScalar,
     mat_cos,
     mat_log_principal,
-    psd_check,
     sqrt_det_cos_tracked,
 )
 from .mehler import (

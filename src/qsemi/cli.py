@@ -30,7 +30,7 @@ from .evolve import (
     young_exponent,
 )
 from .fixtures import fixture_names, get_fixture
-from .matfun import DEFAULT_TOL, asymmetry
+from .matfun import DEFAULT_TOL, relative_distance
 from .mehler import diagnostics_PVMN, kernel_from_symbol, mehler_symbol
 from .quadform import QuadraticForm, block_decompose
 from .singular import graph_condition, singular_space
@@ -191,7 +191,7 @@ def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticFor
     if not (np.isfinite(Q_re).all() and np.isfinite(Q_im).all()):
         raise _parse_error("Q_re and Q_im must be finite", "load_problem")
     Q = Q_re + 1j * Q_im
-    if asymmetry(Q) > 1e-9:
+    if relative_distance(Q, Q.T) > 1e-9:
         raise _parse_error("Q is not symmetric within 1e-9", "load_problem")
     try:
         return QuadraticForm(n, Q, tol)

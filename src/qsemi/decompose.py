@@ -85,6 +85,7 @@ from .matfun import (
     expm_grid,
     first_index,
     log_principal,
+    relative_distance,
     rounding_allowance,
     symplectic_inverse,
 )
@@ -612,10 +613,7 @@ def verify_decomposition(f: DecompositionFactors) -> dict:
     k = GaussianKernel(n, k.c * f.c_t, k.K)
 
     dc = abs(k.c - target.c) / abs(target.c)
-    # both kernels scaled, exactly, by the power of 2 that brings max|target.K|
-    # into [1/2, 1): |target.K|_F overflows below t ~ 1e-155 on the n = 1 fixtures
-    e = 2.0 ** -np.frexp(np.abs(target.K).max())[1]
-    dK = np.linalg.norm(k.K * e - target.K * e) / max(e, np.linalg.norm(target.K * e))
+    dK = relative_distance(k.K, target.K)  # |target.K|_F overflows below t ~ 1e-155
     # np.maximum keeps a nan, which fails the gate
     return {"matrix_residual": matrix_residual,
             "kernel_residual": float(np.maximum(dc, dK))}

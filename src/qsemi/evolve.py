@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateTime,
     DimensionMismatch,
     ExponentOrder,
     FixtureHasGraph,
@@ -55,7 +56,7 @@ _MOD = "evolve"
 
 @dataclass
 class GaussianState:
-    """u(x) = c exp(-Ax.x/2 + b.x), A complex symmetric with Re A > 0."""
+    """u(x) = c exp(-Ax.x/2 + b.x): A complex symmetric, Re A > 0, c, A, b finite."""
     n: int
     c: complex
     A: np.ndarray
@@ -67,7 +68,10 @@ class GaussianState:
         if A.shape != (self.n, self.n) or b.shape != (self.n,):
             raise DimensionMismatch(f"A {A.shape} / b {b.shape} for n = {self.n}",
                                     module=_MOD, operation="GaussianState")
-        A = (A + A.T) / 2
+        if not (np.isfinite(self.c) and np.isfinite(A).all() and np.isfinite(b).all()):
+            raise DegenerateTime(f"c, A and b must be finite (c = {self.c})",
+                                 module=_MOD, operation="GaussianState")
+        A = A / 2 + A.T / 2  # (A + A^T) / 2 would overflow past 9e307
         check_integrable(A, NonIntegrable, module=_MOD, operation="GaussianState",
                          what="A")
         self.A, self.b = A, b
@@ -109,7 +113,8 @@ def apply_kernel_gaussian(k: GaussianKernel, u: GaussianState) -> GaussianState:
     c, A, b = gaussian_integral(K, np.concatenate([np.zeros(n), u.b]), n, NonIntegrable,
                                 module=_MOD, operation="apply_kernel_gaussian",
                                 what="combined y-quadratic")
-    return GaussianState(n, complex(k.c * u.c * c), A, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # GaussianState refuses inf or nan
+        return GaussianState(n, complex(k.c * u.c * c), A, b)
 
 
 def dispersion_gaussian(u: GaussianState, D, t: float) -> GaussianState:

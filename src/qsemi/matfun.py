@@ -1,8 +1,8 @@
 """Dense complex matrix functions: the exponential and principal log of a
 stack of matrices, the exponentials of one matrix along a grid of times, cos,
-Pfaffians and the continuous branch of sqrt(det cos), PSD tests, and the
-Cholesky certificate that spares an eigenvalue gate its eigenvalues where it
-can prove them.
+Pfaffians and the continuous branch of sqrt(det cos), the scale-safe norm
+and distance of a caller's matrices, and the Cholesky certificate that
+spares an eigenvalue gate its eigenvalues where it can prove them.
 
 All routines are dense and target matrices of size at most ~40x40; inputs are
 validated for finiteness and shape, never mutated.  The exponential, log, cos
@@ -76,9 +76,9 @@ _LOG_BLOCK, _LOG_TOP = _LOG_COEF[:-1].reshape(-1, 4), _LOG_COEF[4::4]
 _EXP_COEF = np.concatenate([[0.0], 1 / _FACTORIAL[1:]])
 _EXP_BLOCK, _EXP_TOP = _EXP_COEF[:-1].reshape(-1, 4), _EXP_COEF[4::4]
 
-#: square roots per entry, and Denman-Beavers steps per root, at most: 64
-#: roots bring the log of any finite matrix within _LOG_ROOT of 0, and a root
-#: converges in far fewer steps
+#: square roots per entry, and Denman-Beavers steps per root, at most: a
+#: root converges in far fewer steps, but the nilpotent part of a non-normal
+#: matrix only halves with each root, so 64 may leave it beyond _LOG_ROOT
 _MAX_STEPS = 64
 
 
@@ -237,8 +237,9 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
     as it would alone.  A real stack stays real: its roots and its
     sum run in real arithmetic.
 
-    Checks: Z must be finite (NonSquare), and no eigenvalue may sit on or
-    numerically hug the closed negative real half-line (BranchCut).
+    Checks: Z must be finite (NonSquare), no eigenvalue may sit on or
+    numerically hug the closed negative real half-line (BranchCut), and
+    _MAX_STEPS roots must bring |X_k|_1 within _LOG_ROOT (DegenerateTime).
     """
     op = "mat_log_principal"
     m = Z.shape[-1]
@@ -284,6 +285,9 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
         norm[need] = _norm1(X[need])
         roots += need
         need &= norm > _LOG_ROOT
+    checks(need, DegenerateTime, lambda i: f"|Z^(1/2^k) - I|_1 = {norm.flat[i]:.3e} "
+           f"exceeds {_LOG_ROOT} after {_MAX_STEPS} square roots", module=_MOD, operation=op)
+    X, norm = checks.clean(X, 0), checks.clean(norm, 0)
     top = np.searchsorted(_LOG_THETAS, norm)
     return _taylor_ps(X, top, _LOG_BLOCK, _LOG_TOP) * 2.0 ** roots[..., None, None]
 
@@ -544,20 +548,10 @@ def sqrt_det_cos_tracked(Q, t, *,
     return BranchTrackedScalar(value, np.asarray(t, dtype=float)[()], 0)
 
 
-def psd_check(H, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """(is_psd, lambda_min) for the Hermitian symmetrization of H (of every
-    matrix of H, for a stack)."""
-    H = as_square(H, operation="psd_check")
-    Hs = H / 2 + H.conj().mT / 2
-    lam_min = float(np.linalg.eigvalsh(Hs).min()) if H.size else 0.0
-    return lam_min >= -tol, lam_min
-
-
-def _power_of_two(X) -> float:
-    """2^e, the power of two at or below max |X_ij| when that is above 1 and
-    finite, else 1 (smaller entries cannot overflow, and an inf or nan entry
-    is left as it is): X / 2^e is exact, with no entry above 2."""
-    big = float(np.abs(X).max(initial=0.0))
+def _power_of_two(big: float) -> float:
+    """2^e, the power of two at or below big = max |X_ij| when that is above 1
+    and finite, else 1 (smaller entries cannot overflow, and an inf or nan
+    entry is left as it is): X / 2^e is exact, with no entry above 2."""
     return 2.0 ** (math.frexp(big)[1] - 1) if 1 < big < math.inf else 1.0
 
 
@@ -566,17 +560,24 @@ def frobenius(X) -> float:
     The scaling is exact, so this is np.linalg.norm(X) wherever that is
     finite, and it overflows only where |X|_F does, not where np.linalg.norm
     squares entries above 1e154."""
-    s = _power_of_two(X)
+    s = _power_of_two(float(np.abs(X).max(initial=0.0)))
     return float(np.linalg.norm(X / s)) * s
 
 
-def asymmetry(X) -> float:
-    """|X - X^T|_F / max(1, |X|_F) of one square matrix, formed on X / 2^e
-    as frobenius does: neither X - X^T nor |X|_F overflows near float range,
-    where the unscaled ratio reads inf / inf."""
-    s = _power_of_two(X)
-    S = X / s
-    return float(np.linalg.norm(S - S.T)) / max(1 / s, float(np.linalg.norm(S)))
+def relative_distance(X, Y):
+    """|X - Y|_F / max(1, |Y|_F) of two matrices, or of each pair of two
+    stacks (..., m, m), on X / 2^e and Y / 2^e, 2^e of _power_of_two on the
+    pair's largest entry: exact, and quiet, with no overflow near float range
+    (inf past it, and nan or inf for a pair with an inf or nan entry)."""
+    X, Y = np.asarray(X), np.asarray(Y)
+    axes = None if X.ndim == Y.ndim == 2 else (-2, -1)  # one matrix: numpy's dot path
+    big = np.maximum(np.abs(X).max(axis=(-2, -1), initial=0.0),
+                     np.abs(Y).max(axis=(-2, -1), initial=0.0))
+    s = np.array([_power_of_two(b) for b in big.ravel().tolist()]).reshape(big.shape)
+    S = s[..., None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.linalg.norm(X / S - Y / S, axis=axes)
+                / np.maximum(1 / s, np.linalg.norm(Y / S, axis=axes)))[()]
 
 
 def rounding_allowance(m: int) -> float:

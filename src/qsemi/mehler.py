@@ -64,7 +64,9 @@ from .matfun import (
     Checks,
     cos_sin_sqrt_det,
     expm_grid,
+    frobenius,
     lambda_min_exceeds,
+    relative_distance,
     rounding_allowance,
 )
 from .quadform import QuadraticForm, block_decompose, standard_J
@@ -125,9 +127,9 @@ _PD_RELATIVE = 1e-12
 
 
 def _sym_re(W) -> np.ndarray:
-    """H = sym Re W of each block of a stack W (..., m, m)."""
-    W = np.asarray(W)
-    return (W.real + W.real.mT) / 2
+    """H = sym Re W = Re W/2 + Re W^T/2 of each block of a stack W (..., m, m)."""
+    H = np.asarray(W).real / 2
+    return H + H.mT
 
 
 def not_integrable(W) -> tuple[np.ndarray, np.ndarray]:
@@ -180,19 +182,16 @@ def _sqrt_det(W) -> np.ndarray:
 
 def sqrt_det_pd(A) -> complex:
     """_sqrt_det of A (..., m, m): DimensionMismatch at the first matrix that
-    is not square and complex symmetric within 1e-12 max(1, |A|) (the integral
-    of exp(-z.Az/2) sees only sym A, so it has no root for another A), then
-    check_integrable, which raises NonIntegrableSymbol at the first failing
-    matrix."""
+    is not square, finite and complex symmetric (relative_distance(A, A^T) <=
+    1e-12, nan where A is not finite), then check_integrable, which raises
+    NonIntegrableSymbol at the first failing matrix."""
     A = np.asarray(A, dtype=complex)
     op = "sqrt_det_pd"
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch(f"A of shape {A.shape} is not a (stack of) square "
                                 "matrices", module=_MOD, operation=op)
-    Checks()(np.linalg.norm(A - A.mT, axis=(-2, -1))
-             > 1e-12 * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1))),
-             DimensionMismatch, "matrix must be complex symmetric", module=_MOD,
-             operation=op)
+    Checks()(~(relative_distance(A, A.mT) <= 1e-12), DimensionMismatch,
+             "matrix must be finite and complex symmetric", module=_MOD, operation=op)
     check_integrable(A, NonIntegrableSymbol, module=_MOD, operation=op, what="matrix")
     return _sqrt_det(A)
 
@@ -202,14 +201,14 @@ def gaussian_integral(K, b, m, error, *, module: str, operation: str, what: str,
     """(c, S, l) with int exp(-z.Kz/2 + b.z) dw = c exp(-r.Sr/2 + l.r) over
     the last m coordinates w of z = (r, w), K (..., d, d) and b (..., d) (or
     None, for 0) on one entry or a stack.  The integral sees only sym K =
-    (K + K^T)/2, so K stands for that below: for W = K_ww, S = K_rr - K_rw
+    K/2 + K^T/2, so K stands for that below: for W = K_ww, S = K_rr - K_rw
     W^{-1} K_wr, l = b_r - K_rw W^{-1} b_w and c = (2 pi)^{m/2} det(W)^{-1/2}
     exp(b_w.W^{-1} b_w / 2), the root that of _sqrt_det (from the leading
     minors of W, with no eigenvalues).  The one decision, check_integrable
     on W, goes to checks: Checks() raises, a recording Checks keeps the
-    failed entries, whose W becomes I.
+    failed entries, whose W becomes I; a c past float range is inf or nan.
     """
-    K = (K + K.mT) / 2
+    K = K / 2 + K.mT / 2
     r, I = K.shape[-1] - m, np.eye(m)
     b = np.zeros(K.shape[:-1]) if b is None else b
     checks = Checks() if checks is None else checks
@@ -219,8 +218,9 @@ def gaussian_integral(K, b, m, error, *, module: str, operation: str, what: str,
     X = np.linalg.solve(W, np.concatenate([K[..., r:, :r], b[..., r:, None]], axis=-1))
     S = K[..., :r, :r] - K[..., :r, r:] @ X[..., :r]
     l = b[..., :r] - (K[..., :r, r:] @ X[..., r:])[..., 0]
-    c = ((2 * np.pi) ** (m / 2) / _sqrt_det(W)
-         * np.exp(np.sum(b[..., r:] * X[..., r], axis=-1) / 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = ((2 * np.pi) ** (m / 2) / _sqrt_det(W)
+             * np.exp(np.sum(b[..., r:] * X[..., r], axis=-1) / 2))
     return c, (S + S.mT) / 2, l
 
 
@@ -304,7 +304,7 @@ def _cosine_rule(L11, t, JQ, singular) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):  # a norm that overflows sends its entry to the SVDs
         fro = np.linalg.norm(L11, axis=(-2, -1))
     judge = singular | ~(1 / np.hypot(1, fro)
-                         > _PD_RELATIVE * np.maximum(1, t * np.linalg.norm(JQ))
+                         > _PD_RELATIVE * np.maximum(1, t * frobenius(JQ))
                          * (1 + 2 * rounding_allowance(2 * n)))
     if judge.any():
         a = np.linalg.svd(np.where(singular[judge, None, None], 0, L11[judge]),
@@ -426,11 +426,11 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
 
 def _real_skew(N, operation: str, module: str = _MOD) -> np.ndarray:
     """N as a real array, or DimensionMismatch (from module.operation) unless
-    it is square, finite and real skew-symmetric within 1e-12 max(1, |N|)."""
+    it is square, finite, real and relative_distance(N, -N^T) <= 1e-12."""
     N = np.asarray(N, dtype=complex)
     if not (N.ndim == 2 and N.shape[0] == N.shape[1] and np.isfinite(N).all()
             and not N.imag.any()
-            and np.linalg.norm(N + N.T) <= 1e-12 * max(1.0, np.linalg.norm(N))):
+            and relative_distance(N, -N.T) <= 1e-12):
         raise DimensionMismatch("N must be square, finite and real skew-symmetric",
                                 module=module, operation=operation)
     return N.real.copy()

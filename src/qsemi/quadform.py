@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPSDWithinTol
-from .matfun import DEFAULT_TOL, asymmetry, frobenius, psd_check
+from .matfun import DEFAULT_TOL, frobenius, relative_distance
 
 _MOD = "quadform"
 
@@ -44,8 +44,9 @@ def standard_J(n: int) -> np.ndarray:
 class QuadraticForm:
     """Accretive quadratic form q(X) = QX.X with Q complex symmetric 2n x 2n.
 
-    Q is symmetrized on construction (with a warning if the asymmetry exceeds
-    1e-12 relative) and Re Q is required to be positive semidefinite.
+    Q is symmetrized on construction (with a warning if its relative_distance
+    from Q^T exceeds 1e-12), and Re Q must be positive semidefinite relative
+    to Q: lambda_min(Re Q) >= -tol |Q|_F, else NotPSDWithinTol.
     """
     n: int
     Q: np.ndarray
@@ -57,22 +58,17 @@ class QuadraticForm:
             raise DimensionMismatch(
                 f"Q must be {2*self.n}x{2*self.n}, got {Q.shape}",
                 module=_MOD, operation="QuadraticForm")
-        if not np.all(np.isfinite(Q.real)) or not np.all(np.isfinite(Q.imag)):
+        if not np.isfinite(Q).all():
             raise DimensionMismatch("Q has non-finite entries",
                                     module=_MOD, operation="QuadraticForm")
-        scale = max(frobenius(Q), 1.0)
-        asym = asymmetry(Q)
-        if asym > _SYM_TOL:
-            warnings.warn(
-                f"symmetrizing Q: asymmetry {asym:.3e} exceeds {_SYM_TOL:.0e} "
-                "relative; Weyl symbols only see the symmetric part",
-                stacklevel=2)
+        if (asym := relative_distance(Q, Q.T)) > _SYM_TOL:
+            warnings.warn(f"symmetrizing Q: asymmetry {asym:.3e} exceeds {_SYM_TOL:.0e} "
+                          "relative; Weyl symbols only see the symmetric part", stacklevel=2)
         Q = Q / 2 + Q.T / 2  # (Q + Q^T) / 2 would overflow past 9e307
-        ok, lam = psd_check(Q.real, tol=self.tol * scale)
-        if not ok:
-            raise NotPSDWithinTol(
-                f"Re Q must be positive semidefinite (lambda_min = {lam:.3e})",
-                module=_MOD, operation="QuadraticForm")
+        lam = np.linalg.eigvalsh(Q.real)[0]
+        if lam < -self.tol * frobenius(Q):
+            raise NotPSDWithinTol(f"Re Q must be positive semidefinite (lambda_min = {lam:.3e})",
+                                  module=_MOD, operation="QuadraticForm")
         self.Q = Q
 
 

@@ -332,6 +332,35 @@ def test_problem_file_rejects_nonaccretive(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("c", [2.0 ** -60, 2.0 ** -20, 1.0, 2.0 ** 20])
+def test_a_multiple_of_a_non_accretive_form_is_refused_at_every_scale(tmp_path, capsys, c):
+    # the floor -tol |Q|_F scales with Q: -tol max(1, |Q|_F) let 2^-60 diag(-1, 1) in
+    path = write_problem(tmp_path, {"n": 1, "Q_re": [[-c, 0.0], [0.0, c]]})
+    code, rep = run_quietly(capsys, "analyze", path)
+    assert code == EXIT_PARSE and "Re Q must be positive semidefinite" in rep["error"]
+
+
+def test_the_zero_form_parses(tmp_path, capsys):
+    path = write_problem(tmp_path, {"n": 1, "Q_re": [[0.0, 0.0], [0.0, 0.0]]})
+    code, rep = run_quietly(capsys, "analyze", path)
+    assert code == EXIT_OK and rep["S_dim"] == 2
+
+
+@pytest.mark.parametrize("command, kind, message", [
+    ("norms", "DegenerateTime", "B cannot be judged"),
+    ("exponents", "DegenerateTime", "B cannot be judged"),
+    ("decompose", "GammaCollapsed", "after 64 square roots"),
+    ("verify", "GammaCollapsed", "after 64 square roots")])
+def test_heat_scaled_by_1e300_is_refused_with_no_warning(tmp_path, capsys, command, kind,
+                                                         message):
+    # |tJQ|_F is taken with no overflow in the cosine rule; and the polar
+    # factors' log, whose nilpotent part only halves with each root, fails
+    # after 64 roots where searchsorted ran off the thetas (IndexError)
+    path = write_problem(tmp_path, {"n": 1, "Q_re": [[0.0, 0.0], [0.0, 1e300]]})
+    code, rep = run_quietly(capsys, command, path)
+    assert code == EXIT_MATH and rep["kind"] == kind and message in rep["error"]
+
+
 @pytest.mark.parametrize("lam_min, tol, code", [
     (-1e-10, "1e-12", EXIT_PARSE), (-1e-10, "1e-3", EXIT_OK), (-1e-10, None, EXIT_OK),
     (-1e-6, "1e-12", EXIT_PARSE), (-1e-6, "1e-3", EXIT_OK), (-1e-6, None, EXIT_PARSE)])

@@ -576,6 +576,20 @@ def test_gaussian_state_evaluates_point_arrays():
     assert np.isscalar(v(0.5)) and np.isscalar(v(np.array([0.5])))
     assert abs(v(0.5) - 1.3 * np.exp(-0.8 * 0.25 / 2 + 0.1j)) < 1e-15
 
+
+@pytest.mark.parametrize("c, A, b", [(np.inf, [[1.0]], [0.0]), (np.nan, [[1.0]], [0.0]),
+                                     (1.0, [[np.inf]], [0.0]), (1.0, [[1.0]], [np.nan])])
+def test_a_state_that_leaves_the_floats_is_refused(c, A, b):
+    # as an output whose prefactor overflows: evolve printed nan or inf norms
+    with pytest.raises(DegenerateTime, match="c, A and b must be finite"):
+        GaussianState(1, c, np.array(A), np.array(b))
+
+
+def test_a_state_near_float_range_is_symmetrized_with_no_overflow():
+    # A/2 + A^T/2: (A + A^T)/2 overflowed to inf
+    A = np.array([[1.7e308, 1.0], [1.0, 1e300]])
+    assert np.array_equal(GaussianState(2, 1.0, A, np.zeros(2)).A, A)
+
 def test_derivative_growth_heat_first_order():
     # sup |d(e^{t Delta} u)| <= C t^{-1/2} |u|_inf with C < 1 for a unit Gaussian
     t = 0.25

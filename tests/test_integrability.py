@@ -257,3 +257,33 @@ def test_sqrt_det_pd_rejects_a_matrix_that_is_not_complex_symmetric():
     assert sqrt_det_pd(I2 + 1e-13 * A.imag) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(DimensionMismatch):
         sqrt_det_pd(np.ones((2, 3)))
+
+
+def test_sqrt_det_pd_refuses_an_antisymmetric_part_near_float_range():
+    # relative_distance(A, A^T) is taken on A / 2^e: unscaled, A - A^T
+    # overflowed, the rule read inf > inf, and sqrt_det_pd returned 1.7e308
+    with pytest.raises(DimensionMismatch, match="complex symmetric"):
+        sqrt_det_pd(np.array([[1.0, 1.7e308], [-1.7e308, 1.0]]))
+
+
+@pytest.mark.parametrize("A", [[[np.nan]], [[np.inf]], [[1.0, np.inf], [np.inf, 1.0]],
+                               [[1.0, np.inf], [0.0, 1.0]]])
+def test_sqrt_det_pd_refuses_a_matrix_that_is_not_finite(A):
+    # its relative_distance from A^T is nan, which the rule refuses: it went
+    # on to slogdet, with RuntimeWarnings and no typed error
+    with pytest.raises(DimensionMismatch, match="finite"):
+        sqrt_det_pd(np.array(A))
+
+
+def test_gaussian_integral_of_a_block_near_float_range():
+    # sym K = K/2 + K^T/2, and sym Re W the same: (K + K^T)/2 overflowed
+    c, S, l = gaussian_integral(np.diag([1.0, 1.7e308]), None, 1, NonIntegrable, **SITE)
+    assert c == pytest.approx(np.sqrt(2 * np.pi / 1.7e308), rel=1e-15)
+    assert S.tolist() == [[1.0]] and l.tolist() == [0.0]
+
+
+def test_a_prefactor_past_float_range_comes_out_non_finite_quietly():
+    # exp(b.W^-1 b / 2) = exp(5e5) overflows: gaussian_integral's callers refuse it
+    c, _, _ = gaussian_integral(np.eye(2), np.array([0.0, 1000.0]), 1, NonIntegrable,
+                                **SITE)
+    assert not np.isfinite(c)

@@ -21,7 +21,6 @@ from qsemi import (
     mat_cos,
     mat_log_principal,
     mehler_symbol,
-    psd_check,
     sqrt_det_cos_tracked,
     standard_J,
 )
@@ -51,6 +50,7 @@ from qsemi.matfun import (
     frobenius,
     log_principal,
     pfaffian,
+    relative_distance,
     symplectic_inverse,
 )
 from qsemi.mehler import twisted_form_matrix
@@ -349,6 +349,18 @@ def test_log_without_roots_takes_no_solve(monkeypatch):
     assert np.array_equal(log_principal(Z, X, 1e-9, Checks()), want)
     with pytest.raises(AssertionError, match="solve or inv called"):
         log_principal(Z * 1.01, Z * 1.01 - np.eye(m), 1e-9, Checks())
+
+
+def test_log_past_the_root_cap_fails_each_entry_with_no_traceback():
+    # the nilpotent part of I + N only halves with each root: after 64 roots
+    # |X|_1 is still 1e300 / 2^64, and searchsorted ran off the thetas
+    Z = np.array([[[1.0, 1e300], [0.0, 1.0]], [[2.0, 0.0], [0.0, 3.0]]])
+    with pytest.raises(DegenerateTime, match=f"5.421e.280 exceeds .* after {_MAX_STEPS} square"):
+        mat_log_principal(Z[0])
+    checks = Checks(2)
+    L = log_principal(Z, Z - np.eye(2), 1e-9, checks)
+    assert checks.bad.tolist() == [True, False] and list(checks.errors) == [0]
+    assert np.array_equal(L[1], mat_log_principal(Z[1]))
 
 
 def test_zero_size_matrices():
@@ -939,7 +951,7 @@ def test_a_certified_stack_takes_no_eigvals(monkeypatch):
     assert calls == [Q.shape]
 
 
-# --- PSD checks --------------------------------------------------------------
+# --- scale-safe norms and distances -----------------------------------------
 
 def test_frobenius_is_numpys_norm_where_that_is_finite():
     # the scaling by a power of two is exact: the same bits on matrices of
@@ -958,15 +970,33 @@ def test_frobenius_is_numpys_norm_where_that_is_finite():
     assert frobenius(np.zeros((0, 0))) == 0.0
 
 
-def test_psd_check_examples():
-    ok, lam = psd_check(np.eye(2))
-    assert ok and abs(lam - 1.0) < 1e-14
-    ok, lam = psd_check(np.diag([1.0, -0.5]))
-    assert not ok and abs(lam + 0.5) < 1e-14
-
-
-def test_psd_check_gram():
+def test_relative_distance_is_the_unscaled_ratio_where_that_is_finite():
+    # |X - Y|_F / max(1, |Y|_F): the same bits as the unscaled formula on
+    # matrices of every scale it reaches, with numpy's norm of the whole
+    # array for one matrix and along the last two axes for a stack
     rng = np.random.default_rng(29)
-    B = rng.standard_normal((4, 4))
-    ok, lam = psd_check(B.T @ B)
-    assert ok and lam >= -1e-12
+    for _ in range(200):
+        k = rng.integers(1, 7)
+        X = rng.standard_normal((2, k, k)) * 10.0 ** rng.uniform(-150, 150)
+        Y = X[0] + 1j * X[1] * 10.0 ** rng.uniform(-20, 0)
+        want = np.linalg.norm(Y - Y.T) / max(1.0, np.linalg.norm(Y))
+        assert relative_distance(Y, Y.T) == want
+        axes = (-2, -1)
+        want = (np.linalg.norm(X - X.mT, axis=axes)
+                / np.maximum(1.0, np.linalg.norm(X, axis=axes)))
+        assert np.array_equal(relative_distance(X, X.mT), want)
+
+
+def test_relative_distance_near_float_range_has_no_overflow():
+    # the unscaled ratio reads inf / inf, and X - Y overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = np.array([[1.0, 1.7e308], [-1.7e308, 1.0]])
+        assert relative_distance(big, big.T) == 2.0
+        assert relative_distance(big, -big.T) == 0.0
+        assert relative_distance(np.full((2, 2), 1.5e308), np.zeros((2, 2))) == np.inf
+        # each pair of a stack takes its own power of two
+        stack = np.stack([big, np.eye(2), [[0.0, 0.5], [0.0, 0.0]]])
+        assert relative_distance(stack, stack.mT) == pytest.approx([2.0, 0.0, 0.5 ** 0.5],
+                                                                   rel=1e-15)
+    assert np.isnan(relative_distance(np.full((1, 1), np.nan), np.eye(1)))

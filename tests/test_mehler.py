@@ -457,6 +457,13 @@ def test_inverse_twisted_rejects_n_that_is_not_real_skew():
     assert np.isfinite(Rs).all()
 
 
+def test_inverse_twisted_refuses_a_symmetric_n_near_float_range():
+    # relative_distance(N, -N^T) is taken on N / 2^e: unscaled, N + N^T
+    # overflowed, and the rule read inf <= inf
+    with pytest.raises(DimensionMismatch, match="real skew-symmetric"):
+        mehler_inverse_twisted(np.array([[0.0, 1e300], [1e300, 0.0]]), 1e-310)
+
+
 def test_inverse_twisted_matches_arctan_formula():
     import scipy.linalg as sla
     from qsemi import standard_J

@@ -1,4 +1,5 @@
 """Phase-space quadratic form tests."""
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from qsemi import (
 )
 from qsemi.errors import NotPSDWithinTol
 from qsemi.fixtures import heat, kolmogorov, shifted_diagonal
-from qsemi.matfun import psd_check
 from qsemi.quadform import _congruence_unchecked, embed_xx
 
 from oracles import conjugate_by_linear
@@ -157,7 +157,7 @@ def test_a_symmetric_q_near_float_range_is_kept_with_no_runtime_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         q = QuadraticForm(1, Q)
-        assert psd_check(Q.real)[0]
+        assert np.linalg.eigvalsh(Q.real)[0] > 0
         sheared = _congruence_unchecked(q, shear_transform([[1e-160]]))
     assert np.array_equal(q.Q, Q)
     assert np.isfinite(sheared.Q).all() and np.array_equal(sheared.Q, sheared.Q.T)
@@ -180,3 +180,13 @@ def test_embed_xx_is_the_form_on_x_alone():
 def test_form_rejects_nonaccretive():
     with pytest.raises(NotPSDWithinTol):
         QuadraticForm(1, np.diag([-1.0, 0.0]).astype(complex))
+
+
+@pytest.mark.parametrize("c", [2.0 ** -60, 2.0 ** -20, 1.0, 2.0 ** 20])
+def test_the_psd_floor_is_relative_to_the_form(c):
+    # lambda_min(Re Q) >= -tol |Q|_F: the floor tol max(1, |Q|_F) let every
+    # c diag(-1, 1) with c below tol through
+    with pytest.raises(NotPSDWithinTol, match=re.escape(f"lambda_min = {-c:.3e}")):
+        QuadraticForm(1, c * np.diag([-1.0, 1.0]))
+    assert QuadraticForm(1, c * np.diag([1.0, 0.0])).Q[0, 0] == c
+    assert not QuadraticForm(1, np.zeros((2, 2))).Q.any()
