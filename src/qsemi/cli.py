@@ -175,10 +175,14 @@ def _matrix(value, name: str, shape: tuple) -> np.ndarray:
 
 
 def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticForm:
-    """Build the form from --fixture, else from the problem file's object,
-    whose Re Q QuadraticForm must find PSD within tol (ParseError if not)."""
+    """The form of the run at its tolerance tol, which every stage reads
+    from it: --fixture's, else the problem file's object, whose Re Q
+    QuadraticForm must find PSD within tol (ParseError if not).  A fixture's
+    Re Q is PSD exactly, so it is not checked again at tol."""
     if fixture:
-        return get_fixture(fixture)
+        form = get_fixture(fixture)
+        form.tol = tol
+        return form
     try:
         n = _integer(problem["n"], "n")
         if n < 1:
@@ -243,11 +247,11 @@ def load_t_grid(flag: str | None, problem: dict) -> np.ndarray | None:
 # --------------------------------------------------------------------------
 # subcommands
 
-def cmd_analyze(q: QuadraticForm, args) -> dict:
-    report = singular_space(q, tol=args.tol)
-    cert = graph_condition(report, tol=args.tol)
+def cmd_analyze(args) -> dict:
+    report = singular_space(args.form)
+    cert = graph_condition(report)
     out = {
-        "n": q.n,
+        "n": args.form.n,
         "S_basis": _matrix_out(report.basis),
         "S_dim": report.dim,
         "k0": report.k0,
@@ -264,8 +268,8 @@ def cmd_analyze(q: QuadraticForm, args) -> dict:
     return out
 
 
-def cmd_mehler(q: QuadraticForm, args) -> dict:
-    sym = mehler_symbol(q, args.t, tol=args.tol)
+def cmd_mehler(args) -> dict:
+    sym = mehler_symbol(args.form, args.t)
     out = {"t": sym.t, "c": sym.c, "M": _matrix_out(sym.M)}
     bf = block_decompose(sym.M)
     out["blocks"] = {"R": _matrix_out(bf.R), "L": _matrix_out(bf.L),
@@ -280,14 +284,14 @@ def cmd_mehler(q: QuadraticForm, args) -> dict:
     return out
 
 
-def cmd_kernel(q: QuadraticForm, args) -> dict:
-    k = kernel_from_symbol(mehler_symbol(q, args.t, tol=args.tol))
+def cmd_kernel(args) -> dict:
+    k = kernel_from_symbol(mehler_symbol(args.form, args.t))
     return {"t": args.t, "prefactor": k.c, "K": _matrix_out(k.K),
-            "sup_norm": op_norm_1_inf(k, tol=args.tol)}
+            "sup_norm": op_norm_1_inf(k, tol=args.form.tol)}
 
 
-def cmd_decompose(q: QuadraticForm, args) -> dict:
-    f = build_decomposition(q, args.t, t_grid=args.t_grid, tol=args.tol)
+def cmd_decompose(args) -> dict:
+    f = build_decomposition(args.form, args.t, t_grid=args.t_grid)
     return {
         "t": f.t, "alpha": f.alpha, "gamma": f.gamma, "t0": f.t0,
         "c_t": f.c_t, "s": f.s, "prefactor": f.prefactor,
@@ -300,8 +304,8 @@ def cmd_decompose(q: QuadraticForm, args) -> dict:
     }
 
 
-def cmd_verify(q: QuadraticForm, args) -> dict:
-    f = build_decomposition(q, args.t, t_grid=args.t_grid, tol=args.tol)
+def cmd_verify(args) -> dict:
+    f = build_decomposition(args.form, args.t, t_grid=args.t_grid)
     res = verify_decomposition(f)
     res["t"] = args.t
     res["passed"] = bool(res["matrix_residual"] < 1e-9
@@ -333,16 +337,17 @@ def _input_state(args, n: int) -> GaussianState:
     return GaussianState(n, complex(c_re, c_im), A_re + 1j * A_im, b_re + 1j * b_im)
 
 
-def cmd_evolve(q: QuadraticForm, args) -> dict:
+def cmd_evolve(args) -> dict:
     """The Gaussian evolution of --input, or, for a form without the graph
     condition, the jump demo, which takes no input state (ParseError)."""
-    if graph_condition(singular_space(q, tol=args.tol), tol=args.tol) is None:
+    q = args.form
+    if graph_condition(singular_space(q)) is None:
         if args.input is not None:
             raise _parse_error(f"evolve: --input {args.input} is not read: the jump "
                                "demo takes no input state", "cmd_evolve")
-        return counterexample_demo(q, args.t, tol=args.tol)
+        return counterexample_demo(q, args.t)
     u = _input_state(args, q.n)
-    k = kernel_from_symbol(mehler_symbol(q, args.t, tol=args.tol))
+    k = kernel_from_symbol(mehler_symbol(q, args.t))
     v = apply_kernel_gaussian(k, u)
     return {
         "t": args.t,
@@ -380,18 +385,18 @@ _NORM_METHODS = {
 }
 
 
-def cmd_norms(q: QuadraticForm, args) -> dict:
-    value = norm_sweep(q, args.t, args.p, args.q, tol=args.tol)
+def cmd_norms(args) -> dict:
+    value = norm_sweep(args.form, args.t, args.p, args.q)
     method = _NORM_METHODS[args.p == 1, bool(np.isinf(args.q))]
     return {"t": args.t, "p": args.p, "q": args.q, "norm": value, "method": method}
 
 
-def cmd_exponents(q: QuadraticForm, args) -> dict:
-    report = singular_space(q, tol=args.tol)
+def cmd_exponents(args) -> dict:
+    report = singular_space(args.form)
     grid = default_t_grid() if args.t_grid is None else args.t_grid
-    norms = norm_sweep(q, grid, args.p, args.q, tol=args.tol)
+    norms = norm_sweep(args.form, grid, args.p, args.q)
     slope, r_squared = fit_exponent(grid, norms)
-    cpq = compute_cpq(args.p, args.q, q.n, report.k0)
+    cpq = compute_cpq(args.p, args.q, args.form.n, report.k0)
     if abs(slope + cpq) <= 0.02:
         verdict = "tight"
     elif slope >= -cpq - 0.02:
@@ -498,10 +503,11 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         problem = {} if args.fixture else _read_problem_file(args.file)
-        args.tol = resolve_tol(args.tol, problem)
+        tol = resolve_tol(args.tol, problem)
         if "t_grid" in args:
             args.t_grid = load_t_grid(args.t_grid, problem)
-        report = args.fn(load_problem(args.fixture, problem, args.tol), args)
+        args.form = load_problem(args.fixture, problem, tol)
+        report = args.fn(args)
     except errors.QsemiError as exc:
         print(dumps_canonical({"error": str(exc), "kind": type(exc).__name__,
                                "module": exc.module, "operation": exc.operation}))

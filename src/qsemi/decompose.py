@@ -287,18 +287,18 @@ def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
     return PolarFactors(t[()], A, EA, S, E1)
 
 
-def polar_factors(q: QuadraticForm, t: float, *, tol: float = DEFAULT_TOL) -> PolarFactors:
+def polar_factors(q: QuadraticForm, t: float) -> PolarFactors:
     """Split exp(-t q^w) into self-adjoint and unitary matrix shadows.
 
     A comes from exp(-4itJA) = exp(-2itJQ) exp(-2itJ conj(Q)), whose log
     must stay principal (BranchCut otherwise); S = exp(2tJB) is the real part
     of exp(2itJA) exp(-2itJQ), and B its log, formed when read.  The
-    imaginary parts of A and of S's generator are checked, then truncated.
+    imaginary parts of A and of S's generator are checked at q.tol and dropped.
     """
     if t == 0:
         I = np.eye(2 * q.n)
         return PolarFactors(0.0, q.Q.real.copy(), I, I.copy(), I.copy(), q.Q.imag.copy())
-    return _polar(q, t, tol, Checks())
+    return _polar(q, t, q.tol, Checks())
 
 
 def _three_factor_product(D, M, W, t):
@@ -383,7 +383,7 @@ def _strang(A, B, EA, EB, tol: float, checks: Checks) -> np.ndarray:
     return (P.real + P.real.mT) / 2
 
 
-def strang_middle(A, B, *, tol: float = DEFAULT_TOL) -> np.ndarray:
+def strang_middle(A, B) -> np.ndarray:
     """Middle term P(A, B) = (-2iJ)^{-1} log(e^{2iJB} e^{-2iJA} e^{2iJB}).
 
     Defined for ||A||, ||B|| < log(2)/6 where the log stays principal.  P is
@@ -395,7 +395,7 @@ def strang_middle(A, B, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     J = standard_J(A.shape[-1] // 2)
     EB, EA = expm(np.stack([2j * J @ B, -2j * J @ A]))
-    return _strang(A, B, EA, EB, tol, Checks())
+    return _strang(A, B, EA, EB, DEFAULT_TOL, Checks())
 
 
 def default_t_grid(t_max: float = 0.1) -> np.ndarray:
@@ -465,9 +465,8 @@ def _gammas(pol, U, Nbar, alpha, *, tol, checks: Checks) -> np.ndarray:
     return np.where(vanishes, 1e6, t_alpha / (10 * np.where(vanishes, 1.0, mu)))
 
 
-def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
-                 cert: GraphCertificate, t_grid=None, *, t: float | None = None,
-                 tol: float = DEFAULT_TOL) -> GammaSelection:
+def select_gamma(q: QuadraticForm, report: SingularSpaceReport, cert: GraphCertificate,
+                 t_grid=None, *, t: float | None = None) -> GammaSelection:
     """Pick the twisted-diffusion strength gamma and the validity horizon t0.
 
     gamma_t is the largest gamma with t A_t - 10 gamma t^alpha NN >= 0,
@@ -476,7 +475,7 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     0.9 safety factor under the grid minimum.  t0 is the largest prefix of
     the ascending grid on which every per-t stage and check of
     build_decomposition passes, on the polar factors of the gamma pass;
-    stop_reason names the error that ended it.
+    stop_reason names the error that ended it; every check is at q.tol.
 
     Two stacked passes over the grid: polar factors and gamma_t, then the
     stages at gamma.  Each records every failed entry's first error, the one
@@ -510,10 +509,10 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
                      mode="complete")[0][:, report.dim:]
     Nbar = U.T @ twisted_form_matrix(cert.N) @ U
     checks = Checks(times.shape)
-    pol = _polar(q_sheared, times, tol, checks)
+    pol = _polar(q_sheared, times, q.tol, checks)
     grid = Checks(G)
     grid.bad |= checks.bad[:G]  # a failed polar entry keeps the polar error
-    gammas = _gammas(pol[:G], U, Nbar, alpha, tol=tol, checks=grid)
+    gammas = _gammas(pol[:G], U, Nbar, alpha, tol=q.tol, checks=grid)
     i = first_index(grid.bad)
     if i in checks.errors:
         exc = checks.errors[i]
@@ -525,7 +524,7 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
     if not np.isfinite(gamma) or gamma <= 0:
         raise GammaCollapsed(f"gamma = {gamma}", module=_MOD,
                              operation="select_gamma")
-    factors = _factors_at(q, q_sheared, cert, gamma, alpha, pol, tol=tol,
+    factors = _factors_at(q, q_sheared, cert, gamma, alpha, pol, tol=q.tol,
                           checks=checks)
     i = first_index(checks.bad[:G])
     exc = None if i is None else checks.errors[i]
@@ -538,8 +537,7 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport,
                           replace(factors, t0=t0), checks.errors.get(G))
 
 
-def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
-                        tol: float = DEFAULT_TOL) -> DecompositionFactors:
+def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None) -> DecompositionFactors:
     """Run the full pipeline at time t > 0 and return the factor data.
 
     Pipeline: singular space -> graph certificate -> select_gamma, whose
@@ -550,13 +548,13 @@ def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None,
     if not t > 0:
         raise DegenerateTime(f"t = {t} must be positive", module=_MOD,
                              operation="build_decomposition")
-    report = singular_space(q, tol=tol)
-    cert = graph_condition(report, tol=tol)
+    report = singular_space(q)
+    cert = graph_condition(report)
     if cert is None:
         raise GraphConditionFailed(
             "singular space meets {0} x R^n; the factorization hypothesis fails",
             module=_MOD, operation="build_decomposition")
-    gamma_sel = select_gamma(q, report, cert, t_grid, t=t, tol=tol)
+    gamma_sel = select_gamma(q, report, cert, t_grid, t=t)
     if t > gamma_sel.t0 * (1 + 1e-12):
         why = f": {gamma_sel.stop_reason}" if gamma_sel.stop_reason else ""
         raise TimeTooLarge(f"t = {t} beyond the validity horizon t0 = "
@@ -582,10 +580,10 @@ def verify_decomposition(f: DecompositionFactors) -> dict:
     of all factors (scalar prefactors included) and the kernel synthesized
     directly from the symbol of exp(-t q^w).  The symbols and kernels of the
     middle form p_t (Re p_t >= 0 by the build's p_t >= a_t/2 gate) and of q
-    come from one stacked pass (mehler.stacked_symbol); then the two twisted
-    factors act on the middle kernel in covariance form (mehler.twisted_sandwich),
-    so no kernel of order 1/s is formed, and the phase, dispersion and
-    transport factors follow.
+    come from one stacked pass (mehler.stacked_symbol, at DEFAULT_TOL, not
+    the run's q.tol); then the two twisted factors act on the middle kernel
+    in covariance form (mehler.twisted_sandwich), so no kernel of order 1/s
+    is formed, and the phase, dispersion and transport factors follow.
     """
     q, t, s, u = f.q, f.t, f.s, f.unitary
     n = q.n

@@ -276,11 +276,11 @@ def op_norm_lower_gaussian(k: GaussianKernel, p: float, q: float) -> float:
     return np.maximum(np.maximum(vals.max(axis=0), f1), f2)[()]
 
 
-def norm_sweep(form: QuadraticForm, t, p: float, q: float, *,
-               tol: float = DEFAULT_TOL):
+def norm_sweep(form: QuadraticForm, t, p: float, q: float):
     """L^p -> L^q norm of exp(-t q^w), q^w the operator of `form`, at a
     time t or at each time of an array t: exact on the edge p = 1 or
-    q = inf (op_norm_edge), the Gaussian lower bound inside the square.
+    q = inf (op_norm_edge, at form.tol), the Gaussian lower bound inside the
+    square.
 
     The kernels come from the flow exp(-2itJQ) (mehler.flow_kernel, whose c
     is the modulus |c|, all a norm reads), and they and the norms are each
@@ -291,11 +291,11 @@ def norm_sweep(form: QuadraticForm, t, p: float, q: float, *,
     try:
         k = flow_kernel(form, t)
         if on_edge(p, q):
-            return op_norm_edge(k, p, q, tol=tol)
+            return op_norm_edge(k, p, q, tol=form.tol)
         return op_norm_lower_gaussian(k, p, q)
     except QsemiError as exc:
         if exc.index:  # an earlier t may fail in a later stage: that comes first
-            norm_sweep(form, np.asarray(t)[:exc.index], p, q, tol=tol)
+            norm_sweep(form, np.asarray(t)[:exc.index], p, q)
         raise
 
 
@@ -464,23 +464,23 @@ def _twisted_gaussian(u: GaussianState, N, eps: float) -> GaussianState:
 # --------------------------------------------------------------------------
 # reciprocal demo
 
-def counterexample_demo(q: QuadraticForm, t: float, *,
-                        tol: float = DEFAULT_TOL) -> dict:
+def counterexample_demo(q: QuadraticForm, t: float) -> dict:
     """Evolve the jump of u = H(x) exp(-x^2) at x = 0 under a form violating
     the graph condition and report that no smoothing occurs.
 
     Requires a multiplication-type form (symbol supported on the physical
     variables) with n = 1, for which exp(-t q^w) is multiplication by
     exp(-t q(x, 0)): continuous and 1 at x = 0, so the jump stays 1, in
-    closed form.  kernel_error names the refusal of the kernel synthesis.
+    closed form.  The form is taken as multiplication-type where no entry of
+    its xi rows exceeds q.tol max |Q_ij|, a test that commutes with q -> c q.
+    kernel_error names the refusal of the kernel synthesis.
     """
-    report = singular_space(q, tol=tol)
-    if graph_condition(report, tol=tol) is not None:
+    if graph_condition(singular_space(q)) is not None:
         raise FixtureHasGraph("fixture satisfies the graph condition; "
                               "nothing to demonstrate",
                               module=_MOD, operation="counterexample_demo")
     n = q.n
-    if np.abs(q.Q[n:, :]).max() > tol or np.abs(q.Q[:n, n:]).max() > tol:
+    if np.abs(q.Q[n:, :]).max() > q.tol * np.abs(q.Q).max():  # Q is symmetric
         raise DimensionMismatch(
             "demo implemented for multiplication-type fixtures (Q supported "
             "on the x-block)", module=_MOD, operation="counterexample_demo")

@@ -292,16 +292,17 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
     return _taylor_ps(X, top, _LOG_BLOCK, _LOG_TOP) * 2.0 ** roots[..., None, None]
 
 
-def mat_log_principal(A, *, tol: float = DEFAULT_TOL) -> np.ndarray:
+def mat_log_principal(A) -> np.ndarray:
     """Principal matrix logarithm of a matrix, or of each matrix of a stack
     (..., m, m): square roots until |A - I|_1 <= 0.5537, then a truncated
     Taylor sum of log(I + X) evaluated with matmuls only; see log_principal.
 
-    Raises BranchCut when an eigenvalue sits on (or numerically hugs) the
-    closed negative real half-line, where the principal branch is ill-defined.
+    Raises BranchCut when an eigenvalue sits on (or, at DEFAULT_TOL, hugs)
+    the closed negative real half-line, where the principal branch is
+    ill-defined.
     """
     A = as_square(A, operation="mat_log_principal")
-    return log_principal(A, A - np.eye(A.shape[-1]), tol, Checks())
+    return log_principal(A, A - np.eye(A.shape[-1]), DEFAULT_TOL, Checks())
 
 
 def _add_identity(S, c) -> np.ndarray:
@@ -540,11 +541,10 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
     return C, S, pfaffian(J @ C) / (-1) ** (n * (n - 1) // 2)
 
 
-def sqrt_det_cos_tracked(Q, t, *,
-                         tol: float = DEFAULT_TOL) -> BranchTrackedScalar:
+def sqrt_det_cos_tracked(Q, t) -> BranchTrackedScalar:
     """sqrt(det cos(t J Q)) on the branch continuous in t from 1 at t = 0;
     see cos_sin_sqrt_det."""
-    value = cos_sin_sqrt_det(Q, t, tol=tol)[2]
+    value = cos_sin_sqrt_det(Q, t)[2]
     return BranchTrackedScalar(value, np.asarray(t, dtype=float)[()], 0)
 
 

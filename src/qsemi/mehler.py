@@ -224,16 +224,15 @@ def gaussian_integral(K, b, m, error, *, module: str, operation: str, what: str,
     return c, (S + S.mT) / 2, l
 
 
-def mehler_symbol(q: QuadraticForm, t, *,
-                  tol: float = DEFAULT_TOL) -> MehlerSymbol:
+def mehler_symbol(q: QuadraticForm, t) -> MehlerSymbol:
     """Symbol of exp(-t q^w): prefactor 1/sqrt(det cos(tJQ)) and form of
     J^{-1} tan(tJQ), on the determinant branch continuous from t = 0.
 
     t may be an array of times: c, M and t are then stacked over it.  A
     failure names the first failing t, at QsemiError.index.  This is
-    stacked_symbol of the one form q.Q.
+    stacked_symbol of the one form q.Q, at its tolerance q.tol.
     """
-    return stacked_symbol(q.Q, t, tol=tol)
+    return stacked_symbol(q.Q, t, tol=q.tol)
 
 
 def stacked_symbol(Q, t, *, tol: float = DEFAULT_TOL) -> MehlerSymbol:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSDWithinTol
+from .errors import DimensionMismatch, InvalidTolerance, NotPSDWithinTol
 from .matfun import DEFAULT_TOL, frobenius, relative_distance
 
 _MOD = "quadform"
@@ -42,17 +42,22 @@ def standard_J(n: int) -> np.ndarray:
 
 @dataclass
 class QuadraticForm:
-    """Accretive quadratic form q(X) = QX.X with Q complex symmetric 2n x 2n.
+    """Accretive quadratic form q(X) = QX.X with Q complex symmetric 2n x 2n,
+    and tol, the one tolerance of every stage that takes it.
 
-    Q is symmetrized on construction (with a warning if its relative_distance
-    from Q^T exceeds 1e-12), and Re Q must be positive semidefinite relative
-    to Q: lambda_min(Re Q) >= -tol |Q|_F, else NotPSDWithinTol.
+    tol must lie in (0, 1) (InvalidTolerance): the rank decisions take it as
+    relative, and at 1 or more keep nothing.  Q is symmetrized on
+    construction (with a warning if its relative_distance from Q^T exceeds
+    1e-12), and lambda_min(Re Q) >= -tol |Q|_F, else NotPSDWithinTol.
     """
     n: int
     Q: np.ndarray
     tol: float = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
+        if not 0 < self.tol < 1:
+            raise InvalidTolerance(f"tol = {self.tol} must be positive and below 1",
+                                   module=_MOD, operation="QuadraticForm")
         Q = np.asarray(self.Q, dtype=complex)
         if Q.ndim != 2 or Q.shape != (2 * self.n, 2 * self.n):
             raise DimensionMismatch(

@@ -13,18 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidTolerance
 from .matfun import DEFAULT_TOL, rounding_allowance
 from .quadform import QuadraticForm, hamilton_map
 
 _MOD = "singular"
-
-
-def _check_tol(tol: float, operation: str) -> None:
-    """The rank decisions take tol as relative; at 1 or more they keep nothing."""
-    if not 0 < tol < 1:
-        raise InvalidTolerance(f"tol = {tol} must be positive and below 1",
-                               module=_MOD, operation=operation)
 
 
 @dataclass
@@ -62,21 +54,20 @@ class GraphCertificate:
     Gsym: np.ndarray
 
 
-def singular_space(q: QuadraticForm, tol: float = DEFAULT_TOL) -> SingularSpaceReport:
+def singular_space(q: QuadraticForm) -> SingularSpaceReport:
     """Compute S, its dimension and the global index k0.
 
     All 2n iterates Re(Q) (Im F / c)^l are stacked, c the power of two
     nearest max |Q_ij| (1 for Q = 0), and one SVD of the stack gives its rank
-    (singular values >= tol * sigma_max, or >= tol when sigma_max < tol),
-    the two singular values bracketing it, and S, spanned by the right
-    singular vectors past it.  k0 is the first l whose prefix stack of
-    levels 0..l has that rank (the whole stack at l = 2n - 1).  The kernels
-    do not see c; dividing by it, exactly, makes the rank decision the same
-    for every positive multiple of q, where level l would otherwise scale
-    as |Im F|^l and the top levels hide the lower ones' rank.
-    tol must lie in (0, 1) (InvalidTolerance).
+    (singular values >= tol * sigma_max, or >= tol when sigma_max < tol,
+    for tol = q.tol, which the report keeps), the two singular values
+    bracketing it, and S, spanned by the right singular vectors past it.
+    k0 is the first l whose prefix stack of levels 0..l has that rank (the
+    whole stack at l = 2n - 1).  The kernels do not see c; dividing by it,
+    exactly, makes the rank decision the same for every positive multiple of
+    q, where level l would otherwise scale as |Im F|^l and the top levels
+    hide the lower ones' rank.
     """
-    _check_tol(tol, "singular_space")
     n2 = 2 * q.n
     ReQ = q.Q.real
     scale = np.abs(q.Q).max()  # |Q|_F would overflow above entries of 1e154
@@ -91,7 +82,7 @@ def singular_space(q: QuadraticForm, tol: float = DEFAULT_TOL) -> SingularSpaceR
 
     _, sv, vh = np.linalg.svd(full, full_matrices=False)
     smax = sv[0] if sv.size else 0.0
-    thresh = tol * smax if smax >= tol else tol
+    thresh = q.tol * smax if smax >= q.tol else q.tol
     rank = int((sv >= thresh).sum())
     dim_S = n2 - rank
     kept = float(sv[rank - 1]) if rank > 0 else float("nan")
@@ -104,21 +95,19 @@ def singular_space(q: QuadraticForm, tol: float = DEFAULT_TOL) -> SingularSpaceR
         if int((sv_k >= thresh).sum()) == rank:
             k0 = k
             break
-    return SingularSpaceReport(basis=basis, k0=k0, dim=dim_S, tol=tol,
+    return SingularSpaceReport(basis=basis, k0=k0, dim=dim_S, tol=q.tol,
                                sv_kept=kept, sv_dropped=dropped, sv_max=float(smax))
 
 
-def graph_condition(report: SingularSpaceReport, tol: float = DEFAULT_TOL,
-                    ) -> GraphCertificate | None:
+def graph_condition(report: SingularSpaceReport) -> GraphCertificate | None:
     """Return the minimal-norm graph certificate, or None when S meets {0} x R^n.
 
     G solves G (Pi_x basis) = Pi_xi basis in the least-squares sense and is
     extended by zero off the projection of S, which is the minimal Frobenius
     norm choice.  One SVD of Pi_x basis gives both its rank (full column rank
-    is the graph condition) and G, by the pseudo-inverse from that SVD.
-    tol must lie in (0, 1) (InvalidTolerance).
+    is the graph condition, at the report's tolerance) and G, by the
+    pseudo-inverse from that SVD.
     """
-    _check_tol(tol, "graph_condition")
     basis = np.asarray(report.basis, dtype=float)
     n = basis.shape[0] // 2
     d = basis.shape[1]
@@ -128,7 +117,7 @@ def graph_condition(report: SingularSpaceReport, tol: float = DEFAULT_TOL,
     X = basis[:n, :]
     Xi = basis[n:, :]
     u, sv, vt = np.linalg.svd(X, full_matrices=False)
-    if int((sv >= tol * max(sv[0], 1.0)).sum()) < d:
+    if int((sv >= report.tol * max(sv[0], 1.0)).sum()) < d:
         return None
     G = Xi @ (vt.T @ ((1 / sv)[:, None] * u.T))
     N = (G - G.T) / 2

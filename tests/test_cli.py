@@ -502,6 +502,23 @@ def test_evolve_x_squared_demo(capsys):
     assert rep["kernel_error"] == "NonIntegrableSymbol"
 
 
+@pytest.mark.parametrize("c", [2.0 ** -30, 1.0, 2.0 ** 30])
+def test_the_jump_demo_commutes_with_a_multiple_of_the_form(tmp_path, capsys, c):
+    # an xi-row entry of 5e-10 c is below tol max |Q_ij| = 1e-9 c at every c;
+    # against the absolute 1e-9, c = 2^30 was refused as DimensionMismatch
+    path = write_problem(tmp_path, {"n": 1, "Q_re": [[c, 0.0], [0.0, 0.0]],
+                                    "Q_im": [[0.0, 5e-10 * c], [5e-10 * c, 0.0]]})
+    code, rep = run_quietly(capsys, "evolve", path, "--t", repr(0.1 / c))
+    assert code == EXIT_OK
+    assert rep == {"t": 0.1 / c, "jump_before": 1.0, "jump_after": 1.0,
+                   "jump_preserved": True, "kernel_error": "NonIntegrableSymbol"}
+
+
+def test_a_fixture_is_loaded_at_the_runs_tolerance():
+    # every stage reads the tolerance from the form: a fixture kept 1e-9
+    assert cli.load_problem("kolmogorov", {}, 1e-7).tol == 1e-7
+
+
 def test_evolve_demo_on_a_problem_file_without_graph(tmp_path, capsys):
     # the demo is chosen by the failed graph condition, not the fixture name
     path = tmp_path / "x2.json"

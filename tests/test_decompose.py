@@ -495,20 +495,21 @@ def test_select_gamma_stop_reason(monkeypatch):
     assert select_gamma(q, rep, graph_condition(rep)).stop_reason is None
 
 
-def reference_select_gamma(q, report, cert, t_grid, tol=1e-9):
+def reference_select_gamma(q, report, cert, t_grid):
     """select_gamma as a loop over the ascending grid, one time at a time,
     through the public stage functions: (gamma, t0, stop_reason), or the
     GammaCollapsed that the gamma loop raises."""
+    tol = q.tol
     t_grid = np.sort(t_grid)
     q_sh = conjugate_by_linear(q, shear_transform(cert.Gsym))
     alpha = 2 * report.k0 + 1
     Nmat = twisted_form_matrix(cert.N)
-    U = sla.null_space(singular_space(q_sh, tol=report.tol).basis.T)
+    U = sla.null_space(singular_space(q_sh).basis.T)
     Nbar = U.T @ Nmat @ U
     gammas, pols = [], []
     for t in t_grid:
         try:
-            pol = polar_factors(q_sh, t, tol=tol)
+            pol = polar_factors(q_sh, t)
         except (QsemiError, np.linalg.LinAlgError) as exc:
             raise GammaCollapsed(f"polar factors failed at t = {t:.3g}: {exc}",
                                  module="decompose", operation="select_gamma") from exc
@@ -535,7 +536,7 @@ def reference_select_gamma(q, report, cert, t_grid, tol=1e-9):
                 raise NotPSDWithinTol(f"arctan sandwich margins ({lo:.2e}, {hi:.2e})",
                                       module="decompose", operation="build_decomposition")
             Am, Bm = t * pol.A, s * Rs
-            P = strang_middle(Am, Bm, tol=tol)
+            P = strang_middle(Am, Bm)
             for what, gap in (("p_t >= a_t/2", P - Am / 2), ("5B <= A", Am - 5 * Bm)):
                 margin = np.linalg.eigvalsh(gap).min()
                 if margin < -tol:
@@ -854,7 +855,7 @@ def test_every_log_of_a_build_takes_the_runs_tolerance(monkeypatch):
         return log(Z, X, tol, checks)
     for module in (decompose, matfun):
         monkeypatch.setattr(module, "log_principal", spy)
-    build_decomposition(kolmogorov(), 0.05, tol=1e-7)
+    build_decomposition(QuadraticForm(2, kolmogorov().Q, 1e-7), 0.05)
     assert tols and set(tols) == {1e-7}
 
 

@@ -4,7 +4,12 @@ A keyword that the body never reads looks like a setting but changes nothing;
 drop it, or make it a module constant if it names a fixed choice.
 """
 import ast
+import importlib
+import inspect
 from pathlib import Path
+
+from qsemi.quadform import QuadraticForm
+from qsemi.singular import SingularSpaceReport
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qsemi"
 
@@ -37,3 +42,28 @@ def test_every_parameter_is_read():
     unread = [f"{path.name}:{line} {fn}({param})" for path in paths
               for line, fn, param in unread_parameters(path.read_text(encoding="utf-8"))]
     assert not unread, unread
+
+
+def public_functions():
+    """(module, name, signature) of each public function src/qsemi defines."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"qsemi.{path.stem}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and not name.startswith("_"):
+                yield path.stem, name, inspect.signature(fn, eval_str=True)
+
+
+def test_a_stage_of_a_form_reads_the_forms_tolerance():
+    # QuadraticForm.tol, kept on the report, is the run's one tolerance: a tol
+    # keyword beside the form would let two stages of one run disagree
+    signatures = {f"{module}.{name}": sig for module, name, sig in public_functions()}
+    of_a_form = {name for name, sig in signatures.items()
+                 if any(p.annotation in (QuadraticForm, SingularSpaceReport)
+                        for p in sig.parameters.values())}
+    assert {"singular.singular_space", "singular.graph_condition",
+            "decompose.build_decomposition", "evolve.norm_sweep"} <= of_a_form
+    # these take DEFAULT_TOL, the one value their callers gave
+    fixed = {"matfun.mat_log_principal", "matfun.sqrt_det_cos_tracked",
+             "decompose.strang_middle"}
+    assert not [name for name in sorted(of_a_form | fixed)
+                if "tol" in signatures[name].parameters]

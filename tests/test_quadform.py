@@ -12,7 +12,7 @@ from qsemi import (
     shear_transform,
     standard_J,
 )
-from qsemi.errors import NotPSDWithinTol
+from qsemi.errors import InvalidTolerance, NotPSDWithinTol
 from qsemi.fixtures import heat, kolmogorov, shifted_diagonal
 from qsemi.quadform import _congruence_unchecked, embed_xx
 
@@ -190,3 +190,12 @@ def test_the_psd_floor_is_relative_to_the_form(c):
         QuadraticForm(1, c * np.diag([-1.0, 1.0]))
     assert QuadraticForm(1, c * np.diag([1.0, 0.0])).Q[0, 0] == c
     assert not QuadraticForm(1, np.zeros((2, 2))).Q.any()
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 2.0, 1e300, -1.0])
+def test_a_tolerance_outside_the_unit_interval_is_refused_before_the_psd_check(tol):
+    # the PSD floor -tol |Q|_F let diag(-1, 1) through at nan, 2 and 1e300,
+    # and at -1 refused diag(1, 1) as not PSD
+    for Q in (np.diag([-1.0, 1.0]), np.eye(2)):
+        with pytest.raises(InvalidTolerance, match="must be positive and below 1"):
+            QuadraticForm(1, Q, tol)

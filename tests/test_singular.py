@@ -339,8 +339,5 @@ def test_report_gap_is_exposed():
 @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 1e300, float("nan")])
 def test_tolerance_outside_unit_interval_is_rejected(tol):
     # the rank decisions are relative to the largest singular value
-    q = heat(1)
     with pytest.raises(InvalidTolerance):
-        singular_space(q, tol=tol)
-    with pytest.raises(InvalidTolerance):
-        graph_condition(singular_space(q), tol=tol)
+        QuadraticForm(1, heat(1).Q, tol)
