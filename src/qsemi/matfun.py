@@ -498,7 +498,7 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
     """
     from .quadform import standard_J  # local import to avoid a cycle
 
-    op = "sqrt_det_cos_tracked"
+    op = "cos_sin_sqrt_det"
     Q = as_square(Q, operation=op)
     n = Q.shape[-1] // 2
     if Q.shape[-1] != 2 * n:

@@ -2,13 +2,13 @@
 graph condition.
 
 The singular space is the intersection of the kernels of Re(Q) (Im JQ)^l for
-l = 0 .. 2n-1; the global index is the smallest l at which the intersection
-stabilizes.  The graph condition asks whether this real subspace is the graph
-{(x, Gx)} of a real n x n matrix acting on the physical variables.
+l = 0 .. 2n-1, the unobservable subspace of the pair (Im JQ, Re Q); the
+global index is the smallest l at which the intersection stabilizes.  The
+graph condition asks whether this real subspace is the graph {(x, Gx)} of a
+real n x n matrix acting on the physical variables.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,27 +23,16 @@ _MOD = "singular"
 class SingularSpaceReport:
     """Orthonormal basis of S together with the index data and the SVD gap.
 
-    sv_kept / sv_dropped expose the singular values bracketing the rank
-    decision so borderline cases can be audited by callers; sv_max is the
-    largest.
+    gap_ratio is the smallest ratio, over the levels of the staircase, of the
+    last singular value a level keeps (its scale where it keeps none) to the
+    first it drops; inf where no level drops a value above the SVD's
+    rounding, rounding_allowance(2n) times the level's scale: an exact gap.
     """
     basis: np.ndarray          # (2n, d), orthonormal real columns
     k0: int
     dim: int
     tol: float = field(repr=False, default=DEFAULT_TOL)
-    sv_kept: float = field(repr=False, default=float("nan"))
-    sv_dropped: float = field(repr=False, default=float("nan"))
-    sv_max: float = field(repr=False, default=0.0)
-
-    @property
-    def gap_ratio(self) -> float:
-        """sv_kept / sv_dropped; inf where no value is dropped (nan) or the
-        dropped one is at the SVD's rounding level, rounding_allowance(2n)
-        sv_max or less: an exact gap."""
-        m = self.basis.shape[0]
-        if not self.sv_dropped > rounding_allowance(m) * self.sv_max:
-            return float("inf")
-        return self.sv_kept / self.sv_dropped
+    gap_ratio: float = field(repr=False, default=float("inf"))
 
 
 @dataclass
@@ -54,49 +43,48 @@ class GraphCertificate:
     Gsym: np.ndarray
 
 
+def _rank(sv, scale: float, q: QuadraticForm) -> tuple[int, float]:
+    """The rank of a level with singular values sv, those above q.tol * scale,
+    and the gap ratio of that decision: the last value kept (scale where none
+    is) over the first dropped, inf where none is dropped above the SVD's
+    rounding, rounding_allowance(2n) * scale."""
+    rank = int((sv > q.tol * scale).sum())
+    if rank == sv.size or not sv[rank] > rounding_allowance(2 * q.n) * scale:
+        return rank, float("inf")
+    return rank, float((sv[rank - 1] if rank else scale) / sv[rank])
+
+
 def singular_space(q: QuadraticForm) -> SingularSpaceReport:
-    """Compute S, its dimension and the global index k0.
+    """Compute S, its dimension and the global index k0 by the staircase.
 
-    All 2n iterates Re(Q) (Im F / c)^l are stacked, c the power of two
-    nearest max |Q_ij| (1 for Q = 0), and one SVD of the stack gives its rank
-    (singular values >= tol * sigma_max, or >= tol when sigma_max < tol,
-    for tol = q.tol, which the report keeps), the two singular values
-    bracketing it, and S, spanned by the right singular vectors past it.
-    k0 is the first l whose prefix stack of levels 0..l has that rank (the
-    whole stack at l = 2n - 1).  The kernels do not see c; dividing by it,
-    exactly, makes the rank decision the same for every positive multiple of
-    q, where level l would otherwise scale as |Im F|^l and the top levels
-    hide the lower ones' rank.
+    N_0 = Ker Re Q and, with V_k an orthonormal basis of N_k,
+    N_{k+1} = V_k Ker((I - V_k V_k^T) Im F V_k) for F = JQ: the x in N_k with
+    Im F x in N_k, so N_k is the kernel of the levels 0..k of the stack
+    Re Q (Im F)^l (Paige, IEEE TAC 26, 1981: stable where the stack is not).
+    Each level is one thin SVD, and its rank is _rank's at tol = q.tol, which
+    the report keeps: level 0 at the scale |Re Q|_2, its own largest value,
+    every later level at max(|Re Q|_2, |Im F|_2).  Both scale with q, so every
+    positive multiple of q gets the same answer, and Im F = 0 stops at once.
+    The staircase stops at a level that drops nothing or at N_k = {0}; k0 is
+    the number of levels past 0 that dropped a dimension.  Im F is formed
+    only where Re Q is singular.
     """
-    n2 = 2 * q.n
     ReQ = q.Q.real
-    scale = np.abs(q.Q).max()  # |Q|_F would overflow above entries of 1e154
-    e = round(math.log2(scale)) if 0 < scale < math.inf else 0
-    ImF = np.ldexp(hamilton_map(q).imag, -e)
-    blocks = []
-    P = np.eye(n2)
-    for _ in range(n2):
-        blocks.append(ReQ @ P)
-        P = P @ ImF
-    full = np.vstack(blocks)
-
-    _, sv, vh = np.linalg.svd(full, full_matrices=False)
-    smax = sv[0] if sv.size else 0.0
-    thresh = q.tol * smax if smax >= q.tol else q.tol
-    rank = int((sv >= thresh).sum())
-    dim_S = n2 - rank
-    kept = float(sv[rank - 1]) if rank > 0 else float("nan")
-    dropped = float(sv[rank]) if rank < sv.size else 0.0
-    basis = vh[rank:].T  # the stack is real, and so is S
-
-    k0 = n2 - 1
-    for k in range(n2 - 1):
-        sv_k = np.linalg.svd(np.vstack(blocks[: k + 1]), compute_uv=False)
-        if int((sv_k >= thresh).sum()) == rank:
-            k0 = k
-            break
-    return SingularSpaceReport(basis=basis, k0=k0, dim=dim_S, tol=q.tol,
-                               sv_kept=kept, sv_dropped=dropped, sv_max=float(smax))
+    _, sv, vh = np.linalg.svd(ReQ, full_matrices=False)
+    rank, gap = _rank(sv, sv[0], q)
+    V, k0 = vh[rank:].T, 0  # Re Q is real, and so is S
+    if V.shape[1]:
+        ImF = hamilton_map(q).imag
+        scale = max(sv[0], np.linalg.svd(ImF, compute_uv=False)[0])
+        while V.shape[1]:
+            M = ImF @ V
+            _, sv, vh = np.linalg.svd(M - V @ (V.T @ M), full_matrices=False)
+            rank, level_gap = _rank(sv, scale, q)
+            gap = min(gap, level_gap)
+            if not rank:
+                break
+            V, k0 = V @ vh[rank:].T, k0 + 1
+    return SingularSpaceReport(basis=V, k0=k0, dim=V.shape[1], tol=q.tol, gap_ratio=gap)
 
 
 def graph_condition(report: SingularSpaceReport) -> GraphCertificate | None:

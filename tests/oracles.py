@@ -7,6 +7,8 @@ pytest puts this directory on sys.path, so a test module imports it by name.
 The mpmath references return mpmath matrices: a caller keeps working at its
 precision and rounds to doubles (to_complex) as its own last step.
 """
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 
@@ -60,3 +62,31 @@ def mp_logm(A, dps: int) -> mpmath.matrix:
 def to_complex(M: mpmath.matrix) -> np.ndarray:
     """An mpmath matrix rounded to complex doubles."""
     return np.array(M.tolist(), dtype=complex)
+
+
+def exact_singular_dims(q: QuadraticForm) -> tuple[int, int]:
+    """(dim S, k0) of q's stored entries in exact rational arithmetic.
+
+    Each double is a fraction, so the levels Re Q (Im F)^l, F = JQ, are exact,
+    and Gaussian elimination adds one level's rows at a time to an echelon
+    basis of the rows so far: the rank of each prefix stack.  The
+    rank stops growing at the first level that adds none, the level k0 + 1
+    (Hitrik and Pravda-Starov, Math. Ann. 344, 2009).
+    """
+    n, m = q.n, 2 * q.n
+    re = [[Fraction(x) for x in row] for row in q.Q.real.tolist()]
+    im = [[Fraction(x) for x in row] for row in q.Q.imag.tolist()]
+    imF = im[n:] + [[-x for x in row] for row in im[:n]]  # J Im Q, J = [[0, I], [-I, 0]]
+    pivots = {}  # column -> row with a 1 there and 0 at the earlier pivots
+    level, ranks = re, []
+    while len(ranks) < 2 or m > ranks[-1] > ranks[-2]:
+        for row in level:
+            for c, p in pivots.items():
+                if row[c]:
+                    row = [a - row[c] * b for a, b in zip(row, p)]
+            c = next((j for j, a in enumerate(row) if a), None)
+            if c is not None:
+                pivots[c] = [a / row[c] for a in row]
+        ranks.append(len(pivots))
+        level = [[sum(a * b for a, b in zip(row, col)) for col in zip(*imF)] for row in level]
+    return m - ranks[-1], ranks.index(ranks[-1])

@@ -55,6 +55,22 @@ def test_analyze_shifted_diagonal(capsys):
     assert rep["gap_ratio"] == "inf"
 
 
+def test_kolmogorov_scaled_by_2_to_the_minus_60_keeps_its_singular_space(capsys, tmp_path):
+    # every rank decision is relative to the form's own size, so c q has the
+    # S and k0 of q, and its semigroup at time t / c is that of q at t
+    Q = np.zeros((4, 4), dtype=complex)
+    Q[3, 3], Q[1, 2], Q[2, 1] = 1.0, 0.5j, 0.5j
+    Q *= 2.0 ** -60
+    path = write_problem(tmp_path, {"n": 2, "Q_re": Q.real.tolist(), "Q_im": Q.imag.tolist()})
+    code, rep = run_quietly(capsys, "analyze", path)
+    assert code == EXIT_OK
+    assert (rep["S_dim"], rep["k0"]) == (2, 1)
+    assert rep["verdict"].startswith("graph condition holds")
+    code, rep = run_quietly(capsys, "verify", path, "--t", repr(0.01 * 2.0 ** 60))
+    assert code == EXIT_OK
+    assert rep["passed"] is True
+
+
 def test_analyze_x_squared_fails_graph(capsys):
     code, out = run_cli(capsys, "analyze", "--fixture", "x-squared")
     rep = json.loads(out)

@@ -80,7 +80,7 @@ def heat_state(n):
 @pytest.mark.parametrize("call, kind, where", [
     (lambda: standard_J(0), DimensionMismatch, "quadform.standard_J"),
     (lambda: block_decompose(np.zeros((3, 3))), DimensionMismatch, "quadform.block_decompose"),
-    (lambda: cos_sin_sqrt_det(np.eye(3), 0.1), NonSquare, "matfun.sqrt_det_cos_tracked"),
+    (lambda: cos_sin_sqrt_det(np.eye(3), 0.1), NonSquare, "matfun.cos_sin_sqrt_det"),
     (lambda: get_fixture("nope"), ParseError, "fixtures.get_fixture"),
     (lambda: GaussianState(2, 1.0, np.eye(2), np.zeros(3)), DimensionMismatch,
      "evolve.GaussianState"),

@@ -919,16 +919,16 @@ ROTATION = 0.5j * np.eye(2, dtype=complex)  # i (x^2 + xi^2)/2: det cos(tJQ) = 0
     (lambda t: mehler_symbol(heat(1), t), -0.5, DegenerateTime,
      "[mehler.mehler_symbol] t must be nonnegative", 0),
     (lambda t: sqrt_det_cos_tracked(heat(1).Q, t), -1.0, ConjugatePointOnPath,
-     "[matfun.sqrt_det_cos_tracked] path parameter must be nonnegative", 0),
+     "[matfun.cos_sin_sqrt_det] path parameter must be nonnegative", 0),
     (lambda t: sqrt_det_cos_tracked(ROTATION, t), [1.0, 4.0, 5.0], ConjugatePointOnPath,
-     "[matfun.sqrt_det_cos_tracked] det cos vanishes on the path: real eigenvalue "
+     "[matfun.cos_sin_sqrt_det] det cos vanishes on the path: real eigenvalue "
      "0.5 of JQ at t = 4", 1),
     # the first conjugate point, t = pi, where t |JQ|_1 = pi/2 is not certified
     (lambda t: cos_sin_sqrt_det(ROTATION, t), [0.1, np.nextafter(np.pi, 0), np.pi],
-     ConjugatePointOnPath, "[matfun.sqrt_det_cos_tracked] det cos vanishes on the "
+     ConjugatePointOnPath, "[matfun.cos_sin_sqrt_det] det cos vanishes on the "
      "path: real eigenvalue 0.5 of JQ at t = 3.14159", 2),
     (lambda t: sqrt_det_cos_tracked(heat(1).Q + np.eye(2), t), [1.0, 1e6], DegenerateTime,
-     "[matfun.sqrt_det_cos_tracked] cos(tJQ) overflows at t = 1e+06", 1)],
+     "[matfun.cos_sin_sqrt_det] cos(tJQ) overflows at t = 1e+06", 1)],
     ids=["symbol-grid", "symbol", "root", "conjugate-point", "first-conjugate-point",
          "overflow"])
 def test_a_failing_entry_keeps_its_error_and_index(site, t, error, message, index):

@@ -1,8 +1,11 @@
 """Singular space, global index and graph condition tests.
 
 The independent oracle intersects the kernels of Re(Q)(Im F)^l one level at
-a time with scipy's SVD (the package stacks all levels into a single SVD), so
-the two paths share no code.
+a time with scipy's SVD, each level a matrix power judged against the whole
+stack (the package never forms a power: its staircase restricts Im F to the
+previous level's kernel), so the two paths share no code.  The exact oracle,
+oracles.exact_singular_dims, takes the rank of each prefix stack in rational
+arithmetic.
 """
 import numpy as np
 import pytest
@@ -27,8 +30,9 @@ from qsemi.fixtures import (
     shifted_diagonal,
     x_squared,
 )
+from qsemi.matfun import rounding_allowance
 
-from oracles import conjugate_by_linear
+from oracles import conjugate_by_linear, exact_singular_dims
 
 
 def iterated_kernel_oracle(q):
@@ -236,31 +240,57 @@ def seeded_forms():
     return forms
 
 
+def shifted_by_1e_11(forms):
+    """Each form with Re Q shifted by 1e-11 of its norm: values between
+    rounding and the threshold, which give finite gap ratios."""
+    return [QuadraticForm(q.n, q.Q + 1e-11 * np.linalg.norm(q.Q.real, 2) * np.eye(2 * q.n))
+            for q in forms]
+
+
 def test_one_rank_decision_gives_dim_basis_gap_and_k0():
-    # brute force: the rank of every prefix stack of levels 0..l, each
-    # judged against the whole stack's largest singular value, with Im F
-    # divided by the power of two nearest max |Q_ij|
-    for q in seeded_forms():
+    # brute force, level by level: N_{k+1} = {x in N_k : Im F x in N_k}, each
+    # level's rank from scipy's full SVD of the explicitly projected level,
+    # level 0 judged against |Re Q|_2 and every later level against
+    # max(|Re Q|_2, |Im F|_2); the gap is the smallest over the levels
+    for q in seeded_forms() + shifted_by_1e_11(seeded_forms()):
         rep = singular_space(q)
-        ImF = hamilton_map(q).imag / 2.0 ** np.round(np.log2(np.abs(q.Q).max()))
-        levels = [q.Q.real @ np.linalg.matrix_power(ImF, l) for l in range(2 * q.n)]
-        smax = np.linalg.norm(np.vstack(levels), 2)
-        thresh = rep.tol * smax if smax >= rep.tol else rep.tol
-        dims = [2 * q.n - np.linalg.matrix_rank(np.vstack(levels[:l + 1]), tol=thresh)
-                for l in range(2 * q.n)]
-        assert rep.dim == dims[-1]
-        assert rep.k0 == oracle_k0(dims)
-        assert rep.dim == 2 * q.n or rep.sv_kept >= thresh
-        assert rep.sv_dropped < thresh
-        assert rep.basis.shape == (2 * q.n, rep.dim)
+        m = 2 * q.n
+        ReQ, ImF = q.Q.real, hamilton_map(q).imag
+        scale0 = np.linalg.norm(ReQ, 2)
+        scale = max(scale0, np.linalg.norm(ImF, 2))
+        gaps = []
+
+        def kernel(M, scale):
+            _, sv, vh = svd(M)
+            rank = int((sv > rep.tol * scale).sum())
+            if rank < sv.size and sv[rank] > rounding_allowance(m) * scale:
+                gaps.append((sv[rank - 1] if rank else scale) / sv[rank])
+            return rank, vh[rank:].T
+
+        bases = [kernel(ReQ, scale0)[1]]
+        levels = []
+        while bases[-1].shape[1]:
+            V = bases[-1]
+            levels.append((np.eye(m) - V @ V.T) @ ImF)
+            rank, W = kernel(levels[-1] @ V, scale)
+            if rank == 0:
+                break
+            bases.append(V @ W)
+        assert rep.dim == bases[-1].shape[1]
+        assert rep.k0 == len(bases) - 1
+        assert abs(1 / rep.gap_ratio - 1 / min(gaps, default=np.inf)) <= 1e-12
+        assert rep.basis.shape == (m, rep.dim)
         assert np.abs(rep.basis.T @ rep.basis - np.eye(rep.dim)).max(initial=0.0) < 1e-12
-        assert np.abs(np.vstack(levels) @ rep.basis).max(initial=0.0) <= 2 * thresh
+        assert np.abs(ReQ @ rep.basis).max(initial=0.0) <= 2 * rep.tol * scale0
+        for level in levels:
+            assert np.abs(level @ rep.basis).max(initial=0.0) <= 2 * rep.tol * scale
 
 
-@pytest.mark.parametrize("c", [2.0 ** -20, 1 / 8, 8, 2.0 ** 20, 2.0 ** 400])
+@pytest.mark.parametrize("c", [2.0 ** -60, 2.0 ** -40, 2.0 ** -20, 1 / 8, 8, 2.0 ** 20,
+                               2.0 ** 40, 2.0 ** 60, 2.0 ** 400])
 def test_the_rank_decision_does_not_see_the_scale_of_q(c):
-    # S and k0 are those of c q; each level of the stack scales as |Im F|^l,
-    # and unscaled the top levels would hide the rank of the lower ones
+    # S and k0 are those of c q: every level is judged relative to |Re Q|_2
+    # and |Im F|_2, with no absolute floor for a small q to fall under
     for q in seeded_forms():
         rep, scaled = singular_space(q), singular_space(QuadraticForm(q.n, c * q.Q))
         assert (scaled.dim, scaled.k0) == (rep.dim, rep.k0)
@@ -276,9 +306,36 @@ def test_the_rank_decision_does_not_see_the_scale_of_im_q(c):
         assert (scaled.dim, scaled.k0) == (rep.dim, rep.k0)
 
 
+def dyadic_forms(rng, spread: int, count: int):
+    """Forms whose entries are small integers times powers of two, for n in
+    {2, 3, 4}: Re Q = L^T L with L of 1 to n rows and Im Q symmetric, both
+    of entries in -3..3, each column of L and each entry of Im Q scaled by
+    2^e with |e| <= spread.  L^T L is exact in doubles: the terms of an entry
+    share their power of two."""
+    forms = []
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        m = 2 * n
+        L = rng.integers(-3, 4, (int(rng.integers(1, n + 1)), m)) * 2.0 ** rng.integers(
+            -spread, spread + 1, m)
+        M = rng.integers(-3, 4, (m, m)) * 2.0 ** rng.integers(-spread, spread + 1, (m, m))
+        forms.append(QuadraticForm(n, L.T @ L + 1j * (np.triu(M) + np.triu(M, 1).T)))
+    return forms
+
+
+@pytest.mark.parametrize("spread", [0, 4, 8])
+def test_the_staircase_matches_the_exact_rank_on_dyadic_forms(spread):
+    # the exact k0 of these forms reaches 7; a stack of the powers of Im F,
+    # judged against its largest singular value, loses the lower levels'
+    # rank once the entries spread over 2^+-4
+    for q in dyadic_forms(np.random.default_rng(2024 + spread), spread, 80):
+        rep = singular_space(q)
+        assert (rep.dim, rep.k0) == exact_singular_dims(q)
+
+
 def test_entries_whose_squares_overflow_are_judged_too():
     # |Q|_F overflows here (the constructor's own norm too, hence errstate),
-    # while the scaled stack stays finite: Re Q = 1e200 I, so S = {0}
+    # while the SVD of Re Q stays finite: Re Q = 1e200 I, so S = {0}
     with np.errstate(over="ignore", invalid="ignore"):
         q = QuadraticForm(1, 1e200 * np.eye(2) + 1e300j * np.array([[0, 1], [1, 0]]))
     rep = singular_space(q)
@@ -311,22 +368,24 @@ def bench_style_forms():
 
 
 def test_singular_space_asks_for_no_full_u(monkeypatch):
-    # the stack is (4n^2) x 2n, and only its singular values and V are read
+    # each level is 2n x d, and only its singular values and V are read
     calls = svd_spy(monkeypatch, full=False)
     singular_space(bench_style_forms()[-1])
     assert calls and not any(full and uv for full, uv in calls)
 
 
 def test_thin_and_full_svd_give_the_same_singular_space(monkeypatch):
+    # the bench-style forms have exact gaps (inf), their shifts finite ones
     forms = bench_style_forms()
+    forms += shifted_by_1e_11(forms)
     thin = [singular_space(q) for q in forms]
+    assert sum(np.isfinite(rep.gap_ratio) for rep in thin) >= 20
     svd_spy(monkeypatch, full=True)
     for q, rep in zip(forms, thin):
         full = singular_space(q)
         assert (rep.k0, rep.dim) == (full.k0, full.dim)
-        assert full.sv_kept == pytest.approx(rep.sv_kept, rel=1e-14, nan_ok=True)
-        scale = 1.0 if np.isnan(rep.sv_kept) else rep.sv_kept
-        assert abs(full.sv_dropped - rep.sv_dropped) <= 1e-14 * scale
+        # the first dropped value over the last kept, to 1e-14
+        assert abs(1 / full.gap_ratio - 1 / rep.gap_ratio) <= 1e-14
         P, Pfull = rep.basis @ rep.basis.T, full.basis @ full.basis.T
         assert np.abs(P - Pfull).max(initial=0.0) <= 1e-13
 
