@@ -32,7 +32,7 @@ from .evolve import (
 from .fixtures import fixture_names, get_fixture
 from .matfun import DEFAULT_TOL, relative_distance
 from .mehler import diagnostics_PVMN, kernel_from_symbol, mehler_symbol
-from .quadform import QuadraticForm, block_decompose
+from .quadform import QuadraticForm, _symmetrized, _unchecked, block_decompose
 from .singular import graph_condition, singular_space
 
 EXIT_OK = 0
@@ -105,7 +105,7 @@ def _read_problem_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
         raise _parse_error(f"cannot read problem file: {exc}",
                            "load_problem") from exc
     if not isinstance(data, dict):
@@ -175,10 +175,10 @@ def _matrix(value, name: str, shape: tuple) -> np.ndarray:
 
 
 def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticForm:
-    """The form of the run at its tolerance tol, which every stage reads
-    from it: --fixture's, else the problem file's object, whose Re Q
-    QuadraticForm must find PSD within tol (ParseError if not).  A fixture's
-    Re Q is PSD exactly, so it is not checked again at tol."""
+    """The form of the run at its tolerance tol (resolve_tol's), which every
+    stage reads from it: --fixture's, else the problem file's object, whose
+    Re Q QuadraticForm must find PSD within tol (ParseError if not).  A
+    fixture's Re Q is PSD exactly, so it is not checked again at tol."""
     if fixture:
         form = get_fixture(fixture)
         form.tol = tol
@@ -195,10 +195,11 @@ def load_problem(fixture: str | None, problem: dict, tol: float) -> QuadraticFor
     if not (np.isfinite(Q_re).all() and np.isfinite(Q_im).all()):
         raise _parse_error("Q_re and Q_im must be finite", "load_problem")
     Q = Q_re + 1j * Q_im
-    if relative_distance(Q, Q.T) > 1e-9:
+    # the file's one asymmetry: refused above 1e-9, warned of above 1e-12
+    if (asym := relative_distance(Q, Q.T)) > 1e-9:
         raise _parse_error("Q is not symmetric within 1e-9", "load_problem")
     try:
-        return QuadraticForm(n, Q, tol)
+        return _unchecked(n, _symmetrized(Q, asym, tol), tol)
     except errors.NotPSDWithinTol as exc:
         raise _parse_error(str(exc), "load_problem") from exc
 
@@ -329,7 +330,7 @@ def _input_state(args, n: int) -> GaussianState:
         b_im = _matrix(d.get("b_im", np.zeros(n)), "b_im", n)
         c_re = _number(d.get("c_re", 1.0), "c_re")
         c_im = _number(d.get("c_im", 0.0), "c_im")
-    except (AttributeError, KeyError, OSError, OverflowError, TypeError,
+    except (AttributeError, KeyError, OSError, OverflowError, RecursionError, TypeError,
             ValueError) as exc:
         raise _parse_error(f"malformed input state: {exc}", "input_state") from exc
     if not all(np.isfinite(x).all() for x in (A_re, A_im, b_re, b_im, c_re, c_im)):

@@ -62,7 +62,7 @@ transport shadow.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -84,6 +84,7 @@ from .matfun import (
     expm,
     expm_grid,
     first_index,
+    identity,
     log_principal,
     relative_distance,
     rounding_allowance,
@@ -194,7 +195,8 @@ class UnitaryFactors:
         return _fro(_three_factor_product(self.D, self.M, self.W, t) - self.S)[()]
 
     def __getitem__(self, i) -> "UnitaryFactors":
-        return replace(self, D=self.D[i], M=self.M[i], W=self.W[i], t=self.t[i], S=self.S[i])
+        return UnitaryFactors(self.D[i], self.M[i], self.W[i], self.t[i], self.S[i],
+                              self.iterations)
 
 
 @dataclass
@@ -230,9 +232,9 @@ class DecompositionFactors:
     q_sheared: QuadraticForm = field(repr=False, default=None)
 
     def __getitem__(self, i) -> "DecompositionFactors":
-        return replace(self, t=self.t[i], c_t=self.c_t[i], Pt=self.Pt[i],
-                       unitary=self.unitary[i], Rs=self.Rs[i],
-                       prefactor=self.prefactor[i], s=self.s[i], polar=self.polar[i])
+        return DecompositionFactors(**vars(self) | dict(
+            t=self.t[i], c_t=self.c_t[i], Pt=self.Pt[i], unitary=self.unitary[i],
+            Rs=self.Rs[i], prefactor=self.prefactor[i], s=self.s[i], polar=self.polar[i]))
 
 
 def _fro(X) -> np.ndarray:
@@ -241,7 +243,7 @@ def _fro(X) -> np.ndarray:
 
 
 def _log(Z, tol, checks):
-    return log_principal(Z, Z - np.eye(Z.shape[-1]), tol, checks)
+    return log_principal(Z, Z - identity(Z.shape[-1]), tol, checks)
 
 
 def _polar(q: QuadraticForm, t, tol: float, checks: Checks) -> PolarFactors:
@@ -327,7 +329,7 @@ def _unitary(S, t, tol: float, checks: Checks) -> UnitaryFactors:
     t_ = t[..., None, None]
     S12, S21, S22 = S[..., :n, n:], S[..., n:, :n], S[..., n:, n:]
     M = _log(S22.mT, tol, checks).real / t_
-    S22 = checks.clean(S22, np.eye(n))
+    S22 = checks.clean(S22, identity(n))
     W = -np.linalg.solve(S22, S21) / t_
     D = -np.linalg.solve(S22.mT, S12.mT).mT / (2 * t_)
     D, W = (D + D.mT) / 2, (W + W.mT) / 2
@@ -373,7 +375,7 @@ def _strang(A, B, EA, EB, tol: float, checks: Checks) -> np.ndarray:
     checks((na >= STRANG_RADIUS) | (nb >= STRANG_RADIUS), RadiusExceeded,
            lambda i: f"|A| = {na.flat[i]:.4f}, |B| = {nb.flat[i]:.4f} must be below "
                      f"log(2)/6 = {STRANG_RADIUS:.4f}", module=_MOD, operation=op)
-    I = np.eye(m)
+    I = identity(m)
     EA, EB = checks.clean(EA, I), checks.clean(EB, I)
     P = 1j * (J.T @ _log(EB @ EA @ EB, tol, checks)) / 2
     imag = _fro(P.imag)
@@ -532,9 +534,9 @@ def select_gamma(q: QuadraticForm, report: SingularSpaceReport, cert: GraphCerti
     if i == 0:
         raise GammaCollapsed(f"no grid point passes the validity predicates: {stop_reason}",
                              module=_MOD, operation="select_gamma")
-    t0 = float(t_grid[-1 if i is None else i - 1])
-    return GammaSelection(gamma, t0, t_grid, gammas, stop_reason,
-                          replace(factors, t0=t0), checks.errors.get(G))
+    factors.t0 = float(t_grid[-1 if i is None else i - 1])
+    return GammaSelection(gamma, factors.t0, t_grid, gammas, stop_reason, factors,
+                          checks.errors.get(G))
 
 
 def build_decomposition(q: QuadraticForm, t: float, *, t_grid=None) -> DecompositionFactors:
@@ -589,19 +591,18 @@ def verify_decomposition(f: DecompositionFactors) -> dict:
     n = q.n
     J = standard_J(n)
 
-    twisted, middle, dispersion, transport, direct = sla.expm(np.stack([
-        -2j * J @ (s * f.Rs),
-        -2j * J @ (t * f.Pt),
-        -2j * t * J @ (1j * embed_xixi(-u.D)),
-        -2j * t * J @ (-1j * embed_cross(u.M)),
-        -2j * t * J @ q.Q]))
+    X = np.empty((5, 2 * n, 2 * n), dtype=complex)  # the five generators
+    J2, tJ2 = -2j * J, -2j * t * J
+    X[0], X[1], X[2] = J2 @ (s * f.Rs), J2 @ (t * f.Pt), tJ2 @ (1j * embed_xixi(-u.D))
+    X[3], X[4] = tJ2 @ (-1j * embed_cross(u.M)), tJ2 @ q.Q
+    twisted, middle, dispersion, transport, direct = sla.expm(X)
     shadow = shear_transform(f.Gsym)
     for factor in (twisted, middle, twisted, dispersion, transport):
         shadow = shadow @ factor
     shadow = shadow @ shear_transform(-t * u.W - f.Gsym)
     matrix_residual = float(np.linalg.norm(shadow - direct))
 
-    kernels = kernel_from_symbol(stacked_symbol(np.stack([f.Pt, q.Q]), t))
+    kernels = kernel_from_symbol(stacked_symbol(np.array([f.Pt, q.Q]), t))
     k, target = kernels[0], kernels[1]
     k = twisted_sandwich(k, f.N, 2 * s)
     k = kernel_left_phase(k, f.Gsym)

@@ -26,6 +26,7 @@ fails, and why.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +81,26 @@ _EXP_BLOCK, _EXP_TOP = _EXP_COEF[:-1].reshape(-1, 4), _EXP_COEF[4::4]
 #: root converges in far fewer steps, but the nilpotent part of a non-normal
 #: matrix only halves with each root, so 64 may leave it beyond _LOG_ROOT
 _MAX_STEPS = 64
+
+
+def shared_constant(build):
+    """build as a per-size constant: run once per argument tuple, with the
+    array it returns, or each of a tuple of them, shared and so read-only.
+    A caller that writes into such an array builds its own."""
+    @functools.cache
+    @functools.wraps(build)
+    def constant(*args):
+        out = build(*args)
+        for a in out if isinstance(out, tuple) else (out,):
+            a.flags.writeable = False
+        return out
+    return constant
+
+
+@shared_constant
+def identity(m: int) -> np.ndarray:
+    """The m x m real identity, shared read-only."""
+    return np.eye(m)
 
 
 def as_square(A, *, operation: str = "") -> np.ndarray:
@@ -203,7 +224,7 @@ def _taylor_ps(X, top, block, top_coef) -> np.ndarray:
         order = np.argsort(top, kind="stable")
         Xs, top = Xs[order], sorted(top)
     P = np.empty((N, 4, k, k), dtype=np.result_type(X, float))
-    P[:, 0] = np.eye(k)
+    P[:, 0] = identity(k)
     P[:, 1] = Xs
     np.matmul(P[:, 1], P[:, 1], out=P[:, 2])
     np.matmul(P[:, 2], P[:, 1], out=P[:, 3])
@@ -243,7 +264,7 @@ def log_principal(Z, X, tol: float, checks: Checks) -> np.ndarray:
     """
     op = "mat_log_principal"
     m = Z.shape[-1]
-    I = np.eye(m)
+    I = identity(m)
     checks(~np.isfinite(Z).all(axis=(-2, -1)), NonSquare,
            "matrix has non-finite entries", module=_MOD, operation=op)
     Z, X = checks.clean(Z, I), checks.clean(X, 0)
@@ -302,7 +323,7 @@ def mat_log_principal(A) -> np.ndarray:
     ill-defined.
     """
     A = as_square(A, operation="mat_log_principal")
-    return log_principal(A, A - np.eye(A.shape[-1]), DEFAULT_TOL, Checks())
+    return log_principal(A, A - identity(A.shape[-1]), DEFAULT_TOL, Checks())
 
 
 def _add_identity(S, c) -> np.ndarray:
@@ -509,8 +530,6 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
           module=_MOD, operation=op)
     J = standard_J(n)
     JQ = J @ Q
-    # the time of each entry
-    ts = np.broadcast_to(t, np.broadcast_shapes(t.shape, JQ.shape[:-2]))
     # |lambda| <= |JQ|_1, and eigvals' rounding stays within the allowance:
     # below pi/2 for the whole stack (a nan compares false), no entry can
     # meet a conjugate point
@@ -525,9 +544,10 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
         def conjugate_point(i):
             lam_i, real_i = (np.broadcast_to(a, reach.shape + lam.shape[-1:])
                              .reshape(-1, 2 * n)[i] for a in (lam, real))
-            hit = real_i & (ts.flat[i] * np.abs(lam_i) >= np.pi / 2)
+            t_i = np.broadcast_to(t, reach.shape).flat[i]
+            hit = real_i & (t_i * np.abs(lam_i) >= np.pi / 2)
             return (f"det cos vanishes on the path: real eigenvalue "
-                    f"{lam_i[hit][0].real:.6g} of JQ at t = {ts.flat[i]:.6g}")
+                    f"{lam_i[hit][0].real:.6g} of JQ at t = {t_i:.6g}")
 
         check(reach >= np.pi / 2, ConjugatePointOnPath, conjugate_point, module=_MOD,
               operation=op)
@@ -536,7 +556,8 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
         Einv = symplectic_inverse(E)
         C, S = (E + Einv) / 2, (E - Einv) / 2j
     check(~np.isfinite(C).all(axis=(-2, -1)), DegenerateTime,
-          lambda i: f"cos(tJQ) overflows at t = {ts.flat[i]:.6g}", module=_MOD, operation=op)
+          lambda i: f"cos(tJQ) overflows at t = "
+                    f"{np.broadcast_to(t, C.shape[:-2]).flat[i]:.6g}", module=_MOD, operation=op)
     # Pf(J) = (-1)^(n(n-1)/2) for J = [[0, I], [-I, 0]]
     return C, S, pfaffian(J @ C) / (-1) ** (n * (n - 1) // 2)
 

@@ -65,9 +65,11 @@ from .matfun import (
     cos_sin_sqrt_det,
     expm_grid,
     frobenius,
+    identity,
     lambda_min_exceeds,
     relative_distance,
     rounding_allowance,
+    shared_constant,
 )
 from .quadform import QuadraticForm, block_decompose, standard_J
 
@@ -156,6 +158,14 @@ def check_integrable(W, error, *, module: str, operation: str, what: str,
                          module=module, operation=operation)
 
 
+@shared_constant
+def _leading_minors(m: int) -> np.ndarray:
+    """Mask (j, m, m) of the leading minor of order 2j + 2 (or m), j = 0, ...,
+    (m - 1) // 2, of an m x m matrix."""
+    h = np.arange(m) // 2  # index a is in minor j (order 2j + 2, or m) for j >= a // 2
+    return np.maximum.outer(h, h) <= np.arange((m + 1) // 2)[:, None, None]
+
+
 def _sqrt_det(W) -> np.ndarray:
     """sqrt(det W) of each complex symmetric block W (..., m, m) that
     not_integrable passes, on the branch continuous along Re W + is Im W
@@ -172,9 +182,8 @@ def _sqrt_det(W) -> np.ndarray:
     """
     W = np.asarray(W, dtype=complex)
     m = W.shape[-1]
-    h = np.arange(m) // 2  # index a is in minor j (order 2j + 2, or m) for j >= a // 2
-    lead = np.maximum.outer(h, h) <= np.arange((m + 1) // 2)[:, None, None]
-    sign, logdet = np.linalg.slogdet(np.where(lead, W[..., None, :, :], np.eye(m)))
+    sign, logdet = np.linalg.slogdet(np.where(_leading_minors(m), W[..., None, :, :],
+                                              identity(m)))
     phi = np.arctan2(sign.imag, sign.real)
     wraps = np.rint((phi[..., 1:] - phi[..., :-1]) / (2 * np.pi)).sum(axis=-1)
     return np.exp((logdet[..., -1] + 1j * (phi[..., -1] - 2 * np.pi * wraps)) / 2)[()]
@@ -209,7 +218,7 @@ def gaussian_integral(K, b, m, error, *, module: str, operation: str, what: str,
     failed entries, whose W becomes I; a c past float range is inf or nan.
     """
     K = K / 2 + K.mT / 2
-    r, I = K.shape[-1] - m, np.eye(m)
+    r, I = K.shape[-1] - m, identity(m)
     b = np.zeros(K.shape[:-1]) if b is None else b
     checks = Checks() if checks is None else checks
     check_integrable(K[..., r:, r:], error, module=module, operation=operation,
@@ -262,6 +271,16 @@ def stacked_symbol(Q, t, *, tol: float = DEFAULT_TOL) -> MehlerSymbol:
     return MehlerSymbol(n, 1.0 / root, M, t[()])
 
 
+@shared_constant
+def _synthesis(n: int) -> tuple:
+    """(rows, cols, weights, phase) of kernel_from_symbol at n: the index
+    map and weights that take m to ((x + y)/2, xi) on (x, y, xi), and the
+    phase i (x - y).xi."""
+    ix, w = np.r_[:n, :n, n:2 * n], np.repeat([1.0, 1.0, 2.0], n)
+    return (ix[:, None], ix, np.outer(w, w),
+            1j * np.kron([[0, 0, -1], [0, 0, 1], [-1, 1, 0]], np.eye(n)))
+
+
 def kernel_from_symbol(sym: MehlerSymbol) -> GaussianKernel:
     """Gaussian kernel of sym.c * (e^{-m})^w, the gaussian_integral of
     (2 pi)^{-n} sym.c exp(i (x - y).xi - m((x + y)/2, xi)) over xi.
@@ -274,10 +293,9 @@ def kernel_from_symbol(sym: MehlerSymbol) -> GaussianKernel:
     """
     n = sym.n
     op = "kernel_from_symbol"
-    ix, w = np.r_[:n, :n, n:2 * n], np.repeat([1.0, 1.0, 2.0], n)
-    K = sym.M[..., ix[:, None], ix] * np.outer(w, w) / 2  # m at ((x + y)/2, xi)
-    phase = np.kron([[0, 0, -1], [0, 0, 1], [-1, 1, 0]], np.eye(n))  # i (x - y).xi
-    c, K, _ = gaussian_integral(K + 1j * phase, None, n,
+    rows, cols, weights, phase = _synthesis(n)
+    K = sym.M[..., rows, cols] * weights / 2  # m at ((x + y)/2, xi)
+    c, K, _ = gaussian_integral(K + phase, None, n,
                                 NonIntegrableSymbol, module=_MOD, operation=op,
                                 what="xi-xi block of the symbol")
     c = sym.c * (2 * np.pi) ** -n * c
@@ -440,7 +458,7 @@ def twisted_form_matrix(N) -> np.ndarray:
     N = np.asarray(N, dtype=float)
     n = N.shape[0]
     T = np.empty((2 * n, 2 * n))
-    T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:] = N.T @ N, N, -N, np.eye(n)
+    T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:] = N.T @ N, N, -N, identity(n)
     return T
 
 
@@ -493,11 +511,15 @@ def twisted_sandwich(k: GaussianKernel, N, eps: float) -> GaussianKernel:
     density, with block I + eps [[K_xx, -K_xy], [-K_yx, K_yy]]: no 1/eps
     appears, unlike in TW's own kernel, whose entries cancel in composition.
     """
-    n = k.n
-    sgn = np.repeat([-np.sqrt(eps), np.sqrt(eps)], n)  # x - w1 and y + w2
+    n, m = k.n, 2 * k.n
+    r = np.sqrt(eps)
+    sgn = np.repeat([-r, r], n)  # x - w1 and y + w2
     KS = k.K * sgn
-    phase = 1j * np.sqrt(eps) * np.kron(np.eye(2), N)
-    K = np.block([[k.K, KS + phase], [KS.T - phase, sgn[:, None] * KS + np.eye(2 * n)]])
+    # i r times the Kronecker product I_2 (x) N, its entries I_ab N_ij
+    phase = 1j * r * (identity(2)[:, None, :, None] * N[:, None]).reshape(m, m)
+    K = np.empty((2 * m, 2 * m), dtype=complex)
+    K[:m, :m], K[:m, m:], K[m:, :m] = k.K, KS + phase, KS.T - phase
+    K[m:, m:] = sgn[:, None] * KS + identity(m)
     c, K, _ = gaussian_integral(K, None, 2 * n, NonIntegrableComposition, module=_MOD,
                                 operation="twisted_sandwich", what="block I + eps A")
     return GaussianKernel(n, complex(k.c * c * (2 * np.pi) ** -n), K)
@@ -511,13 +533,13 @@ def disperse(K, b, D, t: float, error, *, module: str, operation: str, what: str
     exp(-i t D eta.eta), and gaussian_integral back to y."""
     n = D.shape[0]
     r = K.shape[-1] - n
-    keep = np.ix_(*[np.r_[:r, r + n:r + 2 * n]] * 2)  # of (x, new, old); old is integrated
     c = (2 * np.pi) ** -n
     for sign, mult, block in ((1j, 0, what), (-1j, 2j * t * D, "transformed " + what)):
+        # K on (x, old) of (x, new, old): old = y, new = eta; then old = eta, new = y
         K2 = np.zeros((r + 2 * n, r + 2 * n), dtype=complex)
-        K2[keep] = K  # old = y, new = eta; then old = eta, new = y
-        K2[r + n:, r + n:] += mult
-        K2[r:r + n, r + n:] = K2[r + n:, r:r + n] = sign * np.eye(n)
+        K2[:r, :r], K2[:r, r + n:], K2[r + n:, :r], K2[r + n:, r + n:] = (
+            K[:r, :r], K[:r, r:], K[r:, :r], K[r:, r:] + mult)
+        K2[r:r + n, r + n:] = K2[r + n:, r:r + n] = sign * identity(n)
         pf, K, b = gaussian_integral(K2, np.concatenate([b[:r], np.zeros(n), b[r:]]), n,
                                      error, module=module, operation=operation, what=block)
         c = c * pf
@@ -544,7 +566,8 @@ def inverse_twisted(N, s, checks: Checks
     """
     op = "mehler_inverse_twisted"
     n = N.shape[0]
-    L = np.hstack([-N, np.eye(n)])
+    I = identity(n)
+    L = np.hstack([-N, I])
     _, w, Vt = np.linalg.svd(N)
     nrm = 1 + w.max(initial=0.0) ** 2
     s = np.asarray(s, dtype=float)
@@ -559,8 +582,8 @@ def inverse_twisted(N, s, checks: Checks
     VL = Vt @ L
     ratio = np.divide(np.arctanh(x), x, out=np.ones_like(x), where=x > 0)
     Rs = VL.T @ (ratio[..., None] * VL)
-    X = np.linalg.solve(np.eye(n) + 2j * s * N, L)
-    cayley = np.eye(2 * n) + 2j * s * (np.vstack([np.eye(n), -N]) @ X)
+    X = np.linalg.solve(I + 2j * s * N, L)
+    cayley = identity(2 * n) + 2j * s * (np.vstack([I, -N]) @ X)
     out = (Rs + Rs.mT) / 2, np.prod((1 - x) * (1 + x), axis=-1) ** -0.25, cayley
     return tuple(a.reshape(shape + a.shape[1:]) for a in out)
 
@@ -608,7 +631,8 @@ def kernel_right_transport(k: GaussianKernel, M, t: float, T) -> GaussianKernel:
     exp(-t tr M)."""
     M = np.asarray(M, dtype=float)
     n = k.n
-    E = np.block([[np.eye(n), np.zeros((n, n))], [np.zeros((n, n)), T]])
+    E = np.eye(2 * n)
+    E[n:, n:] = T
     K = E.T @ k.K @ E
     c = k.c * np.exp(-t * np.trace(M))
     return GaussianKernel(n, complex(c), K)

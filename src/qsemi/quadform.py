@@ -11,33 +11,28 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidTolerance, NotPSDWithinTol
-from .matfun import DEFAULT_TOL, frobenius, relative_distance
+from .matfun import DEFAULT_TOL, frobenius, relative_distance, shared_constant
 
 _MOD = "quadform"
 
 _SYM_TOL = 1e-12
 
 
-@functools.cache
+@shared_constant
 def standard_J(n: int) -> np.ndarray:
-    """Matrix of the standard symplectic form: [[0, I], [-I, 0]].
-
-    Built once per n and shared, so it is read-only.
-    """
+    """Matrix of the standard symplectic form: [[0, I], [-I, 0]], shared
+    read-only."""
     if n < 1:
         raise DimensionMismatch("n must be >= 1", module=_MOD, operation="standard_J")
     Z = np.zeros((n, n))
     I = np.eye(n)
-    J = np.block([[Z, I], [-I, Z]])
-    J.flags.writeable = False
-    return J
+    return np.block([[Z, I], [-I, Z]])
 
 
 @dataclass
@@ -66,15 +61,31 @@ class QuadraticForm:
         if not np.isfinite(Q).all():
             raise DimensionMismatch("Q has non-finite entries",
                                     module=_MOD, operation="QuadraticForm")
-        if (asym := relative_distance(Q, Q.T)) > _SYM_TOL:
-            warnings.warn(f"symmetrizing Q: asymmetry {asym:.3e} exceeds {_SYM_TOL:.0e} "
-                          "relative; Weyl symbols only see the symmetric part", stacklevel=2)
-        Q = Q / 2 + Q.T / 2  # (Q + Q^T) / 2 would overflow past 9e307
-        lam = np.linalg.eigvalsh(Q.real)[0]
-        if lam < -self.tol * frobenius(Q):
-            raise NotPSDWithinTol(f"Re Q must be positive semidefinite (lambda_min = {lam:.3e})",
-                                  module=_MOD, operation="QuadraticForm")
-        self.Q = Q
+        self.Q = _symmetrized(Q, relative_distance(Q, Q.T), self.tol)
+
+
+def _symmetrized(Q, asym: float, tol: float) -> np.ndarray:
+    """QuadraticForm's symmetrization, warning and PSD check of a finite
+    2n x 2n Q whose relative_distance from Q^T is asym: cli.load_problem
+    shares it, so that a problem file's asymmetry is measured once."""
+    if asym > _SYM_TOL:
+        warnings.warn(f"symmetrizing Q: asymmetry {asym:.3e} exceeds {_SYM_TOL:.0e} "
+                      "relative; Weyl symbols only see the symmetric part", stacklevel=3)
+    Q = Q / 2 + Q.T / 2  # (Q + Q^T) / 2 would overflow past 9e307
+    lam = np.linalg.eigvalsh(Q.real)[0]
+    if lam < -tol * frobenius(Q):
+        raise NotPSDWithinTol(f"Re Q must be positive semidefinite (lambda_min = {lam:.3e})",
+                              module=_MOD, operation="QuadraticForm")
+    return Q
+
+
+def _unchecked(n: int, Q, tol: float = DEFAULT_TOL) -> QuadraticForm:
+    """The QuadraticForm of Q as it is, with none of QuadraticForm's checks:
+    for a Q already symmetric, finite and with Re Q >= 0 (a shear's
+    congruence, a checked problem file, a fixture)."""
+    form = object.__new__(QuadraticForm)
+    form.n, form.Q, form.tol = n, Q, tol
+    return form
 
 
 def hamilton_map(q: QuadraticForm) -> np.ndarray:
@@ -88,9 +99,7 @@ def _congruence_unchecked(q: QuadraticForm, T) -> QuadraticForm:
     (decompose.select_gamma's shear), whose congruence cannot break the
     symmetry, finiteness or Re Q >= 0 that q was validated for."""
     Q = T.T @ q.Q @ T
-    form = object.__new__(QuadraticForm)
-    form.n, form.Q, form.tol = q.n, Q / 2 + Q.T / 2, q.tol
-    return form
+    return _unchecked(q.n, Q / 2 + Q.T / 2, q.tol)
 
 
 def shear_transform(Gsym) -> np.ndarray:

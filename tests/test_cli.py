@@ -426,12 +426,21 @@ def test_missing_input_is_parse_error(capsys):
     assert code == EXIT_PARSE
 
 
+#: a file that is not UTF-8, and JSON nested past the parser's recursion limit
+NOT_UTF8 = b'{"n": 1, "Q_re": "\xff"}'
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize("content, message", [
-    (None, "cannot read problem file"), ("[1, 2]", "problem file must hold a JSON object")])
+    (None, "cannot read problem file"), ("[1, 2]", "problem file must hold a JSON object"),
+    pytest.param(NOT_UTF8, "cannot read problem file", id="not-utf8"),
+    pytest.param(DEEP, "cannot read problem file", id="deep")])
 def test_a_missing_or_non_object_problem_file_is_parse_error(tmp_path, capsys, content,
                                                              message):
     path = tmp_path / "problem.json"
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     code, rep = run_quietly(capsys, "analyze", str(path))
     assert code == EXIT_PARSE and rep["kind"] == "ParseError"
@@ -533,6 +542,28 @@ def test_the_jump_demo_commutes_with_a_multiple_of_the_form(tmp_path, capsys, c)
 def test_a_fixture_is_loaded_at_the_runs_tolerance():
     # every stage reads the tolerance from the form: a fixture kept 1e-9
     assert cli.load_problem("kolmogorov", {}, 1e-7).tol == 1e-7
+
+
+@pytest.mark.parametrize("Q_re, warned", [([[1, 0.5], [0.5, 2]], False),
+                                           ([[1, 0.5 + 1e-11], [0.5, 2]], True)])
+def test_a_problem_files_asymmetry_is_measured_once(monkeypatch, Q_re, warned):
+    # load_problem refuses above 1e-9 and QuadraticForm's symmetrization warns
+    # above 1e-12, both from one relative_distance(Q, Q^T)
+    from qsemi import quadform
+    calls, real = [], quadform.relative_distance
+
+    def counted(X, Y):
+        calls.append(1)
+        return real(X, Y)
+    monkeypatch.setattr(cli, "relative_distance", counted)
+    monkeypatch.setattr(quadform, "relative_distance", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        form = cli.load_problem(None, {"n": 1, "Q_re": Q_re}, 1e-9)
+    assert len(calls) == 1
+    assert [str(w.message).startswith("symmetrizing Q") for w in caught] == [warned] * warned
+    Q = np.array(Q_re, dtype=complex)
+    assert np.array_equal(form.Q, Q / 2 + Q.T / 2) and form.tol == 1e-9
 
 
 def test_evolve_demo_on_a_problem_file_without_graph(tmp_path, capsys):
@@ -982,6 +1013,15 @@ def test_evolve_bad_input_is_parse_error(tmp_path, capsys, text):
     code, out = run_cli(capsys, "evolve", "--fixture", "heat", "--input", path)
     assert code == EXIT_PARSE
     assert json.loads(out)["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("content", [NOT_UTF8, DEEP.encode()], ids=["not-utf8", "deep"])
+def test_an_unreadable_input_state_is_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "state.json"
+    path.write_bytes(content)
+    code, rep = run_quietly(capsys, "evolve", "--fixture", "heat", "--input", str(path))
+    assert code == EXIT_PARSE and rep["kind"] == "ParseError"
+    assert (rep["module"], rep["operation"]) == ("cli", "input_state")
 
 
 def test_evolve_demo_rejects_an_input_state(tmp_path, capsys):

@@ -13,7 +13,7 @@ from qsemi import (
     standard_J,
 )
 from qsemi.errors import InvalidTolerance, NotPSDWithinTol
-from qsemi.fixtures import heat, kolmogorov, shifted_diagonal
+from qsemi.fixtures import fixture_names, get_fixture, heat, kolmogorov, shifted_diagonal
 from qsemi.quadform import _congruence_unchecked, embed_xx
 
 from oracles import conjugate_by_linear
@@ -161,6 +161,19 @@ def test_a_symmetric_q_near_float_range_is_kept_with_no_runtime_warning():
         sheared = _congruence_unchecked(q, shear_transform([[1e-160]]))
     assert np.array_equal(q.Q, Q)
     assert np.isfinite(sheared.Q).all() and np.array_equal(sheared.Q, sheared.Q.T)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_a_fixture_is_the_form_quadraticform_checks(name):
+    # fixtures are built with no checks: each is an exact constant that
+    # QuadraticForm accepts as it is, with no warning, to the bit
+    form = get_fixture(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checked = QuadraticForm(form.n, form.Q)
+    assert type(form) is QuadraticForm
+    assert (form.n, form.tol, form.Q.dtype) == (checked.n, checked.tol, checked.Q.dtype)
+    assert form.Q.tobytes() == checked.Q.tobytes()
 
 
 def test_embed_xx_is_the_form_on_x_alone():
