@@ -531,26 +531,27 @@ def cos_sin_sqrt_det(Q, t, *, tol: float = DEFAULT_TOL
     J = standard_J(n)
     JQ = J @ Q
     # |lambda| <= |JQ|_1, and eigvals' rounding stays within the allowance:
-    # below pi/2 for the whole stack (a nan compares false), no entry can
-    # meet a conjugate point
-    if not (t.max(initial=0.0) * _norm1(JQ).max(initial=0.0)
-            * (1 + 2 * rounding_allowance(2 * n)) < np.pi / 2):
-        lam = np.linalg.eigvals(JQ)
-        real = np.abs(lam.imag) <= tol * np.abs(lam)
-        # float products are monotone, so t * max|lambda| >= pi/2 exactly when
-        # t |lambda| >= pi/2 for some real eigenvalue lambda
-        reach = t * np.where(real, np.abs(lam), 0).max(axis=-1)
+    # below pi/2 for the whole stack (a nan compares false, and a product
+    # that overflows is inf), no entry can meet a conjugate point
+    with np.errstate(over="ignore"):
+        if not (t.max(initial=0.0) * _norm1(JQ).max(initial=0.0)
+                * (1 + 2 * rounding_allowance(2 * n)) < np.pi / 2):
+            lam = np.linalg.eigvals(JQ)
+            real = np.abs(lam.imag) <= tol * np.abs(lam)
+            # float products are monotone, so t * max|lambda| >= pi/2 exactly
+            # when t |lambda| >= pi/2 for some real eigenvalue lambda
+            reach = t * np.where(real, np.abs(lam), 0).max(axis=-1)
 
-        def conjugate_point(i):
-            lam_i, real_i = (np.broadcast_to(a, reach.shape + lam.shape[-1:])
-                             .reshape(-1, 2 * n)[i] for a in (lam, real))
-            t_i = np.broadcast_to(t, reach.shape).flat[i]
-            hit = real_i & (t_i * np.abs(lam_i) >= np.pi / 2)
-            return (f"det cos vanishes on the path: real eigenvalue "
-                    f"{lam_i[hit][0].real:.6g} of JQ at t = {t_i:.6g}")
+            def conjugate_point(i):
+                lam_i, real_i = (np.broadcast_to(a, reach.shape + lam.shape[-1:])
+                                 .reshape(-1, 2 * n)[i] for a in (lam, real))
+                t_i = np.broadcast_to(t, reach.shape).flat[i]
+                hit = real_i & (t_i * np.abs(lam_i) >= np.pi / 2)
+                return (f"det cos vanishes on the path: real eigenvalue "
+                        f"{lam_i[hit][0].real:.6g} of JQ at t = {t_i:.6g}")
 
-        check(reach >= np.pi / 2, ConjugatePointOnPath, conjugate_point, module=_MOD,
-              operation=op)
+            check(reach >= np.pi / 2, ConjugatePointOnPath, conjugate_point,
+                  module=_MOD, operation=op)
     with np.errstate(over="ignore", invalid="ignore"):
         E = expm(1j * (t[..., None, None] * JQ))
         Einv = symplectic_inverse(E)

@@ -264,8 +264,12 @@ def stacked_symbol(Q, t, *, tol: float = DEFAULT_TOL) -> MehlerSymbol:
         raise DegenerateTime(str(exc), module=_MOD, operation="mehler_symbol",
                              index=exc.index) from exc
     n = C.shape[-1] // 2
-    M = standard_J(n).T @ np.linalg.solve(C, S)
-    M = (M + M.mT) / 2
+    with np.errstate(over="ignore", invalid="ignore"):  # sin overflows first (x^2)
+        M = standard_J(n).T @ np.linalg.solve(C, S)
+        M = (M + M.mT) / 2
+    Checks()(~np.isfinite(M).all(axis=(-2, -1)), DegenerateTime, lambda i: "the symbol "
+             f"is not finite at t = {np.broadcast_to(t, M.shape[:-2]).flat[i]:.6g}",
+             module=_MOD, operation="mehler_symbol")
     # the zero symbol, without the signed zeros of the solve
     M = np.where((t == 0)[..., None, None], 0, M)
     return MehlerSymbol(n, 1.0 / root, M, t[()])
@@ -408,7 +412,11 @@ def flow_kernel(q: QuadraticForm, t) -> GaussianKernel:
     if (sign == 0).any():  # solved as I, and refused below
         Mt = np.where((sign == 0)[..., None, None], np.eye(2 * n), Mt)
     with np.errstate(over="ignore", invalid="ignore"):
-        L = np.linalg.solve(Mt, Nt).mT
+        try:
+            L = np.linalg.solve(Mt, Nt).mT
+        except np.linalg.LinAlgError:  # a pivot of M^T's LU underflowed to 0
+            lost = (np.linalg.slogdet(Mt)[0] == 0)[..., None, None]  # (t ~ 1e100)
+            L = np.where(lost, np.nan, np.linalg.solve(np.where(lost, np.eye(2 * n), Mt), Nt).mT)
     del Mt, Nt
     # M is scaled to modulus below 1, so L leaves the floats only where the
     # kernel, of order 1/t, does (t ~ 1e-310), not where B is singular

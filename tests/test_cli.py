@@ -1167,8 +1167,9 @@ def test_readme_synopsis_lists_each_commands_options():
 
 
 def test_gamma_pencil_failure_is_a_typed_error(capsys):
-    # on this grid the Cholesky inside the gamma pencil fails at a point where
-    # lambda_min(A_t) > 0; that point fails the selection like any other
+    # on this grid lambda_min(A_t) on the complement of the singular space is
+    # of the order of its rounding (-6e-17 at t = 1e-6): a point where it is
+    # not positive fails the selection as a typed error naming that point
     grid = np.logspace(-6, -5, 10)
     code, out = run_cli(capsys, "decompose", str(ROOT / "bench" / "rank_n_kernel_gate_n2.json"),
                         "--t", "1e-5", "--t-grid", "1e-6,1e-5,10")
@@ -1194,3 +1195,27 @@ def test_python_m_qsemi_runs_the_cli():
                          capture_output=True, text=True, env=env, check=False)
     assert run.returncode == EXIT_OK, run.stderr
     assert json.loads(run.stdout)["k0"] == 0
+
+
+#: a fresh process that runs the CLI, then prints whether scipy was loaded
+SCIPY_PROBE = """
+import contextlib, io, sys
+import qsemi.cli
+loaded = ["scipy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qsemi.cli.main(sys.argv[1:])
+print(code, loaded[0], "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["decompose", "--fixture", "kolmogorov", "--t", "0.01"], False),
+    (["verify", "--fixture", "kolmogorov", "--t", "0.01"], True),
+])
+def test_only_verify_loads_scipy(argv, loads):
+    # the build is numpy alone: scipy.linalg.expm is verify's oracle
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+                         capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "False", str(loads)]

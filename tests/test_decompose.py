@@ -1,6 +1,7 @@
 """Factorization machinery tests: polar factors, three-factor splitting,
 Strang middle term, gamma selection, end-to-end decomposition."""
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -505,7 +506,7 @@ def reference_select_gamma(q, report, cert, t_grid):
     alpha = 2 * report.k0 + 1
     Nmat = twisted_form_matrix(cert.N)
     U = sla.null_space(singular_space(q_sh).basis.T)
-    Nbar = U.T @ Nmat @ U
+    LU = np.hstack([-cert.N, np.eye(q.n)]) @ U  # NN = L^T L
     gammas, pols = [], []
     for t in t_grid:
         try:
@@ -519,7 +520,7 @@ def reference_select_gamma(q, report, cert, t_grid):
             raise GammaCollapsed(f"A_t not positive on the complement of S at t = {t:.3g} "
                                  f"(lambda_min = {lam:.3e})", module="decompose",
                                  operation="select_gamma")
-        mu = sla.eigh(Nbar, Abar, eigvals_only=True).max() if Nbar.size else 0.0
+        mu = np.linalg.eigvalsh(LU @ np.linalg.solve(Abar, LU.T)).max()
         gammas.append(1e6 if mu <= tol else t ** (1 - alpha) / (10 * mu))
         pols.append(pol)
     gamma = 0.9 * min(gammas)
@@ -664,18 +665,48 @@ def gamma_t_mpmath(q_sh, cert, t, dps=40):
 def test_gamma_rank_n_matches_high_precision():
     """gamma_t on rank-n forms, where A_t has eigenvalues of order 1e-9 to
     1e-12 at t = 1e-3 that amplify rounding in the polar log, against
-    40-digit mpmath."""
-    t = 1e-3
-    for seed in range(12):
-        rng = np.random.default_rng(seed)
-        n = 1 + seed % 2
-        q = random_accretive(rng, n, rank=n)
+    40-digit mpmath.  At n = 5 that rounding of A_t itself reaches 5e-6 at
+    t = 1e-3 and 2e-8 at t = 1e-2, whichever reduction of the pencil reads it."""
+    cases = [(seed, 1 + seed % 2, 1e-3, 1e-6) for seed in range(12)]
+    cases += [(seed, 5, t, bound) for t, bound in ((1e-3, 1e-5), (1e-2, 1e-7))
+              for seed in (100, 101, 102)]
+    for seed, n, t, bound in cases:
+        q = random_accretive(np.random.default_rng(seed), n, rank=n)
         rep = singular_space(q)
         assert rep.k0 == 1 and rep.dim == 0
         cert = graph_condition(rep)
         got = select_gamma(q, rep, cert, [t]).gamma_grid[0]
         want = gamma_t_mpmath(conjugate_by_linear(q, shear_transform(cert.Gsym)), cert, t)
-        assert abs(got - want) <= 1e-6 * want, seed
+        assert abs(got - want) <= bound * want, (seed, n, t)
+
+
+def pencil_forms():
+    """The graph fixtures, and forms with k0 = 0 (Re Q > 0) at n = 1, 2, 5, 10."""
+    for name in GRAPH_FIXTURES:
+        yield name, get_fixture(name)
+    for n in (1, 2, 5, 10):
+        yield f"k0=0-n={n}", random_accretive(np.random.default_rng(500 + n), n)
+
+
+@pytest.mark.parametrize("name, q", list(pencil_forms()),
+                         ids=[name for name, _ in pencil_forms()])
+def test_gamma_reads_the_pencils_largest_eigenvalue(name, q):
+    # select_gamma's closed form, mu_t = lambda_max(LU Abar^-1 (LU)^T) for
+    # NN = L^T L, against scipy's generalized eigensolver of the pencil
+    # (U^T NN U, Abar) on the same U and A_t
+    rep = singular_space(q)
+    cert = graph_condition(rep)
+    grid = decompose.default_t_grid()
+    sel = select_gamma(q, rep, cert, grid)
+    U = np.linalg.qr(shear_transform(-cert.Gsym) @ rep.basis,
+                     mode="complete")[0][:, rep.dim:]
+    q_sh = decompose._congruence_unchecked(q, shear_transform(cert.Gsym))
+    A = decompose._polar(q_sh, grid, q.tol, Checks()).A
+    Nbar = U.T @ twisted_form_matrix(cert.N) @ U
+    want = np.array([sla.eigh(Nbar, U.T @ a @ U, eigvals_only=True).max() for a in A])
+    got = grid ** (-2 * rep.k0) / (10 * sel.gamma_grid)
+    assert want.min() > q.tol  # no grid point takes the vanishing placeholder
+    assert (np.abs(got - want) <= 1e-12 * want).all(), name
 
 
 def test_build_one_polar_split_per_grid_point(monkeypatch):
@@ -763,80 +794,40 @@ def test_a_build_failing_at_t_runs_each_stage_once(monkeypatch):
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
 
 
-class FailingSygvd:
-    """scipy.linalg whose LAPACK ?sygvd, the pencil's generalized eigensolver,
-    reports a failed Cholesky of its second matrix (info > m) at its k-th call,
-    or at every call where fails(b) holds."""
-
-    def __init__(self, k=None, fails=None):
-        self.k, self.fails = k, fails
-
-    def __getattr__(self, name):
-        return getattr(sla, name)
-
-    def get_lapack_funcs(self, names, arrays=()):
-        sygvd = sla.get_lapack_funcs(names, arrays)
-
-        def failing(a, b, **kwargs):
-            if self.k is not None:
-                self.k -= 1
-            w, v, info = sygvd(a, b, **kwargs)
-            if self.k == 0 or (self.fails is not None and self.fails(b)):
-                info = len(a) + 2  # the leading minor of order 2 of b
-            return w, v, info
-        return failing
-
-
-def test_a_planted_cholesky_failure_exits_as_gamma_collapsed(capsys, monkeypatch):
-    # the third grid point's pencil fails, as LAPACK's Cholesky of A_t can
-    # where lambda_min(A_t) > 0: a typed error, not a traceback
-    monkeypatch.setattr(decompose, "sla", FailingSygvd(k=3))
-    code = cli.main(["decompose", "--fixture", "kolmogorov", "--t", "0.01",
-                     "--t-grid", "1e-3,1e-1,5"])
-    rep = json.loads(capsys.readouterr().out)
-    assert code == cli.EXIT_MATH
-    assert rep["kind"] == "GammaCollapsed"
-    assert "Cholesky" in rep["error"]
-    assert "at t = 0.01 " in rep["error"]
-
-
-def real_pencil_failures(q, ts):
-    """The times of ts where lambda_min(A_t) > 0 on the complement of the
-    singular space but LAPACK's Cholesky of A_t in the pencil fails."""
-    rep = singular_space(q)
-    U = sla.null_space(rep.basis.T)
-    Nbar = U.T @ twisted_form_matrix(graph_condition(rep).N) @ U
-    pol = decompose._polar(q, ts, 1e-9, Checks(ts.shape))
-    failed = []
-    for t, A in zip(ts, U.T @ pol.A @ U):
-        if np.linalg.eigvalsh(A)[0] > 0:
-            try:
-                sla.eigh(Nbar, A, eigvals_only=True)
-            except np.linalg.LinAlgError:
-                failed.append(float(t))
-    return failed
-
-
-@pytest.mark.parametrize("seed, n", [(24, 2), (36, 2), (2, 5), (3, 5)])
-def test_a_pencil_whose_cholesky_fails_exits_as_gamma_collapsed(tmp_path, capsys, seed, n):
-    # rank-n forms at t ~ 1e-6, where lambda_min(A_t) ~ 1e-17 > 0 but the
-    # pencil's Cholesky of A_t fails: a typed error, not a traceback.  Such
-    # forms sit where rounding decides positivity, so which t fails moves
-    # with the polar factor's rounding: the t is the first one of a fixed
-    # grid where the real LAPACK Cholesky fails
+@pytest.mark.parametrize("seed, n, k", [(24, 2, 7), (36, 2, 7), (2, 5, 22), (3, 5, 15)])
+def test_a_rank_n_form_where_a_t_nears_zero_ends_in_a_report(tmp_path, capsys, seed, n, k):
+    # rank-n forms at t ~ 1e-7, where lambda_min(A_t) ~ 1e-17 on the
+    # complement of the singular space and rounding decides its sign: one
+    # report, the decomposition or GammaCollapsed at a grid point
+    t = float(np.logspace(-7, -5, 81)[k])
     q = random_accretive(np.random.default_rng(seed), n, rank=n)
-    failed = real_pencil_failures(q, np.logspace(-7, -5, 81))
-    assert failed
-    t = failed[0]
     path = tmp_path / "form.json"
     path.write_text(json.dumps({"n": n, "Q_re": q.Q.real.tolist(),
                                 "Q_im": q.Q.imag.tolist()}))
-    code = cli.main(["decompose", str(path), "--t", repr(t), "--t-grid", f"{t!r},1e-4,10"])
+    grid = {f"{g:.3g}" for g in np.logspace(np.log10(t), -4, 10)}
+    for command in ("decompose", "verify"):
+        code = cli.main([command, str(path), "--t", repr(t), "--t-grid", f"{t!r},1e-4,10"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code in (cli.EXIT_OK, cli.EXIT_MATH)
+        if code == cli.EXIT_MATH:
+            assert rep["kind"] == "GammaCollapsed"
+            assert re.search(r"at t = (\S+) ", rep["error"]).group(1) in grid
+
+
+def test_a_point_whose_a_t_is_singular_to_rounding_is_gamma_collapsed(tmp_path, capsys):
+    # lambda_min(A_t) = 5e-18 > 0 on the complement of S, but the LU that
+    # solves for mu_t meets an exact zero pivot: that grid point fails as
+    # GammaCollapsed, where the stacked solve would raise LinAlgError
+    q = random_accretive(np.random.default_rng(196), 2, rank=2)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": 2, "Q_re": q.Q.real.tolist(),
+                                "Q_im": q.Q.imag.tolist()}))
+    code = cli.main(["decompose", str(path), "--t", "1e-6",
+                     "--t-grid", "2.1544346900318822e-07,1e-4,10"])
     rep = json.loads(capsys.readouterr().out)
     assert code == cli.EXIT_MATH
-    assert rep["kind"] == "GammaCollapsed"
-    assert "Cholesky" in rep["error"]
-    assert f"at t = {t:.3g} " in rep["error"]
+    assert re.fullmatch(r"\[decompose.select_gamma\] A_t singular to rounding on the "
+                        r"complement of S at t = 2.15e-07 \(lambda_min = \d\S+\)", rep["error"])
 
 
 def test_a_time_beyond_t0_is_too_large_before_any_failure_at_t(monkeypatch):
@@ -1048,21 +1039,3 @@ def test_kernel_gate_reproducer_passes_verify(capsys, t):
     rep = json.loads(capsys.readouterr().out)
     assert code == cli.EXIT_OK, rep
     assert rep["kernel_residual"] <= 1e-10
-
-
-def test_gammas_fails_a_point_whose_pencil_cholesky_fails(monkeypatch):
-    # eigvalsh can find lambda_min(A_t) > 0 where the pencil's Cholesky of
-    # A_t still fails: that grid point fails, as one with lambda_min <= 0 does
-    q = kolmogorov()
-    cert = graph_condition(singular_space(q))
-    U = sla.null_space(singular_space(q).basis.T)
-    Nbar = U.T @ twisted_form_matrix(cert.N) @ U
-    ts = np.array([1e-3, 1e-2, 5e-2])
-    pol = decompose._polar(q, ts, 1e-9, Checks())
-    monkeypatch.setattr(decompose, "sla", FailingSygvd(
-        fails=lambda b: np.allclose(b, U.T @ pol.A[1] @ U, rtol=1e-12, atol=0)))
-    checks = Checks(ts.shape)
-    decompose._gammas(pol, U, Nbar, 3, tol=1e-9, checks=checks)
-    assert checks.bad.tolist() == [False, True, False]
-    with pytest.raises(GammaCollapsed, match="Cholesky of A_t failed at t = 0.01 "):
-        decompose._gammas(pol, U, Nbar, 3, tol=1e-9, checks=Checks())

@@ -2,16 +2,18 @@
 
 The problem files scale the fixtures by factors up to 1e300 and down to
 1e-300, or hold an entry of 1.7e308; the input states of evolve have an
-entry of 1.7e308, or an output whose prefactor overflows.  Each command runs
-in process and must exit 0, 2, 3 or 4 with one JSON report on stdout; the
-suite's filterwarnings turns a RuntimeWarning on the way into a failure.
+entry of 1.7e308, or an output whose prefactor overflows; the times run up
+to 1.7e308.  Each command runs in process and must exit 0, 2, 3 or 4 with
+one JSON report on stdout; the suite's filterwarnings turns a RuntimeWarning
+on the way into a failure.
 """
 import json
+import re
 
 import pytest
 
 from qsemi import cli
-from qsemi.fixtures import get_fixture
+from qsemi.fixtures import fixture_names, get_fixture
 
 
 def scaled(name: str, c: float) -> dict:
@@ -75,3 +77,46 @@ def test_evolve_of_an_input_near_float_range_ends_in_a_report(tmp_path, capsys, 
     path.write_text(json.dumps(u))
     got, out = run(capsys, ["evolve", "--fixture", fixture, "--input", str(path)])
     assert got == code and holds in out
+
+
+#: times where the flow, the symbol or the polar factors leave the floats
+LARGE_T = ("1e15", "1e16", "1e100", "9e307", "1.7e308")
+
+
+@pytest.mark.parametrize("t", LARGE_T)
+@pytest.mark.parametrize("fixture", fixture_names())
+@pytest.mark.parametrize("command", sorted(name for name, (_, options) in cli._COMMANDS.items()
+                                           if "--t" in options))
+def test_every_command_at_a_time_near_float_range_ends_in_a_report(capsys, command,
+                                                                   fixture, t):
+    # a report with no nan or inf in it: "q": "inf" is norms' exponent, as given
+    _, out = run(capsys, [command, "--fixture", fixture, "--t", t])
+    rep = json.loads(out)
+    rep.pop("q", None)
+    assert not re.search(r'"-?(nan|inf)"', json.dumps(rep)), out
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "--fixture", "kolmogorov", "--t", "1e99"],
+    ["norms", "--fixture", "kolmogorov", "--t", "1e101"],
+    ["exponents", "--fixture", "kolmogorov", "--t-grid", "1e90,1e110,5"],
+], ids=lambda argv: " ".join(argv[3:]))
+def test_a_flow_whose_lu_underflows_is_degenerate_time(capsys, argv):
+    # M's entries spread from 1e-299 to 1, and the LU that solves for the
+    # kernel meets an exact zero pivot: that entry's kernel is past float
+    # reach, as at t = 1e80
+    code, out = run(capsys, argv)
+    rep = json.loads(out)
+    assert code == cli.EXIT_MATH
+    assert (rep["kind"], rep["operation"]) == ("DegenerateTime", "flow_kernel")
+
+
+def test_a_conjugate_point_past_float_range_is_found_quietly(tmp_path, capsys):
+    # t |lambda| overflows for the real eigenvalue 10 of JQ: the bound and the
+    # conjugate point are still decided, with no overflow on the way
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"n": 1, "Q_re": [[0, 0], [0, 0]],
+                                "Q_im": [[10, 0], [0, 10]]}))
+    for command in ("mehler", "kernel"):
+        code, out = run(capsys, [command, str(path), "--t", "1.7e308"])
+        assert code == cli.EXIT_MATH and "det cos vanishes on the path" in out
