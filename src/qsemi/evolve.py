@@ -118,8 +118,9 @@ def apply_kernel_gaussian(k: GaussianKernel, u: GaussianState) -> GaussianState:
 
 
 def dispersion_gaussian(u: GaussianState, D, t: float) -> GaussianState:
-    """exp(i t D grad.grad) u in closed form (Fourier multiplier, disperse)."""
-    c, A, b = disperse(u.A, u.b, np.asarray(D, dtype=float), t, NonIntegrableSymbol,
+    """exp(i t D grad.grad) u, D real n x n acting as sym D, in closed form:
+    A^-1 gains 2it sym D (mehler.disperse, one n x n solve)."""
+    c, A, b = disperse(u.A, u.b, D, t, u.n, NonIntegrableSymbol,
                        module=_MOD, operation="dispersion_gaussian", what="A")
     return GaussianState(u.n, complex(u.c * c), A, b)
 

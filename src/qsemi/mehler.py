@@ -9,12 +9,17 @@ Kernels: whenever the xi-xi block B of m has positive-definite real part,
 prefactor c and the complex symmetric K on the stacked variable (x, y).
 
 Gaussian integrals: kernel synthesis (over xi), composition (the middle
-variable), the dispersion factor (the Fourier variable) and, in evolve,
-kernel application (y) each integrate one block through gaussian_integral.
-Its prefactor's sqrt(det W) (_sqrt_det) takes no eigenvalues: the branch
-comes from one batched slogdet of the even-order leading minors of W.
-Its one decision, check_integrable (not_integrable, reported), is also the
-only integrability test of sqrt_det_pd and of evolve's Gaussian states.
+variable) and, in evolve, kernel application (y) each integrate one block
+through gaussian_integral.  Its prefactor's sqrt(det W) (_sqrt_det) takes no
+eigenvalues: the branch comes from one batched slogdet of the even-order
+leading minors of W.  Its one decision, check_integrable (not_integrable,
+reported), is also the only integrability test of sqrt_det_pd, of disperse
+and of evolve's Gaussian states.  The dispersion factor exp(i t D grad.grad)
+needs no integral: it adds X = 2it sym D to the covariance K_yy^-1, and
+disperse writes the result in closed form from one solve of I + K_yy X.  Its
+prefactor is sqrt(det K'_yy / det K_yy), both roots _sqrt_det's: K_yy^-1 +
+sX has a positive-definite real part for every s, a convex set on which
+det != 0, so the branch is the one continuous from c = 1 at X = 0.
 The twisted factors act on a kernel in covariance form (twisted_sandwich),
 with no kernel of order 1/eps; inverse_twisted writes them as evolutions in
 closed form from one SVD of N, with no matrix log, expm or eigenvalues.
@@ -533,25 +538,28 @@ def twisted_sandwich(k: GaussianKernel, N, eps: float) -> GaussianKernel:
     return GaussianKernel(n, complex(k.c * c * (2 * np.pi) ** -n), K)
 
 
-def disperse(K, b, D, t: float, error, *, module: str, operation: str, what: str):
-    """exp(i t D grad.grad), D real symmetric (even degenerate), on the last n
-    coordinates y of exp(-z.Kz/2 + b.z), z = (x, y), as (c, K', b') for the
-    result c exp(-z.K'z/2 + b'.z): gaussian_integral from y to its Fourier
-    variable eta (block K_yy, named `what`), the multiplier
-    exp(-i t D eta.eta), and gaussian_integral back to y."""
-    n = D.shape[0]
-    r = K.shape[-1] - n
-    c = (2 * np.pi) ** -n
-    for sign, mult, block in ((1j, 0, what), (-1j, 2j * t * D, "transformed " + what)):
-        # K on (x, old) of (x, new, old): old = y, new = eta; then old = eta, new = y
-        K2 = np.zeros((r + 2 * n, r + 2 * n), dtype=complex)
-        K2[:r, :r], K2[:r, r + n:], K2[r + n:, :r], K2[r + n:, r + n:] = (
-            K[:r, :r], K[:r, r:], K[r:, :r], K[r:, r:] + mult)
-        K2[r:r + n, r + n:] = K2[r + n:, r:r + n] = sign * identity(n)
-        pf, K, b = gaussian_integral(K2, np.concatenate([b[:r], np.zeros(n), b[r:]]), n,
-                                     error, module=module, operation=operation, what=block)
-        c = c * pf
-    return c, K, b
+def disperse(K, b, D, t: float, n: int, error, *, module: str, operation: str, what: str):
+    """exp(i t D grad.grad), D real n x n acting as sym D, on the last n
+    coordinates y of exp(-z.Kz/2 + b.z), z = (x, y), as (c, K', b') for
+    c exp(-z.K'z/2 + b'.z).  The covariance K_yy^-1 gains X = 2it sym D: for
+    G = (I + K_yy X)^-1, one solve, K'_y. = G K_y., b'_y = G b_y, K'_x. =
+    K_x. - K_xy X G K_y. (b'_x alike), and c = sqrt(det K'_yy / det K_yy)
+    exp(b_y.X G b_y/2), one exp with the roots' logs (_sqrt_det's branch), so
+    X = 0 gives K' = K and c = 1 exactly.  DimensionMismatch unless D is a
+    finite n x n matrix, then error where check_integrable fails K_yy (`what`)."""
+    D = np.asarray(D, dtype=float)
+    if D.shape != (n, n) or not np.isfinite(D).all():
+        raise DimensionMismatch(f"D must be a finite {n} x {n} matrix (shape {D.shape})",
+                                module=module, operation=operation)
+    K, r = K / 2 + K.T / 2, K.shape[-1] - n
+    check_integrable(K[r:, r:], error, module=module, operation=operation, what=what)
+    X = 1j * t * (D + D.T)
+    Y = np.linalg.solve(identity(n) + K[r:, r:] @ X, np.concatenate([K[r:], b[r:, None]], axis=1))
+    Z = K[:r, r:] @ X @ Y
+    K2 = np.concatenate([K[:r] - Z[:, :-1], Y[:, :-1]])
+    log_root = np.log(_sqrt_det(np.stack([K2[r:, r:], K[r:, r:]])))
+    c = np.exp(b[r:] @ X @ Y[:, -1] / 2 + log_root[0] - log_root[1])
+    return c, (K2 + K2.T) / 2, np.concatenate([b[:r] - Z[:, -1], Y[:, -1]])
 
 
 def inverse_twisted(N, s, checks: Checks
@@ -647,10 +655,9 @@ def kernel_right_transport(k: GaussianKernel, M, t: float, T) -> GaussianKernel:
 
 
 def kernel_right_dispersion(k: GaussianKernel, D, t: float) -> GaussianKernel:
-    """Right-compose with exp(i t D grad.grad), D real symmetric (even zero):
-    disperse on the y-slice of the kernel, whose K_yy must be integrable."""
-    c, K, _ = disperse(k.K, np.zeros(2 * k.n), np.asarray(D, dtype=float), t,
-                       NonIntegrableSymbol, module=_MOD,
-                       operation="kernel_right_dispersion",
-                       what="y-y block of the kernel")
+    """Right-compose with exp(i t D grad.grad), D real n x n (acting as sym D,
+    even zero): disperse on the y-slice of the kernel, whose K_yy must be
+    integrable."""
+    c, K, _ = disperse(k.K, np.zeros(2 * k.n), D, t, k.n, NonIntegrableSymbol, module=_MOD,
+                       operation="kernel_right_dispersion", what="y-y block of the kernel")
     return GaussianKernel(k.n, complex(k.c * c), K)

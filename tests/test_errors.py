@@ -19,6 +19,7 @@ from qsemi import (
     block_decompose,
     compose_kernels,
     counterexample_demo,
+    dispersion_gaussian,
     errors,
     fit_exponent,
     get_fixture,
@@ -39,6 +40,7 @@ from qsemi.errors import (
 )
 from qsemi.fixtures import heat
 from qsemi.matfun import cos_sin_sqrt_det
+from qsemi.mehler import kernel_right_dispersion
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qsemi"
 
@@ -96,6 +98,17 @@ def heat_state(n):
      "decompose.select_gamma"),
     (lambda: counterexample_demo(n2_multiplication_form(), 0.1), DimensionMismatch,
      "evolve.counterexample_demo"),
+    # a D of another size than the kernel's or state's n, or not finite
+    (lambda: kernel_right_dispersion(kernel_from_symbol(mehler_symbol(heat(1), 0.1)),
+                                     np.eye(2), 0.1),
+     DimensionMismatch, "mehler.kernel_right_dispersion"),
+    (lambda: kernel_right_dispersion(kernel_from_symbol(mehler_symbol(heat(1), 0.1)),
+                                     np.eye(3), 0.1),
+     DimensionMismatch, "mehler.kernel_right_dispersion"),
+    (lambda: dispersion_gaussian(heat_state(1), np.eye(2), 0.1), DimensionMismatch,
+     "evolve.dispersion_gaussian"),
+    (lambda: dispersion_gaussian(heat_state(1), [[np.nan]], 0.1), DimensionMismatch,
+     "evolve.dispersion_gaussian"),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_each_guard_raises_its_typed_error(call, kind, where):
     with pytest.raises(kind) as info:

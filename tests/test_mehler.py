@@ -43,7 +43,7 @@ from qsemi.fixtures import (
     shifted_diagonal,
     x_squared,
 )
-from qsemi.evolve import norm_sweep, op_norm_edge
+from qsemi.evolve import GaussianState, dispersion_gaussian, norm_sweep, op_norm_edge
 from qsemi.matfun import Checks, rounding_allowance
 from qsemi.mehler import (
     MehlerSymbol,
@@ -53,7 +53,7 @@ from qsemi.mehler import (
     twisted_sandwich,
 )
 
-from oracles import mp_expm, twisted_kernel
+from oracles import mp_disperse, mp_expm, to_complex, twisted_kernel
 
 
 def graph_fixtures():
@@ -684,6 +684,103 @@ def test_interior_norm_sweep_matches_the_eigenvalue_root(monkeypatch):
     T = np.logspace(-4, -1, 40)
     norms, ref = prefactors_both_ways(monkeypatch, lambda: norm_sweep(q, T, 2, 4))
     assert (np.abs(norms - ref) <= 1e-13 * np.abs(ref)).all()
+
+
+# --- the dispersion factor exp(i t D grad.grad) --------------------------------
+def random_dispersion(rng, n, tD):
+    """(D, t): D real symmetric n x n, t in (0.1, 5), with |tD|_2 = tD."""
+    D = rng.standard_normal((n, n))
+    t = rng.uniform(0.1, 5)
+    return (D + D.T) * tD / (t * np.linalg.norm(D + D.T, 2)), t
+
+
+def random_gaussian(rng, m):
+    """(K, b) on m coordinates: K complex symmetric with Re K positive-definite
+    (condition up to 1e3), b complex."""
+    K = complex_symmetric_block(rng, m, 10 ** rng.uniform(0, 3), 10 ** rng.uniform(-1, 2))
+    return K, rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+def relative_error(a, ref) -> float:
+    """Largest entry of |a - ref| relative to ref's largest entry."""
+    return float(np.abs(np.asarray(a) - ref).max() / np.abs(ref).max())
+
+
+def check_against_mp_disperse(K, b, D, t, n, c, K2, b2):
+    ref_c, ref_K, ref_b = mp_disperse(K, b, D, t, n)
+    assert abs(c / complex(ref_c) - 1) < 1e-11
+    assert relative_error(K2, to_complex(ref_K)) < 1e-11
+    if b2 is not None:
+        assert relative_error(b2, to_complex(ref_b)[:, 0]) < 1e-11
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dispersion_matches_a_40_digit_round_trip(seed):
+    # a kernel (x and y, b = 0) and a state (y only), and disperse itself on
+    # both with b, at n <= 5 and |tD| from 1e-3 to 1e3
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(1, 6))
+    D, t = random_dispersion(rng, n, 10 ** rng.uniform(-3, 3))
+    k = kernel_from_symbol(mehler_symbol(random_accretive_form(rng, n), rng.uniform(0.01, 1)))
+    out = kernel_right_dispersion(k, D, t)
+    check_against_mp_disperse(k.K, np.zeros(2 * n), D, t, n, out.c / k.c, out.K, None)
+    u = GaussianState(n, 1.0, *random_gaussian(rng, n))
+    v = dispersion_gaussian(u, D, t)
+    check_against_mp_disperse(u.A, u.b, D, t, n, v.c, v.A, v.b)
+    for r in (0, n):
+        K, b = random_gaussian(rng, r + n)
+        check_against_mp_disperse(K, b, D, t, n, *mehler.disperse(
+            K, b, D, t, n, NonIntegrableSymbol, module="m", operation="o", what="w"))
+
+
+@pytest.mark.parametrize("r", [0, 3])
+def test_dispersion_takes_the_branch_where_the_roots_wind(r):
+    # K'_yy = (I + 2itD)^-1 with |tD| = 500: its three eigenvalues sit near
+    # arg -pi/2, so the principal root of det K'_yy is minus the branch
+    rng = np.random.default_rng(310 + r)
+    K, b = random_gaussian(rng, r + 3)
+    K[r:, r:] = np.eye(3)
+    D = 100 * np.eye(3) + np.diag([0.5, -0.5, 0.0])
+    c, K2, b2 = mehler.disperse(K, b, D, 5.0, 3, NonIntegrableSymbol, module="m",
+                                operation="o", what="w")
+    lam = np.linalg.eigvals(K2[r:, r:])
+    assert abs(np.sqrt(np.prod(lam)) / np.prod(np.sqrt(lam)) + 1) < 1e-12
+    check_against_mp_disperse(K, b, D, 5.0, 3, c, K2, b2)
+
+
+def test_dispersion_by_zero_is_the_identity_to_the_bit():
+    # D = +-0 leaves a kernel or a state as it is, c == 1; an asymmetric D
+    # acts as its symmetric part
+    rng = np.random.default_rng(320)
+    for k in [kernel_from_symbol(mehler_symbol(q, 0.1)) for q in graph_fixtures()]:
+        for zero in (0.0, -0.0):
+            out = kernel_right_dispersion(k, np.full((k.n, k.n), zero), 0.1)
+            assert out.c == k.c and out.K.tobytes() == k.K.tobytes()
+        D = rng.standard_normal((k.n, k.n))
+        a, s = kernel_right_dispersion(k, D, 0.3), kernel_right_dispersion(k, (D + D.T) / 2, 0.3)
+        assert a.c == s.c and np.array_equal(a.K, s.K)
+    states = [GaussianState(1, 1.0, np.eye(1), np.zeros(1))]
+    states += [GaussianState(n, 1.5 - 0.5j, *random_gaussian(rng, n)) for n in (1, 2, 5)]
+    for u in states:
+        v = dispersion_gaussian(u, np.zeros((u.n, u.n)), 0.1)
+        assert v.c == u.c and v.A.tobytes() == u.A.tobytes() and v.b.tobytes() == u.b.tobytes()
+        D = rng.standard_normal((u.n, u.n))
+        a, s = dispersion_gaussian(u, D, 0.3), dispersion_gaussian(u, (D + D.T) / 2, 0.3)
+        assert a.c == s.c and np.array_equal(a.A, s.A) and np.array_equal(a.b, s.b)
+
+
+def test_dispersion_is_one_solve_and_one_root(monkeypatch):
+    rng = np.random.default_rng(330)
+    k = kernel_from_symbol(mehler_symbol(random_accretive_form(rng, 3), 0.1))
+    calls = []
+    for owner, name in ((np.linalg, "solve"), (mehler, "_sqrt_det"),
+                        (mehler, "check_integrable"), (mehler, "gaussian_integral")):
+        def counted(*args, _f=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    kernel_right_dispersion(k, np.diag(rng.standard_normal(3)), 0.1)
+    assert sorted(calls) == ["_sqrt_det", "check_integrable", "solve"]
 
 
 # --- kernels from the flow exp(-2itJQ) -----------------------------------------
